@@ -23,6 +23,8 @@ from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize,
                    boxtimes_power, monomial_key, monomials_of_degree,
                    monomials_upto, twist)
 
+_ZERO = Fraction(0)  # shared fill for absent cells; Fractions are immutable
+
 
 def _require_nonzero(f: Poly):
     if f.is_zero():
@@ -172,7 +174,7 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     sigmas = monomials_upto(n, d)
     images = [apply(Poly.monomial(f.vars, s), f) for s in sigmas]
     coords = sorted({m for img in images for m in img.terms}, key=monomial_key)
-    matrix = [[img.terms.get(m, Fraction(0)) for img in images] for m in coords]
+    matrix = [[img.terms.get(m, _ZERO) for img in images] for m in coords]
     out = []
     for vec in kernel_basis(matrix):
         out.append(Poly(f.vars, {s: c for s, c in zip(sigmas, vec) if c}))
@@ -198,7 +200,7 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     out: QMatrix = []
     for s in rows:
         img = apply(Poly.monomial(F.vars, s), F)
-        out.append([img.terms.get(m, Fraction(0)) for m in cols])
+        out.append([img.terms.get(m, _ZERO) for m in cols])
     return out
 
 
@@ -256,7 +258,7 @@ def pairing_table(f: Poly) -> PairingTable:
         row = []
         for b in exps:
             s = tuple(x + y for x, y in zip(a, b))
-            row.append(_fact(s) * f.terms.get(s, Fraction(0)))
+            row.append(_fact(s) * f.terms.get(s, _ZERO))
         gram.append(row)
     return PairingTable([Poly.monomial(f.vars, a) for a in exps], gram)
 
@@ -279,7 +281,7 @@ def structure_tensor_of_apolar(f: Poly):
             v = []
             for a in exps:
                 t = tuple(x + y for x, y in zip(s, a))
-                v.append(_fact(t) * f.terms.get(t, Fraction(0)))
+                v.append(_fact(t) * f.terms.get(t, _ZERO))
             c = solve_unique(pt.gram, v)
             for k, ck in enumerate(c):
                 if ck:

@@ -34,9 +34,8 @@ from typing import List, Optional, Sequence
 from . import guards
 from .guards import LimitExceeded, Limits
 from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
-                     hilbert_function, is_concise, max_catalecticant_rank,
-                     partials_space, structure_tensor_of_apolar,
-                     verify_tautological_apolarity)
+                     hilbert_function, is_concise, partials_space,
+                     structure_tensor_of_apolar, verify_tautological_apolarity)
 from .encompass import (check_maximal_growth, encompassing_extension,
                         gradient_generic_rank, growth_table,
                         is_almost_encompassing, is_encompassing,
@@ -136,9 +135,12 @@ def _emit(args, command: str, inputs: dict, outputs: dict) -> None:
 def _limits(args) -> Limits:
     base = Limits.from_env()
     return Limits(
-        max_terms=args.max_terms if args.max_terms else base.max_terms,
-        max_entries=args.max_entries if args.max_entries else base.max_entries,
-        max_degree=args.max_degree if args.max_degree else base.max_degree,
+        max_terms=(args.max_terms if args.max_terms is not None
+                   else base.max_terms),
+        max_entries=(args.max_entries if args.max_entries is not None
+                     else base.max_entries),
+        max_degree=(args.max_degree if args.max_degree is not None
+                    else base.max_degree),
     )
 
 
@@ -275,7 +277,7 @@ def _cmd_cat_rank(args, limits) -> int:
     if args.max:
         d = F.degree()
         by_k = {k: catalecticant_rank(F, k) for k in range(d + 1)}
-        rank = max_catalecticant_rank(F)
+        rank = max(by_k.values())
         out = {"max_rank": rank,
                "at_k": min(k for k, r in by_k.items() if r == rank),
                "border_rank_lower_bound": rank}
@@ -352,7 +354,8 @@ def _cmd_verify_taut(args, limits) -> int:
 def _cmd_verify_main_thm(args, limits) -> int:
     F = _parse_form(args.form, limits)
     v = args.var or F.vars[0]
-    rep = verify_main_theorem(F, v, args.d, max_terms=limits.max_terms)
+    rep = verify_main_theorem(F, v, args.d, max_terms=limits.max_terms,
+                              max_degree=limits.max_degree)
     _emit(args, "verify-main-thm",
           {"form": F, "var": v, "d": args.d},
           {"rank": rep.rank, "expected": rep.expected, "equal": rep.equal,

@@ -249,9 +249,12 @@ OUT_OF_SCOPE_NOTES = [
 
 
 def verify_main_theorem(F: Poly, v: str, d: int,
-                        max_terms: Optional[int] = None) -> MainTheoremReport:
+                        max_terms: Optional[int] = None,
+                        max_degree: Optional[int] = None) -> MainTheoremReport:
     """Rank of the degree-d catalecticant of the twisted d-th power vs the
-    saturated value binom(n+d, d), where n+1 is the number of variables."""
+    saturated value binom(n+d, d), where n+1 is the number of variables.
+
+    The term and degree guards run before any assumption is checked."""
     if F.is_zero():
         raise ValueError("zero form")
     if d < 1:
@@ -259,16 +262,16 @@ def verify_main_theorem(F: Poly, v: str, d: int,
     assumptions = {"homogeneous": F.is_homogeneous()}
     if not assumptions["homogeneous"]:
         raise ValueError("expected a homogeneous form")
+    n = len(F.vars) - 1
+    expected = math.comb(n + d, d)
+    guards.check_terms(expected, max_terms)
+    guards.check_degree(F.degree() * d, max_degree)
     from .poly import dehomogenize
     f = dehomogenize(F, v)
     assumptions["dehomogenization_nonzero"] = not f.is_zero()
     assumptions["concise"] = is_concise(F)
     assumptions["encompassing_dehomogenization"] = (
         not f.is_zero() and is_encompassing(f))
-    n = len(F.vars) - 1
-    expected = math.comb(n + d, d)
-    guards.check_terms(expected, max_terms)
-    guards.check_degree(F.degree() * d)
     P = twist(F ** d, v)
     r = catalecticant_rank(P, d)
     return MainTheoremReport(F, v, d, r, expected, r == expected,

@@ -9,6 +9,11 @@ invariants elsewhere (e.g. independence of lowest-degree forms of an
 echelonized basis) rely on full reduction, so partial echelon forms are never
 exposed.
 
+``rank`` first certifies full rank modulo the prime 2^61 - 1 with Python
+ints: reduction mod p never raises a rank, so full rank mod p is full rank
+over Q.  When the rank mod p falls short, or p divides a denominator, the
+rank is computed over Q with ``rref``.  Every rank returned is exact.
+
 No floats, ever.
 """
 
@@ -42,26 +47,8 @@ def mat(rows: Iterable[Iterable]) -> QMatrix:
     return out
 
 
-def zeros(nrows: int, ncols: int) -> QMatrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> QMatrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def transpose(m: QMatrix) -> QMatrix:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def _first_nonzero(row: Sequence[Rat]) -> int:
@@ -107,7 +94,68 @@ def rref(m: QMatrix) -> Tuple[QMatrix, List[int]]:
     return rows, pivots
 
 
+MODULUS = (1 << 61) - 1  # the Mersenne prime of the modular rank certificate
+
+
+def _full_rank_mod_p(m: QMatrix, full: int) -> bool:
+    """True iff m has rank `full` over GF(MODULUS).
+
+    Rows are reduced to sparse {column: int} vectors, with one inverse per
+    distinct denominator, and eliminated in order.  Returns False as soon as
+    the rows left cannot reach `full`, and when MODULUS divides a denominator
+    (the entry has no image mod p).
+    """
+    inverses: Dict[int, int] = {}
+    pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
+    left = len(m)
+    for raw in m:
+        left -= 1
+        row: Dict[int, int] = {}
+        for j, x in enumerate(raw):
+            if not x:
+                continue
+            den = x.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % MODULUS == 0:
+                    return False
+                inv = inverses[den] = pow(den, -1, MODULUS)
+            v = x.numerator * inv % MODULUS
+            if v:
+                row[j] = v
+        # each held row is zero in the pivot columns held before it, so one
+        # pass in insertion order clears every pivot column of `row`
+        for c, prow in pivots.items():
+            f = row.get(c)
+            if f:
+                for k, b in prow.items():
+                    v = (row.get(k, 0) - f * b) % MODULUS
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        if row:
+            c = min(row)
+            inv = pow(row[c], -1, MODULUS)
+            pivots[c] = {k: v * inv % MODULUS for k, v in row.items()}
+            if len(pivots) == full:
+                return True
+        elif len(pivots) + left < full:
+            return False
+    return len(pivots) == full
+
+
 def rank(m: QMatrix) -> int:
+    """Rank over Q.
+
+    Entries whose denominators p does not divide map to GF(p) by a ring
+    homomorphism, which can only turn nonzero minors into zero ones, so
+    rank mod p <= rank over Q.  Rank mod p = min(rows, cols) therefore
+    certifies full rank; every other case is decided by ``rref`` over Q.
+    """
+    full = min(len(m), len(m[0])) if m else 0
+    if _full_rank_mod_p(m, full):
+        return full
     return len(rref(m)[0])
 
 
@@ -194,21 +242,6 @@ class EchelonState:
         self.rows.insert(k, row)
         self.pivots.insert(k, p)
         return True
-
-
-def row_reduce_incremental(state: EchelonState | None, row: Sequence[Rat],
-                           ncols: int | None = None) -> Tuple[EchelonState, bool]:
-    """Feed one row into an echelon state; pass state=None to start.
-
-    Returns (state, accepted) where accepted is False iff the row was already
-    in the span of the rows accepted so far.
-    """
-    if state is None:
-        if ncols is None:
-            ncols = len(row)
-        state = EchelonState(ncols)
-    accepted = state.insert(row)
-    return state, accepted
 
 
 SparseVec = Dict[Hashable, Rat]

@@ -306,14 +306,6 @@ def restrict_zero(F: Poly, vars_to_kill: Iterable[str]) -> Poly:
     return Poly(new_vars, tm)
 
 
-def mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def power(f: Poly, d: int) -> Poly:
-    return f ** d
-
-
 def boxtimes_power(f: Poly, d: int) -> Poly:
     """Product of d copies of f in pairwise-disjoint variables.
 

@@ -300,6 +300,40 @@ def test_degree_guard_exits_three(capsys):
     assert run(["apolar-dim", "(x1 + x2)^40", "--max-degree", "10"]) == 3
 
 
+def refused(capsys, argv):
+    """A guard refusal: exit 3, nothing on stdout, the reason on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, ""), captured.err
+    return "exceeds" in captured.err
+
+
+def test_main_thm_degree_guard_exits_three(capsys):
+    # the twisted cube has degree 6 > 3
+    assert refused(capsys, ["verify-main-thm", "--d", "3", "--max-degree", "3",
+                            "x0*x1*x2"])
+
+
+def test_main_thm_guards_run_before_assumptions(capsys, monkeypatch):
+    import apolarium.encompass as encompass
+
+    def boom(f):
+        raise AssertionError("assumption checked before the guards")
+    monkeypatch.setattr(encompass, "is_concise", boom)
+    monkeypatch.setattr(encompass, "is_encompassing", boom)
+    assert refused(capsys, ["verify-main-thm", "--d", "4", "--max-degree", "8",
+                            "x0*x1*x2"])
+    assert refused(capsys, ["verify-main-thm", "--d", "4", "--max-terms", "10",
+                            "x0*x1*x2"])
+
+
+def test_zero_limits_are_honoured(capsys):
+    assert refused(capsys, ["tensor", "kron", "--tensor", "cw:3", "--power",
+                            "2", "--max-entries", "0"])
+    assert refused(capsys, ["apolar-dim", "x1 + x2", "--max-terms", "0"])
+    assert refused(capsys, ["apolar-dim", "x1", "--max-degree", "0"])
+
+
 def test_entry_guard_env_var(capsys, monkeypatch):
     monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "100")
     assert run(["tensor", "kron", "--tensor", "cw:4", "--power", "9"]) == 3

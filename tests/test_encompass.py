@@ -17,6 +17,7 @@ from apolarium.encompass import (
     verify_main_theorem,
 )
 from apolarium.guards import LimitExceeded
+from apolarium.papersuite import BIG_CUBIC
 from apolarium.poly import format_poly, parse, restrict_zero
 
 V2 = ("x1", "x2")
@@ -208,6 +209,13 @@ def test_main_theorem_concise_cubic_square():
     assert rep.equal
 
 
+def test_main_theorem_big_cubic_fifth_power():
+    # a 252 x 3003 catalecticant, certified full rank modulo a prime
+    rep = verify_main_theorem(parse(BIG_CUBIC), "x0", 5)
+    assert rep.rank == rep.expected == comb(10, 5) == 252
+    assert rep.equal
+
+
 def test_main_theorem_input_checks():
     with pytest.raises(ValueError):
         verify_main_theorem(parse("x0^2 + x1"), "x0", 2)  # inhomogeneous
@@ -215,3 +223,5 @@ def test_main_theorem_input_checks():
         verify_main_theorem(parse("x0^2 + x1^2"), "x0", 0)
     with pytest.raises(LimitExceeded):
         verify_main_theorem(parse("x0*x1*x2"), "x0", 6, max_terms=10)
+    with pytest.raises(LimitExceeded):
+        verify_main_theorem(parse("x0*x1*x2"), "x0", 2, max_degree=5)

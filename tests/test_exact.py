@@ -3,12 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolarium.exact import (EchelonState, SparseEchelon, identity,
-                             kernel_basis, mat, mat_mul, rank, rat,
-                             row_reduce_incremental, rref, solve_unique,
-                             transpose, zeros)
+try:
+    import sympy
+except ImportError:  # the oracle is optional
+    sympy = None
+
+from apolarium import exact
+from apolarium.exact import (MODULUS, EchelonState, SparseEchelon,
+                             kernel_basis, mat, rank, rat, rref, solve_unique,
+                             transpose)
 
 F = Fraction
+P = MODULUS
 
 
 def test_rat_accepts_ints_fractions_strings():
@@ -38,8 +44,8 @@ def test_rref_drops_zero_rows_and_is_fully_reduced():
 
 def test_rank_examples():
     assert rank(mat([[1, 2], [2, 4]])) == 1
-    assert rank(identity(4)) == 4
-    assert rank(zeros(3, 5)) == 0
+    assert rank(mat([[int(i == j) for j in range(4)] for i in range(4)])) == 4
+    assert rank(mat([[0] * 5] * 3)) == 0
 
 
 def test_kernel_basis_dimension_and_membership():
@@ -64,12 +70,9 @@ def test_solve_unique_rejects_singular():
 
 def test_incremental_matches_batch_rank():
     rows = mat([[1, 2, 3], [1, 2, 3], [0, 1, 1], [2, 5, 7]])
-    state = None
-    accepted = 0
-    for row in rows:
-        state, ok = row_reduce_incremental(state, row, ncols=3)
-        accepted += ok
-    assert accepted == rank(rows)
+    state = EchelonState(3)
+    accepted = sum(state.insert(row) for row in rows)
+    assert accepted == state.rank == rank(rows)
 
 
 def test_sparse_echelon_contains_and_basis():
@@ -84,6 +87,11 @@ def test_sparse_echelon_contains_and_basis():
     assert len(basis) == 2
     # fully reduced: the pivot of one row does not appear in the other
     assert basis[0] == {"a": F(1)}
+
+
+def product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
 
 small_rat = st.integers(-6, 6).map(F)
@@ -130,5 +138,72 @@ def test_product_rank_bound(a, b):
     # reshape b to have exactly ncols(a) rows so the product is defined
     need = len(a[0])
     b = [b[i % len(b)] for i in range(need)]
-    p = mat_mul(a, b)
-    assert rank(p) <= min(rank(a), rank(b))
+    assert rank(product(a, b)) <= min(rank(a), rank(b))
+
+
+# -- the modular certificate ---------------------------------------------------
+
+
+rat_entry = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+# products of an n x k and a k x m matrix: rank at most k
+low_rank_matrices = st.tuples(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda nmk: st.tuples(
+        st.lists(st.lists(rat_entry, min_size=nmk[2], max_size=nmk[2]),
+                 min_size=nmk[0], max_size=nmk[0]),
+        st.lists(st.lists(rat_entry, min_size=nmk[1], max_size=nmk[1]),
+                 min_size=nmk[2], max_size=nmk[2]))).map(lambda ab: product(*ab))
+rational_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.lists(rat_entry, min_size=m, max_size=m),
+                           min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_matrices, low_rank_matrices))
+def test_rank_matches_rref_rank(m):
+    assert rank(m) == len(rref(m)[0])
+
+
+def _spy_rref(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return rref(m)
+    monkeypatch.setattr(exact, "rref", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m, expected", [
+    ([[F(P)]], 1),                        # P vanishes mod P
+    ([[F(1), F(1)], [F(1), F(1 + P)]], 2),  # determinant P
+    ([[F(1, P), F(0)], [F(0), F(1)]], 2),   # P divides a denominator
+    ([[F(2, P)], [F(1, 3)]], 1),
+    ([[F(1, P), F(1)], [F(1), F(P)]], 1),  # singular; dropping 1/P is not
+    ([[F(0)] * 4] * 3, 0),
+])
+def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
+    calls = _spy_rref(monkeypatch)
+    assert rank(m) == expected
+    assert calls == [m]
+
+
+def test_rank_of_empty_matrices():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+
+
+def test_full_rank_is_certified_without_rref(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    m = mat([["1/2", 3, 0, -5], [0, "7/3", 1, 1], [1, 1, 1, "1/6"]])
+    assert rank(m) == 3
+    assert rank(transpose(m)) == 3
+    assert calls == []
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_matrices, low_rank_matrices))
+def test_rank_matches_sympy(m):
+    assert rank(m) == sympy.Matrix(m).rank()

@@ -60,28 +60,31 @@ def is_almost_encompassing(f: Poly) -> bool:
 
 
 def check_maximal_growth(f: Poly, d: int,
-                         max_terms: Optional[int] = None) -> Tuple[int, int, bool]:
+                         max_terms: Optional[int] = None,
+                         max_degree: Optional[int] = None
+                         ) -> Tuple[int, int, bool]:
     """Compare dim of the partials space of f^d with binom(l+d-1, d)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if d < 1:
         raise ValueError("need d >= 1")
+    guards.check_degree(f.degree() * d, max_degree)
     ell = apolar_dim(f)
     rhs = math.comb(ell + d - 1, d)
     guards.check_terms(rhs, max_terms)
-    guards.check_degree(f.degree() * d)
     lhs = apolar_dim(f ** d)
     return lhs, rhs, lhs == rhs
 
 
 def growth_table(f: Poly, dmax: int,
-                 max_terms: Optional[int] = None) -> List[int]:
+                 max_terms: Optional[int] = None,
+                 max_degree: Optional[int] = None) -> List[int]:
     """[dim of partials space of f^d for d = 1..dmax]."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     out = []
     for d in range(1, dmax + 1):
-        guards.check_degree(f.degree() * d)
+        guards.check_degree(f.degree() * d, max_degree)
         p = f ** d
         guards.check_terms(len(p.terms), max_terms)
         out.append(apolar_dim(p))

@@ -5,8 +5,9 @@ expected value (kind "assert") or reports two computations side by side
 without taking sides (kind "info").  Entry ids double as the provenance
 strings the command-line reports carry.
 
-run_suite() executes every entry and assembles an order-stable summary
-(entries sorted by id).  Entries are independent and pure.
+run_suite() executes every entry, or only the chosen ids, and assembles an
+order-stable summary of what ran (entries sorted by id).  Entries are
+independent and pure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Collection, Dict, List, Optional
 
 from .apolar import (annihilator_upto, apolar_dim, boxtimes_apolar_dim,
                      catalecticant_rank, hilbert_function,
@@ -650,10 +651,18 @@ ENTRIES: List[SuiteEntry] = sorted([
 ], key=lambda e: e.id)
 
 
-def run_suite() -> dict:
+def run_suite(only: Optional[Collection[str]] = None) -> dict:
+    """Run the entries (only those whose ids are in only, when given) and
+    summarize what ran.  Unknown ids are refused before any entry runs."""
+    chosen = ENTRIES
+    if only is not None:
+        missing = set(only) - {e.id for e in ENTRIES}
+        if missing:
+            raise ValueError(f"unknown suite entries: {sorted(missing)}")
+        chosen = [e for e in ENTRIES if e.id in only]
     results = []
     passed = failed = info = 0
-    for entry in ENTRIES:
+    for entry in chosen:
         out = entry.run()
         rec = {"id": entry.id, "kind": entry.kind,
                "description": entry.description, "values": out}
@@ -668,7 +677,7 @@ def run_suite() -> dict:
     return {
         "entries": results,
         "summary": {
-            "total": len(ENTRIES),
+            "total": len(chosen),
             "passed": passed,
             "failed": failed,
             "informational": info,

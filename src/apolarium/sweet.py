@@ -8,6 +8,14 @@ sequences on all three axes gives the sweet piece SP_{P,N}(T); keeping them
 on two axes and leaving the third free gives a chimney, whose all-zero
 layers feed the substitution bound.
 
+Neither projection walks the |T|^N entry words of the power.  The entries
+of T are grouped by their labels on the constrained axes; a type class is
+a count of entries per group whose label counts match the compositions,
+and the kept entries are exactly the words of entries drawn from the
+arrangements of a type class.  Count vectors, arrangements and the kept
+sequences of each axis are all enumerated under the remaining label
+budgets, so the cost follows the number of kept entries.
+
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
 """
@@ -224,14 +232,120 @@ def _composition(marg: Dict[Label, Rat], N: int) -> Dict[Label, int]:
 
 def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int,
                     max_entries: Optional[int]) -> List[Tuple[int, ...]]:
+    """Index sequences of length N whose label counts equal comp, in
+    lexicographic order.  comp comes from a marginal, so its counts sum to
+    N: each step spends one unit of its label's budget, every prefix
+    completes, and the cost follows the output."""
     d = B.axis_dim(axis)
     guards.check_entries(d ** N, max_entries)
-    want = Counter(comp)
-    out = []
-    for seq in itertools.product(range(d), repeat=N):
-        if Counter(B.label(axis, i) for i in seq) == want:
-            out.append(seq)
+    if N < 0:
+        raise ValueError(f"need N >= 0, got {N}")
+    out: List[Tuple[int, ...]] = []
+    _spend_budget(B.labels[axis], dict(comp), N, (), out)
     return out
+
+
+def _spend_budget(labels: Sequence[Label], budget: Dict[Label, int],
+                  left: int, prefix: Tuple[int, ...],
+                  out: List[Tuple[int, ...]]) -> None:
+    if not left:
+        out.append(prefix)
+        return
+    for i, lab in enumerate(labels):
+        if budget.get(lab):
+            budget[lab] -= 1
+            _spend_budget(labels, budget, left - 1, prefix + (i,), out)
+            budget[lab] += 1
+
+
+def _flat(seq: Sequence[int], d: int) -> int:
+    """Row-major flat index of an index sequence over range(d)."""
+    flat = 0
+    for i in seq:
+        flat = flat * d + i
+    return flat
+
+
+Group = List[Tuple[Tuple[int, int, int], Rat, bool]]
+FlatEntry = Tuple[int, int, int, Rat]
+
+
+def _type_class_entries(T: Tensor3, B: Blocking,
+                        comps: Dict[int, Dict[Label, int]],
+                        N: int) -> List[FlatEntry]:
+    """The entries of the N-th Kronecker power whose index sequences have
+    label counts comps[a] on every constrained axis a, as (flat i, flat j,
+    flat k, value).
+
+    The entries of T are grouped by their labels on the constrained axes.
+    A type class is a count vector over these groups whose label counts
+    match comps; every arrangement of a type class's groups into a word
+    (a multiset permutation) and every choice of one entry per position
+    gives one kept entry, and nothing else is kept.  Distinct words of
+    entries give distinct index triples, so no two kept entries collide.
+    """
+    axes = sorted(comps)
+    groups: Dict[Tuple[Label, ...], Group] = {}
+    for idx, c in T.entries.items():
+        key = tuple(B.label(a, idx[a]) for a in axes)
+        if all(key[t] in comps[a] for t, a in enumerate(axes)):
+            groups.setdefault(key, []).append((idx, c, c == 1))
+    keys = sorted(groups)
+    members = [groups[key] for key in keys]
+    budget = [dict(comps[a]) for a in axes]
+    out: List[FlatEntry] = []
+    for counts in _count_vectors(keys, budget, N, []):
+        _arrange(members, counts, T.dims, N, 0, 0, 0, Fraction(1), out)
+    return out
+
+
+def _count_vectors(keys: List[Tuple[Label, ...]], budget: List[Dict[Label, int]],
+                   left: int, counts: List[int]) -> Iterable[List[int]]:
+    """Count vectors over the groups keys[len(counts):] that spend the
+    remaining label budgets; a count never exceeds the budget of any of
+    its group's labels.  Each axis's budget sums to N, so counts that sum
+    to N spend every budget exactly."""
+    g = len(counts)
+    if g == len(keys):
+        if not left:
+            yield list(counts)
+        return
+    key = keys[g]
+    most = min([left] + [bud[lab] for bud, lab in zip(budget, key)])
+    for n in range(most, -1, -1):
+        for bud, lab in zip(budget, key):
+            bud[lab] -= n
+        counts.append(n)
+        yield from _count_vectors(keys, budget, left - n, counts)
+        counts.pop()
+        for bud, lab in zip(budget, key):
+            bud[lab] += n
+
+
+def _arrange(members: List[Group], counts: List[int], dims: Tuple[int, int, int],
+             left: int, i: int, j: int, k: int, c: Rat,
+             out: List[FlatEntry]) -> None:
+    """Append every word that uses counts[g] entries of group g, after the
+    prefix with flat indices (i, j, k) and product c.  The prefix indices
+    and product are carried down, so each costs one step per level; a unit
+    entry (flagged in its group) leaves the product as it is."""
+    if not left:
+        out.append((i, j, k, c))
+        return
+    d0, d1, d2 = dims
+    i, j, k = i * d0, j * d1, k * d2
+    for g, n in enumerate(counts):
+        if not n:
+            continue
+        if left == 1:
+            for (a, b, e), v, unit in members[g]:
+                out.append((i + a, j + b, k + e, c if unit else c * v))
+            continue
+        counts[g] = n - 1
+        for (a, b, e), v, unit in members[g]:
+            _arrange(members, counts, dims, left - 1, i + a, j + b, k + e,
+                     c if unit else c * v, out)
+        counts[g] = n
 
 
 def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
@@ -263,19 +377,23 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
                check_tight: bool = True,
                max_entries: Optional[int] = None) -> SweetPiece:
     """Project the N-th Kronecker power onto the marginal-matching sequences
-    of all three axes."""
+    of all three axes.
+
+    The power is never walked: the kept entries are enumerated by type
+    class (see _type_class_entries), with every support block of T taking
+    part, charged by P or not, so the cost follows the number of kept
+    entries rather than |T|^N.  kept lists each axis's marginal-matching
+    index sequences in lexicographic order; position t on an axis of the
+    piece is kept[axis][t]."""
     marg = _validate_distribution(T, B, P, check_tight)
     comps = [_composition(m, N) for m in marg]
     kept = [_kept_sequences(B, a, comps[a], N, max_entries) for a in range(3)]
-    kept_pos = [{s: t for t, s in enumerate(ks)} for ks in kept]
+    pos = [{_flat(s, T.dims[a]): t for t, s in enumerate(kept[a])}
+           for a in range(3)]
     guards.check_entries(len(T.entries) ** N, max_entries)
-    entries: Dict[Tuple[int, int, int], Rat] = {}
-    for combo in itertools.product(T.entries.items(), repeat=N):
-        s = tuple(tuple(idx[a] for idx, _ in combo) for a in range(3))
-        if s[0] in kept_pos[0] and s[1] in kept_pos[1] and s[2] in kept_pos[2]:
-            val = math.prod((c for _, c in combo), start=Fraction(1))
-            key = (kept_pos[0][s[0]], kept_pos[1][s[1]], kept_pos[2][s[2]])
-            entries[key] = entries.get(key, Fraction(0)) + val
+    p0, p1, p2 = pos
+    entries = {(p0[i], p1[j], p2[k]): c for i, j, k, c
+               in _type_class_entries(T, B, dict(enumerate(comps)), N)}
     label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in kept[a]]
                   for a in range(3)]
     pts = [len(set(ls)) for ls in label_seqs]
@@ -291,37 +409,34 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
             check_tight: bool = True,
             max_entries: Optional[int] = None) -> Tensor3:
     """Restrict two axes to their marginal-matching sequences; the remaining
-    axis keeps the full index range of the power (lexicographic flat order)."""
+    axis keeps the full index range of the power (lexicographic flat order).
+
+    Only the two fixed axes constrain the type classes, so T's entries are
+    grouped by their labels on those axes and the free axis's labels play
+    no part; the kept entries are enumerated as in sp_extract, at a cost
+    that follows their number rather than |T|^N."""
     fixed = tuple(sorted(fixed_pair))
     if len(set(fixed)) != 2 or not all(a in (0, 1, 2) for a in fixed):
         raise ValueError(f"fixed_pair must be two distinct axes, got {fixed_pair}")
     free = ({0, 1, 2} - set(fixed)).pop()
     marg = _validate_distribution(T, B, P, check_tight)
-    kept_pos: List[Optional[Dict[Tuple[int, ...], int]]] = [None, None, None]
+    comps: Dict[int, Dict[Label, int]] = {}
+    pos: Dict[int, Dict[int, int]] = {}
     dims = [0, 0, 0]
     for a in fixed:
-        ks = _kept_sequences(B, a, _composition(marg[a], N), N, max_entries)
-        kept_pos[a] = {s: t for t, s in enumerate(ks)}
+        comps[a] = _composition(marg[a], N)
+        ks = _kept_sequences(B, a, comps[a], N, max_entries)
+        pos[a] = {_flat(s, T.dims[a]): t for t, s in enumerate(ks)}
         dims[a] = max(1, len(ks))
     dims[free] = T.dims[free] ** N
     guards.check_entries(max(dims), max_entries)
     guards.check_entries(len(T.entries) ** N, max_entries)
-    dfree = T.dims[free]
     entries: Dict[Tuple[int, int, int], Rat] = {}
-    for combo in itertools.product(T.entries.items(), repeat=N):
-        s = tuple(tuple(idx[a] for idx, _ in combo) for a in range(3))
-        if any(s[a] not in kept_pos[a] for a in fixed):
-            continue
-        val = math.prod((c for _, c in combo), start=Fraction(1))
-        key = [0, 0, 0]
+    for i, j, k, c in _type_class_entries(T, B, comps, N):
+        key = [i, j, k]
         for a in fixed:
-            key[a] = kept_pos[a][s[a]]
-        flat = 0
-        for i in s[free]:
-            flat = flat * dfree + i
-        key[free] = flat
-        tk = tuple(key)
-        entries[tk] = entries.get(tk, Fraction(0)) + val
+            key[a] = pos[a][key[a]]
+        entries[tuple(key)] = c
     return Tensor3(tuple(dims), entries)
 
 

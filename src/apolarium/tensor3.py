@@ -42,7 +42,7 @@ class Tensor3:
             raise ValueError(f"bad dims {dims}")
         em: Dict[Index3, Rat] = {}
         for idx, c in entries.items():
-            i, j, k = (int(x) for x in idx)
+            i, j, k = map(int, idx)
             if not (0 <= i < d[0] and 0 <= j < d[1] and 0 <= k < d[2]):
                 raise ValueError(f"index {idx} out of range for dims {d}")
             c = rat(c)
@@ -333,23 +333,34 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
 
 def kronecker_power(T: Tensor3, N: int,
                     max_entries: Optional[int] = None) -> Tensor3:
-    """N-th Kronecker power; index sequences flatten row-major."""
+    """N-th Kronecker power; index sequences flatten row-major.
+
+    Built depth-first: each prefix of an entry word carries its flat
+    indices and its product down the levels, so every prefix product is
+    computed once and no per-level tables are kept."""
     if N < 1:
         raise ValueError("need N >= 1")
     guards.check_entries(len(T.entries) ** N, max_entries)
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
     guards.check_entries(max(dims), max_entries)
+    # A unit entry leaves the prefix product as it is: no multiplication,
+    # and the entries share one Fraction.
+    items = [(idx, val, val == 1) for idx, val in T.entries.items()]
     entries: Dict[Index3, Rat] = {}
-    for combo in itertools.product(T.entries.items(), repeat=N):
-        i = j = k = 0
-        c = Fraction(1)
-        for (a, b, cc), val in combo:
-            i = i * d1 + a
-            j = j * d2 + b
-            k = k * d3 + cc
-            c *= val
-        entries[(i, j, k)] = c
+    # Depth-first over entry words, last pushed first out: reversed pushes
+    # keep the lexicographic order of the words.
+    stack = [(N, 0, 0, 0, Fraction(1))]
+    while stack:
+        left, i, j, k, c = stack.pop()
+        i, j, k = i * d1, j * d2, k * d3
+        if left == 1:
+            for (a, b, cc), val, unit in items:
+                entries[(i + a, j + b, k + cc)] = c if unit else c * val
+        else:
+            for (a, b, cc), val, unit in reversed(items):
+                stack.append((left - 1, i + a, j + b, k + cc,
+                              c if unit else c * val))
     labels = None
     if T.labels is not None:
         labels = tuple(

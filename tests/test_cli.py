@@ -274,6 +274,50 @@ def test_paper_suite_unknown_id(capsys):
     assert run(["paper-suite", "--only", "not-a-real-entry"]) == 2
 
 
+def _only_these_run(monkeypatch, keep):
+    """Replace every suite entry outside keep by one that fails the test
+    if it is ever called."""
+    import apolarium.papersuite as papersuite
+
+    def never():
+        raise AssertionError("an entry outside --only ran")
+
+    monkeypatch.setattr(papersuite, "ENTRIES", [
+        e if e.id in keep else papersuite.SuiteEntry(e.id, e.description,
+                                                     e.kind, never)
+        for e in papersuite.ENTRIES])
+
+
+def test_paper_suite_only_runs_the_chosen_entries(capsys, monkeypatch):
+    _only_these_run(monkeypatch, {"cw-support-size", "sweet-rank-formulas"})
+    doc = report(capsys, ["paper-suite", "--only", "sweet-rank-formulas",
+                          "--only", "cw-support-size"])
+    out = doc["outputs"]
+    assert [e["id"] for e in out["entries"]] == ["cw-support-size",
+                                                 "sweet-rank-formulas"]
+    assert [out["summary"][k] for k in ("total", "passed", "failed",
+                                        "informational")] == [2, 2, 0, 0]
+    assert doc["inputs"]["only"] == ["sweet-rank-formulas", "cw-support-size"]
+
+
+def test_paper_suite_unknown_id_refused_before_any_entry(capsys, monkeypatch):
+    _only_these_run(monkeypatch, set())
+    assert run(["paper-suite", "--only", "cw-support-size",
+                "--only", "not-a-real-entry"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not-a-real-entry" in captured.err
+
+
+def test_paper_suite_only_matches_filtered_full_report():
+    from apolarium.papersuite import run_suite
+    full = run_suite()
+    keep = {"cw-support-size", "growth-chain-experiment"}
+    entries = [e for e in full["entries"] if e["id"] in keep]
+    summary = dict(full["summary"], total=2, informational=1,
+                   passed=1, failed=0)
+    assert run_suite(keep) == {"entries": entries, "summary": summary}
+
+
 # -- exit codes, guards, determinism --------------------------------------------------
 
 
@@ -312,6 +356,11 @@ def test_main_thm_degree_guard_exits_three(capsys):
     # the twisted cube has degree 6 > 3
     assert refused(capsys, ["verify-main-thm", "--d", "3", "--max-degree", "3",
                             "x0*x1*x2"])
+
+
+def test_growth_degree_guard_exits_three(capsys):
+    # dmax defaults to the degree 2, and the square has degree 4 > 2
+    assert refused(capsys, ["growth", "--max-degree", "2", "x1^2 + x2"])
 
 
 def test_main_thm_guards_run_before_assumptions(capsys, monkeypatch):

@@ -106,6 +106,16 @@ def test_growth_input_checks():
         check_maximal_growth(parse("x1*x2*x3"), 9, max_terms=50)
 
 
+def test_growth_honours_max_degree():
+    f = parse("x1^2 + x2")
+    assert growth_table(f, 2, max_degree=4) == [3, 6]
+    assert check_maximal_growth(f, 2, max_degree=4) == (6, 6, True)
+    with pytest.raises(LimitExceeded):
+        growth_table(f, 2, max_degree=3)
+    with pytest.raises(LimitExceeded):
+        check_maximal_growth(f, 2, max_degree=3)
+
+
 # -- the extension construction ----------------------------------------------------
 
 

@@ -2,9 +2,13 @@
 degenerations, and the closed-form rank bounds."""
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolarium.sweet import (
     Block,
@@ -23,6 +27,9 @@ from apolarium.sweet import (
     omega_bound,
     sp_extract,
     substitution_bound,
+    SweetPiece,
+    _composition,
+    _validate_distribution,
     support_blocks,
     sweet_piece_report,
     toric_degenerate,
@@ -410,3 +417,163 @@ def test_veronese_dims():
     assert veronese_dims([1, 2, 3], 1) == [1, 2, 3]
     with pytest.raises(ValueError):
         veronese_dims([1, 2], 0)
+
+
+# -- brute-force oracle: the full |T|^N product walk ----------------------------------
+
+
+def _brute_kept(B, axis, comp, N):
+    want = Counter(comp)
+    return [seq for seq in itertools.product(range(B.axis_dim(axis)), repeat=N)
+            if Counter(B.label(axis, i) for i in seq) == want]
+
+
+def _brute_walk(T, N, kept_pos, free=None):
+    """Visit every word of N entries of T; keep those whose index sequences
+    are kept on the constrained axes (all but free)."""
+    entries = {}
+    for combo in itertools.product(T.entries.items(), repeat=N):
+        s = tuple(tuple(idx[a] for idx, _ in combo) for a in range(3))
+        if any(s[a] not in kept_pos[a] for a in range(3) if a != free):
+            continue
+        key = tuple(
+            sum(i * T.dims[a] ** (N - 1 - t) for t, i in enumerate(s[a]))
+            if a == free else kept_pos[a][s[a]] for a in range(3))
+        val = math.prod((c for _, c in combo), start=Fraction(1))
+        entries[key] = entries.get(key, Fraction(0)) + val
+    return entries
+
+
+def brute_sp_extract(T, B, P, N, check_tight=True):
+    marg = _validate_distribution(T, B, P, check_tight)
+    kept = [_brute_kept(B, a, _composition(marg[a], N), N) for a in range(3)]
+    entries = _brute_walk(T, N, [{s: t for t, s in enumerate(ks)} for ks in kept])
+    label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in kept[a]]
+                  for a in range(3)]
+    pts = [len(set(ls)) for ls in label_seqs]
+    if len(set(pts)) != 1:
+        raise ValueError(f"label-sequence counts differ across axes: {pts}")
+    dims = tuple(max(1, len(ks)) for ks in kept)
+    return SweetPiece(Tensor3(dims, entries), tuple(kept), tuple(label_seqs),
+                      pts[0])
+
+
+def brute_chimney(T, B, P, N, fixed_pair=(0, 1), check_tight=True):
+    free = ({0, 1, 2} - set(fixed_pair)).pop()
+    marg = _validate_distribution(T, B, P, check_tight)
+    kept_pos = [None, None, None]
+    dims = [T.dims[free] ** N] * 3
+    for a in fixed_pair:
+        ks = _brute_kept(B, a, _composition(marg[a], N), N)
+        kept_pos[a] = {s: t for t, s in enumerate(ks)}
+        dims[a] = max(1, len(ks))
+    return Tensor3(dims, _brute_walk(T, N, kept_pos, free))
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except ValueError:
+        return ValueError
+
+
+def _same_piece(a, b):
+    if a is ValueError or b is ValueError:
+        return a is b
+    return (a.tensor == b.tensor and a.kept == b.kept
+            and a.label_seqs == b.label_seqs and a.p_T == b.p_T)
+
+
+@st.composite
+def blocked_problems(draw):
+    """A small random tensor with rational entries, a blocking with 2-3
+    labels per axis, a power N <= 4 and a distribution on 1-3 support
+    blocks with distinct labels on every axis (so the marginal profiles
+    agree), plus zero-probability triples made of the charged labels."""
+    dims = [draw(st.integers(2, 3)) for _ in range(3)]
+    nlab = [draw(st.integers(2, d)) for d in dims]
+    labels = []
+    for a in range(3):
+        rest = draw(st.lists(st.integers(0, nlab[a] - 1),
+                             min_size=dims[a] - nlab[a],
+                             max_size=dims[a] - nlab[a]))
+        labels.append(draw(st.permutations(list(range(nlab[a])) + rest)))
+    N = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(nlab + [N])))
+    order = [draw(st.permutations(range(nlab[a])))[:k] for a in range(3)]
+    charged_cells = []
+    for t in range(k):
+        charged_cells.append(tuple(
+            draw(st.sampled_from([i for i, lab in enumerate(labels[a])
+                                  if lab == order[a][t]]))
+            for a in range(3)))
+    cells = list(itertools.product(*(range(d) for d in dims)))
+    support = set(charged_cells) | set(draw(st.lists(st.sampled_from(cells),
+                                                     max_size=4)))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    T = Tensor3(dims, {idx: draw(values) for idx in sorted(support)})
+    labels[2] = [-x for x in labels[2]]
+    B = Blocking(labels)
+    charged = [tuple(B.label(a, idx[a]) for a in range(3)) for idx in charged_cells]
+    cuts = sorted(draw(st.permutations(range(1, N)))[:k - 1])
+    counts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [N])]
+    pool = [tuple(charged[t][a] for a, t in enumerate(pick))
+            for pick in itertools.product(range(k), repeat=3)]
+    pool = [trip for trip in pool if trip not in charged]
+    zeros = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)
+                 if pool else st.just([]))
+    P = BlockDistribution(charged + zeros,
+                          [Fraction(n, N) for n in counts] + [0] * len(zeros))
+    return T, B, P, N, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_problems())
+def test_sp_extract_matches_brute_force(problem):
+    T, B, P, N, check_tight = problem
+    assert _same_piece(_outcome(sp_extract, T, B, P, N, check_tight=check_tight),
+                       _outcome(brute_sp_extract, T, B, P, N, check_tight))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_problems(), st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+def test_chimney_matches_brute_force(problem, fixed_pair):
+    T, B, P, N, check_tight = problem
+    assert (_outcome(chimney, T, B, P, N, fixed_pair=fixed_pair,
+                     check_tight=check_tight)
+            == _outcome(brute_chimney, T, B, P, N, fixed_pair, check_tight))
+
+
+def test_oracle_agrees_on_reference_cases():
+    P = BlockDistribution.uniform(LARGE3)
+    for n in (3, 4):
+        T, B = cw(n), cw_blocking(n)
+        assert _same_piece(sp_extract(T, B, P, 3), brute_sp_extract(T, B, P, 3))
+        for fixed in ((0, 1), (0, 2), (1, 2)):
+            assert (chimney(T, B, P, 3, fixed_pair=fixed)
+                    == brute_chimney(T, B, P, 3, fixed))
+
+
+def test_uncharged_blocks_fill_kept_compositions():
+    # P charges the blocks (0,0,0) and (1,1,1); the uncharged blocks
+    # (0,1,0) and (1,0,1) have the same label counts in either order, so
+    # the words made of them are kept as well
+    T = Tensor3((2, 2, 2), {(0, 0, 0): 2, (1, 1, 1): 3,
+                            (0, 1, 0): 5, (1, 0, 1): 7})
+    B = Blocking([[0, 1]] * 3)
+    P = BlockDistribution([((0,), (0,), (0,)), ((1,), (1,), (1,))],
+                          [Fraction(1, 2)] * 2)
+    sp = sp_extract(T, B, P, 2, check_tight=False)
+    assert _same_piece(sp, brute_sp_extract(T, B, P, 2, check_tight=False))
+    assert sorted(sp.tensor.entries.values()) == [6, 6, 35, 35]
+    for fixed, nnz in (((0, 1), 4), ((0, 2), 8), ((1, 2), 4)):
+        C = chimney(T, B, P, 2, fixed_pair=fixed, check_tight=False)
+        assert C == brute_chimney(T, B, P, 2, fixed, check_tight=False)
+        assert C.nnz() == nnz
+
+
+def test_power_zero_is_the_unit_piece():
+    P = BlockDistribution.uniform(LARGE3)
+    sp = sp_extract(cw(3), cw_blocking(3), P, 0)
+    assert _same_piece(sp, brute_sp_extract(cw(3), cw_blocking(3), P, 0))
+    assert sp.tensor.entries == {(0, 0, 0): 1} and sp.kept[0] == [()]

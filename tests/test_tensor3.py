@@ -1,9 +1,11 @@
 """Tests for tensor3.py: sparse order-3 tensors and the stock constructions."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolarium.guards import LimitExceeded
 from apolarium.tensor3 import (
@@ -247,6 +249,33 @@ def test_kronecker_power_flattens_row_major():
 def test_kronecker_power_labels_join():
     K = kronecker_power(group_tensor(AbelianGroup([2])), 2)
     assert K.labels[0] == ("0,0", "0,1", "1,0", "1,1")
+
+
+@st.composite
+def small_tensors(draw):
+    dims = [draw(st.integers(1, 3)) for _ in range(3)]
+    cells = list(itertools.product(*(range(d) for d in dims)))
+    support = draw(st.lists(st.sampled_from(cells), max_size=5, unique=True))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return Tensor3(dims, {idx: draw(values) for idx in support})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors(), st.integers(1, 3))
+def test_kronecker_power_matches_per_entry_product(T, N):
+    # each entry of the power computed on its own: flatten every index
+    # sequence and multiply the N values
+    expected = {}
+    for word in itertools.product(sorted(T.entries), repeat=N):
+        flat = tuple(sum(idx[a] * T.dims[a] ** (N - 1 - t)
+                         for t, idx in enumerate(word)) for a in range(3))
+        value = Fraction(1)
+        for idx in word:
+            value *= T.entries[idx]
+        expected[flat] = value
+    K = kronecker_power(T, N)
+    assert K.dims == tuple(d ** N for d in T.dims)
+    assert K.entries == expected
 
 
 def test_kronecker_power_guard():

@@ -2,17 +2,23 @@
 
 For a nonzero polynomial f, the span of all its derivatives D∘f is a
 finite-dimensional vector space linearly isomorphic to the quotient algebra
-of dual operators modulo the annihilator of f.  This module computes that
-space by breadth-first closure under single derivatives with incremental
-elimination, and derives from it dimensions, Hilbert functions, conciseness,
-annihilators up to a degree bound, catalecticant matrices and ranks, the
-multiplication tensor of the quotient algebra, and the twisted-form
-annihilation check.
+of dual operators modulo the annihilator of f.  For a form F of degree d the
+space is graded, and its order-k derivatives span the row space of the
+catalecticant Cat_k(F); so the Hilbert function and the dimension of a form
+are catalecticant ranks, which ``exact.rank`` certifies modulo a prime.  For
+other polynomials, one incremental echelon is fed the monomial derivatives
+from order d down to 0, and the filtration by derivative order is read off
+its rank after each level.  From these come dimensions, Hilbert functions,
+conciseness, annihilators up to a degree bound, catalecticant matrices and
+ranks, the multiplication tensor of the quotient algebra, and the
+twisted-form annihilation check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,23 +51,19 @@ def _divisor_exponents(f: Poly, degree: int) -> List[Exponent]:
     """
     seen = set()
     for m in f.terms:
-        _bounded(m, degree, 0, [0] * len(m), seen)
+        seen.update(_bounded(m, degree))
     return sorted(seen, key=monomial_key)
 
 
-def _bounded(cap, total, pos, cur, out):
-    if total == 0:
-        out.add(tuple(cur))
-        return
-    if pos == len(cap):
-        return
-    room = sum(cap[pos:])
-    if room < total:
-        return
-    for t in range(min(cap[pos], total), -1, -1):
-        cur[pos] = t
-        _bounded(cap, total - t, pos + 1, cur, out)
-    cur[pos] = 0
+def _bounded(cap: Exponent, total: int) -> List[Exponent]:
+    """The exponents a <= cap (componentwise) of degree `total`."""
+    room = sum(cap)
+    out: List[Tuple[Exponent, int]] = [((), total)]  # (prefix, degree left)
+    for x in cap:
+        room -= x
+        out = [(a + (t,), r - t) for a, r in out
+               for t in range(max(0, r - room), min(x, r) + 1)]
+    return [a for a, _ in out]
 
 
 def _derivative_rows(f: Poly, order: int) -> List[Poly]:
@@ -102,18 +104,30 @@ class PartialsSpace:
         return len(self.basis)
 
 
+def _filtration_by_order(f: Poly) -> Tuple[SparseEchelon, List[int]]:
+    """Echelon of the whole partials space and filt_ge, in one sweep.
+
+    The span of the derivatives of order >= i is the span of the monomial
+    derivatives of order >= i, so a single echelon fed the order-d, ..., 0
+    images has rank filt_ge[i] after level i.
+    """
+    d = f.degree()
+    ech = SparseEchelon(monomial_key)
+    filt_ge = [0] * (d + 2)
+    for i in range(d, -1, -1):
+        for p in _derivative_rows(f, i):
+            ech.insert(p.terms)
+        filt_ge[i] = ech.rank
+    return ech, filt_ge
+
+
 def partials_space(f: Poly) -> PartialsSpace:
     _require_nonzero(f)
-    ech = _closure(f.vars, [f])
+    ech, filt_ge = _filtration_by_order(f)
     basis = [Poly(f.vars, row) for row in ech.basis()]
-    d = f.degree()
-    filt_ge = [len(basis)]
-    for i in range(1, d + 2):
-        sub = _closure(f.vars, _derivative_rows(f, i))
-        filt_ge.append(sub.rank)
     cum = SparseEchelon(monomial_key)
     filt_le = []
-    for i in range(d + 2):
+    for i in range(f.degree() + 2):
         for p in _derivative_rows(f, i):
             cum.insert(p.terms)
         filt_le.append(cum.rank)
@@ -121,7 +135,11 @@ def partials_space(f: Poly) -> PartialsSpace:
 
 
 def apolar_dim(f: Poly) -> int:
+    """Dimension of the partials space; for a form, the sum of its Hilbert
+    function."""
     _require_nonzero(f)
+    if f.is_homogeneous():
+        return sum(_catalecticant_ranks(f))
     return _closure(f.vars, [f]).rank
 
 
@@ -139,9 +157,15 @@ class HilbertFunction:
 
 
 def hilbert_function(f: Poly) -> HilbertFunction:
-    """Successive differences of the dimension filtration by derivative order."""
-    ps = partials_space(f)
-    vals = [ps.filt_ge[i] - ps.filt_ge[i + 1] for i in range(len(ps.filt_ge) - 1)]
+    """Successive differences of the dimension filtration by derivative order.
+
+    For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d.
+    """
+    _require_nonzero(f)
+    if f.is_homogeneous():
+        return HilbertFunction(tuple(_catalecticant_ranks(f)))
+    _, filt_ge = _filtration_by_order(f)
+    vals = [filt_ge[i] - filt_ge[i + 1] for i in range(len(filt_ge) - 1)]
     while vals and vals[-1] == 0:
         vals.pop()
     return HilbertFunction(tuple(vals))
@@ -181,6 +205,16 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     return out
 
 
+def _require_form(F: Poly, k: int = 0) -> None:
+    """Reject F and k unless F is a nonzero form and 0 <= k <= deg F."""
+    _require_nonzero(F)
+    if not F.is_homogeneous():
+        raise ValueError("catalecticants are defined for homogeneous forms")
+    d = F.degree()
+    if not 0 <= k <= d:
+        raise ValueError(f"k={k} out of range for degree {d}")
+
+
 def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     """Matrix of the contraction by degree-k operators on a degree-d form.
 
@@ -188,12 +222,8 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     monomials of degree d-k, both in canonical graded order; the (σ, m) entry
     is the coefficient of m in σ∘F.
     """
-    _require_nonzero(F)
-    if not F.is_homogeneous():
-        raise ValueError("catalecticants are defined for homogeneous forms")
+    _require_form(F, k)
     d = F.degree()
-    if not 0 <= k <= d:
-        raise ValueError(f"k={k} out of range for degree {d}")
     n = len(F.vars)
     rows = monomials_of_degree(n, k)
     cols = monomials_of_degree(n, d - k)
@@ -204,17 +234,54 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     return out
 
 
+def _divisor_blocks(F: Poly, k: Optional[int] = None) -> Dict[int, QMatrix]:
+    """Cat_j(F) without its zero rows and columns, for j = k or, when k is
+    None, for every j = 0, ..., deg F.
+
+    Rows are the exponents of `_divisor_exponents(F, j)` and columns the
+    monomials that occur in their images.  Each term e (coefficient c) puts
+    c * e!/(e-a)! at (a, e-a) for every a <= e of degree j; the cell
+    determines e, so no two terms meet in a cell and none cancels.
+    """
+    cells: Dict[int, Dict[Tuple[Exponent, Exponent], Rat]] = {
+        j: {} for j in ([k] if k is not None else range(F.degree() + 1))}
+    facts: Dict[Exponent, int] = {}
+    for e, c in F.terms.items():
+        fe = _fact(e)
+        num, den = c.numerator, c.denominator
+        subs = (_bounded(e, k) if k is not None
+                else itertools.product(*(range(x + 1) for x in e)))
+        for a in subs:
+            b = tuple(map(operator.sub, e, a))
+            fb = facts.get(b)
+            if fb is None:
+                fb = facts[b] = _fact(b)
+            v = num * (fe // fb)
+            cells[sum(a)][a, b] = Fraction(v) if den == 1 else Fraction(v, den)
+    blocks = {}
+    for j, block in cells.items():
+        rows = sorted({a for a, _ in block}, key=monomial_key)
+        cols = sorted({b for _, b in block}, key=monomial_key)
+        blocks[j] = [[block.get((a, b), _ZERO) for b in cols] for a in rows]
+    return blocks
+
+
 def catalecticant_rank(F: Poly, k: int) -> int:
-    return rank(catalecticant_matrix(F, k))
+    """rank Cat_k(F), taken on the block of Cat_k(F) that is not zero."""
+    _require_form(F, k)
+    return rank(_divisor_blocks(F, k)[k])
+
+
+def _catalecticant_ranks(F: Poly) -> List[int]:
+    """[rank Cat_k(F) for k = 0, ..., deg F]: the Hilbert function of F."""
+    _require_form(F)
+    blocks = _divisor_blocks(F)
+    return [rank(blocks[k]) for k in range(F.degree() + 1)]
 
 
 def max_catalecticant_rank(F: Poly) -> int:
     """Max catalecticant rank over all degrees: a border-rank lower bound."""
-    _require_nonzero(F)
-    if not F.is_homogeneous():
-        raise ValueError("catalecticants are defined for homogeneous forms")
-    d = F.degree()
-    return max(catalecticant_rank(F, k) for k in range(d + 1))
+    return max(_catalecticant_ranks(F))
 
 
 # -- multiplication structure -------------------------------------------------

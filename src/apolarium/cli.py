@@ -150,6 +150,18 @@ def _parse_form(text: str, limits: Limits) -> Poly:
     return f
 
 
+def _check_partials_size(f: Poly, limits: Limits) -> None:
+    """Refuse a partials space whose predicted size is past --max-terms.
+
+    Each term x^e has prod(e_i + 1) divisor exponents, so the sum over the
+    terms bounds the dimension of the partials space.
+    """
+    bound = sum(math.prod(x + 1 for x in e) for e in f.terms)
+    if bound > limits.max_terms:
+        raise LimitExceeded(f"partials dimension bound {bound} exceeds "
+                            f"limit {limits.max_terms}")
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -246,6 +258,7 @@ def _maybe_write(path: Optional[str], text: str) -> None:
 
 def _cmd_apolar_dim(args, limits) -> int:
     f = _parse_form(args.form, limits)
+    _check_partials_size(f, limits)
     _emit(args, "apolar-dim", {"form": f},
           {"dim": apolar_dim(f), "concise": is_concise(f)})
     return 0
@@ -253,6 +266,7 @@ def _cmd_apolar_dim(args, limits) -> int:
 
 def _cmd_hilbert(args, limits) -> int:
     f = _parse_form(args.form, limits)
+    _check_partials_size(f, limits)
     hf = list(hilbert_function(f))
     _emit(args, "hilbert", {"form": f},
           {"hilbert_function": hf, "dim": sum(hf)})

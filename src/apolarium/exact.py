@@ -9,9 +9,12 @@ invariants elsewhere (e.g. independence of lowest-degree forms of an
 echelonized basis) rely on full reduction, so partial echelon forms are never
 exposed.
 
-``rank`` first certifies full rank modulo the prime 2^61 - 1 with Python
-ints: reduction mod p never raises a rank, so full rank mod p is full rank
-over Q.  When the rank mod p falls short, or p divides a denominator, the
+``rank`` first certifies full rank modulo the prime p = 2^61 - 1 with
+Python ints: reduction mod p never raises a rank, so full rank mod p is full
+rank over Q.  When the rank r mod p falls short, a kernel of the
+complementary dimension is computed mod p, lifted to Q by rational
+reconstruction (Wang 1981) and checked exactly; it bounds the rank over Q by
+r from above.  When a lift or a check fails, or p divides a denominator, the
 rank is computed over Q with ``rref``.  Every rank returned is exact.
 
 No floats, ever.
@@ -19,8 +22,10 @@ No floats, ever.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 Rat = Fraction
 Row = List[Rat]
@@ -145,17 +150,118 @@ def _full_rank_mod_p(m: QMatrix, full: int) -> bool:
     return len(pivots) == full
 
 
+_LIFT_BOUND = math.isqrt(MODULUS // 2)  # Wang's bound on |numerator|, denominator
+
+
+def _lift(a: int) -> Optional[Rat]:
+    """Wang's rational reconstruction of a residue mod MODULUS.
+
+    Returns n/d with n = a*d mod MODULUS and |n|, d <= _LIFT_BOUND (such a
+    fraction is unique when it exists), or None.
+    """
+    r0, r1, s0, s1 = MODULUS, a, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return Fraction(r1, s1)
+
+
+def _rank_by_kernel_mod_p(m: QMatrix) -> Optional[int]:
+    """The rank r of m over GF(MODULUS), once a kernel certifies it over Q.
+
+    Works on whichever of m and its transpose has fewer columns, with each
+    row scaled by the lcm of its denominators (row scaling keeps the rank and
+    the right kernel).  The rows are fully reduced mod p; each free column j
+    gives the kernel vector with 1 at j and 0 at the other free columns.
+    Every entry is lifted to Q by ``_lift`` and every vector is checked to
+    be killed by the integer rows exactly.  The checked vectors are
+    independent (their free coordinates form an identity), so rank over
+    Q <= r; reduction mod p gives rank over Q >= r.  Returns None when a
+    lift or a check fails, or when MODULUS divides a denominator.
+    """
+    a = m if len(m[0]) <= len(m) else transpose(m)
+    ncols = len(a[0])
+    columns: List[List[Tuple[int, int]]] = [[] for _ in range(ncols)]
+    pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
+    for i, raw in enumerate(a):
+        den = math.lcm(*(x.denominator for x in raw if x))
+        if den % MODULUS == 0:
+            return None
+        row: Dict[int, int] = {}
+        for j, x in enumerate(raw):
+            if x:
+                v = x.numerator * (den // x.denominator)
+                columns[j].append((i, v))
+                v %= MODULUS
+                if v:
+                    row[j] = v
+        # held rows are fully reduced, so a subtraction adds no pivot column
+        for c in [c for c in row if c in pivots]:
+            f = row[c]
+            for k, b in pivots[c].items():
+                v = (row.get(k, 0) - f * b) % MODULUS
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row[c], -1, MODULUS)
+        row = {k: v * inv % MODULUS for k, v in row.items()}
+        for prow in pivots.values():
+            f = prow.get(c)
+            if f:
+                for k, b in row.items():
+                    v = (prow.get(k, 0) - f * b) % MODULUS
+                    if v:
+                        prow[k] = v
+                    else:
+                        del prow[k]
+        pivots[c] = row
+    kernel = {j: {j: 1} for j in range(ncols) if j not in pivots}
+    for c, prow in pivots.items():
+        for k, b in prow.items():
+            if k != c:
+                kernel[k][c] = MODULUS - b
+    for vec in kernel.values():
+        lifted = {}
+        for k, v in vec.items():
+            q = _lift(v)
+            if q is None:
+                return None
+            lifted[k] = q
+        den = math.lcm(*(q.denominator for q in lifted.values()))
+        acc: Dict[int, int] = {}
+        for k, q in lifted.items():
+            w = q.numerator * (den // q.denominator)
+            for i, v in columns[k]:
+                acc[i] = acc.get(i, 0) + v * w
+        if any(acc.values()):
+            return None
+    return len(pivots)
+
+
 def rank(m: QMatrix) -> int:
     """Rank over Q.
 
     Entries whose denominators p does not divide map to GF(p) by a ring
     homomorphism, which can only turn nonzero minors into zero ones, so
     rank mod p <= rank over Q.  Rank mod p = min(rows, cols) therefore
-    certifies full rank; every other case is decided by ``rref`` over Q.
+    certifies full rank.  A smaller rank mod p is certified by a kernel of
+    the complementary dimension, lifted from GF(p) to Q and checked exactly
+    (``_rank_by_kernel_mod_p``).  Every other case is decided by ``rref``
+    over Q.
     """
     full = min(len(m), len(m[0])) if m else 0
     if _full_rank_mod_p(m, full):
         return full
+    r = _rank_by_kernel_mod_p(m)
+    if r is not None:
+        return r
     return len(rref(m)[0])
 
 

@@ -23,8 +23,9 @@ from apolarium.apolar import (
     structure_tensor_of_apolar,
     verify_tautological_apolarity,
 )
-from apolarium.exact import rank
-from apolarium.poly import Poly, apply, format_poly, parse, twist
+from apolarium.exact import SparseEchelon, rank
+from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
+                            monomials_of_degree, parse, twist)
 from apolarium.tensor3 import cw
 
 
@@ -323,3 +324,111 @@ def test_hilbert_starts_at_one(f):
 def test_annihilator_generators_kill(f):
     for g in annihilator_upto(f):
         assert apply(g, f).is_zero()
+
+
+# -- one-pass filtration and catalecticant ranks against the closure oracle ------
+
+
+def _oracle_closure(f, seeds):
+    ech = SparseEchelon(monomial_key)
+    queue = [s for s in seeds if not s.is_zero() and ech.insert(s.terms)]
+    while queue:
+        p = queue.pop()
+        for v in f.vars:
+            dp = diff(p, v)
+            if not dp.is_zero() and ech.insert(dp.terms):
+                queue.append(dp)
+    return ech
+
+
+def oracle_partials(f):
+    """(basis, filt_ge, Hilbert function) from one closure per derivative
+    order, the way partials spaces were computed before the one-pass sweep."""
+    d = f.degree()
+    whole = _oracle_closure(f, [f])
+    filt_ge = [whole.rank] + [
+        _oracle_closure(f, [apply(Poly.monomial(f.vars, a), f)
+                            for a in monomials_of_degree(len(f.vars), i)]).rank
+        for i in range(1, d + 2)]
+    hf = [filt_ge[i] - filt_ge[i + 1] for i in range(d + 1)]
+    while hf and hf[-1] == 0:
+        hf.pop()
+    return [Poly(f.vars, row) for row in whole.basis()], filt_ge, tuple(hf)
+
+
+small_coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def linear_forms(draw, vars):
+    terms = {}
+    for i in range(len(vars)):
+        c = draw(small_coeff)
+        if c:
+            terms[tuple(int(j == i) for j in range(len(vars)))] = c
+    return Poly(vars, terms)
+
+
+@st.composite
+def forms(draw):
+    """Homogeneous forms in 2-4 variables of degree <= 5: random terms,
+    powers of linear forms and sums of such powers."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 5))
+    vars = tuple(f"x{i}" for i in range(1, n + 1))
+    kind = draw(st.sampled_from(["terms", "power", "sum of powers"]))
+    if kind == "terms":
+        exps = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                             min_size=1, max_size=4))
+        f = Poly(vars, {e: draw(small_coeff) for e in exps})
+    else:
+        count = 1 if kind == "power" else draw(st.integers(2, 3))
+        f = Poly.zero(vars)
+        for _ in range(count):
+            f = f + draw(linear_forms(vars)) ** d
+    if f.is_zero():
+        f = Poly.monomial(vars, (d,) + (0,) * (n - 1))
+    return f
+
+
+@st.composite
+def inhomogeneous_polys(draw):
+    """Polynomials in 2-4 variables of degree <= 5 with terms of at least two
+    degrees, including powers of affine linear forms."""
+    n = draw(st.integers(2, 4))
+    vars = tuple(f"x{i}" for i in range(1, n + 1))
+    if draw(st.booleans()):
+        shift = draw(small_coeff.filter(bool))
+        f = (draw(linear_forms(vars)) + Poly.const(vars, shift)) ** draw(
+            st.integers(1, 4))
+    else:
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n)
+                             .filter(lambda e: sum(e) <= 5),
+                             min_size=1, max_size=5))
+        f = Poly(vars, {e: draw(small_coeff) for e in exps})
+    if f.is_homogeneous():
+        f = f + Poly.monomial(vars, (0,) * n, 1)
+        if f.is_homogeneous():  # f was -1: add a linear term instead
+            f = f + Poly.monomial(vars, (1,) + (0,) * (n - 1))
+    return f
+
+
+@given(forms())
+@settings(max_examples=80, deadline=None)
+def test_form_invariants_match_the_closure_oracle(F):
+    _, filt_ge, hf = oracle_partials(F)
+    assert tuple(hilbert_function(F)) == hf
+    assert apolar_dim(F) == filt_ge[0]
+    for k in range(F.degree() + 1):
+        assert catalecticant_rank(F, k) == rank(catalecticant_matrix(F, k)) == hf[k]
+
+
+@given(inhomogeneous_polys())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_filtration_matches_the_closure_oracle(f):
+    basis, filt_ge, hf = oracle_partials(f)
+    ps = partials_space(f)
+    assert ps.filt_ge == filt_ge
+    assert ps.basis == basis
+    assert tuple(hilbert_function(f)) == hf
+    assert apolar_dim(f) == ps.dim

@@ -383,6 +383,27 @@ def test_zero_limits_are_honoured(capsys):
     assert refused(capsys, ["apolar-dim", "x1", "--max-degree", "0"])
 
 
+def test_partials_size_guard_refuses_before_computing(capsys, monkeypatch):
+    import apolarium.cli as cli
+
+    def boom(f):
+        raise AssertionError("partials computed before the size guard")
+    monkeypatch.setattr(cli, "apolar_dim", boom)
+    monkeypatch.setattr(cli, "hilbert_function", boom)
+    product24 = "*".join(f"x{i}" for i in range(1, 25))  # bound 2^24
+    assert refused(capsys, ["apolar-dim", product24])
+    assert refused(capsys, ["hilbert", product24])
+    assert refused(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "7"])
+
+
+def test_partials_size_guard_admits_small_spaces(capsys):
+    product9 = "*".join(f"x{i}" for i in range(1, 10))  # bound 512
+    doc = report(capsys, ["apolar-dim", product9, "--max-terms", "512"])
+    assert doc["outputs"]["dim"] == 512
+    doc = report(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "8"])
+    assert doc["outputs"]["hilbert_function"] == [1, 3, 3, 1]
+
+
 def test_entry_guard_env_var(capsys, monkeypatch):
     monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "100")
     assert run(["tensor", "kron", "--tensor", "cw:4", "--power", "9"]) == 3

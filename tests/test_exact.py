@@ -181,12 +181,42 @@ def _spy_rref(monkeypatch):
     ([[F(1, P), F(0)], [F(0), F(1)]], 2),   # P divides a denominator
     ([[F(2, P)], [F(1, 3)]], 1),
     ([[F(1, P), F(1)], [F(1), F(P)]], 1),  # singular; dropping 1/P is not
-    ([[F(0)] * 4] * 3, 0),
+    # the kernel entry -(2^40 + 1) is past Wang's bound: it lifts to a wrong
+    # fraction, which the exact check rejects
+    ([[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]], 1),
 ])
 def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     calls = _spy_rref(monkeypatch)
     assert rank(m) == expected
     assert calls == [m]
+
+
+def test_zero_matrix_rank_is_certified_without_rref(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    assert rank([[F(0)] * 4] * 3) == 0
+    assert calls == []
+
+
+small_int = st.integers(-3, 3).map(F)
+# n x k times k x m with k < min(n, m): always rank-deficient
+deficient_products = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(st.integers(k + 1, 6), st.integers(k + 1, 6)).flatmap(
+        lambda nm: st.tuples(
+            st.lists(st.lists(small_int, min_size=k, max_size=k),
+                     min_size=nm[0], max_size=nm[0]),
+            st.lists(st.lists(small_int, min_size=nm[1], max_size=nm[1]),
+                     min_size=k, max_size=k)))).map(lambda ab: product(*ab))
+
+
+@settings(max_examples=80, deadline=None)
+@given(deficient_products)
+def test_deficient_rank_is_certified_by_a_kernel(m):
+    expected = len(rref(m)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_rref(mp)
+        assert rank(m) == expected
+        assert rank(transpose(m)) == expected
+    assert calls == []
 
 
 def test_rank_of_empty_matrices():

@@ -5,13 +5,14 @@ finite-dimensional vector space linearly isomorphic to the quotient algebra
 of dual operators modulo the annihilator of f.  For a form F of degree d the
 space is graded, and its order-k derivatives span the row space of the
 catalecticant Cat_k(F); so the Hilbert function and the dimension of a form
-are catalecticant ranks, which ``exact.rank`` certifies modulo a prime.  For
-other polynomials, one incremental echelon is fed the monomial derivatives
-from order d down to 0, and the filtration by derivative order is read off
-its rank after each level.  From these come dimensions, Hilbert functions,
-conciseness, annihilators up to a degree bound, catalecticant matrices and
-ranks, the multiplication tensor of the quotient algebra, and the
-twisted-form annihilation check.
+are catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a
+prime on sparse rows built term by term.  The dimension of any other
+polynomial is the certified rank of one such matrix, of all its monomial
+derivatives; its filtration by derivative order is read off one incremental
+echelon fed those derivatives from order d down to 0.  From these come
+dimensions, Hilbert functions, conciseness, annihilators up to a degree
+bound, catalecticant matrices and ranks, the multiplication tensor of the
+quotient algebra, and the twisted-form annihilation check.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import guards
-from .exact import QMatrix, Rat, SparseEchelon, kernel_basis, rank, solve_unique
+from .exact import (QMatrix, Rat, SparseEchelon, SparseRow, kernel_basis,
+                    solve_unique, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize,
                    boxtimes_power, monomial_key, monomials_of_degree,
                    monomials_upto, twist)
@@ -76,22 +78,6 @@ def _derivative_rows(f: Poly, order: int) -> List[Poly]:
     return out
 
 
-def _closure(vars: Tuple[str, ...], seeds: Sequence[Poly]) -> SparseEchelon:
-    """Echelonized span of the seeds closed under single derivatives."""
-    ech = SparseEchelon(monomial_key)
-    queue: List[Poly] = []
-    for s in seeds:
-        if not s.is_zero() and ech.insert(s.terms):
-            queue.append(s)
-    while queue:
-        p = queue.pop()
-        for v in vars:
-            dp = diff(p, v)
-            if not dp.is_zero() and ech.insert(dp.terms):
-                queue.append(dp)
-    return ech
-
-
 @dataclass
 class PartialsSpace:
     f: Poly
@@ -135,12 +121,10 @@ def partials_space(f: Poly) -> PartialsSpace:
 
 
 def apolar_dim(f: Poly) -> int:
-    """Dimension of the partials space; for a form, the sum of its Hilbert
-    function."""
+    """Dimension of the partials space: the sum of the certified ranks of
+    the blocks of ``_divisor_blocks`` (for a form, its Hilbert function)."""
     _require_nonzero(f)
-    if f.is_homogeneous():
-        return sum(_catalecticant_ranks(f))
-    return _closure(f.vars, [f]).rank
+    return sum(map(sparse_rank, _divisor_blocks(f).values()))
 
 
 @dataclass
@@ -234,49 +218,59 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     return out
 
 
-def _divisor_blocks(F: Poly, k: Optional[int] = None) -> Dict[int, QMatrix]:
-    """Cat_j(F) without its zero rows and columns, for j = k or, when k is
-    None, for every j = 0, ..., deg F.
+def _divisor_blocks(f: Poly, k: Optional[int] = None
+                    ) -> Dict[int, List[SparseRow]]:
+    """Sparse rows of the matrix of monomial derivatives a∘f, in blocks.
 
-    Rows are the exponents of `_divisor_exponents(F, j)` and columns the
-    monomials that occur in their images.  Each term e (coefficient c) puts
-    c * e!/(e-a)! at (a, e-a) for every a <= e of degree j; the cell
-    determines e, so no two terms meet in a cell and none cancels.
+    Row a holds the coefficients of a∘f, one column per monomial b that
+    occurs: each term e (coefficient c) puts c * e!/(e-a)! at (a, e-a) for
+    every a <= e, and the cell determines e = a + b, so no two terms meet in
+    a cell and none cancels.  For a form F the blocks are keyed by the order
+    j = |a| (only j = k when k is given), and block j is Cat_j(F) without its
+    zero rows and columns.  Any other polynomial has one block, keyed 0, of
+    every a, whose rank is the dimension of its partials space.
     """
-    cells: Dict[int, Dict[Tuple[Exponent, Exponent], Rat]] = {
-        j: {} for j in ([k] if k is not None else range(F.degree() + 1))}
-    facts: Dict[Exponent, int] = {}
-    for e, c in F.terms.items():
+    rows: Dict[Exponent, SparseRow] = {}
+    cols: Dict[Exponent, Tuple[int, int]] = {}  # b -> (number seen, b!)
+    for e, c in f.terms.items():
         fe = _fact(e)
         num, den = c.numerator, c.denominator
         subs = (_bounded(e, k) if k is not None
                 else itertools.product(*(range(x + 1) for x in e)))
         for a in subs:
             b = tuple(map(operator.sub, e, a))
-            fb = facts.get(b)
-            if fb is None:
-                fb = facts[b] = _fact(b)
-            v = num * (fe // fb)
-            cells[sum(a)][a, b] = Fraction(v) if den == 1 else Fraction(v, den)
-    blocks = {}
-    for j, block in cells.items():
-        rows = sorted({a for a, _ in block}, key=monomial_key)
-        cols = sorted({b for _, b in block}, key=monomial_key)
-        blocks[j] = [[block.get((a, b), _ZERO) for b in cols] for a in rows]
+            col = cols.get(b)
+            if col is None:
+                col = cols[b] = (len(cols), _fact(b))
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = {}
+            v = num * (fe // col[1])
+            row[col[0]] = Fraction(v) if den == 1 else Fraction(v, den)
+    # rows and columns in graded monomial order, which keeps the fill-in of
+    # elimination mod p far below that of the order first seen
+    place = [0] * len(cols)
+    for i, b in enumerate(sorted(cols, key=monomial_key)):
+        place[cols[b][0]] = i
+    graded = f.is_homogeneous()
+    blocks: Dict[int, List[SparseRow]] = {}
+    for a in sorted(rows, key=monomial_key):
+        blocks.setdefault(sum(a) if graded else 0, []).append(
+            {place[j]: v for j, v in rows[a].items()})
     return blocks
 
 
 def catalecticant_rank(F: Poly, k: int) -> int:
     """rank Cat_k(F), taken on the block of Cat_k(F) that is not zero."""
     _require_form(F, k)
-    return rank(_divisor_blocks(F, k)[k])
+    return sparse_rank(_divisor_blocks(F, k)[k])
 
 
 def _catalecticant_ranks(F: Poly) -> List[int]:
     """[rank Cat_k(F) for k = 0, ..., deg F]: the Hilbert function of F."""
     _require_form(F)
     blocks = _divisor_blocks(F)
-    return [rank(blocks[k]) for k in range(F.degree() + 1)]
+    return [sparse_rank(blocks[k]) for k in range(F.degree() + 1)]
 
 
 def max_catalecticant_rank(F: Poly) -> int:

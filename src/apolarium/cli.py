@@ -34,8 +34,8 @@ from typing import List, Optional, Sequence
 from . import guards
 from .guards import LimitExceeded, Limits
 from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
-                     hilbert_function, is_concise, partials_space,
-                     structure_tensor_of_apolar, verify_tautological_apolarity)
+                     hilbert_function, is_concise, structure_tensor_of_apolar,
+                     verify_tautological_apolarity)
 from .encompass import (encompassing_extension, gradient_generic_rank,
                         growth_table, is_almost_encompassing, is_encompassing,
                         verify_main_theorem, OUT_OF_SCOPE_NOTES)
@@ -312,7 +312,8 @@ def _cmd_twist(args, limits) -> int:
 
 def _cmd_encompass_check(args, limits) -> int:
     f = _parse_form(args.form, limits)
-    ell = partials_space(f).dim
+    _check_partials_size(f, limits)
+    ell = apolar_dim(f)
     out = {
         "encompassing": is_encompassing(f),
         "almost_encompassing": is_almost_encompassing(f),
@@ -345,6 +346,7 @@ def _cmd_growth(args, limits) -> int:
 
 def _cmd_extend(args, limits) -> int:
     f = _parse_form(args.form, limits)
+    _check_partials_size(f, limits)
     override = [parse(s, f.vars) for s in args.sigma] if args.sigma else None
     ext = encompassing_extension(f, sigma_override=override)
     _emit(args, "extend",

@@ -1,12 +1,14 @@
 """Encompassing polynomials, growth of powers, and the extension construction.
 
 A polynomial f is *encompassing* when truncation to degree <= 1 is injective
-on the span of its derivatives; equivalently the dimension of the partials
-space of f^d achieves the multiset bound binom(l+d-1, d) for every d, and
-equivalently the total gradient map of the basis partials is dominant.  The
-extension construction embeds any concise f as a restriction of an
-encompassing polynomial g in extra variables without changing the quotient
-algebra's dimensions.
+on the span of its derivatives, that is, when the truncations of its
+monomial derivatives have rank apolar_dim(f); both are certified ranks of
+sparse matrices.  Equivalently the dimension of the partials space of f^d
+achieves the multiset bound binom(l+d-1, d) for every d, and equivalently
+the total gradient map of the basis partials is dominant.  The extension
+construction embeds any concise f as a restriction of an encompassing
+polynomial g in extra variables without changing the quotient algebra's
+dimensions.
 """
 
 from __future__ import annotations
@@ -15,48 +17,59 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import EchelonState, SparseEchelon, rank
-from .poly import (Poly, apply, diff, homogenize, ldf, monomial_key,
-                   restrict_zero, twist)
-from .apolar import (_divisor_exponents, apolar_dim, catalecticant_rank,
-                     hilbert_function, is_concise, partials_space)
+from .exact import SparseEchelon, SparseRow, rank, sparse_rank
+from .poly import (Exponent, Poly, apply, diff, homogenize, ldf, monomial_key,
+                   twist)
+from .apolar import (_divisor_exponents, _fact, apolar_dim,
+                     catalecticant_rank, is_concise)
 
 
-def _truncation_injective(vars: Tuple[str, ...], basis: Sequence[Poly]) -> bool:
-    """Is P -> (degree <= 1 part of P) injective on the span of the basis?"""
-    ncols = 1 + len(vars)
-    state = EchelonState(ncols)
-    for p in basis:
-        t = p.truncate(1)
-        row = [t.constant_term()] + [t.coeff(tuple(1 if i == j else 0
-                                                   for i in range(len(vars))))
-                                     for j in range(len(vars))]
-        if not state.insert(row):
-            return False
-    return True
+def _truncations(f: Poly) -> List[SparseRow]:
+    """Degree-<=1 parts of the monomial derivatives a∘f, as sparse rows over
+    the columns x_1, ..., x_n (0, ..., n-1) and 1 (n).
+
+    A term c x^e gives a∘f the constant c e! when a = e, and the coefficient
+    c e! of x_i when a = e - unit_i; the cell determines e, so no two terms
+    meet in one.  Derivatives of degree > 1 give no row.
+    """
+    n = len(f.vars)
+    rows: Dict[Exponent, SparseRow] = {}
+    for e, c in f.terms.items():
+        v = c * _fact(e)
+        rows.setdefault(e, {})[n] = v
+        for i, x in enumerate(e):
+            if x:
+                rows.setdefault(e[:i] + (x - 1,) + e[i + 1:], {})[i] = v
+    return list(rows.values())
 
 
 def is_encompassing(f: Poly) -> bool:
-    """No nonzero derivative combination has vanishing degree-<=1 part."""
-    ps = partials_space(f)
-    return _truncation_injective(f.vars, ps.basis)
+    """No nonzero derivative combination has vanishing degree-<=1 part.
+
+    Truncation to degree <= 1 is injective on the partials space exactly
+    when the truncations of the monomial derivatives, which span its image,
+    have rank apolar_dim(f).
+    """
+    return apolar_dim(f) == sparse_rank(_truncations(f))
 
 
 def is_almost_encompassing(f: Poly) -> bool:
     """f itself has zero degree-<=1 part, but truncation is injective on the
-    span of the proper derivatives."""
+    span of the proper derivatives.
+
+    Such an f has degree >= 2 and its proper derivatives have lower degree,
+    so they span a hyperplane of the partials space (dimension
+    apolar_dim(f) - 1); their truncations are those of all the monomial
+    derivatives, since f's own is zero.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if not f.truncate(1).is_zero():
         return False
-    from .apolar import _closure
-    seeds = [diff(f, v) for v in f.vars]
-    ech = _closure(f.vars, seeds)
-    basis = [Poly(f.vars, row) for row in ech.basis()]
-    return _truncation_injective(f.vars, basis)
+    return apolar_dim(f) - 1 == sparse_rank(_truncations(f))
 
 
 def check_maximal_growth(f: Poly, d: int,
@@ -104,8 +117,9 @@ def gradient_generic_rank(f: Poly, seed: int = 0) -> int:
     """
     if not is_concise(f):
         raise ValueError("gradient probe needs a concise polynomial")
-    parts = [p for p in basis_partials(f) if p.degree() >= 1]
-    target = apolar_dim(f) - 1
+    basis = basis_partials(f)
+    parts = [p for p in basis if p.degree() >= 1]
+    target = len(basis) - 1
     jac = [[diff(p, v) for v in f.vars] for p in parts]
     rng = random.Random(seed)
     best = 0

@@ -2,20 +2,22 @@
 
 Everything in this package reduces to ranks, kernels and solves of matrices
 with ``fractions.Fraction`` entries.  Matrices are dense, row-major lists of
-lists.  Elimination is deterministic: rows are processed in the order given
-and the pivot of a row is its first (leftmost) nonzero entry.  Reduced bases
-are fully reduced (every pivot column is zero in all other rows); several
+lists, or for ``sparse_rank`` lists of sparse rows {column: entry}.
+Elimination is deterministic: rows are processed in the order given and the
+pivot of a row is its first (leftmost) nonzero entry.  Reduced bases are
+fully reduced (every pivot column is zero in all other rows); several
 invariants elsewhere (e.g. independence of lowest-degree forms of an
 echelonized basis) rely on full reduction, so partial echelon forms are never
 exposed.
 
-``rank`` first certifies full rank modulo the prime p = 2^61 - 1 with
-Python ints: reduction mod p never raises a rank, so full rank mod p is full
-rank over Q.  When the rank r mod p falls short, a kernel of the
-complementary dimension is computed mod p, lifted to Q by rational
-reconstruction (Wang 1981) and checked exactly; it bounds the rank over Q by
-r from above.  When a lift or a check fails, or p divides a denominator, the
-rank is computed over Q with ``rref``.  Every rank returned is exact.
+``rank`` and ``sparse_rank`` first certify full rank modulo the prime
+p = 2^61 - 1 with Python ints, on sparse rows: reduction mod p never raises
+a rank, so full rank mod p is full rank over Q.  When the rank r mod p falls
+short, a kernel of the complementary dimension is computed mod p, lifted to
+Q by rational reconstruction (Wang 1981) and checked exactly; it bounds the
+rank over Q by r from above.  When a lift or a check fails, or p divides a
+denominator, the rank is computed over Q with ``rref``, on dense rows.
+Every rank returned is exact.
 
 No floats, ever.
 """
@@ -23,6 +25,7 @@ No floats, ever.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
@@ -100,25 +103,24 @@ def rref(m: QMatrix) -> Tuple[QMatrix, List[int]]:
 
 
 MODULUS = (1 << 61) - 1  # the Mersenne prime of the modular rank certificate
+SparseRow = Dict[int, Rat]  # column -> nonzero entry
 
 
-def _full_rank_mod_p(m: QMatrix, full: int) -> bool:
-    """True iff m has rank `full` over GF(MODULUS).
+def _full_rank_mod_p(rows: Sequence[SparseRow], full: int) -> bool:
+    """True iff the sparse rows have rank `full` over GF(MODULUS).
 
-    Rows are reduced to sparse {column: int} vectors, with one inverse per
-    distinct denominator, and eliminated in order.  Returns False as soon as
-    the rows left cannot reach `full`, and when MODULUS divides a denominator
-    (the entry has no image mod p).
+    Rows are reduced to {column: int} vectors, with one inverse per distinct
+    denominator, and eliminated in order.  Returns False as soon as the rows
+    left cannot reach `full`, and when MODULUS divides a denominator (the
+    entry has no image mod p).
     """
     inverses: Dict[int, int] = {}
     pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
-    left = len(m)
-    for raw in m:
+    left = len(rows)
+    for raw in rows:
         left -= 1
         row: Dict[int, int] = {}
-        for j, x in enumerate(raw):
-            if not x:
-                continue
+        for j, x in raw.items():
             den = x.denominator
             inv = inverses.get(den)
             if inv is None:
@@ -169,35 +171,40 @@ def _lift(a: int) -> Optional[Rat]:
     return Fraction(r1, s1)
 
 
-def _rank_by_kernel_mod_p(m: QMatrix) -> Optional[int]:
-    """The rank r of m over GF(MODULUS), once a kernel certifies it over Q.
+def _rank_by_kernel_mod_p(rows: Sequence[SparseRow], ncols: int
+                          ) -> Optional[int]:
+    """The rank r of the sparse rows over GF(MODULUS), once a kernel
+    certifies it over Q.
 
-    Works on whichever of m and its transpose has fewer columns, with each
-    row scaled by the lcm of its denominators (row scaling keeps the rank and
-    the right kernel).  The rows are fully reduced mod p; each free column j
-    gives the kernel vector with 1 at j and 0 at the other free columns.
-    Every entry is lifted to Q by ``_lift`` and every vector is checked to
-    be killed by the integer rows exactly.  The checked vectors are
-    independent (their free coordinates form an identity), so rank over
+    Works on whichever of the matrix and its transpose has fewer columns,
+    with each row scaled by the lcm of its denominators (row scaling keeps
+    the rank and the right kernel).  The rows are fully reduced mod p; each
+    free column j gives the kernel vector with 1 at j and 0 at the other free
+    columns.  Every entry is lifted to Q by ``_lift`` and every vector is
+    checked to be killed by the integer rows exactly.  The checked vectors
+    are independent (their free coordinates form an identity), so rank over
     Q <= r; reduction mod p gives rank over Q >= r.  Returns None when a
     lift or a check fails, or when MODULUS divides a denominator.
     """
-    a = m if len(m[0]) <= len(m) else transpose(m)
-    ncols = len(a[0])
-    columns: List[List[Tuple[int, int]]] = [[] for _ in range(ncols)]
+    if ncols > len(rows):
+        by_col: Dict[int, SparseRow] = defaultdict(dict)
+        for i, raw in enumerate(rows):
+            for j, x in raw.items():
+                by_col[j][i] = x
+        rows = [by_col[j] for j in sorted(by_col)]
+    columns: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
-    for i, raw in enumerate(a):
-        den = math.lcm(*(x.denominator for x in raw if x))
+    for i, raw in enumerate(rows):
+        den = math.lcm(*(x.denominator for x in raw.values()))
         if den % MODULUS == 0:
             return None
         row: Dict[int, int] = {}
-        for j, x in enumerate(raw):
-            if x:
-                v = x.numerator * (den // x.denominator)
-                columns[j].append((i, v))
-                v %= MODULUS
-                if v:
-                    row[j] = v
+        for j, x in raw.items():
+            v = x.numerator * (den // x.denominator)
+            columns[j].append((i, v))
+            v %= MODULUS
+            if v:
+                row[j] = v
         # held rows are fully reduced, so a subtraction adds no pivot column
         for c in [c for c in row if c in pivots]:
             f = row[c]
@@ -222,7 +229,7 @@ def _rank_by_kernel_mod_p(m: QMatrix) -> Optional[int]:
                     else:
                         del prow[k]
         pivots[c] = row
-    kernel = {j: {j: 1} for j in range(ncols) if j not in pivots}
+    kernel = {j: {j: 1} for j in columns if j not in pivots}
     for c, prow in pivots.items():
         for k, b in prow.items():
             if k != c:
@@ -246,23 +253,36 @@ def _rank_by_kernel_mod_p(m: QMatrix) -> Optional[int]:
 
 
 def rank(m: QMatrix) -> int:
-    """Rank over Q.
+    """Rank over Q: ``sparse_rank`` of the nonzero entries of m.
 
     Entries whose denominators p does not divide map to GF(p) by a ring
     homomorphism, which can only turn nonzero minors into zero ones, so
     rank mod p <= rank over Q.  Rank mod p = min(rows, cols) therefore
-    certifies full rank.  A smaller rank mod p is certified by a kernel of
-    the complementary dimension, lifted from GF(p) to Q and checked exactly
+    certifies full rank (rows and columns that are zero are not counted).
+    A smaller rank mod p is certified by a kernel of the complementary
+    dimension, lifted from GF(p) to Q and checked exactly
     (``_rank_by_kernel_mod_p``).  Every other case is decided by ``rref``
     over Q.
     """
-    full = min(len(m), len(m[0])) if m else 0
-    if _full_rank_mod_p(m, full):
+    return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
+
+
+def sparse_rank(rows: Sequence[SparseRow]) -> int:
+    """Rank over Q of the matrix with the given rows, each a dict from
+    column (an int) to its nonzero entry; columns absent from every row are
+    zero.  Certified as in ``rank``, on the sparse rows; only the ``rref``
+    fallback builds dense rows, over the columns that occur."""
+    rows = [row for row in rows if row]
+    cols = set().union(*rows)
+    full = min(len(rows), len(cols))
+    if _full_rank_mod_p(rows, full):
         return full
-    r = _rank_by_kernel_mod_p(m)
-    if r is not None:
-        return r
-    return len(rref(m)[0])
+    r = _rank_by_kernel_mod_p(rows, len(cols))
+    if r is None:
+        zero = Fraction(0)
+        r = len(rref([[row.get(j, zero) for j in sorted(cols)]
+                      for row in rows])[0])
+    return r
 
 
 def kernel_basis(m: QMatrix) -> List[Row]:
@@ -302,52 +322,6 @@ def solve_unique(m: QMatrix, rhs: Sequence[Rat]) -> Row:
     if len(rows) != n or pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [r[n] for r in rows]
-
-
-class EchelonState:
-    """Incremental reduced row echelon over dense rows.
-
-    insert() reduces the candidate against the rows held so far, and either
-    rejects it (dependent: returns False) or normalizes it, back-substitutes
-    into the existing rows and stores it.  The held rows therefore always form
-    an RREF basis of the span of all accepted rows, regardless of insertion
-    order.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: List[Row] = []
-        self.pivots: List[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, raw: Sequence[Rat]) -> bool:
-        if len(raw) != self.ncols:
-            raise ValueError("row width mismatch")
-        row = [rat(x) for x in raw]
-        for p, r in zip(self.pivots, self.rows):
-            if row[p]:
-                c = row[p]
-                for j in range(p, self.ncols):
-                    row[j] -= c * r[j]
-        p = _first_nonzero(row)
-        if p < 0:
-            return False
-        inv = row[p]
-        row = [x / inv for x in row]
-        for r in self.rows:
-            if r[p]:
-                c = r[p]
-                for j in range(self.ncols):
-                    r[j] -= c * row[j]
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
-        self.rows.insert(k, row)
-        self.pivots.insert(k, p)
-        return True
 
 
 SparseVec = Dict[Hashable, Rat]

@@ -7,20 +7,21 @@ strings the command-line reports carry.
 
 run_suite() executes every entry, or only the chosen ids, and assembles an
 order-stable summary of what ran (entries sorted by id).  Entries are
-independent and pure.
+independent and pure: the growth entries share one memo of their growth
+tables, which does not change what any of them returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Dict, List, Optional
+from typing import Callable, Collection, List, Optional, Tuple
 
 from .apolar import (annihilator_upto, apolar_dim, boxtimes_apolar_dim,
                      catalecticant_rank, hilbert_function,
-                     max_catalecticant_rank, partials_space,
-                     structure_tensor_of_apolar)
+                     max_catalecticant_rank, structure_tensor_of_apolar)
 from .encompass import (check_maximal_growth, encompassing_extension,
                         gradient_generic_rank, growth_table, is_encompassing,
                         verify_main_theorem, OUT_OF_SCOPE_NOTES)
@@ -193,15 +194,25 @@ def _entry_untwisted_control_fails() -> dict:
             "untwisted_kills": plain.kills, "twisted_kills": twistd.kills}
 
 
+@functools.lru_cache(maxsize=len(ENCOMPASS_CORPUS))
+def _growth_rows(text: str) -> Tuple[Tuple[int, int, bool], ...]:
+    """check_maximal_growth(f, d) for d = 1, ..., deg f, shared by the growth
+    entries: one growth table, whose first dimension is that of f and sets
+    the ceilings binom(l+d-1, d)."""
+    f = parse(text)
+    dims = growth_table(f, f.degree())
+    ceilings = [math.comb(dims[0] + d - 1, d) for d in range(1, len(dims) + 1)]
+    return tuple((lhs, rhs, lhs == rhs) for lhs, rhs in zip(dims, ceilings))
+
+
 def _entry_encompassing_equivalences() -> dict:
     mismatches = []
     for text in ENCOMPASS_CORPUS:
         f = parse(text)
         enc = is_encompassing(f)
-        growth_all = all(check_maximal_growth(f, d)[2]
-                         for d in range(1, f.degree() + 1))
+        growth_all = all(maximal for _, _, maximal in _growth_rows(text))
         jac = gradient_generic_rank(f, seed=0)
-        ell = partials_space(f).dim
+        ell = apolar_dim(f)
         if enc != growth_all or enc != (jac == ell - 1):
             mismatches.append({"f": text, "encompassing": enc,
                                "growth": growth_all, "jacobian_rank": jac})
@@ -212,9 +223,7 @@ def _entry_encompassing_equivalences() -> dict:
 def _entry_growth_inequality() -> dict:
     violations = []
     for text in ENCOMPASS_CORPUS:
-        f = parse(text)
-        for d in range(1, f.degree() + 1):
-            lhs, rhs, _ = check_maximal_growth(f, d)
+        for d, (lhs, rhs, _) in enumerate(_growth_rows(text), start=1):
             if lhs > rhs:
                 violations.append({"f": text, "d": d, "lhs": lhs, "rhs": rhs})
     return {"ok": not violations, "violations": violations}
@@ -225,7 +234,7 @@ def _entry_boxtimes_square() -> dict:
     ok = True
     for text in SMALL_CORPUS:
         f = parse(text)
-        ell = partials_space(f).dim
+        ell = apolar_dim(f)
         val = boxtimes_apolar_dim(f, 2)
         rows[text] = {"ell": ell, "boxtimes_square_dim": val}
         ok = ok and val == ell * ell
@@ -522,9 +531,7 @@ def _entry_growth_chain_experiment() -> dict:
     rows = []
     monotone = True
     for text in ENCOMPASS_CORPUS:
-        f = parse(text)
-        flags = [check_maximal_growth(f, d)[2]
-                 for d in range(1, f.degree() + 1)]
+        flags = [maximal for _, _, maximal in _growth_rows(text)]
         # once growth drops below maximal, does it ever recover?
         recovers = any(flags[i] and not flags[i - 1]
                        for i in range(1, len(flags)))

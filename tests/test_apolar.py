@@ -432,3 +432,23 @@ def test_one_pass_filtration_matches_the_closure_oracle(f):
     assert ps.basis == basis
     assert tuple(hilbert_function(f)) == hf
     assert apolar_dim(f) == ps.dim
+
+
+@given(inhomogeneous_polys())
+@settings(max_examples=80, deadline=None)
+def test_inhomogeneous_apolar_dim_matches_the_closure_oracle(f):
+    assert apolar_dim(f) == _oracle_closure(f, [f]).rank
+
+
+def test_inhomogeneous_apolar_dim_is_certified_without_rref(monkeypatch):
+    from apolarium import exact
+    from apolarium.papersuite import ENCOMPASS_CORPUS
+    calls = []
+    monkeypatch.setattr(exact, "rref", lambda m: calls.append(m))
+    polys = [parse(t) for t in ENCOMPASS_CORPUS]
+    polys = [f ** d for f in polys if not f.is_homogeneous()
+             for d in range(1, f.degree() + 1)]
+    assert len(polys) == 30
+    dims = [apolar_dim(f) for f in polys]
+    assert calls == []
+    assert dims == [_oracle_closure(f, [f]).rank for f in polys]

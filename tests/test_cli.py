@@ -396,6 +396,24 @@ def test_partials_size_guard_refuses_before_computing(capsys, monkeypatch):
     assert refused(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "7"])
 
 
+def test_encompass_and_extend_refuse_large_partials_spaces(capsys,
+                                                           monkeypatch):
+    import apolarium.cli as cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("partials computed before the size guard")
+    for name in ("apolar_dim", "is_encompassing", "is_almost_encompassing",
+                 "is_concise", "gradient_generic_rank",
+                 "encompassing_extension", "partials_space"):
+        # raising=False: a name the CLI does not bind is simply added
+        monkeypatch.setattr(cli, name, boom, raising=False)
+    product22 = "*".join(f"x{i}" for i in range(1, 23))  # bound 2^22
+    assert refused(capsys, ["encompass-check", product22])
+    assert refused(capsys, ["extend", product22])
+    for command in ("encompass-check", "extend"):  # bound 8
+        assert refused(capsys, [command, "x1^3 + x2^3", "--max-terms", "7"])
+
+
 def test_partials_size_guard_admits_small_spaces(capsys):
     product9 = "*".join(f"x{i}" for i in range(1, 10))  # bound 512
     doc = report(capsys, ["apolar-dim", product9, "--max-terms", "512"])

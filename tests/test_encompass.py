@@ -2,9 +2,12 @@
 twisted-power catalecticant check."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolarium.apolar import apolar_dim, hilbert_function
 from apolarium.encompass import (
@@ -16,9 +19,11 @@ from apolarium.encompass import (
     is_encompassing,
     verify_main_theorem,
 )
+from apolarium.exact import SparseEchelon
 from apolarium.guards import LimitExceeded
-from apolarium.papersuite import BIG_CUBIC
-from apolarium.poly import format_poly, parse, restrict_zero
+from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS
+from apolarium.poly import (Poly, diff, format_poly, monomial_key, parse,
+                            restrict_zero)
 
 V2 = ("x1", "x2")
 
@@ -57,6 +62,83 @@ def test_almost_encompassing_flags():
     assert not is_almost_encompassing(parse("x1^3"))
     # nonzero degree-<=1 part disqualifies immediately
     assert not is_almost_encompassing(parse("x1^2 + x2"))
+
+
+# -- the flags against an echelon-based truncation oracle ---------------------------
+
+
+def _oracle_span(f, seeds):
+    """Echelonized span of the seeds closed under single derivatives."""
+    ech = SparseEchelon(monomial_key)
+    queue = [s for s in seeds if not s.is_zero() and ech.insert(s.terms)]
+    while queue:
+        p = queue.pop()
+        for v in f.vars:
+            dp = diff(p, v)
+            if not dp.is_zero() and ech.insert(dp.terms):
+                queue.append(dp)
+    return [Poly(f.vars, row) for row in ech.basis()]
+
+
+def _oracle_truncation_injective(f, basis):
+    """Is P -> (degree <= 1 part of P) injective on the span of the basis?"""
+    n = len(f.vars)
+    ech = SparseEchelon(int)
+    for p in basis:
+        t = p.truncate(1)
+        row = [t.constant_term()] + [
+            t.coeff(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        if not ech.insert(dict(enumerate(row))):
+            return False
+    return True
+
+
+def oracle_is_encompassing(f):
+    return _oracle_truncation_injective(f, _oracle_span(f, [f]))
+
+
+def oracle_is_almost_encompassing(f):
+    if not f.truncate(1).is_zero():
+        return False
+    return _oracle_truncation_injective(
+        f, _oracle_span(f, [diff(f, v) for v in f.vars]))
+
+
+@pytest.mark.parametrize("text", CORPUS + ENCOMPASS_CORPUS)
+def test_flags_match_the_truncation_oracle_on_corpora(text):
+    f = parse(text)
+    assert is_encompassing(f) == oracle_is_encompassing(f)
+    assert is_almost_encompassing(f) == oracle_is_almost_encompassing(f)
+
+
+small_coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                        st.integers(1, 3))
+
+
+@st.composite
+def encompass_polys(draw):
+    """Nonzero polynomials in 1-3 variables of degree <= 4: random terms,
+    random terms of degree >= 2 only, and powers of affine linear forms."""
+    n = draw(st.integers(1, 3))
+    vars = tuple(f"x{i}" for i in range(1, n + 1))
+    kind = draw(st.sampled_from(["terms", "high terms", "affine power"]))
+    if kind == "affine power":
+        terms = {(0,) * n: draw(small_coeff)}
+        for i in range(n):
+            terms[tuple(int(j == i) for j in range(n))] = draw(small_coeff)
+        return Poly(vars, terms) ** draw(st.integers(1, 4))
+    low = 2 if kind == "high terms" else 0
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n)
+                         .filter(lambda e: low <= sum(e) <= 4),
+                         min_size=1, max_size=4))
+    return Poly(vars, {e: draw(small_coeff) for e in exps})
+
+
+@given(encompass_polys())
+@settings(max_examples=150, deadline=None)
+def test_flags_match_the_truncation_oracle(f):
+    assert is_encompassing(f) == oracle_is_encompassing(f)
+    assert is_almost_encompassing(f) == oracle_is_almost_encompassing(f)
 
 
 # -- maximal growth ---------------------------------------------------------------

@@ -9,7 +9,7 @@ except ImportError:  # the oracle is optional
     sympy = None
 
 from apolarium import exact
-from apolarium.exact import (MODULUS, EchelonState, SparseEchelon,
+from apolarium.exact import (MODULUS, SparseEchelon,
                              kernel_basis, mat, rank, rat, rref, solve_unique,
                              transpose)
 
@@ -70,9 +70,9 @@ def test_solve_unique_rejects_singular():
 
 def test_incremental_matches_batch_rank():
     rows = mat([[1, 2, 3], [1, 2, 3], [0, 1, 1], [2, 5, 7]])
-    state = EchelonState(3)
-    accepted = sum(state.insert(row) for row in rows)
-    assert accepted == state.rank == rank(rows)
+    ech = SparseEchelon(int)
+    accepted = sum(ech.insert(dict(enumerate(row))) for row in rows)
+    assert accepted == ech.rank == rank(rows)
 
 
 def test_sparse_echelon_contains_and_basis():
@@ -165,6 +165,10 @@ def test_rank_matches_rref_rank(m):
     assert rank(m) == len(rref(m)[0])
 
 
+def sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def _spy_rref(monkeypatch):
     calls = []
 
@@ -189,6 +193,11 @@ def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     calls = _spy_rref(monkeypatch)
     assert rank(m) == expected
     assert calls == [m]
+    # the same rows, sparse over far-apart columns: only the fallback builds
+    # dense rows, over the columns that occur
+    spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
+    assert exact.sparse_rank(spread) == expected
+    assert calls == [m, m]
 
 
 def test_zero_matrix_rank_is_certified_without_rref(monkeypatch):
@@ -237,3 +246,43 @@ def test_full_rank_is_certified_without_rref(monkeypatch):
 @given(st.one_of(rational_matrices, low_rank_matrices))
 def test_rank_matches_sympy(m):
     assert rank(m) == sympy.Matrix(m).rank()
+
+
+# -- the certificates on sparse rows ---------------------------------------------
+
+
+sparse_entry = st.one_of(st.just(F(0)), st.just(F(0)), rat_entry)
+# wide (kernel on the transpose) and tall shapes, mostly zero entries
+sparse_shapes = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(5, 12)),
+    st.tuples(st.integers(5, 12), st.integers(1, 4)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)))
+sparse_matrices = st.one_of(
+    sparse_shapes.flatmap(lambda nm: st.lists(
+        st.lists(sparse_entry, min_size=nm[1], max_size=nm[1]),
+        min_size=nm[0], max_size=nm[0])),
+    low_rank_matrices,
+    deficient_products)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+def test_sparse_certificates_match_rref_rank(m):
+    expected = len(rref(m)[0])
+    rows = sparse(m)
+    ncols = len(m[0])
+    assert exact.sparse_rank(rows) == expected
+    kept = [row for row in rows if row]
+    assert exact._rank_by_kernel_mod_p(kept, ncols) in (None, expected)
+    full = min(len(kept), ncols)
+    if expected < full:  # reduction mod p never raises a rank
+        assert not exact._full_rank_mod_p(kept, full)
+
+
+def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    assert exact.sparse_rank([]) == 0
+    assert exact.sparse_rank([{}, {}]) == 0
+    assert exact.sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
+    assert exact.sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
+    assert calls == []

@@ -28,3 +28,23 @@ def test_cli_provenance_points_at_real_entries():
     for command, refs in PROVENANCE.items():
         for ref in refs:
             assert ref == "*" or ref in ids, (command, ref)
+
+
+def test_growth_entries_do_not_depend_on_what_else_runs():
+    from apolarium import papersuite
+    growth_ids = ["encompassing-equivalences", "growth-chain-experiment",
+                  "growth-never-exceeds-binomial"]
+    alone = {}
+    for i in growth_ids:
+        papersuite._growth_rows.cache_clear()
+        alone[i] = run_suite([i])["entries"]
+    papersuite._growth_rows.cache_clear()
+    full = {e["id"]: e for e in run_suite()["entries"]}
+    for i in growth_ids:
+        assert alone[i] == [full[i]]
+    # the memo is warm now; running an entry again, or the entries in
+    # another order, gives the same records
+    for i in reversed(growth_ids):
+        assert run_suite([i])["entries"] == [full[i]]
+    assert papersuite._growth_rows.cache_info().currsize == len(
+        papersuite.ENCOMPASS_CORPUS)

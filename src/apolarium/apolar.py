@@ -20,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import guards
-from .exact import (QMatrix, Rat, SparseEchelon, SparseRow, kernel_basis,
-                    solve_unique, sparse_rank)
+from .exact import (QMatrix, Rat, SparseEchelon, SparseRow, solve_many,
+                    sparse_kernel, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize,
                    boxtimes_power, monomial_key, monomials_of_degree,
                    monomials_upto, twist)
@@ -178,15 +179,15 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
         d = f.degree() + 1
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    n = len(f.vars)
-    sigmas = monomials_upto(n, d)
-    images = [apply(Poly.monomial(f.vars, s), f) for s in sigmas]
-    coords = sorted({m for img in images for m in img.terms}, key=monomial_key)
-    matrix = [[img.terms.get(m, _ZERO) for img in images] for m in coords]
-    out = []
-    for vec in kernel_basis(matrix):
-        out.append(Poly(f.vars, {s: c for s, c in zip(sigmas, vec) if c}))
-    return out
+    sigmas = monomials_upto(len(f.vars), d)
+    rows: Dict[Exponent, SparseRow] = defaultdict(dict)  # coordinate -> row
+    for col, s in enumerate(sigmas):
+        for m, c in apply(Poly.monomial(f.vars, s), f).terms.items():
+            rows[m][col] = c
+    kernel = sparse_kernel([rows[m] for m in sorted(rows, key=monomial_key)],
+                           len(sigmas))
+    return [Poly(f.vars, {sigmas[k]: c for k, c in sorted(vec.items())})
+            for vec in kernel.values()]
 
 
 def _require_form(F: Poly, k: int = 0) -> None:
@@ -328,23 +329,30 @@ def structure_tensor_of_apolar(f: Poly):
     """Multiplication tensor of the quotient algebra of f in the greedy basis.
 
     The coefficients of the class of b_i*b_j are solved from the perfect
-    pairing: gram * c = ((b_i b_j b_k)∘f)_0 over k.  Returns (Tensor3, basis).
+    pairing: gram * c = ((b_i b_j b_k)∘f)_0 over k, for all (i, j) by one
+    ``solve_many``.  Returns (Tensor3, basis).
     """
     from .tensor3 import Tensor3
 
     pt = pairing_table(f)
     exps = pt.exponents
     ell = len(exps)
+
+    def add(a: Exponent, b: Exponent) -> Exponent:
+        return tuple(x + y for x, y in zip(a, b))
+
+    def const(t: Exponent) -> Rat:  # constant term of x^t ∘ f
+        c = f.terms.get(t)
+        return _fact(t) * c if c else _ZERO
+
+    # b_i b_j depends only on the exponent sum: one right-hand side per sum
+    sums = list(dict.fromkeys(add(a, b) for a in exps for b in exps))
+    coords = dict(zip(sums, solve_many(
+        pt.gram, [[const(add(s, c)) for c in exps] for s in sums])))
     entries: Dict[Tuple[int, int, int], Rat] = {}
-    for i in range(ell):
-        for j in range(ell):
-            s = tuple(x + y for x, y in zip(exps[i], exps[j]))
-            v = []
-            for a in exps:
-                t = tuple(x + y for x, y in zip(s, a))
-                v.append(_fact(t) * f.terms.get(t, _ZERO))
-            c = solve_unique(pt.gram, v)
-            for k, ck in enumerate(c):
+    for i, a in enumerate(exps):
+        for j, b in enumerate(exps):
+            for k, ck in enumerate(coords[add(a, b)]):
                 if ck:
                     entries[(i, j, k)] = ck
     labels = [str(b) for b in pt.basis]

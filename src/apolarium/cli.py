@@ -38,16 +38,16 @@ from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
                      verify_tautological_apolarity)
 from .encompass import (encompassing_extension, gradient_generic_rank,
                         growth_table, is_almost_encompassing, is_encompassing,
-                        verify_main_theorem, OUT_OF_SCOPE_NOTES)
-from .papersuite import ENTRIES, run_suite
-from .poly import (ParseError, Poly, VarMismatchError, format_poly, parse,
-                   twist)
+                        verify_main_theorem)
+from .papersuite import run_suite
+from .poly import (ParseError, Poly, VarMismatchError, dehomogenize,
+                   format_poly, parse, twist)
 from .sweet import (BlockDistribution, Blocking, MINIMAL_RANK_FAMILIES,
                     chimney, cw_blocking, even_symdiff_count, formula_pratt,
-                    formula_sweet_rank, is_tight, marginal_uniqueness,
-                    marginals, omega_bound, sp_extract, substitution_bound,
-                    support_blocks, sweet_piece_report, toric_degenerate,
-                    veronese_dims, weight_blocking, zero_layers)
+                    is_tight, marginal_uniqueness, marginals, omega_bound,
+                    sp_extract, substitution_bound, support_blocks,
+                    sweet_piece_report, toric_degenerate, veronese_dims,
+                    weight_blocking, zero_layers)
 from .tensor3 import (AbelianGroup, PartiallySymmetricTensor, Tensor3,
                       algebra_A_Tk, cw, group_tensor, kronecker_power,
                       one_generic_extension, symmetrize_TS)
@@ -159,6 +159,15 @@ def _check_partials_size(f: Poly, limits: Limits) -> None:
     bound = sum(math.prod(x + 1 for x in e) for e in f.terms)
     if bound > limits.max_terms:
         raise LimitExceeded(f"partials dimension bound {bound} exceeds "
+                            f"limit {limits.max_terms}")
+
+
+def _check_operator_space(nvars: int, bound: int, limits: Limits) -> None:
+    """Refuse an annihilator whose operator space, the binom(nvars + bound,
+    bound) monomials of degree <= bound, is past --max-terms."""
+    size = math.comb(nvars + bound, bound) if bound >= 0 else 0
+    if size > limits.max_terms:
+        raise LimitExceeded(f"operator space size {size} exceeds "
                             f"limit {limits.max_terms}")
 
 
@@ -277,6 +286,7 @@ def _cmd_annihilator(args, limits) -> int:
     f = _parse_form(args.form, limits)
     bound = args.degree if args.degree is not None else f.degree() + 1
     guards.check_degree(bound, limits.max_degree)
+    _check_operator_space(len(f.vars), bound, limits)
     gens = annihilator_upto(f, bound)
     _emit(args, "annihilator", {"form": f, "degree_bound": bound},
           {"generators": gens, "count": len(gens)})
@@ -360,6 +370,10 @@ def _cmd_extend(args, limits) -> int:
 def _cmd_verify_taut(args, limits) -> int:
     F = _parse_form(args.form, limits)
     v = args.var or F.vars[0]
+    if v in F.vars and F.is_homogeneous():  # else the library says why not
+        f = dehomogenize(F, v)
+        bound = args.bound if args.bound is not None else f.degree() + 1
+        _check_operator_space(len(f.vars), bound, limits)
     rep = verify_tautological_apolarity(F, v, bound=args.bound,
                                         twisted=not args.untwisted)
     _emit(args, "verify-taut",

@@ -2,22 +2,22 @@
 
 Everything in this package reduces to ranks, kernels and solves of matrices
 with ``fractions.Fraction`` entries.  Matrices are dense, row-major lists of
-lists, or for ``sparse_rank`` lists of sparse rows {column: entry}.
-Elimination is deterministic: rows are processed in the order given and the
-pivot of a row is its first (leftmost) nonzero entry.  Reduced bases are
-fully reduced (every pivot column is zero in all other rows); several
-invariants elsewhere (e.g. independence of lowest-degree forms of an
-echelonized basis) rely on full reduction, so partial echelon forms are never
-exposed.
+lists, or for ``sparse_rank`` and ``sparse_kernel`` lists of sparse rows
+{column: entry}.  Elimination is deterministic: rows are processed in the
+order given and the pivot of a row is its first (leftmost) nonzero entry.
+Reduced bases are fully reduced (every pivot column is zero in all other
+rows); several invariants elsewhere (e.g. independence of lowest-degree
+forms of an echelonized basis) rely on full reduction, so partial echelon
+forms are never exposed.
 
-``rank`` and ``sparse_rank`` first certify full rank modulo the prime
-p = 2^61 - 1 with Python ints, on sparse rows: reduction mod p never raises
-a rank, so full rank mod p is full rank over Q.  When the rank r mod p falls
-short, a kernel of the complementary dimension is computed mod p, lifted to
-Q by rational reconstruction (Wang 1981) and checked exactly; it bounds the
-rank over Q by r from above.  When a lift or a check fails, or p divides a
-denominator, the rank is computed over Q with ``rref``, on dense rows.
-Every rank returned is exact.
+Ranks, kernels and solves are computed with Python ints modulo 61-bit
+primes, on sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since
+reduction mod p never raises a rank.  Otherwise the kernel is computed mod
+one prime of ``PRIMES`` after another, combined by CRT, lifted to Q by
+rational reconstruction (Wang 1981) and checked exactly.  The first lift
+that passes is the reduced-echelon kernel over Q (see ``kernel_basis``), so
+every rank, kernel and solution equals the one ``rref`` over Q gives; that
+answers, on dense rows, only when the primes do not.
 
 No floats, ever.
 """
@@ -102,32 +102,37 @@ def rref(m: QMatrix) -> Tuple[QMatrix, List[int]]:
     return rows, pivots
 
 
-MODULUS = (1 << 61) - 1  # the Mersenne prime of the modular rank certificate
+# 61-bit primes, largest first, written out so that importing computes nothing
+PRIMES = (2305843009213693951, 2305843009213693921, 2305843009213693907,
+          2305843009213693723, 2305843009213693693, 2305843009213693669,
+          2305843009213693613, 2305843009213693561)
+MODULUS = PRIMES[0]  # the prime of the full-rank certificate
 SparseRow = Dict[int, Rat]  # column -> nonzero entry
+_ZERO = Fraction(0)  # fill for dense rows; Fractions are immutable
 
 
-def _full_rank_mod_p(rows: Sequence[SparseRow], full: int) -> bool:
-    """True iff the sparse rows have rank `full` over GF(MODULUS).
+def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
+                   full: Optional[int] = None
+                   ) -> Optional[Dict[int, Dict[int, int]]]:
+    """The rows over GF(p), eliminated in order: {pivot column: row with a
+    1 at its leftmost column}, or None when p divides a denominator.
 
-    Rows are reduced to {column: int} vectors, with one inverse per distinct
-    denominator, and eliminated in order.  Returns False as soon as the rows
-    left cannot reach `full`, and when MODULUS divides a denominator (the
-    entry has no image mod p).
+    Without `full` the rows are fully reduced; with it, each row is only
+    reduced by the rows before it, and elimination stops once the rank
+    reaches `full` or cannot reach it.
     """
     inverses: Dict[int, int] = {}
-    pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
-    left = len(rows)
-    for raw in rows:
-        left -= 1
+    pivots: Dict[int, Dict[int, int]] = {}
+    for i, raw in enumerate(rows):
         row: Dict[int, int] = {}
         for j, x in raw.items():
             den = x.denominator
             inv = inverses.get(den)
             if inv is None:
-                if den % MODULUS == 0:
-                    return False
-                inv = inverses[den] = pow(den, -1, MODULUS)
-            v = x.numerator * inv % MODULUS
+                if den % p == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, p)
+            v = x.numerator * inv % p
             if v:
                 row[j] = v
         # each held row is zero in the pivot columns held before it, so one
@@ -136,133 +141,121 @@ def _full_rank_mod_p(rows: Sequence[SparseRow], full: int) -> bool:
             f = row.get(c)
             if f:
                 for k, b in prow.items():
-                    v = (row.get(k, 0) - f * b) % MODULUS
+                    v = (row.get(k, 0) - f * b) % p
                     if v:
                         row[k] = v
                     else:
                         del row[k]
         if row:
             c = min(row)
-            inv = pow(row[c], -1, MODULUS)
-            pivots[c] = {k: v * inv % MODULUS for k, v in row.items()}
+            inv = pow(row[c], -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+            for prow in pivots.values() if full is None else ():
+                f = prow.get(c)
+                if f:
+                    for k, b in row.items():
+                        v = (prow.get(k, 0) - f * b) % p
+                        if v:
+                            prow[k] = v
+                        else:
+                            del prow[k]
+            pivots[c] = row
             if len(pivots) == full:
-                return True
-        elif len(pivots) + left < full:
-            return False
-    return len(pivots) == full
+                break
+        elif full is not None and len(pivots) + len(rows) - 1 - i < full:
+            break
+    return pivots
 
 
-_LIFT_BOUND = math.isqrt(MODULUS // 2)  # Wang's bound on |numerator|, denominator
-
-
-def _lift(a: int) -> Optional[Rat]:
-    """Wang's rational reconstruction of a residue mod MODULUS.
-
-    Returns n/d with n = a*d mod MODULUS and |n|, d <= _LIFT_BOUND (such a
-    fraction is unique when it exists), or None.
+def _lift(vec: Dict[int, int], modulus: int,
+          columns: Dict[int, List[Tuple[int, int]]]) -> Optional[SparseRow]:
+    """The rational vector congruent to `vec` mod `modulus` with entries
+    n / d, |n|, d <= sqrt(modulus / 2), if the integer `columns` (column ->
+    [(row, entry)]) kill it; else None.  An entry is tried with the common
+    denominator so far, and only if that fails reconstructed alone (Wang).
     """
-    r0, r1, s0, s1 = MODULUS, a, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > _LIFT_BOUND:
+    bound = math.isqrt(modulus // 2)
+    den, nums = 1, {}
+    for k, a in vec.items():
+        n = (a * den + bound) % modulus - bound
+        if n > bound:
+            r0, r1, s0, s1 = modulus, a, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            g = abs(s1) // math.gcd(den, s1)
+            den *= g
+            nums = {j: v * g for j, v in nums.items()}
+            n = r1 * den // s1
+        nums[k] = n
+    acc: Dict[int, int] = defaultdict(int)
+    for k, n in nums.items():
+        for i, v in columns[k]:
+            acc[i] += v * n
+    if any(acc.values()):
         return None
-    return Fraction(r1, s1)
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
-def _rank_by_kernel_mod_p(rows: Sequence[SparseRow], ncols: int
-                          ) -> Optional[int]:
-    """The rank r of the sparse rows over GF(MODULUS), once a kernel
-    certifies it over Q.
+def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int]
+                       ) -> Optional[Dict[int, SparseRow]]:
+    """The reduced-echelon right kernel over Q of the rows, {free column:
+    vector}; `cols` are the columns that occur and any zero ones, ascending.
 
-    Works on whichever of the matrix and its transpose has fewer columns,
-    with each row scaled by the lcm of its denominators (row scaling keeps
-    the rank and the right kernel).  The rows are fully reduced mod p; each
-    free column j gives the kernel vector with 1 at j and 0 at the other free
-    columns.  Every entry is lifted to Q by ``_lift`` and every vector is
-    checked to be killed by the integer rows exactly.  The checked vectors
-    are independent (their free coordinates form an identity), so rank over
-    Q <= r; reduction mod p gives rank over Q >= r.  Returns None when a
-    lift or a check fails, or when MODULUS divides a denominator.
+    The rows are fully reduced mod PRIMES[0], PRIMES[1], ... in turn.  Free
+    column j gives the vector with 1 at j, 0 at the other free columns and
+    its other entries at the pivot columns before j.  After each prime these
+    entries are combined over the primes so far by CRT, then lifted and
+    checked against the rows scaled to integers by ``_lift``; the first
+    prime count at which every vector passes answers.  None when a prime
+    divides a denominator, two primes differ on the pivots, or they run out.
     """
-    if ncols > len(rows):
-        by_col: Dict[int, SparseRow] = defaultdict(dict)
-        for i, raw in enumerate(rows):
-            for j, x in raw.items():
-                by_col[j][i] = x
-        rows = [by_col[j] for j in sorted(by_col)]
     columns: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    pivots: Dict[int, Dict[int, int]] = {}  # pivot column -> row, pivot 1
     for i, raw in enumerate(rows):
         den = math.lcm(*(x.denominator for x in raw.values()))
-        if den % MODULUS == 0:
-            return None
-        row: Dict[int, int] = {}
         for j, x in raw.items():
-            v = x.numerator * (den // x.denominator)
-            columns[j].append((i, v))
-            v %= MODULUS
-            if v:
-                row[j] = v
-        # held rows are fully reduced, so a subtraction adds no pivot column
-        for c in [c for c in row if c in pivots]:
-            f = row[c]
-            for k, b in pivots[c].items():
-                v = (row.get(k, 0) - f * b) % MODULUS
-                if v:
-                    row[k] = v
-                else:
-                    del row[k]
-        if not row:
-            continue
-        c = min(row)
-        inv = pow(row[c], -1, MODULUS)
-        row = {k: v * inv % MODULUS for k, v in row.items()}
-        for prow in pivots.values():
-            f = prow.get(c)
-            if f:
-                for k, b in row.items():
-                    v = (prow.get(k, 0) - f * b) % MODULUS
-                    if v:
-                        prow[k] = v
-                    else:
-                        del prow[k]
-        pivots[c] = row
-    kernel = {j: {j: 1} for j in columns if j not in pivots}
-    for c, prow in pivots.items():
-        for k, b in prow.items():
-            if k != c:
-                kernel[k][c] = MODULUS - b
-    for vec in kernel.values():
-        lifted = {}
-        for k, v in vec.items():
-            q = _lift(v)
-            if q is None:
-                return None
-            lifted[k] = q
-        den = math.lcm(*(q.denominator for q in lifted.values()))
-        acc: Dict[int, int] = {}
-        for k, q in lifted.items():
-            w = q.numerator * (den // q.denominator)
-            for i, v in columns[k]:
-                acc[i] = acc.get(i, 0) + v * w
-        if any(acc.values()):
+            columns[j].append((i, x.numerator * (den // x.denominator)))
+    kernel: Dict[int, Dict[int, int]] = {}
+    modulus = 1
+    for p in PRIMES:
+        pivots = _echelon_mod_p(rows, p)
+        if pivots is None:
             return None
-    return len(pivots)
+        residues = {j: {j: 1} for j in cols if j not in pivots}
+        for c, prow in pivots.items():
+            for k, b in prow.items():
+                if k != c:
+                    residues[k][c] = p - b
+        if modulus > 1 and residues.keys() != kernel.keys():
+            return None
+        inv = pow(modulus, -1, p)
+        for j, new in residues.items():  # CRT of x mod `modulus`, r mod p
+            vec = kernel.setdefault(j, {})
+            for k in new.keys() | vec.keys():
+                x = vec.get(k, 0)
+                vec[k] = x + modulus * ((new.get(k, 0) - x) * inv % p)
+        modulus *= p
+        lifted: Dict[int, Optional[SparseRow]] = {}
+        for j, vec in kernel.items():
+            lifted[j] = _lift(vec, modulus, columns)
+            if lifted[j] is None:
+                break
+        else:
+            return lifted
+    return None
 
 
 def rank(m: QMatrix) -> int:
     """Rank over Q: ``sparse_rank`` of the nonzero entries of m.
 
-    Entries whose denominators p does not divide map to GF(p) by a ring
-    homomorphism, which can only turn nonzero minors into zero ones, so
-    rank mod p <= rank over Q.  Rank mod p = min(rows, cols) therefore
-    certifies full rank (rows and columns that are zero are not counted).
-    A smaller rank mod p is certified by a kernel of the complementary
-    dimension, lifted from GF(p) to Q and checked exactly
-    (``_rank_by_kernel_mod_p``).  Every other case is decided by ``rref``
-    over Q.
+    Reduction mod p can only turn nonzero minors into zero ones, so rank mod
+    p <= rank over Q, and rank mod p = min(rows, cols) certifies full rank
+    (zero rows and columns are not counted).  A smaller rank r mod p is
+    certified by the ncols - r kernel vectors of ``_kernel_mod_primes``,
+    checked exactly and independent (they carry an identity on the free
+    columns), so rank over Q <= r.
     """
     return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
 
@@ -270,19 +263,40 @@ def rank(m: QMatrix) -> int:
 def sparse_rank(rows: Sequence[SparseRow]) -> int:
     """Rank over Q of the matrix with the given rows, each a dict from
     column (an int) to its nonzero entry; columns absent from every row are
-    zero.  Certified as in ``rank``, on the sparse rows; only the ``rref``
-    fallback builds dense rows, over the columns that occur."""
+    zero.  Certified as in ``rank``, on the sparse rows, the kernel taken of
+    whichever of the matrix and its transpose has fewer columns; only the
+    ``rref`` fallback builds dense rows, over the columns that occur."""
     rows = [row for row in rows if row]
-    cols = set().union(*rows)
+    cols = sorted(set().union(*rows))
     full = min(len(rows), len(cols))
-    if _full_rank_mod_p(rows, full):
+    if len(_echelon_mod_p(rows, MODULUS, full) or ()) == full:
         return full
-    r = _rank_by_kernel_mod_p(rows, len(cols))
-    if r is None:
-        zero = Fraction(0)
-        r = len(rref([[row.get(j, zero) for j in sorted(cols)]
-                      for row in rows])[0])
-    return r
+    if len(cols) > len(rows):
+        by_col: Dict[int, SparseRow] = defaultdict(dict)
+        for i, raw in enumerate(rows):
+            for j, x in raw.items():
+                by_col[j][i] = x
+        kernel = _kernel_mod_primes([by_col[j] for j in cols], range(full))
+    else:
+        kernel = _kernel_mod_primes(rows, cols)
+    if kernel is not None:
+        return full - len(kernel)
+    return len(rref([[row.get(j, _ZERO) for j in cols] for row in rows])[0])
+
+
+def sparse_kernel(rows: Sequence[SparseRow], ncols: int
+                  ) -> Dict[int, SparseRow]:
+    """``kernel_basis`` of the sparse rows over columns 0..ncols-1, as
+    {free column: sparse vector}; ``rref`` answers, on dense rows, only when
+    ``_kernel_mod_primes`` does not."""
+    kernel = _kernel_mod_primes(rows, range(ncols))
+    if kernel is None:
+        dense, pivots = rref([[row.get(j, _ZERO) for j in range(ncols)]
+                              for row in rows])
+        kernel = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivots}
+        for j, vec in kernel.items():
+            vec.update((p, -r[j]) for r, p in zip(dense, pivots) if r[j])
+    return kernel
 
 
 def kernel_basis(m: QMatrix) -> List[Row]:
@@ -291,37 +305,43 @@ def kernel_basis(m: QMatrix) -> List[Row]:
     One basis vector per free column, in column order; the vector for free
     column j has a 1 in position j and zeros in all other free positions, so
     the result is itself in reduced echelon form.  Length is always
-    ncols - rank(m).
+    ncols - rank(m).  That basis is unique, and the multi-prime kernel is
+    it: its vectors are checked, so they span the kernel, and the one for
+    free column j mod p ends at j, so the free columns mod p are those at
+    which kernel vectors end, which are the free columns over Q.
     """
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: List[Row] = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            v[p] = -r[j]
-        basis.append(v)
-    return basis
+    kernel = sparse_kernel([{j: x for j, x in enumerate(row) if x}
+                            for row in m], ncols)
+    return [[vec.get(k, _ZERO) for k in range(ncols)]
+            for vec in kernel.values()]
+
+
+def solve_many(m: QMatrix, rhss: Sequence[Sequence[Rat]]) -> List[Row]:
+    """Solve m x = b for square invertible m and each b in rhss, by one
+    kernel (raises if m is singular): the solution for b_t is the kernel
+    vector of [m | -b_1 ... -b_k] at column n + t, and the free columns are
+    n, ..., n + k - 1 exactly when m is invertible."""
+    n = len(m)
+    if m and len(m[0]) != n:
+        raise ValueError("solve_unique needs a square matrix")
+    if any(len(b) != n for b in rhss):
+        raise ValueError("a right-hand side does not match the matrix")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    for row, *bs in zip(rows, *rhss):
+        row.update((n + t, -b) for t, b in enumerate(map(rat, bs)) if b)
+    kernel = sparse_kernel(rows, n + len(rhss))
+    if list(kernel) != list(range(n, n + len(rhss))):
+        raise ValueError("matrix is singular")
+    return [[vec.get(i, _ZERO) for i in range(n)] for vec in kernel.values()]
 
 
 def solve_unique(m: QMatrix, rhs: Sequence[Rat]) -> Row:
-    """Solve m x = rhs for square invertible m (raises if singular)."""
-    n = len(m)
-    if n == 0:
-        return []
-    if len(m[0]) != n:
-        raise ValueError("solve_unique needs a square matrix")
-    aug = [list(row) + [rat(b)] for row, b in zip(m, rhs)]
-    rows, pivots = rref(aug)
-    if len(rows) != n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n] for r in rows]
+    """Solve m x = rhs for square invertible m (raises if singular): the
+    one-column case of ``solve_many``, whose kernel is checked exactly."""
+    return solve_many(m, [rhs])[0]
 
 
 SparseVec = Dict[Hashable, Rat]

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, List, Optional, Tuple
 
-from .apolar import (annihilator_upto, apolar_dim, boxtimes_apolar_dim,
-                     catalecticant_rank, hilbert_function,
-                     max_catalecticant_rank, structure_tensor_of_apolar)
+from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
+                     hilbert_function, structure_tensor_of_apolar)
 from .encompass import (check_maximal_growth, encompassing_extension,
                         gradient_generic_rank, growth_table, is_encompassing,
                         verify_main_theorem, OUT_OF_SCOPE_NOTES)
@@ -30,12 +29,11 @@ from .poly import parse, format_poly, restrict_zero, twist
 from .tensor3 import (AbelianGroup, Tensor3, algebra_A_Tk, cw, group_tensor,
                       one_generic_extension, PartiallySymmetricTensor,
                       kronecker_power)
-from .sweet import (BlockDistribution, Blocking, blocking_power, chimney,
-                    cw_blocking, even_symdiff_count, formula_pratt,
-                    formula_sweet_rank, is_tight, marginals, omega_bound,
-                    sp_extract, support_blocks, sweet_piece_report,
-                    toric_degenerate, veronese_dims, weight_blocking,
-                    zero_layers, substitution_bound)
+from .sweet import (BlockDistribution, blocking_power, chimney, cw_blocking,
+                    even_symdiff_count, formula_pratt, formula_sweet_rank,
+                    is_tight, omega_bound, sp_extract, support_blocks,
+                    sweet_piece_report, toric_degenerate, veronese_dims,
+                    weight_blocking, zero_layers, substitution_bound)
 
 # Forms used by the property-style entries.  All are exercised elsewhere in
 # the test suite as well; the suite keeps them small enough to run in seconds.

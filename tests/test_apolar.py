@@ -452,3 +452,78 @@ def test_inhomogeneous_apolar_dim_is_certified_without_rref(monkeypatch):
     dims = [apolar_dim(f) for f in polys]
     assert calls == []
     assert dims == [_oracle_closure(f, [f]).rank for f in polys]
+
+
+# -- apolar algebras certified without rref -----------------------------------
+
+
+def _spy_rref(monkeypatch):
+    from apolarium import exact
+    calls = []
+    monkeypatch.setattr(exact, "rref", lambda m: calls.append(m))
+    return calls
+
+
+def _oracle_annihilator(f, d):
+    """Kernel of the dense operator matrix, read off rref over Q."""
+    from apolarium.exact import rref
+    from apolarium.poly import monomials_upto
+    sigmas = monomials_upto(len(f.vars), d)
+    images = [apply(Poly.monomial(f.vars, s), f) for s in sigmas]
+    coords = sorted({m for img in images for m in img.terms}, key=monomial_key)
+    rows, pivots = rref([[img.terms.get(m, Fraction(0)) for img in images]
+                         for m in coords])
+    gens = []
+    for j in range(len(sigmas)):
+        if j not in pivots:
+            terms = {sigmas[j]: Fraction(1)}
+            terms.update((sigmas[p], -r[j]) for r, p in zip(rows, pivots)
+                         if r[j])
+            gens.append(Poly(f.vars, terms))
+    return gens
+
+
+def _oracle_structure_tensor(f):
+    """One rref of [gram | rhs] per pair (i, j), the rhs read off apply."""
+    from apolarium.exact import rref
+    pt = pairing_table(f)
+    exps = pt.exponents
+    zero = (0,) * len(f.vars)
+    entries = {}
+    for i, a in enumerate(exps):
+        for j, b in enumerate(exps):
+            rhs = [apply(Poly.monomial(f.vars, [x + y + z for x, y, z
+                                                in zip(a, b, c)]), f)
+                   .terms.get(zero, Fraction(0)) for c in exps]
+            rows, _ = rref([row + [v] for row, v in zip(pt.gram, rhs)])
+            entries.update(((i, j, k), r[-1]) for k, r in enumerate(rows)
+                           if r[-1])
+    return entries
+
+
+def test_apolar_algebra_of_ex49_is_certified_without_rref(monkeypatch):
+    from apolarium.papersuite import EX49_CUBIC
+    f = parse(EX49_CUBIC)
+    calls = _spy_rref(monkeypatch)
+    gens = annihilator_upto(f)
+    T, basis = structure_tensor_of_apolar(f)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(gens) == comb(5 + 4, 4) - 12
+    assert [format_poly(g) for g in gens] == [
+        format_poly(g) for g in _oracle_annihilator(f, 4)]
+    assert T.dims == (12, 12, 12) and len(basis) == 12
+    assert T.entries == _oracle_structure_tensor(f)
+    assert list(T.entries) == sorted(T.entries)
+
+
+def test_hilbert_function_of_ex49_fourth_power_is_certified_without_rref(
+        monkeypatch):
+    # its degree-6 catalecticant block is 201 x 201 of rank 169, with kernel
+    # entries past Wang's bound for one and two primes
+    from apolarium.papersuite import EX49_CUBIC
+    f = parse(EX49_CUBIC) ** 4
+    calls = _spy_rref(monkeypatch)
+    assert tuple(hilbert_function(f)) == (
+        1, 5, 15, 35, 70, 124, 169, 124, 70, 35, 15, 5, 1)
+    assert calls == []

@@ -414,6 +414,33 @@ def test_encompass_and_extend_refuse_large_partials_spaces(capsys,
         assert refused(capsys, [command, "x1^3 + x2^3", "--max-terms", "7"])
 
 
+def test_annihilator_operator_space_guard_refuses_before_computing(
+        capsys, monkeypatch):
+    import apolarium.cli as cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("annihilator computed before the size guard")
+    monkeypatch.setattr(cli, "annihilator_upto", boom)
+    monkeypatch.setattr(cli, "verify_tautological_apolarity", boom)
+    # binom(12 + 13, 13) = 5,200,300 operators of degree <= 13
+    assert refused(capsys, ["annihilator",
+                            "*".join(f"x{i}" for i in range(1, 13))])
+    assert refused(capsys, ["verify-taut",
+                            "*".join(f"x{i}" for i in range(0, 13))])
+    # binom(3 + 4, 4) = 35 operators of degree <= 4
+    assert refused(capsys, ["annihilator", "x1*x2*x3", "--max-terms", "34"])
+    assert refused(capsys, ["verify-taut", "x0*x1*x2*x3", "--max-terms", "34"])
+    assert refused(capsys, ["annihilator", "x1*x2*x3", "--degree", "5",
+                            "--max-terms", "35"])
+
+
+def test_annihilator_operator_space_guard_admits_small_spaces(capsys):
+    doc = report(capsys, ["annihilator", "x1*x2*x3", "--max-terms", "35"])
+    assert doc["outputs"]["count"] == 35 - 8
+    doc = report(capsys, ["verify-taut", "x0*x1*x2*x3", "--max-terms", "35"])
+    assert doc["outputs"]["all_pass"] is True
+
+
 def test_partials_size_guard_admits_small_spaces(capsys):
     product9 = "*".join(f"x{i}" for i in range(1, 10))  # bound 512
     doc = report(capsys, ["apolar-dim", product9, "--max-terms", "512"])

@@ -9,9 +9,9 @@ except ImportError:  # the oracle is optional
     sympy = None
 
 from apolarium import exact
-from apolarium.exact import (MODULUS, SparseEchelon,
-                             kernel_basis, mat, rank, rat, rref, solve_unique,
-                             transpose)
+from apolarium.exact import (MODULUS, PRIMES, SparseEchelon,
+                             kernel_basis, mat, rank, rat, rref, solve_many,
+                             solve_unique, transpose)
 
 F = Fraction
 P = MODULUS
@@ -185,9 +185,10 @@ def _spy_rref(monkeypatch):
     ([[F(1, P), F(0)], [F(0), F(1)]], 2),   # P divides a denominator
     ([[F(2, P)], [F(1, 3)]], 1),
     ([[F(1, P), F(1)], [F(1), F(P)]], 1),  # singular; dropping 1/P is not
-    # the kernel entry -(2^40 + 1) is past Wang's bound: it lifts to a wrong
-    # fraction, which the exact check rejects
-    ([[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]], 1),
+    # the kernel entry -(2^250 + 1) is past Wang's bound for all the primes
+    # together: each lift fails or is a wrong fraction, which the exact
+    # check rejects
+    ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1),
 ])
 def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     calls = _spy_rref(monkeypatch)
@@ -273,10 +274,11 @@ def test_sparse_certificates_match_rref_rank(m):
     ncols = len(m[0])
     assert exact.sparse_rank(rows) == expected
     kept = [row for row in rows if row]
-    assert exact._rank_by_kernel_mod_p(kept, ncols) in (None, expected)
+    kernel = exact._kernel_mod_primes(kept, range(ncols))
+    assert kernel is None or ncols - len(kernel) == expected
     full = min(len(kept), ncols)
     if expected < full:  # reduction mod p never raises a rank
-        assert not exact._full_rank_mod_p(kept, full)
+        assert len(exact._echelon_mod_p(kept, MODULUS, full) or ()) < full
 
 
 def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
@@ -286,3 +288,207 @@ def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
     assert exact.sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
     assert exact.sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
     assert calls == []
+
+
+# -- kernels and solves --------------------------------------------------------
+
+
+def oracle_kernel(m):
+    """The reduced-echelon kernel basis, read off ``rref`` over Q."""
+    rows, pivots = rref(m)
+    basis = []
+    for j in range(len(m[0])):
+        if j not in pivots:
+            v = [F(0)] * len(m[0])
+            v[j] = F(1)
+            for r, p in zip(rows, pivots):
+                v[p] = -r[j]
+            basis.append(v)
+    return basis
+
+
+def oracle_solve(m, b):
+    """The solution of m x = b read off ``rref`` of [m | b], or None."""
+    rows, pivots = rref([list(row) + [x] for row, x in zip(m, b)])
+    if pivots != list(range(len(m))):
+        return None
+    return [r[-1] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+def test_kernel_basis_matches_rref_oracle(m):
+    expected = oracle_kernel(m)
+    assert kernel_basis(m) == expected
+    free = [j for j in range(len(m[0])) if j not in rref(m)[1]]
+    assert exact.sparse_kernel(sparse(m), len(m[0])) == {
+        j: {k: x for k, x in enumerate(v) if x}
+        for j, v in zip(free, expected)}
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(rat_entry, min_size=n, max_size=n),
+             min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices, st.data())
+def test_solves_match_rref_oracle(m, data):
+    n = len(m)
+    rhss = data.draw(st.lists(st.lists(rat_entry, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    expected = [oracle_solve(m, b) for b in rhss]
+    if expected[0] is None:  # m is singular
+        with pytest.raises(ValueError):
+            solve_unique(m, rhss[0])
+        with pytest.raises(ValueError):
+            solve_many(m, rhss)
+    else:
+        assert solve_unique(m, rhss[0]) == expected[0]
+        assert solve_many(m, rhss) == expected
+
+
+def test_solves_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        solve_unique(mat([[1, 2]]), [F(1)])
+    with pytest.raises(ValueError):
+        solve_unique(mat([[1, 0], [0, 1]]), [F(1)])
+    assert solve_unique([], []) == []
+    assert solve_many(mat([[2]]), []) == []
+
+
+def lu_mix(rng, rows):
+    """Rows recombined by a random unimodular integer matrix L U."""
+    n = len(rows)
+    for i in range(n):  # U: add multiples of later rows
+        for k in range(i + 1, n):
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+    for i in reversed(range(n)):  # L: add multiples of earlier rows
+        for k in range(i):
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+    return rows
+
+
+@st.composite
+def big_kernels(draw):
+    """(m, x): m = L U [I | -x] with x r x s of numerators of 62 to 115
+    bits and denominators of up to 115 bits, so that the reduced-echelon
+    kernel of m is [x; I] and its entries are past Wang's bound for one
+    prime but within it for four."""
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def big(lo):
+        return rng.randrange(1 << (rng.randint(lo, 115) - 1), 1 << 115)
+
+    def entry():  # no prime divides the denominator: no fallback by design
+        q = F(rng.choice((-1, 1)) * big(62), big(1))
+        past_one_prime = q.numerator ** 2 > P // 2  # Wang's bound, squared
+        if past_one_prime and all(q.denominator % p for p in PRIMES):
+            return q
+        return entry()
+    x = [[entry() for _ in range(s)] for _ in range(r)]
+    rows = [[F(int(i == k)) for k in range(r)] + [-v for v in x[i]]
+            for i in range(r)]
+    return lu_mix(rng, rows), x
+
+
+def _count_primes(monkeypatch):
+    calls = []
+    echelon = exact._echelon_mod_p
+
+    def spy(rows, p, full=None):
+        if full is None:
+            calls.append(p)
+        return echelon(rows, p, full)
+    monkeypatch.setattr(exact, "_echelon_mod_p", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_kernels())
+def test_kernels_needing_several_primes_are_certified_without_rref(mx):
+    m, x = mx
+    r, s = len(x), len(x[0])
+    expected = [[x[i][t] for i in range(r)] + [F(t == u) for u in range(s)]
+                for t in range(s)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_rref(mp)
+        primes = _count_primes(mp)
+        assert kernel_basis(m) == expected
+        assert 2 <= len(primes) <= 4
+        assert primes == list(PRIMES[:len(primes)])
+        # the same kernel as a solve: m's first r columns times x = -(rest)
+        g = [row[:r] for row in m]
+        rhss = [[-row[r + t] for row in m] for t in range(s)]
+        assert solve_many(g, rhss) == [[x[i][t] for i in range(r)]
+                                       for t in range(s)]
+        # a rank r matrix with more rows than columns: the kernel is [x; I]
+        tall = m + [[a + b for a, b in zip(m[0], m[-1])]] * (s + 1)
+        assert rank(tall) == r
+    assert calls == []
+    assert expected == oracle_kernel(m)
+
+
+def test_kernel_past_one_prime_is_certified_without_rref(monkeypatch):
+    # the kernel entry -(2^40 + 1) is past Wang's bound for one prime
+    calls = _spy_rref(monkeypatch)
+    m = [[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]]
+    assert rank(m) == 1
+    assert kernel_basis(m) == [[F(-(1 << 40 | 1)), F(1)]]
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", range(len(PRIMES)))
+def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
+    # the kernel entry -N P_k is past Wang's bound for the first k primes,
+    # so the k-th prime is reached, and it divides a denominator
+    pk, n = PRIMES[k], 1 << 31 * k
+    m = [[F(1, pk), F(n)], [F(1), F(n * pk)]]
+    calls = _spy_rref(monkeypatch)
+    primes = _count_primes(monkeypatch)
+    assert rank(m) == 1
+    assert primes == list(PRIMES[:k + 1])
+    assert kernel_basis(m) == [[F(-n * pk), F(1)]]
+    assert calls == [m, m]
+    assert solve_unique([[F(1, pk), F(0)], [F(0), F(1)]], [F(1), F(2)]) == [
+        F(pk), F(2)]
+
+
+def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
+    # mod P the first column vanishes and the second is the pivot; mod the
+    # next prime the first column is the pivot
+    calls = _spy_rref(monkeypatch)
+    primes = _count_primes(monkeypatch)
+    assert kernel_basis([[F(P), F(1)]]) == [[F(-1, P), F(1)]]
+    assert primes == list(PRIMES[:2])
+    m = [[F(P), F(1)], [F(2 * P), F(2)]]
+    assert rank(m) == 1
+    assert calls == [[[F(P), F(1)]], m]
+    assert exact._kernel_mod_primes(sparse(m), range(2)) is None
+
+
+def test_primes_are_distinct_61_bit_primes():
+    sympy = pytest.importorskip("sympy")
+    assert len(set(PRIMES)) == len(PRIMES) == 8
+    assert all(p.bit_length() == 61 and sympy.isprime(p) for p in PRIMES)
+    assert MODULUS == PRIMES[0] == (1 << 61) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_matrices, big_kernels().map(lambda mx: mx[0])))
+def test_kernel_and_rref_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(m)
+
+    def q(x):
+        return F(int(x.p), int(x.q))
+    assert kernel_basis(m) == [[q(x) for x in v] for v in M.nullspace()]
+    rows, pivots = rref(m)
+    R, spiv = M.rref()
+    assert pivots == list(spiv)
+    assert rows == [[q(x) for x in R.row(i)] for i in range(len(pivots))]

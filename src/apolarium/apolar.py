@@ -8,8 +8,9 @@ catalecticant Cat_k(F); so the Hilbert function and the dimension of a form
 are catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a
 prime on sparse rows built term by term.  The dimension of any other
 polynomial is the certified rank of one such matrix, of all its monomial
-derivatives; its filtration by derivative order is read off one incremental
-echelon fed those derivatives from order d down to 0.  From these come
+derivatives; its Hilbert function, the differences of the filtration by
+derivative order, is read off the ranks of one incremental echelon fed
+those derivatives from order d down to 0.  From these come
 dimensions, Hilbert functions, conciseness, annihilators up to a degree
 bound, catalecticant matrices and ranks, the multiplication tensor of the
 quotient algebra, and the twisted-form annihilation check.
@@ -79,48 +80,6 @@ def _derivative_rows(f: Poly, order: int) -> List[Poly]:
     return out
 
 
-@dataclass
-class PartialsSpace:
-    f: Poly
-    basis: List[Poly]            # echelonized, pivots ascending
-    filt_ge: List[int]           # filt_ge[i] = dim of span of order->=i derivatives
-    filt_le: List[int]           # filt_le[i] = dim of span of order-<=i derivatives
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _filtration_by_order(f: Poly) -> Tuple[SparseEchelon, List[int]]:
-    """Echelon of the whole partials space and filt_ge, in one sweep.
-
-    The span of the derivatives of order >= i is the span of the monomial
-    derivatives of order >= i, so a single echelon fed the order-d, ..., 0
-    images has rank filt_ge[i] after level i.
-    """
-    d = f.degree()
-    ech = SparseEchelon(monomial_key)
-    filt_ge = [0] * (d + 2)
-    for i in range(d, -1, -1):
-        for p in _derivative_rows(f, i):
-            ech.insert(p.terms)
-        filt_ge[i] = ech.rank
-    return ech, filt_ge
-
-
-def partials_space(f: Poly) -> PartialsSpace:
-    _require_nonzero(f)
-    ech, filt_ge = _filtration_by_order(f)
-    basis = [Poly(f.vars, row) for row in ech.basis()]
-    cum = SparseEchelon(monomial_key)
-    filt_le = []
-    for i in range(f.degree() + 2):
-        for p in _derivative_rows(f, i):
-            cum.insert(p.terms)
-        filt_le.append(cum.rank)
-    return PartialsSpace(f, basis, filt_ge, filt_le)
-
-
 def apolar_dim(f: Poly) -> int:
     """Dimension of the partials space: the sum of the certified ranks of
     the blocks of ``_divisor_blocks`` (for a form, its Hilbert function)."""
@@ -149,8 +108,17 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     _require_nonzero(f)
     if f.is_homogeneous():
         return HilbertFunction(tuple(_catalecticant_ranks(f)))
-    _, filt_ge = _filtration_by_order(f)
-    vals = [filt_ge[i] - filt_ge[i + 1] for i in range(len(filt_ge) - 1)]
+    # The span of the derivatives of order >= i is that of the monomial
+    # derivatives of order >= i, so one echelon fed the order-d, ..., 0
+    # images has rank filt_ge[i] after level i.
+    d = f.degree()
+    ech = SparseEchelon(monomial_key)
+    filt_ge = [0] * (d + 2)
+    for i in range(d, -1, -1):
+        for p in _derivative_rows(f, i):
+            ech.insert(p.terms)
+        filt_ge[i] = ech.rank
+    vals = [filt_ge[i] - filt_ge[i + 1] for i in range(d + 1)]
     while vals and vals[-1] == 0:
         vals.pop()
     return HilbertFunction(tuple(vals))
@@ -407,8 +375,7 @@ def verify_tautological_apolarity(F: Poly, v: str, bound: Optional[int] = None,
     return rep
 
 
-def boxtimes_apolar_dim(f: Poly, d: int,
-                        max_terms: Optional[int] = None) -> int:
+def boxtimes_apolar_dim(f: Poly, d: int) -> int:
     """Dimension of the partials space of the d-fold disjoint-variable power.
 
     Always equals (apolar_dim f)^d; computed by brute force so the identity
@@ -419,6 +386,6 @@ def boxtimes_apolar_dim(f: Poly, d: int,
     if d < 1:
         raise ValueError("need d >= 1")
     ell = apolar_dim(f)
-    guards.check_terms(ell ** d, max_terms)
-    guards.check_terms(len(f.terms) ** d, max_terms)
+    guards.check_terms(ell ** d)
+    guards.check_terms(len(f.terms) ** d)
     return apolar_dim(boxtimes_power(f, d))

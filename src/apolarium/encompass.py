@@ -72,34 +72,29 @@ def is_almost_encompassing(f: Poly) -> bool:
     return apolar_dim(f) - 1 == sparse_rank(_truncations(f))
 
 
-def check_maximal_growth(f: Poly, d: int,
-                         max_terms: Optional[int] = None,
-                         max_degree: Optional[int] = None
-                         ) -> Tuple[int, int, bool]:
+def check_maximal_growth(f: Poly, d: int) -> Tuple[int, int, bool]:
     """Compare dim of the partials space of f^d with binom(l+d-1, d)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if d < 1:
         raise ValueError("need d >= 1")
-    guards.check_degree(f.degree() * d, max_degree)
+    guards.check_degree(f.degree() * d)
     ell = apolar_dim(f)
     rhs = math.comb(ell + d - 1, d)
-    guards.check_terms(rhs, max_terms)
+    guards.check_terms(rhs)
     lhs = apolar_dim(f ** d)
     return lhs, rhs, lhs == rhs
 
 
-def growth_table(f: Poly, dmax: int,
-                 max_terms: Optional[int] = None,
-                 max_degree: Optional[int] = None) -> List[int]:
+def growth_table(f: Poly, dmax: int) -> List[int]:
     """[dim of partials space of f^d for d = 1..dmax]."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     out = []
     for d in range(1, dmax + 1):
-        guards.check_degree(f.degree() * d, max_degree)
+        guards.check_degree(f.degree() * d)
         p = f ** d
-        guards.check_terms(len(p.terms), max_terms)
+        guards.check_terms(len(p.terms))
         out.append(apolar_dim(p))
     return out
 
@@ -265,9 +260,7 @@ OUT_OF_SCOPE_NOTES = [
 ]
 
 
-def verify_main_theorem(F: Poly, v: str, d: int,
-                        max_terms: Optional[int] = None,
-                        max_degree: Optional[int] = None) -> MainTheoremReport:
+def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
     """Rank of the degree-d catalecticant of the twisted d-th power vs the
     saturated value binom(n+d, d), where n+1 is the number of variables.
 
@@ -281,8 +274,8 @@ def verify_main_theorem(F: Poly, v: str, d: int,
         raise ValueError("expected a homogeneous form")
     n = len(F.vars) - 1
     expected = math.comb(n + d, d)
-    guards.check_terms(expected, max_terms)
-    guards.check_degree(F.degree() * d, max_degree)
+    guards.check_terms(expected)
+    guards.check_degree(F.degree() * d)
     from .poly import dehomogenize
     f = dehomogenize(F, v)
     assumptions["dehomogenization_nonzero"] = not f.is_zero()

@@ -1,14 +1,20 @@
 """Resource guards shared by the library and the CLI.
 
-Limits keep the exact-arithmetic computations at desk scale.  The entry
-guard can be overridden with the APOLARIUM_MAX_ENTRIES environment variable
-or per call; the CLI exposes all three as flags.
+Limits keep the exact-arithmetic computations at desk scale.  The limits in
+force are one ``Limits`` held in a context variable: ``limits(**overrides)``
+sets them for a block, and with none set ``current()`` reads the defaults,
+whose entry guard the APOLARIUM_MAX_ENTRIES environment variable overrides.
+The CLI sets them once per command from its flags.  Every guarded function
+checks its predicted size against ``current()`` before the work starts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Optional
 
 DEFAULT_MAX_TERMS = 10 ** 6
 DEFAULT_MAX_ENTRIES = 10 ** 7
@@ -19,7 +25,7 @@ class LimitExceeded(RuntimeError):
     """A computation would exceed a configured resource limit."""
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class Limits:
     max_terms: int = DEFAULT_MAX_TERMS
     max_entries: int = DEFAULT_MAX_ENTRIES
@@ -27,26 +33,45 @@ class Limits:
 
     @classmethod
     def from_env(cls) -> "Limits":
-        lim = cls()
         env = os.environ.get("APOLARIUM_MAX_ENTRIES")
-        if env is not None:
-            lim.max_entries = int(env)
-        return lim
+        return cls() if env is None else cls(max_entries=int(env))
 
 
-def check_entries(count: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else Limits.from_env().max_entries
+_CURRENT: ContextVar[Optional[Limits]] = ContextVar("apolarium_limits",
+                                                    default=None)
+
+
+def current() -> Limits:
+    """The limits set by the innermost ``limits`` block, or, outside every
+    block, the defaults and the environment as they are now."""
+    lim = _CURRENT.get()
+    return lim if lim is not None else Limits.from_env()
+
+
+@contextmanager
+def limits(**overrides: int) -> Iterator[Limits]:
+    """Run a block under ``current()`` with the given fields replaced; the
+    previous limits come back on exit, also when the block raises."""
+    token = _CURRENT.set(dataclasses.replace(current(), **overrides))
+    try:
+        yield _CURRENT.get()
+    finally:
+        _CURRENT.reset(token)
+
+
+def check_entries(count: int) -> None:
+    cap = current().max_entries
     if count > cap:
         raise LimitExceeded(f"entry count {count} exceeds limit {cap}")
 
 
-def check_terms(count: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else DEFAULT_MAX_TERMS
+def check_terms(count: int) -> None:
+    cap = current().max_terms
     if count > cap:
         raise LimitExceeded(f"term count {count} exceeds limit {cap}")
 
 
-def check_degree(d: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else DEFAULT_MAX_DEGREE
+def check_degree(d: int) -> None:
+    cap = current().max_degree
     if d > cap:
         raise LimitExceeded(f"degree {d} exceeds limit {cap}")

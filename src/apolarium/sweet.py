@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import guards
 from .exact import Rat, kernel_basis, rat
@@ -230,14 +230,14 @@ def _composition(marg: Dict[Label, Rat], N: int) -> Dict[Label, int]:
     return comp
 
 
-def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int,
-                    max_entries: Optional[int]) -> List[Tuple[int, ...]]:
+def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
+                    ) -> List[Tuple[int, ...]]:
     """Index sequences of length N whose label counts equal comp, in
     lexicographic order.  comp comes from a marginal, so its counts sum to
     N: each step spends one unit of its label's budget, every prefix
     completes, and the cost follows the output."""
     d = B.axis_dim(axis)
-    guards.check_entries(d ** N, max_entries)
+    guards.check_entries(d ** N)
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     out: List[Tuple[int, ...]] = []
@@ -374,8 +374,7 @@ class SweetPiece:
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
-               check_tight: bool = True,
-               max_entries: Optional[int] = None) -> SweetPiece:
+               check_tight: bool = True) -> SweetPiece:
     """Project the N-th Kronecker power onto the marginal-matching sequences
     of all three axes.
 
@@ -387,10 +386,10 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     piece is kept[axis][t]."""
     marg = _validate_distribution(T, B, P, check_tight)
     comps = [_composition(m, N) for m in marg]
-    kept = [_kept_sequences(B, a, comps[a], N, max_entries) for a in range(3)]
+    kept = [_kept_sequences(B, a, comps[a], N) for a in range(3)]
     pos = [{_flat(s, T.dims[a]): t for t, s in enumerate(kept[a])}
            for a in range(3)]
-    guards.check_entries(len(T.entries) ** N, max_entries)
+    guards.check_entries(len(T.entries) ** N)
     p0, p1, p2 = pos
     entries = {(p0[i], p1[j], p2[k]): c for i, j, k, c
                in _type_class_entries(T, B, dict(enumerate(comps)), N)}
@@ -406,8 +405,7 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
 
 def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
             fixed_pair: Tuple[int, int] = (0, 1),
-            check_tight: bool = True,
-            max_entries: Optional[int] = None) -> Tensor3:
+            check_tight: bool = True) -> Tensor3:
     """Restrict two axes to their marginal-matching sequences; the remaining
     axis keeps the full index range of the power (lexicographic flat order).
 
@@ -425,12 +423,12 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     dims = [0, 0, 0]
     for a in fixed:
         comps[a] = _composition(marg[a], N)
-        ks = _kept_sequences(B, a, comps[a], N, max_entries)
+        ks = _kept_sequences(B, a, comps[a], N)
         pos[a] = {_flat(s, T.dims[a]): t for t, s in enumerate(ks)}
         dims[a] = max(1, len(ks))
     dims[free] = T.dims[free] ** N
-    guards.check_entries(max(dims), max_entries)
-    guards.check_entries(len(T.entries) ** N, max_entries)
+    guards.check_entries(max(dims))
+    guards.check_entries(len(T.entries) ** N)
     entries: Dict[Tuple[int, int, int], Rat] = {}
     for i, j, k, c in _type_class_entries(T, B, comps, N):
         key = [i, j, k]

@@ -331,8 +331,7 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     return Tensor3((a + 1, w, w), entries)
 
 
-def kronecker_power(T: Tensor3, N: int,
-                    max_entries: Optional[int] = None) -> Tensor3:
+def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     """N-th Kronecker power; index sequences flatten row-major.
 
     Built depth-first: each prefix of an entry word carries its flat
@@ -340,10 +339,10 @@ def kronecker_power(T: Tensor3, N: int,
     computed once and no per-level tables are kept."""
     if N < 1:
         raise ValueError("need N >= 1")
-    guards.check_entries(len(T.entries) ** N, max_entries)
+    guards.check_entries(len(T.entries) ** N)
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
-    guards.check_entries(max(dims), max_entries)
+    guards.check_entries(max(dims))
     # A unit entry leaves the prefix product as it is: no multiplication,
     # and the entries share one Fraction.
     items = [(idx, val, val == 1) for idx, val in T.entries.items()]

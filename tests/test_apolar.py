@@ -19,7 +19,6 @@ from apolarium.apolar import (
     is_concise,
     max_catalecticant_rank,
     pairing_table,
-    partials_space,
     structure_tensor_of_apolar,
     verify_tautological_apolarity,
 )
@@ -53,21 +52,22 @@ def test_five_variable_cubic_and_its_square():
 
 
 def test_partials_space_filtrations():
-    ps = partials_space(parse("x1^2 + x2"))
-    assert ps.dim == 3
-    assert ps.filt_ge == [3, 2, 1, 0]
-    assert ps.filt_le == [1, 3, 3, 3]
-    # echelon convention: pivots are the smallest monomials
-    assert [format_poly(b) for b in ps.basis] == ["1", "x1", "x2 + x1^2"]
+    f = parse("x1^2 + x2")
+    filt_ge, hf = oracle_partials(f)
+    assert filt_ge == [3, 2, 1, 0]
+    assert tuple(hilbert_function(f)) == hf == (1, 1, 1)
+    assert apolar_dim(f) == 3
 
 
 def test_filtration_shapes_are_monotone():
     for s in ("x1^3 + x2^3", "(x1^2 + x2)^2", "x1*x2*x3"):
-        ps = partials_space(parse(s))
-        assert all(a >= b for a, b in zip(ps.filt_ge, ps.filt_ge[1:]))
-        assert all(a <= b for a, b in zip(ps.filt_le, ps.filt_le[1:]))
-        assert ps.filt_ge[0] == ps.dim == ps.filt_le[-1]
-        assert ps.filt_ge[-1] == 0
+        f = parse(s)
+        filt_ge, _ = oracle_partials(f)
+        hf = tuple(hilbert_function(f))
+        assert all(a >= b for a, b in zip(filt_ge, filt_ge[1:]))
+        assert filt_ge == [sum(hf[i:]) for i in range(len(filt_ge))]
+        assert filt_ge[0] == apolar_dim(f) == sum(hf)
+        assert filt_ge[-1] == 0
 
 
 def test_hilbert_function_values():
@@ -139,9 +139,11 @@ def test_annihilator_count_matches_quotient_dimension():
     d = 2
     gens = annihilator_upto(f, d)
     n_ops = comb(len(f.vars) + d, d) - 1  # nonconstant monomials of degree <= d
-    ps = partials_space(f)
-    # the quotient in degrees 1..d has dimension filt_le[d] - 1
-    assert len(gens) == n_ops - (ps.filt_le[d] - 1)
+    # d >= deg f, so the operators of degree <= d reach every derivative: the
+    # quotient in degrees 1..d has dimension apolar_dim(f) - 1
+    assert d >= f.degree()
+    assert apolar_dim(f) == oracle_partials(f)[0][0] == 3
+    assert len(gens) == n_ops - (apolar_dim(f) - 1)
 
 
 # -- catalecticants ------------------------------------------------------------
@@ -281,9 +283,9 @@ def test_boxtimes_dim_is_multiplicative():
 
 
 def test_boxtimes_dim_guard():
-    from apolarium.guards import LimitExceeded
-    with pytest.raises(LimitExceeded):
-        boxtimes_apolar_dim(parse("x1*x2*x3"), 4, max_terms=100)
+    from apolarium.guards import LimitExceeded, limits
+    with limits(max_terms=100), pytest.raises(LimitExceeded):
+        boxtimes_apolar_dim(parse("x1*x2*x3"), 4)
 
 
 # -- property tests --------------------------------------------------------------
@@ -342,8 +344,8 @@ def _oracle_closure(f, seeds):
 
 
 def oracle_partials(f):
-    """(basis, filt_ge, Hilbert function) from one closure per derivative
-    order, the way partials spaces were computed before the one-pass sweep."""
+    """(filt_ge, Hilbert function) from one closure per derivative order,
+    the way partials spaces were computed before the one-pass sweep."""
     d = f.degree()
     whole = _oracle_closure(f, [f])
     filt_ge = [whole.rank] + [
@@ -353,7 +355,7 @@ def oracle_partials(f):
     hf = [filt_ge[i] - filt_ge[i + 1] for i in range(d + 1)]
     while hf and hf[-1] == 0:
         hf.pop()
-    return [Poly(f.vars, row) for row in whole.basis()], filt_ge, tuple(hf)
+    return filt_ge, tuple(hf)
 
 
 small_coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -416,7 +418,7 @@ def inhomogeneous_polys(draw):
 @given(forms())
 @settings(max_examples=80, deadline=None)
 def test_form_invariants_match_the_closure_oracle(F):
-    _, filt_ge, hf = oracle_partials(F)
+    filt_ge, hf = oracle_partials(F)
     assert tuple(hilbert_function(F)) == hf
     assert apolar_dim(F) == filt_ge[0]
     for k in range(F.degree() + 1):
@@ -426,12 +428,12 @@ def test_form_invariants_match_the_closure_oracle(F):
 @given(inhomogeneous_polys())
 @settings(max_examples=60, deadline=None)
 def test_one_pass_filtration_matches_the_closure_oracle(f):
-    basis, filt_ge, hf = oracle_partials(f)
-    ps = partials_space(f)
-    assert ps.filt_ge == filt_ge
-    assert ps.basis == basis
-    assert tuple(hilbert_function(f)) == hf
-    assert apolar_dim(f) == ps.dim
+    filt_ge, hf = oracle_partials(f)
+    hilb = tuple(hilbert_function(f))
+    assert hilb == hf
+    # the one-pass filtration, read back from its differences
+    assert [sum(hilb[i:]) for i in range(len(filt_ge))] == filt_ge
+    assert apolar_dim(f) == filt_ge[0]
 
 
 @given(inhomogeneous_polys())

@@ -327,6 +327,23 @@ def test_parse_error_exits_two(capsys):
     assert run(["tensor", "make", "cw"]) == 2  # missing --n
 
 
+@pytest.mark.parametrize("argv", [
+    ["twist", "3"], ["verify-taut", "3"], ["verify-main-thm", "3", "--d", "1"],
+    ["twist", "1/2", "--human"]])
+def test_a_form_with_no_variables_needs_var_and_exits_two(capsys, argv):
+    # exit 1 would claim a violated theorem; this is a usage error
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the form has no variables\n"
+
+
+def test_cat_rank_max_of_the_zero_form_exits_two(capsys):
+    assert run(["cat-rank", "x1 - x1", "--max"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the zero polynomial has no partials space\n")
+
+
 def test_unknown_tensor_spec_exits_two(capsys):
     assert run(["sweet", "tight", "--tensor", "wat:9",
                 "--blocking", "cw"]) == 2
@@ -404,9 +421,8 @@ def test_encompass_and_extend_refuse_large_partials_spaces(capsys,
         raise AssertionError("partials computed before the size guard")
     for name in ("apolar_dim", "is_encompassing", "is_almost_encompassing",
                  "is_concise", "gradient_generic_rank",
-                 "encompassing_extension", "partials_space"):
-        # raising=False: a name the CLI does not bind is simply added
-        monkeypatch.setattr(cli, name, boom, raising=False)
+                 "encompassing_extension"):
+        monkeypatch.setattr(cli, name, boom)
     product22 = "*".join(f"x{i}" for i in range(1, 23))  # bound 2^22
     assert refused(capsys, ["encompass-check", product22])
     assert refused(capsys, ["extend", product22])
@@ -447,6 +463,15 @@ def test_partials_size_guard_admits_small_spaces(capsys):
     assert doc["outputs"]["dim"] == 512
     doc = report(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "8"])
     assert doc["outputs"]["hilbert_function"] == [1, 3, 3, 1]
+
+
+def test_paper_suite_entries_honour_the_guard_flags(capsys):
+    # sp_extract inside the entry charges 2^3 index sequences per axis and
+    # 3^3 entry combinations
+    argv = ["paper-suite", "--only", "sp-disjointness-tensor"]
+    assert refused(capsys, argv + ["--max-entries", "5"])
+    assert report(capsys, argv + ["--max-entries", "27"])["outputs"][
+        "summary"]["passed"] == 1
 
 
 def test_entry_guard_env_var(capsys, monkeypatch):

@@ -20,7 +20,7 @@ from apolarium.encompass import (
     verify_main_theorem,
 )
 from apolarium.exact import SparseEchelon
-from apolarium.guards import LimitExceeded
+from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS
 from apolarium.poly import (Poly, diff, format_poly, monomial_key, parse,
                             restrict_zero)
@@ -184,18 +184,20 @@ def test_encompassing_iff_gradient_dominant_on_corpus():
 def test_growth_input_checks():
     with pytest.raises(ValueError):
         check_maximal_growth(parse("x1"), 0)
-    with pytest.raises(LimitExceeded):
-        check_maximal_growth(parse("x1*x2*x3"), 9, max_terms=50)
+    with limits(max_terms=50), pytest.raises(LimitExceeded):
+        check_maximal_growth(parse("x1*x2*x3"), 9)
 
 
 def test_growth_honours_max_degree():
     f = parse("x1^2 + x2")
-    assert growth_table(f, 2, max_degree=4) == [3, 6]
-    assert check_maximal_growth(f, 2, max_degree=4) == (6, 6, True)
-    with pytest.raises(LimitExceeded):
-        growth_table(f, 2, max_degree=3)
-    with pytest.raises(LimitExceeded):
-        check_maximal_growth(f, 2, max_degree=3)
+    with limits(max_degree=4):
+        assert growth_table(f, 2) == [3, 6]
+        assert check_maximal_growth(f, 2) == (6, 6, True)
+    with limits(max_degree=3):
+        with pytest.raises(LimitExceeded):
+            growth_table(f, 2)
+        with pytest.raises(LimitExceeded):
+            check_maximal_growth(f, 2)
 
 
 # -- the extension construction ----------------------------------------------------
@@ -313,7 +315,7 @@ def test_main_theorem_input_checks():
         verify_main_theorem(parse("x0^2 + x1"), "x0", 2)  # inhomogeneous
     with pytest.raises(ValueError):
         verify_main_theorem(parse("x0^2 + x1^2"), "x0", 0)
-    with pytest.raises(LimitExceeded):
-        verify_main_theorem(parse("x0*x1*x2"), "x0", 6, max_terms=10)
-    with pytest.raises(LimitExceeded):
-        verify_main_theorem(parse("x0*x1*x2"), "x0", 2, max_degree=5)
+    with limits(max_terms=10), pytest.raises(LimitExceeded):
+        verify_main_theorem(parse("x0*x1*x2"), "x0", 6)
+    with limits(max_degree=5), pytest.raises(LimitExceeded):
+        verify_main_theorem(parse("x0*x1*x2"), "x0", 2)

@@ -23,11 +23,12 @@ def test_entry_ids_are_sorted_and_unique():
 
 
 def test_cli_provenance_points_at_real_entries():
-    from apolarium.cli import PROVENANCE
+    from apolarium.cli import COMMANDS
     ids = {e.id for e in ENTRIES}
-    for command, refs in PROVENANCE.items():
-        for ref in refs:
-            assert ref == "*" or ref in ids, (command, ref)
+    for command in COMMANDS:
+        assert command.provenance, command.path
+        for ref in command.provenance:
+            assert ref == "*" or ref in ids, (command.path, ref)
 
 
 def test_growth_entries_do_not_depend_on_what_else_runs():

@@ -262,11 +262,11 @@ def test_sp_extract_validation():
 
 
 def test_sp_extract_entry_guard():
-    from apolarium.guards import LimitExceeded
+    from apolarium.guards import LimitExceeded, limits
     Bw = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, Bw)])
-    with pytest.raises(LimitExceeded):
-        sp_extract(TB, Bw, P, 9, max_entries=100)
+    with limits(max_entries=100), pytest.raises(LimitExceeded):
+        sp_extract(TB, Bw, P, 9)
 
 
 # -- chimneys ---------------------------------------------------------------------

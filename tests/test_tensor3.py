@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolarium.guards import LimitExceeded
+from apolarium.guards import LimitExceeded, limits
 from apolarium.tensor3 import (
     AbelianGroup,
     PartiallySymmetricTensor,
@@ -279,8 +279,8 @@ def test_kronecker_power_matches_per_entry_product(T, N):
 
 
 def test_kronecker_power_guard():
-    with pytest.raises(LimitExceeded):
-        kronecker_power(cw(4), 8, max_entries=1000)
+    with limits(max_entries=1000), pytest.raises(LimitExceeded):
+        kronecker_power(cw(4), 8)
     with pytest.raises(ValueError):
         kronecker_power(cw(3), 0)
 

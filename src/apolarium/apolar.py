@@ -9,10 +9,11 @@ are catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a
 prime on sparse rows built term by term.  The dimension of any other
 polynomial is the certified rank of one such matrix, of all its monomial
 derivatives; its Hilbert function, the differences of the filtration by
-derivative order, is read off the ranks of one incremental echelon fed
-those derivatives from order d down to 0.  From these come
-dimensions, Hilbert functions, conciseness, annihilators up to a degree
-bound, catalecticant matrices and ranks, the multiplication tensor of the
+derivative order, counts by order the greedy rows of that matrix taken from
+order d down to 0.  Greedy rows (``exact.independent_rows``) also give the
+monomial basis of the quotient algebra.  From these come dimensions,
+Hilbert functions, conciseness, annihilators up to a degree bound,
+catalecticant matrices and ranks, the multiplication tensor of the
 quotient algebra, and the twisted-form annihilation check.
 """
 
@@ -27,9 +28,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import guards
-from .exact import (QMatrix, Rat, SparseEchelon, SparseRow, solve_many,
+from .exact import (QMatrix, Rat, SparseRow, independent_rows, solve_many,
                     sparse_kernel, sparse_rank)
-from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize,
+from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
                    boxtimes_power, monomial_key, monomials_of_degree,
                    monomials_upto, twist)
 
@@ -48,17 +49,6 @@ def _fact(e: Exponent) -> int:
     return out
 
 
-def _divisor_exponents(f: Poly, degree: int) -> List[Exponent]:
-    """Exponents a of total degree `degree` with a <= m for some term m of f.
-
-    These are the only monomial operators whose action on f can be nonzero.
-    """
-    seen = set()
-    for m in f.terms:
-        seen.update(_bounded(m, degree))
-    return sorted(seen, key=monomial_key)
-
-
 def _bounded(cap: Exponent, total: int) -> List[Exponent]:
     """The exponents a <= cap (componentwise) of degree `total`."""
     room = sum(cap)
@@ -67,24 +57,15 @@ def _bounded(cap: Exponent, total: int) -> List[Exponent]:
         room -= x
         out = [(a + (t,), r - t) for a, r in out
                for t in range(max(0, r - room), min(x, r) + 1)]
-    return [a for a, _ in out]
-
-
-def _derivative_rows(f: Poly, order: int) -> List[Poly]:
-    """All nonzero order-th monomial derivatives of f."""
-    out = []
-    for a in _divisor_exponents(f, order):
-        p = apply(Poly.monomial(f.vars, a), f)
-        if not p.is_zero():
-            out.append(p)
-    return out
+    return [a for a, r in out if not r]
 
 
 def apolar_dim(f: Poly) -> int:
     """Dimension of the partials space: the sum of the certified ranks of
     the blocks of ``_divisor_blocks`` (for a form, its Hilbert function)."""
     _require_nonzero(f)
-    return sum(map(sparse_rank, _divisor_blocks(f).values()))
+    return sum(sparse_rank(block.values())
+               for block in _divisor_blocks(f).values())
 
 
 @dataclass
@@ -109,31 +90,27 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     if f.is_homogeneous():
         return HilbertFunction(tuple(_catalecticant_ranks(f)))
     # The span of the derivatives of order >= i is that of the monomial
-    # derivatives of order >= i, so one echelon fed the order-d, ..., 0
-    # images has rank filt_ge[i] after level i.
-    d = f.degree()
-    ech = SparseEchelon(monomial_key)
-    filt_ge = [0] * (d + 2)
-    for i in range(d, -1, -1):
-        for p in _derivative_rows(f, i):
-            ech.insert(p.terms)
-        filt_ge[i] = ech.rank
-    vals = [filt_ge[i] - filt_ge[i + 1] for i in range(d + 1)]
+    # derivatives of order >= i, so with the rows taken from order d down
+    # to 0, its dimension is the number of greedy rows of order >= i, and
+    # H(i) is the number of greedy rows of order i.
+    (block,) = _divisor_blocks(f).values()
+    exps = list(reversed(block))
+    vals = [0] * (f.degree() + 1)
+    for i in independent_rows(list(reversed(block.values()))):
+        vals[sum(exps[i])] += 1
     while vals and vals[-1] == 0:
         vals.pop()
     return HilbertFunction(tuple(vals))
 
 
 def is_concise(f: Poly) -> bool:
-    """No operator of degree <= 1 annihilates f."""
+    """No operator of degree <= 1 annihilates f: its first derivatives,
+    which have lower degree than f, have rank n (the order-1 rows of
+    ``_divisor_blocks``)."""
     _require_nonzero(f)
-    ech = SparseEchelon(monomial_key)
-    n_rows = 0
-    for p in [f] + [diff(f, v) for v in f.vars]:
-        n_rows += 1
-        if p.is_zero() or not ech.insert(p.terms):
-            return False
-    return ech.rank == n_rows
+    rows = [row for block in _divisor_blocks(f, 1).values()
+            for row in block.values()]
+    return sparse_rank(rows) == len(f.vars)
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
@@ -188,8 +165,9 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
 
 
 def _divisor_blocks(f: Poly, k: Optional[int] = None
-                    ) -> Dict[int, List[SparseRow]]:
-    """Sparse rows of the matrix of monomial derivatives a∘f, in blocks.
+                    ) -> Dict[int, Dict[Exponent, SparseRow]]:
+    """Sparse rows of the matrix of monomial derivatives a∘f, in blocks
+    {a: row}, each in graded order of a.
 
     Row a holds the coefficients of a∘f, one column per monomial b that
     occurs: each term e (coefficient c) puts c * e!/(e-a)! at (a, e-a) for
@@ -222,29 +200,24 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None
     for i, b in enumerate(sorted(cols, key=monomial_key)):
         place[cols[b][0]] = i
     graded = f.is_homogeneous()
-    blocks: Dict[int, List[SparseRow]] = {}
+    blocks: Dict[int, Dict[Exponent, SparseRow]] = {}
     for a in sorted(rows, key=monomial_key):
-        blocks.setdefault(sum(a) if graded else 0, []).append(
-            {place[j]: v for j, v in rows[a].items()})
+        blocks.setdefault(sum(a) if graded else 0, {})[a] = {
+            place[j]: v for j, v in rows[a].items()}
     return blocks
 
 
 def catalecticant_rank(F: Poly, k: int) -> int:
     """rank Cat_k(F), taken on the block of Cat_k(F) that is not zero."""
     _require_form(F, k)
-    return sparse_rank(_divisor_blocks(F, k)[k])
+    return sparse_rank(_divisor_blocks(F, k)[k].values())
 
 
 def _catalecticant_ranks(F: Poly) -> List[int]:
     """[rank Cat_k(F) for k = 0, ..., deg F]: the Hilbert function of F."""
     _require_form(F)
     blocks = _divisor_blocks(F)
-    return [sparse_rank(blocks[k]) for k in range(F.degree() + 1)]
-
-
-def max_catalecticant_rank(F: Poly) -> int:
-    """Max catalecticant rank over all degrees: a border-rank lower bound."""
-    return max(_catalecticant_ranks(F))
+    return [sparse_rank(blocks[k].values()) for k in range(F.degree() + 1)]
 
 
 # -- multiplication structure -------------------------------------------------
@@ -261,18 +234,14 @@ class PairingTable:
 
 
 def greedy_monomial_basis(f: Poly) -> List[Exponent]:
-    """Smallest monomial operators (graded order) with independent images."""
+    """Smallest monomial operators (graded order) with independent images:
+    the greedy rows of each block of ``_divisor_blocks``, which for a form
+    hold images of different degrees."""
     _require_nonzero(f)
-    ell = apolar_dim(f)
-    ech = SparseEchelon(monomial_key)
     out: List[Exponent] = []
-    for deg in range(f.degree() + 1):
-        for a in _divisor_exponents(f, deg):
-            img = apply(Poly.monomial(f.vars, a), f)
-            if not img.is_zero() and ech.insert(img.terms):
-                out.append(a)
-                if len(out) == ell:
-                    return out
+    for block in _divisor_blocks(f).values():
+        exps = list(block)
+        out += [exps[i] for i in independent_rows(list(block.values()))]
     return out
 
 

@@ -53,7 +53,7 @@ from .sweet import (BlockDistribution, Blocking, MINIMAL_RANK_FAMILIES,
                     weight_blocking, zero_layers)
 from .tensor3 import (AbelianGroup, PartiallySymmetricTensor, Tensor3,
                       algebra_A_Tk, cw, group_tensor, kronecker_power,
-                      one_generic_extension, symmetrize_TS)
+                      one_generic_extension, symmetrize_TS, tb)
 
 
 def _jsonable(x):
@@ -153,10 +153,7 @@ def _load_tensor(spec: str) -> Tensor3:
         orders = [int(t) for t in spec[6:].split("x")]
         return group_tensor(AbelianGroup(orders))
     if spec == "tb":
-        return Tensor3((2, 2, 2), {(0, 0, 0): Fraction(1),
-                                   (0, 1, 1): Fraction(1),
-                                   (1, 0, 1): Fraction(1)},
-                       labels=(("1", "x"),) * 3)
+        return tb()
     if spec.startswith("apolar:"):
         T, _ = structure_tensor_of_apolar(_parse_form(spec[7:]))
         return T
@@ -379,6 +376,8 @@ def _tensor_make(args):
         inputs["k"] = args.k
         inputs["slices"] = json.loads(S.to_json())
     else:  # ts or onegen; argparse admits no other mode
+        if not args.tensor:
+            raise ValueError(f"{mode} mode needs --tensor")
         base = _load_tensor(args.tensor)
         inputs["tensor"] = _tensor_doc(base)
         if mode == "ts":

@@ -20,11 +20,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import SparseEchelon, SparseRow, rank, sparse_rank
+from .exact import SparseRow, independent_rows, rank, sparse_rank
 from .poly import (Exponent, Poly, apply, diff, homogenize, ldf, monomial_key,
                    twist)
-from .apolar import (_divisor_exponents, _fact, apolar_dim,
-                     catalecticant_rank, is_concise)
+from .apolar import (_fact, apolar_dim, catalecticant_rank,
+                     greedy_monomial_basis, is_concise)
 
 
 def _truncations(f: Poly) -> List[SparseRow]:
@@ -101,7 +101,6 @@ def growth_table(f: Poly, dmax: int) -> List[int]:
 
 def basis_partials(f: Poly) -> List[Poly]:
     """Greedy monomial-derivative basis of the partials space (images)."""
-    from .apolar import greedy_monomial_basis
     return [apply(Poly.monomial(f.vars, a), f) for a in greedy_monomial_basis(f)]
 
 
@@ -147,23 +146,6 @@ def _normalize_sigma(sigma: Poly, f: Poly) -> Poly:
     return sigma * (Fraction(1) / img.terms[lead])
 
 
-def _default_sigmas(f: Poly, needed: int) -> List[Poly]:
-    """Smallest monomial operators of degree >= 2 completing the basis."""
-    ech = SparseEchelon(monomial_key)
-    ech.insert(f.terms)
-    for v in f.vars:
-        ech.insert(diff(f, v).terms)
-    out: List[Poly] = []
-    for deg in range(2, f.degree() + 1):
-        for a in _divisor_exponents(f, deg):
-            img = apply(Poly.monomial(f.vars, a), f)
-            if not img.is_zero() and ech.insert(img.terms):
-                out.append(Poly.monomial(f.vars, a))
-                if len(out) == needed:
-                    return out
-    return out
-
-
 def encompassing_extension(f: Poly,
                            sigma_override: Optional[Sequence[Poly]] = None
                            ) -> ExtensionResult:
@@ -171,8 +153,10 @@ def encompassing_extension(f: Poly,
 
     The sigma_j are operators of degree >= 2 whose classes complete
     {1, first-order operators} to a basis of the quotient algebra; by default
-    the smallest such monomials (scalar-normalized so the image is monic).
-    An override list is validated against the same completion property.
+    the smallest such monomials (scalar-normalized so the image is monic):
+    the greedy basis of a concise f starts with 1 and the first-order
+    operators, and the rest of it has degree >= 2.  An override list is
+    validated against the same completion property.
     """
     if not is_concise(f):
         raise ValueError("extension needs a concise polynomial")
@@ -190,17 +174,18 @@ def encompassing_extension(f: Poly,
             if len(s.vars) != n:
                 raise ValueError("override arity mismatch")
             sigmas.append(_normalize_sigma(s, f))
-        ech = SparseEchelon(monomial_key)
-        ech.insert(f.terms)
-        for v in f.vars:
-            ech.insert(diff(f, v).terms)
-        for s in sigmas:
-            if not ech.insert(apply(s, f).terms):
+        images = ([f] + [diff(f, v) for v in f.vars]
+                  + [apply(s, f) for s in sigmas])
+        cols: Dict[Exponent, int] = {}
+        kept = independent_rows([{cols.setdefault(m, len(cols)): c
+                                  for m, c in p.terms.items()}
+                                 for p in images])
+        for i, s in enumerate(sigmas, n + 1):
+            if i not in kept:
                 raise ValueError(f"override element {s} does not extend the basis")
     else:
-        sigmas = [_normalize_sigma(s, f) for s in _default_sigmas(f, needed)]
-        if len(sigmas) != needed:
-            raise ValueError("could not complete a basis with degree >= 2 monomials")
+        sigmas = [_normalize_sigma(Poly.monomial(f.vars, a), f)
+                  for a in greedy_monomial_basis(f) if sum(a) >= 2]
 
     y_names = [f"y{i + 1}" for i in range(needed)]
     for y in y_names:

@@ -10,14 +10,17 @@ rows); several invariants elsewhere (e.g. independence of lowest-degree
 forms of an echelonized basis) rely on full reduction, so partial echelon
 forms are never exposed.
 
-Ranks, kernels and solves are computed with Python ints modulo 61-bit
-primes, on sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since
-reduction mod p never raises a rank.  Otherwise the kernel is computed mod
-one prime of ``PRIMES`` after another, combined by CRT, lifted to Q by
-rational reconstruction (Wang 1981) and checked exactly.  The first lift
-that passes is the reduced-echelon kernel over Q (see ``kernel_basis``), so
-every rank, kernel and solution equals the one ``rref`` over Q gives; that
-answers, on dense rows, only when the primes do not.
+Ranks, kernels, solves and greedy row bases are computed by one
+elimination, ``_echelon_mod_p``, with Python ints modulo 61-bit primes, on
+sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since reduction
+mod p never raises a rank.  Otherwise the kernel is computed mod one prime
+of ``PRIMES`` after another, combined by CRT, lifted to Q by rational
+reconstruction (Wang 1981) and checked exactly.  The first lift that passes
+is the reduced-echelon kernel over Q (see ``kernel_basis``), so every rank,
+kernel, solution and greedy basis equals the one ``rref`` over Q gives;
+that answers, on dense rows, only when the primes do not.
+``SparseEchelon``, an incremental elimination over Q, is kept only as the
+exact reference that the tests check the modular answers against.
 
 No floats, ever.
 """
@@ -260,7 +263,18 @@ def rank(m: QMatrix) -> int:
     return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
 
 
-def sparse_rank(rows: Sequence[SparseRow]) -> int:
+def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
+               ) -> List[SparseRow]:
+    """The columns `cols` (every column that occurs) of the sparse rows, as
+    sparse rows keyed by row index."""
+    by_col: Dict[int, SparseRow] = {j: {} for j in cols}
+    for i, raw in enumerate(rows):
+        for j, x in raw.items():
+            by_col[j][i] = x
+    return list(by_col.values())
+
+
+def sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over Q of the matrix with the given rows, each a dict from
     column (an int) to its nonzero entry; columns absent from every row are
     zero.  Certified as in ``rank``, on the sparse rows, the kernel taken of
@@ -272,16 +286,37 @@ def sparse_rank(rows: Sequence[SparseRow]) -> int:
     if len(_echelon_mod_p(rows, MODULUS, full) or ()) == full:
         return full
     if len(cols) > len(rows):
-        by_col: Dict[int, SparseRow] = defaultdict(dict)
-        for i, raw in enumerate(rows):
-            for j, x in raw.items():
-                by_col[j][i] = x
-        kernel = _kernel_mod_primes([by_col[j] for j in cols], range(full))
+        kernel = _kernel_mod_primes(_transpose(rows, cols), range(full))
     else:
         kernel = _kernel_mod_primes(rows, cols)
     if kernel is not None:
         return full - len(kernel)
     return len(rref([[row.get(j, _ZERO) for j in cols] for row in rows])[0])
+
+
+def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
+    """Indices of the sparse rows that are not in the span of the rows
+    before them: the greedy basis of the row space over Q, ascending.
+
+    Rows independent mod MODULUS are independent over Q, so when all of
+    them are, the answer is every row.  Otherwise it is the pivot columns of the
+    transpose, the columns that are not free in its reduced-echelon kernel
+    from ``_kernel_mod_primes``: the checked vector of free column i writes
+    row i as a combination of pivot rows before it, and the pivot rows are
+    independent mod a prime.  The rows independent mod p alone would not
+    do: mod p, [(1, 1), (1, 1 + p), (0, 1)] keeps rows 0 and 2, and over Q
+    the greedy rows are 0 and 1.  ``rref`` of the transpose answers only
+    when the kernel does not.
+    """
+    n = len(rows)
+    if len(_echelon_mod_p(rows, MODULUS, n) or ()) == n:
+        return list(range(n))
+    cols = sorted(set().union(*rows))
+    kernel = _kernel_mod_primes(_transpose(rows, cols), range(n))
+    if kernel is None:
+        return rref(transpose([[row.get(j, _ZERO) for j in cols]
+                               for row in rows]))[1]
+    return [i for i in range(n) if i not in kernel]
 
 
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int
@@ -326,7 +361,7 @@ def solve_many(m: QMatrix, rhss: Sequence[Sequence[Rat]]) -> List[Row]:
     n, ..., n + k - 1 exactly when m is invertible."""
     n = len(m)
     if m and len(m[0]) != n:
-        raise ValueError("solve_unique needs a square matrix")
+        raise ValueError("solve_many needs a square matrix")
     if any(len(b) != n for b in rhss):
         raise ValueError("a right-hand side does not match the matrix")
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
@@ -338,22 +373,18 @@ def solve_many(m: QMatrix, rhss: Sequence[Sequence[Rat]]) -> List[Row]:
     return [[vec.get(i, _ZERO) for i in range(n)] for vec in kernel.values()]
 
 
-def solve_unique(m: QMatrix, rhs: Sequence[Rat]) -> Row:
-    """Solve m x = rhs for square invertible m (raises if singular): the
-    one-column case of ``solve_many``, whose kernel is checked exactly."""
-    return solve_many(m, [rhs])[0]
-
-
 SparseVec = Dict[Hashable, Rat]
 
 
 class SparseEchelon:
-    """Incremental RREF over sparse vectors keyed by arbitrary hashables.
+    """Incremental RREF over sparse vectors keyed by arbitrary hashables,
+    the exact reference for the modular elimination (the library does not
+    call it).
 
     key_order maps a key to a sortable token; the pivot of a vector is its
-    *smallest* key under that order.  Used for spaces of polynomials keyed by
-    monomials, where the natural pivot is the least monomial.  Rows are kept
-    fully reduced against each other.
+    *smallest* key under that order, so for spaces of polynomials keyed by
+    monomials the pivot is the least monomial.  Rows are kept fully reduced
+    against each other.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):

@@ -26,9 +26,9 @@ from .encompass import (check_maximal_growth, encompassing_extension,
                         verify_main_theorem, OUT_OF_SCOPE_NOTES)
 from .apolar import verify_tautological_apolarity
 from .poly import parse, format_poly, restrict_zero, twist
-from .tensor3 import (AbelianGroup, Tensor3, algebra_A_Tk, cw, group_tensor,
+from .tensor3 import (AbelianGroup, algebra_A_Tk, cw, group_tensor,
                       one_generic_extension, PartiallySymmetricTensor,
-                      kronecker_power)
+                      kronecker_power, tb)
 from .sweet import (BlockDistribution, blocking_power, chimney, cw_blocking,
                     even_symdiff_count, formula_pratt, formula_sweet_rank,
                     is_tight, omega_bound, sp_extract, support_blocks,
@@ -363,14 +363,8 @@ def _entry_tight_flags() -> dict:
             "powers_stay_tight": pow_ok}
 
 
-def _tb() -> Tensor3:
-    return Tensor3((2, 2, 2), {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(1),
-                               (1, 0, 1): Fraction(1)},
-                   labels=(("1", "x"),) * 3)
-
-
 def _entry_sp_disjointness() -> dict:
-    TB = _tb()
+    TB = tb()
     B = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, B)])
     sp = sp_extract(TB, B, P, 3)
@@ -482,7 +476,7 @@ def _entry_veronese_slice() -> dict:
 def _entry_disjointness_is_veronese_multiplication() -> dict:
     # degree-one multiplication of the cube of K[x]/(x^2): x_i * x_j lands on
     # the squarefree degree-two monomial x_i x_j when i != j, else dies
-    TB = _tb()
+    TB = tb()
     B = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, B)])
     sp = sp_extract(TB, B, P, 3)

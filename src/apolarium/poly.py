@@ -338,13 +338,6 @@ def ldf(f: Poly) -> Poly:
     return f.graded_part(min(sum(e) for e in f.terms))
 
 
-def tdf(f: Poly) -> Poly:
-    """Top-degree homogeneous part."""
-    if f.is_zero():
-        raise ValueError("tdf of the zero polynomial")
-    return f.graded_part(f.degree())
-
-
 def _compositions(total: int, parts: int):
     """All nonnegative integer tuples of given length summing to total."""
     if parts == 0:

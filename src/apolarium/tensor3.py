@@ -142,6 +142,13 @@ def cw(n: int) -> Tensor3:
     return Tensor3((n, n, n), entries, (labels, labels, labels))
 
 
+def tb() -> Tensor3:
+    """The structure tensor of K[x]/(x^2) in the basis (1, x)."""
+    return Tensor3((2, 2, 2), {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(1),
+                               (1, 0, 1): Fraction(1)},
+                   labels=(("1", "x"),) * 3)
+
+
 class AbelianGroup:
     """Finite product of cyclic groups, elements enumerated lexicographically."""
 

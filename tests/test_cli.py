@@ -344,6 +344,14 @@ def test_cat_rank_max_of_the_zero_form_exits_two(capsys):
         "error: the zero polynomial has no partials space\n")
 
 
+@pytest.mark.parametrize("mode", ["ts", "onegen"])
+def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
+    assert run(["tensor", "make", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {mode} mode needs --tensor\n"
+
+
 def test_unknown_tensor_spec_exits_two(capsys):
     assert run(["sweet", "tight", "--tensor", "wat:9",
                 "--blocking", "cw"]) == 2

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolarium.apolar import apolar_dim, hilbert_function
+from apolarium.apolar import (apolar_dim, greedy_monomial_basis,
+                              hilbert_function, is_concise)
 from apolarium.encompass import (
+    _normalize_sigma,
     check_maximal_growth,
     encompassing_extension,
     gradient_generic_rank,
@@ -21,9 +23,9 @@ from apolarium.encompass import (
 )
 from apolarium.exact import SparseEchelon
 from apolarium.guards import LimitExceeded, limits
-from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS
-from apolarium.poly import (Poly, diff, format_poly, monomial_key, parse,
-                            restrict_zero)
+from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
+from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
+                            monomials_upto, parse, restrict_zero)
 
 V2 = ("x1", "x2")
 
@@ -269,6 +271,110 @@ def test_extension_override_validation():
 def test_extension_requires_concise():
     with pytest.raises(ValueError):
         encompassing_extension(parse("x1^2", vars=V2))
+
+
+# -- the extension's completion against the incremental echelon ---------------------
+
+
+def _echelon_of_the_linear_part(f):
+    """An echelon holding f and its first derivatives."""
+    ech = SparseEchelon(monomial_key)
+    for p in [f] + [diff(f, v) for v in f.vars]:
+        ech.insert(p.terms)
+    return ech
+
+
+def oracle_default_sigmas(f):
+    """The monomial operators of degree 2, ..., deg f, in graded order,
+    whose images the echelon of the linear part accepts."""
+    ech = _echelon_of_the_linear_part(f)
+    return [Poly.monomial(f.vars, a)
+            for a in monomials_upto(len(f.vars), f.degree()) if sum(a) >= 2
+            and ech.insert(apply(Poly.monomial(f.vars, a), f).terms)]
+
+
+def oracle_first_dependent(f, sigmas):
+    """The first normalized override element whose image the echelon of
+    the linear part and of the images before it rejects, or None."""
+    ech = _echelon_of_the_linear_part(f)
+    for s in sigmas:
+        if not ech.insert(apply(s, f).terms):
+            return s
+    return None
+
+
+def _check_the_extension_against_the_echelon(f, mix):
+    """The default completion, and overrides built from it by `mix`, a list
+    of (kind, other index, coefficient) per element: "shift" adds a multiple
+    of another default element, "repeat" is a multiple of an earlier one."""
+    if _echelon_of_the_linear_part(f).rank < len(f.vars) + 1:  # not concise
+        with pytest.raises(ValueError, match="concise"):
+            encompassing_extension(f)
+        return
+    default = oracle_default_sigmas(f)
+    ext = encompassing_extension(f)
+    assert ext.sigma_list == [_normalize_sigma(s, f) for s in default]
+    if not default:
+        return
+    override = []
+    for j, (kind, k, c) in enumerate(mix[:len(default)]):
+        if kind == "repeat" and j > 0:
+            override.append(override[k % j] * c)
+        elif len(default) > 1:
+            other = (j + 1 + k % (len(default) - 1)) % len(default)
+            override.append(default[j] + default[other] * c)
+        else:
+            override.append(default[j] * c)
+    override += default[len(override):]
+    normalized = [_normalize_sigma(s, f) for s in override]
+    bad = oracle_first_dependent(f, normalized)
+    if bad is None:
+        assert encompassing_extension(f, override).sigma_list == normalized
+    else:
+        with pytest.raises(ValueError) as err:
+            encompassing_extension(f, override)
+        assert str(err.value) == (
+            f"override element {bad} does not extend the basis")
+
+
+MIXES = [[], [("shift", 0, Fraction(1))] * 9,
+         [("shift", 0, Fraction(-2))] + [("repeat", 0, Fraction(3))] * 8]
+
+
+@pytest.mark.parametrize("text", CORPUS + ENCOMPASS_CORPUS)
+def test_extension_matches_the_echelon_on_the_corpora(text):
+    for mix in MIXES:
+        _check_the_extension_against_the_echelon(parse(text), mix)
+
+
+mix_step = st.tuples(st.sampled_from(["shift", "repeat"]),
+                     st.integers(0, 20), small_coeff)
+
+
+@given(encompass_polys(), st.lists(mix_step, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_extension_matches_the_echelon(f, mix):
+    _check_the_extension_against_the_echelon(f, mix)
+
+
+def test_greedy_rows_need_no_echelon_and_no_rref(monkeypatch):
+    from apolarium import exact
+    calls = []
+    monkeypatch.setattr(exact, "rref", lambda m: calls.append("rref"))
+    monkeypatch.setattr(exact.SparseEchelon, "insert",
+                        lambda self, vec: calls.append("insert"))
+    polys = [parse(t) for t in TAUT_CORPUS + ENCOMPASS_CORPUS]
+    for f in polys:
+        greedy_monomial_basis(f)
+        hilbert_function(f)
+    # the extension homogenizes with x0, which the forms of TAUT_CORPUS use
+    concise = [f for f in map(parse, CORPUS + ENCOMPASS_CORPUS)
+               if is_concise(f)]
+    for f in concise:
+        encompassing_extension(f, encompassing_extension(f).sigma_list)
+    assert sum(not f.is_homogeneous() for f in polys) == 10
+    assert len(concise) == 44
+    assert calls == []
 
 
 # -- the twisted-power catalecticant check -------------------------------------------

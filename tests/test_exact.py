@@ -11,7 +11,7 @@ except ImportError:  # the oracle is optional
 from apolarium import exact
 from apolarium.exact import (MODULUS, PRIMES, SparseEchelon,
                              kernel_basis, mat, rank, rat, rref, solve_many,
-                             solve_unique, transpose)
+                             transpose)
 
 F = Fraction
 P = MODULUS
@@ -59,13 +59,13 @@ def test_kernel_basis_dimension_and_membership():
 
 def test_solve_unique():
     m = mat([[2, 1], [1, 3]])
-    x = solve_unique(m, [F(5), F(10)])
+    (x,) = solve_many(m, [[F(5), F(10)]])
     assert [sum(a * b for a, b in zip(row, x)) for row in m] == [F(5), F(10)]
 
 
 def test_solve_unique_rejects_singular():
     with pytest.raises(ValueError):
-        solve_unique(mat([[1, 2], [2, 4]]), [F(1), F(1)])
+        solve_many(mat([[1, 2], [2, 4]]), [[F(1), F(1)]])
 
 
 def test_incremental_matches_batch_rank():
@@ -342,20 +342,20 @@ def test_solves_match_rref_oracle(m, data):
     expected = [oracle_solve(m, b) for b in rhss]
     if expected[0] is None:  # m is singular
         with pytest.raises(ValueError):
-            solve_unique(m, rhss[0])
+            solve_many(m, rhss[:1])
         with pytest.raises(ValueError):
             solve_many(m, rhss)
     else:
-        assert solve_unique(m, rhss[0]) == expected[0]
+        assert solve_many(m, rhss[:1]) == expected[:1]
         assert solve_many(m, rhss) == expected
 
 
 def test_solves_reject_bad_shapes():
     with pytest.raises(ValueError):
-        solve_unique(mat([[1, 2]]), [F(1)])
+        solve_many(mat([[1, 2]]), [[F(1)]])
     with pytest.raises(ValueError):
-        solve_unique(mat([[1, 0], [0, 1]]), [F(1)])
-    assert solve_unique([], []) == []
+        solve_many(mat([[1, 0], [0, 1]]), [[F(1)]])
+    assert solve_many([], [[]]) == [[]]
     assert solve_many(mat([[2]]), []) == []
 
 
@@ -455,8 +455,8 @@ def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
     assert primes == list(PRIMES[:k + 1])
     assert kernel_basis(m) == [[F(-n * pk), F(1)]]
     assert calls == [m, m]
-    assert solve_unique([[F(1, pk), F(0)], [F(0), F(1)]], [F(1), F(2)]) == [
-        F(pk), F(2)]
+    assert solve_many([[F(1, pk), F(0)], [F(0), F(1)]], [[F(1), F(2)]]) == [
+        [F(pk), F(2)]]
 
 
 def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
@@ -492,3 +492,69 @@ def test_kernel_and_rref_match_sympy(m):
     R, spiv = M.rref()
     assert pivots == list(spiv)
     assert rows == [[q(x) for x in R.row(i)] for i in range(len(pivots))]
+
+
+# -- greedy rows -----------------------------------------------------------------
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of a sparse or several-prime matrix, with zero rows, repeated
+    rows and multiples of rows put in at random places."""
+    m = draw(st.one_of(sparse_matrices, big_kernels().map(lambda mx: mx[0])))
+    rows = [list(row) for row in m]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple"]))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "zero":
+            row = [F(0)] * len(row)
+        elif kind == "multiple":
+            c = draw(rat_entry)
+            row = [c * x for x in row]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def oracle_greedy_rows(m):
+    """The rows not in the span of the rows before them: the pivot columns
+    of the transpose, read off ``rref`` over Q."""
+    return rref(transpose(m))[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_independent_rows_match_the_rref_oracle(m):
+    assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(m)
+
+
+def test_independent_rows_of_independent_rows_need_no_kernel(monkeypatch):
+    def fail(*args):
+        raise AssertionError("no kernel needed")
+    monkeypatch.setattr(exact, "_kernel_mod_primes", fail)
+    assert exact.independent_rows([]) == []
+    assert exact.independent_rows(
+        [{3: F(1, 2)}, {0: F(2), 3: F(1)}, {1: F(-7, 3)}]) == [0, 1, 2]
+
+
+def test_dependent_rows_are_certified_by_a_kernel(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    rows = [{}, {0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {}, {1: F(1)},
+            {0: F(1, 3)}, {0: F(1), 1: F(1 << 80 | 1)}]
+    assert exact.independent_rows(rows) == [1, 4]
+    assert exact.independent_rows([{}, {}]) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # mod P rows 0 and 1 are equal, so the rows independent mod P are 0 and
+    # 2, and the primes differ on the pivots
+    ([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1 + P)}, {1: F(1)}], [0, 1]),
+    # P divides a denominator
+    ([{0: F(1, P)}, {0: F(1)}, {1: F(1)}, {0: F(2), 1: F(3, P)}], [0, 2]),
+])
+def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
+    calls = _spy_rref(monkeypatch)
+    assert exact.independent_rows(rows) == expected
+    assert len(calls) == 1
+    assert oracle_greedy_rows(
+        [[row.get(j, F(0)) for j in range(2)] for row in rows]) == expected

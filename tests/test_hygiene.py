@@ -35,3 +35,51 @@ def _unused_imports(path: Path):
                          ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+# Public API that only the tests read, kept on purpose.
+TEST_ONLY_API = {
+    # the dense definition catalecticant_rank is checked against
+    "catalecticant_matrix",
+    # the tests' literal for a rational matrix
+    "mat",
+    # a multiplication table and its powers as tensors, checked against
+    # kronecker_power; symmetric powers of algebras are to build on them
+    "structure_tensor",
+    "table_tensor_power",
+    # the exact elimination over Q the modular answers are checked against;
+    # the benchmark's tracer also wraps its insert
+    "SparseEchelon",
+}
+
+
+def _unread_definitions():
+    """(module, name) of each top-level function and class of the package
+    that no AST ``Name`` or ``Attribute`` in it reads, outside the
+    definition itself."""
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = node.name
+                defined.add((path.name, own))
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute)
+                        else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
+def test_every_definition_is_read():
+    assert [(module, name) for module, name in _unread_definitions()
+            if name not in TEST_ONLY_API] == []
+
+
+def test_test_only_api_is_defined_and_unread():
+    # an entry whose definition goes, or that gains a reader, leaves the set
+    assert TEST_ONLY_API <= {name for _, name in _unread_definitions()}

@@ -21,6 +21,7 @@ from apolarium.tensor3 import (
     structure_tensor,
     symmetrize_TS,
     table_tensor_power,
+    tb,
 )
 
 
@@ -90,6 +91,15 @@ def test_cw_support_sizes():
 def test_cw_entry_pattern():
     assert cw(3).support() == [(0, 0, 0), (0, 1, 1), (0, 2, 2),
                                (1, 0, 1), (1, 1, 2), (2, 0, 2)]
+
+
+def test_tb_is_the_apolar_algebra_of_a_linear_form():
+    # K[x]/(x^2) is the apolar algebra of x1, with basis (1, x1)
+    from apolarium.apolar import structure_tensor_of_apolar
+    from apolarium.poly import parse
+    T, _ = structure_tensor_of_apolar(parse("x1"))
+    assert tb().entries == T.entries and tb().dims == T.dims == (2, 2, 2)
+    assert tb().labels == (("1", "x"),) * 3
 
 
 def test_cw_needs_three():

@@ -60,6 +60,21 @@ def _bounded(cap: Exponent, total: int) -> List[Exponent]:
     return [a for a, r in out if not r]
 
 
+def _cell_count(e: Exponent, k: Optional[int]) -> int:
+    """The number of exponents a <= e (componentwise), of degree k when k
+    is given: prod(e_i + 1), or the coefficient of t^k in the product of
+    the 1 + t + ... + t^e_i.  No coefficient exceeds prod(e_i + 1), so at
+    t = 2^w, with w its bit length, each one fills its own w bits."""
+    cells = math.prod(x + 1 for x in e)
+    if k is None:
+        return cells
+    w = cells.bit_length()
+    g = 1
+    for x in e:  # times 1 + t + ... + t^x
+        g *= ((1 << w * (x + 1)) - 1) // ((1 << w) - 1)
+    return g >> w * k & (1 << w) - 1
+
+
 def apolar_dim(f: Poly) -> int:
     """Dimension of the partials space: the sum of the certified ranks of
     the blocks of ``_divisor_blocks`` (for a form, its Hilbert function)."""
@@ -117,13 +132,16 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     """Echelonized basis of the operators of degree <= d killing f.
 
     d defaults to deg f + 1; every operator of higher degree kills f, so all
-    novel generators occur by then.
+    novel generators occur by then.  d and the binom(n + d, d) operators of
+    degree <= d are checked against the limits before any is applied.
     """
     _require_nonzero(f)
     if d is None:
         d = f.degree() + 1
     if d < 0:
         raise ValueError("degree bound must be >= 0")
+    guards.check_degree(d)
+    guards.check_terms(math.comb(len(f.vars) + d, d), "operator space size")
     sigmas = monomials_upto(len(f.vars), d)
     rows: Dict[Exponent, SparseRow] = defaultdict(dict)  # coordinate -> row
     for col, s in enumerate(sigmas):
@@ -176,7 +194,12 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None
     j = |a| (only j = k when k is given), and block j is Cat_j(F) without its
     zero rows and columns.  Any other polynomial has one block, keyed 0, of
     every a, whose rank is the dimension of its partials space.
+
+    The number of cells, which bounds the rank of every block, is checked
+    against max_terms before any row is built.
     """
+    guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
+                       "partials dimension bound")
     rows: Dict[Exponent, SparseRow] = {}
     cols: Dict[Exponent, Tuple[int, int]] = {}  # b -> (number seen, b!)
     for e, c in f.terms.items():

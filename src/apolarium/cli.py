@@ -43,14 +43,15 @@ from .encompass import (encompassing_extension, gradient_generic_rank,
                         growth_table, is_almost_encompassing, is_encompassing,
                         verify_main_theorem)
 from .papersuite import run_suite
-from .poly import (ParseError, Poly, VarMismatchError, dehomogenize,
-                   format_poly, parse, twist)
-from .sweet import (BlockDistribution, Blocking, MINIMAL_RANK_FAMILIES,
-                    chimney, cw_blocking, even_symdiff_count, formula_pratt,
-                    is_tight, marginal_uniqueness, marginals, omega_bound,
-                    sp_extract, substitution_bound, support_blocks,
-                    sweet_piece_report, toric_degenerate, veronese_dims,
-                    weight_blocking, zero_layers)
+from .poly import (ParseError, Poly, VarMismatchError, format_poly, parse,
+                   twist)
+from .sweet import (BlockDistribution, Blocking, CW_LARGE,
+                    MINIMAL_RANK_FAMILIES, chimney, cw_blocking, cw_weights,
+                    even_symdiff_count, formula_pratt, is_tight,
+                    marginal_uniqueness, marginals, omega_bound, sp_extract,
+                    substitution_bound, support_blocks, sweet_piece_report,
+                    toric_degenerate, veronese_dims, weight_blocking,
+                    zero_layers)
 from .tensor3 import (AbelianGroup, PartiallySymmetricTensor, Tensor3,
                       algebra_A_Tk, cw, group_tensor, kronecker_power,
                       one_generic_extension, symmetrize_TS, tb)
@@ -107,29 +108,6 @@ def _parse_form(text: str) -> Poly:
     return f
 
 
-def _check_partials_size(f: Poly) -> None:
-    """Refuse a partials space whose predicted size is past --max-terms.
-
-    Each term x^e has prod(e_i + 1) divisor exponents, so the sum over the
-    terms bounds the dimension of the partials space.
-    """
-    bound = sum(math.prod(x + 1 for x in e) for e in f.terms)
-    cap = guards.current().max_terms
-    if bound > cap:
-        raise LimitExceeded(f"partials dimension bound {bound} exceeds "
-                            f"limit {cap}")
-
-
-def _check_operator_space(nvars: int, bound: int) -> None:
-    """Refuse an annihilator whose operator space, the binom(nvars + bound,
-    bound) monomials of degree <= bound, is past --max-terms."""
-    size = math.comb(nvars + bound, bound) if bound >= 0 else 0
-    cap = guards.current().max_terms
-    if size > cap:
-        raise LimitExceeded(f"operator space size {size} exceeds "
-                            f"limit {cap}")
-
-
 def _var(F: Poly, var: Optional[str]) -> str:
     """The --var given, or else the first variable of F."""
     if var:
@@ -177,9 +155,6 @@ def _load_blocking(spec: str, T: Tensor3) -> Blocking:
                      "(want cw, weights:a,b,... or @file)")
 
 
-_CW_LARGE = [((0,), (1,), (-1,)), ((1,), (0,), (-1,)), ((1,), (1,), (-2,))]
-
-
 def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
     if spec.startswith("@"):
         return BlockDistribution.from_json(_read(spec[1:]))
@@ -187,7 +162,7 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
     if spec == "uniform":
         return BlockDistribution.uniform(blocks)
     if spec == "large":
-        chosen = [lab for lab in blocks if lab in _CW_LARGE]
+        chosen = [lab for lab in blocks if lab in CW_LARGE]
         if len(chosen) != 3:
             raise ValueError("'large' needs the three standard large blocks "
                              "in the support")
@@ -208,9 +183,7 @@ def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")
-        n = T.dims[0]
-        fwd = [0] + [1] * (n - 2) + [2]
-        return [fwd, fwd, [-w for w in fwd]]
+        return cw_weights(T.dims[0])
     axes = spec.split(";")
     if len(axes) != 3:
         raise ValueError("inline weights need three ;-separated axes")
@@ -237,13 +210,11 @@ def _maybe_write(path: Optional[str], text: str) -> None:
 
 def _apolar_dim(args):
     f = _parse_form(args.form)
-    _check_partials_size(f)
     return {"form": f}, {"dim": apolar_dim(f), "concise": is_concise(f)}
 
 
 def _hilbert(args):
     f = _parse_form(args.form)
-    _check_partials_size(f)
     hf = list(hilbert_function(f))
     return {"form": f}, {"hilbert_function": hf, "dim": sum(hf)}
 
@@ -251,8 +222,6 @@ def _hilbert(args):
 def _annihilator(args):
     f = _parse_form(args.form)
     bound = args.degree if args.degree is not None else f.degree() + 1
-    guards.check_degree(bound)
-    _check_operator_space(len(f.vars), bound)
     gens = annihilator_upto(f, bound)
     return ({"form": f, "degree_bound": bound},
             {"generators": gens, "count": len(gens)})
@@ -282,7 +251,6 @@ def _twist(args):
 
 def _encompass_check(args):
     f = _parse_form(args.form)
-    _check_partials_size(f)
     return {"form": f}, {
         "encompassing": is_encompassing(f),
         "almost_encompassing": is_almost_encompassing(f),
@@ -310,7 +278,6 @@ def _growth(args):
 
 def _extend(args):
     f = _parse_form(args.form)
-    _check_partials_size(f)
     override = [parse(s, f.vars) for s in args.sigma] if args.sigma else None
     ext = encompassing_extension(f, sigma_override=override)
     return ({"form": f, "sigma_override": override or []},
@@ -322,10 +289,6 @@ def _extend(args):
 def _verify_taut(args):
     F = _parse_form(args.form)
     v = _var(F, args.var)
-    if v in F.vars and F.is_homogeneous():  # else the library says why not
-        f = dehomogenize(F, v)
-        bound = args.bound if args.bound is not None else f.degree() + 1
-        _check_operator_space(len(f.vars), bound)
     rep = verify_tautological_apolarity(F, v, bound=args.bound,
                                         twisted=not args.untwisted)
     return ({"form": F, "var": v, "bound": rep.bound,

@@ -155,14 +155,18 @@ def encompassing_extension(f: Poly,
     {1, first-order operators} to a basis of the quotient algebra; by default
     the smallest such monomials (scalar-normalized so the image is monic):
     the greedy basis of a concise f starts with 1 and the first-order
-    operators, and the rest of it has degree >= 2.  An override list is
-    validated against the same completion property.
+    operators, and the rest of it has degree >= 2.  f is concise exactly
+    when the greedy basis holds all n first-order operators: f has higher
+    degree than its derivatives, so these are greedy exactly when the
+    derivatives are independent.  An override list is validated against
+    the same completion property.  G is homogenized with x0, or when g uses
+    x0 with the first of t0, t1, ... that it does not.
     """
-    if not is_concise(f):
-        raise ValueError("extension needs a concise polynomial")
     n = len(f.vars)
-    ell = apolar_dim(f)
-    needed = ell - n - 1
+    basis = greedy_monomial_basis(f)
+    if sum(sum(a) == 1 for a in basis) < n:
+        raise ValueError("extension needs a concise polynomial")
+    needed = len(basis) - n - 1
     if sigma_override is not None:
         if len(sigma_override) != needed:
             raise ValueError(f"need exactly {needed} completion elements, "
@@ -185,7 +189,7 @@ def encompassing_extension(f: Poly,
                 raise ValueError(f"override element {s} does not extend the basis")
     else:
         sigmas = [_normalize_sigma(Poly.monomial(f.vars, a), f)
-                  for a in greedy_monomial_basis(f) if sum(a) >= 2]
+                  for a in basis if sum(a) >= 2]
 
     y_names = [f"y{i + 1}" for i in range(needed)]
     for y in y_names:
@@ -219,7 +223,9 @@ def encompassing_extension(f: Poly,
         y_exp[j] = 0
 
     expand(0, f, list(x_pad), Fraction(1))
-    G = homogenize(g, "x0", g.degree())
+    # one of these len(big_vars) + 1 names is free
+    names = ["x0"] + [f"t{i}" for i in range(len(big_vars))]
+    G = homogenize(g, next(v for v in names if v not in big_vars), g.degree())
     return ExtensionResult(g, sigmas, G, y_names)
 
 

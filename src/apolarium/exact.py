@@ -58,10 +58,6 @@ def mat(rows: Iterable[Iterable]) -> QMatrix:
     return out
 
 
-def transpose(m: QMatrix) -> QMatrix:
-    return [list(col) for col in zip(*m)] if m else []
-
-
 def _first_nonzero(row: Sequence[Rat]) -> int:
     """Index of the leftmost nonzero entry, or -1 for a zero row."""
     for j, x in enumerate(row):
@@ -277,21 +273,21 @@ def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
 def sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over Q of the matrix with the given rows, each a dict from
     column (an int) to its nonzero entry; columns absent from every row are
-    zero.  Certified as in ``rank``, on the sparse rows, the kernel taken of
-    whichever of the matrix and its transpose has fewer columns; only the
-    ``rref`` fallback builds dense rows, over the columns that occur."""
+    zero.  Certified as in ``rank``, on the sparse rows, by the
+    ``sparse_kernel`` of whichever of the matrix and its transpose has fewer
+    columns, with the columns that occur numbered 0, 1, ... in order; so
+    only its ``rref`` fallback builds dense rows, over those columns."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
     full = min(len(rows), len(cols))
     if len(_echelon_mod_p(rows, MODULUS, full) or ()) == full:
         return full
     if len(cols) > len(rows):
-        kernel = _kernel_mod_primes(_transpose(rows, cols), range(full))
+        side = _transpose(rows, cols)
     else:
-        kernel = _kernel_mod_primes(rows, cols)
-    if kernel is not None:
-        return full - len(kernel)
-    return len(rref([[row.get(j, _ZERO) for j in cols] for row in rows])[0])
+        place = {j: i for i, j in enumerate(cols)}
+        side = [{place[j]: x for j, x in row.items()} for row in rows]
+    return full - len(sparse_kernel(side, full))
 
 
 def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
@@ -305,17 +301,14 @@ def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
     row i as a combination of pivot rows before it, and the pivot rows are
     independent mod a prime.  The rows independent mod p alone would not
     do: mod p, [(1, 1), (1, 1 + p), (0, 1)] keeps rows 0 and 2, and over Q
-    the greedy rows are 0 and 1.  ``rref`` of the transpose answers only
-    when the kernel does not.
+    the greedy rows are 0 and 1.  The kernel is the ``sparse_kernel`` of
+    the transpose.
     """
     n = len(rows)
     if len(_echelon_mod_p(rows, MODULUS, n) or ()) == n:
         return list(range(n))
     cols = sorted(set().union(*rows))
-    kernel = _kernel_mod_primes(_transpose(rows, cols), range(n))
-    if kernel is None:
-        return rref(transpose([[row.get(j, _ZERO) for j in cols]
-                               for row in rows]))[1]
+    kernel = sparse_kernel(_transpose(rows, cols), n)
     return [i for i in range(n) if i not in kernel]
 
 

@@ -65,10 +65,12 @@ def check_entries(count: int) -> None:
         raise LimitExceeded(f"entry count {count} exceeds limit {cap}")
 
 
-def check_terms(count: int) -> None:
+def check_terms(count: int, what: str = "term count") -> None:
+    """Refuse `count` past max_terms; `what` names the count in the
+    message."""
     cap = current().max_terms
     if count > cap:
-        raise LimitExceeded(f"term count {count} exceeds limit {cap}")
+        raise LimitExceeded(f"{what} {count} exceeds limit {cap}")
 
 
 def check_degree(d: int) -> None:

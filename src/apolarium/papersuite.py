@@ -29,11 +29,12 @@ from .poly import parse, format_poly, restrict_zero, twist
 from .tensor3 import (AbelianGroup, algebra_A_Tk, cw, group_tensor,
                       one_generic_extension, PartiallySymmetricTensor,
                       kronecker_power, tb)
-from .sweet import (BlockDistribution, blocking_power, chimney, cw_blocking,
-                    even_symdiff_count, formula_pratt, formula_sweet_rank,
-                    is_tight, omega_bound, sp_extract, support_blocks,
-                    sweet_piece_report, toric_degenerate, veronese_dims,
-                    weight_blocking, zero_layers, substitution_bound)
+from .sweet import (BlockDistribution, CW_LARGE, blocking_power, chimney,
+                    cw_blocking, cw_weights, even_symdiff_count, formula_pratt,
+                    formula_sweet_rank, is_tight, omega_bound, sp_extract,
+                    support_blocks, sweet_piece_report, toric_degenerate,
+                    veronese_dims, weight_blocking, zero_layers,
+                    substitution_bound)
 
 # Forms used by the property-style entries.  All are exercised elsewhere in
 # the test suite as well; the suite keeps them small enough to run in seconds.
@@ -330,12 +331,11 @@ def _entry_cw_support() -> dict:
 def _entry_group_degeneration() -> dict:
     B3 = cw_blocking(3)
     TZ3 = group_tensor(AbelianGroup((3,)))
-    D3 = toric_degenerate(TZ3, B3, [[0, 1, 2], [0, 1, 2], [0, -1, -2]])
+    D3 = toric_degenerate(TZ3, B3, cw_weights(3))
     z3_ok = D3 == cw(3)
     T22 = group_tensor(AbelianGroup((2, 2)))
     B4 = cw_blocking(4)
-    D22 = toric_degenerate(T22, B4,
-                           [[0, 1, 1, 2], [0, 1, 1, 2], [0, -1, -1, -2]])
+    D22 = toric_degenerate(T22, B4, cw_weights(4))
     mid = {(i, j) for (i, j, k) in D22.entries
            if i in (1, 2) and j in (1, 2) and k == 3}
     pattern_ok = (D22.nnz() == 9 and is_tight(D22, B4)
@@ -353,7 +353,7 @@ def _entry_group_degeneration() -> dict:
 def _entry_tight_flags() -> dict:
     B3 = cw_blocking(3)
     TZ3 = group_tensor(AbelianGroup((3,)))
-    D3 = toric_degenerate(TZ3, B3, [[0, 1, 2], [0, 1, 2], [0, -1, -2]])
+    D3 = toric_degenerate(TZ3, B3, cw_weights(3))
     full = is_tight(TZ3, B3)
     deg = is_tight(D3, B3)
     pow_ok = all(is_tight(kronecker_power(cw(3), N), blocking_power(B3, N))
@@ -389,23 +389,20 @@ def _entry_sp_disjointness() -> dict:
 
 def _entry_sp_degeneration_equality() -> dict:
     B3 = cw_blocking(3)
-    large3 = [((0,), (1,), (-1,)), ((1,), (0,), (-1,)), ((1,), (1,), (-2,))]
-    P3 = BlockDistribution(large3, [Fraction(1, 3)] * 3)
+    P = BlockDistribution(CW_LARGE, [Fraction(1, 3)] * 3)
     TZ3 = group_tensor(AbelianGroup((3,)))
-    D3 = toric_degenerate(TZ3, B3, [[0, 1, 2], [0, 1, 2], [0, -1, -2]])
-    a = sp_extract(TZ3, B3, P3, 3, check_tight=False)
-    b = sp_extract(D3, B3, P3, 3)
+    D3 = toric_degenerate(TZ3, B3, cw_weights(3))
+    a = sp_extract(TZ3, B3, P, 3, check_tight=False)
+    b = sp_extract(D3, B3, P, 3)
     z3_ok = a.tensor == b.tensor and a.tensor.nnz() == 6
     B4 = cw_blocking(4)
     T22 = group_tensor(AbelianGroup((2, 2)))
-    D22 = toric_degenerate(T22, B4,
-                           [[0, 1, 1, 2], [0, 1, 1, 2], [0, -1, -1, -2]])
+    D22 = toric_degenerate(T22, B4, cw_weights(4))
     point = BlockDistribution([((1,), (1,), (-2,))], [Fraction(1)])
     c = sp_extract(T22, B4, point, 2, check_tight=False)
     d = sp_extract(D22, B4, point, 2)
-    P4 = BlockDistribution(large3, [Fraction(1, 3)] * 3)
-    e = sp_extract(T22, B4, P4, 3, check_tight=False)
-    g = sp_extract(D22, B4, P4, 3)
+    e = sp_extract(T22, B4, P, 3, check_tight=False)
+    g = sp_extract(D22, B4, P, 3)
     z22_ok = c.tensor == d.tensor and e.tensor == g.tensor
     return {"ok": z3_ok and z22_ok, "z3_N3": z3_ok,
             "z2xz2_N2_and_N3": z22_ok,
@@ -416,8 +413,7 @@ def _entry_sp_degeneration_equality() -> dict:
 def _entry_chimney_zero_layers() -> dict:
     rows = {}
     B3 = cw_blocking(3)
-    large = [((0,), (1,), (-1,)), ((1,), (0,), (-1,)), ((1,), (1,), (-2,))]
-    P = BlockDistribution(large, [Fraction(1, 3)] * 3)
+    P = BlockDistribution(CW_LARGE, [Fraction(1, 3)] * 3)
     ch33 = chimney(cw(3), B3, P, 3)
     rows["(3,3)"] = {"zero_layers": zero_layers(ch33, 2), "formula_term": 1}
     ch43 = chimney(cw(4), cw_blocking(4), P, 3)

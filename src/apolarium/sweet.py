@@ -78,15 +78,24 @@ class Blocking:
         return cls(json.loads(text)["labels"])
 
 
-def cw_blocking(n: int) -> Blocking:
+def cw_weights(n: int) -> List[List[int]]:
     """Unit vector -> 0, middle -> 1, top -> 2 on the first two axes, negated
-    on the third.  Used for the three-sum tensors and for group tensors with
-    the distinguished element last."""
+    on the third: the labels of ``cw_blocking`` and the weights that
+    degenerate a group tensor of order n onto the support of cw(n)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    fwd = [(0,)] + [(1,)] * (n - 2) + [(2,)]
-    neg = [(0,)] + [(-1,)] * (n - 2) + [(-2,)]
-    return Blocking([fwd, fwd, neg])
+    fwd = [0] + [1] * (n - 2) + [2]
+    return [fwd, list(fwd), [-w for w in fwd]]
+
+
+def cw_blocking(n: int) -> Blocking:
+    """The ``cw_weights`` as labels.  Used for the three-sum tensors and for
+    group tensors with the distinguished element last."""
+    return Blocking([[(w,) for w in ax] for ax in cw_weights(n)])
+
+
+# the three large support blocks of cw(n) under cw_blocking
+CW_LARGE = (((0,), (1,), (-1,)), ((1,), (0,), (-1,)), ((1,), (1,), (-2,)))
 
 
 def weight_blocking(weights: Sequence[int]) -> Blocking:
@@ -373,33 +382,48 @@ class SweetPiece:
     p_T: int
 
 
-def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
-               check_tight: bool = True) -> SweetPiece:
-    """Project the N-th Kronecker power onto the marginal-matching sequences
-    of all three axes.
+def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
+             axes: Sequence[int], check_tight: bool
+             ) -> Tuple[Tensor3, Dict[int, List[Tuple[int, ...]]]]:
+    """The N-th Kronecker power restricted on each axis of `axes` to its
+    marginal-matching sequences, and those sequences, {axis: kept}.
 
-    The power is never walked: the kept entries are enumerated by type
-    class (see _type_class_entries), with every support block of T taking
-    part, charged by P or not, so the cost follows the number of kept
-    entries rather than |T|^N.  kept lists each axis's marginal-matching
-    index sequences in lexicographic order; position t on an axis of the
-    piece is kept[axis][t]."""
+    Position t on a constrained axis is kept[axis][t]; an axis not in
+    `axes` keeps the full index range of the power (lexicographic flat
+    order).  The power is never walked: the kept entries are enumerated by
+    type class (see _type_class_entries), grouped by their labels on the
+    constrained axes only, so the cost follows the number of kept entries
+    rather than |T|^N."""
     marg = _validate_distribution(T, B, P, check_tight)
-    comps = [_composition(m, N) for m in marg]
-    kept = [_kept_sequences(B, a, comps[a], N) for a in range(3)]
+    comps = {a: _composition(marg[a], N) for a in axes}
+    kept = {a: _kept_sequences(B, a, comps[a], N) for a in axes}
+    # a free axis maps each flat index to itself
     pos = [{_flat(s, T.dims[a]): t for t, s in enumerate(kept[a])}
-           for a in range(3)]
+           if a in kept else range(T.dims[a] ** N) for a in range(3)]
+    dims = tuple(max(1, len(kept[a])) if a in kept else T.dims[a] ** N
+                 for a in range(3))
+    guards.check_entries(max(dims))
     guards.check_entries(len(T.entries) ** N)
     p0, p1, p2 = pos
     entries = {(p0[i], p1[j], p2[k]): c for i, j, k, c
-               in _type_class_entries(T, B, dict(enumerate(comps)), N)}
+               in _type_class_entries(T, B, comps, N)}
+    return Tensor3(dims, entries), kept
+
+
+def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
+               check_tight: bool = True) -> SweetPiece:
+    """Project the N-th Kronecker power onto the marginal-matching sequences
+    of all three axes (see _project), with every support block of T taking
+    part, charged by P or not.  kept lists each axis's marginal-matching
+    index sequences in lexicographic order; position t on an axis of the
+    piece is kept[axis][t]."""
+    tensor, kept = _project(T, B, P, N, (0, 1, 2), check_tight)
     label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in kept[a]]
                   for a in range(3)]
     pts = [len(set(ls)) for ls in label_seqs]
     if len(set(pts)) != 1:
         raise ValueError(f"label-sequence counts differ across axes: {pts}")
-    dims = tuple(max(1, len(ks)) for ks in kept)
-    return SweetPiece(Tensor3(dims, entries), tuple(kept),
+    return SweetPiece(tensor, (kept[0], kept[1], kept[2]),
                       tuple(label_seqs), pts[0])
 
 
@@ -407,35 +431,12 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
             fixed_pair: Tuple[int, int] = (0, 1),
             check_tight: bool = True) -> Tensor3:
     """Restrict two axes to their marginal-matching sequences; the remaining
-    axis keeps the full index range of the power (lexicographic flat order).
-
-    Only the two fixed axes constrain the type classes, so T's entries are
-    grouped by their labels on those axes and the free axis's labels play
-    no part; the kept entries are enumerated as in sp_extract, at a cost
-    that follows their number rather than |T|^N."""
+    axis keeps the full index range of the power (see _project), and its
+    labels play no part."""
     fixed = tuple(sorted(fixed_pair))
     if len(set(fixed)) != 2 or not all(a in (0, 1, 2) for a in fixed):
         raise ValueError(f"fixed_pair must be two distinct axes, got {fixed_pair}")
-    free = ({0, 1, 2} - set(fixed)).pop()
-    marg = _validate_distribution(T, B, P, check_tight)
-    comps: Dict[int, Dict[Label, int]] = {}
-    pos: Dict[int, Dict[int, int]] = {}
-    dims = [0, 0, 0]
-    for a in fixed:
-        comps[a] = _composition(marg[a], N)
-        ks = _kept_sequences(B, a, comps[a], N)
-        pos[a] = {_flat(s, T.dims[a]): t for t, s in enumerate(ks)}
-        dims[a] = max(1, len(ks))
-    dims[free] = T.dims[free] ** N
-    guards.check_entries(max(dims))
-    guards.check_entries(len(T.entries) ** N)
-    entries: Dict[Tuple[int, int, int], Rat] = {}
-    for i, j, k, c in _type_class_entries(T, B, comps, N):
-        key = [i, j, k]
-        for a in fixed:
-            key[a] = pos[a][key[a]]
-        entries[tuple(key)] = c
-    return Tensor3(tuple(dims), entries)
+    return _project(T, B, P, N, fixed, check_tight)[0]
 
 
 def toric_degenerate(T: Tensor3, B: Blocking,

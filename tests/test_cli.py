@@ -83,6 +83,14 @@ def test_extend(capsys):
     assert doc["outputs"]["encompassing"] is True
 
 
+def test_extend_a_form_in_x0(capsys):
+    # x0 is taken, so G is homogenized with t0
+    doc = report(capsys, ["extend", "x0^2 + x1^2"])
+    assert doc["outputs"]["g"] == "y1 + x0^2 + x1^2"
+    assert doc["outputs"]["G"] == "t0*y1 + x0^2 + x1^2"
+    assert doc["outputs"]["encompassing"] is True
+
+
 def test_extend_with_sigma_override(capsys):
     doc = report(capsys, ["extend", "x1^3 + x2^3",
                           "--sigma", "x1^2 + x2^2",
@@ -408,54 +416,45 @@ def test_zero_limits_are_honoured(capsys):
     assert refused(capsys, ["apolar-dim", "x1", "--max-degree", "0"])
 
 
-def test_partials_size_guard_refuses_before_computing(capsys, monkeypatch):
-    import apolarium.cli as cli
-
-    def boom(f):
-        raise AssertionError("partials computed before the size guard")
-    monkeypatch.setattr(cli, "apolar_dim", boom)
-    monkeypatch.setattr(cli, "hilbert_function", boom)
+# The small cases come first: without the guard they reach the spies at
+# once, where the large ones would first build their whole space.
+def test_partials_size_guard_refuses_before_computing(capsys,
+                                                      no_library_work):
+    assert refused(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "7"])
+    # Cat_1 of x1*x2*x3 has 3 cells
+    assert refused(capsys, ["cat-rank", "x1*x2*x3", "--k", "1",
+                            "--max-terms", "2"])
+    assert refused(capsys, ["tensor", "make", "algebra", "--form",
+                            "*".join(f"x{i}" for i in range(1, 10)),
+                            "--max-terms", "7"])
     product24 = "*".join(f"x{i}" for i in range(1, 25))  # bound 2^24
     assert refused(capsys, ["apolar-dim", product24])
     assert refused(capsys, ["hilbert", product24])
-    assert refused(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "7"])
 
 
 def test_encompass_and_extend_refuse_large_partials_spaces(capsys,
-                                                           monkeypatch):
-    import apolarium.cli as cli
-
-    def boom(*args, **kwargs):
-        raise AssertionError("partials computed before the size guard")
-    for name in ("apolar_dim", "is_encompassing", "is_almost_encompassing",
-                 "is_concise", "gradient_generic_rank",
-                 "encompassing_extension"):
-        monkeypatch.setattr(cli, name, boom)
+                                                           no_library_work):
+    for command in ("encompass-check", "extend"):  # bound 8
+        assert refused(capsys, [command, "x1^3 + x2^3", "--max-terms", "7"])
     product22 = "*".join(f"x{i}" for i in range(1, 23))  # bound 2^22
     assert refused(capsys, ["encompass-check", product22])
     assert refused(capsys, ["extend", product22])
-    for command in ("encompass-check", "extend"):  # bound 8
-        assert refused(capsys, [command, "x1^3 + x2^3", "--max-terms", "7"])
 
 
 def test_annihilator_operator_space_guard_refuses_before_computing(
-        capsys, monkeypatch):
-    import apolarium.cli as cli
-
-    def boom(*args, **kwargs):
-        raise AssertionError("annihilator computed before the size guard")
-    monkeypatch.setattr(cli, "annihilator_upto", boom)
-    monkeypatch.setattr(cli, "verify_tautological_apolarity", boom)
-    # binom(12 + 13, 13) = 5,200,300 operators of degree <= 13
-    assert refused(capsys, ["annihilator",
-                            "*".join(f"x{i}" for i in range(1, 13))])
-    assert refused(capsys, ["verify-taut",
-                            "*".join(f"x{i}" for i in range(0, 13))])
+        capsys, no_library_work):
     # binom(3 + 4, 4) = 35 operators of degree <= 4
     assert refused(capsys, ["annihilator", "x1*x2*x3", "--max-terms", "34"])
     assert refused(capsys, ["verify-taut", "x0*x1*x2*x3", "--max-terms", "34"])
     assert refused(capsys, ["annihilator", "x1*x2*x3", "--degree", "5",
                             "--max-terms", "35"])
+    assert refused(capsys, ["verify-taut", "x0*x1*x2", "--bound", "5",
+                            "--max-degree", "4"])
+    # binom(12 + 13, 13) = 5,200,300 operators of degree <= 13
+    assert refused(capsys, ["annihilator",
+                            "*".join(f"x{i}" for i in range(1, 13))])
+    assert refused(capsys, ["verify-taut",
+                            "*".join(f"x{i}" for i in range(0, 13))])
 
 
 def test_annihilator_operator_space_guard_admits_small_spaces(capsys):
@@ -471,6 +470,9 @@ def test_partials_size_guard_admits_small_spaces(capsys):
     assert doc["outputs"]["dim"] == 512
     doc = report(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "8"])
     assert doc["outputs"]["hilbert_function"] == [1, 3, 3, 1]
+    doc = report(capsys, ["cat-rank", "x1*x2*x3", "--k", "1",
+                          "--max-terms", "3"])
+    assert doc["outputs"]["rank"] == 3
 
 
 def test_paper_suite_entries_honour_the_guard_flags(capsys):
@@ -479,6 +481,13 @@ def test_paper_suite_entries_honour_the_guard_flags(capsys):
     argv = ["paper-suite", "--only", "sp-disjointness-tensor"]
     assert refused(capsys, argv + ["--max-entries", "5"])
     assert report(capsys, argv + ["--max-entries", "27"])["outputs"][
+        "summary"]["passed"] == 1
+
+
+def test_paper_suite_honours_the_partials_guard(capsys):
+    argv = ["paper-suite", "--only", "apolar-dim-product-of-linears"]
+    assert refused(capsys, argv + ["--max-terms", "511"])
+    assert report(capsys, argv + ["--max-terms", "512"])["outputs"][
         "summary"]["passed"] == 1
 
 

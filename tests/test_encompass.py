@@ -24,8 +24,9 @@ from apolarium.encompass import (
 from apolarium.exact import SparseEchelon
 from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
-from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
-                            monomials_upto, parse, restrict_zero)
+from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
+                            monomial_key, monomials_upto, parse,
+                            restrict_zero)
 
 V2 = ("x1", "x2")
 
@@ -268,6 +269,33 @@ def test_extension_override_validation():
                                    parse("x2^2", vars=V2)])  # dependent image
 
 
+def test_extension_builds_the_partials_once(monkeypatch):
+    import apolarium.apolar as apolar
+    calls = []
+    build = apolar._divisor_blocks
+
+    def spy(f, k=None):
+        calls.append(k)
+        return build(f, k)
+    monkeypatch.setattr(apolar, "_divisor_blocks", spy)
+    # conciseness is read off the greedy basis, so the first-order block
+    # is not built on its own either
+    encompassing_extension(parse("x1^3 + x2^3 + x1*x2"))
+    assert calls == [None]
+
+
+@pytest.mark.parametrize("text", TAUT_CORPUS)
+def test_extension_of_forms_in_x0(text):
+    # g takes x0 from f, so G is homogenized with the first free t_i
+    f = parse(text)
+    ext = encompassing_extension(f)
+    assert restrict_zero(ext.g, ext.y_vars) == f
+    assert is_encompassing(ext.g)
+    assert ext.G.vars == ("t0",) + ext.g.vars
+    assert ext.G.is_homogeneous() and ext.G.degree() == f.degree()
+    assert dehomogenize(ext.G, "t0") == ext.g
+
+
 def test_extension_requires_concise():
     with pytest.raises(ValueError):
         encompassing_extension(parse("x1^2", vars=V2))
@@ -367,13 +395,12 @@ def test_greedy_rows_need_no_echelon_and_no_rref(monkeypatch):
     for f in polys:
         greedy_monomial_basis(f)
         hilbert_function(f)
-    # the extension homogenizes with x0, which the forms of TAUT_CORPUS use
-    concise = [f for f in map(parse, CORPUS + ENCOMPASS_CORPUS)
+    concise = [f for f in map(parse, CORPUS + ENCOMPASS_CORPUS + TAUT_CORPUS)
                if is_concise(f)]
     for f in concise:
         encompassing_extension(f, encompassing_extension(f).sigma_list)
     assert sum(not f.is_homogeneous() for f in polys) == 10
-    assert len(concise) == 44
+    assert len(concise) == 55
     assert calls == []
 
 

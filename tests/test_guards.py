@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from apolarium import cli
+from apolarium import apolar, cli, encompass
 from apolarium.guards import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_ENTRIES,
@@ -15,6 +15,8 @@ from apolarium.guards import (
     current,
     limits,
 )
+from apolarium.papersuite import run_suite
+from apolarium.poly import parse
 
 
 def test_checks_pass_below_limits():
@@ -95,3 +97,72 @@ def test_a_cli_flag_beats_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "100000")
     assert cli.run(argv + ["--max-entries", "1"]) == 3
     capsys.readouterr()
+
+
+# -- the library refuses before it builds -----------------------------------------
+
+
+FERMAT = "x1^3 + x2^3"  # partials bound 4 + 4 = 8
+
+
+@pytest.mark.parametrize("call", [
+    apolar.apolar_dim, apolar.hilbert_function, apolar.greedy_monomial_basis,
+    encompass.is_encompassing, encompass.encompassing_extension])
+def test_partials_guard_refuses_before_any_elimination(no_library_work,
+                                                       call):
+    f = parse(FERMAT)
+    with limits(max_terms=7), pytest.raises(
+            LimitExceeded, match="^partials dimension bound 8 exceeds limit 7$"):
+        call(f)
+    no_library_work.undo()
+    with limits(max_terms=8):
+        call(f)
+
+
+def test_one_order_of_partials_is_charged_its_own_cells(no_library_work):
+    f = parse(FERMAT)  # x1, x2 of order 1 and x1^2, x2^2 of order 2
+    for k in (1, 2):
+        with limits(max_terms=1), pytest.raises(
+                LimitExceeded,
+                match="^partials dimension bound 2 exceeds limit 1$"):
+            apolar.catalecticant_rank(f, k)
+    no_library_work.undo()
+    with limits(max_terms=2):
+        assert apolar.is_concise(f)
+        assert apolar.catalecticant_rank(f, 2) == 2
+
+
+@pytest.mark.parametrize("e", [(), (0,), (3,), (2, 0, 1), (1, 1, 1, 1),
+                               (4, 2, 3)])
+def test_cell_counts_match_the_divisors(e):
+    for k in range(sum(e) + 2):
+        assert apolar._cell_count(e, k) == len(apolar._bounded(e, k))
+    assert apolar._cell_count(e, None) == sum(
+        apolar._cell_count(e, k) for k in range(sum(e) + 1))
+
+
+def test_operator_space_guard_refuses_before_any_elimination(no_library_work):
+    f = parse("x1*x2*x3")  # binom(3 + 5, 5) = 56 operators of degree <= 5
+    F = parse("x0*x1*x2*x3")  # x1*x2*x3 at x0 = 1, bound 4: 35 operators
+    with limits(max_terms=55), pytest.raises(
+            LimitExceeded, match="^operator space size 56 exceeds limit 55$"):
+        apolar.annihilator_upto(f, 5)
+    with limits(max_degree=4), pytest.raises(
+            LimitExceeded, match="^degree 5 exceeds limit 4$"):
+        apolar.annihilator_upto(f, 5)
+    with limits(max_terms=34), pytest.raises(
+            LimitExceeded, match="^operator space size 35 exceeds limit 34$"):
+        apolar.verify_tautological_apolarity(F, "x0")
+    no_library_work.undo()
+    with limits(max_terms=56, max_degree=5):
+        assert len(apolar.annihilator_upto(f, 5)) == 56 - 8
+    with limits(max_terms=35):
+        assert apolar.verify_tautological_apolarity(F, "x0").all_pass
+
+
+def test_suite_entries_honour_the_partials_guard():
+    only = ["apolar-dim-product-of-linears"]  # x1*...*x9, bound 2^9
+    with limits(max_terms=511), pytest.raises(LimitExceeded):
+        run_suite(only)
+    with limits(max_terms=512):
+        assert run_suite(only)["summary"]["passed"] == 1

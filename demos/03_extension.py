@@ -14,7 +14,9 @@ from apolarium.poly import format_poly, parse, restrict_zero
 
 f = parse("x1^3 + x2^3")
 print("f =", format_poly(f), "| encompassing:", is_encompassing(f))
-print("growth of powers:", growth_table(f, 3), "(ceilings: 6, 21, 56)")
+rows = growth_table(f, 3)  # (dim, ceiling, maximal) for d = 1, 2, 3
+print("growth of powers:", [dim for dim, _, _ in rows],
+      "(ceilings: " + ", ".join(str(c) for _, c, _ in rows) + ")")
 print()
 
 ext = encompassing_extension(f)
@@ -30,4 +32,4 @@ print("HF:  ", tuple(hilbert_function(f)), "->",
       tuple(hilbert_function(ext.g)))
 print("g with the new variables set to zero:",
       format_poly(restrict_zero(ext.g, ext.y_vars)))
-print("growth of powers of g:", growth_table(ext.g, 3))
+print("growth of powers of g:", [dim for dim, _, _ in growth_table(ext.g, 3)])

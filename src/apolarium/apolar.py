@@ -99,11 +99,13 @@ class HilbertFunction:
 def hilbert_function(f: Poly) -> HilbertFunction:
     """Successive differences of the dimension filtration by derivative order.
 
-    For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d.
+    For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d,
+    the certified ranks of the blocks of ``_divisor_blocks`` in order.
     """
     _require_nonzero(f)
     if f.is_homogeneous():
-        return HilbertFunction(tuple(_catalecticant_ranks(f)))
+        return HilbertFunction(tuple(sparse_rank(block.values())
+                                     for block in _divisor_blocks(f).values()))
     # The span of the derivatives of order >= i is that of the monomial
     # derivatives of order >= i, so with the rows taken from order d down
     # to 0, its dimension is the number of greedy rows of order >= i, and
@@ -234,13 +236,6 @@ def catalecticant_rank(F: Poly, k: int) -> int:
     """rank Cat_k(F), taken on the block of Cat_k(F) that is not zero."""
     _require_form(F, k)
     return sparse_rank(_divisor_blocks(F, k)[k].values())
-
-
-def _catalecticant_ranks(F: Poly) -> List[int]:
-    """[rank Cat_k(F) for k = 0, ..., deg F]: the Hilbert function of F."""
-    _require_form(F)
-    blocks = _divisor_blocks(F)
-    return [sparse_rank(blocks[k].values()) for k in range(F.degree() + 1)]
 
 
 # -- multiplication structure -------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -264,16 +263,11 @@ def _growth(args):
     f = _parse_form(args.form)
     dmax = args.dmax if args.dmax is not None else f.degree()
     rows = growth_table(f, dmax)
-    # The ceilings of check_maximal_growth, from the dims already computed:
-    # rows[0] is the apolar dimension of f itself.
-    table = []
-    for d, lhs in enumerate(rows, start=1):
-        rhs = math.comb(rows[0] + d - 1, d)
-        guards.check_terms(rhs)
-        table.append({"d": d, "dim": lhs, "ceiling": rhs, "maximal": lhs == rhs})
+    table = [{"d": d, "dim": dim, "ceiling": ceiling, "maximal": maximal}
+             for d, (dim, ceiling, maximal) in enumerate(rows, start=1)]
     return ({"form": f, "dmax": dmax},
-            {"dims": rows, "table": table,
-             "maximal_throughout": all(row["maximal"] for row in table)})
+            {"dims": [dim for dim, _, _ in rows], "table": table,
+             "maximal_throughout": all(maximal for _, _, maximal in rows)})
 
 
 def _extend(args):

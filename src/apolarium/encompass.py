@@ -72,46 +72,41 @@ def is_almost_encompassing(f: Poly) -> bool:
     return apolar_dim(f) - 1 == sparse_rank(_truncations(f))
 
 
-def check_maximal_growth(f: Poly, d: int) -> Tuple[int, int, bool]:
-    """Compare dim of the partials space of f^d with binom(l+d-1, d)."""
+def growth_table(f: Poly, dmax: int) -> List[Tuple[int, int, bool]]:
+    """[(dim of the partials space of f^d, binom(l+d-1, d), equal) for
+    d = 1..dmax], where l = apolar_dim(f), the first dimension.
+
+    The degree, term count and ceiling of f^d are checked against the
+    limits before f^d is ranked.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if d < 1:
-        raise ValueError("need d >= 1")
-    guards.check_degree(f.degree() * d)
-    ell = apolar_dim(f)
-    rhs = math.comb(ell + d - 1, d)
-    guards.check_terms(rhs)
-    lhs = apolar_dim(f ** d)
-    return lhs, rhs, lhs == rhs
-
-
-def growth_table(f: Poly, dmax: int) -> List[int]:
-    """[dim of partials space of f^d for d = 1..dmax]."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    out = []
+    rows = []
     for d in range(1, dmax + 1):
         guards.check_degree(f.degree() * d)
         p = f ** d
         guards.check_terms(len(p.terms))
-        out.append(apolar_dim(p))
-    return out
-
-
-def basis_partials(f: Poly) -> List[Poly]:
-    """Greedy monomial-derivative basis of the partials space (images)."""
-    return [apply(Poly.monomial(f.vars, a), f) for a in greedy_monomial_basis(f)]
+        if rows:
+            ceiling = math.comb(rows[0][0] + d - 1, d)
+            guards.check_terms(ceiling, "growth ceiling")
+            dim = apolar_dim(p)
+        else:  # binom(l, 1) = l, bounded by the partials guard of f
+            dim = ceiling = apolar_dim(p)
+        rows.append((dim, ceiling, dim == ceiling))
+    return rows
 
 
 def gradient_generic_rank(f: Poly, seed: int = 0) -> int:
-    """Rank of the Jacobian of the non-constant basis partials at random
-    integer points (coordinates in [-1000, 1000], up to 3 tries, returning
-    the best rank seen).  Rank l-1 certifies dominance of the gradient map.
+    """Rank of the Jacobian of the non-constant greedy basis partials at
+    random integer points (coordinates in [-1000, 1000], up to 3 tries,
+    returning the best rank seen).  Rank l-1 certifies dominance of the
+    gradient map.  f must be concise, read off the greedy basis as in
+    ``encompassing_extension``.
     """
-    if not is_concise(f):
+    exps = greedy_monomial_basis(f)
+    if sum(sum(a) == 1 for a in exps) < len(f.vars):
         raise ValueError("gradient probe needs a concise polynomial")
-    basis = basis_partials(f)
+    basis = [apply(Poly.monomial(f.vars, a), f) for a in exps]
     parts = [p for p in basis if p.degree() >= 1]
     target = len(basis) - 1
     jac = [[diff(p, v) for v in f.vars] for p in parts]

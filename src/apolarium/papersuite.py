@@ -21,9 +21,9 @@ from typing import Callable, Collection, List, Optional, Tuple
 
 from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
                      hilbert_function, structure_tensor_of_apolar)
-from .encompass import (check_maximal_growth, encompassing_extension,
-                        gradient_generic_rank, growth_table, is_encompassing,
-                        verify_main_theorem, OUT_OF_SCOPE_NOTES)
+from .encompass import (encompassing_extension, gradient_generic_rank,
+                        growth_table, is_encompassing, verify_main_theorem,
+                        OUT_OF_SCOPE_NOTES)
 from .apolar import verify_tautological_apolarity
 from .poly import parse, format_poly, restrict_zero, twist
 from .tensor3 import (AbelianGroup, algebra_A_Tk, cw, group_tensor,
@@ -195,13 +195,9 @@ def _entry_untwisted_control_fails() -> dict:
 
 @functools.lru_cache(maxsize=len(ENCOMPASS_CORPUS))
 def _growth_rows(text: str) -> Tuple[Tuple[int, int, bool], ...]:
-    """check_maximal_growth(f, d) for d = 1, ..., deg f, shared by the growth
-    entries: one growth table, whose first dimension is that of f and sets
-    the ceilings binom(l+d-1, d)."""
+    """growth_table(f, deg f), shared by the growth entries."""
     f = parse(text)
-    dims = growth_table(f, f.degree())
-    ceilings = [math.comb(dims[0] + d - 1, d) for d in range(1, len(dims) + 1)]
-    return tuple((lhs, rhs, lhs == rhs) for lhs, rhs in zip(dims, ceilings))
+    return tuple(growth_table(f, f.degree()))
 
 
 def _entry_encompassing_equivalences() -> dict:
@@ -493,23 +489,21 @@ def _entry_local_quadric_smoothing() -> dict:
     hf = list(hilbert_function(f))
     return {"hilbert_function": hf, "apolar_dim": apolar_dim(f),
             "smoothing_points": apolar_dim(f) + 1,
-            "growth_at_2": list(check_maximal_growth(f, 2))[:2],
+            "growth_at_2": list(growth_table(f, 2)[-1][:2]),
             "note": "reported side by side with the ambient smoothing count; "
                     "nothing asserted"}
 
 
 def _entry_veronese_subalgebra_dim() -> dict:
-    # brute force: the unital subalgebra of (K[x,y]/(x^2,y^2))^{tensor 3}
-    # generated by its degree-one part; compared against the closed-form
-    # display, which gives a different value at k = 1
-    f = parse("x1^2 + x2^2")
-    _T, basis = structure_tensor_of_apolar(f)
-    # graded dims of the cube are the coefficients of ((1+t)^2)^3
-    brute = sum(math.comb(6, i) for i in range(7))
+    # the unital subalgebra of (K[x,y]/(x^2,y^2))^{tensor 3} generated by its
+    # degree-one part is the whole cube, whose dimension is the sum of its
+    # graded dims, the coefficients of ((1+t)^2)^3; compared against the
+    # closed-form display, which gives a different value at k = 1
+    cube = sum(math.comb(6, i) for i in range(7))
     k = 1
     formula = 2 + 2 * sum(math.comb(3 * k, a) * math.comb(3 * k - a, 2 * k - a)
                           for a in range(k + 1))
-    return {"brute_force_dim": brute, "formula_value": formula,
+    return {"brute_force_dim": cube, "formula_value": formula,
             "note": "the degree-one part regenerates the whole 64-dimensional "
                     "cube, while the displayed closed form gives 20; both "
                     "values reported, neither asserted"}

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import guards
 from .exact import Rat, kernel_basis, rat
-from .tensor3 import Tensor3
+from .tensor3 import Group, Index3, Tensor3, _walk_words
 
 Label = Tuple[int, ...]
 LabelTriple = Tuple[Label, Label, Label]
@@ -275,16 +275,12 @@ def _flat(seq: Sequence[int], d: int) -> int:
     return flat
 
 
-Group = List[Tuple[Tuple[int, int, int], Rat, bool]]
-FlatEntry = Tuple[int, int, int, Rat]
-
-
 def _type_class_entries(T: Tensor3, B: Blocking,
                         comps: Dict[int, Dict[Label, int]],
-                        N: int) -> List[FlatEntry]:
+                        N: int) -> Dict[Index3, Rat]:
     """The entries of the N-th Kronecker power whose index sequences have
-    label counts comps[a] on every constrained axis a, as (flat i, flat j,
-    flat k, value).
+    label counts comps[a] on every constrained axis a, keyed by their flat
+    index triples.
 
     The entries of T are grouped by their labels on the constrained axes.
     A type class is a count vector over these groups whose label counts
@@ -302,9 +298,9 @@ def _type_class_entries(T: Tensor3, B: Blocking,
     keys = sorted(groups)
     members = [groups[key] for key in keys]
     budget = [dict(comps[a]) for a in axes]
-    out: List[FlatEntry] = []
+    out: Dict[Index3, Rat] = {}
     for counts in _count_vectors(keys, budget, N, []):
-        _arrange(members, counts, T.dims, N, 0, 0, 0, Fraction(1), out)
+        _walk_words(members, counts, T.dims, N, 0, 0, 0, Fraction(1), out)
     return out
 
 
@@ -329,32 +325,6 @@ def _count_vectors(keys: List[Tuple[Label, ...]], budget: List[Dict[Label, int]]
         counts.pop()
         for bud, lab in zip(budget, key):
             bud[lab] += n
-
-
-def _arrange(members: List[Group], counts: List[int], dims: Tuple[int, int, int],
-             left: int, i: int, j: int, k: int, c: Rat,
-             out: List[FlatEntry]) -> None:
-    """Append every word that uses counts[g] entries of group g, after the
-    prefix with flat indices (i, j, k) and product c.  The prefix indices
-    and product are carried down, so each costs one step per level; a unit
-    entry (flagged in its group) leaves the product as it is."""
-    if not left:
-        out.append((i, j, k, c))
-        return
-    d0, d1, d2 = dims
-    i, j, k = i * d0, j * d1, k * d2
-    for g, n in enumerate(counts):
-        if not n:
-            continue
-        if left == 1:
-            for (a, b, e), v, unit in members[g]:
-                out.append((i + a, j + b, k + e, c if unit else c * v))
-            continue
-        counts[g] = n - 1
-        for (a, b, e), v, unit in members[g]:
-            _arrange(members, counts, dims, left - 1, i + a, j + b, k + e,
-                     c if unit else c * v, out)
-        counts[g] = n
 
 
 def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
@@ -405,8 +375,8 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     guards.check_entries(max(dims))
     guards.check_entries(len(T.entries) ** N)
     p0, p1, p2 = pos
-    entries = {(p0[i], p1[j], p2[k]): c for i, j, k, c
-               in _type_class_entries(T, B, comps, N)}
+    entries = {(p0[i], p1[j], p2[k]): c for (i, j, k), c
+               in _type_class_entries(T, B, comps, N).items()}
     return Tensor3(dims, entries), kept
 
 

@@ -338,12 +338,44 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     return Tensor3((a + 1, w, w), entries)
 
 
+Group = List[Tuple[Index3, Rat, bool]]  # entries, each with its unit flag
+
+
+def _walk_words(members: List[Group], counts: List[int], dims: Index3,
+                left: int, i: int, j: int, k: int, c: Rat,
+                out: Dict[Index3, Rat]) -> None:
+    """Store in out, keyed by its flat index triple, the product of every
+    word of `left` entries that uses counts[g] entries of group g, after the
+    prefix with flat indices (i, j, k) and product c.
+
+    Words come in lexicographic order of (group, entry) per position.
+    The prefix indices (row-major) and product are carried down, so each
+    costs one step per level; a unit entry leaves the product as it is."""
+    if not left:
+        out[(i, j, k)] = c
+        return
+    d0, d1, d2 = dims
+    i, j, k = i * d0, j * d1, k * d2
+    for g, n in enumerate(counts):
+        if not n:
+            continue
+        if left == 1:
+            for (a, b, e), v, unit in members[g]:
+                out[(i + a, j + b, k + e)] = c if unit else c * v
+            continue
+        counts[g] = n - 1
+        for (a, b, e), v, unit in members[g]:
+            _walk_words(members, counts, dims, left - 1, i + a, j + b, k + e,
+                        c if unit else c * v, out)
+        counts[g] = n
+
+
 def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     """N-th Kronecker power; index sequences flatten row-major.
 
-    Built depth-first: each prefix of an entry word carries its flat
-    indices and its product down the levels, so every prefix product is
-    computed once and no per-level tables are kept."""
+    Built depth-first by ``_walk_words``, with all the entries of T in one
+    group used N times: every prefix product is computed once and no
+    per-level tables are kept."""
     if N < 1:
         raise ValueError("need N >= 1")
     guards.check_entries(len(T.entries) ** N)
@@ -354,19 +386,7 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     # and the entries share one Fraction.
     items = [(idx, val, val == 1) for idx, val in T.entries.items()]
     entries: Dict[Index3, Rat] = {}
-    # Depth-first over entry words, last pushed first out: reversed pushes
-    # keep the lexicographic order of the words.
-    stack = [(N, 0, 0, 0, Fraction(1))]
-    while stack:
-        left, i, j, k, c = stack.pop()
-        i, j, k = i * d1, j * d2, k * d3
-        if left == 1:
-            for (a, b, cc), val, unit in items:
-                entries[(i + a, j + b, k + cc)] = c if unit else c * val
-        else:
-            for (a, b, cc), val, unit in reversed(items):
-                stack.append((left - 1, i + a, j + b, k + cc,
-                              c if unit else c * val))
+    _walk_words([items], [N], T.dims, N, 0, 0, 0, Fraction(1), entries)
     labels = None
     if T.labels is not None:
         labels = tuple(

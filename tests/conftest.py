@@ -15,3 +15,17 @@ def no_library_work(monkeypatch):
     for name in ("sparse_rank", "sparse_kernel", "independent_rows", "apply"):
         monkeypatch.setattr(apolar, name, boom)
     return monkeypatch
+
+
+@pytest.fixture
+def partials_builds(monkeypatch):
+    """The k argument of every ``apolar._divisor_blocks`` call, in order:
+    None for a full partials matrix, k for its order-k block."""
+    calls = []
+    build = apolar._divisor_blocks
+
+    def spy(f, k=None):
+        calls.append(k)
+        return build(f, k)
+    monkeypatch.setattr(apolar, "_divisor_blocks", spy)
+    return calls

@@ -20,9 +20,9 @@ from apolarium.apolar import (
     verify_tautological_apolarity,
 )
 from apolarium.encompass import (
-    check_maximal_growth,
     encompassing_extension,
     gradient_generic_rank,
+    growth_table,
     is_encompassing,
     verify_main_theorem,
 )
@@ -109,7 +109,7 @@ def test_criterion_05_growth_equivalences():
     for text in ENCOMPASS_CORPUS:
         f = parse(text)
         ell = apolar_dim(f)
-        rows = [check_maximal_growth(f, d) for d in range(1, f.degree() + 1)]
+        rows = growth_table(f, f.degree())
         # the dimension never exceeds the binomial ceiling
         assert all(lhs <= rhs for lhs, rhs, _ in rows)
         grows = all(ok for _, _, ok in rows)

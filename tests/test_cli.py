@@ -396,6 +396,22 @@ def test_growth_degree_guard_exits_three(capsys):
     assert refused(capsys, ["growth", "--max-degree", "2", "x1^2 + x2"])
 
 
+def test_growth_ceiling_guard_refuses_before_the_power_is_built(
+        capsys, partials_builds):
+    # binom(3 + 3 - 1, 3) = 10 > 9: x1^2 and x1^4 are ranked, x1^6 is not
+    assert refused(capsys, ["growth", "x1^2", "--dmax", "3",
+                            "--max-terms", "9"])
+    assert partials_builds == [None, None]
+
+
+def test_encompass_check_builds_the_order_one_block_once(capsys,
+                                                         partials_builds):
+    # three full builds for the flags and the dimension, the order-1 block
+    # for conciseness, and the greedy basis of the gradient probe
+    report(capsys, ["encompass-check", "x1^3 + x2^3"])
+    assert partials_builds == [None, None, None, 1, None]
+
+
 def test_main_thm_guards_run_before_assumptions(capsys, monkeypatch):
     import apolarium.encompass as encompass
 

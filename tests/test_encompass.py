@@ -13,7 +13,6 @@ from apolarium.apolar import (apolar_dim, greedy_monomial_basis,
                               hilbert_function, is_concise)
 from apolarium.encompass import (
     _normalize_sigma,
-    check_maximal_growth,
     encompassing_extension,
     gradient_generic_rank,
     growth_table,
@@ -147,17 +146,19 @@ def test_flags_match_the_truncation_oracle(f):
 # -- maximal growth ---------------------------------------------------------------
 
 
-def test_check_maximal_growth_values():
-    assert check_maximal_growth(parse("x1^2"), 2) == (5, 6, False)
-    assert check_maximal_growth(parse("x1^2 + x2"), 2) == (6, 6, True)
-    assert check_maximal_growth(parse("x1^2 + x2"), 3) == (10, 10, True)
+def test_growth_table_rows():
+    assert growth_table(parse("x1^2"), 2)[1] == (5, 6, False)
+    assert growth_table(parse("x1^2 + x2"), 2)[1] == (6, 6, True)
+    assert growth_table(parse("x1^2 + x2"), 3)[2] == (10, 10, True)
 
 
 def test_growth_tables():
-    assert growth_table(parse("x1"), 2) == [2, 3]
-    assert growth_table(parse("x1^2"), 3) == [3, 5, 7]
-    assert growth_table(parse("x1^2 + x2"), 3) == [3, 6, 10]
-    assert growth_table(parse("x1^2 + x2^2"), 3) == [4, 9, 16]
+    def dims(f, dmax):
+        return [dim for dim, _, _ in growth_table(f, dmax)]
+    assert dims(parse("x1"), 2) == [2, 3]
+    assert dims(parse("x1^2"), 3) == [3, 5, 7]
+    assert dims(parse("x1^2 + x2"), 3) == [3, 6, 10]
+    assert dims(parse("x1^2 + x2^2"), 3) == [4, 9, 16]
 
 
 def test_growth_never_exceeds_binomial():
@@ -165,7 +166,7 @@ def test_growth_never_exceeds_binomial():
         f = parse(s)
         ell = apolar_dim(f)
         for d in (1, 2, 3):
-            lhs, rhs, _ = check_maximal_growth(f, d)
+            lhs, rhs, _ = growth_table(f, d)[d - 1]
             assert lhs <= rhs == comb(ell + d - 1, d)
 
 
@@ -173,8 +174,19 @@ def test_encompassing_iff_maximal_growth_on_corpus():
     for s in CORPUS:
         f = parse(s)
         enc = is_encompassing(f)
-        grows = all(check_maximal_growth(f, d)[2] for d in (2, 3))
+        grows = all(growth_table(f, d)[d - 1][2] for d in (2, 3))
         assert enc == grows, s
+
+
+@given(encompass_polys(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_growth_table_matches_the_oracle(f, dmax):
+    ell = apolar_dim(f)
+    oracle = []
+    for d in range(1, dmax + 1):
+        dim, ceiling = apolar_dim(f ** d), comb(ell + d - 1, d)
+        oracle.append((dim, ceiling, dim == ceiling))
+    assert growth_table(f, dmax) == oracle
 
 
 def test_encompassing_iff_gradient_dominant_on_corpus():
@@ -185,22 +197,37 @@ def test_encompassing_iff_gradient_dominant_on_corpus():
 
 
 def test_growth_input_checks():
+    assert growth_table(parse("x1"), 0) == []
     with pytest.raises(ValueError):
-        check_maximal_growth(parse("x1"), 0)
+        growth_table(Poly.zero(V2), 1)
     with limits(max_terms=50), pytest.raises(LimitExceeded):
-        check_maximal_growth(parse("x1*x2*x3"), 9)
+        growth_table(parse("x1*x2*x3"), 9)
 
 
 def test_growth_honours_max_degree():
     f = parse("x1^2 + x2")
     with limits(max_degree=4):
-        assert growth_table(f, 2) == [3, 6]
-        assert check_maximal_growth(f, 2) == (6, 6, True)
+        assert growth_table(f, 2) == [(3, 3, True), (6, 6, True)]
     with limits(max_degree=3):
         with pytest.raises(LimitExceeded):
             growth_table(f, 2)
-        with pytest.raises(LimitExceeded):
-            check_maximal_growth(f, 2)
+
+
+def test_growth_ceiling_is_refused_before_its_power_is_ranked(
+        partials_builds):
+    # binom(3 + 3 - 1, 3) = 10 > 9: x1^2 and x1^4 are ranked, x1^6 is not
+    with limits(max_terms=9), pytest.raises(LimitExceeded,
+                                            match="growth ceiling 10"):
+        growth_table(parse("x1^2"), 3)
+    assert partials_builds == [None, None]
+
+
+def test_gradient_probe_reads_conciseness_off_the_greedy_basis(
+        partials_builds):
+    assert gradient_generic_rank(parse("x1^3 + x2^3")) == 2
+    assert partials_builds == [None]
+    with pytest.raises(ValueError, match="needs a concise polynomial"):
+        gradient_generic_rank(parse("x1^2", vars=V2))
 
 
 # -- the extension construction ----------------------------------------------------
@@ -269,19 +296,11 @@ def test_extension_override_validation():
                                    parse("x2^2", vars=V2)])  # dependent image
 
 
-def test_extension_builds_the_partials_once(monkeypatch):
-    import apolarium.apolar as apolar
-    calls = []
-    build = apolar._divisor_blocks
-
-    def spy(f, k=None):
-        calls.append(k)
-        return build(f, k)
-    monkeypatch.setattr(apolar, "_divisor_blocks", spy)
+def test_extension_builds_the_partials_once(partials_builds):
     # conciseness is read off the greedy basis, so the first-order block
     # is not built on its own either
     encompassing_extension(parse("x1^3 + x2^3 + x1*x2"))
-    assert calls == [None]
+    assert partials_builds == [None]
 
 
 @pytest.mark.parametrize("text", TAUT_CORPUS)

@@ -1,6 +1,9 @@
 """The built-in reference suite must be green and self-consistent."""
 from __future__ import annotations
 
+import pytest
+
+from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import ENTRIES, OUT_OF_SCOPE, run_suite
 
 
@@ -49,3 +52,15 @@ def test_growth_entries_do_not_depend_on_what_else_runs():
         assert run_suite([i])["entries"] == [full[i]]
     assert papersuite._growth_rows.cache_info().currsize == len(
         papersuite.ENCOMPASS_CORPUS)
+
+
+def test_growth_rows_honour_the_ceiling_guard():
+    from apolarium import papersuite
+    # the rows of x1^2 are (3, 3) and (5, 6): the ceiling 6 is past 5
+    papersuite._growth_rows.cache_clear()
+    try:
+        with limits(max_terms=5), pytest.raises(LimitExceeded,
+                                                match="growth ceiling 6"):
+            papersuite._growth_rows("x1^2")
+    finally:
+        papersuite._growth_rows.cache_clear()

@@ -4,17 +4,18 @@ For a nonzero polynomial f, the span of all its derivatives D∘f is a
 finite-dimensional vector space linearly isomorphic to the quotient algebra
 of dual operators modulo the annihilator of f.  For a form F of degree d the
 space is graded, and its order-k derivatives span the row space of the
-catalecticant Cat_k(F); so the Hilbert function and the dimension of a form
-are catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a
-prime on sparse rows built term by term.  The dimension of any other
-polynomial is the certified rank of one such matrix, of all its monomial
-derivatives; its Hilbert function, the differences of the filtration by
-derivative order, counts by order the greedy rows of that matrix taken from
-order d down to 0.  Greedy rows (``exact.independent_rows``) also give the
-monomial basis of the quotient algebra.  From these come dimensions,
-Hilbert functions, conciseness, annihilators up to a degree bound,
-catalecticant matrices and ranks, the multiplication tensor of the
-quotient algebra, and the twisted-form annihilation check.
+catalecticant Cat_k(F); so the Hilbert function of a form is its
+catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a prime
+on sparse rows built term by term.  Any other polynomial has one matrix,
+of all its monomial derivatives; its Hilbert function, the differences of
+the filtration by derivative order, counts by order the greedy rows of
+that matrix taken from order d down to 0.  The dimension is the sum of the
+Hilbert function, the one rank pass over a full partials matrix.  Greedy
+rows (``exact.independent_rows``) also give the monomial basis of the
+quotient algebra.  From these come dimensions, Hilbert functions,
+conciseness, annihilators up to a degree bound, catalecticant matrices and
+ranks, the multiplication tensor of the quotient algebra, and the
+twisted-form annihilation check.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ def _cell_count(e: Exponent, k: Optional[int]) -> int:
     return g >> w * k & (1 << w) - 1
 
 
-def apolar_dim(f: Poly) -> int:
-    """Dimension of the partials space: the sum of the certified ranks of
-    the blocks of ``_divisor_blocks`` (for a form, its Hilbert function)."""
-    _require_nonzero(f)
-    return sum(sparse_rank(block.values())
-               for block in _divisor_blocks(f).values())
-
-
 @dataclass
 class HilbertFunction:
     values: Tuple[int, ...]
@@ -118,6 +111,12 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     while vals and vals[-1] == 0:
         vals.pop()
     return HilbertFunction(tuple(vals))
+
+
+def apolar_dim(f: Poly) -> int:
+    """Dimension of the partials space: the sum of its Hilbert function,
+    whose pass over the partials matrix is the only one."""
+    return sum(hilbert_function(f))
 
 
 def is_concise(f: Poly) -> bool:

@@ -38,9 +38,8 @@ from .guards import LimitExceeded
 from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
                      hilbert_function, is_concise, structure_tensor_of_apolar,
                      verify_tautological_apolarity)
-from .encompass import (encompassing_extension, gradient_generic_rank,
-                        growth_table, is_almost_encompassing, is_encompassing,
-                        verify_main_theorem)
+from .encompass import (encompassing_extension, encompassing_report,
+                        growth_table, is_encompassing, verify_main_theorem)
 from .papersuite import run_suite
 from .poly import (ParseError, Poly, VarMismatchError, format_poly, parse,
                    twist)
@@ -116,14 +115,19 @@ def _var(F: Poly, var: Optional[str]) -> str:
     return F.vars[0]
 
 
-def _read(path: str) -> str:
+def _load_file(path: str, load: Callable):
+    """load(text of the file); JSON of the wrong types is a usage error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    try:
+        return load(text)
+    except TypeError as exc:
+        raise ValueError(f"malformed document {path}: {exc}") from None
 
 
 def _load_tensor(spec: str) -> Tensor3:
     if spec.startswith("@"):
-        return Tensor3.from_json(_read(spec[1:]))
+        return _load_file(spec[1:], Tensor3.from_json)
     if spec.startswith("cw:"):
         return cw(int(spec[3:]))
     if spec.startswith("group:"):
@@ -140,7 +144,7 @@ def _load_tensor(spec: str) -> Tensor3:
 
 def _load_blocking(spec: str, T: Tensor3) -> Blocking:
     if spec.startswith("@"):
-        return Blocking.from_json(_read(spec[1:]))
+        return _load_file(spec[1:], Blocking.from_json)
     if spec == "cw":
         if len(set(T.dims)) != 1:
             raise ValueError("cw blocking needs a cube-shaped tensor")
@@ -156,7 +160,7 @@ def _load_blocking(spec: str, T: Tensor3) -> Blocking:
 
 def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
     if spec.startswith("@"):
-        return BlockDistribution.from_json(_read(spec[1:]))
+        return _load_file(spec[1:], BlockDistribution.from_json)
     blocks = [b.labels for b in support_blocks(T, B)]
     if spec == "uniform":
         return BlockDistribution.uniform(blocks)
@@ -178,7 +182,8 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
 
 def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
     if spec.startswith("@"):
-        return [list(map(int, ax)) for ax in json.loads(_read(spec[1:]))["weights"]]
+        return _load_file(spec[1:], lambda text: [
+            list(map(int, ax)) for ax in json.loads(text)["weights"]])
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")
@@ -250,13 +255,11 @@ def _twist(args):
 
 def _encompass_check(args):
     f = _parse_form(args.form)
-    return {"form": f}, {
-        "encompassing": is_encompassing(f),
-        "almost_encompassing": is_almost_encompassing(f),
-        "partials_dim": apolar_dim(f),
-        "gradient_generic_rank": gradient_generic_rank(f, seed=args.seed)
-        if is_concise(f) else None,
-    }
+    rep = encompassing_report(f, seed=args.seed)
+    return {"form": f}, {"encompassing": rep.encompassing,
+                         "almost_encompassing": rep.almost_encompassing,
+                         "partials_dim": rep.dim,
+                         "gradient_generic_rank": rep.gradient_rank}
 
 
 def _growth(args):
@@ -328,7 +331,8 @@ def _tensor_make(args):
     elif mode == "atk":
         if not args.slices:
             raise ValueError("atk mode needs --slices @file")
-        S = PartiallySymmetricTensor.from_json(_read(args.slices.lstrip("@")))
+        S = _load_file(args.slices.lstrip("@"),
+                       PartiallySymmetricTensor.from_json)
         T = algebra_A_Tk(S, args.k)
         inputs["k"] = args.k
         inputs["slices"] = json.loads(S.to_json())

@@ -5,7 +5,9 @@ on the span of its derivatives, that is, when the truncations of its
 monomial derivatives have rank apolar_dim(f); both are certified ranks of
 sparse matrices.  Equivalently the dimension of the partials space of f^d
 achieves the multiset bound binom(l+d-1, d) for every d, and equivalently
-the total gradient map of the basis partials is dominant.  The extension
+the total gradient map of the basis partials is dominant.
+``encompassing_report`` reads the dimension, both flags and the gradient
+rank off one greedy basis of f and one rank of truncations.  The extension
 construction embeds any concise f as a restriction of an encompassing
 polynomial g in extra variables without changing the quotient algebra's
 dimensions.
@@ -17,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import guards
 from .exact import SparseRow, independent_rows, rank, sparse_rank
@@ -56,22 +58,6 @@ def is_encompassing(f: Poly) -> bool:
     return apolar_dim(f) == sparse_rank(_truncations(f))
 
 
-def is_almost_encompassing(f: Poly) -> bool:
-    """f itself has zero degree-<=1 part, but truncation is injective on the
-    span of the proper derivatives.
-
-    Such an f has degree >= 2 and its proper derivatives have lower degree,
-    so they span a hyperplane of the partials space (dimension
-    apolar_dim(f) - 1); their truncations are those of all the monomial
-    derivatives, since f's own is zero.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if not f.truncate(1).is_zero():
-        return False
-    return apolar_dim(f) - 1 == sparse_rank(_truncations(f))
-
-
 def growth_table(f: Poly, dmax: int) -> List[Tuple[int, int, bool]]:
     """[(dim of the partials space of f^d, binom(l+d-1, d), equal) for
     d = 1..dmax], where l = apolar_dim(f), the first dimension.
@@ -96,29 +82,44 @@ def growth_table(f: Poly, dmax: int) -> List[Tuple[int, int, bool]]:
     return rows
 
 
-def gradient_generic_rank(f: Poly, seed: int = 0) -> int:
-    """Rank of the Jacobian of the non-constant greedy basis partials at
+class EncompassingReport(NamedTuple):
+    dim: int                       # of the partials space
+    encompassing: bool
+    almost_encompassing: bool
+    gradient_rank: Optional[int]   # None unless f is concise
+
+
+def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
+    """The partials dimension of f, its two flags and, for a concise f, the
+    generic rank of the Jacobian of its non-constant basis partials, all
+    from one greedy monomial basis and one rank of truncations.
+
+    dim is the length of the basis; f is concise when the basis holds all
+    n first-order operators (see ``encompassing_extension``).  f is
+    encompassing when the truncations have rank dim, and almost
+    encompassing when f has zero degree-<=1 part and they have rank
+    dim - 1: truncation is injective on its proper derivatives, a
+    hyperplane as they have lower degree than f.  The Jacobian is taken at
     random integer points (coordinates in [-1000, 1000], up to 3 tries,
-    returning the best rank seen).  Rank l-1 certifies dominance of the
-    gradient map.  f must be concise, read off the greedy basis as in
-    ``encompassing_extension``.
+    keeping the best rank); rank dim - 1 certifies a dominant gradient map.
     """
     exps = greedy_monomial_basis(f)
+    dim = len(exps)
+    trunc = sparse_rank(_truncations(f))
+    enc, almost = trunc == dim, f.truncate(1).is_zero() and trunc == dim - 1
     if sum(sum(a) == 1 for a in exps) < len(f.vars):
-        raise ValueError("gradient probe needs a concise polynomial")
-    basis = [apply(Poly.monomial(f.vars, a), f) for a in exps]
-    parts = [p for p in basis if p.degree() >= 1]
-    target = len(basis) - 1
-    jac = [[diff(p, v) for v in f.vars] for p in parts]
+        return EncompassingReport(dim, enc, almost, None)
+    images = (apply(Poly.monomial(f.vars, a), f) for a in exps)
+    jac = [[diff(p, v) for v in f.vars] for p in images if p.degree() >= 1]
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
         point = [rng.randint(-1000, 1000) for _ in f.vars]
-        m = [[entry.evaluate(point) for entry in row] for row in jac]
-        best = max(best, rank(m))
-        if best == target:
+        best = max(best, rank([[entry.evaluate(point) for entry in row]
+                               for row in jac]))
+        if best == dim - 1:
             break
-    return best
+    return EncompassingReport(dim, enc, almost, best)
 
 
 # -- the extension construction ------------------------------------------------

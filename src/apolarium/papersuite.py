@@ -21,7 +21,7 @@ from typing import Callable, Collection, List, Optional, Tuple
 
 from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
                      hilbert_function, structure_tensor_of_apolar)
-from .encompass import (encompassing_extension, gradient_generic_rank,
+from .encompass import (encompassing_extension, encompassing_report,
                         growth_table, is_encompassing, verify_main_theorem,
                         OUT_OF_SCOPE_NOTES)
 from .apolar import verify_tautological_apolarity
@@ -112,10 +112,9 @@ class SuiteEntry:
 
 def _entry_product_of_linears() -> dict:
     f = parse("x1*x2*x3*x4*x5*x6*x7*x8*x9")
-    dim = apolar_dim(f)
     hf = tuple(hilbert_function(f))
-    return {"ok": dim == 512 and hf == (1, 9, 36, 84, 126, 126, 84, 36, 9, 1),
-            "dim": dim, "hilbert_function": list(hf)}
+    return {"ok": hf == (1, 9, 36, 84, 126, 126, 84, 36, 9, 1),
+            "dim": sum(hf), "hilbert_function": list(hf)}
 
 
 def _entry_power_dims() -> dict:
@@ -203,11 +202,9 @@ def _growth_rows(text: str) -> Tuple[Tuple[int, int, bool], ...]:
 def _entry_encompassing_equivalences() -> dict:
     mismatches = []
     for text in ENCOMPASS_CORPUS:
-        f = parse(text)
-        enc = is_encompassing(f)
+        rep = encompassing_report(parse(text), seed=0)
+        enc, jac, ell = rep.encompassing, rep.gradient_rank, rep.dim
         growth_all = all(maximal for _, _, maximal in _growth_rows(text))
-        jac = gradient_generic_rank(f, seed=0)
-        ell = apolar_dim(f)
         if enc != growth_all or enc != (jac == ell - 1):
             mismatches.append({"f": text, "encompassing": enc,
                                "growth": growth_all, "jacobian_rank": jac})
@@ -252,10 +249,9 @@ def _entry_extension_invariants() -> dict:
         ext = encompassing_extension(f)
         g = ext.g
         back = restrict_zero(g, ext.y_vars) if ext.y_vars else g
+        hf_g, hf_f = hilbert_function(g), hilbert_function(f)
         checks = (back == f, g.degree() == f.degree(),
-                  apolar_dim(g) == apolar_dim(f),
-                  hilbert_function(g) == hilbert_function(f),
-                  is_encompassing(g))
+                  sum(hf_g) == sum(hf_f), hf_g == hf_f, is_encompassing(g))
         if not all(checks):
             bad.append({"f": text, "checks": list(checks)})
     return {"ok": not bad, "failures": bad}
@@ -487,8 +483,8 @@ def _entry_disjointness_is_veronese_multiplication() -> dict:
 def _entry_local_quadric_smoothing() -> dict:
     f = parse("x1^2 + x2^2")
     hf = list(hilbert_function(f))
-    return {"hilbert_function": hf, "apolar_dim": apolar_dim(f),
-            "smoothing_points": apolar_dim(f) + 1,
+    return {"hilbert_function": hf, "apolar_dim": sum(hf),
+            "smoothing_points": sum(hf) + 1,
             "growth_at_2": list(growth_table(f, 2)[-1][:2]),
             "note": "reported side by side with the ambient smoothing count; "
                     "nothing asserted"}

@@ -21,7 +21,7 @@ from apolarium.apolar import (
 )
 from apolarium.encompass import (
     encompassing_extension,
-    gradient_generic_rank,
+    encompassing_report,
     growth_table,
     is_encompassing,
     verify_main_theorem,
@@ -108,14 +108,15 @@ def test_criterion_05_growth_equivalences():
     assert len(ENCOMPASS_CORPUS) >= 20
     for text in ENCOMPASS_CORPUS:
         f = parse(text)
-        ell = apolar_dim(f)
         rows = growth_table(f, f.degree())
         # the dimension never exceeds the binomial ceiling
         assert all(lhs <= rhs for lhs, rhs, _ in rows)
         grows = all(ok for _, _, ok in rows)
+        rep = encompassing_report(f, seed=0)
+        assert rep.dim == apolar_dim(f) == rows[0][0], text
         enc = is_encompassing(f)
-        dominant = gradient_generic_rank(f, seed=0) == ell - 1
-        assert enc == grows == dominant, text
+        dominant = rep.gradient_rank == rep.dim - 1
+        assert enc == rep.encompassing == grows == dominant, text
     # disjoint-variable squares multiply the dimension exactly
     assert len(SMALL_CORPUS) >= 5
     for text in SMALL_CORPUS[:5]:

@@ -360,6 +360,24 @@ def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
     assert captured.err == f"error: {mode} mode needs --tensor\n"
 
 
+@pytest.mark.parametrize("doc, argv", [
+    ({"labels": 5}, ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"dims": [2, 2, 2], "entries": 5},
+     ["sweet", "zero-layers", "--axis", "1", "--tensor"]),
+    ({"weights": 3}, ["sweet", "degenerate", "--tensor", "cw:3",
+                      "--blocking", "cw", "--weights"]),
+])
+def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
+                                                  argv):
+    # exit 1 would claim a violated theorem; this is a malformed input
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed document {path}: ")
+
+
 def test_unknown_tensor_spec_exits_two(capsys):
     assert run(["sweet", "tight", "--tensor", "wat:9",
                 "--blocking", "cw"]) == 2
@@ -404,12 +422,11 @@ def test_growth_ceiling_guard_refuses_before_the_power_is_built(
     assert partials_builds == [None, None]
 
 
-def test_encompass_check_builds_the_order_one_block_once(capsys,
-                                                         partials_builds):
-    # three full builds for the flags and the dimension, the order-1 block
-    # for conciseness, and the greedy basis of the gradient probe
+def test_encompass_check_builds_the_partials_once(capsys, partials_builds):
+    # the flags, the dimension, conciseness and the gradient probe all read
+    # one greedy basis
     report(capsys, ["encompass-check", "x1^3 + x2^3"])
-    assert partials_builds == [None, None, None, 1, None]
+    assert partials_builds == [None]
 
 
 def test_main_thm_guards_run_before_assumptions(capsys, monkeypatch):

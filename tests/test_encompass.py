@@ -14,9 +14,8 @@ from apolarium.apolar import (apolar_dim, greedy_monomial_basis,
 from apolarium.encompass import (
     _normalize_sigma,
     encompassing_extension,
-    gradient_generic_rank,
+    encompassing_report,
     growth_table,
-    is_almost_encompassing,
     is_encompassing,
     verify_main_theorem,
 )
@@ -56,14 +55,16 @@ def test_encompassing_flags():
 
 
 def test_almost_encompassing_flags():
-    assert is_almost_encompassing(parse("x1^2"))
-    assert is_almost_encompassing(parse("x1^2 + x2^2"))
-    assert is_almost_encompassing(parse("x1*x2"))
-    assert is_almost_encompassing(parse("x1^3 + 3*x1*x2"))
+    def almost(text):
+        return encompassing_report(parse(text)).almost_encompassing
+    assert almost("x1^2")
+    assert almost("x1^2 + x2^2")
+    assert almost("x1*x2")
+    assert almost("x1^3 + 3*x1*x2")
     # second derivatives of x1^3 are collinear with the first
-    assert not is_almost_encompassing(parse("x1^3"))
+    assert not almost("x1^3")
     # nonzero degree-<=1 part disqualifies immediately
-    assert not is_almost_encompassing(parse("x1^2 + x2"))
+    assert not almost("x1^2 + x2")
 
 
 # -- the flags against an echelon-based truncation oracle ---------------------------
@@ -106,11 +107,16 @@ def oracle_is_almost_encompassing(f):
         f, _oracle_span(f, [diff(f, v) for v in f.vars]))
 
 
+def _check_flags_against_the_oracle(f):
+    rep = encompassing_report(f)
+    assert rep.dim == len(_oracle_span(f, [f]))
+    assert is_encompassing(f) == rep.encompassing == oracle_is_encompassing(f)
+    assert rep.almost_encompassing == oracle_is_almost_encompassing(f)
+
+
 @pytest.mark.parametrize("text", CORPUS + ENCOMPASS_CORPUS)
 def test_flags_match_the_truncation_oracle_on_corpora(text):
-    f = parse(text)
-    assert is_encompassing(f) == oracle_is_encompassing(f)
-    assert is_almost_encompassing(f) == oracle_is_almost_encompassing(f)
+    _check_flags_against_the_oracle(parse(text))
 
 
 small_coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
@@ -139,8 +145,7 @@ def encompass_polys(draw):
 @given(encompass_polys())
 @settings(max_examples=150, deadline=None)
 def test_flags_match_the_truncation_oracle(f):
-    assert is_encompassing(f) == oracle_is_encompassing(f)
-    assert is_almost_encompassing(f) == oracle_is_almost_encompassing(f)
+    _check_flags_against_the_oracle(f)
 
 
 # -- maximal growth ---------------------------------------------------------------
@@ -192,8 +197,9 @@ def test_growth_table_matches_the_oracle(f, dmax):
 def test_encompassing_iff_gradient_dominant_on_corpus():
     for s in CORPUS:
         f = parse(s)
-        dom = gradient_generic_rank(f) == apolar_dim(f) - 1
-        assert is_encompassing(f) == dom, s
+        rep = encompassing_report(f)
+        dom = rep.gradient_rank == rep.dim - 1
+        assert is_encompassing(f) == rep.encompassing == dom, s
 
 
 def test_growth_input_checks():
@@ -222,12 +228,11 @@ def test_growth_ceiling_is_refused_before_its_power_is_ranked(
     assert partials_builds == [None, None]
 
 
-def test_gradient_probe_reads_conciseness_off_the_greedy_basis(
+def test_encompassing_report_reads_conciseness_off_the_greedy_basis(
         partials_builds):
-    assert gradient_generic_rank(parse("x1^3 + x2^3")) == 2
+    assert encompassing_report(parse("x1^3 + x2^3")).gradient_rank == 2
     assert partials_builds == [None]
-    with pytest.raises(ValueError, match="needs a concise polynomial"):
-        gradient_generic_rank(parse("x1^2", vars=V2))
+    assert encompassing_report(parse("x1^2", vars=V2)).gradient_rank is None
 
 
 # -- the extension construction ----------------------------------------------------

@@ -64,3 +64,24 @@ def test_growth_rows_honour_the_ceiling_guard():
             papersuite._growth_rows("x1^2")
     finally:
         papersuite._growth_rows.cache_clear()
+
+
+@pytest.mark.parametrize("entry, builds", [
+    # the Hilbert function of f, whose sum is the dimension
+    ("apolar-dim-product-of-linears", [None]),
+    # the Hilbert function of f, then rows 1 and 2 of its growth table
+    ("local-quadric-smoothing", [None, None, None]),
+])
+def test_an_entry_ranks_each_partials_matrix_once(partials_builds, entry,
+                                                  builds):
+    run_suite([entry])
+    assert partials_builds == builds
+
+
+def test_suite_partials_builds(partials_builds):
+    from apolarium import papersuite
+    # each corpus polynomial of encompassing-equivalences is built once for
+    # its report and once more as row 1 of its growth table
+    papersuite._growth_rows.cache_clear()
+    run_suite()
+    assert len(partials_builds) == 155

@@ -6,16 +6,19 @@ of dual operators modulo the annihilator of f.  For a form F of degree d the
 space is graded, and its order-k derivatives span the row space of the
 catalecticant Cat_k(F); so the Hilbert function of a form is its
 catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a prime
-on sparse rows built term by term.  Any other polynomial has one matrix,
-of all its monomial derivatives; its Hilbert function, the differences of
-the filtration by derivative order, counts by order the greedy rows of
-that matrix taken from order d down to 0.  The dimension is the sum of the
-Hilbert function, the one rank pass over a full partials matrix.  Greedy
-rows (``exact.independent_rows``) also give the monomial basis of the
-quotient algebra.  From these come dimensions, Hilbert functions,
-conciseness, annihilators up to a degree bound, catalecticant matrices and
-ranks, the multiplication tensor of the quotient algebra, and the
-twisted-form annihilation check.
+on sparse rows built term by term.  Cat_{d-k}(F) is a transpose of
+Cat_k(F) scaled by invertible diagonals, so only the lower half of the
+ladder, k <= d/2, is built and ranked, and the upper half mirrors it; the
+size guard still charges the cells of the whole ladder.  Any other
+polynomial has one matrix, of all its monomial derivatives; its Hilbert
+function, the differences of the filtration by derivative order, counts
+by order the greedy rows of that matrix taken from order d down to 0.  The
+dimension is the sum of the Hilbert function, the one rank pass over a
+partials matrix.  Greedy rows (``exact.independent_rows``) also give the
+monomial basis of the quotient algebra.  From these come dimensions,
+Hilbert functions, conciseness, annihilators up to a degree bound,
+catalecticant matrices and ranks, the multiplication tensor of the
+quotient algebra, and the twisted-form annihilation check.
 """
 
 from __future__ import annotations
@@ -50,15 +53,17 @@ def _fact(e: Exponent) -> int:
     return out
 
 
-def _bounded(cap: Exponent, total: int) -> List[Exponent]:
-    """The exponents a <= cap (componentwise) of degree `total`."""
+def _bounded(cap: Exponent, lo: int, hi: int) -> List[Exponent]:
+    """The exponents a <= cap (componentwise) with lo <= |a| <= hi, in one
+    pass over the coordinates.  Each coordinate takes only the values that
+    leave the degree reachable, so every prefix kept is completed."""
     room = sum(cap)
-    out: List[Tuple[Exponent, int]] = [((), total)]  # (prefix, degree left)
+    out: List[Tuple[Exponent, int]] = [((), 0)]  # (prefix, its degree)
     for x in cap:
         room -= x
-        out = [(a + (t,), r - t) for a, r in out
-               for t in range(max(0, r - room), min(x, r) + 1)]
-    return [a for a, r in out if not r]
+        out = [(a + (t,), s + t) for a, s in out
+               for t in range(max(0, lo - s - room), min(x, hi - s) + 1)]
+    return [a for a, s in out if s >= lo]
 
 
 def _cell_count(e: Exponent, k: Optional[int]) -> int:
@@ -92,13 +97,27 @@ class HilbertFunction:
 def hilbert_function(f: Poly) -> HilbertFunction:
     """Successive differences of the dimension filtration by derivative order.
 
-    For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d,
-    the certified ranks of the blocks of ``_divisor_blocks`` in order.
+    For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d.
+    Only the lower half of the ladder, the blocks k <= h = floor(d/2) of
+    ``_divisor_blocks``, is built and certified; the upper half is its
+    mirror, H(d - k) = H(k).  That is an identity, not a check skipped:
+    with c_e the coefficient of x^e in F, a of degree k and b of degree
+    d - k,
+
+        Cat_k[a][b] = c_{a+b} (a+b)!/b!,   Cat_{d-k}[b][a] = c_{a+b} (a+b)!/a!,
+
+    so Cat_{d-k} = diag(b!) Cat_k^T diag(1/a!), a transpose scaled by
+    invertible diagonals, and the two blocks have equal rank.  (The
+    quotient algebra of a form is Gorenstein, and its Hilbert function is
+    symmetric.)
     """
     _require_nonzero(f)
     if f.is_homogeneous():
-        return HilbertFunction(tuple(sparse_rank(block.values())
-                                     for block in _divisor_blocks(f).values()))
+        ranks = [sparse_rank(block.values())
+                 for block in _divisor_blocks(f, half=True).values()]
+        d = f.degree()
+        return HilbertFunction(tuple(ranks[min(k, d - k)]
+                                     for k in range(d + 1)))
     # The span of the derivatives of order >= i is that of the monomial
     # derivatives of order >= i, so with the rows taken from order d down
     # to 0, its dimension is the number of greedy rows of order >= i, and
@@ -183,7 +202,7 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     return out
 
 
-def _divisor_blocks(f: Poly, k: Optional[int] = None
+def _divisor_blocks(f: Poly, k: Optional[int] = None, half: bool = False
                     ) -> Dict[int, Dict[Exponent, SparseRow]]:
     """Sparse rows of the matrix of monomial derivatives a∘f, in blocks
     {a: row}, each in graded order of a.
@@ -191,22 +210,27 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None
     Row a holds the coefficients of a∘f, one column per monomial b that
     occurs: each term e (coefficient c) puts c * e!/(e-a)! at (a, e-a) for
     every a <= e, and the cell determines e = a + b, so no two terms meet in
-    a cell and none cancels.  For a form F the blocks are keyed by the order
-    j = |a| (only j = k when k is given), and block j is Cat_j(F) without its
-    zero rows and columns.  Any other polynomial has one block, keyed 0, of
-    every a, whose rank is the dimension of its partials space.
+    a cell and none cancels.  For a form F of degree d the blocks are keyed
+    by the order j = |a|, and block j is Cat_j(F) without its zero rows and
+    columns; only j = k is built when k is given, and only the lower half
+    of the ladder, j <= floor(d/2), with half.  Any other polynomial has
+    one block, keyed 0, of every a, whose rank is the dimension of its
+    partials space.
 
     The number of cells, which bounds the rank of every block, is checked
-    against max_terms before any row is built.
+    against max_terms before any row is built.  Without k the whole ladder
+    is charged, half or not: its cells bound the dimension certified.
     """
     guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
                        "partials dimension bound")
+    span = ((k, k) if k is not None else (0, f.degree() // 2) if half
+            else None)  # the orders built, all when None
     rows: Dict[Exponent, SparseRow] = {}
     cols: Dict[Exponent, Tuple[int, int]] = {}  # b -> (number seen, b!)
     for e, c in f.terms.items():
         fe = _fact(e)
         num, den = c.numerator, c.denominator
-        subs = (_bounded(e, k) if k is not None
+        subs = (_bounded(e, *span) if span
                 else itertools.product(*(range(x + 1) for x in e)))
         for a in subs:
             b = tuple(map(operator.sub, e, a))

@@ -23,8 +23,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import guards
 from .exact import SparseRow, independent_rows, rank, sparse_rank
-from .poly import (Exponent, Poly, apply, diff, homogenize, ldf, monomial_key,
-                   twist)
+from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize, ldf,
+                   monomial_key, twist)
 from .apolar import (_fact, apolar_dim, catalecticant_rank,
                      greedy_monomial_basis, is_concise)
 
@@ -263,7 +263,6 @@ def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
     expected = math.comb(n + d, d)
     guards.check_terms(expected)
     guards.check_degree(F.degree() * d)
-    from .poly import dehomogenize
     f = dehomogenize(F, v)
     assumptions["dehomogenization_nonzero"] = not f.is_zero()
     assumptions["concise"] = is_concise(F)

@@ -194,7 +194,8 @@ def _entry_untwisted_control_fails() -> dict:
 
 @functools.lru_cache(maxsize=len(ENCOMPASS_CORPUS))
 def _growth_rows(text: str) -> Tuple[Tuple[int, int, bool], ...]:
-    """growth_table(f, deg f), shared by the growth entries."""
+    """growth_table(f, deg f), shared by the growth entries of one
+    ``run_suite`` call, which empties the memo when it starts."""
     f = parse(text)
     return tuple(growth_table(f, f.degree()))
 
@@ -645,6 +646,7 @@ def run_suite(only: Optional[Collection[str]] = None) -> dict:
         if missing:
             raise ValueError(f"unknown suite entries: {sorted(missing)}")
         chosen = [e for e in ENTRIES if e.id in only]
+    _growth_rows.cache_clear()
     results = []
     passed = failed = info = 0
     for entry in chosen:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import QMatrix, Rat, rank, rat
+from .exact import QMatrix, Rat, SparseRow, rat, sparse_rank
 
 Index3 = Tuple[int, int, int]
 
@@ -114,11 +114,11 @@ def is_concise(T: Tensor3) -> Tuple[bool, List[int]]:
     for axis in range(3):
         n = T.dims[axis]
         rest = [d for a, d in enumerate(T.dims) if a != axis]
-        flat = [[Fraction(0)] * (rest[0] * rest[1]) for _ in range(n)]
+        flat: List[SparseRow] = [{} for _ in range(n)]
         for idx, c in T.entries.items():
             rc = [x for a, x in enumerate(idx) if a != axis]
             flat[idx[axis]][rc[0] * rest[1] + rc[1]] = c
-        if rank(flat) != n:
+        if sparse_rank(flat) != n:
             bad.append(axis)
     return (not bad, bad)
 

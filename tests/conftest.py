@@ -24,8 +24,8 @@ def partials_builds(monkeypatch):
     calls = []
     build = apolar._divisor_blocks
 
-    def spy(f, k=None):
+    def spy(f, k=None, **kwargs):
         calls.append(k)
-        return build(f, k)
+        return build(f, k, **kwargs)
     monkeypatch.setattr(apolar, "_divisor_blocks", spy)
     return calls

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -77,11 +77,35 @@ def test_hilbert_function_values():
 
 
 def test_hilbert_function_of_homogeneous_form_is_symmetric():
+    # the Hilbert function mirrors its lower half; catalecticant_rank builds
+    # and ranks each block on its own, the upper half included
     for s in ("x1^3 + x2^3", "x1*x2*x3", "x1^2*x2 + x2^2*x3",
-              "(x1^2 + x2^2)^2"):
-        vals = tuple(hilbert_function(parse(s)))
+              "(x1^2 + x2^2)^2", "x1^4*x2 + x1*x3^4 + x2^2*x3^3"):
+        F = parse(s)
+        vals = tuple(hilbert_function(F))
+        assert vals == tuple(catalecticant_rank(F, k)
+                             for k in range(F.degree() + 1))
         assert vals == vals[::-1]
         assert vals[0] == 1
+
+
+@pytest.mark.parametrize("s", ["x1^0", "x1 + 2*x2", "x1*x2", "x1^3 + x2^3",
+                               "x1*x2*x3*x4", "x1^4*x2 + x1*x3^4"])
+def test_hilbert_function_of_a_form_ranks_the_lower_half(monkeypatch, s):
+    from apolarium import apolar
+    calls = []
+    ranker = apolar.sparse_rank
+
+    def spy(rows):
+        calls.append(None)
+        return ranker(rows)
+    monkeypatch.setattr(apolar, "sparse_rank", spy)
+    F = parse(s)
+    vals = hilbert_function(F)
+    assert len(calls) == F.degree() // 2 + 1
+    monkeypatch.undo()
+    assert vals == tuple(catalecticant_rank(F, k)
+                         for k in range(F.degree() + 1))
 
 
 def test_is_concise():
@@ -373,11 +397,11 @@ def linear_forms(draw, vars):
 
 
 @st.composite
-def forms(draw):
-    """Homogeneous forms in 2-4 variables of degree <= 5: random terms,
-    powers of linear forms and sums of such powers."""
+def forms(draw, max_degree=5):
+    """Homogeneous forms in 2-4 variables of degree <= max_degree: random
+    terms, powers of linear forms and sums of such powers."""
     n = draw(st.integers(2, 4))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, max_degree))
     vars = tuple(f"x{i}" for i in range(1, n + 1))
     kind = draw(st.sampled_from(["terms", "power", "sum of powers"]))
     if kind == "terms":
@@ -424,6 +448,23 @@ def test_form_invariants_match_the_closure_oracle(F):
     assert apolar_dim(F) == filt_ge[0]
     for k in range(F.degree() + 1):
         assert catalecticant_rank(F, k) == rank(catalecticant_matrix(F, k)) == hf[k]
+
+
+@given(forms(max_degree=6))
+@settings(max_examples=60, deadline=None)
+def test_catalecticants_of_complementary_orders_are_scaled_transposes(F):
+    # Cat_{d-k}[b][a] * a! == Cat_k[a][b] * b!, cell by cell, which is why
+    # hilbert_function ranks only the orders k <= d/2
+    def fact(e):
+        return prod(factorial(x) for x in e)
+    d = F.degree()
+    n = len(F.vars)
+    for k in range(d + 1):
+        low = catalecticant_matrix(F, k)
+        high = catalecticant_matrix(F, d - k)
+        for i, a in enumerate(monomials_of_degree(n, k)):
+            for j, b in enumerate(monomials_of_degree(n, d - k)):
+                assert high[j][i] * fact(a) == low[i][j] * fact(b)
 
 
 @given(inhomogeneous_polys())

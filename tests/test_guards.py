@@ -136,7 +136,13 @@ def test_one_order_of_partials_is_charged_its_own_cells(no_library_work):
                                (4, 2, 3)])
 def test_cell_counts_match_the_divisors(e):
     for k in range(sum(e) + 2):
-        assert apolar._cell_count(e, k) == len(apolar._bounded(e, k))
+        assert apolar._cell_count(e, k) == len(apolar._bounded(e, k, k))
+        # the cells of orders <= k, in one pass: no cell twice, none missed
+        lower = apolar._bounded(e, 0, k)
+        assert len(lower) == len(set(lower)) == sum(
+            apolar._cell_count(e, j) for j in range(k + 1))
+        assert set(lower) == {a for j in range(k + 1)
+                              for a in apolar._bounded(e, j, j)}
     assert apolar._cell_count(e, None) == sum(
         apolar._cell_count(e, k) for k in range(sum(e) + 1))
 

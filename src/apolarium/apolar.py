@@ -15,10 +15,12 @@ function, the differences of the filtration by derivative order, counts
 by order the greedy rows of that matrix taken from order d down to 0.  The
 dimension is the sum of the Hilbert function, the one rank pass over a
 partials matrix.  Greedy rows (``exact.independent_rows``) also give the
-monomial basis of the quotient algebra.  From these come dimensions,
-Hilbert functions, conciseness, annihilators up to a degree bound,
-catalecticant matrices and ranks, the multiplication tensor of the
-quotient algebra, and the twisted-form annihilation check.
+monomial basis of the quotient algebra, and the transpose of the rows up to
+order d is the operator matrix whose kernel is the annihilator up to degree
+d.  From these come dimensions, Hilbert functions, conciseness,
+annihilators up to a degree bound, catalecticant matrices and ranks, the
+multiplication tensor of the quotient algebra, and the twisted-form
+annihilation check.
 """
 
 from __future__ import annotations
@@ -112,10 +114,10 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     symmetric.)
     """
     _require_nonzero(f)
+    d = f.degree()
     if f.is_homogeneous():
         ranks = [sparse_rank(block.values())
-                 for block in _divisor_blocks(f, half=True).values()]
-        d = f.degree()
+                 for block in _divisor_blocks(f, upto=d // 2).values()]
         return HilbertFunction(tuple(ranks[min(k, d - k)]
                                      for k in range(d + 1)))
     # The span of the derivatives of order >= i is that of the monomial
@@ -124,7 +126,7 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     # H(i) is the number of greedy rows of order i.
     (block,) = _divisor_blocks(f).values()
     exps = list(reversed(block))
-    vals = [0] * (f.degree() + 1)
+    vals = [0] * (d + 1)
     for i in independent_rows(list(reversed(block.values()))):
         vals[sum(exps[i])] += 1
     while vals and vals[-1] == 0:
@@ -152,8 +154,12 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     """Echelonized basis of the operators of degree <= d killing f.
 
     d defaults to deg f + 1; every operator of higher degree kills f, so all
-    novel generators occur by then.  d and the binom(n + d, d) operators of
-    degree <= d are checked against the limits before any is applied.
+    novel generators occur by then.  The operator matrix is the transpose
+    of the rows of ``_divisor_blocks`` up to order d: column a is the place
+    of x^a in ``monomials_upto(n, d)``, row b the coefficient of x^b in its
+    image; an operator dividing no term is a zero column.  d and the
+    binom(n + d, d) operators are checked against the limits before any row
+    is built.
     """
     _require_nonzero(f)
     if d is None:
@@ -163,12 +169,13 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     guards.check_degree(d)
     guards.check_terms(math.comb(len(f.vars) + d, d), "operator space size")
     sigmas = monomials_upto(len(f.vars), d)
-    rows: Dict[Exponent, SparseRow] = defaultdict(dict)  # coordinate -> row
-    for col, s in enumerate(sigmas):
-        for m, c in apply(Poly.monomial(f.vars, s), f).terms.items():
-            rows[m][col] = c
-    kernel = sparse_kernel([rows[m] for m in sorted(rows, key=monomial_key)],
-                           len(sigmas))
+    place = {s: j for j, s in enumerate(sigmas)}
+    rows: Dict[int, SparseRow] = defaultdict(dict)  # coordinate b -> row
+    for block in _divisor_blocks(f, upto=d).values():
+        for a, row in block.items():
+            for b, v in row.items():
+                rows[b][place[a]] = v
+    kernel = sparse_kernel([rows[b] for b in sorted(rows)], len(sigmas))
     return [Poly(f.vars, {sigmas[k]: c for k, c in sorted(vec.items())})
             for vec in kernel.values()]
 
@@ -202,28 +209,30 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
     return out
 
 
-def _divisor_blocks(f: Poly, k: Optional[int] = None, half: bool = False
+def _divisor_blocks(f: Poly, k: Optional[int] = None,
+                    upto: Optional[int] = None
                     ) -> Dict[int, Dict[Exponent, SparseRow]]:
     """Sparse rows of the matrix of monomial derivatives a∘f, in blocks
     {a: row}, each in graded order of a.
 
     Row a holds the coefficients of a∘f, one column per monomial b that
-    occurs: each term e (coefficient c) puts c * e!/(e-a)! at (a, e-a) for
-    every a <= e, and the cell determines e = a + b, so no two terms meet in
-    a cell and none cancels.  For a form F of degree d the blocks are keyed
-    by the order j = |a|, and block j is Cat_j(F) without its zero rows and
-    columns; only j = k is built when k is given, and only the lower half
-    of the ladder, j <= floor(d/2), with half.  Any other polynomial has
-    one block, keyed 0, of every a, whose rank is the dimension of its
-    partials space.
+    occurs, in graded order of b: each term e (coefficient c) puts
+    c * e!/(e-a)! at (a, e-a) for every a <= e, and the cell determines
+    e = a + b, so no two terms meet in a cell and none cancels.  Only the
+    order |a| = k is built when k is given, and only |a| <= upto when upto
+    is.  For a form F the blocks are keyed by the order j = |a|, and block
+    j is Cat_j(F) without its zero rows and columns.  Any other polynomial
+    has one block, keyed 0, whose rank over every a is the dimension of its
+    partials space.  Transposed, the rows are the operator matrix of
+    ``annihilator_upto``.
 
     The number of cells, which bounds the rank of every block, is checked
-    against max_terms before any row is built.  Without k the whole ladder
-    is charged, half or not: its cells bound the dimension certified.
+    against max_terms before any row is built: the cells of order k when k
+    is given, else those of the whole ladder, upto or not.
     """
     guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
                        "partials dimension bound")
-    span = ((k, k) if k is not None else (0, f.degree() // 2) if half
+    span = ((k, k) if k is not None else (0, upto) if upto is not None
             else None)  # the orders built, all when None
     rows: Dict[Exponent, SparseRow] = {}
     cols: Dict[Exponent, Tuple[int, int]] = {}  # b -> (number seen, b!)
@@ -264,16 +273,6 @@ def catalecticant_rank(F: Poly, k: int) -> int:
 # -- multiplication structure -------------------------------------------------
 
 
-@dataclass
-class PairingTable:
-    basis: List[Poly]   # dual monomials whose classes form a basis
-    gram: QMatrix       # gram[i][j] = constant term of (b_i b_j)∘f
-
-    @property
-    def exponents(self) -> List[Exponent]:
-        return [next(iter(b.terms)) for b in self.basis]
-
-
 def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     """Smallest monomial operators (graded order) with independent images:
     the greedy rows of each block of ``_divisor_blocks``, which for a form
@@ -286,34 +285,18 @@ def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     return out
 
 
-def pairing_table(f: Poly) -> PairingTable:
-    """The pairing (a, b) -> constant term of (ab)∘f on the greedy basis.
-
-    The pairing is perfect on the quotient algebra, so the gram matrix is
-    always invertible.
-    """
-    exps = greedy_monomial_basis(f)
-    gram = []
-    for a in exps:
-        row = []
-        for b in exps:
-            s = tuple(x + y for x, y in zip(a, b))
-            row.append(_fact(s) * f.terms.get(s, _ZERO))
-        gram.append(row)
-    return PairingTable([Poly.monomial(f.vars, a) for a in exps], gram)
-
-
 def structure_tensor_of_apolar(f: Poly):
     """Multiplication tensor of the quotient algebra of f in the greedy basis.
 
-    The coefficients of the class of b_i*b_j are solved from the perfect
-    pairing: gram * c = ((b_i b_j b_k)∘f)_0 over k, for all (i, j) by one
+    The pairing (a, b) -> constant term of (ab)∘f is perfect on the quotient
+    algebra, so its gram matrix on the greedy basis is invertible.  The
+    coefficients of the class of b_i*b_j are solved from it:
+    gram * c = ((b_i b_j b_k)∘f)_0 over k, for all (i, j) by one
     ``solve_many``.  Returns (Tensor3, basis).
     """
     from .tensor3 import Tensor3
 
-    pt = pairing_table(f)
-    exps = pt.exponents
+    exps = greedy_monomial_basis(f)
     ell = len(exps)
 
     def add(a: Exponent, b: Exponent) -> Exponent:
@@ -323,18 +306,20 @@ def structure_tensor_of_apolar(f: Poly):
         c = f.terms.get(t)
         return _fact(t) * c if c else _ZERO
 
+    gram = [[const(add(a, b)) for b in exps] for a in exps]
     # b_i b_j depends only on the exponent sum: one right-hand side per sum
     sums = list(dict.fromkeys(add(a, b) for a in exps for b in exps))
     coords = dict(zip(sums, solve_many(
-        pt.gram, [[const(add(s, c)) for c in exps] for s in sums])))
+        gram, [[const(add(s, c)) for c in exps] for s in sums])))
     entries: Dict[Tuple[int, int, int], Rat] = {}
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
             for k, ck in enumerate(coords[add(a, b)]):
                 if ck:
                     entries[(i, j, k)] = ck
-    labels = [str(b) for b in pt.basis]
-    return Tensor3((ell, ell, ell), entries, (labels, labels, labels)), pt.basis
+    basis = [Poly.monomial(f.vars, a) for a in exps]
+    labels = [str(b) for b in basis]
+    return Tensor3((ell, ell, ell), entries, (labels, labels, labels)), basis
 
 
 # -- twisted-form annihilation ------------------------------------------------
@@ -389,13 +374,12 @@ def boxtimes_apolar_dim(f: Poly, d: int) -> int:
     """Dimension of the partials space of the d-fold disjoint-variable power.
 
     Always equals (apolar_dim f)^d; computed by brute force so the identity
-    is a real check, with a size guard on both the predicted dimension and
-    the term count.
+    is a real check.  The term count of the power is checked before it is
+    built, and the partials guard of the power charges (cells of f)^d, which
+    is at least (apolar_dim f)^d.
     """
     _require_nonzero(f)
     if d < 1:
         raise ValueError("need d >= 1")
-    ell = apolar_dim(f)
-    guards.check_terms(ell ** d)
     guards.check_terms(len(f.terms) ** d)
     return apolar_dim(boxtimes_power(f, d))

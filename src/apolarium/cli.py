@@ -40,7 +40,6 @@ from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
                      verify_tautological_apolarity)
 from .encompass import (encompassing_extension, encompassing_report,
                         growth_table, is_encompassing, verify_main_theorem)
-from .papersuite import run_suite
 from .poly import (ParseError, Poly, VarMismatchError, format_poly, parse,
                    twist)
 from .sweet import (BlockDistribution, Blocking, CW_LARGE,
@@ -473,6 +472,8 @@ def _sweet_veronese(args):
 
 
 def _paper_suite(args):
+    # imported here, so the other commands do not compile and load the suite
+    from .papersuite import run_suite
     rep = run_suite(args.only)
     return {"only": args.only or []}, rep, 0 if rep["summary"]["failed"] == 0 else 1
 
@@ -666,7 +667,7 @@ def run(argv: Sequence[str]) -> int:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 3
     except (ParseError, VarMismatchError, ValueError, KeyError,
-            json.JSONDecodeError, OSError) as exc:
+            ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code[0] if code else 0

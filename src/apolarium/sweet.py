@@ -333,7 +333,8 @@ def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
     if check_tight and not is_tight(T, B):
         raise ValueError("tensor is not tight for this blocking "
                          "(pass check_tight=False to project anyway)")
-    blocks = {b.labels for b in support_blocks(T, B)}
+    blocks = {(B.label(0, i), B.label(1, j), B.label(2, k))
+              for i, j, k in T.entries}
     for trip, p in zip(P.support, P.probs):
         if p and trip not in blocks:
             raise ValueError(f"distribution charges non-support block {trip}")

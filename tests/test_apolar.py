@@ -17,7 +17,6 @@ from apolarium.apolar import (
     greedy_monomial_basis,
     hilbert_function,
     is_concise,
-    pairing_table,
     structure_tensor_of_apolar,
     verify_tautological_apolarity,
 )
@@ -224,16 +223,9 @@ def test_greedy_basis_size_is_apolar_dim():
         assert len(greedy_monomial_basis(f)) == apolar_dim(f)
 
 
-def test_pairing_gram_is_invertible():
-    for s in ("x1^2 + x2^2", "(x1^2 + x2)^2", "x1*x2*x3"):
-        pt = pairing_table(parse(s))
-        assert rank(pt.gram) == len(pt.basis)
-
-
-def test_pairing_gram_first_row():
-    pt = pairing_table(parse("x1^2 + x2^2"))
-    assert [format_poly(b) for b in pt.basis] == ["1", "x1", "x2", "x1^2"]
-    assert pt.gram[0] == [0, 0, 0, 2]
+def test_structure_tensor_basis_is_the_greedy_basis():
+    _, basis = structure_tensor_of_apolar(parse("x1^2 + x2^2"))
+    assert [format_poly(b) for b in basis] == ["1", "x1", "x2", "x1^2"]
 
 
 # -- multiplication tensors ----------------------------------------------------
@@ -579,19 +571,30 @@ def _oracle_annihilator(f, d):
     return gens
 
 
+@given(st.one_of(forms(), inhomogeneous_polys()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_annihilator_matches_the_apply_oracle(f, data):
+    # d past deg f adds operators that divide no term: zero columns
+    d = data.draw(st.integers(0, f.degree() + 2), label="d")
+    assert [g.terms for g in annihilator_upto(f, d)] == [
+        g.terms for g in _oracle_annihilator(f, d)]
+
+
 def _oracle_structure_tensor(f):
-    """One rref of [gram | rhs] per pair (i, j), the rhs read off apply."""
+    """One rref of [gram | rhs] per pair (i, j), gram and rhs read off apply."""
     from apolarium.exact import rref
-    pt = pairing_table(f)
-    exps = pt.exponents
+    exps = greedy_monomial_basis(f)
     zero = (0,) * len(f.vars)
+
+    def const(*es):  # constant term of (prod x^e)∘f
+        s = [sum(xs) for xs in zip(*es)]
+        return apply(Poly.monomial(f.vars, s), f).terms.get(zero, Fraction(0))
+    gram = [[const(a, b) for b in exps] for a in exps]
     entries = {}
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
-            rhs = [apply(Poly.monomial(f.vars, [x + y + z for x, y, z
-                                                in zip(a, b, c)]), f)
-                   .terms.get(zero, Fraction(0)) for c in exps]
-            rows, _ = rref([row + [v] for row, v in zip(pt.gram, rhs)])
+            rhs = [const(a, b, c) for c in exps]
+            rows, _ = rref([row + [v] for row, v in zip(gram, rhs)])
             entries.update(((i, j, k), r[-1]) for k, r in enumerate(rows)
                            if r[-1])
     return entries

@@ -3,6 +3,7 @@ determinism, and the file round-trips."""
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -376,6 +377,38 @@ def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed document {path}: ")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["sweet", "omega", "--a", "2", "--r", "1/0", "--p", "1"], None),
+    (["sweet", "omega", "--a", "2", "--r", "1", "--p", "0/0"], None),
+    (["sweet", "extract", "--tensor", "tb", "--blocking", "weights:0,1",
+      "--power", "1", "--dist"],
+     {"support": [[[0], [1], [1]]], "probs": ["1/0"]}),
+    (["sweet", "tight", "--blocking", "cw", "--tensor"],
+     {"dims": [3, 3, 3], "entries": [[0, 0, 0, "1/0"]]}),
+])
+def test_a_zero_denominator_exits_two(tmp_path, capsys, argv, doc):
+    # a rational the user wrote with denominator 0 is a malformed input,
+    # not a violated claim (exit 1)
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [f"@{path}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: Fraction\([01], 0\)\n", captured.err)
+
+
+def test_importing_the_cli_leaves_the_suite_unloaded():
+    # only paper-suite needs the suite, and every CLI child compiles what
+    # it imports
+    code = ("import sys, apolarium.cli; "
+            "sys.exit('apolarium.papersuite' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_tensor_spec_exits_two(capsys):

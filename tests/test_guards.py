@@ -166,6 +166,18 @@ def test_operator_space_guard_refuses_before_any_elimination(no_library_work):
         assert apolar.verify_tautological_apolarity(F, "x0").all_pass
 
 
+def test_annihilator_charges_the_partials_guard(no_library_work):
+    # 3 operators of degree <= 1, but the rows are charged the whole ladder
+    # of x1^3 + x2^3: 4 + 4 cells
+    f = parse("x1^3 + x2^3")
+    with limits(max_terms=7), pytest.raises(
+            LimitExceeded, match="^partials dimension bound 8 exceeds limit 7$"):
+        apolar.annihilator_upto(f, 1)
+    no_library_work.undo()
+    with limits(max_terms=8):
+        assert apolar.annihilator_upto(f, 1) == []
+
+
 def test_suite_entries_honour_the_partials_guard():
     only = ["apolar-dim-product-of-linears"]  # x1*...*x9, bound 2^9
     with limits(max_terms=511), pytest.raises(LimitExceeded):

@@ -21,9 +21,10 @@ from typing import Callable, Collection, List, Optional, Tuple
 
 from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
                      hilbert_function, structure_tensor_of_apolar)
-from .encompass import (encompassing_extension, encompassing_report,
-                        growth_table, is_encompassing, verify_main_theorem,
+from .encompass import (_truncations, encompassing_extension,
+                        encompassing_report, growth_table, verify_main_theorem,
                         OUT_OF_SCOPE_NOTES)
+from .exact import sparse_rank
 from .apolar import verify_tautological_apolarity
 from .poly import parse, format_poly, restrict_zero, twist
 from .tensor3 import (AbelianGroup, algebra_A_Tk, cw, group_tensor,
@@ -251,8 +252,11 @@ def _entry_extension_invariants() -> dict:
         g = ext.g
         back = restrict_zero(g, ext.y_vars) if ext.y_vars else g
         hf_g, hf_f = hilbert_function(g), hilbert_function(f)
+        # g is encompassing when its truncations have rank sum(hf_g), its
+        # partials dimension (see ``is_encompassing``)
         checks = (back == f, g.degree() == f.degree(),
-                  sum(hf_g) == sum(hf_f), hf_g == hf_f, is_encompassing(g))
+                  sum(hf_g) == sum(hf_f), hf_g == hf_f,
+                  sparse_rank(_truncations(g)) == sum(hf_g))
         if not all(checks):
             bad.append({"f": text, "checks": list(checks)})
     return {"ok": not bad, "failures": bad}

@@ -364,7 +364,14 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     order).  The power is never walked: the kept entries are enumerated by
     type class (see _type_class_entries), grouped by their labels on the
     constrained axes only, so the cost follows the number of kept entries
-    rather than |T|^N."""
+    rather than |T|^N.
+
+    T is validated once, as ``kronecker_power`` does, and the projected
+    dict is stored by ``Tensor3._derived``: each key maps a kept flat
+    index to its position t < len(kept[axis]) on a constrained axis and
+    stays a flat index < d ** N on the free one, and each value is a
+    product of nonzero Fractions of the validated T."""
+    T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
     comps = {a: _composition(marg[a], N) for a in axes}
     kept = {a: _kept_sequences(B, a, comps[a], N) for a in axes}
@@ -378,7 +385,7 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     p0, p1, p2 = pos
     entries = {(p0[i], p1[j], p2[k]): c for (i, j, k), c
                in _type_class_entries(T, B, comps, N).items()}
-    return Tensor3(dims, entries), kept
+    return Tensor3._derived(dims, entries, None), kept
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,

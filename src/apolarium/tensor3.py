@@ -30,6 +30,13 @@ class Tensor3:
     entries maps index triples to nonzero Fractions; labels, when present,
     name the basis vectors of each axis (purely cosmetic: equality ignores
     them).
+
+    There are two constructors.  ``Tensor3(dims, entries, labels)`` checks
+    and copies every entry, and is the only one for input from outside the
+    library: files, the command line, user code and every construction
+    fed by them.  ``Tensor3._derived`` stores a dict that a Kronecker walk
+    over an already validated factor has just built, without a pass over
+    its entries.
     """
 
     __slots__ = ("dims", "entries", "labels")
@@ -42,6 +49,9 @@ class Tensor3:
             raise ValueError(f"bad dims {dims}")
         em: Dict[Index3, Rat] = {}
         for idx, c in entries.items():
+            if not all(isinstance(x, int) and not isinstance(x, bool)
+                       for x in idx):
+                raise ValueError(f"index {idx} is not a triple of ints")
             i, j, k = map(int, idx)
             if not (0 <= i < d[0] and 0 <= j < d[1] and 0 <= k < d[2]):
                 raise ValueError(f"index {idx} out of range for dims {d}")
@@ -56,6 +66,26 @@ class Tensor3:
         self.dims = d
         self.entries = em
         self.labels = lab
+
+    @classmethod
+    def _derived(cls, dims: Index3, entries: Dict[Index3, Rat],
+                 labels: Optional[Tuple[Tuple[str, ...], ...]]) -> "Tensor3":
+        """Store entries as they are, without the per-entry pass of
+        ``__init__``.
+
+        Only for the dict of a ``_walk_words`` walk over a factor that has
+        just been through ``__init__`` (``kronecker_power`` and
+        ``sweet._project``).  Each key is then a row-major combination of
+        in-range int indices of the factor, mapped to in-range ints of
+        dims, and each value is a product of nonzero Fractions, so a
+        nonzero Fraction.  dims are ints >= 1 and labels, when present,
+        tuples of str of the sizes of dims, as ``__init__`` would store
+        them."""
+        T = cls.__new__(cls)
+        T.dims = dims
+        T.entries = entries
+        T.labels = labels
+        return T
 
     def nnz(self) -> int:
         return len(self.entries)
@@ -104,7 +134,11 @@ class Tensor3:
     @classmethod
     def from_json(cls, text: str) -> "Tensor3":
         doc = json.loads(text)
-        entries = {(i, j, k): Fraction(v) for i, j, k, v in doc["entries"]}
+        entries: Dict[Index3, Rat] = {}
+        for i, j, k, v in doc["entries"]:
+            if (i, j, k) in entries:
+                raise ValueError(f"index {[i, j, k]} repeated")
+            entries[(i, j, k)] = Fraction(v)
         return cls(doc["dims"], entries, doc.get("labels"))
 
 
@@ -373,11 +407,15 @@ def _walk_words(members: List[Group], counts: List[int], dims: Index3,
 def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     """N-th Kronecker power; index sequences flatten row-major.
 
-    Built depth-first by ``_walk_words``, with all the entries of T in one
-    group used N times: every prefix product is computed once and no
-    per-level tables are kept."""
+    T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
+    also catches an entries dict changed after T was built), and the power
+    is built depth-first by ``_walk_words``, with all the entries of T in
+    one group used N times: every prefix product is computed once and no
+    per-level tables are kept.  The walk's dict is stored by
+    ``Tensor3._derived``, without a second pass over its |T|^N entries."""
     if N < 1:
         raise ValueError("need N >= 1")
+    T = Tensor3(T.dims, T.entries, T.labels)
     guards.check_entries(len(T.entries) ** N)
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
@@ -390,8 +428,8 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     labels = None
     if T.labels is not None:
         labels = tuple(
-            [",".join(ax[x] for x in seq)
-             for seq in itertools.product(range(d), repeat=N)]
+            tuple(",".join(ax[x] for x in seq)
+                  for seq in itertools.product(range(d), repeat=N))
             for ax, d in zip(T.labels, T.dims)
         )
-    return Tensor3(dims, entries, labels)
+    return Tensor3._derived(dims, entries, labels)

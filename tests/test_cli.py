@@ -379,6 +379,22 @@ def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
     assert captured.err.startswith(f"error: malformed document {path}: ")
 
 
+@pytest.mark.parametrize("entries, err", [
+    ([[0.9, 1, 1, "1"]], "error: index (0.9, 1, 1) is not a triple of ints\n"),
+    ([[0, 0, 0, "1"], [0, 0, 0, "5"]], "error: index [0, 0, 0] repeated\n"),
+])
+def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
+                                                  err):
+    # int() would store 0.9 at index 0, and a repeated triple would keep
+    # only its last value
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+    assert run(["tensor", "kron", "--tensor", f"@{path}", "--power", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["sweet", "omega", "--a", "2", "--r", "1/0", "--p", "1"], None),
     (["sweet", "omega", "--a", "2", "--r", "1", "--p", "0/0"], None),

@@ -83,3 +83,24 @@ def test_every_definition_is_read():
 def test_test_only_api_is_defined_and_unread():
     # an entry whose definition goes, or that gains a reader, leaves the set
     assert TEST_ONLY_API <= {name for _, name in _unread_definitions()}
+
+
+def _derived_readers():
+    """(module, top-level definition) of each read of an attribute
+    ``_derived`` in the package, outside the method's own definition."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "_derived":
+                    readers.add((path.name, name))
+    return readers
+
+
+def test_only_the_kronecker_walks_skip_the_entry_checks():
+    # Tensor3._derived stores a dict without checking its entries; only a
+    # walk over a factor that has just been validated may hand it one, so
+    # anything built from outside input goes through Tensor3.__init__
+    assert _derived_readers() == {("tensor3.py", "kronecker_power"),
+                                  ("sweet.py", "_project")}

@@ -527,21 +527,56 @@ def blocked_problems(draw):
     return T, B, P, N, draw(st.booleans())
 
 
+def _stored_as_validated(T):
+    """Every key is a triple of in-range ints and every value a nonzero
+    Fraction, as ``Tensor3.__init__`` stores them; == against the oracle
+    cannot tell 1 from Fraction(1)."""
+    return all(
+        type(idx) is tuple and len(idx) == 3
+        and all(type(x) is int and 0 <= x < d for x, d in zip(idx, T.dims))
+        and type(c) is Fraction and c != 0
+        for idx, c in T.entries.items())
+
+
 @settings(max_examples=150, deadline=None)
 @given(blocked_problems())
 def test_sp_extract_matches_brute_force(problem):
     T, B, P, N, check_tight = problem
-    assert _same_piece(_outcome(sp_extract, T, B, P, N, check_tight=check_tight),
-                       _outcome(brute_sp_extract, T, B, P, N, check_tight))
+    got = _outcome(sp_extract, T, B, P, N, check_tight=check_tight)
+    assert _same_piece(got, _outcome(brute_sp_extract, T, B, P, N, check_tight))
+    assert got is ValueError or _stored_as_validated(got.tensor)
 
 
 @settings(max_examples=150, deadline=None)
 @given(blocked_problems(), st.sampled_from([(0, 1), (0, 2), (1, 2)]))
 def test_chimney_matches_brute_force(problem, fixed_pair):
     T, B, P, N, check_tight = problem
-    assert (_outcome(chimney, T, B, P, N, fixed_pair=fixed_pair,
-                     check_tight=check_tight)
-            == _outcome(brute_chimney, T, B, P, N, fixed_pair, check_tight))
+    got = _outcome(chimney, T, B, P, N, fixed_pair=fixed_pair,
+                   check_tight=check_tight)
+    assert got == _outcome(brute_chimney, T, B, P, N, fixed_pair, check_tight)
+    assert got is ValueError or _stored_as_validated(got)
+
+
+@pytest.mark.parametrize("idx, value", [
+    ((0, 0, 4), Fraction(1)),  # out of range
+    ((1, 1, 3), 0),            # a zero entry
+    ((1, 1, 3), 2),            # an int value
+])
+def test_a_factor_changed_after_construction_is_validated_again(idx, value):
+    # the Kronecker constructions store their walk without a pass over it,
+    # so each checks its factor as a fresh Tensor3 would
+    T, B = cw(4), cw_blocking(4)
+    P = BlockDistribution.uniform(LARGE3)
+    T.entries[idx] = value
+    fresh = _outcome(Tensor3, T.dims, T.entries, T.labels)
+    for build in (lambda U: kronecker_power(U, 3),
+                  lambda U: sp_extract(U, B, P, 3).tensor):
+        got = _outcome(build, T)
+        if fresh is ValueError:
+            assert got is ValueError
+            continue
+        assert got == build(fresh) and _stored_as_validated(got)
+        assert (value == 0) == all(c == 1 for c in got.entries.values())
 
 
 def test_oracle_agrees_on_reference_cases():

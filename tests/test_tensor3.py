@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,21 @@ def test_tensor_validation():
         Tensor3((2, 2, 2), {}, labels=(["a"], ["a", "b"], ["a", "b"]))
 
 
+@pytest.mark.parametrize("idx", [
+    (True, 1, 1), (0.9, 1, 1), (0, "1", 1), (0, 1, 1.0), (True, "1", 1.7)])
+def test_an_index_that_is_not_an_int_is_refused(idx):
+    # int() would truncate 0.9 to 0 and read True as 1
+    with pytest.raises(ValueError, match="not a triple of ints"):
+        Tensor3((2, 2, 2), {idx: 1})
+
+
+def test_an_index_of_an_int_subclass_other_than_bool_is_stored_as_an_int():
+    class Level(int):
+        pass
+    T = Tensor3((2, 2, 2), {(Level(1), 0, 0): 1})
+    assert [type(x) for x in T.support()[0]] == [int, int, int]
+
+
 def test_equality_ignores_labels():
     A = Tensor3((2, 2, 2), {(0, 0, 0): 1}, (["a", "b"],) * 3)
     B = Tensor3((2, 2, 2), {(0, 0, 0): 1})
@@ -67,6 +83,27 @@ def test_json_round_trip():
     U = Tensor3.from_json(T.to_json())
     assert U == T and U.labels == T.labels
     assert '"1/2"' in T.to_json()
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.9, 1, 1, "1"]],
+    [[0, 0, 0, "1"], [0.2, 0, 0, "5"]],
+    [[0, 1, "1", "1"]],
+])
+def test_from_json_refuses_an_index_that_is_not_an_int(entries):
+    with pytest.raises(ValueError, match="not a triple of ints"):
+        Tensor3.from_json(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 0, 0, "1"], [0, 0, 0, "5"]],
+    [[1, 0, 1, "1"], [0, 1, 1, "2"], [1, 0, 1, "1"]],
+    [[0, 0, 0, "1"], [0.0, 0, 0, "5"]],
+])
+def test_from_json_refuses_a_repeated_index_triple(entries):
+    # keeping the last value would silently drop the first
+    with pytest.raises(ValueError, match="repeated"):
+        Tensor3.from_json(json.dumps({"dims": [2, 2, 2], "entries": entries}))
 
 
 def test_is_concise_reports_failing_axes():
@@ -261,6 +298,17 @@ def test_kronecker_power_labels_join():
     assert K.labels[0] == ("0,0", "0,1", "1,0", "1,1")
 
 
+def _stored_as_validated(T):
+    """Every key is a triple of in-range ints and every value a nonzero
+    Fraction, as ``Tensor3.__init__`` stores them; == against an oracle
+    cannot tell 1 from Fraction(1)."""
+    return all(
+        type(idx) is tuple and len(idx) == 3
+        and all(type(x) is int and 0 <= x < d for x, d in zip(idx, T.dims))
+        and type(c) is Fraction and c != 0
+        for idx, c in T.entries.items())
+
+
 @st.composite
 def small_tensors(draw):
     dims = [draw(st.integers(1, 3)) for _ in range(3)]
@@ -285,7 +333,7 @@ def test_kronecker_power_matches_per_entry_product(T, N):
         expected[flat] = value
     K = kronecker_power(T, N)
     assert K.dims == tuple(d ** N for d in T.dims)
-    assert K.entries == expected
+    assert K.entries == expected and _stored_as_validated(K)
 
 
 def test_kronecker_power_guard():

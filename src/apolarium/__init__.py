@@ -1,5 +1,3 @@
 """apolarium: exact-arithmetic apolarity, catalecticants, and structured tensors."""
 
 __version__ = "0.1.0"
-
-from .poly import Poly, apply, twist, parse, format_poly  # noqa: F401

@@ -29,9 +29,8 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import guards
 from .exact import (QMatrix, Rat, SparseRow, independent_rows, solve_many,
@@ -83,9 +82,14 @@ def _cell_count(e: Exponent, k: Optional[int]) -> int:
     return g >> w * k & (1 << w) - 1
 
 
-@dataclass
 class HilbertFunction:
-    values: Tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Tuple[int, ...]):
+        self.values = values
+
+    def __repr__(self):
+        return f"HilbertFunction(values={self.values!r})"
 
     def __iter__(self):
         return iter(self.values)
@@ -325,14 +329,13 @@ def structure_tensor_of_apolar(f: Poly):
 # -- twisted-form annihilation ------------------------------------------------
 
 
-@dataclass
-class TautReport:
+class TautReport(NamedTuple):
     form: Poly
     variable: str
     bound: int
     twisted: bool
-    generators: List[Poly] = field(default_factory=list)
-    kills: List[bool] = field(default_factory=list)
+    generators: List[Poly]
+    kills: List[bool]
 
     @property
     def all_pass(self) -> bool:
@@ -362,7 +365,7 @@ def verify_tautological_apolarity(F: Poly, v: str, bound: Optional[int] = None,
     gens = annihilator_upto(f, bound)
     target = twist(F, v) if twisted else F
     v_pos = F.vars.index(v)
-    rep = TautReport(F, v, bound, twisted)
+    rep = TautReport(F, v, bound, twisted, [], [])
     for g in gens:
         gh = homogenize(g, v, g.degree(), index=v_pos)
         rep.generators.append(gh)

@@ -12,7 +12,10 @@ arguments and seed.  ``--human`` renders the outputs as an indented key/value
 table instead.
 
 Each command is one row of ``COMMANDS``; ``run`` builds the parser from the
-rows, sets the resource limits once and prints the runner's report.
+rows, sets the resource limits once and prints the runner's report.  Each
+runner imports the library modules it calls, so a command compiles and loads
+only what it runs: ``sweet chimney`` never loads ``poly`` or ``apolar``, and
+``verify-main-thm`` never loads ``tensor3`` or ``sweet``.
 
 Exit codes: 0 success; 1 a verification subcommand found a violated claim;
 2 usage or parse error; 3 a resource guard tripped.
@@ -31,39 +34,30 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import guards
-from .guards import LimitExceeded
-from .apolar import (annihilator_upto, apolar_dim, catalecticant_rank,
-                     hilbert_function, is_concise, structure_tensor_of_apolar,
-                     verify_tautological_apolarity)
-from .encompass import (encompassing_extension, encompassing_report,
-                        growth_table, is_encompassing, verify_main_theorem)
-from .poly import (ParseError, Poly, VarMismatchError, format_poly, parse,
-                   twist)
-from .sweet import (BlockDistribution, Blocking, CW_LARGE,
-                    MINIMAL_RANK_FAMILIES, chimney, cw_blocking, cw_weights,
-                    even_symdiff_count, formula_pratt, is_tight,
-                    marginal_uniqueness, marginals, omega_bound, sp_extract,
-                    substitution_bound, support_blocks, sweet_piece_report,
-                    toric_degenerate, veronese_dims, weight_blocking,
-                    zero_layers)
-from .tensor3 import (AbelianGroup, PartiallySymmetricTensor, Tensor3,
-                      algebra_A_Tk, cw, group_tensor, kronecker_power,
-                      one_generic_extension, symmetrize_TS, tb)
+
+if TYPE_CHECKING:
+    from .poly import Poly
+    from .sweet import BlockDistribution, Blocking
+    from .tensor3 import Tensor3
+
+# the ambient families `sweet bound --family` accepts as minimal-rank
+MINIMAL_RANK_FAMILIES = ("group-power", "binary-power")
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, Poly):
-        return format_poly(x)
+    """Reports hold JSON values, Fractions and Polys; the last two print as
+    their str."""
     if isinstance(x, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    return x
+    if x is None or isinstance(x, (str, int, float, bool)):
+        return x
+    return str(x)
 
 
 def _print_human(doc, indent: int = 0, out=None):
@@ -99,6 +93,7 @@ def _emit(args, inputs: dict, outputs: dict) -> None:
 
 
 def _parse_form(text: str) -> Poly:
+    from .poly import parse
     f = parse(text)
     guards.check_degree(max(f.degree(), 0))
     guards.check_terms(len(f.terms))
@@ -125,6 +120,7 @@ def _load_file(path: str, load: Callable):
 
 
 def _load_tensor(spec: str) -> Tensor3:
+    from .tensor3 import AbelianGroup, Tensor3, cw, group_tensor, tb
     if spec.startswith("@"):
         return _load_file(spec[1:], Tensor3.from_json)
     if spec.startswith("cw:"):
@@ -135,6 +131,7 @@ def _load_tensor(spec: str) -> Tensor3:
     if spec == "tb":
         return tb()
     if spec.startswith("apolar:"):
+        from .apolar import structure_tensor_of_apolar
         T, _ = structure_tensor_of_apolar(_parse_form(spec[7:]))
         return T
     raise ValueError(f"unknown tensor spec {spec!r} "
@@ -142,6 +139,7 @@ def _load_tensor(spec: str) -> Tensor3:
 
 
 def _load_blocking(spec: str, T: Tensor3) -> Blocking:
+    from .sweet import Blocking, cw_blocking, weight_blocking
     if spec.startswith("@"):
         return _load_file(spec[1:], Blocking.from_json)
     if spec == "cw":
@@ -158,6 +156,7 @@ def _load_blocking(spec: str, T: Tensor3) -> Blocking:
 
 
 def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
+    from .sweet import BlockDistribution, CW_LARGE, support_blocks
     if spec.startswith("@"):
         return _load_file(spec[1:], BlockDistribution.from_json)
     blocks = [b.labels for b in support_blocks(T, B)]
@@ -180,6 +179,7 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
 
 
 def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
+    from .sweet import cw_weights
     if spec.startswith("@"):
         return _load_file(spec[1:], lambda text: [
             list(map(int, ax)) for ax in json.loads(text)["weights"]])
@@ -212,17 +212,20 @@ def _maybe_write(path: Optional[str], text: str) -> None:
 
 
 def _apolar_dim(args):
+    from .apolar import apolar_dim, is_concise
     f = _parse_form(args.form)
     return {"form": f}, {"dim": apolar_dim(f), "concise": is_concise(f)}
 
 
 def _hilbert(args):
+    from .apolar import hilbert_function
     f = _parse_form(args.form)
     hf = list(hilbert_function(f))
     return {"form": f}, {"hilbert_function": hf, "dim": sum(hf)}
 
 
 def _annihilator(args):
+    from .apolar import annihilator_upto
     f = _parse_form(args.form)
     bound = args.degree if args.degree is not None else f.degree() + 1
     gens = annihilator_upto(f, bound)
@@ -231,6 +234,7 @@ def _annihilator(args):
 
 
 def _cat_rank(args):
+    from .apolar import catalecticant_rank, hilbert_function
     F = _parse_form(args.form)
     if not F.is_homogeneous():
         raise ValueError("catalecticants are defined for homogeneous forms")
@@ -247,12 +251,14 @@ def _cat_rank(args):
 
 
 def _twist(args):
+    from .poly import twist
     F = _parse_form(args.form)
     v = _var(F, args.var)
     return {"form": F, "var": v}, {"twisted": twist(F, v)}
 
 
 def _encompass_check(args):
+    from .encompass import encompassing_report
     f = _parse_form(args.form)
     rep = encompassing_report(f, seed=args.seed)
     return {"form": f}, {"encompassing": rep.encompassing,
@@ -262,6 +268,7 @@ def _encompass_check(args):
 
 
 def _growth(args):
+    from .encompass import growth_table
     f = _parse_form(args.form)
     dmax = args.dmax if args.dmax is not None else f.degree()
     rows = growth_table(f, dmax)
@@ -273,6 +280,8 @@ def _growth(args):
 
 
 def _extend(args):
+    from .encompass import encompassing_extension, is_encompassing
+    from .poly import parse
     f = _parse_form(args.form)
     override = [parse(s, f.vars) for s in args.sigma] if args.sigma else None
     ext = encompassing_extension(f, sigma_override=override)
@@ -283,6 +292,7 @@ def _extend(args):
 
 
 def _verify_taut(args):
+    from .apolar import verify_tautological_apolarity
     F = _parse_form(args.form)
     v = _var(F, args.var)
     rep = verify_tautological_apolarity(F, v, bound=args.bound,
@@ -295,6 +305,7 @@ def _verify_taut(args):
 
 
 def _verify_main_thm(args):
+    from .encompass import verify_main_theorem
     F = _parse_form(args.form)
     v = _var(F, args.var)
     rep = verify_main_theorem(F, v, args.d)
@@ -306,6 +317,9 @@ def _verify_main_thm(args):
 
 
 def _tensor_make(args):
+    from .tensor3 import (AbelianGroup, PartiallySymmetricTensor, algebra_A_Tk,
+                          cw, group_tensor, one_generic_extension,
+                          symmetrize_TS)
     mode = args.mode
     inputs: dict = {"mode": mode}
     extra = {}
@@ -323,6 +337,7 @@ def _tensor_make(args):
     elif mode == "algebra":
         if not args.form:
             raise ValueError("algebra mode needs --form")
+        from .apolar import structure_tensor_of_apolar
         f = _parse_form(args.form)
         T, basis = structure_tensor_of_apolar(f)
         inputs["form"] = f
@@ -354,6 +369,7 @@ def _tensor_make(args):
 
 
 def _tensor_kron(args):
+    from .tensor3 import kronecker_power
     T = _load_tensor(args.tensor)
     P = kronecker_power(T, args.power)
     _maybe_write(args.out, P.to_json())
@@ -363,6 +379,7 @@ def _tensor_kron(args):
 
 
 def _sweet_support(args):
+    from .sweet import support_blocks
     T, B = _blocked(args)
     blocks = support_blocks(T, B)
     return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json())},
@@ -373,12 +390,14 @@ def _sweet_support(args):
 
 
 def _sweet_tight(args):
+    from .sweet import is_tight
     T, B = _blocked(args)
     return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json())},
             {"tight": is_tight(T, B)})
 
 
 def _sweet_marginals(args):
+    from .sweet import marginal_uniqueness, marginals
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
     return ({"dist": json.loads(P.to_json())},
@@ -388,6 +407,7 @@ def _sweet_marginals(args):
 
 
 def _sweet_extract(args):
+    from .sweet import sp_extract, sweet_piece_report
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
     sp = sp_extract(T, B, P, args.power, check_tight=not args.allow_nontight)
@@ -402,6 +422,7 @@ def _sweet_extract(args):
 
 
 def _sweet_chimney(args):
+    from .sweet import chimney, zero_layers
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
     fixed = tuple(int(t) - 1 for t in args.fixed.split(","))
@@ -418,6 +439,7 @@ def _sweet_chimney(args):
 
 
 def _sweet_degenerate(args):
+    from .sweet import is_tight, toric_degenerate
     T, B = _blocked(args)
     w = _load_weights(args.weights, T)
     D = toric_degenerate(T, B, w)
@@ -428,6 +450,7 @@ def _sweet_degenerate(args):
 
 
 def _sweet_zero_layers(args):
+    from .sweet import zero_layers
     T = _load_tensor(args.tensor)
     if not 1 <= args.axis <= 3:
         raise ValueError("--axis is 1-based: 1, 2 or 3")
@@ -436,6 +459,7 @@ def _sweet_zero_layers(args):
 
 
 def _sweet_bound(args):
+    from .sweet import substitution_bound
     if args.family is None and not args.assert_minimal_rank:
         raise ValueError(
             "the substitution bound needs a minimal-rank ambient tensor: "
@@ -449,6 +473,7 @@ def _sweet_bound(args):
 
 
 def _sweet_pratt(args):
+    from .sweet import even_symdiff_count, formula_pratt
     bound = formula_pratt(args.k)
     out = {"k": args.k, "bound": bound}
     if args.k <= 4:
@@ -459,6 +484,7 @@ def _sweet_pratt(args):
 
 
 def _sweet_omega(args):
+    from .sweet import omega_bound
     return ({"a": args.a, "r": args.r, "p": args.p},
             {"omega_bound": omega_bound(args.a, Fraction(args.r),
                                         Fraction(args.p)),
@@ -467,12 +493,12 @@ def _sweet_omega(args):
 
 
 def _sweet_veronese(args):
+    from .sweet import veronese_dims
     dims = [int(t) for t in args.dims.split(",")]
     return {"dims": dims, "k": args.k}, {"veronese_dims": veronese_dims(dims, args.k)}
 
 
 def _paper_suite(args):
-    # imported here, so the other commands do not compile and load the suite
     from .papersuite import run_suite
     rep = run_suite(args.only)
     return {"only": args.only or []}, rep, 0 if rep["summary"]["failed"] == 0 else 1
@@ -663,11 +689,10 @@ def run(argv: Sequence[str]) -> int:
         with guards.limits(**given):
             inputs, outputs, *code = args.command.run(args)
         _emit(args, inputs, outputs)
-    except LimitExceeded as exc:
+    except guards.LimitExceeded as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 3
-    except (ParseError, VarMismatchError, ValueError, KeyError,
-            ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code[0] if code else 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -125,12 +124,11 @@ def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
 # -- the extension construction ------------------------------------------------
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     g: Poly                     # in the enlarged variable set (x..., y...)
     sigma_list: List[Poly]      # normalized dual elements of degree >= 2
     G: Poly                     # homogenization of g, degree = deg g
-    y_vars: List[str] = field(default_factory=list)
+    y_vars: List[str]
 
 
 def _normalize_sigma(sigma: Poly, f: Poly) -> Poly:
@@ -228,8 +226,7 @@ def encompassing_extension(f: Poly,
 # -- twisted-power catalecticant check -----------------------------------------
 
 
-@dataclass
-class MainTheoremReport:
+class MainTheoremReport(NamedTuple):
     form: Poly
     variable: str
     d: int

@@ -10,11 +10,10 @@ checks its predicted size against ``current()`` before the work starts.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 DEFAULT_MAX_TERMS = 10 ** 6
 DEFAULT_MAX_ENTRIES = 10 ** 7
@@ -25,8 +24,7 @@ class LimitExceeded(RuntimeError):
     """A computation would exceed a configured resource limit."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_terms: int = DEFAULT_MAX_TERMS
     max_entries: int = DEFAULT_MAX_ENTRIES
     max_degree: int = DEFAULT_MAX_DEGREE
@@ -52,7 +50,7 @@ def current() -> Limits:
 def limits(**overrides: int) -> Iterator[Limits]:
     """Run a block under ``current()`` with the given fields replaced; the
     previous limits come back on exit, also when the block raises."""
-    token = _CURRENT.set(dataclasses.replace(current(), **overrides))
+    token = _CURRENT.set(current()._replace(**overrides))
     try:
         yield _CURRENT.get()
     finally:

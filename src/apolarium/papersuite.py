@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, List, Optional, Tuple
 
@@ -103,12 +102,17 @@ OUT_OF_SCOPE = [
 ]
 
 
-@dataclass
 class SuiteEntry:
-    id: str
-    description: str
-    kind: str  # "assert" | "info"
-    run: Callable[[], dict]
+    """One recorded computation; ``run`` stays assignable, so a profiler can
+    wrap an entry in place."""
+    __slots__ = ("id", "description", "kind", "run")
+
+    def __init__(self, id: str, description: str, kind: str,
+                 run: Callable[[], dict]):
+        self.id = id
+        self.description = description
+        self.kind = kind  # "assert" | "info"
+        self.run = run
 
 
 def _entry_product_of_linears() -> dict:

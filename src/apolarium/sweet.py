@@ -26,9 +26,8 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
 from .exact import Rat, kernel_basis, rat
@@ -39,9 +38,12 @@ LabelTriple = Tuple[Label, Label, Label]
 
 
 def _as_label(x) -> Label:
-    if isinstance(x, int):
-        return (x,)
-    return tuple(int(v) for v in x)
+    """An int or a list of ints as a label vector; a bool, float or string
+    is refused, not truncated."""
+    label = tuple(x) if isinstance(x, (list, tuple)) else (x,)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in label):
+        raise ValueError(f"label {x!r} is not an int or a vector of ints")
+    return label
 
 
 class Blocking:
@@ -118,8 +120,7 @@ def blocking_power(B: Blocking, N: int) -> Blocking:
     return Blocking(tables)
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     labels: LabelTriple
     format: Tuple[int, int, int]
     tensor: Tensor3
@@ -190,7 +191,7 @@ class BlockDistribution:
     @classmethod
     def from_json(cls, text: str) -> "BlockDistribution":
         doc = json.loads(text)
-        return cls(doc["support"], [Fraction(p) for p in doc["probs"]])
+        return cls(doc["support"], doc["probs"])
 
     @classmethod
     def uniform(cls, triples: Sequence) -> "BlockDistribution":
@@ -345,8 +346,7 @@ def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
     return marg
 
 
-@dataclass
-class SweetPiece:
+class SweetPiece(NamedTuple):
     tensor: Tensor3
     kept: Tuple[List[Tuple[int, ...]], ...]
     label_seqs: Tuple[List[Tuple[Label, ...]], ...]
@@ -454,9 +454,6 @@ def zero_layers(T: Tensor3, axis: int) -> int:
         raise ValueError("axis must be 0, 1 or 2")
     hit = {idx[axis] for idx in T.entries}
     return T.dims[axis] - len(hit)
-
-
-MINIMAL_RANK_FAMILIES = ("group-power", "binary-power")
 
 
 def substitution_bound(ambient_dim: int, zero_layer_count: int) -> int:

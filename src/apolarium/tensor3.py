@@ -44,8 +44,10 @@ class Tensor3:
     def __init__(self, dims: Sequence[int],
                  entries: Dict[Index3, object],
                  labels: Optional[Sequence[Sequence[str]]] = None):
-        d = tuple(int(x) for x in dims)
-        if len(d) != 3 or any(x < 1 for x in d):
+        d = tuple(dims)
+        if (len(d) != 3 or not all(isinstance(x, int)
+                                   and not isinstance(x, bool) and x >= 1
+                                   for x in d)):
             raise ValueError(f"bad dims {dims}")
         em: Dict[Index3, Rat] = {}
         for idx, c in entries.items():
@@ -138,7 +140,7 @@ class Tensor3:
         for i, j, k, v in doc["entries"]:
             if (i, j, k) in entries:
                 raise ValueError(f"index {[i, j, k]} repeated")
-            entries[(i, j, k)] = Fraction(v)
+            entries[(i, j, k)] = v
         return cls(doc["dims"], entries, doc.get("labels"))
 
 
@@ -301,8 +303,7 @@ class PartiallySymmetricTensor:
     @classmethod
     def from_json(cls, text: str) -> "PartiallySymmetricTensor":
         doc = json.loads(text)
-        return cls([[[Fraction(c) for c in row] for row in s]
-                    for s in doc["slices"]])
+        return cls(doc["slices"])
 
 
 def algebra_A_Tk(T: PartiallySymmetricTensor, k: int) -> Tensor3:

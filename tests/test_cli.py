@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from apolarium.cli import run
+from apolarium.cli import MINIMAL_RANK_FAMILIES, run
 
 REPORT_KEYS = {"command", "inputs", "outputs", "provenance", "seed"}
 
@@ -250,6 +250,10 @@ def test_sweet_bound_requires_family(capsys):
     assert doc["inputs"]["minimal_rank_asserted_by_caller"] is True
 
 
+def test_minimal_rank_families_whitelist():
+    assert MINIMAL_RANK_FAMILIES == ("group-power", "binary-power")
+
+
 def test_sweet_pratt(capsys):
     doc = report(capsys, ["sweet", "pratt", "--k", "2"])
     assert doc["outputs"]["bound"] == 31
@@ -395,6 +399,39 @@ def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
     assert captured.err == err
 
 
+@pytest.mark.parametrize("doc, argv, err", [
+    ({"dims": [2.5, 2, 2], "entries": []},
+     ["sweet", "zero-layers", "--axis", "1", "--tensor"],
+     "error: bad dims [2.5, 2, 2]\n"),
+    ({"labels": [[[0.7], [1.2]], [[0], [1]], [[True], [0]]]},
+     ["sweet", "tight", "--tensor", "tb", "--blocking"],
+     "error: label [0.7] is not an int or a vector of ints\n"),
+])
+def test_a_file_with_non_int_dims_or_labels_exits_two(tmp_path, capsys, doc,
+                                                      argv, err):
+    # int() would read 2.5 as 2, 0.7 as 0 and true as 1, and the command
+    # would report on a tensor or blocking the file does not describe
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_a_tensor_file_with_a_float_entry_exits_two(tmp_path, capsys):
+    # Fraction(0.1) would report 3602879701896397/36028797018963968
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2],
+                                "entries": [[0, 0, 0, 0.1]]}))
+    assert run(["sweet", "zero-layers", "--axis", "1",
+                "--tensor", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed document {path}: "
+                                   "floats are not allowed")
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["sweet", "omega", "--a", "2", "--r", "1/0", "--p", "1"], None),
     (["sweet", "omega", "--a", "2", "--r", "1", "--p", "0/0"], None),
@@ -417,14 +454,46 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, argv, doc):
     assert re.fullmatch(r"error: Fraction\([01], 0\)\n", captured.err)
 
 
-def test_importing_the_cli_leaves_the_suite_unloaded():
-    # only paper-suite needs the suite, and every CLI child compiles what
-    # it imports
-    code = ("import sys, apolarium.cli; "
-            "sys.exit('apolarium.papersuite' in sys.modules)")
+def test_importing_the_cli_loads_no_library_module():
+    # every CLI child compiles what it imports; each runner imports the
+    # modules it calls
+    code = ("import sys, apolarium.cli; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('apolarium.'))))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["apolarium.cli", "apolarium.guards"]
+
+
+def _modules_loaded_by(argv):
+    """The names in sys.modules of a child that has run one command."""
+    code = ("import sys; from apolarium import cli; "
+            "code = cli.run(sys.argv[1:]); "
+            "sys.stderr.write(' '.join(sorted(sys.modules))); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+LIBRARY = {"poly", "apolar", "encompass", "tensor3", "sweet", "papersuite"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["sweet", "chimney", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist", "large", "--power", "3"],
+     {"poly", "apolar", "encompass", "papersuite"}),
+    (["verify-main-thm", "x0^3 + x1^3", "--d", "2"],
+     {"sweet", "tensor3", "papersuite"}),
+    (["apolar-dim", "x1*x2*x3"],
+     {"sweet", "tensor3", "encompass", "papersuite"}),
+    (["paper-suite", "--only", "cw-support-size"], set()),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    loaded = _modules_loaded_by(argv)
+    assert "dataclasses" not in loaded
+    assert {m for m in LIBRARY if f"apolarium.{m}" in loaded} == (
+        LIBRARY - unloaded)
 
 
 def test_unknown_tensor_spec_exits_two(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,57 @@ def _unused_imports(path: Path):
                          ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+def _absolute_imports(node):
+    """The top-level package of each absolute import in an import node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
+    # child would compile; the records are NamedTuples
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not any("dataclasses" in _absolute_imports(node)
+                   for node in ast.walk(tree))
+
+
+def _import_time_imports(tree):
+    """The import statements that run when the module is imported: those
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif (isinstance(node, ast.If)
+              and ast.unparse(node.test) == "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_the_cli_imports_only_the_standard_library_and_guards():
+    # each runner imports the library modules it calls, so a command loads
+    # only what it runs
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    eager = []
+    for node in _import_time_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+            eager += [name for name in names if name != "guards"]
+        else:
+            eager += [name for name in _absolute_imports(node)
+                      if name not in sys.stdlib_module_names]
+    assert eager == []
 
 
 # Public API that only the tests read, kept on purpose.

@@ -3,6 +3,7 @@ degenerations, and the closed-form rank bounds."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,6 @@ from apolarium.sweet import (
     Block,
     BlockDistribution,
     Blocking,
-    MINIMAL_RANK_FAMILIES,
     blocking_power,
     chimney,
     cw_blocking,
@@ -58,6 +58,19 @@ def test_blocking_construction_and_json():
         Blocking([[0], [0]])
     with pytest.raises(ValueError):
         Blocking([[0], [(0, 1)], [0]])  # mixed arity
+
+
+@pytest.mark.parametrize("labels", [
+    [[[0.7]], [[1.2]], [[True]]],
+    [[0.7], [1], [0]],
+    [["1"], [1], [0]],
+    [[True], [1], [0]],
+    [[[0, "1"]], [[0, 1]], [[0, 1]]],
+])
+def test_blocking_refuses_labels_that_are_not_ints(labels):
+    # int() would read 0.7 as 0, "1" as 1 and true as 1
+    with pytest.raises(ValueError, match="not an int or a vector of ints"):
+        Blocking(labels)
 
 
 def test_cw_blocking_labels():
@@ -141,6 +154,13 @@ def test_distribution_json_round_trip():
     P = BlockDistribution(LARGE3, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     Q = BlockDistribution.from_json(P.to_json())
     assert Q.support == P.support and Q.probs == P.probs
+
+
+def test_distribution_from_json_refuses_float_probabilities():
+    doc = {"support": [[list(a) for a in trip] for trip in LARGE3],
+           "probs": [0.5, 0.25, 0.25]}
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        BlockDistribution.from_json(json.dumps(doc))
 
 
 def test_marginals():
@@ -357,10 +377,6 @@ def test_substitution_bound_range():
         substitution_bound(8, 9)
     with pytest.raises(ValueError):
         substitution_bound(8, -1)
-
-
-def test_minimal_rank_families_whitelist():
-    assert MINIMAL_RANK_FAMILIES == ("group-power", "binary-power")
 
 
 # -- closed-form bounds ----------------------------------------------------------------

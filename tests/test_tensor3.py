@@ -106,6 +106,31 @@ def test_from_json_refuses_a_repeated_index_triple(entries):
         Tensor3.from_json(json.dumps({"dims": [2, 2, 2], "entries": entries}))
 
 
+@pytest.mark.parametrize("dims", [
+    [2.5, 2, 2],
+    ["2", True, 2],
+    [2, 2, 2.0],
+    [True, 2, 2],
+])
+def test_from_json_refuses_dims_that_are_not_ints(dims):
+    # int() would read 2.5 as 2 and true as 1
+    with pytest.raises(ValueError, match="bad dims"):
+        Tensor3.from_json(json.dumps({"dims": dims, "entries": []}))
+
+
+def test_from_json_refuses_a_float_entry():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        Tensor3.from_json(json.dumps({"dims": [2, 2, 2],
+                                      "entries": [[0, 0, 0, 0.1]]}))
+
+
+def test_partially_symmetric_from_json_refuses_a_float_entry():
+    doc = {"n": 2, "m": 1, "slices": [[[1, 0.5], [0.5, 0]]]}
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        PartiallySymmetricTensor.from_json(json.dumps(doc))
+
+
 def test_is_concise_reports_failing_axes():
     ok, bad = is_concise(cw(4))
     assert ok and bad == []

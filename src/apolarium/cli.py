@@ -182,7 +182,7 @@ def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
     from .sweet import cw_weights
     if spec.startswith("@"):
         return _load_file(spec[1:], lambda text: [
-            list(map(int, ax)) for ax in json.loads(text)["weights"]])
+            list(ax) for ax in json.loads(text)["weights"]])
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")

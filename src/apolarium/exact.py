@@ -47,6 +47,14 @@ def rat(x) -> Rat:
     return Fraction(x)
 
 
+def as_int(x, what: str) -> int:
+    """x itself if it is an int; a bool, float or string is refused, not
+    truncated."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an int")
+    return x
+
+
 def mat(rows: Iterable[Iterable]) -> QMatrix:
     """Build a QMatrix, coercing entries with rat()."""
     out = [[rat(x) for x in row] for row in rows]

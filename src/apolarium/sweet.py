@@ -14,7 +14,9 @@ a count of entries per group whose label counts match the compositions,
 and the kept entries are exactly the words of entries drawn from the
 arrangements of a type class.  Count vectors, arrangements and the kept
 sequences of each axis are all enumerated under the remaining label
-budgets, so the cost follows the number of kept entries.
+budgets, so the cost follows the number of kept entries.  The product of
+a kept word depends only on the multiset of entries it uses, so it is
+computed once per multiset and shared by all its words.
 
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
@@ -30,8 +32,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, kernel_basis, rat
-from .tensor3 import Group, Index3, Tensor3, _walk_words
+from .exact import Rat, as_int, kernel_basis, rat
+from .tensor3 import Index3, Tensor3, _word_entries
 
 Label = Tuple[int, ...]
 LabelTriple = Tuple[Label, Label, Label]
@@ -102,8 +104,8 @@ CW_LARGE = (((0,), (1,), (-1,)), ((1,), (0,), (-1,)), ((1,), (1,), (-2,)))
 
 def weight_blocking(weights: Sequence[int]) -> Blocking:
     """Scalar weights per index on the first two axes, negated on the third."""
-    fwd = [(int(w),) for w in weights]
-    neg = [(-int(w),) for w in weights]
+    fwd = [(as_int(w, "weight"),) for w in weights]
+    neg = [(-w,) for (w,) in fwd]
     return Blocking([fwd, fwd, neg])
 
 
@@ -289,20 +291,20 @@ def _type_class_entries(T: Tensor3, B: Blocking,
     (a multiset permutation) and every choice of one entry per position
     gives one kept entry, and nothing else is kept.  Distinct words of
     entries give distinct index triples, so no two kept entries collide.
+    All type classes are walked by one ``_word_entries`` call, so each
+    product is computed once per multiset of non-unit entries and shared
+    by every kept word of that multiset, across type classes too.
     """
     axes = sorted(comps)
-    groups: Dict[Tuple[Label, ...], Group] = {}
+    groups: Dict[Tuple[Label, ...], List[Tuple[Index3, Rat]]] = {}
     for idx, c in T.entries.items():
         key = tuple(B.label(a, idx[a]) for a in axes)
         if all(key[t] in comps[a] for t, a in enumerate(axes)):
-            groups.setdefault(key, []).append((idx, c, c == 1))
+            groups.setdefault(key, []).append((idx, c))
     keys = sorted(groups)
-    members = [groups[key] for key in keys]
     budget = [dict(comps[a]) for a in axes]
-    out: Dict[Index3, Rat] = {}
-    for counts in _count_vectors(keys, budget, N, []):
-        _walk_words(members, counts, T.dims, N, 0, 0, 0, Fraction(1), out)
-    return out
+    return _word_entries([groups[key] for key in keys],
+                         _count_vectors(keys, budget, N, []), T.dims, N)
 
 
 def _count_vectors(keys: List[Tuple[Label, ...]], budget: List[Dict[Label, int]],
@@ -426,7 +428,7 @@ def toric_degenerate(T: Tensor3, B: Blocking,
     entry of negative total weight makes the degeneration invalid.
     """
     B.check_tensor(T)
-    w = [list(map(int, ax)) for ax in weights]
+    w = [[as_int(x, "weight") for x in ax] for ax in weights]
     if [len(ax) for ax in w] != list(T.dims):
         raise ValueError("weight arrays must match the tensor dims")
     for axis in range(3):

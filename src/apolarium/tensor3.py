@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import QMatrix, Rat, SparseRow, rat, sparse_rank
+from .exact import QMatrix, Rat, SparseRow, as_int, rat, sparse_rank
 
 Index3 = Tuple[int, int, int]
 
@@ -75,14 +75,15 @@ class Tensor3:
         """Store entries as they are, without the per-entry pass of
         ``__init__``.
 
-        Only for the dict of a ``_walk_words`` walk over a factor that has
-        just been through ``__init__`` (``kronecker_power`` and
+        Only for the dict of a ``_word_entries`` walk over a factor that
+        has just been through ``__init__`` (``kronecker_power`` and
         ``sweet._project``).  Each key is then a row-major combination of
         in-range int indices of the factor, mapped to in-range ints of
-        dims, and each value is a product of nonzero Fractions, so a
-        nonzero Fraction.  dims are ints >= 1 and labels, when present,
-        tuples of str of the sizes of dims, as ``__init__`` would store
-        them."""
+        dims, and each value is a product of nonzero Fractions of the
+        factor, so a nonzero Fraction; the words of one multiset of
+        entries share one such Fraction, which nothing mutates.  dims are
+        ints >= 1 and labels, when present, tuples of str of the sizes of
+        dims, as ``__init__`` would store them."""
         T = cls.__new__(cls)
         T.dims = dims
         T.entries = entries
@@ -189,7 +190,7 @@ class AbelianGroup:
     """Finite product of cyclic groups, elements enumerated lexicographically."""
 
     def __init__(self, orders: Sequence[int]):
-        self.orders = tuple(int(m) for m in orders)
+        self.orders = tuple(as_int(m, "cyclic order") for m in orders)
         if not self.orders or any(m < 1 for m in self.orders):
             raise ValueError("cyclic orders must be positive")
         self.elements: List[Tuple[int, ...]] = [
@@ -373,19 +374,75 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     return Tensor3((a + 1, w, w), entries)
 
 
-Group = List[Tuple[Index3, Rat, bool]]  # entries, each with its unit flag
+# A group's unit entries, then its other entries, each with its weight.
+Group = Tuple[List[Index3], List[Tuple[Index3, Rat, int]]]
+
+# Weight sums stay below this, so each key of a walk's products dict is a
+# machine-sized int.  Unbounded, the key of a multiset would take about
+# r log2(N+1) bits at the r-th entry, and for a factor of thousands of
+# entries at N <= 2 the dict would outgrow the power it builds.
+_KEY_BOUND = 2 ** 60
+
+
+def _word_entries(parts: Iterable[Iterable[Tuple[Index3, Rat]]],
+                  count_vectors: Iterable[List[int]], dims: Index3,
+                  N: int) -> Dict[Index3, Rat]:
+    """The product of every word of N entries that uses counts[g] entries
+    of parts[g], for each counts of count_vectors, keyed by its flat index
+    triple (see ``_walk_words``).
+
+    Q is commutative, so a word's product depends only on how many times
+    it uses each entry.  Each part is split into its unit entries and the
+    rest, and the r-th non-unit entry, numbered across all parts, gets the
+    weight (N+1)**r.  A word uses an entry at most N times, so its weight
+    sum never carries and names the multiset of non-unit entries it uses.
+    The walk computes each multiset's product once, on the first prefix
+    that reaches it, in a dict local to this call, and every word of that
+    multiset shares the one Fraction; a word of unit entries only keeps
+    the starting Fraction(1).
+
+    Only the first K entries are numbered so, where B = (N+1)**K is the
+    largest power of N+1 at most ``_KEY_BOUND``; each later entry gets the
+    weight -B.  The sums of words of numbered entries lie in [0, B), and
+    every sum that uses a later entry is negative: such a product is
+    multiplied out, as every product was before the sharing, and is not
+    stored in the dict."""
+    members: List[Group] = []
+    weight = 1
+    for part in parts:
+        units, rest = [], []
+        for idx, v in part:
+            if v == 1:
+                units.append(idx)
+            elif weight * (N + 1) <= _KEY_BOUND:
+                rest.append((idx, v, weight))
+                weight *= N + 1
+            else:
+                rest.append((idx, v, -weight))
+        members.append((units, rest))
+    products: Dict[int, Rat] = {}
+    out: Dict[Index3, Rat] = {}
+    for counts in count_vectors:
+        _walk_words(members, counts, dims, N, 0, 0, 0, Fraction(1), 0,
+                    products, out)
+    return out
 
 
 def _walk_words(members: List[Group], counts: List[int], dims: Index3,
-                left: int, i: int, j: int, k: int, c: Rat,
-                out: Dict[Index3, Rat]) -> None:
+                left: int, i: int, j: int, k: int, c: Rat, s: int,
+                products: Dict[int, Rat], out: Dict[Index3, Rat]) -> None:
     """Store in out, keyed by its flat index triple, the product of every
     word of `left` entries that uses counts[g] entries of group g, after the
-    prefix with flat indices (i, j, k) and product c.
+    prefix with flat indices (i, j, k), weight sum s and product c.
 
-    Words come in lexicographic order of (group, entry) per position.
-    The prefix indices (row-major) and product are carried down, so each
-    costs one step per level; a unit entry leaves the product as it is."""
+    Words come in order of group per position and, within a group, its
+    unit entries in the order of T before its other entries in the order
+    of T; nothing depends on the order of out.  The prefix indices
+    (row-major), weight sum and product are carried down, so each costs
+    one step per level.  A unit entry leaves the product and the sum as
+    they are; another entry adds its weight to the sum and takes the
+    product of that sum from products, multiplying only on a miss; the
+    product of a negative sum is multiplied out (see ``_word_entries``)."""
     if not left:
         out[(i, j, k)] = c
         return
@@ -394,14 +451,34 @@ def _walk_words(members: List[Group], counts: List[int], dims: Index3,
     for g, n in enumerate(counts):
         if not n:
             continue
+        units, rest = members[g]
         if left == 1:
-            for (a, b, e), v, unit in members[g]:
-                out[(i + a, j + b, k + e)] = c if unit else c * v
+            for a, b, e in units:
+                out[(i + a, j + b, k + e)] = c
+            for (a, b, e), v, w in rest:
+                t = s + w
+                if t < 0:
+                    p = c * v
+                else:
+                    p = products.get(t)
+                    if p is None:
+                        p = products[t] = c * v
+                out[(i + a, j + b, k + e)] = p
             continue
         counts[g] = n - 1
-        for (a, b, e), v, unit in members[g]:
+        for a, b, e in units:
             _walk_words(members, counts, dims, left - 1, i + a, j + b, k + e,
-                        c if unit else c * v, out)
+                        c, s, products, out)
+        for (a, b, e), v, w in rest:
+            t = s + w
+            if t < 0:
+                p = c * v
+            else:
+                p = products.get(t)
+                if p is None:
+                    p = products[t] = c * v
+            _walk_words(members, counts, dims, left - 1, i + a, j + b, k + e,
+                        p, t, products, out)
         counts[g] = n
 
 
@@ -410,9 +487,10 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
 
     T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
     also catches an entries dict changed after T was built), and the power
-    is built depth-first by ``_walk_words``, with all the entries of T in
-    one group used N times: every prefix product is computed once and no
-    per-level tables are kept.  The walk's dict is stored by
+    is built depth-first by ``_word_entries``, with all the entries of T in
+    one group used N times: no per-level tables are kept, and each product
+    is computed once per multiset of non-unit entries and shared by every
+    word of that multiset.  The walk's dict is stored by
     ``Tensor3._derived``, without a second pass over its |T|^N entries."""
     if N < 1:
         raise ValueError("need N >= 1")
@@ -421,11 +499,7 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
     guards.check_entries(max(dims))
-    # A unit entry leaves the prefix product as it is: no multiplication,
-    # and the entries share one Fraction.
-    items = [(idx, val, val == 1) for idx, val in T.entries.items()]
-    entries: Dict[Index3, Rat] = {}
-    _walk_words([items], [N], T.dims, N, 0, 0, 0, Fraction(1), entries)
+    entries = _word_entries([T.entries.items()], [[N]], T.dims, N)
     labels = None
     if T.labels is not None:
         labels = tuple(

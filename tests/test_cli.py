@@ -3,15 +3,25 @@ determinism, and the file round-trips."""
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from apolarium.cli import MINIMAL_RANK_FAMILIES, run
 
 REPORT_KEYS = {"command", "inputs", "outputs", "provenance", "seed"}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    """Run the interpreter on args in a child that imports the package
+    from src/, as the tests do, whether or not PYTHONPATH is set."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 def report(capsys, argv, expect=0):
@@ -419,6 +429,23 @@ def test_a_file_with_non_int_dims_or_labels_exits_two(tmp_path, capsys, doc,
     assert captured.err == err
 
 
+@pytest.mark.parametrize("weights, err", [
+    ([[0.5, 1.9, 2], [0, 1, 2], [0, -1, -2]], "error: weight 0.5 is not an int\n"),
+    ([[0, 1, 2], [0, True, 2], [0, -1, -2]], "error: weight True is not an int\n"),
+])
+def test_a_weights_file_with_non_int_weights_exits_two(tmp_path, capsys,
+                                                       weights, err):
+    # int() would read 0.5 as 0, 1.9 as 1 and true as 1, and degenerate
+    # the tensor with weights the file does not give
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": weights}))
+    assert run(["sweet", "degenerate", "--tensor", "group:3", "--blocking",
+                "cw", "--weights", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_a_tensor_file_with_a_float_entry_exits_two(tmp_path, capsys):
     # Fraction(0.1) would report 3602879701896397/36028797018963968
     path = tmp_path / "t.json"
@@ -459,8 +486,7 @@ def test_importing_the_cli_loads_no_library_module():
     # modules it calls
     code = ("import sys, apolarium.cli; print(' '.join(sorted(m for m in "
             "sys.modules if m.startswith('apolarium.'))))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["apolarium.cli", "apolarium.guards"]
 
@@ -470,8 +496,7 @@ def _modules_loaded_by(argv):
     code = ("import sys; from apolarium import cli; "
             "code = cli.run(sys.argv[1:]); "
             "sys.stderr.write(' '.join(sorted(sys.modules))); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True)
+    proc = _python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
@@ -674,8 +699,6 @@ def test_seed_recorded(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "apolarium", "sweet", "pratt", "--k", "1"],
-        capture_output=True, text=True)
+    proc = _python("-m", "apolarium", "sweet", "pratt", "--k", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["bound"] == 4

@@ -86,6 +86,13 @@ def test_weight_blocking_negates_third_axis():
     assert B.labels == (((0,), (1,)), ((0,), (1,)), ((0,), (-1,)))
 
 
+@pytest.mark.parametrize("weights", [[0, 0.5], [True, 1], [0, "1"]])
+def test_weight_blocking_refuses_weights_that_are_not_ints(weights):
+    # int() would read 0.5 as 0 and true as 1
+    with pytest.raises(ValueError, match="weight .* is not an int"):
+        weight_blocking(weights)
+
+
 def test_blocking_power_adds_labels():
     B2 = blocking_power(weight_blocking([0, 1]), 2)
     assert B2.labels[0] == ((0,), (1,), (1,), (2,))
@@ -360,6 +367,19 @@ def test_toric_degeneration_weights_must_factor():
         toric_degenerate(cw(3), cw_blocking(3), [[0, 1], [0, 1, 2], [0, -1, -2]])
 
 
+@pytest.mark.parametrize("weights", [
+    [[0.5, 1.9, 2], [0, 1, 2], [0, -1, -2]],
+    [[0, True, 2], [0, 1, 2], [0, -1, -2]],
+    [[0, 1, 2], [0, 1, 2], [0, -1, "-2"]],
+])
+def test_toric_degeneration_refuses_weights_that_are_not_ints(weights):
+    # int() would read [0.5, 1.9, 2] as [0, 1, 2] and degenerate with
+    # weights nobody gave
+    with pytest.raises(ValueError, match="weight .* is not an int"):
+        toric_degenerate(group_tensor(AbelianGroup([3])), cw_blocking(3),
+                         weights)
+
+
 # -- zero layers and the substitution bound ---------------------------------------------
 
 
@@ -603,6 +623,68 @@ def test_oracle_agrees_on_reference_cases():
         for fixed in ((0, 1), (0, 2), (1, 2)):
             assert (chimney(T, B, P, 3, fixed_pair=fixed)
                     == brute_chimney(T, B, P, 3, fixed))
+
+
+# Entries 1, -1, 2, 1/2 and -3/4.  In the first case every entry of T in a
+# kept word lies in the one block P charges, and -3/4, the last of them,
+# fills all N positions of a kept word (the top digit of its weight sum).
+# In the second each entry is its own group, and a kept word uses the
+# reciprocal pair 2 and 1/2 twice each.
+HALF, THREE_QUARTERS = Fraction(1, 2), Fraction(-3, 4)
+MIXED_CASES = [
+    (Tensor3((3, 3, 3), {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): 2,
+                         (1, 1, 0): HALF, (1, 1, 1): THREE_QUARTERS,
+                         (2, 2, 2): 2}),
+     Blocking([[0, 0, 1], [0, 0, 1], [0, 0, -2]]),
+     BlockDistribution([((0,), (0,), (0,))], [1]), True),
+    (Tensor3((2, 2, 2), {(0, 0, 0): 2, (1, 1, 1): HALF, (0, 1, 0): -1,
+                         (1, 0, 1): THREE_QUARTERS, (0, 0, 1): 1,
+                         (1, 1, 0): 1}),
+     Blocking([[0, 1]] * 3),
+     BlockDistribution([((0,), (0,), (0,)), ((1,), (1,), (1,))],
+                       [HALF, HALF]), False),
+]
+
+
+@pytest.mark.parametrize("case, N", [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                                     (1, 2), (1, 4)])
+def test_pieces_of_mixed_entries_match_brute_force(case, N):
+    T, B, P, check_tight = MIXED_CASES[case]
+    got = sp_extract(T, B, P, N, check_tight=check_tight)
+    assert _same_piece(got, brute_sp_extract(T, B, P, N, check_tight))
+    assert _stored_as_validated(got.tensor)
+    for fixed in ((0, 1), (0, 2), (1, 2)):
+        C = chimney(T, B, P, N, fixed_pair=fixed, check_tight=check_tight)
+        assert C == brute_chimney(T, B, P, N, fixed, check_tight)
+        assert _stored_as_validated(C)
+    if case == 0:
+        top = len(got.kept[0]) - 1  # the sequence (1, ..., 1) on every axis
+        assert got.tensor.entries[(top,) * 3] == THREE_QUARTERS ** N
+    else:
+        t = got.kept[0].index((0, 1) * (N // 2))
+        assert got.tensor.entries[(t, t, t)] == 1
+
+
+def test_a_rescaled_cw4_piece_shares_one_value_per_entry_multiset():
+    # each kept word uses each large block twice, and each large block
+    # has two entries, so its product is one of 3**3 entry multisets;
+    # every large-block entry is rescaled away from 1
+    values = [-1, 2, HALF, THREE_QUARTERS, 3]
+    T = Tensor3((4, 4, 4), {idx: c * values[t % 5] for t, (idx, c)
+                            in enumerate(sorted(cw(4).entries.items()))})
+    sp = sp_extract(T, cw_blocking(4), BlockDistribution.uniform(LARGE3), 6)
+    got = sp.tensor.entries
+    assert len(got) == 5760 and _stored_as_validated(sp.tensor)
+    assert got.keys() == sp_extract(cw(4), cw_blocking(4),
+                                    BlockDistribution.uniform(LARGE3),
+                                    6).tensor.entries.keys()
+    blocks = [[(0, 1, 1), (0, 2, 2)], [(1, 0, 1), (2, 0, 2)],
+              [(1, 1, 3), (2, 2, 3)]]
+    products = {math.prod((T.entries[x] ** a * T.entries[y] ** (2 - a)
+                           for (x, y), a in zip(blocks, uses)), start=Fraction(1))
+                for uses in itertools.product(range(3), repeat=3)}
+    assert set(got.values()) == products
+    assert len({id(c) for c in got.values()}) == 27
 
 
 def test_uncharged_blocks_fill_kept_compositions():

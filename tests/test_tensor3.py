@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from apolarium.tensor3 import (
     table_tensor_power,
     tb,
 )
+from apolarium.tensor3 import _KEY_BOUND
 
 
 # -- the container ---------------------------------------------------------------
@@ -185,6 +187,13 @@ def test_abelian_group_basics():
         AbelianGroup([3, 0])
 
 
+@pytest.mark.parametrize("orders", [[2.5, True], [2, 1.0], ["3"]])
+def test_abelian_group_refuses_orders_that_are_not_ints(orders):
+    # int() would read 2.5 as 2 and true as 1
+    with pytest.raises(ValueError, match="cyclic order .* is not an int"):
+        AbelianGroup(orders)
+
+
 def test_group_tensor_is_addition_table():
     T = group_tensor(AbelianGroup([3]))
     assert T.dims == (3, 3, 3) and T.nnz() == 9
@@ -343,22 +352,69 @@ def small_tensors(draw):
     return Tensor3(dims, {idx: draw(values) for idx in support})
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_tensors(), st.integers(1, 3))
-def test_kronecker_power_matches_per_entry_product(T, N):
-    # each entry of the power computed on its own: flatten every index
-    # sequence and multiply the N values
+def _flat_word(word, dims):
+    """Row-major flat index triple of a word of index triples."""
+    N = len(word)
+    return tuple(sum(idx[a] * dims[a] ** (N - 1 - t)
+                     for t, idx in enumerate(word)) for a in range(3))
+
+
+def _per_entry_power(T, N):
+    """Each entry of the power computed on its own: flatten every index
+    sequence and multiply the N values."""
     expected = {}
     for word in itertools.product(sorted(T.entries), repeat=N):
-        flat = tuple(sum(idx[a] * T.dims[a] ** (N - 1 - t)
-                         for t, idx in enumerate(word)) for a in range(3))
         value = Fraction(1)
         for idx in word:
             value *= T.entries[idx]
-        expected[flat] = value
+        expected[_flat_word(word, T.dims)] = value
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors(), st.integers(1, 3))
+def test_kronecker_power_matches_per_entry_product(T, N):
     K = kronecker_power(T, N)
     assert K.dims == tuple(d ** N for d in T.dims)
-    assert K.entries == expected and _stored_as_validated(K)
+    assert K.entries == _per_entry_power(T, N) and _stored_as_validated(K)
+
+
+# one unit entry and four others; 1/2 and 2 are a reciprocal pair, and
+# -3/4 is the last entry, whose weight is the top digit of a weight sum
+MIXED = Tensor3((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): 2,
+                            (1, 1, 0): Fraction(1, 2),
+                            (1, 1, 1): Fraction(-3, 4)})
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_kronecker_power_shares_one_product_per_entry_multiset(N):
+    K = kronecker_power(MIXED, N)
+    assert K.entries == _per_entry_power(MIXED, N) and _stored_as_validated(K)
+    # the last entry in all N positions: the weight sum N * 5**3
+    assert K.entries[_flat_word([(1, 1, 1)] * N, MIXED.dims)] == (
+        Fraction(-3, 4) ** N)
+    if N >= 2:
+        # 2 * 1/2: a multiset of entries other than the unit, worth 1
+        word = [(1, 0, 1), (1, 1, 0)] + [(0, 0, 0)] * (N - 2)
+        assert K.entries[_flat_word(word, MIXED.dims)] == 1
+    # one Fraction per multiset of the four entries other than the unit,
+    # the empty one included
+    assert len({id(c) for c in K.entries.values()}) == math.comb(N + 4, 4)
+
+
+def test_entries_past_the_key_bound_are_multiplied_out():
+    # 40 distinct entries other than 1 at N = 2: 3**37 <= 2**60 < 3**38,
+    # so the first 37 share a product per multiset and a word that uses
+    # one of the last 3 gets its own product
+    T = Tensor3((4, 4, 4), {idx: Fraction(t + 4, 3) for t, idx in enumerate(
+        itertools.islice(itertools.product(range(4), repeat=3), 40))})
+    numbered = max(r for r in range(41) if 3 ** r <= _KEY_BOUND)
+    assert numbered == 37
+    K = kronecker_power(T, 2)
+    assert K.entries == _per_entry_power(T, 2) and _stored_as_validated(K)
+    shared = math.comb(numbered + 1, 2)
+    assert len({id(c) for c in K.entries.values()}) == (
+        shared + 40 ** 2 - numbered ** 2)
 
 
 def test_kronecker_power_guard():

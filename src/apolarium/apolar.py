@@ -5,29 +5,29 @@ finite-dimensional vector space linearly isomorphic to the quotient algebra
 of dual operators modulo the annihilator of f.  For a form F of degree d the
 space is graded, and its order-k derivatives span the row space of the
 catalecticant Cat_k(F); so the Hilbert function of a form is its
-catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a prime
-on sparse rows built term by term.  Cat_{d-k}(F) is a transpose of
-Cat_k(F) scaled by invertible diagonals, so only the lower half of the
-ladder, k <= d/2, is built and ranked, and the upper half mirrors it; the
-size guard still charges the cells of the whole ladder.  Any other
-polynomial has one matrix, of all its monomial derivatives; its Hilbert
-function, the differences of the filtration by derivative order, counts
-by order the greedy rows of that matrix taken from order d down to 0.  The
-dimension is the sum of the Hilbert function, the one rank pass over a
-partials matrix.  Greedy rows (``exact.independent_rows``) also give the
-monomial basis of the quotient algebra, and the transpose of the rows up to
-order d is the operator matrix whose kernel is the annihilator up to degree
-d.  From these come dimensions, Hilbert functions, conciseness,
-annihilators up to a degree bound, catalecticant matrices and ranks, the
-multiplication tensor of the quotient algebra, and the twisted-form
-annihilation check.
+catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a prime on
+sparse rows built term by term.  The rows are built on exponents packed into
+ints, and their cells are ints: every cell is scaled by the lcm of the
+denominators of f, which changes no rank, greedy row or kernel.
+Cat_{d-k}(F) is a transpose of Cat_k(F) scaled by invertible diagonals, so
+only the lower half of the ladder, k <= d/2, is built and ranked, and the
+upper half mirrors it; the size guard still charges the cells of the whole
+ladder.  Any other polynomial has one matrix, of all its monomial
+derivatives; its Hilbert function, the differences of the filtration by
+derivative order, counts by order the greedy rows of that matrix taken from
+order d down to 0.  The dimension is the sum of the Hilbert function, the
+one rank pass over a partials matrix.  Greedy rows
+(``exact.independent_rows``) also give the monomial basis of the quotient
+algebra, and the transpose of the rows up to order d is the operator matrix
+whose kernel is the annihilator up to degree d.  From these come dimensions,
+Hilbert functions, conciseness, annihilators up to a degree bound,
+catalecticant matrices and ranks, the multiplication tensor of the quotient
+algebra, and the twisted-form annihilation check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -36,8 +36,7 @@ from . import guards
 from .exact import (QMatrix, Rat, SparseRow, independent_rows, solve_many,
                     sparse_kernel, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
-                   boxtimes_power, monomial_key, monomials_of_degree,
-                   monomials_upto, twist)
+                   boxtimes_power, monomials_of_degree, monomials_upto, twist)
 
 _ZERO = Fraction(0)  # shared fill for absent cells; Fractions are immutable
 
@@ -54,17 +53,31 @@ def _fact(e: Exponent) -> int:
     return out
 
 
-def _bounded(cap: Exponent, lo: int, hi: int) -> List[Exponent]:
-    """The exponents a <= cap (componentwise) with lo <= |a| <= hi, in one
-    pass over the coordinates.  Each coordinate takes only the values that
+def _bounded(e: Exponent, w: int, lo: int, hi: int,
+             perms: List[List[int]]) -> List[Tuple[int, int, int]]:
+    """The exponents a <= e (componentwise) with lo <= |a| <= hi, each as
+    (its key for fields of w bits, |a|, e!/(e-a)!), in one pass over the
+    nonzero coordinates of e (see ``_divisor_blocks`` for the key);
+    perms[x][t] is x!/(x-t)!.  Each coordinate takes only the values that
     leave the degree reachable, so every prefix kept is completed."""
-    room = sum(cap)
-    out: List[Tuple[Exponent, int]] = [((), 0)]  # (prefix, its degree)
-    for x in cap:
-        room -= x
-        out = [(a + (t,), s + t) for a, s in out
-               for t in range(max(0, lo - s - room), min(x, hi - s) + 1)]
-    return [a for a, s in out if s >= lo]
+    room = sum(e)
+    if room < lo:  # also stops a constant term, whose walk takes no step
+        return []
+    width = w * len(e)
+    out = [((1 << width) - 1, 0, 1)]  # (key, degree, e!/(e-a)!) of a prefix
+    for i, x in enumerate(e):
+        if x:
+            room -= x
+            # x_i once more: the degree up one, field i of the complement
+            # down one
+            step = (1 << width) - (1 << width - w * (i + 1))
+            perm = perms[x]
+            # t from max(0, lo - s - room) to min(x, hi - s), without the
+            # calls, which cost more than the rest of a prefix
+            out = [(a + t * step, s + t, p * perm[t]) for a, s, p in out
+                   for t in range(lo - s - room if lo - s > room else 0,
+                                  (x if x < hi - s else hi - s) + 1)]
+    return out
 
 
 def _cell_count(e: Exponent, k: Optional[int]) -> int:
@@ -216,19 +229,29 @@ def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
 def _divisor_blocks(f: Poly, k: Optional[int] = None,
                     upto: Optional[int] = None
                     ) -> Dict[int, Dict[Exponent, SparseRow]]:
-    """Sparse rows of the matrix of monomial derivatives a∘f, in blocks
-    {a: row}, each in graded order of a.
+    """Sparse rows of the matrix of monomial derivatives a∘f, scaled by L,
+    the lcm of the denominators of f, in blocks {a: row}, each in graded
+    order of a.
 
-    Row a holds the coefficients of a∘f, one column per monomial b that
-    occurs, in graded order of b: each term e (coefficient c) puts
-    c * e!/(e-a)! at (a, e-a) for every a <= e, and the cell determines
-    e = a + b, so no two terms meet in a cell and none cancels.  Only the
-    order |a| = k is built when k is given, and only |a| <= upto when upto
-    is.  For a form F the blocks are keyed by the order j = |a|, and block
-    j is Cat_j(F) without its zero rows and columns.  Any other polynomial
-    has one block, keyed 0, whose rank over every a is the dimension of its
-    partials space.  Transposed, the rows are the operator matrix of
-    ``annihilator_upto``.
+    Row a holds the coefficients of L * a∘f, one column per monomial b that
+    occurs, in graded order of b: each term e (coefficient c) puts the int
+    L * c * e!/(e-a)! at (a, e-a) for every a <= e, and the cell determines
+    e = a + b, so no two terms meet in a cell and none cancels.  One nonzero
+    scale of the whole matrix changes no rank, no greedy row and no kernel.
+    Only the order |a| = k is built when k is given, and only |a| <= upto
+    when upto is.  For a form F the blocks are keyed by the order j = |a|,
+    and block j is L * Cat_j(F) without its zero rows and columns.  Any
+    other polynomial has one block, keyed 0, whose rank over every a is the
+    dimension of its partials space.  Transposed, the rows are the operator
+    matrix of ``annihilator_upto``.
+
+    Each exponent is keyed by one int: its degree above mask - (its
+    coordinates packed in fields of w bits, variable 0 highest), with w the
+    bit length of the largest exponent of f and mask = 2^(w n) - 1 for n
+    variables.  Ascending keys are the graded order (degree, then the
+    packed value descending), and since a <= e borrows from no field, the
+    key of b = e - a is key(e) + mask - key(a).  Only the row keys are
+    unpacked.
 
     The number of cells, which bounds the rank of every block, is checked
     against max_terms before any row is built: the cells of order k when k
@@ -236,35 +259,36 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None,
     """
     guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
                        "partials dimension bound")
-    span = ((k, k) if k is not None else (0, upto) if upto is not None
-            else None)  # the orders built, all when None
-    rows: Dict[Exponent, SparseRow] = {}
-    cols: Dict[Exponent, Tuple[int, int]] = {}  # b -> (number seen, b!)
+    lo, hi = ((k, k) if k is not None else (0, upto) if upto is not None
+              else (0, f.degree()))
+    top = max((x for e in f.terms for x in e), default=0)
+    perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
+    w = top.bit_length()
+    shifts = [w * i for i in reversed(range(len(f.vars)))]  # variable 0 highest
+    width = w * len(f.vars)
+    mask = (1 << width) - 1
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    rows: Dict[int, Dict[int, int]] = {}  # key of a -> {key of b: cell}
     for e, c in f.terms.items():
-        fe = _fact(e)
-        num, den = c.numerator, c.denominator
-        subs = (_bounded(e, *span) if span
-                else itertools.product(*(range(x + 1) for x in e)))
-        for a in subs:
-            b = tuple(map(operator.sub, e, a))
-            col = cols.get(b)
-            if col is None:
-                col = cols[b] = (len(cols), _fact(b))
+        flip = (sum(e) << width) + 2 * mask - sum(
+            x << i for x, i in zip(e, shifts))  # key(e) + mask
+        v = c.numerator * (scale // c.denominator)
+        for a, _, p in _bounded(e, w, lo, hi, perms):
             row = rows.get(a)
             if row is None:
                 row = rows[a] = {}
-            v = num * (fe // col[1])
-            row[col[0]] = Fraction(v) if den == 1 else Fraction(v, den)
+            row[flip - a] = v * p
     # rows and columns in graded monomial order, which keeps the fill-in of
     # elimination mod p far below that of the order first seen
-    place = [0] * len(cols)
-    for i, b in enumerate(sorted(cols, key=monomial_key)):
-        place[cols[b][0]] = i
+    place = {b: j for j, b in enumerate(sorted(set().union(*rows.values())))}
     graded = f.is_homogeneous()
     blocks: Dict[int, Dict[Exponent, SparseRow]] = {}
-    for a in sorted(rows, key=monomial_key):
-        blocks.setdefault(sum(a) if graded else 0, {})[a] = {
-            place[j]: v for j, v in rows[a].items()}
+    field = (1 << w) - 1
+    for a in sorted(rows):
+        packed = mask - (a & mask)
+        blocks.setdefault(a >> width if graded else 0, {})[
+            tuple(packed >> i & field for i in shifts)] = {
+            place[b]: v for b, v in rows[a].items()}
     return blocks
 
 

@@ -3,12 +3,14 @@
 Everything in this package reduces to ranks, kernels and solves of matrices
 with ``fractions.Fraction`` entries.  Matrices are dense, row-major lists of
 lists, or for ``sparse_rank`` and ``sparse_kernel`` lists of sparse rows
-{column: entry}.  Elimination is deterministic: rows are processed in the
-order given and the pivot of a row is its first (leftmost) nonzero entry.
-Reduced bases are fully reduced (every pivot column is zero in all other
-rows); several invariants elsewhere (e.g. independence of lowest-degree
-forms of an echelonized basis) rely on full reduction, so partial echelon
-forms are never exposed.
+{column: entry}, whose entries may be ints or Fractions (the partials rows
+of ``apolar`` are ints); kernels and solves always come back as Fractions.
+Elimination is deterministic: rows are processed in the order given and the
+pivot of a row is its first (leftmost) nonzero entry.  Reduced bases are
+fully reduced (every pivot column is zero in all other rows); several
+invariants elsewhere (e.g. independence of lowest-degree forms of an
+echelonized basis) rely on full reduction, so partial echelon forms are
+never exposed.
 
 Ranks, kernels, solves and greedy row bases are computed by one
 elimination, ``_echelon_mod_p``, with Python ints modulo 61-bit primes, on
@@ -114,7 +116,7 @@ PRIMES = (2305843009213693951, 2305843009213693921, 2305843009213693907,
           2305843009213693723, 2305843009213693693, 2305843009213693669,
           2305843009213693613, 2305843009213693561)
 MODULUS = PRIMES[0]  # the prime of the full-rank certificate
-SparseRow = Dict[int, Rat]  # column -> nonzero entry
+SparseRow = Dict[int, Rat]  # column -> nonzero entry, an int or a Fraction
 _ZERO = Fraction(0)  # fill for dense rows; Fractions are immutable
 
 
@@ -323,11 +325,12 @@ def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int
                   ) -> Dict[int, SparseRow]:
     """``kernel_basis`` of the sparse rows over columns 0..ncols-1, as
-    {free column: sparse vector}; ``rref`` answers, on dense rows, only when
-    ``_kernel_mod_primes`` does not."""
+    {free column: sparse vector}; ``rref`` answers, on dense rows with each
+    entry made a Fraction by ``rat``, only when ``_kernel_mod_primes`` does
+    not."""
     kernel = _kernel_mod_primes(rows, range(ncols))
     if kernel is None:
-        dense, pivots = rref([[row.get(j, _ZERO) for j in range(ncols)]
+        dense, pivots = rref([[rat(row.get(j, _ZERO)) for j in range(ncols)]
                               for row in rows])
         kernel = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivots}
         for j, vec in kernel.items():

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolarium.apolar import (
+    _divisor_blocks,
     annihilator_upto,
     apolar_dim,
     boxtimes_apolar_dim,
@@ -468,6 +470,42 @@ def test_one_pass_filtration_matches_the_closure_oracle(f):
     # the one-pass filtration, read back from its differences
     assert [sum(hilb[i:]) for i in range(len(filt_ge))] == filt_ge
     assert apolar_dim(f) == filt_ge[0]
+
+
+@given(st.one_of(forms(max_degree=6), inhomogeneous_polys()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_divisor_blocks_hold_the_scaled_images_cell_by_cell(f, data):
+    # row a is L times the image a∘f, L the lcm of the denominators of f,
+    # in int cells; rows and columns in graded order, one block per order
+    # for a form
+    d = f.degree()
+    span = data.draw(st.sampled_from(["all", "k", "upto"]))
+    if span == "k":
+        k = data.draw(st.integers(0, d))
+        kwargs, lo, hi = {"k": k}, k, k
+    elif span == "upto":
+        upto = data.draw(st.integers(0, d + 1))
+        kwargs, lo, hi = {"upto": upto}, 0, upto
+    else:
+        kwargs, lo, hi = {}, 0, d
+    blocks = _divisor_blocks(f, **kwargs)
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    divisors = {a for e in f.terms for a in product(*(range(x + 1) for x in e))
+                if lo <= sum(a) <= hi}
+    exps = [a for block in blocks.values() for a in block]
+    assert exps == sorted(divisors, key=monomial_key)
+    graded = f.is_homogeneous()
+    assert list(blocks) == sorted(blocks)
+    for key, block in blocks.items():
+        assert {sum(a) if graded else 0 for a in block} == {key}
+    images = {a: apply(Poly.monomial(f.vars, a), f) for a in exps}
+    cols = sorted({b for g in images.values() for b in g.terms},
+                  key=monomial_key)
+    for block in blocks.values():
+        for a, row in block.items():
+            assert {cols[j]: v for j, v in row.items()} == {
+                b: scale * c for b, c in images[a].terms.items()}
+            assert all(type(v) is int for v in row.values())
 
 
 @given(inhomogeneous_polys())

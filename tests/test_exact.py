@@ -561,3 +561,35 @@ def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
     assert len(calls) == 1
     assert oracle_greedy_rows(
         [[row.get(j, F(0)) for j in range(2)] for row in rows]) == expected
+
+
+def test_the_rref_fallback_of_int_rows_gives_fractions(monkeypatch):
+    monkeypatch.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+    kernel = kernel_basis([[1, 2], [2, 4]])
+    assert kernel == [[F(-2), F(1)]]
+    assert all(type(x) is F for x in kernel[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
+    # a doubled first row and column keep the rank below both sides, so the
+    # full-rank certificate does not answer and the fallback is reached
+    q = [row + [2 * row[0]] for row in q]
+    q.append([2 * x for x in q[0]])
+    m = [[int(x) for x in row] for row in q]
+    ncols = len(m[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+        calls = _spy_rref(mp)
+        kernel = exact.sparse_kernel(sparse(m), ncols)
+        assert kernel == exact.sparse_kernel(sparse(q), ncols)
+        assert all(type(x) is F for vec in kernel.values()
+                   for x in vec.values())
+        basis = kernel_basis(m)
+        assert basis == kernel_basis(q)
+        assert all(type(x) is F for vec in basis for x in vec)
+        assert exact.sparse_rank(sparse(m)) == exact.sparse_rank(sparse(q))
+        assert (exact.independent_rows(sparse(m))
+                == exact.independent_rows(sparse(q)))
+        assert calls

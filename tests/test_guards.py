@@ -1,6 +1,9 @@
 """Resource-guard behavior."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
 from apolarium import apolar, cli, encompass
@@ -132,19 +135,39 @@ def test_one_order_of_partials_is_charged_its_own_cells(no_library_work):
         assert apolar.catalecticant_rank(f, 2) == 2
 
 
+def _key(a, w):
+    """|a| above the complement of a packed in fields of w bits, variable 0
+    highest: the key of ``apolar._divisor_blocks``."""
+    width = w * len(a)
+    packed = 0
+    for x in a:
+        packed = packed << w | x
+    return sum(a) << width | (1 << width) - 1 - packed
+
+
 @pytest.mark.parametrize("e", [(), (0,), (3,), (2, 0, 1), (1, 1, 1, 1),
                                (4, 2, 3)])
 def test_cell_counts_match_the_divisors(e):
-    for k in range(sum(e) + 2):
-        assert apolar._cell_count(e, k) == len(apolar._bounded(e, k, k))
-        # the cells of orders <= k, in one pass: no cell twice, none missed
-        lower = apolar._bounded(e, 0, k)
-        assert len(lower) == len(set(lower)) == sum(
-            apolar._cell_count(e, j) for j in range(k + 1))
-        assert set(lower) == {a for j in range(k + 1)
-                              for a in apolar._bounded(e, j, j)}
-    assert apolar._cell_count(e, None) == sum(
-        apolar._cell_count(e, k) for k in range(sum(e) + 1))
+    # the oracle, apart from both the enumerator and _cell_count: every
+    # a <= e from itertools.product, with its degree and e!/(e-a)!
+    top = max(e, default=0)
+    perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
+    divisors = [(a, sum(a), math.prod(map(math.perm, e, a)))
+                for a in itertools.product(*(range(x + 1) for x in e))]
+    assert apolar._cell_count(e, None) == len(divisors)
+    for w in (top.bit_length(), top.bit_length() + 2):  # keys fit any width
+        def oracle(lo, hi):
+            return sorted((_key(a, w), s, p) for a, s, p in divisors
+                          if lo <= s <= hi)
+        for k in range(sum(e) + 2):
+            cells = apolar._bounded(e, w, k, k, perms)
+            assert apolar._cell_count(e, k) == len(cells)
+            assert sorted(cells) == oracle(k, k)
+            # the cells of orders <= k, in one pass: no cell twice, none missed
+            lower = apolar._bounded(e, w, 0, k, perms)
+            assert len(lower) == sum(
+                apolar._cell_count(e, j) for j in range(k + 1))
+            assert sorted(lower) == oracle(0, k)
 
 
 def test_operator_space_guard_refuses_before_any_elimination(no_library_work):

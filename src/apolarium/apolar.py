@@ -21,24 +21,21 @@ one rank pass over a partials matrix.  Greedy rows
 algebra, and the transpose of the rows up to order d is the operator matrix
 whose kernel is the annihilator up to degree d.  From these come dimensions,
 Hilbert functions, conciseness, annihilators up to a degree bound,
-catalecticant matrices and ranks, the multiplication tensor of the quotient
-algebra, and the twisted-form annihilation check.
+catalecticant ranks, the multiplication tensor of the quotient algebra,
+and the twisted-form annihilation check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import guards
-from .exact import (QMatrix, Rat, SparseRow, independent_rows, solve_many,
+from .exact import (Rat, SparseRow, independent_rows, solve_many,
                     sparse_kernel, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
-                   boxtimes_power, monomials_of_degree, monomials_upto, twist)
-
-_ZERO = Fraction(0)  # shared fill for absent cells; Fractions are immutable
+                   boxtimes_power, monomials_upto, twist)
 
 
 def _require_nonzero(f: Poly):
@@ -207,25 +204,6 @@ def _require_form(F: Poly, k: int = 0) -> None:
         raise ValueError(f"k={k} out of range for degree {d}")
 
 
-def catalecticant_matrix(F: Poly, k: int) -> QMatrix:
-    """Matrix of the contraction by degree-k operators on a degree-d form.
-
-    Rows are indexed by the operator monomials of degree k and columns by the
-    monomials of degree d-k, both in canonical graded order; the (σ, m) entry
-    is the coefficient of m in σ∘F.
-    """
-    _require_form(F, k)
-    d = F.degree()
-    n = len(F.vars)
-    rows = monomials_of_degree(n, k)
-    cols = monomials_of_degree(n, d - k)
-    out: QMatrix = []
-    for s in rows:
-        img = apply(Poly.monomial(F.vars, s), F)
-        out.append([img.terms.get(m, _ZERO) for m in cols])
-    return out
-
-
 def _divisor_blocks(f: Poly, k: Optional[int] = None,
                     upto: Optional[int] = None
                     ) -> Dict[int, Dict[Exponent, SparseRow]]:
@@ -330,21 +308,26 @@ def structure_tensor_of_apolar(f: Poly):
     def add(a: Exponent, b: Exponent) -> Exponent:
         return tuple(x + y for x, y in zip(a, b))
 
-    def const(t: Exponent) -> Rat:  # constant term of x^t ∘ f
-        c = f.terms.get(t)
-        return _fact(t) * c if c else _ZERO
+    def pairings(a: Exponent) -> SparseRow:
+        """{k: constant term of (x^a b_k)∘f} over the k where it is not 0."""
+        out = {}
+        for k, b in enumerate(exps):
+            t = add(a, b)
+            c = f.terms.get(t)
+            if c:
+                out[k] = _fact(t) * c
+        return out
 
-    gram = [[const(add(a, b)) for b in exps] for a in exps]
+    gram = [pairings(a) for a in exps]
     # b_i b_j depends only on the exponent sum: one right-hand side per sum
     sums = list(dict.fromkeys(add(a, b) for a in exps for b in exps))
-    coords = dict(zip(sums, solve_many(
-        gram, [[const(add(s, c)) for c in exps] for s in sums])))
+    solved = solve_many(gram, [pairings(s) for s in sums])
+    coords = {s: sorted(x.items()) for s, x in zip(sums, solved)}
     entries: Dict[Tuple[int, int, int], Rat] = {}
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
-            for k, ck in enumerate(coords[add(a, b)]):
-                if ck:
-                    entries[(i, j, k)] = ck
+            for k, ck in coords[add(a, b)]:
+                entries[(i, j, k)] = ck
     basis = [Poly.monomial(f.vars, a) for a in exps]
     labels = [str(b) for b in basis]
     return Tensor3((ell, ell, ell), entries, (labels, labels, labels)), basis

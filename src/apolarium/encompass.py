@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import SparseRow, independent_rows, rank, sparse_rank
+from .exact import SparseRow, independent_rows, sparse_rank
 from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize, ldf,
                    monomial_key, twist)
 from .apolar import (_fact, apolar_dim, catalecticant_rank,
@@ -114,8 +114,9 @@ def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
     best = 0
     for _ in range(3):
         point = [rng.randint(-1000, 1000) for _ in f.vars]
-        best = max(best, rank([[entry.evaluate(point) for entry in row]
-                               for row in jac]))
+        rows = [{j: x for j, x in enumerate(e.evaluate(point) for e in row)
+                 if x} for row in jac]
+        best = max(best, sparse_rank(rows))
         if best == dim - 1:
             break
     return EncompassingReport(dim, enc, almost, best)

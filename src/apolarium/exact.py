@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package reduces to ranks, kernels and solves of matrices
-with ``fractions.Fraction`` entries.  Matrices are dense, row-major lists of
-lists, or for ``sparse_rank`` and ``sparse_kernel`` lists of sparse rows
-{column: entry}, whose entries may be ints or Fractions (the partials rows
-of ``apolar`` are ints); kernels and solves always come back as Fractions.
-Elimination is deterministic: rows are processed in the order given and the
-pivot of a row is its first (leftmost) nonzero entry.  Reduced bases are
-fully reduced (every pivot column is zero in all other rows); several
-invariants elsewhere (e.g. independence of lowest-degree forms of an
-echelonized basis) rely on full reduction, so partial echelon forms are
-never exposed.
+with rational entries.  A matrix is a list of sparse rows {column: entry},
+with int columns and int or Fraction entries (the partials rows of
+``apolar`` are ints); a column absent from a row is zero there.  Kernels and
+solves come back as sparse vectors {column: Fraction}.  Elimination is
+deterministic: rows are processed in the order given and the pivot of a row
+is its first (leftmost) nonzero entry.  Reduced bases are fully reduced
+(every pivot column is zero in all other rows); several invariants
+elsewhere (e.g. independence of lowest-degree forms of an echelonized
+basis) rely on full reduction, so partial echelon forms are never exposed.
 
 Ranks, kernels, solves and greedy row bases are computed by one
 elimination, ``_echelon_mod_p``, with Python ints modulo 61-bit primes, on
@@ -18,11 +17,12 @@ sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since reduction
 mod p never raises a rank.  Otherwise the kernel is computed mod one prime
 of ``PRIMES`` after another, combined by CRT, lifted to Q by rational
 reconstruction (Wang 1981) and checked exactly.  The first lift that passes
-is the reduced-echelon kernel over Q (see ``kernel_basis``), so every rank,
-kernel, solution and greedy basis equals the one ``rref`` over Q gives;
-that answers, on dense rows, only when the primes do not.
-``SparseEchelon``, an incremental elimination over Q, is kept only as the
-exact reference that the tests check the modular answers against.
+is the reduced-echelon kernel over Q (see ``sparse_kernel``), so every
+rank, kernel, solution and greedy basis equals the one ``rref`` over Q
+gives.  ``rref``, on dense rows, is the only dense code here: it answers
+only when the primes do not.  ``SparseEchelon``, an incremental elimination
+over Q, is kept only as the exact reference that the tests check the
+modular answers against.
 
 No floats, ever.
 """
@@ -36,8 +36,6 @@ from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
 Rat = Fraction
-Row = List[Rat]
-QMatrix = List[Row]
 
 
 def rat(x) -> Rat:
@@ -57,17 +55,6 @@ def as_int(x, what: str) -> int:
     return x
 
 
-def mat(rows: Iterable[Iterable]) -> QMatrix:
-    """Build a QMatrix, coercing entries with rat()."""
-    out = [[rat(x) for x in row] for row in rows]
-    if out:
-        w = len(out[0])
-        for r in out:
-            if len(r) != w:
-                raise ValueError("ragged rows")
-    return out
-
-
 def _first_nonzero(row: Sequence[Rat]) -> int:
     """Index of the leftmost nonzero entry, or -1 for a zero row."""
     for j, x in enumerate(row):
@@ -76,13 +63,13 @@ def _first_nonzero(row: Sequence[Rat]) -> int:
     return -1
 
 
-def rref(m: QMatrix) -> Tuple[QMatrix, List[int]]:
-    """Reduced row echelon form.
+def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
+    """Reduced row echelon form of the dense rows m.
 
     Returns (rows, pivot_columns).  Rows are fully reduced, pivots are 1,
     pivot columns strictly increase, zero rows are dropped.
     """
-    rows: List[Row] = []
+    rows: List[List[Rat]] = []
     pivots: List[int] = []
     for raw in m:
         row = list(raw)
@@ -117,7 +104,6 @@ PRIMES = (2305843009213693951, 2305843009213693921, 2305843009213693907,
           2305843009213693613, 2305843009213693561)
 MODULUS = PRIMES[0]  # the prime of the full-rank certificate
 SparseRow = Dict[int, Rat]  # column -> nonzero entry, an int or a Fraction
-_ZERO = Fraction(0)  # fill for dense rows; Fractions are immutable
 
 
 def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
@@ -256,19 +242,6 @@ def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int]
     return None
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over Q: ``sparse_rank`` of the nonzero entries of m.
-
-    Reduction mod p can only turn nonzero minors into zero ones, so rank mod
-    p <= rank over Q, and rank mod p = min(rows, cols) certifies full rank
-    (zero rows and columns are not counted).  A smaller rank r mod p is
-    certified by the ncols - r kernel vectors of ``_kernel_mod_primes``,
-    checked exactly and independent (they carry an identity on the free
-    columns), so rank over Q <= r.
-    """
-    return sparse_rank([{j: x for j, x in enumerate(row) if x} for row in m])
-
-
 def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
                ) -> List[SparseRow]:
     """The columns `cols` (every column that occurs) of the sparse rows, as
@@ -283,10 +256,17 @@ def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
 def sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over Q of the matrix with the given rows, each a dict from
     column (an int) to its nonzero entry; columns absent from every row are
-    zero.  Certified as in ``rank``, on the sparse rows, by the
-    ``sparse_kernel`` of whichever of the matrix and its transpose has fewer
-    columns, with the columns that occur numbered 0, 1, ... in order; so
-    only its ``rref`` fallback builds dense rows, over those columns."""
+    zero.
+
+    Reduction mod p can only turn nonzero minors into zero ones, so rank mod
+    p <= rank over Q, and rank mod p = min(rows, cols) certifies full rank
+    (zero rows and columns are not counted).  A smaller rank r mod p is
+    certified by the ``sparse_kernel`` of whichever of the matrix and its
+    transpose has fewer columns, with the columns that occur numbered 0, 1,
+    ... in order: its ncols - r vectors are checked exactly and independent
+    (they carry an identity on the free columns), so rank over Q <= r.  Only
+    the ``rref`` fallback of that kernel builds dense rows, over those
+    columns."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
     full = min(len(rows), len(cols))
@@ -324,13 +304,22 @@ def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
 
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int
                   ) -> Dict[int, SparseRow]:
-    """``kernel_basis`` of the sparse rows over columns 0..ncols-1, as
-    {free column: sparse vector}; ``rref`` answers, on dense rows with each
-    entry made a Fraction by ``rat``, only when ``_kernel_mod_primes`` does
-    not."""
+    """Echelonized basis of the right kernel {v : m v = 0} of the sparse
+    rows over columns 0..ncols-1, as {free column: sparse vector}.
+
+    One vector per free column, in column order; the vector for free column
+    j has a 1 at j and no entry at the other free columns, so the basis is
+    itself in reduced echelon form, and there are ncols - rank of them.
+    That basis is unique, and the multi-prime kernel is it: its vectors are
+    checked, so they span the kernel, and the one for free column j mod p
+    ends at j, so the free columns mod p are those at which kernel vectors
+    end, which are the free columns over Q.  ``rref`` answers, on dense
+    rows with each entry made a Fraction by ``rat``, only when
+    ``_kernel_mod_primes`` does not.
+    """
     kernel = _kernel_mod_primes(rows, range(ncols))
     if kernel is None:
-        dense, pivots = rref([[rat(row.get(j, _ZERO)) for j in range(ncols)]
+        dense, pivots = rref([[rat(row.get(j, 0)) for j in range(ncols)]
                               for row in rows])
         kernel = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivots}
         for j, vec in kernel.items():
@@ -338,43 +327,29 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     return kernel
 
 
-def kernel_basis(m: QMatrix) -> List[Row]:
-    """Echelonized basis of the right kernel {v : m v = 0}.
+def solve_many(rows: Sequence[SparseRow], rhss: Sequence[SparseRow]
+               ) -> List[SparseRow]:
+    """Solve m x = b for each sparse b = {row: entry} of rhss, where m is
+    the square matrix of the n = len(rows) sparse rows; one sparse solution
+    {column: x} per b.  A column or a right-hand-side row outside 0..n-1 is
+    refused, and so is a singular m.
 
-    One basis vector per free column, in column order; the vector for free
-    column j has a 1 in position j and zeros in all other free positions, so
-    the result is itself in reduced echelon form.  Length is always
-    ncols - rank(m).  That basis is unique, and the multi-prime kernel is
-    it: its vectors are checked, so they span the kernel, and the one for
-    free column j mod p ends at j, so the free columns mod p are those at
-    which kernel vectors end, which are the free columns over Q.
-    """
-    if not m:
-        return []
-    ncols = len(m[0])
-    kernel = sparse_kernel([{j: x for j, x in enumerate(row) if x}
-                            for row in m], ncols)
-    return [[vec.get(k, _ZERO) for k in range(ncols)]
-            for vec in kernel.values()]
-
-
-def solve_many(m: QMatrix, rhss: Sequence[Sequence[Rat]]) -> List[Row]:
-    """Solve m x = b for square invertible m and each b in rhss, by one
-    kernel (raises if m is singular): the solution for b_t is the kernel
-    vector of [m | -b_1 ... -b_k] at column n + t, and the free columns are
+    One kernel answers: the solution for b_t is the kernel vector of
+    [m | -b_1 ... -b_k] at column n + t, and the free columns are
     n, ..., n + k - 1 exactly when m is invertible."""
-    n = len(m)
-    if m and len(m[0]) != n:
+    n = len(rows)
+    if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError("solve_many needs a square matrix")
-    if any(len(b) != n for b in rhss):
+    if any(not 0 <= i < n for b in rhss for i in b):
         raise ValueError("a right-hand side does not match the matrix")
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    for row, *bs in zip(rows, *rhss):
-        row.update((n + t, -b) for t, b in enumerate(map(rat, bs)) if b)
-    kernel = sparse_kernel(rows, n + len(rhss))
+    aug = [dict(row) for row in rows]
+    for t, b in enumerate(rhss):
+        for i, x in b.items():
+            aug[i][n + t] = -x
+    kernel = sparse_kernel(aug, n + len(rhss))
     if list(kernel) != list(range(n, n + len(rhss))):
         raise ValueError("matrix is singular")
-    return [[vec.get(i, _ZERO) for i in range(n)] for vec in kernel.values()]
+    return [{k: x for k, x in vec.items() if k < n} for vec in kernel.values()]
 
 
 SparseVec = Dict[Hashable, Rat]

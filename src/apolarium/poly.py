@@ -58,7 +58,9 @@ class Poly:
             raise ValueError(f"duplicate variable names in {vs}")
         tm: TermMap = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            if not all(type(x) is int for x in e):
+                raise ValueError(f"exponent {e!r} is not a tuple of ints")
+            e = tuple(e)
             if len(e) != len(vs):
                 raise ValueError(f"exponent {e} has wrong length for vars {vs}")
             if any(x < 0 for x in e):

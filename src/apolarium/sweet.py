@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, as_int, kernel_basis, rat
+from .exact import Rat, as_int, rat, sparse_kernel
 from .tensor3 import Index3, Tensor3, _word_entries
 
 Label = Tuple[int, ...]
@@ -219,14 +219,14 @@ def marginal_uniqueness(P: BlockDistribution) -> str:
     rows = []
     for axis in range(3):
         for lab in sorted(marg[axis]):
-            rows.append([Fraction(1) if P.support[t][axis] == lab else Fraction(0)
-                         for t in range(nvars)])
-    null = kernel_basis(rows)
+            rows.append({t: 1 for t in range(nvars)
+                         if P.support[t][axis] == lab})
+    null = sparse_kernel(rows, nvars)
     if not null:
         return "unique"
-    for v in null:
-        for direction in (v, [-x for x in v]):
-            if all(P.probs[t] > 0 or direction[t] >= 0 for t in range(nvars)):
+    for v in null.values():
+        for sign in (1, -1):
+            if all(P.probs[t] > 0 or sign * x >= 0 for t, x in v.items()):
                 return "non_unique"
     return "unknown"
 

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import QMatrix, Rat, SparseRow, as_int, rat, sparse_rank
+from .exact import Rat, SparseRow, as_int, rat, sparse_rank
 
 Index3 = Tuple[int, int, int]
+Slice = List[List[Rat]]  # one dense slice of a tensor, row-major
 
 
 class Tensor3:
@@ -106,7 +108,7 @@ class Tensor3:
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={self.nnz()})"
 
-    def slice(self, axis: int, index: int) -> QMatrix:
+    def slice(self, axis: int, index: int) -> Slice:
         """Contraction by the index-th dual basis vector of the given axis."""
         if axis not in (0, 1, 2):
             raise ValueError("axis must be 0, 1 or 2")
@@ -187,12 +189,15 @@ def tb() -> Tensor3:
 
 
 class AbelianGroup:
-    """Finite product of cyclic groups, elements enumerated lexicographically."""
+    """Finite product of cyclic groups, elements enumerated lexicographically;
+    their number, the product of the orders, is checked against the entry
+    limit before they are enumerated."""
 
     def __init__(self, orders: Sequence[int]):
         self.orders = tuple(as_int(m, "cyclic order") for m in orders)
         if not self.orders or any(m < 1 for m in self.orders):
             raise ValueError("cyclic orders must be positive")
+        guards.check_entries(math.prod(self.orders))
         self.elements: List[Tuple[int, ...]] = [
             tuple(e) for e in itertools.product(*(range(m) for m in self.orders))
         ]
@@ -216,8 +221,10 @@ class AbelianGroup:
 
 
 def group_tensor(G: AbelianGroup) -> Tensor3:
-    """Addition-table tensor: one unit entry per pair (g1, g2) at g1+g2."""
+    """Addition-table tensor: one unit entry per pair (g1, g2) at g1+g2;
+    its |G|^2 entries are checked against the limits before any is built."""
     n = len(G)
+    guards.check_entries(n * n)
     entries: Dict[Index3, Rat] = {}
     for a in G.elements:
         for b in G.elements:
@@ -280,7 +287,7 @@ def table_tensor_power(table: Sequence[Sequence[Sequence]], N: int) -> MultTable
 class PartiallySymmetricTensor:
     """m symmetric n x n slices (an element of S^2(K^n) tensor K^m)."""
 
-    def __init__(self, slices: Sequence[QMatrix]):
+    def __init__(self, slices: Sequence[Slice]):
         self.slices = [[[rat(c) for c in row] for row in s] for s in slices]
         if not self.slices:
             raise ValueError("need at least one slice")

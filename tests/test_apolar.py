@@ -14,7 +14,6 @@ from apolarium.apolar import (
     annihilator_upto,
     apolar_dim,
     boxtimes_apolar_dim,
-    catalecticant_matrix,
     catalecticant_rank,
     greedy_monomial_basis,
     hilbert_function,
@@ -22,7 +21,7 @@ from apolarium.apolar import (
     structure_tensor_of_apolar,
     verify_tautological_apolarity,
 )
-from apolarium.exact import SparseEchelon, rank
+from apolarium.exact import SparseEchelon, sparse_rank
 from apolarium.papersuite import ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
@@ -181,6 +180,17 @@ def test_annihilator_count_matches_quotient_dimension():
 def test_catalecticant_ranks_of_twisted_cubic_square():
     F = parse("(x0^3 + x1^3)^2")
     assert [catalecticant_rank(F, k) for k in range(7)] == [1, 2, 3, 4, 3, 2, 1]
+
+
+def catalecticant_matrix(F, k):
+    """The dense Cat_k(F): rows indexed by the operator monomials of degree
+    k and columns by the monomials of degree d - k, both in graded order;
+    the (s, m) entry is the coefficient of m in s∘F."""
+    n = len(F.vars)
+    cols = monomials_of_degree(n, F.degree() - k)
+    images = (apply(Poly.monomial(F.vars, s), F)
+              for s in monomials_of_degree(n, k))
+    return [[img.terms.get(m, Fraction(0)) for m in cols] for img in images]
 
 
 def test_catalecticant_matrix_shape():
@@ -441,7 +451,9 @@ def test_form_invariants_match_the_closure_oracle(F):
     assert tuple(hilbert_function(F)) == hf
     assert apolar_dim(F) == filt_ge[0]
     for k in range(F.degree() + 1):
-        assert catalecticant_rank(F, k) == rank(catalecticant_matrix(F, k)) == hf[k]
+        dense = catalecticant_matrix(F, k)
+        assert catalecticant_rank(F, k) == hf[k] == sparse_rank(
+            [{j: x for j, x in enumerate(row) if x} for row in dense])
 
 
 @given(forms(max_degree=6))

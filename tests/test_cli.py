@@ -534,6 +534,15 @@ def test_entry_guard_exits_three(capsys):
     assert "exceeds" in err
 
 
+def test_group_tensors_are_refused_before_they_are_built(capsys):
+    # |G|^2 = 1600 entries; the sweet commands read group:N through the
+    # same constructor
+    assert refused(capsys, ["tensor", "make", "group", "--orders", "40",
+                            "--max-entries", "1000"])
+    assert refused(capsys, ["sweet", "tight", "--tensor", "group:40",
+                            "--blocking", "cw", "--max-entries", "1000"])
+
+
 def test_degree_guard_exits_three(capsys):
     assert run(["apolar-dim", "(x1 + x2)^40", "--max-degree", "10"]) == 3
 

@@ -9,15 +9,29 @@ except ImportError:  # the oracle is optional
     sympy = None
 
 from apolarium import exact
-from apolarium.exact import (MODULUS, PRIMES, SparseEchelon,
-                             kernel_basis, mat, rank, rat, rref, solve_many)
+from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, rref,
+                             solve_many, sparse_kernel, sparse_rank)
 
 F = Fraction
 P = MODULUS
 
 
+def mat(rows):
+    """A dense matrix literal, each entry made a Fraction by ``rat``."""
+    return [[rat(x) for x in row] for row in rows]
+
+
+def sparse(m):
+    """The sparse rows {column: entry} of the dense rows m."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
+
+
+def dot(row, v):
+    return sum(x * v.get(j, 0) for j, x in row.items())
 
 
 def test_rat_accepts_ints_fractions_strings():
@@ -46,36 +60,35 @@ def test_rref_drops_zero_rows_and_is_fully_reduced():
 
 
 def test_rank_examples():
-    assert rank(mat([[1, 2], [2, 4]])) == 1
-    assert rank(mat([[int(i == j) for j in range(4)] for i in range(4)])) == 4
-    assert rank(mat([[0] * 5] * 3)) == 0
+    assert sparse_rank(sparse(mat([[1, 2], [2, 4]]))) == 1
+    assert sparse_rank(sparse(mat([[int(i == j) for j in range(4)]
+                                   for i in range(4)]))) == 4
+    assert sparse_rank(sparse(mat([[0] * 5] * 3))) == 0
 
 
-def test_kernel_basis_dimension_and_membership():
-    m = mat([[1, 1, 0], [0, 0, 1]])
-    ker = kernel_basis(m)
-    assert len(ker) == 1
-    v = ker[0]
-    for row in m:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+def test_kernel_dimension_and_membership():
+    rows = sparse(mat([[1, 1, 0], [0, 0, 1]]))
+    ker = sparse_kernel(rows, 3)
+    assert list(ker) == [1]
+    assert all(dot(row, ker[1]) == 0 for row in rows)
 
 
 def test_solve_unique():
-    m = mat([[2, 1], [1, 3]])
-    (x,) = solve_many(m, [[F(5), F(10)]])
-    assert [sum(a * b for a, b in zip(row, x)) for row in m] == [F(5), F(10)]
+    rows = sparse(mat([[2, 1], [1, 3]]))
+    (x,) = solve_many(rows, [{0: F(5), 1: F(10)}])
+    assert [dot(row, x) for row in rows] == [F(5), F(10)]
 
 
 def test_solve_unique_rejects_singular():
     with pytest.raises(ValueError):
-        solve_many(mat([[1, 2], [2, 4]]), [[F(1), F(1)]])
+        solve_many(sparse(mat([[1, 2], [2, 4]])), [{0: F(1), 1: F(1)}])
 
 
 def test_incremental_matches_batch_rank():
     rows = mat([[1, 2, 3], [1, 2, 3], [0, 1, 1], [2, 5, 7]])
     ech = SparseEchelon(int)
     accepted = sum(ech.insert(dict(enumerate(row))) for row in rows)
-    assert accepted == ech.rank == rank(rows)
+    assert accepted == ech.rank == sparse_rank(sparse(rows))
 
 
 def test_sparse_echelon_contains_and_basis():
@@ -108,14 +121,15 @@ matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(transpose(m))
+    assert sparse_rank(sparse(m)) == sparse_rank(sparse(transpose(m)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_nullity(m):
     ncols = len(m[0])
-    assert rank(m) + len(kernel_basis(m)) == ncols
+    assert (sparse_rank(sparse(m)) + len(sparse_kernel(sparse(m), ncols))
+            == ncols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,9 +144,9 @@ def test_rref_is_idempotent(m):
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
-        for row in m:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+    rows = sparse(m)
+    for v in sparse_kernel(rows, len(m[0])).values():
+        assert all(dot(row, v) == 0 for row in rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,7 +155,8 @@ def test_product_rank_bound(a, b):
     # reshape b to have exactly ncols(a) rows so the product is defined
     need = len(a[0])
     b = [b[i % len(b)] for i in range(need)]
-    assert rank(product(a, b)) <= min(rank(a), rank(b))
+    assert sparse_rank(sparse(product(a, b))) <= min(
+        sparse_rank(sparse(a)), sparse_rank(sparse(b)))
 
 
 # -- the modular certificate ---------------------------------------------------
@@ -165,11 +180,7 @@ rational_matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(rational_matrices, low_rank_matrices))
 def test_rank_matches_rref_rank(m):
-    assert rank(m) == len(rref(m)[0])
-
-
-def sparse(m):
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert sparse_rank(sparse(m)) == len(rref(m)[0])
 
 
 def _spy_rref(monkeypatch):
@@ -195,18 +206,18 @@ def _spy_rref(monkeypatch):
 ])
 def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     calls = _spy_rref(monkeypatch)
-    assert rank(m) == expected
+    assert sparse_rank(sparse(m)) == expected
     assert calls == [m]
     # the same rows, sparse over far-apart columns: only the fallback builds
     # dense rows, over the columns that occur
     spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
-    assert exact.sparse_rank(spread) == expected
+    assert sparse_rank(spread) == expected
     assert calls == [m, m]
 
 
 def test_zero_matrix_rank_is_certified_without_rref(monkeypatch):
     calls = _spy_rref(monkeypatch)
-    assert rank([[F(0)] * 4] * 3) == 0
+    assert sparse_rank(sparse([[F(0)] * 4] * 3)) == 0
     assert calls == []
 
 
@@ -227,21 +238,21 @@ def test_deficient_rank_is_certified_by_a_kernel(m):
     expected = len(rref(m)[0])
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_rref(mp)
-        assert rank(m) == expected
-        assert rank(transpose(m)) == expected
+        assert sparse_rank(sparse(m)) == expected
+        assert sparse_rank(sparse(transpose(m))) == expected
     assert calls == []
 
 
 def test_rank_of_empty_matrices():
-    assert rank([]) == 0
-    assert rank([[], []]) == 0
+    assert sparse_rank(sparse([])) == 0
+    assert sparse_rank(sparse([[], []])) == 0
 
 
 def test_full_rank_is_certified_without_rref(monkeypatch):
     calls = _spy_rref(monkeypatch)
     m = mat([["1/2", 3, 0, -5], [0, "7/3", 1, 1], [1, 1, 1, "1/6"]])
-    assert rank(m) == 3
-    assert rank(transpose(m)) == 3
+    assert sparse_rank(sparse(m)) == 3
+    assert sparse_rank(sparse(transpose(m))) == 3
     assert calls == []
 
 
@@ -249,7 +260,7 @@ def test_full_rank_is_certified_without_rref(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(rational_matrices, low_rank_matrices))
 def test_rank_matches_sympy(m):
-    assert rank(m) == sympy.Matrix(m).rank()
+    assert sparse_rank(sparse(m)) == sympy.Matrix(m).rank()
 
 
 # -- the certificates on sparse rows ---------------------------------------------
@@ -275,7 +286,7 @@ def test_sparse_certificates_match_rref_rank(m):
     expected = len(rref(m)[0])
     rows = sparse(m)
     ncols = len(m[0])
-    assert exact.sparse_rank(rows) == expected
+    assert sparse_rank(rows) == expected
     kept = [row for row in rows if row]
     kernel = exact._kernel_mod_primes(kept, range(ncols))
     assert kernel is None or ncols - len(kernel) == expected
@@ -286,10 +297,10 @@ def test_sparse_certificates_match_rref_rank(m):
 
 def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
     calls = _spy_rref(monkeypatch)
-    assert exact.sparse_rank([]) == 0
-    assert exact.sparse_rank([{}, {}]) == 0
-    assert exact.sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
-    assert exact.sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {}]) == 0
+    assert sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
+    assert sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
     assert calls == []
 
 
@@ -297,16 +308,14 @@ def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
 
 
 def oracle_kernel(m):
-    """The reduced-echelon kernel basis, read off ``rref`` over Q."""
+    """The reduced-echelon kernel basis, read off ``rref`` over Q, as
+    {free column: sparse vector}."""
     rows, pivots = rref(m)
-    basis = []
+    basis = {}
     for j in range(len(m[0])):
         if j not in pivots:
-            v = [F(0)] * len(m[0])
-            v[j] = F(1)
-            for r, p in zip(rows, pivots):
-                v[p] = -r[j]
-            basis.append(v)
+            basis[j] = {j: F(1)}
+            basis[j].update((p, -r[j]) for r, p in zip(rows, pivots) if r[j])
     return basis
 
 
@@ -320,13 +329,11 @@ def oracle_solve(m, b):
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices)
-def test_kernel_basis_matches_rref_oracle(m):
+def test_sparse_kernel_matches_rref_oracle(m):
+    kernel = sparse_kernel(sparse(m), len(m[0]))
     expected = oracle_kernel(m)
-    assert kernel_basis(m) == expected
-    free = [j for j in range(len(m[0])) if j not in rref(m)[1]]
-    assert exact.sparse_kernel(sparse(m), len(m[0])) == {
-        j: {k: x for k, x in enumerate(v) if x}
-        for j, v in zip(free, expected)}
+    assert kernel == expected
+    assert list(kernel) == list(expected)  # free columns ascending
 
 
 square_matrices = st.integers(1, 6).flatmap(lambda n: st.one_of(
@@ -343,23 +350,26 @@ def test_solves_match_rref_oracle(m, data):
     rhss = data.draw(st.lists(st.lists(rat_entry, min_size=n, max_size=n),
                               min_size=1, max_size=4))
     expected = [oracle_solve(m, b) for b in rhss]
+    rows, bs = sparse(m), sparse(rhss)
     if expected[0] is None:  # m is singular
         with pytest.raises(ValueError):
-            solve_many(m, rhss[:1])
+            solve_many(rows, bs[:1])
         with pytest.raises(ValueError):
-            solve_many(m, rhss)
+            solve_many(rows, bs)
     else:
-        assert solve_many(m, rhss[:1]) == expected[:1]
-        assert solve_many(m, rhss) == expected
+        assert solve_many(rows, bs[:1]) == sparse(expected[:1])
+        assert solve_many(rows, bs) == sparse(expected)
 
 
 def test_solves_reject_bad_shapes():
-    with pytest.raises(ValueError):
-        solve_many(mat([[1, 2]]), [[F(1)]])
-    with pytest.raises(ValueError):
-        solve_many(mat([[1, 0], [0, 1]]), [[F(1)]])
-    assert solve_many([], [[]]) == [[]]
-    assert solve_many(mat([[2]]), []) == []
+    with pytest.raises(ValueError, match="square"):  # a column >= n
+        solve_many([{0: F(1), 1: F(2)}], [{0: F(1)}])
+    with pytest.raises(ValueError, match="right-hand side"):  # a row >= n
+        solve_many([{0: F(1)}, {1: F(1)}], [{2: F(1)}])
+    with pytest.raises(ValueError, match="singular"):
+        solve_many([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}], [{0: F(1)}])
+    assert solve_many([], [{}]) == [{}]
+    assert solve_many([{0: F(2)}], []) == []
 
 
 def lu_mix(rng, rows):
@@ -417,22 +427,23 @@ def _count_primes(monkeypatch):
 def test_kernels_needing_several_primes_are_certified_without_rref(mx):
     m, x = mx
     r, s = len(x), len(x[0])
-    expected = [[x[i][t] for i in range(r)] + [F(t == u) for u in range(s)]
-                for t in range(s)]
+    expected = dict(zip(range(r, r + s), sparse(
+        [[x[i][t] for i in range(r)] + [F(t == u) for u in range(s)]
+         for t in range(s)])))
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_rref(mp)
         primes = _count_primes(mp)
-        assert kernel_basis(m) == expected
+        assert sparse_kernel(sparse(m), r + s) == expected
         assert 2 <= len(primes) <= 4
         assert primes == list(PRIMES[:len(primes)])
         # the same kernel as a solve: m's first r columns times x = -(rest)
         g = [row[:r] for row in m]
         rhss = [[-row[r + t] for row in m] for t in range(s)]
-        assert solve_many(g, rhss) == [[x[i][t] for i in range(r)]
-                                       for t in range(s)]
+        assert solve_many(sparse(g), sparse(rhss)) == sparse(
+            [[x[i][t] for i in range(r)] for t in range(s)])
         # a rank r matrix with more rows than columns: the kernel is [x; I]
         tall = m + [[a + b for a, b in zip(m[0], m[-1])]] * (s + 1)
-        assert rank(tall) == r
+        assert sparse_rank(sparse(tall)) == r
     assert calls == []
     assert expected == oracle_kernel(m)
 
@@ -441,8 +452,8 @@ def test_kernel_past_one_prime_is_certified_without_rref(monkeypatch):
     # the kernel entry -(2^40 + 1) is past Wang's bound for one prime
     calls = _spy_rref(monkeypatch)
     m = [[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]]
-    assert rank(m) == 1
-    assert kernel_basis(m) == [[F(-(1 << 40 | 1)), F(1)]]
+    assert sparse_rank(sparse(m)) == 1
+    assert sparse_kernel(sparse(m), 2) == {1: {0: F(-(1 << 40 | 1)), 1: F(1)}}
     assert calls == []
 
 
@@ -454,12 +465,12 @@ def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
     m = [[F(1, pk), F(n)], [F(1), F(n * pk)]]
     calls = _spy_rref(monkeypatch)
     primes = _count_primes(monkeypatch)
-    assert rank(m) == 1
+    assert sparse_rank(sparse(m)) == 1
     assert primes == list(PRIMES[:k + 1])
-    assert kernel_basis(m) == [[F(-n * pk), F(1)]]
+    assert sparse_kernel(sparse(m), 2) == {1: {0: F(-n * pk), 1: F(1)}}
     assert calls == [m, m]
-    assert solve_many([[F(1, pk), F(0)], [F(0), F(1)]], [[F(1), F(2)]]) == [
-        [F(pk), F(2)]]
+    assert solve_many([{0: F(1, pk)}, {1: F(1)}], [{0: F(1), 1: F(2)}]) == [
+        {0: F(pk), 1: F(2)}]
 
 
 def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
@@ -467,10 +478,11 @@ def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
     # next prime the first column is the pivot
     calls = _spy_rref(monkeypatch)
     primes = _count_primes(monkeypatch)
-    assert kernel_basis([[F(P), F(1)]]) == [[F(-1, P), F(1)]]
+    assert sparse_kernel([{0: F(P), 1: F(1)}], 2) == {
+        1: {0: F(-1, P), 1: F(1)}}
     assert primes == list(PRIMES[:2])
     m = [[F(P), F(1)], [F(2 * P), F(2)]]
-    assert rank(m) == 1
+    assert sparse_rank(sparse(m)) == 1
     assert calls == [[[F(P), F(1)]], m]
     assert exact._kernel_mod_primes(sparse(m), range(2)) is None
 
@@ -490,7 +502,8 @@ def test_kernel_and_rref_match_sympy(m):
 
     def q(x):
         return F(int(x.p), int(x.q))
-    assert kernel_basis(m) == [[q(x) for x in v] for v in M.nullspace()]
+    assert list(sparse_kernel(sparse(m), len(m[0])).values()) == sparse(
+        [[q(x) for x in v] for v in M.nullspace()])
     rows, pivots = rref(m)
     R, spiv = M.rref()
     assert pivots == list(spiv)
@@ -565,9 +578,9 @@ def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
 
 def test_the_rref_fallback_of_int_rows_gives_fractions(monkeypatch):
     monkeypatch.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
-    kernel = kernel_basis([[1, 2], [2, 4]])
-    assert kernel == [[F(-2), F(1)]]
-    assert all(type(x) is F for x in kernel[0])
+    kernel = sparse_kernel(sparse([[1, 2], [2, 4]]), 2)
+    assert kernel == {1: {0: F(-2), 1: F(1)}}
+    assert all(type(x) is F for x in kernel[1].values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,14 +595,11 @@ def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
         calls = _spy_rref(mp)
-        kernel = exact.sparse_kernel(sparse(m), ncols)
-        assert kernel == exact.sparse_kernel(sparse(q), ncols)
+        kernel = sparse_kernel(sparse(m), ncols)
+        assert kernel == sparse_kernel(sparse(q), ncols)
         assert all(type(x) is F for vec in kernel.values()
                    for x in vec.values())
-        basis = kernel_basis(m)
-        assert basis == kernel_basis(q)
-        assert all(type(x) is F for vec in basis for x in vec)
-        assert exact.sparse_rank(sparse(m)) == exact.sparse_rank(sparse(q))
+        assert sparse_rank(sparse(m)) == sparse_rank(sparse(q))
         assert (exact.independent_rows(sparse(m))
                 == exact.independent_rows(sparse(q)))
         assert calls

@@ -91,10 +91,6 @@ def test_the_cli_imports_only_the_standard_library_and_guards():
 
 # Public API that only the tests read, kept on purpose.
 TEST_ONLY_API = {
-    # the dense definition catalecticant_rank is checked against
-    "catalecticant_matrix",
-    # the tests' literal for a rational matrix
-    "mat",
     # a multiplication table and its powers as tensors, checked against
     # kronecker_power; symmetric powers of algebras are to build on them
     "structure_tensor",
@@ -135,6 +131,31 @@ def test_every_definition_is_read():
 def test_test_only_api_is_defined_and_unread():
     # an entry whose definition goes, or that gains a reader, leaves the set
     assert TEST_ONLY_API <= {name for _, name in _unread_definitions()}
+
+
+def _public_definitions(path: Path):
+    """The top-level functions, classes and assigned names of a module that
+    do not start with an underscore, sorted."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_exact_takes_and_returns_sparse_rows_only():
+    # rref, the fallback of sparse_kernel and the tests' oracle, is the one
+    # dense routine; no dense rank, kernel, solve or matrix type comes back
+    assert _public_definitions(SRC / "exact.py") == sorted([
+        "MODULUS", "PRIMES", "Rat", "SparseEchelon", "SparseRow", "SparseVec",
+        "as_int", "independent_rows", "rat", "rref", "solve_many",
+        "sparse_kernel", "sparse_rank"])
 
 
 def _derived_readers():

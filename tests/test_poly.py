@@ -181,6 +181,13 @@ def test_homogenize_higher_degree_and_errors():
         homogenize(f, "x1")
 
 
+@pytest.mark.parametrize("exponent", [(1.5,), (True,), ("2",)])
+def test_exponents_that_are_not_ints_are_refused(exponent):
+    # int() would read 1.5 and True as 1 and "2" as 2
+    with pytest.raises(ValueError, match="is not a tuple of ints"):
+        Poly(("x",), {exponent: 1})
+
+
 def test_restrict_zero():
     g = parse("x1^2 + x1*y1 + y1^2 + x2")
     r = restrict_zero(g, ["y1"])

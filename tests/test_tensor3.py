@@ -194,6 +194,16 @@ def test_abelian_group_refuses_orders_that_are_not_ints(orders):
         AbelianGroup(orders)
 
 
+def test_group_tensors_are_refused_before_they_are_built():
+    G = AbelianGroup((4,))
+    with limits(max_entries=10):
+        with pytest.raises(LimitExceeded, match="entry count 16 "):
+            group_tensor(G)  # charged |G|^2 before the addition table
+        with pytest.raises(LimitExceeded, match="entry count 12 "):
+            AbelianGroup((3, 4))  # charged its order before enumerating
+        assert len(AbelianGroup((2, 5))) == 10
+
+
 def test_group_tensor_is_addition_table():
     T = group_tensor(AbelianGroup([3]))
     assert T.dims == (3, 3, 3) and T.nnz() == 9

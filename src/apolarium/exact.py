@@ -121,13 +121,16 @@ def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
     for i, raw in enumerate(rows):
         row: Dict[int, int] = {}
         for j, x in raw.items():
-            den = x.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if den % p == 0:
-                    return None
-                inv = inverses[den] = pow(den, -1, p)
-            v = x.numerator * inv % p
+            if type(x) is int:
+                v = x % p
+            else:
+                den = x.denominator
+                inv = inverses.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        return None
+                    inv = inverses[den] = pow(den, -1, p)
+                v = x.numerator * inv % p
             if v:
                 row[j] = v
         # each held row is zero in the pivot columns held before it, so one

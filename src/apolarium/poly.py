@@ -9,7 +9,23 @@ differentiates variable i of the argument, names are cosmetic).
 Canonical term order is graded: lower total degree first, and within a degree
 the monomial with the larger exponent on an earlier variable comes first
 (so 1 < x1 < x2 < x1^2 < x1*x2 < x2^2).  All printed output and all
-echelonized bases elsewhere follow this order.
+echelonized bases elsewhere follow this order.  The order of ``terms`` is
+not canonical: it is the order in which a computation produced its terms,
+and every operation here keeps it deterministic.
+
+Products and powers run on packed exponents (Monagan & Pearce 2007): each
+exponent is one int with a field of w bits per variable, w the bit length
+of the product's total-degree bound, so no field carries into the next and
+the key of a product of two monomials is the sum of their keys.  Each factor
+is scaled to ints by the lcm L of its denominators, ``f ** d`` keeps its
+whole square-and-multiply ladder on int keys and int cells, and the result
+is unpacked once, each coefficient ``Fraction(v, L ** d)``.
+
+``Poly.__init__`` checks everything it is given.  Results computed here
+from ``Poly`` values that were already checked go through
+``Poly._trusted``, which stores its dict as it is.  It relies on every key
+being a tuple of nonnegative ints of the variable count and every value a
+nonzero ``Fraction``, so any sum that can cancel drops its zeros first.
 """
 
 from __future__ import annotations
@@ -76,6 +92,19 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, vars: Tuple[str, ...], terms: TermMap) -> "Poly":
+        """Store a result without the checks of ``__init__``.
+
+        Only for results computed in this module from checked ``Poly``
+        values: vars is such a value's tuple, every key a tuple of ints
+        >= 0 of its length, every value a nonzero Fraction, and nothing
+        else holds the dict."""
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, vars: Sequence[str]) -> "Poly":
         return cls(vars, {})
 
@@ -118,11 +147,13 @@ class Poly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=monomial_key)]
 
     def graded_part(self, d: int) -> "Poly":
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Poly._trusted(self.vars, {e: c for e, c in self.terms.items()
+                                         if sum(e) == d})
 
     def truncate(self, d: int) -> "Poly":
         """Sum of the homogeneous parts of degree <= d."""
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= d})
+        return Poly._trusted(self.vars, {e: c for e, c in self.terms.items()
+                                         if sum(e) <= d})
 
     def evaluate(self, point: Sequence) -> Rat:
         if len(point) != len(self.vars):
@@ -150,12 +181,12 @@ class Poly:
         tm = dict(self.terms)
         for e, c in other.terms.items():
             tm[e] = tm.get(e, Fraction(0)) + c
-        return Poly(self.vars, tm)
+        return Poly._trusted(self.vars, {e: c for e, c in tm.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -168,14 +199,15 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = rat(other)
-            return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return Poly._trusted(self.vars, {e: c * v for e, v in
+                                             self.terms.items()} if c else {})
         self._check(other)
-        tm: TermMap = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                tm[e] = tm.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.vars, tm)
+        if not (self.terms and other.terms):
+            return Poly._trusted(self.vars, {})
+        w = (self.degree() + other.degree()).bit_length() or 1
+        a, la = _packed(self, w)
+        b, lb = _packed(other, w)
+        return _unpacked(self.vars, w, _times(a, b), la * lb)
 
     __rmul__ = __mul__
 
@@ -183,16 +215,27 @@ class Poly:
         return self * (Fraction(1) / rat(other))
 
     def __pow__(self, d: int):
+        if not isinstance(d, int):
+            raise TypeError(f"power {d!r} is not an int")
         if d < 0:
             raise ValueError("negative power")
-        out = Poly.const(self.vars, 1)
-        base = self
+        if not d:
+            return Poly.const(self.vars, 1)
+        if not self.terms:
+            return Poly._trusted(self.vars, {})
+        w = (d * self.degree()).bit_length() or 1
+        base, scale = _packed(self, w)
+        out: Dict[int, int] = {0: 1}
+        den = 1
         while d:
             if d & 1:
-                out = out * base
-            base = base * base if d > 1 else base
+                out = _times(out, base)
+                den *= scale
+            if d > 1:
+                base = _times(base, base)
+                scale *= scale
             d >>= 1
-        return out
+        return _unpacked(self.vars, w, out, den)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.vars == other.vars
@@ -206,6 +249,45 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+# -- packed products ------------------------------------------------------------
+
+
+def _packed(p: Poly, w: int) -> Tuple[Dict[int, int], int]:
+    """({exponent packed in fields of w bits: L * coefficient}, L), L the
+    lcm of p's denominators, in p's term order."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    out: Dict[int, int] = {}
+    for e, c in p.terms.items():
+        k = 0
+        for x in e:
+            k = (k << w) | x
+        out[k] = c.numerator * (scale // c.denominator)
+    return out, scale
+
+
+def _times(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The product of two packed polynomials, its keys in the order the
+    term pairs first reach them, cancelled terms dropped."""
+    acc: Dict[int, int] = {}
+    get = acc.get
+    pairs = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in pairs:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return {k: v for k, v in acc.items() if v}
+
+
+def _unpacked(vars: Tuple[str, ...], w: int, packed: Dict[int, int],
+              den: int) -> Poly:
+    """The Poly of packed terms whose coefficients were scaled by den."""
+    mask = (1 << w) - 1
+    shifts = [w * i for i in reversed(range(len(vars)))]
+    return Poly._trusted(vars, {
+        tuple([(k >> s) & mask for s in shifts]): Fraction(v, den)
+        for k, v in packed.items()})
 
 
 # -- the differentiation pairing --------------------------------------------
@@ -232,7 +314,7 @@ def apply(sigma: Poly, f: Poly) -> Poly:
                     scale *= math.perm(mm, k)
             e = tuple(mm - k for mm, k in zip(m, s))
             tm[e] = tm.get(e, Fraction(0)) + cs * cf * scale
-    return Poly(f.vars, tm)
+    return Poly._trusted(f.vars, {e: c for e, c in tm.items() if c})
 
 
 def diff(f: Poly, name: str) -> Poly:
@@ -245,7 +327,8 @@ def twist(F: Poly, v: str) -> Poly:
     if v not in F.vars:
         raise VarMismatchError(f"unknown variable {v!r}")
     i = F.vars.index(v)
-    return Poly(F.vars, {e: c / math.factorial(e[i]) for e, c in F.terms.items()})
+    return Poly._trusted(F.vars, {e: c / math.factorial(e[i])
+                                  for e, c in F.terms.items()})
 
 
 # -- variable plumbing -------------------------------------------------------
@@ -261,7 +344,7 @@ def dehomogenize(F: Poly, v: str) -> Poly:
     for e, c in F.terms.items():
         ne = e[:i] + e[i + 1:]
         tm[ne] = tm.get(ne, Fraction(0)) + c
-    return Poly(new_vars, tm)
+    return Poly._trusted(new_vars, {e: c for e, c in tm.items() if c})
 
 
 def homogenize(f: Poly, v: str, d: Optional[int] = None,

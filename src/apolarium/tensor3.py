@@ -319,12 +319,16 @@ def algebra_A_Tk(T: PartiallySymmetricTensor, k: int) -> Tensor3:
 
     Basis (unit, x_1..x_n, y_1..y_k, z_1..z_m): the unit acts as identity,
     x_i * x_j = sum_l T.slices[l][i][j] * z_l, the y's are annihilated by
-    everything but the unit, and all remaining products vanish.
+    everything but the unit, and all remaining products vanish.  Its
+    2·dim − 1 unit entries and the nonzero slice entries are checked
+    against the limits before any is built.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     n, m = T.n, T.m
     dim = 1 + n + k + m
+    guards.check_entries(2 * dim - 1 + sum(
+        1 for s in T.slices for row in s for c in row if c))
     entries: Dict[Index3, Rat] = {}
     for b in range(dim):
         entries[(0, b, b)] = Fraction(1)

@@ -543,6 +543,19 @@ def test_group_tensors_are_refused_before_they_are_built(capsys):
                             "--blocking", "cw", "--max-entries", "1000"])
 
 
+def test_algebras_are_refused_before_they_are_built(capsys, monkeypatch,
+                                                   tmp_path):
+    # about 2 * 10^6 unit entries, which took seconds to build
+    from apolarium import tensor3
+    built = []
+    monkeypatch.setattr(tensor3, "Tensor3", lambda *a: built.append(a))
+    slices = tmp_path / "s.json"
+    slices.write_text(json.dumps({"slices": [[["1", "0"], ["0", "1"]]]}))
+    assert refused(capsys, ["tensor", "make", "atk", "--slices", f"@{slices}",
+                            "--k", "1000000", "--max-entries", "1000"])
+    assert built == []
+
+
 def test_degree_guard_exits_three(capsys):
     assert run(["apolar-dim", "(x1 + x2)^40", "--max-degree", "10"]) == 3
 

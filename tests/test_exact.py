@@ -603,3 +603,31 @@ def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
         assert (exact.independent_rows(sparse(m))
                 == exact.independent_rows(sparse(q)))
         assert calls
+
+
+# int entries as the partials blocks build them: small, negative, past a
+# prime, or a multiple of one
+int_entry = st.one_of(st.integers(-9, 9), st.sampled_from(
+    [P, -P, 2 * P + 3, PRIMES[-1] * PRIMES[1], (1 << 70) - 1]))
+int_rows = st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(int_entry, min_size=m, max_size=m),
+            min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_rows, st.sampled_from([None, 1, 2, 3]))
+def test_int_entries_reduce_like_their_fractions_mod_every_prime(m, full):
+    ints = sparse(m)
+    fracs = [{j: F(x) for j, x in row.items()} for row in ints]
+    for p in PRIMES:
+        assert (exact._echelon_mod_p(ints, p, full)
+                == exact._echelon_mod_p(fracs, p, full))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_denominator_divisible_by_the_prime_is_refused_among_ints(p):
+    assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: F(1, p), 2: 5}], p) is None
+    assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: p, 2: 5}], p) == {
+        0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 2: {2: 1}}

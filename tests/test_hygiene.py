@@ -158,16 +158,23 @@ def test_exact_takes_and_returns_sparse_rows_only():
         "sparse_kernel", "sparse_rank"])
 
 
-def _derived_readers():
-    """(module, top-level definition) of each read of an attribute
-    ``_derived`` in the package, outside the method's own definition."""
+def _readers_of(attr):
+    """(module, dotted name of the enclosing definition) of each read of
+    the attribute ``attr`` in the package."""
     readers = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == attr:
+                readers.add((path.name, ".".join(scope)))
+            visit(child, path, inner)
+
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            name = getattr(node, "name", None)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute) and sub.attr == "_derived":
-                    readers.add((path.name, name))
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
     return readers
 
 
@@ -175,5 +182,15 @@ def test_only_the_kronecker_walks_skip_the_entry_checks():
     # Tensor3._derived stores a dict without checking its entries; only a
     # walk over a factor that has just been validated may hand it one, so
     # anything built from outside input goes through Tensor3.__init__
-    assert _derived_readers() == {("tensor3.py", "kronecker_power"),
-                                  ("sweet.py", "_project")}
+    assert _readers_of("_derived") == {("tensor3.py", "kronecker_power"),
+                                       ("sweet.py", "_project")}
+
+
+def test_only_poly_results_skip_the_term_checks():
+    # Poly._trusted stores a term dict without checking it; only results
+    # that poly.py computes from checked Polys, with cancelled terms
+    # dropped, may hand it one, so every other Poly goes through __init__
+    assert _readers_of("_trusted") == {("poly.py", name) for name in (
+        "Poly.graded_part", "Poly.truncate", "Poly.__add__", "Poly.__neg__",
+        "Poly.__mul__", "Poly.__pow__", "_unpacked", "apply", "twist",
+        "dehomogenize")}

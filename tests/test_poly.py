@@ -86,6 +86,103 @@ def test_arithmetic_basics():
 def test_var_mismatch():
     with pytest.raises(VarMismatchError):
         parse("x1") + parse("x2", vars=("x2",))
+    with pytest.raises(VarMismatchError):
+        parse("x1") * parse("x2", vars=("x2",))
+
+
+# -- products and powers against the schoolbook reference -------------------------
+
+def schoolbook_product(p, q):
+    """Every pair of terms multiplied as Fractions on exponent tuples, the
+    keys in the order the pairs first reach them."""
+    tm = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            tm[e] = tm.get(e, F(0)) + c1 * c2
+    return Poly(p.vars, tm)
+
+
+def schoolbook_power(p, d):
+    """Square-and-multiply on schoolbook products."""
+    out = Poly.const(p.vars, 1)
+    base = p
+    while d:
+        if d & 1:
+            out = schoolbook_product(out, base)
+        base = schoolbook_product(base, base) if d > 1 else base
+        d >>= 1
+    return out
+
+
+def same_terms(got, want):
+    """Equal terms in equal order, each coefficient a Fraction and each
+    exponent a tuple of ints."""
+    assert got.vars == want.vars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is F for c in got.terms.values())
+    assert all(type(e) is tuple and all(type(x) is int for x in e)
+               for e in got.terms)
+
+
+# one exponent entry in five needs a wide field
+exponent_entry = st.sampled_from((0, 1, 2, 3, 300))
+coefficient = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def polys_on(nvars):
+    names = tuple(f"x{i + 1}" for i in range(nvars))
+    return st.lists(st.tuples(st.tuples(*[exponent_entry] * nvars), coefficient),
+                    max_size=5).map(lambda terms: Poly(names, dict(terms)))
+
+
+pairs_of_polys = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(polys_on(n), polys_on(n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs_of_polys)
+def test_products_match_the_schoolbook_reference(pq):
+    p, q = pq
+    same_terms(p * q, schoolbook_product(p, q))
+    same_terms(q * p, schoolbook_product(q, p))
+    same_terms(p * p, schoolbook_product(p, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(polys_on), st.integers(0, 5))
+def test_powers_match_the_schoolbook_reference(p, d):
+    same_terms(p ** d, schoolbook_power(p, d))
+
+
+@pytest.mark.parametrize("text,d", [
+    ("x1 - x2", 1), ("1/2*x1 - 2/3*x2 + 3/5", 4), ("x1^300 + 1/7", 3),
+    ("x1^300*x2 - x2^2", 2), ("-3/4", 5), ("x1", 0), ("0", 0), ("0", 3)])
+def test_powers_of_fractional_and_wide_polys(text, d):
+    p = parse(text, vars=("x1", "x2"))
+    same_terms(p ** d, schoolbook_power(p, d))
+
+
+def test_powers_that_are_not_ints_are_refused():
+    p = parse("x1 + 1")
+    for d in (2.0, 1.5, "2", F(2)):
+        with pytest.raises(TypeError):
+            p ** d
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
+def test_products_that_cancel():
+    x1, x2 = (Poly.variable(("x1", "x2"), v) for v in ("x1", "x2"))
+    f = (x1 - x2) * (x1 + x2)
+    same_terms(f, schoolbook_product(x1 - x2, x1 + x2))
+    assert list(f.terms) == [(2, 0), (0, 2)]
+    g = (x1 / 2 - x2 / 3) * (x1 / 2 + x2 / 3)
+    assert list(g.terms.items()) == [((2, 0), F(1, 4)), ((0, 2), F(-1, 9))]
+    zero = Poly.zero(("x1", "x2"))
+    same_terms(f * zero, zero)
+    same_terms(zero * f, zero)
+    same_terms(zero ** 0, Poly.const(("x1", "x2"), 1))
 
 
 def test_degree_and_parts():

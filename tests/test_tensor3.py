@@ -282,6 +282,18 @@ def test_algebra_k_zero_and_validation():
         PartiallySymmetricTensor([])
 
 
+def test_algebras_are_refused_before_they_are_built():
+    # 2*dim - 1 unit entries and 4 nonzero slice entries, dim = 1 + 2 + k + 2
+    ts = PartiallySymmetricTensor([[[2, 0], [0, 0]], [[1, 3], [3, 0]]])
+    with limits(max_entries=15):
+        assert algebra_A_Tk(ts, 1).nnz() == 15
+        with pytest.raises(LimitExceeded, match="entry count 17 "):
+            algebra_A_Tk(ts, 2)
+    with limits(max_entries=1000):
+        with pytest.raises(LimitExceeded, match="entry count 2000013 "):
+            algebra_A_Tk(ts, 10 ** 6)
+
+
 def test_symmetrize_embeds_transpose_pairs():
     S = symmetrize_TS(cw(3))
     assert S.n == 6 and S.m == 3

@@ -17,12 +17,11 @@ sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since reduction
 mod p never raises a rank.  Otherwise the kernel is computed mod one prime
 of ``PRIMES`` after another, combined by CRT, lifted to Q by rational
 reconstruction (Wang 1981) and checked exactly.  The first lift that passes
-is the reduced-echelon kernel over Q (see ``sparse_kernel``), so every
-rank, kernel, solution and greedy basis equals the one ``rref`` over Q
-gives.  ``rref``, on dense rows, is the only dense code here: it answers
-only when the primes do not.  ``SparseEchelon``, an incremental elimination
-over Q, is kept only as the exact reference that the tests check the
-modular answers against.
+is the reduced-echelon kernel over Q (see ``sparse_kernel``).  When the
+primes do not answer, ``SparseEchelon``, an incremental elimination over Q
+on the same sparse rows, does.  The reduced echelon form of a row space is
+unique, so every rank, kernel, solution and greedy basis is the same
+whichever of the two answers.  No dense row is built.
 
 No floats, ever.
 """
@@ -53,49 +52,6 @@ def as_int(x, what: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"{what} {x!r} is not an int")
     return x
-
-
-def _first_nonzero(row: Sequence[Rat]) -> int:
-    """Index of the leftmost nonzero entry, or -1 for a zero row."""
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return -1
-
-
-def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
-    """Reduced row echelon form of the dense rows m.
-
-    Returns (rows, pivot_columns).  Rows are fully reduced, pivots are 1,
-    pivot columns strictly increase, zero rows are dropped.
-    """
-    rows: List[List[Rat]] = []
-    pivots: List[int] = []
-    for raw in m:
-        row = list(raw)
-        for p, r in zip(pivots, rows):
-            if row[p]:
-                c = row[p]
-                for j in range(p, len(row)):
-                    row[j] -= c * r[j]
-        p = _first_nonzero(row)
-        if p < 0:
-            continue
-        inv = row[p]
-        row = [x / inv for x in row]
-        # back-substitute into the rows already collected
-        for r in rows:
-            if r[p]:
-                c = r[p]
-                for j in range(len(row)):
-                    r[j] -= c * row[j]
-        # keep pivot columns sorted
-        k = 0
-        while k < len(pivots) and pivots[k] < p:
-            k += 1
-        rows.insert(k, row)
-        pivots.insert(k, p)
-    return rows, pivots
 
 
 # 61-bit primes, largest first, written out so that importing computes nothing
@@ -267,9 +223,7 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     certified by the ``sparse_kernel`` of whichever of the matrix and its
     transpose has fewer columns, with the columns that occur numbered 0, 1,
     ... in order: its ncols - r vectors are checked exactly and independent
-    (they carry an identity on the free columns), so rank over Q <= r.  Only
-    the ``rref`` fallback of that kernel builds dense rows, over those
-    columns."""
+    (they carry an identity on the free columns), so rank over Q <= r."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
     full = min(len(rows), len(cols))
@@ -316,17 +270,22 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     That basis is unique, and the multi-prime kernel is it: its vectors are
     checked, so they span the kernel, and the one for free column j mod p
     ends at j, so the free columns mod p are those at which kernel vectors
-    end, which are the free columns over Q.  ``rref`` answers, on dense
-    rows with each entry made a Fraction by ``rat``, only when
-    ``_kernel_mod_primes`` does not.
+    end, which are the free columns over Q.  When ``_kernel_mod_primes``
+    does not answer, the rows are inserted into one ``SparseEchelon`` over
+    Q, whose rows are then fully reduced: the vector of free column j has
+    -row[j] at the pivot of each held row.
     """
     kernel = _kernel_mod_primes(rows, range(ncols))
     if kernel is None:
-        dense, pivots = rref([[rat(row.get(j, 0)) for j in range(ncols)]
-                              for row in rows])
-        kernel = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivots}
-        for j, vec in kernel.items():
-            vec.update((p, -r[j]) for r, p in zip(dense, pivots) if r[j])
+        echelon = SparseEchelon(int)
+        for row in rows:
+            echelon.insert(row)
+        kernel = {j: {j: Fraction(1)} for j in range(ncols)
+                  if j not in echelon.table}
+        for p in sorted(echelon.table):
+            for j, x in echelon.table[p].items():
+                if j != p:
+                    kernel[j][p] = -x
     return kernel
 
 
@@ -359,9 +318,9 @@ SparseVec = Dict[Hashable, Rat]
 
 
 class SparseEchelon:
-    """Incremental RREF over sparse vectors keyed by arbitrary hashables,
-    the exact reference for the modular elimination (the library does not
-    call it).
+    """Incremental RREF over Q of sparse vectors keyed by arbitrary
+    hashables, each entry made a Fraction by ``rat``; ``sparse_kernel``
+    answers with it when the primes do not.
 
     key_order maps a key to a sortable token; the pivot of a vector is its
     *smallest* key under that order, so for spaces of polynomials keyed by

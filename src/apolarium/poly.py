@@ -35,6 +35,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import guards
 from .exact import Rat, rat
 
 Exponent = Tuple[int, ...]
@@ -484,6 +485,9 @@ class _Parser:
 
     Identifiers are greedy ([A-Za-z][A-Za-z0-9]*), so products of variables
     need '*' or parentheses between them: "x1*x2", not "x1x2".
+
+    Each product and power is checked against the degree and term guards
+    before it is expanded (see ``charge``).
     """
 
     def __init__(self, tokens, vars: Tuple[str, ...]):
@@ -522,17 +526,28 @@ class _Parser:
             else:
                 return p
 
+    def charge(self, degree: int, products: int) -> None:
+        """Refuse a product or power of nonzero polynomials past the guards
+        before it is expanded: its degree, and its term count bounded by
+        both the `products` of terms it sums and the monomials of its
+        degree in the variables."""
+        guards.check_degree(degree)
+        guards.check_terms(min(products, math.comb(len(self.vars) + degree,
+                                                   degree)))
+
     def parse_term(self) -> Poly:
         p = self.parse_factor()
         while True:
             kind, val = self.peek()
             if kind == "sym" and val == "*":
                 self.take()
-                p = p * self.parse_factor()
-            elif kind in ("num", "var") or (kind == "sym" and val == "("):
-                p = p * self.parse_factor()
-            else:
+            elif not (kind in ("num", "var") or (kind == "sym" and val == "(")):
                 return p
+            q = self.parse_factor()
+            if p.terms and q.terms:
+                self.charge(p.degree() + q.degree(),
+                            len(p.terms) * len(q.terms))
+            p = p * q
 
     def parse_factor(self) -> Poly:
         p = self.parse_atom()
@@ -542,6 +557,10 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer")
+            if p.terms:
+                # the multisets of val of p's terms
+                self.charge(val * p.degree(),
+                            math.comb(len(p.terms) + val - 1, val))
             p = p ** val
         return p
 

@@ -111,9 +111,12 @@ def weight_blocking(weights: Sequence[int]) -> Blocking:
 
 def blocking_power(B: Blocking, N: int) -> Blocking:
     """Induced blocking on the N-th Kronecker power: labels add coordinatewise
-    along each index sequence (sequences in lexicographic flat order)."""
+    along each index sequence (sequences in lexicographic flat order).  The
+    d^N sequences of each axis of d labels are checked against the entry
+    limit before they are enumerated."""
     tables = []
     for ax in B.labels:
+        guards.check_entries(len(ax) ** N)
         table = []
         for seq in itertools.product(range(len(ax)), repeat=N):
             total = tuple(sum(ax[i][t] for i in seq) for t in range(B.r))

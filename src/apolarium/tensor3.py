@@ -167,9 +167,11 @@ def is_concise(T: Tensor3) -> Tuple[bool, List[int]]:
 
 def cw(n: int) -> Tensor3:
     """The three-sum tensor on K^n: unit row, unit column, and the middle
-    squares landing on the top vector.  Support size 3n-3."""
+    squares landing on the top vector.  Support size 3n-3; n is checked
+    against the entry limit before any entry is built."""
     if n < 3:
         raise ValueError("need n >= 3")
+    guards.check_entries(n)
     entries: Dict[Index3, Rat] = {}
     for i in range(n):
         entries[(0, i, i)] = Fraction(1)
@@ -348,10 +350,13 @@ def algebra_A_Tk(T: PartiallySymmetricTensor, k: int) -> Tensor3:
 
 def symmetrize_TS(T: Tensor3) -> PartiallySymmetricTensor:
     """Pack each contraction by the third axis into a 2n x 2n symmetric slice:
-    the original matrix on the (1,2) block and its transpose on (2,1)."""
+    the original matrix on the (1,2) block and its transpose on (2,1).  The
+    m (2n)^2 dense cells are checked against the entry limit before any is
+    built."""
     if T.dims[0] != T.dims[1]:
         raise ValueError("first two dims must agree")
     n, m = T.dims[0], T.dims[2]
+    guards.check_entries(m * (2 * n) ** 2)
     slices = []
     for l in range(m):
         s = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
@@ -369,7 +374,8 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     Output lives in K^(a+1) x K^(b+k) x K^(b+k): the new first-axis index 0
     contracts to the identity, and the original entries keep their second
     index while their third index moves into the last c coordinates.
-    Restricting to the original coordinates recovers T.
+    Restricting to the original coordinates recovers T.  Its largest
+    dimension is checked against the entry limit before any entry is built.
     """
     ok, bad = is_concise(T)
     if not ok:
@@ -378,6 +384,7 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     if k < 0 or b + k < c:
         raise ValueError(f"need k >= 0 with b+k >= c (b={b}, k={k}, c={c})")
     w = b + k
+    guards.check_entries(max(a + 1, w))
     entries: Dict[Index3, Rat] = {(0, j, j): Fraction(1) for j in range(w)}
     shift = w - c
     for (i, j, l), val in T.entries.items():

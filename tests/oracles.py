@@ -1,0 +1,74 @@
+"""Oracles shared by the test modules.
+
+``rref`` is the dense elimination over Q that the sparse answers of
+``exact`` are checked against; ``spy_fallbacks`` records each exact
+elimination that ``exact.sparse_kernel`` falls back to when its primes do
+not answer.
+"""
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from apolarium import exact
+from apolarium.exact import Rat
+
+
+def _first_nonzero(row: Sequence[Rat]) -> int:
+    """Index of the leftmost nonzero entry, or -1 for a zero row."""
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return -1
+
+
+def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
+    """Reduced row echelon form of the dense rows m.
+
+    Returns (rows, pivot_columns).  Rows are fully reduced, pivots are 1,
+    pivot columns strictly increase, zero rows are dropped.
+    """
+    rows: List[List[Rat]] = []
+    pivots: List[int] = []
+    for raw in m:
+        row = list(raw)
+        for p, r in zip(pivots, rows):
+            if row[p]:
+                c = row[p]
+                for j in range(p, len(row)):
+                    row[j] -= c * r[j]
+        p = _first_nonzero(row)
+        if p < 0:
+            continue
+        inv = row[p]
+        row = [x / inv for x in row]
+        # back-substitute into the rows already collected
+        for r in rows:
+            if r[p]:
+                c = r[p]
+                for j in range(len(row)):
+                    r[j] -= c * row[j]
+        # keep pivot columns sorted
+        k = 0
+        while k < len(pivots) and pivots[k] < p:
+            k += 1
+        rows.insert(k, row)
+        pivots.insert(k, p)
+    return rows, pivots
+
+
+def spy_fallbacks(monkeypatch):
+    """One list per ``SparseEchelon`` that ``exact`` builds while the spy
+    is set, holding the rows inserted into it, in order."""
+    calls = []
+
+    class Spy(exact.SparseEchelon):
+        def __init__(self, key_order):
+            super().__init__(key_order)
+            self.rows = []
+            calls.append(self.rows)
+
+        def insert(self, vec):
+            self.rows.append(vec)
+            return super().insert(vec)
+    monkeypatch.setattr(exact, "SparseEchelon", Spy)
+    return calls

@@ -22,6 +22,7 @@ from apolarium.apolar import (
     verify_tautological_apolarity,
 )
 from apolarium.exact import SparseEchelon, sparse_rank
+from oracles import rref, spy_fallbacks
 from apolarium.papersuite import ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
@@ -526,10 +527,9 @@ def test_inhomogeneous_apolar_dim_matches_the_closure_oracle(f):
     assert apolar_dim(f) == _oracle_closure(f, [f]).rank
 
 
-def test_inhomogeneous_apolar_dim_is_certified_without_rref(monkeypatch):
-    from apolarium import exact
-    calls = []
-    monkeypatch.setattr(exact, "rref", lambda m: calls.append(m))
+def test_inhomogeneous_apolar_dim_is_certified_without_the_fallback(
+        monkeypatch):
+    calls = spy_fallbacks(monkeypatch)
     polys = [parse(t) for t in ENCOMPASS_CORPUS]
     polys = [f ** d for f in polys if not f.is_homogeneous()
              for d in range(1, f.degree() + 1)]
@@ -593,19 +593,11 @@ def test_greedy_rows_match_the_echelon(f):
     _check_greedy_rows_against_the_echelon(f)
 
 
-# -- apolar algebras certified without rref -----------------------------------
-
-
-def _spy_rref(monkeypatch):
-    from apolarium import exact
-    calls = []
-    monkeypatch.setattr(exact, "rref", lambda m: calls.append(m))
-    return calls
+# -- apolar algebras certified without the fallback ---------------------------
 
 
 def _oracle_annihilator(f, d):
     """Kernel of the dense operator matrix, read off rref over Q."""
-    from apolarium.exact import rref
     sigmas = monomials_upto(len(f.vars), d)
     images = [apply(Poly.monomial(f.vars, s), f) for s in sigmas]
     coords = sorted({m for img in images for m in img.terms}, key=monomial_key)
@@ -632,7 +624,6 @@ def test_annihilator_matches_the_apply_oracle(f, data):
 
 def _oracle_structure_tensor(f):
     """One rref of [gram | rhs] per pair (i, j), gram and rhs read off apply."""
-    from apolarium.exact import rref
     exps = greedy_monomial_basis(f)
     zero = (0,) * len(f.vars)
 
@@ -650,10 +641,11 @@ def _oracle_structure_tensor(f):
     return entries
 
 
-def test_apolar_algebra_of_ex49_is_certified_without_rref(monkeypatch):
+def test_apolar_algebra_of_ex49_is_certified_without_the_fallback(
+        monkeypatch):
     from apolarium.papersuite import EX49_CUBIC
     f = parse(EX49_CUBIC)
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     gens = annihilator_upto(f)
     T, basis = structure_tensor_of_apolar(f)
     assert calls == []
@@ -666,13 +658,13 @@ def test_apolar_algebra_of_ex49_is_certified_without_rref(monkeypatch):
     assert list(T.entries) == sorted(T.entries)
 
 
-def test_hilbert_function_of_ex49_fourth_power_is_certified_without_rref(
+def test_hilbert_function_of_ex49_fourth_power_needs_no_fallback(
         monkeypatch):
     # its degree-6 catalecticant block is 201 x 201 of rank 169, with kernel
     # entries past Wang's bound for one and two primes
     from apolarium.papersuite import EX49_CUBIC
     f = parse(EX49_CUBIC) ** 4
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     assert tuple(hilbert_function(f)) == (
         1, 5, 15, 35, 70, 124, 169, 124, 70, 35, 15, 5, 1)
     assert calls == []

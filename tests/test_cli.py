@@ -556,6 +556,21 @@ def test_algebras_are_refused_before_they_are_built(capsys, monkeypatch,
     assert built == []
 
 
+@pytest.mark.parametrize("argv", [
+    # the first ran 16.8 s and exited 0 with a report of 95 MB; the others
+    # built for seconds, or to the end, before any refusal
+    ["sweet", "zero-layers", "--tensor", "cw:300000", "--axis", "1",
+     "--max-entries", "1000"],
+    ["tensor", "make", "cw", "--n", "300000", "--max-entries", "1000"],
+    ["tensor", "make", "onegen", "--tensor", "cw:3", "--k", "300000",
+     "--max-entries", "1000"],
+    ["tensor", "make", "ts", "--tensor", "cw:120", "--max-entries", "1000"],
+    ["apolar-dim", "(x1+x2+x3+x4+x5+x6)^30", "--max-degree", "10"],
+])
+def test_constructions_are_refused_before_they_are_built(capsys, argv):
+    assert refused(capsys, argv)
+
+
 def test_degree_guard_exits_three(capsys):
     assert run(["apolar-dim", "(x1 + x2)^40", "--max-degree", "10"]) == 3
 

@@ -9,8 +9,9 @@ except ImportError:  # the oracle is optional
     sympy = None
 
 from apolarium import exact
-from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, rref,
-                             solve_many, sparse_kernel, sparse_rank)
+from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, solve_many,
+                             sparse_kernel, sparse_rank)
+from oracles import rref, spy_fallbacks
 
 F = Fraction
 P = MODULUS
@@ -183,16 +184,6 @@ def test_rank_matches_rref_rank(m):
     assert sparse_rank(sparse(m)) == len(rref(m)[0])
 
 
-def _spy_rref(monkeypatch):
-    calls = []
-
-    def spy(m):
-        calls.append(m)
-        return rref(m)
-    monkeypatch.setattr(exact, "rref", spy)
-    return calls
-
-
 @pytest.mark.parametrize("m, expected", [
     ([[F(P)]], 1),                        # P vanishes mod P
     ([[F(1), F(1)], [F(1), F(1 + P)]], 2),  # determinant P
@@ -205,18 +196,18 @@ def _spy_rref(monkeypatch):
     ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1),
 ])
 def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     assert sparse_rank(sparse(m)) == expected
-    assert calls == [m]
-    # the same rows, sparse over far-apart columns: only the fallback builds
-    # dense rows, over the columns that occur
+    assert calls == [sparse(m)]
+    # the same rows, sparse over far-apart columns: the fallback gets them
+    # over the columns that occur, numbered 0, 1, ...
     spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
     assert sparse_rank(spread) == expected
-    assert calls == [m, m]
+    assert calls == [sparse(m), sparse(m)]
 
 
-def test_zero_matrix_rank_is_certified_without_rref(monkeypatch):
-    calls = _spy_rref(monkeypatch)
+def test_zero_matrix_rank_is_certified_without_the_fallback(monkeypatch):
+    calls = spy_fallbacks(monkeypatch)
     assert sparse_rank(sparse([[F(0)] * 4] * 3)) == 0
     assert calls == []
 
@@ -237,7 +228,7 @@ deficient_products = st.integers(1, 3).flatmap(
 def test_deficient_rank_is_certified_by_a_kernel(m):
     expected = len(rref(m)[0])
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_rref(mp)
+        calls = spy_fallbacks(mp)
         assert sparse_rank(sparse(m)) == expected
         assert sparse_rank(sparse(transpose(m))) == expected
     assert calls == []
@@ -248,8 +239,8 @@ def test_rank_of_empty_matrices():
     assert sparse_rank(sparse([[], []])) == 0
 
 
-def test_full_rank_is_certified_without_rref(monkeypatch):
-    calls = _spy_rref(monkeypatch)
+def test_full_rank_is_certified_without_the_fallback(monkeypatch):
+    calls = spy_fallbacks(monkeypatch)
     m = mat([["1/2", 3, 0, -5], [0, "7/3", 1, 1], [1, 1, 1, "1/6"]])
     assert sparse_rank(sparse(m)) == 3
     assert sparse_rank(sparse(transpose(m))) == 3
@@ -296,7 +287,7 @@ def test_sparse_certificates_match_rref_rank(m):
 
 
 def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     assert sparse_rank([]) == 0
     assert sparse_rank([{}, {}]) == 0
     assert sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
@@ -424,14 +415,15 @@ def _count_primes(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(big_kernels())
-def test_kernels_needing_several_primes_are_certified_without_rref(mx):
+def test_kernels_needing_several_primes_are_certified_without_the_fallback(
+        mx):
     m, x = mx
     r, s = len(x), len(x[0])
     expected = dict(zip(range(r, r + s), sparse(
         [[x[i][t] for i in range(r)] + [F(t == u) for u in range(s)]
          for t in range(s)])))
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_rref(mp)
+        calls = spy_fallbacks(mp)
         primes = _count_primes(mp)
         assert sparse_kernel(sparse(m), r + s) == expected
         assert 2 <= len(primes) <= 4
@@ -448,9 +440,10 @@ def test_kernels_needing_several_primes_are_certified_without_rref(mx):
     assert expected == oracle_kernel(m)
 
 
-def test_kernel_past_one_prime_is_certified_without_rref(monkeypatch):
+def test_kernel_past_one_prime_is_certified_without_the_fallback(
+        monkeypatch):
     # the kernel entry -(2^40 + 1) is past Wang's bound for one prime
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     m = [[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]]
     assert sparse_rank(sparse(m)) == 1
     assert sparse_kernel(sparse(m), 2) == {1: {0: F(-(1 << 40 | 1)), 1: F(1)}}
@@ -463,12 +456,12 @@ def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
     # so the k-th prime is reached, and it divides a denominator
     pk, n = PRIMES[k], 1 << 31 * k
     m = [[F(1, pk), F(n)], [F(1), F(n * pk)]]
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     primes = _count_primes(monkeypatch)
     assert sparse_rank(sparse(m)) == 1
     assert primes == list(PRIMES[:k + 1])
     assert sparse_kernel(sparse(m), 2) == {1: {0: F(-n * pk), 1: F(1)}}
-    assert calls == [m, m]
+    assert calls == [sparse(m), sparse(m)]
     assert solve_many([{0: F(1, pk)}, {1: F(1)}], [{0: F(1), 1: F(2)}]) == [
         {0: F(pk), 1: F(2)}]
 
@@ -476,14 +469,14 @@ def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
 def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
     # mod P the first column vanishes and the second is the pivot; mod the
     # next prime the first column is the pivot
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     primes = _count_primes(monkeypatch)
     assert sparse_kernel([{0: F(P), 1: F(1)}], 2) == {
         1: {0: F(-1, P), 1: F(1)}}
     assert primes == list(PRIMES[:2])
     m = [[F(P), F(1)], [F(2 * P), F(2)]]
     assert sparse_rank(sparse(m)) == 1
-    assert calls == [[[F(P), F(1)]], m]
+    assert calls == [[{0: F(P), 1: F(1)}], sparse(m)]
     assert exact._kernel_mod_primes(sparse(m), range(2)) is None
 
 
@@ -553,7 +546,7 @@ def test_independent_rows_of_independent_rows_need_no_kernel(monkeypatch):
 
 
 def test_dependent_rows_are_certified_by_a_kernel(monkeypatch):
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     rows = [{}, {0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {}, {1: F(1)},
             {0: F(1, 3)}, {0: F(1), 1: F(1 << 80 | 1)}]
     assert exact.independent_rows(rows) == [1, 4]
@@ -569,14 +562,14 @@ def test_dependent_rows_are_certified_by_a_kernel(monkeypatch):
     ([{0: F(1, P)}, {0: F(1)}, {1: F(1)}, {0: F(2), 1: F(3, P)}], [0, 2]),
 ])
 def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
-    calls = _spy_rref(monkeypatch)
+    calls = spy_fallbacks(monkeypatch)
     assert exact.independent_rows(rows) == expected
     assert len(calls) == 1
     assert oracle_greedy_rows(
         [[row.get(j, F(0)) for j in range(2)] for row in rows]) == expected
 
 
-def test_the_rref_fallback_of_int_rows_gives_fractions(monkeypatch):
+def test_the_fallback_of_int_rows_gives_fractions(monkeypatch):
     monkeypatch.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
     kernel = sparse_kernel(sparse([[1, 2], [2, 4]]), 2)
     assert kernel == {1: {0: F(-2), 1: F(1)}}
@@ -585,7 +578,7 @@ def test_the_rref_fallback_of_int_rows_gives_fractions(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
-def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
+def test_int_rows_in_the_fallback_match_fraction_rows(q):
     # a doubled first row and column keep the rank below both sides, so the
     # full-rank certificate does not answer and the fallback is reached
     q = [row + [2 * row[0]] for row in q]
@@ -594,7 +587,7 @@ def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
     ncols = len(m[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
-        calls = _spy_rref(mp)
+        calls = spy_fallbacks(mp)
         kernel = sparse_kernel(sparse(m), ncols)
         assert kernel == sparse_kernel(sparse(q), ncols)
         assert all(type(x) is F for vec in kernel.values()
@@ -603,6 +596,31 @@ def test_int_rows_in_the_rref_fallback_match_fraction_rows(q):
         assert (exact.independent_rows(sparse(m))
                 == exact.independent_rows(sparse(q)))
         assert calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(), square_matrices, st.data())
+def test_the_fallback_matches_the_rref_oracle(m, g, data):
+    # with the primes turned off, every answer is the exact elimination's
+    rhss = data.draw(st.lists(st.lists(rat_entry, min_size=len(g),
+                                       max_size=len(g)),
+                              min_size=1, max_size=3))
+    solutions = [oracle_solve(g, b) for b in rhss]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+        kernel = sparse_kernel(sparse(m), len(m[0]))
+        assert sparse_rank(sparse(m)) == len(rref(m)[0])
+        assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(m)
+        if solutions[0] is None:
+            with pytest.raises(ValueError, match="singular"):
+                solve_many(sparse(g), sparse(rhss))
+        else:
+            solved = solve_many(sparse(g), sparse(rhss))
+            assert solved == sparse(solutions)
+            assert all(type(x) is F for x in solved[0].values())
+    expected = oracle_kernel(m)
+    assert kernel == expected and list(kernel) == list(expected)
+    assert all(type(x) is F for vec in kernel.values() for x in vec.values())
 
 
 # int entries as the partials blocks build them: small, negative, past a

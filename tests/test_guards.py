@@ -108,6 +108,39 @@ def test_a_cli_flag_beats_the_environment(capsys, monkeypatch):
 FERMAT = "x1^3 + x2^3"  # partials bound 4 + 4 = 8
 
 
+@pytest.mark.parametrize("text, lim, message", [
+    ("(x1+x2+x3+x4+x5+x6)^30", {"max_degree": 10}, "degree 30 "),
+    ("x1*x2", {"max_degree": 1}, "degree 2 "),
+    # multisets of 4 of 3 terms: comb(6, 4) = 15 < comb(3 + 4, 3)
+    ("(x1+x2+x3)^4", {"max_terms": 14}, "term count 15 "),
+    ("(x1+x2)*(x1+x2+x3)", {"max_terms": 5}, "term count 6 "),
+    ("(x1+x2)(x1+x2+x3)", {"max_terms": 5}, "term count 6 "),
+])
+def test_parsed_products_and_powers_are_refused_before_they_expand(
+        monkeypatch, text, lim, message):
+    from apolarium import poly
+    calls = []
+    times = poly._times
+
+    def spy(a, b):
+        calls.append((a, b))
+        return times(a, b)
+    monkeypatch.setattr(poly, "_times", spy)
+    with limits(**lim):
+        with pytest.raises(LimitExceeded, match=message):
+            parse(text)
+    assert calls == []
+
+
+def test_a_parsed_power_is_charged_at_most_its_monomials():
+    # comb(3 + 2 - 1, 2) = 6 multisets of terms, 5 monomials of degree <= 4
+    with limits(max_terms=5):
+        assert len(parse("(x1^2+x1+1)^2").terms) == 5
+    with limits(max_terms=4):
+        with pytest.raises(LimitExceeded, match="term count 5 "):
+            parse("(x1^2+x1+1)^2")
+
+
 @pytest.mark.parametrize("call", [
     apolar.apolar_dim, apolar.hilbert_function, apolar.greedy_monomial_basis,
     encompass.is_encompassing, encompass.encompassing_extension])

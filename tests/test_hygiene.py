@@ -95,9 +95,6 @@ TEST_ONLY_API = {
     # kronecker_power; symmetric powers of algebras are to build on them
     "structure_tensor",
     "table_tensor_power",
-    # the exact elimination over Q the modular answers are checked against;
-    # the benchmark's tracer also wraps its insert
-    "SparseEchelon",
 }
 
 
@@ -150,12 +147,12 @@ def _public_definitions(path: Path):
 
 
 def test_exact_takes_and_returns_sparse_rows_only():
-    # rref, the fallback of sparse_kernel and the tests' oracle, is the one
-    # dense routine; no dense rank, kernel, solve or matrix type comes back
+    # no dense routine: no dense rank, kernel, solve, echelon form or matrix
+    # type comes in or back
     assert _public_definitions(SRC / "exact.py") == sorted([
         "MODULUS", "PRIMES", "Rat", "SparseEchelon", "SparseRow", "SparseVec",
-        "as_int", "independent_rows", "rat", "rref", "solve_many",
-        "sparse_kernel", "sparse_rank"])
+        "as_int", "independent_rows", "rat", "solve_many", "sparse_kernel",
+        "sparse_rank"])
 
 
 def _readers_of(attr):

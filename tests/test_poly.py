@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apolarium import guards
 from apolarium.poly import (ParseError, Poly, VarMismatchError, apply,
                             boxtimes_power, dehomogenize, diff, format_poly,
                             homogenize, monomial_key, monomials_of_degree,
@@ -159,7 +160,8 @@ def test_powers_match_the_schoolbook_reference(p, d):
     ("x1 - x2", 1), ("1/2*x1 - 2/3*x2 + 3/5", 4), ("x1^300 + 1/7", 3),
     ("x1^300*x2 - x2^2", 2), ("-3/4", 5), ("x1", 0), ("0", 0), ("0", 3)])
 def test_powers_of_fractional_and_wide_polys(text, d):
-    p = parse(text, vars=("x1", "x2"))
+    with guards.limits(max_degree=301):  # x1^300*x2 is past the default
+        p = parse(text, vars=("x1", "x2"))
     same_terms(p ** d, schoolbook_power(p, d))
 
 

@@ -288,6 +288,24 @@ def test_sp_extract_validation():
         sp_extract(TB, Bw, lopsided, 2)  # marginal profiles differ
 
 
+def test_blocking_powers_are_refused_before_they_are_enumerated(monkeypatch):
+    from apolarium.guards import LimitExceeded, limits
+    B3 = cw_blocking(3)
+    calls = []
+    product = itertools.product
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return product(*args, **kwargs)
+    monkeypatch.setattr(itertools, "product", spy)
+    with limits(max_entries=81):
+        assert len(blocking_power(B3, 4).labels[0]) == 81
+        calls.clear()
+        with pytest.raises(LimitExceeded, match="entry count 243 "):
+            blocking_power(B3, 5)  # 3^5 sequences per axis
+    assert calls == []
+
+
 def test_sp_extract_entry_guard():
     from apolarium.guards import LimitExceeded, limits
     Bw = weight_blocking([0, 1])

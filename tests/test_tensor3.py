@@ -294,6 +294,33 @@ def test_algebras_are_refused_before_they_are_built():
             algebra_A_Tk(ts, 10 ** 6)
 
 
+def test_constructions_are_refused_before_they_are_built(monkeypatch):
+    from apolarium import tensor3
+    T3, T120 = cw(3), cw(120)
+    built = []
+
+    def spy(*args):  # each construction makes a Fraction per entry or row
+        built.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(tensor3, "Fraction", spy)
+    with limits(max_entries=1000):
+        with pytest.raises(LimitExceeded, match="entry count 300000 "):
+            cw(300000)
+        with pytest.raises(LimitExceeded, match="entry count 300003 "):
+            one_generic_extension(T3, 300000)  # max(a + 1, b + k)
+        with pytest.raises(LimitExceeded, match="entry count 6912000 "):
+            symmetrize_TS(T120)  # m (2n)^2 dense cells
+    assert built == []
+    with limits(max_entries=108):
+        assert symmetrize_TS(T3).n == 6
+        assert one_generic_extension(T3, 105).dims == (4, 108, 108)
+        with pytest.raises(LimitExceeded, match="entry count 109 "):
+            cw(109)
+    with limits(max_entries=107):
+        with pytest.raises(LimitExceeded, match="entry count 108 "):
+            symmetrize_TS(T3)
+
+
 def test_symmetrize_embeds_transpose_pairs():
     S = symmetrize_TS(cw(3))
     assert S.n == 6 and S.m == 3

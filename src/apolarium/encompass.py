@@ -100,7 +100,11 @@ def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
     dim - 1: truncation is injective on its proper derivatives, a
     hyperplane as they have lower degree than f.  The Jacobian is taken at
     random integer points (coordinates in [-1000, 1000], up to 3 tries,
-    keeping the best rank); rank dim - 1 certifies a dominant gradient map.
+    keeping the best rank).  gradient_rank is a certified lower bound on
+    the generic rank, since a rank at a point never exceeds it; it is the
+    generic rank only when it reaches dim - 1, the most it can be, which
+    certifies a dominant gradient map.  Below dim - 1 the points may all
+    have been special.
     """
     exps = greedy_monomial_basis(f)
     dim = len(exps)

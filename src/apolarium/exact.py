@@ -6,21 +6,26 @@ with int columns and int or Fraction entries (the partials rows of
 ``apolar`` are ints); a column absent from a row is zero there.  Kernels and
 solves come back as sparse vectors {column: Fraction}.  Elimination is
 deterministic: rows are processed in the order given and the pivot of a row
-is its first (leftmost) nonzero entry.  Reduced bases are fully reduced
-(every pivot column is zero in all other rows); several invariants
-elsewhere (e.g. independence of lowest-degree forms of an echelonized
-basis) rely on full reduction, so partial echelon forms are never exposed.
+is its first (leftmost) nonzero entry.  Kernels come back in reduced
+echelon form; several invariants elsewhere (e.g. independence of
+lowest-degree forms of an echelonized basis) rely on it, so partial
+echelon forms are never exposed.
 
-Ranks, kernels, solves and greedy row bases are computed by one
-elimination, ``_echelon_mod_p``, with Python ints modulo 61-bit primes, on
-sparse rows.  Full rank mod 2^61 - 1 is full rank over Q, since reduction
-mod p never raises a rank.  Otherwise the kernel is computed mod one prime
-of ``PRIMES`` after another, combined by CRT, lifted to Q by rational
-reconstruction (Wang 1981) and checked exactly.  The first lift that passes
-is the reduced-echelon kernel over Q (see ``sparse_kernel``).  When the
-primes do not answer, ``SparseEchelon``, an incremental elimination over Q
-on the same sparse rows, does.  The reduced echelon form of a row space is
-unique, so every rank, kernel, solution and greedy basis is the same
+One elimination, ``_echelon_mod_p``, runs forward only, with Python ints
+modulo 61-bit primes, on sparse rows: each row is cleared of the pivot
+columns it holds, and the rows held before it are left as they are.
+``sparse_rank`` eliminates the side of the matrix with fewer columns, and
+``independent_rows`` the transpose, once mod MODULUS = 2^61 - 1, stopping
+when the rank reaches the column count: full rank mod a prime is full rank
+over Q, since reduction mod p never raises a rank.  Otherwise that echelon
+is the first prime of the kernel routine, ``_kernel_mod_primes``.  It
+fully reduces each prime's echelon by back-substitution, combines the
+kernels over the primes so far by CRT, lifts them to Q by rational
+reconstruction (Wang 1981) and checks them exactly.  The first lift that
+passes is the reduced-echelon kernel over Q (see ``sparse_kernel``).  When
+the primes do not answer, ``SparseEchelon``, an incremental elimination over
+Q on the same sparse rows, does.  The reduced echelon form of a row space
+is unique, so every rank, kernel, solution and greedy basis is the same
 whichever of the two answers.  No dense row is built.
 
 No floats, ever.
@@ -28,6 +33,7 @@ No floats, ever.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -63,18 +69,24 @@ SparseRow = Dict[int, Rat]  # column -> nonzero entry, an int or a Fraction
 
 
 def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
-                   full: Optional[int] = None
+                   ncols: Optional[int] = None
                    ) -> Optional[Dict[int, Dict[int, int]]]:
-    """The rows over GF(p), eliminated in order: {pivot column: row with a
-    1 at its leftmost column}, or None when p divides a denominator.
+    """The rows over GF(p), eliminated forward in order: {pivot column: row
+    with a 1 at its leftmost column}, in insertion order, or None when p
+    divides a denominator.  Elimination stops once the rank reaches `ncols`.
 
-    Without `full` the rows are fully reduced; with it, each row is only
-    reduced by the rows before it, and elimination stops once the rank
-    reaches `full` or cannot reach it.
+    A held row is zero at the pivot columns held before it, so a new row is
+    cleared of them by subtracting held rows in insertion order.  Only the
+    pivot columns the row holds are visited: their insertion indices sit
+    in a heap, and a column the subtraction brings into the row is pushed.
+    The held rows are not reduced by later ones.  They are a basis of the
+    row space with distinct leftmost columns, and those columns are the
+    pivot columns of its reduced echelon form.
     """
     inverses: Dict[int, int] = {}
-    pivots: Dict[int, Dict[int, int]] = {}
-    for i, raw in enumerate(rows):
+    order: Dict[int, int] = {}  # pivot column -> insertion index
+    held: List[Tuple[int, Dict[int, int]]] = []
+    for raw in rows:
         row: Dict[int, int] = {}
         for j, x in raw.items():
             if type(x) is int:
@@ -89,36 +101,37 @@ def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
                 v = x.numerator * inv % p
             if v:
                 row[j] = v
-        # each held row is zero in the pivot columns held before it, so one
-        # pass in insertion order clears every pivot column of `row`
-        for c, prow in pivots.items():
+        heap = [order[j] for j in row if j in order]
+        heapq.heapify(heap)
+        while heap:
+            c, prow = held[heapq.heappop(heap)]
             f = row.get(c)
-            if f:
-                for k, b in prow.items():
-                    v = (row.get(k, 0) - f * b) % p
+            if not f:  # pushed twice, or cancelled since
+                continue
+            for k, b in prow.items():
+                v = row.get(k)
+                if v is None:
+                    row[k] = -f * b % p
+                    t = order.get(k)
+                    if t is not None:
+                        heapq.heappush(heap, t)
+                else:
+                    v = (v - f * b) % p
                     if v:
                         row[k] = v
                     else:
                         del row[k]
         if row:
             c = min(row)
-            inv = pow(row[c], -1, p)
-            row = {k: v * inv % p for k, v in row.items()}
-            for prow in pivots.values() if full is None else ():
-                f = prow.get(c)
-                if f:
-                    for k, b in row.items():
-                        v = (prow.get(k, 0) - f * b) % p
-                        if v:
-                            prow[k] = v
-                        else:
-                            del prow[k]
-            pivots[c] = row
-            if len(pivots) == full:
+            inv = row[c]
+            if inv != 1:
+                inv = pow(inv, -1, p)
+                row = {k: v * inv % p for k, v in row.items()}
+            order[c] = len(held)
+            held.append((c, row))
+            if len(held) == ncols:
                 break
-        elif full is not None and len(pivots) + len(rows) - 1 - i < full:
-            break
-    return pivots
+    return dict(held)
 
 
 def _lift(vec: Dict[int, int], modulus: int,
@@ -153,18 +166,24 @@ def _lift(vec: Dict[int, int], modulus: int,
     return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
-def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int]
+def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int],
+                       first: Optional[Dict[int, Dict[int, int]]] = None
                        ) -> Optional[Dict[int, SparseRow]]:
     """The reduced-echelon right kernel over Q of the rows, {free column:
     vector}; `cols` are the columns that occur and any zero ones, ascending.
+    `first`, if given, is ``_echelon_mod_p`` of the rows mod PRIMES[0], and
+    it is used, and changed, in place of eliminating them again.
 
-    The rows are fully reduced mod PRIMES[0], PRIMES[1], ... in turn.  Free
-    column j gives the vector with 1 at j, 0 at the other free columns and
-    its other entries at the pivot columns before j.  After each prime these
-    entries are combined over the primes so far by CRT, then lifted and
-    checked against the rows scaled to integers by ``_lift``; the first
-    prime count at which every vector passes answers.  None when a prime
-    divides a denominator, two primes differ on the pivots, or they run out.
+    The rows are eliminated forward mod PRIMES[0], PRIMES[1], ... in turn,
+    and each echelon is then fully reduced by back-substitution: in reverse
+    insertion order, a held row is cleared at the pivot columns of the rows
+    held after it, which are fully reduced by then.  Free column j gives
+    the vector with 1 at j, 0 at the other free columns and its other
+    entries at the pivot columns before j.  After each prime these entries
+    are combined over the primes so far by CRT, then lifted and checked
+    against the rows scaled to integers by ``_lift``; the first prime count
+    at which every vector passes answers.  None when a prime divides a
+    denominator, two primes differ on the pivots, or they run out.
     """
     columns: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     for i, raw in enumerate(rows):
@@ -173,10 +192,21 @@ def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int]
             columns[j].append((i, x.numerator * (den // x.denominator)))
     kernel: Dict[int, Dict[int, int]] = {}
     modulus = 1
-    for p in PRIMES:
-        pivots = _echelon_mod_p(rows, p)
+    for p in PRIMES:  # PRIMES[0] is MODULUS, the prime of `first`
+        pivots = _echelon_mod_p(rows, p) if first is None else first
+        first = None
         if pivots is None:
             return None
+        for c, prow in reversed(pivots.items()):
+            for k in [k for k in prow if k != c and k in pivots]:
+                f = prow.pop(k)
+                for j, b in pivots[k].items():
+                    if j != k:
+                        v = (prow.get(j, 0) - f * b) % p
+                        if v:
+                            prow[j] = v
+                        else:
+                            del prow[j]
         residues = {j: {j: 1} for j in cols if j not in pivots}
         for c, prow in pivots.items():
             for k, b in prow.items():
@@ -217,45 +247,50 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     column (an int) to its nonzero entry; columns absent from every row are
     zero.
 
-    Reduction mod p can only turn nonzero minors into zero ones, so rank mod
-    p <= rank over Q, and rank mod p = min(rows, cols) certifies full rank
-    (zero rows and columns are not counted).  A smaller rank r mod p is
-    certified by the ``sparse_kernel`` of whichever of the matrix and its
-    transpose has fewer columns, with the columns that occur numbered 0, 1,
-    ... in order: its ncols - r vectors are checked exactly and independent
+    One side is eliminated mod MODULUS: the matrix, or its transpose when
+    that has fewer columns, so that the side has n = min(rows, cols)
+    columns (zero rows and columns are not counted).  Reduction mod p can
+    only turn nonzero minors into zero ones, so rank mod p <= rank over Q,
+    and rank n mod p certifies full rank; elimination stops there.  A
+    smaller rank r mod p is certified by the kernel of the side, with the
+    columns that occur numbered 0, 1, ... in order and that echelon as its
+    first prime: its n - r vectors are checked exactly and independent
     (they carry an identity on the free columns), so rank over Q <= r."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
-    full = min(len(rows), len(cols))
-    if len(_echelon_mod_p(rows, MODULUS, full) or ()) == full:
-        return full
     if len(cols) > len(rows):
         side = _transpose(rows, cols)
     else:
         place = {j: i for i, j in enumerate(cols)}
         side = [{place[j]: x for j, x in row.items()} for row in rows]
-    return full - len(sparse_kernel(side, full))
+    n = min(len(rows), len(cols))
+    pivots = _echelon_mod_p(side, MODULUS, n)
+    if pivots is not None and len(pivots) == n:
+        return n
+    return n - len(_kernel(side, n, pivots))
 
 
 def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
     """Indices of the sparse rows that are not in the span of the rows
     before them: the greedy basis of the row space over Q, ascending.
 
-    Rows independent mod MODULUS are independent over Q, so when all of
-    them are, the answer is every row.  Otherwise it is the pivot columns of the
-    transpose, the columns that are not free in its reduced-echelon kernel
-    from ``_kernel_mod_primes``: the checked vector of free column i writes
-    row i as a combination of pivot rows before it, and the pivot rows are
+    These are the pivot columns of the transpose, the columns that are not
+    free in its reduced-echelon kernel.  The transpose is eliminated once
+    mod MODULUS, which stops when every row is a pivot: rows independent
+    mod a prime are independent over Q, so the answer is then every row.
+    Otherwise that echelon is the first prime of the kernel of the
+    transpose, and the checked vector of free column i writes row i as a
+    combination of pivot rows before it, while the pivot rows are
     independent mod a prime.  The rows independent mod p alone would not
     do: mod p, [(1, 1), (1, 1 + p), (0, 1)] keeps rows 0 and 2, and over Q
-    the greedy rows are 0 and 1.  The kernel is the ``sparse_kernel`` of
-    the transpose.
+    the greedy rows are 0 and 1.
     """
     n = len(rows)
-    if len(_echelon_mod_p(rows, MODULUS, n) or ()) == n:
+    side = _transpose(rows, sorted(set().union(*rows)))
+    pivots = _echelon_mod_p(side, MODULUS, n)
+    if pivots is not None and len(pivots) == n:
         return list(range(n))
-    cols = sorted(set().union(*rows))
-    kernel = sparse_kernel(_transpose(rows, cols), n)
+    kernel = _kernel(side, n, pivots)
     return [i for i in range(n) if i not in kernel]
 
 
@@ -275,7 +310,18 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     Q, whose rows are then fully reduced: the vector of free column j has
     -row[j] at the pivot of each held row.
     """
-    kernel = _kernel_mod_primes(rows, range(ncols))
+    return _kernel(rows, ncols, _echelon_mod_p(rows, MODULUS))
+
+
+def _kernel(rows: Sequence[SparseRow], ncols: int,
+            first: Optional[Dict[int, Dict[int, int]]]
+            ) -> Dict[int, SparseRow]:
+    """``sparse_kernel``, given `first`, the forward echelon of the rows
+    mod MODULUS (None when MODULUS divides a denominator, which sends the
+    rows to ``SparseEchelon`` at once)."""
+    kernel = None
+    if first is not None:
+        kernel = _kernel_mod_primes(rows, range(ncols), first)
     if kernel is None:
         echelon = SparseEchelon(int)
         for row in rows:

@@ -3,13 +3,15 @@
 Limits keep the exact-arithmetic computations at desk scale.  The limits in
 force are one ``Limits`` held in a context variable: ``limits(**overrides)``
 sets them for a block, and with none set ``current()`` reads the defaults,
-whose entry guard the APOLARIUM_MAX_ENTRIES environment variable overrides.
+whose entry guard the APOLARIUM_MAX_ENTRIES environment variable overrides;
+the ``Limits`` of the last string read is reused while the variable keeps it.
 The CLI sets them once per command from its flags.  Every guarded function
 checks its predicted size against ``current()`` before the work starts.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -31,8 +33,14 @@ class Limits(NamedTuple):
 
     @classmethod
     def from_env(cls) -> "Limits":
-        env = os.environ.get("APOLARIUM_MAX_ENTRIES")
-        return cls() if env is None else cls(max_entries=int(env))
+        return _limits_for(os.environ.get("APOLARIUM_MAX_ENTRIES"))
+
+
+@functools.lru_cache(maxsize=1)
+def _limits_for(env: Optional[str]) -> Limits:
+    """The defaults, with max_entries set by the APOLARIUM_MAX_ENTRIES
+    string `env` unless it is None."""
+    return Limits() if env is None else Limits(max_entries=int(env))
 
 
 _CURRENT: ContextVar[Optional[Limits]] = ContextVar("apolarium_limits",

@@ -8,9 +8,10 @@ try:
 except ImportError:  # the oracle is optional
     sympy = None
 
-from apolarium import exact
+from apolarium import apolar, exact, papersuite
 from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, solve_many,
                              sparse_kernel, sparse_rank)
+from apolarium.poly import parse
 from oracles import rref, spy_fallbacks
 
 F = Fraction
@@ -402,13 +403,15 @@ def big_kernels(draw):
 
 
 def _count_primes(monkeypatch):
+    """The prime of each ``_echelon_mod_p`` call while the spy is set, in
+    order; the forward echelon of a rank is reused as the kernel's first
+    prime, so each prime a kernel uses is eliminated once."""
     calls = []
     echelon = exact._echelon_mod_p
 
-    def spy(rows, p, full=None):
-        if full is None:
-            calls.append(p)
-        return echelon(rows, p, full)
+    def spy(rows, p, ncols=None):
+        calls.append(p)
+        return echelon(rows, p, ncols)
     monkeypatch.setattr(exact, "_echelon_mod_p", spy)
     return calls
 
@@ -570,7 +573,8 @@ def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
 
 
 def test_the_fallback_of_int_rows_gives_fractions(monkeypatch):
-    monkeypatch.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+    monkeypatch.setattr(exact, "_kernel_mod_primes",
+                        lambda rows, cols, first=None: None)
     kernel = sparse_kernel(sparse([[1, 2], [2, 4]]), 2)
     assert kernel == {1: {0: F(-2), 1: F(1)}}
     assert all(type(x) is F for x in kernel[1].values())
@@ -586,7 +590,8 @@ def test_int_rows_in_the_fallback_match_fraction_rows(q):
     m = [[int(x) for x in row] for row in q]
     ncols = len(m[0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+        mp.setattr(exact, "_kernel_mod_primes",
+                   lambda rows, cols, first=None: None)
         calls = spy_fallbacks(mp)
         kernel = sparse_kernel(sparse(m), ncols)
         assert kernel == sparse_kernel(sparse(q), ncols)
@@ -607,7 +612,8 @@ def test_the_fallback_matches_the_rref_oracle(m, g, data):
                               min_size=1, max_size=3))
     solutions = [oracle_solve(g, b) for b in rhss]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_kernel_mod_primes", lambda rows, cols: None)
+        mp.setattr(exact, "_kernel_mod_primes",
+                   lambda rows, cols, first=None: None)
         kernel = sparse_kernel(sparse(m), len(m[0]))
         assert sparse_rank(sparse(m)) == len(rref(m)[0])
         assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(m)
@@ -649,3 +655,69 @@ def test_a_denominator_divisible_by_the_prime_is_refused_among_ints(p):
     assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: F(1, p), 2: 5}], p) is None
     assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: p, 2: 5}], p) == {
         0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 2: {2: 1}}
+
+
+# -- one forward elimination per certified rank ----------------------------------
+
+
+# ints and Fractions, zero or a multiple of MODULUS now and then
+one_pass_entry = st.one_of(int_entry, rat_entry, st.sampled_from(
+    [0, 0, F(P), F(3 * P, 2), 3 * P]))
+
+
+def _one_pass_shapes(n_rows, n_cols):
+    return st.tuples(n_rows, n_cols).flatmap(lambda nm: st.lists(
+        st.lists(one_pass_entry, min_size=nm[1], max_size=nm[1]),
+        min_size=nm[0], max_size=nm[0]))
+
+
+# tall, wide, square, and products through k < min(n, m) columns
+one_pass_matrices = st.one_of(
+    _one_pass_shapes(st.integers(5, 9), st.integers(1, 4)),
+    _one_pass_shapes(st.integers(1, 4), st.integers(5, 9)),
+    _one_pass_shapes(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(2, 7), st.integers(2, 7)).flatmap(
+        lambda nm: st.integers(1, min(nm) - 1).flatmap(
+            lambda k: st.tuples(_one_pass_shapes(st.just(nm[0]), st.just(k)),
+                                _one_pass_shapes(st.just(k), st.just(nm[1])))
+        )).map(lambda ab: product(*ab)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_pass_matrices)
+def test_back_substituted_kernels_and_greedy_rows_match_the_oracles(m):
+    q = [[F(x) for x in row] for row in m]
+    rows, ncols = sparse(m), len(m[0])
+    expected = oracle_kernel(q)
+    kernel = exact._kernel_mod_primes(rows, range(ncols))
+    assert kernel is None or (kernel == expected
+                              and list(kernel) == list(expected))
+    first = exact._echelon_mod_p(rows, MODULUS)
+    if first is not None:  # the forward echelon, reused as the first prime
+        assert exact._kernel_mod_primes(rows, range(ncols), first) == kernel
+    assert sparse_kernel(rows, ncols) == expected
+    assert sparse_rank(rows) == len(rref(q)[0])
+    assert exact.independent_rows(rows) == oracle_greedy_rows(q)
+
+
+def _ex49_cube_order_4_block():
+    f = parse(papersuite.EX49_CUBIC) ** 3
+    rows = [row for row in apolar._divisor_blocks(f, 4)[4].values() if row]
+    assert (len(rows), len(set().union(*rows))) == (68, 117)
+    return rows
+
+
+@pytest.mark.parametrize("build, rank", [
+    (lambda: [{0: F(1, 2), 3: F(2)}, {1: 1, 3: 5}, {2: -3}], 3),  # wide
+    (lambda: [{0: F(1, 2)}, {1: 1}, {0: 2, 1: F(5, 3)}, {1: -3}], 2),  # tall
+    (_ex49_cube_order_4_block, 65),
+], ids=["wide", "tall", "EX49^3 order 4"])
+def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank):
+    rows = build()
+    calls = spy_fallbacks(monkeypatch)
+    primes = _count_primes(monkeypatch)
+    assert sparse_rank(rows) == rank
+    assert primes == [MODULUS]
+    greedy = exact.independent_rows(rows)
+    assert len(greedy) == rank and primes == [MODULUS, MODULUS]
+    assert calls == []

@@ -61,6 +61,26 @@ def test_environment_is_read_at_call_time_outside_every_context(monkeypatch):
     assert current() == Limits(max_entries=8)
 
 
+def test_limits_from_one_environment_string_are_reused(monkeypatch):
+    monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "5")
+    first = current()
+    assert first == Limits(max_entries=5) and current() is first
+    monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "6")
+    assert current() == Limits(max_entries=6)
+    with pytest.raises(LimitExceeded):
+        check_entries(7)
+    monkeypatch.delenv("APOLARIUM_MAX_ENTRIES")
+    assert current() == Limits()
+    check_entries(7)
+    monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "5")
+    assert current() == Limits(max_entries=5)
+    monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "five")
+    with pytest.raises(ValueError):
+        current()
+    monkeypatch.setenv("APOLARIUM_MAX_ENTRIES", "5")
+    assert current() == Limits(max_entries=5)
+
+
 def test_nested_contexts_restore_the_outer_limits(monkeypatch):
     monkeypatch.delenv("APOLARIUM_MAX_ENTRIES", raising=False)
     with limits(max_terms=10, max_degree=4):

@@ -12,11 +12,11 @@ Neither projection walks the |T|^N entry words of the power.  The entries
 of T are grouped by their labels on the constrained axes; a type class is
 a count of entries per group whose label counts match the compositions,
 and the kept entries are exactly the words of entries drawn from the
-arrangements of a type class.  Count vectors, arrangements and the kept
-sequences of each axis are all enumerated under the remaining label
-budgets, so the cost follows the number of kept entries.  The product of
-a kept word depends only on the multiset of entries it uses, so it is
-computed once per multiset and shared by all its words.
+arrangements of a type class.  One walk over the remaining label budgets
+enumerates them all and keys each entry by its position in the piece, so
+the cost follows the number of kept entries.  The product of a kept word
+depends only on the multiset of entries it uses, so it is computed once
+per multiset and shared by all its words.
 
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
@@ -273,20 +273,13 @@ def _spend_budget(labels: Sequence[Label], budget: Dict[Label, int],
             budget[lab] += 1
 
 
-def _flat(seq: Sequence[int], d: int) -> int:
-    """Row-major flat index of an index sequence over range(d)."""
-    flat = 0
-    for i in seq:
-        flat = flat * d + i
-    return flat
-
-
 def _type_class_entries(T: Tensor3, B: Blocking,
                         comps: Dict[int, Dict[Label, int]],
                         N: int) -> Dict[Index3, Rat]:
     """The entries of the N-th Kronecker power whose index sequences have
-    label counts comps[a] on every constrained axis a, keyed by their flat
-    index triples.
+    label counts comps[a] on every constrained axis a, keyed by their
+    position in the ``_kept_sequences`` of a constrained axis and by their
+    row-major flat index on a free one.
 
     The entries of T are grouped by their labels on the constrained axes.
     A type class is a count vector over these groups whose label counts
@@ -294,20 +287,23 @@ def _type_class_entries(T: Tensor3, B: Blocking,
     (a multiset permutation) and every choice of one entry per position
     gives one kept entry, and nothing else is kept.  Distinct words of
     entries give distinct index triples, so no two kept entries collide.
-    All type classes are walked by one ``_word_entries`` call, so each
-    product is computed once per multiset of non-unit entries and shared
-    by every kept word of that multiset, across type classes too.
+    One ``_word_entries`` walk covers all type classes: it carries each
+    kept position as a sum of rank offsets, so nothing is re-keyed, and
+    each product is computed once per multiset of entries other than 1
+    and shared across type classes too.
     """
     axes = sorted(comps)
     groups: Dict[Tuple[Label, ...], List[Tuple[Index3, Rat]]] = {}
     for idx, c in T.entries.items():
-        key = tuple(B.label(a, idx[a]) for a in axes)
+        key = tuple(B.labels[a][idx[a]] for a in axes)
         if all(key[t] in comps[a] for t, a in enumerate(axes)):
             groups.setdefault(key, []).append((idx, c))
     keys = sorted(groups)
     budget = [dict(comps[a]) for a in axes]
+    ranks = [(B.labels[a], [key[axes.index(a)] for key in keys])
+             if a in comps else T.dims[a] for a in range(3)]
     return _word_entries([groups[key] for key in keys],
-                         _count_vectors(keys, budget, N, []), T.dims, N)
+                         _count_vectors(keys, budget, N, []), N, ranks)
 
 
 def _count_vectors(keys: List[Tuple[Label, ...]], budget: List[Dict[Label, int]],
@@ -371,26 +367,21 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     constrained axes only, so the cost follows the number of kept entries
     rather than |T|^N.
 
-    T is validated once, as ``kronecker_power`` does, and the projected
-    dict is stored by ``Tensor3._derived``: each key maps a kept flat
-    index to its position t < len(kept[axis]) on a constrained axis and
-    stays a flat index < d ** N on the free one, and each value is a
-    product of nonzero Fractions of the validated T."""
+    T is validated once, as ``kronecker_power`` does, and the walk's dict,
+    already keyed by positions t < len(kept[axis]) on the constrained axes
+    and flat indices < d ** N on the free one, is stored as it is by
+    ``Tensor3._derived``; each value is a product of nonzero Fractions of
+    the validated T."""
     T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
     comps = {a: _composition(marg[a], N) for a in axes}
     kept = {a: _kept_sequences(B, a, comps[a], N) for a in axes}
-    # a free axis maps each flat index to itself
-    pos = [{_flat(s, T.dims[a]): t for t, s in enumerate(kept[a])}
-           if a in kept else range(T.dims[a] ** N) for a in range(3)]
     dims = tuple(max(1, len(kept[a])) if a in kept else T.dims[a] ** N
                  for a in range(3))
     guards.check_entries(max(dims))
     guards.check_entries(len(T.entries) ** N)
-    p0, p1, p2 = pos
-    entries = {(p0[i], p1[j], p2[k]): c for (i, j, k), c
-               in _type_class_entries(T, B, comps, N).items()}
-    return Tensor3._derived(dims, entries, None), kept
+    return (Tensor3._derived(dims, _type_class_entries(T, B, comps, N), None),
+            kept)
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -401,7 +392,7 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     index sequences in lexicographic order; position t on an axis of the
     piece is kept[axis][t]."""
     tensor, kept = _project(T, B, P, N, (0, 1, 2), check_tight)
-    label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in kept[a]]
+    label_seqs = [[tuple(map(B.labels[a].__getitem__, seq)) for seq in kept[a]]
                   for a in range(3)]
     pts = [len(set(ls)) for ls in label_seqs]
     if len(set(pts)) != 1:

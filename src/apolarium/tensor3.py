@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -392,112 +393,176 @@ def one_generic_extension(T: Tensor3, k: int) -> Tensor3:
     return Tensor3((a + 1, w, w), entries)
 
 
-# A group's unit entries, then its other entries, each with its weight.
-Group = Tuple[List[Index3], List[Tuple[Index3, Rat, int]]]
-
 # Weight sums stay below this, so each key of a walk's products dict is a
 # machine-sized int.  Unbounded, the key of a multiset would take about
 # r log2(N+1) bits at the r-th entry, and for a factor of thousands of
 # entries at N <= 2 the dict would outgrow the power it builds.
 _KEY_BOUND = 2 ** 60
 
+# Suffix tables hold words of 3 entries, or fewer when a walk draws from so
+# many entries E that E ** 3 would pass this bound.
+_SUFFIX_BOUND = 2 ** 12
+
 
 def _word_entries(parts: Iterable[Iterable[Tuple[Index3, Rat]]],
-                  count_vectors: Iterable[List[int]], dims: Index3,
-                  N: int) -> Dict[Index3, Rat]:
+                  count_vectors: Iterable[List[int]], N: int,
+                  axes: Sequence[object]) -> Dict[Index3, Rat]:
     """The product of every word of N entries that uses counts[g] entries
-    of parts[g], for each counts of count_vectors, keyed by its flat index
-    triple (see ``_walk_words``).
+    of parts[g], for each counts of count_vectors, keyed by the word's
+    positions (see ``_offsets``); axes[a] is d for a free axis and
+    (labels, part_labels) for a constrained one.
 
     Q is commutative, so a word's product depends only on how many times
-    it uses each entry.  Each part is split into its unit entries and the
-    rest, and the r-th non-unit entry, numbered across all parts, gets the
-    weight (N+1)**r.  A word uses an entry at most N times, so its weight
-    sum never carries and names the multiset of non-unit entries it uses.
-    The walk computes each multiset's product once, on the first prefix
-    that reaches it, in a dict local to this call, and every word of that
-    multiset shares the one Fraction; a word of unit entries only keeps
-    the starting Fraction(1).
+    it uses each entry.  An entry 1 weighs 0 and the r-th other entry,
+    numbered across all parts, weighs (N+1)**r.  A word uses an entry at
+    most N times, so its weight sum never carries and names the multiset
+    of its entries other than 1; a dict local to this call holds one
+    product per sum, shared by every word of that multiset.  Only the
+    first K entries are numbered so, where B = (N+1)**K is the largest
+    power of N+1 at most ``_KEY_BOUND``; each later entry weighs -B, so a
+    sum that uses one is negative, and its product is multiplied out and
+    not stored.
 
-    Only the first K entries are numbered so, where B = (N+1)**K is the
-    largest power of N+1 at most ``_KEY_BOUND``; each later entry gets the
-    weight -B.  The sums of words of numbered entries lie in [0, B), and
-    every sum that uses a later entry is negative: such a product is
-    multiplied out, as every product was before the sharing, and is not
-    stored in the dict."""
-    members: List[Group] = []
+    The walk's states are the counts per part still to spend, and it ends
+    its words from the table of suffix words of the state it reaches
+    (``_node``), shared by every prefix that reaches that state.  A prefix
+    s and a suffix t use disjoint letters, so P(s + t) = P(s) * Q(t), with
+    Q(t) the product the table holds; no sum carries, so the sum of s + t,
+    which names its product, is the sum of s plus the sum of t."""
+    groups: List[List[Tuple[Index3, Rat, int]]] = []
     weight = 1
     for part in parts:
-        units, rest = [], []
+        groups.append([])
         for idx, v in part:
             if v == 1:
-                units.append(idx)
+                w = 0
             elif weight * (N + 1) <= _KEY_BOUND:
-                rest.append((idx, v, weight))
-                weight *= N + 1
+                w, weight = weight, weight * (N + 1)
             else:
-                rest.append((idx, v, -weight))
-        members.append((units, rest))
-    products: Dict[int, Rat] = {}
+                w = -weight
+            groups[-1].append((idx, v, w))
+    size = sum(map(len, groups))
+    length = min(N, max([1] + [n for n in (2, 3)
+                               if size ** n <= _SUFFIX_BOUND]))
+    axes = list(axes)
+    for a, ax in enumerate(axes):
+        if not isinstance(ax, int):  # a memo of offsets keyed by the budget
+            sizes = Counter(ax[0])
+            digit = {lab: (N + 1) ** t for t, lab in enumerate(sizes)}
+            axes[a] = (*ax, sizes, [digit[lab] for lab in ax[1]], {})
+    products: Dict[int, Rat] = {0: Fraction(1)}
     out: Dict[Index3, Rat] = {}
+    nodes: Dict[Tuple[int, ...], tuple] = {}
     for counts in count_vectors:
-        _walk_words(members, counts, dims, N, 0, 0, 0, Fraction(1), 0,
-                    products, out)
+        _walk(_node(tuple(counts), N, groups, axes, length, nodes), 0, 0, 0,
+              products[0], 0, products, out)
     return out
 
 
-def _walk_words(members: List[Group], counts: List[int], dims: Index3,
-                left: int, i: int, j: int, k: int, c: Rat, s: int,
-                products: Dict[int, Rat], out: Dict[Index3, Rat]) -> None:
-    """Store in out, keyed by its flat index triple, the product of every
-    word of `left` entries that uses counts[g] entries of group g, after the
-    prefix with flat indices (i, j, k), weight sum s and product c.
+def _offsets(axis, state: Tuple[int, ...], left: int) -> Sequence[int]:
+    """The offset of each index of the axis as the next letter of a word
+    from the state, with `left` > 0 letters still to take.  A word's
+    position is the sum of its letters' offsets.
 
-    Words come in order of group per position and, within a group, its
-    unit entries in the order of T before its other entries in the order
-    of T; nothing depends on the order of out.  The prefix indices
-    (row-major), weight sum and product are carried down, so each costs
-    one step per level.  A unit entry leaves the product and the sum as
-    they are; another entry adds its weight to the sum and takes the
-    product of that sum from products, multiplying only on a miss; the
-    product of a negative sum is multiplied out (see ``_word_entries``)."""
-    if not left:
-        out[(i, j, k)] = c
-        return
-    d0, d1, d2 = dims
-    i, j, k = i * d0, j * d1, k * d2
-    for g, n in enumerate(counts):
-        if not n:
-            continue
-        units, rest = members[g]
-        if left == 1:
-            for a, b, e in units:
-                out[(i + a, j + b, k + e)] = c
-            for (a, b, e), v, w in rest:
-                t = s + w
-                if t < 0:
-                    p = c * v
-                else:
-                    p = products.get(t)
-                    if p is None:
-                        p = products[t] = c * v
-                out[(i + a, j + b, k + e)] = p
-            continue
-        counts[g] = n - 1
-        for a, b, e in units:
-            _walk_words(members, counts, dims, left - 1, i + a, j + b, k + e,
-                        c, s, products, out)
-        for (a, b, e), v, w in rest:
-            t = s + w
-            if t < 0:
-                p = c * v
+    On a free axis of size d the position is the row-major flat index, and
+    index i is offset by i * d**(left - 1).  On a constrained axis it is the
+    lexicographic rank of the word's index sequence among those with its
+    label counts.  A sequence with the label budget b still to spend
+    completes in C(b) = multinomial(|b|; b) * prod_l n_l ** b_l ways, n_l
+    the number of indices labelled l, so index i is offset by the sum of
+    C(b - e_l(i')) = C(b) * b_l(i') / (|b| * n_l(i')) over the indices
+    i' < i, and the offsets depend only on b."""
+    if isinstance(axis, int):
+        return range(0, axis ** left, axis ** (left - 1))
+    labels, part_labels, sizes, digits, known = axis
+    key = sum(map(int.__mul__, digits, state))  # b, in base N + 1
+    if key in known:
+        return known[key]
+    budget: Dict[object, int] = {}
+    for lab, n in zip(part_labels, state):
+        if n:
+            budget[lab] = budget.get(lab, 0) + n
+    total, m = 1, 0
+    for lab, n in budget.items():
+        m += n
+        total *= math.comb(m, n) * sizes[lab] ** n
+    skip = {lab: total * n // (left * sizes[lab]) for lab, n in budget.items()}
+    run, off = 0, []
+    for lab in labels:
+        off.append(run)
+        run += skip.get(lab, 0)
+    known[key] = off
+    return off
+
+
+def _node(state: Tuple[int, ...], left: int, groups, axes, length: int,
+          nodes: dict) -> tuple:
+    """The walk's node at the state, memoised in nodes, as (moves, ends,
+    words).  moves lists each entry a word can take next as (offsets,
+    weight, value, next node).  With at most `length` letters left, words
+    lists each word that spends the state as (offsets, weight sum,
+    product); at `length` letters, ends holds them for the walk, those of
+    each nonnegative sum, one multiset, as (sum, product, [offsets]) and
+    those of a negative sum alone."""
+    node = nodes.get(state)
+    if node is not None:
+        return node
+    moves = []
+    if left:
+        o0, o1, o2 = [_offsets(ax, state, left) for ax in axes]
+        for g, n in enumerate(state):
+            if n:
+                after = _node(state[:g] + (n - 1,) + state[g + 1:], left - 1,
+                              groups, axes, length, nodes)
+                moves += [(o0[i], o1[j], o2[k], w, v, after)
+                          for (i, j, k), v, w in groups[g]]
+    if left > length:
+        node = nodes[state] = (moves, None, None)
+        return node
+    words = [(a + a2, b + b2, e + e2, w + w2, v * q if w else q)
+             for a, b, e, w, v, (_, _, tail) in moves
+             for a2, b2, e2, w2, q in tail
+             ] if left else [(0, 0, 0, 0, Fraction(1))]
+    ends = None
+    if left == length:
+        shared: Dict[int, Tuple[Rat, list]] = {}
+        later = []
+        for a, b, e, w, q in words:
+            if w < 0:
+                later.append((a, b, e, q))
             else:
-                p = products.get(t)
-                if p is None:
-                    p = products[t] = c * v
-            _walk_words(members, counts, dims, left - 1, i + a, j + b, k + e,
-                        p, t, products, out)
-        counts[g] = n
+                shared.setdefault(w, (q, []))[1].append((a, b, e))
+        ends = ([(w, q, keys) for w, (q, keys) in shared.items()], later)
+    node = nodes[state] = (None, ends, words)
+    return node
+
+
+def _walk(node: tuple, i: int, j: int, k: int, c: Rat, s: int,
+          products: Dict[int, Rat], out: Dict[Index3, Rat]) -> None:
+    """Store in out every word from the node after the prefix with
+    positions (i, j, k), weight sum s and product c.  A move of weight 0
+    keeps the product; another takes the product of the new sum from
+    products, multiplying only on a miss, and so does each sum of a suffix
+    table, once for all its words.  Negative sums are multiplied out."""
+    moves, ends, _ = node
+    if ends is None:
+        for a, b, e, w, v, after in moves:
+            t = s + w
+            p = c if not w else c * v if t < 0 else products.get(t)
+            if p is None:
+                p = products[t] = c * v
+            _walk(after, i + a, j + b, k + e, p, t, products, out)
+        return
+    shared, later = ends
+    for w, q, keys in shared:
+        t = s + w
+        p = c * q if t < 0 else products.get(t)
+        if p is None:
+            p = products[t] = c * q
+        for a, b, e in keys:
+            out[i + a, j + b, k + e] = p
+    for a, b, e, q in later:
+        out[i + a, j + b, k + e] = c * q
 
 
 def kronecker_power(T: Tensor3, N: int) -> Tensor3:
@@ -505,11 +570,12 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
 
     T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
     also catches an entries dict changed after T was built), and the power
-    is built depth-first by ``_word_entries``, with all the entries of T in
-    one group used N times: no per-level tables are kept, and each product
-    is computed once per multiset of non-unit entries and shared by every
-    word of that multiset.  The walk's dict is stored by
-    ``Tensor3._derived``, without a second pass over its |T|^N entries."""
+    is built by ``_word_entries`` with every axis free and all the entries
+    of T in one part used N times: each product is computed once per
+    multiset of entries other than 1 and shared by every word of that
+    multiset.  The walk's dict is stored by ``Tensor3._derived``, without a
+    second pass over its |T|^N entries; the labels of the power are built
+    level by level."""
     if N < 1:
         raise ValueError("need N >= 1")
     T = Tensor3(T.dims, T.entries, T.labels)
@@ -517,12 +583,12 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
     guards.check_entries(max(dims))
-    entries = _word_entries([T.entries.items()], [[N]], T.dims, N)
+    entries = _word_entries([T.entries.items()], [[N]], N, T.dims)
     labels = None
     if T.labels is not None:
-        labels = tuple(
-            tuple(",".join(ax[x] for x in seq)
-                  for seq in itertools.product(range(d), repeat=N))
-            for ax, d in zip(T.labels, T.dims)
-        )
+        levels = T.labels
+        for _ in range(N - 1):
+            levels = [[p + "," + x for p in level for x in ax]
+                      for level, ax in zip(levels, T.labels)]
+        labels = tuple(map(tuple, levels))
     return Tensor3._derived(dims, entries, labels)

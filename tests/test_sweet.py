@@ -2,6 +2,7 @@
 degenerations, and the closed-form rank bounds."""
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -728,3 +729,81 @@ def test_power_zero_is_the_unit_piece():
     sp = sp_extract(cw(3), cw_blocking(3), P, 0)
     assert _same_piece(sp, brute_sp_extract(cw(3), cw_blocking(3), P, 0))
     assert sp.tensor.entries == {(0, 0, 0): 1} and sp.kept[0] == [()]
+
+
+@pytest.mark.parametrize("case, N", [(0, 0), (0, 6), (1, 0)])
+def test_pieces_of_mixed_entries_match_brute_force_on_both_walk_paths(case, N):
+    # 5 and 6 entries take part, so suffix tables hold 3 entries: N = 0
+    # ends from the empty word's table, N = 6 after 3 prefix levels
+    T, B, P, check_tight = MIXED_CASES[case]
+    got = sp_extract(T, B, P, N, check_tight=check_tight)
+    assert _same_piece(got, brute_sp_extract(T, B, P, N, check_tight))
+    assert _stored_as_validated(got.tensor)
+    for fixed in ((0, 1), (0, 2), (1, 2)):
+        C = chimney(T, B, P, N, fixed_pair=fixed, check_tight=check_tight)
+        assert C == brute_chimney(T, B, P, N, fixed, check_tight)
+        assert _stored_as_validated(C)
+
+
+def test_pieces_past_the_key_bound_match_brute_force():
+    # 32 entries other than 1 at N = 3 (see the tensor3 test of the same
+    # bound): the last 2 weigh -4**30, and the walk takes one prefix level;
+    # the mixed cases above cover the other fixed pairs
+    T = Tensor3((4, 4, 2), {idx: Fraction(t + 4, 3) for t, idx in enumerate(
+        itertools.product(range(4), range(4), range(2)))})
+    B = Blocking([[0] * 4, [0] * 4, [0] * 2])
+    P = BlockDistribution([((0,), (0,), (0,))], [1])
+    got = sp_extract(T, B, P, 3)
+    assert _same_piece(got, brute_sp_extract(T, B, P, 3))
+    assert _stored_as_validated(got.tensor)
+    assert chimney(T, B, P, 3, fixed_pair=(0, 2)) == brute_chimney(
+        T, B, P, 3, (0, 2))
+
+
+# The label 1 holds the indices 0 and 2, so a rank skips index 1 between
+# them; a diagonal factor puts one index sequence on all three axes.
+DIAGONAL = Tensor3((4, 4, 4), {(i, i, i): Fraction(i + 2, 3) for i in range(4)})
+DIAGONAL_BLOCKING = Blocking([[1, 0, 1, 2], [1, 0, 1, 2], [-1, 0, -1, -2]])
+DIAGONAL_BLOCKS = [((1,), (1,), (-1,)), ((0,), (0,), (0,)), ((2,), (2,), (-2,))]
+
+
+@pytest.mark.parametrize("probs, N", [
+    ([1, 0, 0], 0), ([1, 0, 0], 1), ([1, 0, 0], 3), ([1, 0, 0], 5),
+    ([1, 0, 0], 6), ([Fraction(1, 3)] * 3, 3), ([Fraction(1, 3)] * 3, 6),
+    ([HALF, Fraction(1, 4), Fraction(1, 4)], 4),
+])
+def test_every_carried_position_is_the_rank_in_kept(probs, N):
+    # the free axis of a chimney keys each word by its flat index, so each
+    # key shows the index sequence beside the positions carried for it
+    P = BlockDistribution(DIAGONAL_BLOCKS, probs)
+    piece = sp_extract(DIAGONAL, DIAGONAL_BLOCKING, P, N, check_tight=False)
+    kept = piece.kept
+    assert piece.tensor.entries.keys() == {(t, t, t) for t in range(len(kept[0]))}
+    for fixed in ((0, 1), (0, 2), (1, 2)):
+        C = chimney(DIAGONAL, DIAGONAL_BLOCKING, P, N, fixed_pair=fixed,
+                    check_tight=False)
+        free = 3 - sum(fixed)
+        assert C.nnz() == len(kept[0])
+        for key in C.entries:
+            seq = tuple(key[free] // 4 ** (N - 1 - t) % 4 for t in range(N))
+            assert all(kept[a].index(seq) == key[a] for a in fixed)
+
+
+def test_the_walks_leave_no_cyclic_garbage():
+    # the walks are module-level functions with explicit arguments, so a
+    # dropped result is freed at once, not by the next cycle collection
+    P = BlockDistribution.uniform(LARGE3)
+    builds = [lambda: kronecker_power(cw(3), 4),
+              lambda: sp_extract(cw(4), cw_blocking(4), P, 6)]
+    builds += [lambda fixed=fixed: chimney(cw(3), cw_blocking(3), P, 6,
+                                           fixed_pair=fixed)
+               for fixed in ((0, 1), (0, 2), (1, 2))]
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builds:
+            result = build()
+            del result
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

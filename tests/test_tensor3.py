@@ -25,7 +25,7 @@ from apolarium.tensor3 import (
     table_tensor_power,
     tb,
 )
-from apolarium.tensor3 import _KEY_BOUND
+from apolarium.tensor3 import _KEY_BOUND, _SUFFIX_BOUND
 
 
 # -- the container ---------------------------------------------------------------
@@ -464,6 +464,38 @@ def test_entries_past_the_key_bound_are_multiplied_out():
     shared = math.comb(numbered + 1, 2)
     assert len({id(c) for c in K.entries.values()}) == (
         shared + 40 ** 2 - numbered ** 2)
+
+
+def test_kronecker_power_matches_per_entry_product_past_the_suffix_tables():
+    # MIXED has 5 entries and 5 ** 3 <= _SUFFIX_BOUND, so the walk ends its
+    # words from suffix tables of 3 entries: at N <= 3 (see above) from the
+    # root's own table, and at N = 6 after 3 prefix levels
+    assert 5 ** 3 <= _SUFFIX_BOUND
+    K = kronecker_power(MIXED, 6)
+    assert K.entries == _per_entry_power(MIXED, 6) and _stored_as_validated(K)
+
+
+def test_prefixes_past_the_key_bound_are_multiplied_out():
+    # 32 distinct entries other than 1 at N = 3: 4**30 = 2**60, so the
+    # first 30 share a product per multiset; 32 ** 2 <= _SUFFIX_BOUND <
+    # 32 ** 3, so the walk takes one prefix level, and a prefix of one of
+    # the last 2 entries carries a negative sum into the suffix tables
+    T = Tensor3((4, 4, 2), {idx: Fraction(t + 4, 3) for t, idx in enumerate(
+        itertools.product(range(4), range(4), range(2)))})
+    assert 32 ** 2 <= _SUFFIX_BOUND < 32 ** 3 and 4 ** 30 == _KEY_BOUND
+    K = kronecker_power(T, 3)
+    assert K.entries == _per_entry_power(T, 3) and _stored_as_validated(K)
+    numbered = sorted(T.entries)[:30]
+    assert len({id(K.entries[_flat_word(word, T.dims)]) for word in
+                itertools.product(numbered, repeat=3)}) == math.comb(32, 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_kronecker_power_labels_are_the_joined_sequences(N):
+    for T in (cw(3), tb(), group_tensor(AbelianGroup([2, 2]))):
+        assert kronecker_power(T, N).labels == tuple(
+            tuple(",".join(seq) for seq in itertools.product(ax, repeat=N))
+            for ax in T.labels)
 
 
 def test_kronecker_power_guard():

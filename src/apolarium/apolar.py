@@ -12,28 +12,31 @@ denominators of f, which changes no rank, greedy row or kernel.
 Cat_{d-k}(F) is a transpose of Cat_k(F) scaled by invertible diagonals, so
 only the lower half of the ladder, k <= d/2, is built and ranked, and the
 upper half mirrors it; the size guard still charges the cells of the whole
-ladder.  Any other polynomial has one matrix, of all its monomial
-derivatives; its Hilbert function, the differences of the filtration by
-derivative order, counts by order the greedy rows of that matrix taken from
-order d down to 0.  The dimension is the sum of the Hilbert function, the
-one rank pass over a partials matrix.  Greedy rows
+ladder.  One catalecticant rank, and conciseness, are certified on a stream
+of the columns of one order instead, built one slab at a time and only as
+far as the elimination reads them: once the rank reaches the number of
+operators of that order, it is full.  Any other polynomial has one matrix,
+of all its monomial derivatives; its Hilbert function, the differences of
+the filtration by derivative order, counts by order the greedy rows of that
+matrix taken from order d down to 0.  The dimension is the sum of the
+Hilbert function, the one rank pass over a partials matrix.  Greedy rows
 (``exact.independent_rows``) also give the monomial basis of the quotient
 algebra, and the transpose of the rows up to order d is the operator matrix
 whose kernel is the annihilator up to degree d.  From these come dimensions,
 Hilbert functions, conciseness, annihilators up to a degree bound,
-catalecticant ranks, the multiplication tensor of the quotient algebra,
-and the twisted-form annihilation check.
+catalecticant ranks, the multiplication tensor of the quotient algebra, and
+the twisted-form annihilation check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import guards
-from .exact import (Rat, SparseRow, independent_rows, solve_many,
-                    sparse_kernel, sparse_rank)
+from .exact import (Rat, SparseRow, _side_rank, independent_rows,
+                    solve_many, sparse_kernel, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
                    boxtimes_power, monomials_upto, twist)
 
@@ -156,12 +159,11 @@ def apolar_dim(f: Poly) -> int:
 
 def is_concise(f: Poly) -> bool:
     """No operator of degree <= 1 annihilates f: its first derivatives,
-    which have lower degree than f, have rank n (the order-1 rows of
-    ``_divisor_blocks``)."""
+    which have lower degree than f, have rank n, certified on the columns
+    of the order-1 rows streamed by ``_divisor_columns``."""
     _require_nonzero(f)
-    rows = [row for block in _divisor_blocks(f, 1).values()
-            for row in block.values()]
-    return sparse_rank(rows) == len(f.vars)
+    n = len(f.vars)
+    return _side_rank(_divisor_columns(_packing(f, 1), 1), n) == n
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
@@ -204,8 +206,33 @@ def _require_form(F: Poly, k: int = 0) -> None:
         raise ValueError(f"k={k} out of range for degree {d}")
 
 
-def _divisor_blocks(f: Poly, k: Optional[int] = None,
-                    upto: Optional[int] = None
+def _packing(f: Poly, k: Optional[int]
+             ) -> Tuple[int, int, List[List[int]],
+                        List[Tuple[Exponent, int, int]]]:
+    """The cells of order k, or of every order when k is None, charged
+    against max_terms; then the packing of f that ``_divisor_blocks`` and
+    ``_divisor_columns`` share: the field width w and the key width w n
+    (see ``_divisor_blocks``), the perms table of ``_bounded``, and each
+    term c x^e as (e, key(e) + mask, L * c), L the lcm of the denominators
+    of f.  The cells bound the rank of every block; they are charged before
+    any is built."""
+    guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
+                       "partials dimension bound")
+    top = max((x for e in f.terms for x in e), default=0)
+    perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
+    w = top.bit_length()
+    shifts = [w * i for i in reversed(range(len(f.vars)))]  # variable 0 first
+    width = w * len(f.vars)
+    mask = (1 << width) - 1
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(e, (sum(e) << width) + 2 * mask  # key(e) + mask
+              - sum(x << i for x, i in zip(e, shifts)),
+              c.numerator * (scale // c.denominator))
+             for e, c in f.terms.items()]
+    return w, width, perms, terms
+
+
+def _divisor_blocks(f: Poly, upto: Optional[int] = None
                     ) -> Dict[int, Dict[Exponent, SparseRow]]:
     """Sparse rows of the matrix of monomial derivatives a∘f, scaled by L,
     the lcm of the denominators of f, in blocks {a: row}, each in graded
@@ -216,12 +243,12 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None,
     L * c * e!/(e-a)! at (a, e-a) for every a <= e, and the cell determines
     e = a + b, so no two terms meet in a cell and none cancels.  One nonzero
     scale of the whole matrix changes no rank, no greedy row and no kernel.
-    Only the order |a| = k is built when k is given, and only |a| <= upto
-    when upto is.  For a form F the blocks are keyed by the order j = |a|,
-    and block j is L * Cat_j(F) without its zero rows and columns.  Any
-    other polynomial has one block, keyed 0, whose rank over every a is the
-    dimension of its partials space.  Transposed, the rows are the operator
-    matrix of ``annihilator_upto``.
+    Only the orders |a| <= upto are built when upto is given.  For a form F
+    the blocks are keyed by the order j = |a|, and block j is L * Cat_j(F)
+    without its zero rows and columns.  Any other polynomial has one block,
+    keyed 0, whose rank over every a is the dimension of its partials
+    space.  Transposed, the rows are the operator matrix of
+    ``annihilator_upto``.
 
     Each exponent is keyed by one int: its degree above mask - (its
     coordinates packed in fields of w bits, variable 0 highest), with w the
@@ -229,29 +256,13 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None,
     variables.  Ascending keys are the graded order (degree, then the
     packed value descending), and since a <= e borrows from no field, the
     key of b = e - a is key(e) + mask - key(a).  Only the row keys are
-    unpacked.
-
-    The number of cells, which bounds the rank of every block, is checked
-    against max_terms before any row is built: the cells of order k when k
-    is given, else those of the whole ladder, upto or not.
+    unpacked.  The cells of the whole ladder are charged, upto or not.
     """
-    guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
-                       "partials dimension bound")
-    lo, hi = ((k, k) if k is not None else (0, upto) if upto is not None
-              else (0, f.degree()))
-    top = max((x for e in f.terms for x in e), default=0)
-    perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
-    w = top.bit_length()
-    shifts = [w * i for i in reversed(range(len(f.vars)))]  # variable 0 highest
-    width = w * len(f.vars)
-    mask = (1 << width) - 1
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    w, width, perms, terms = _packing(f, None)
+    hi = f.degree() if upto is None else upto
     rows: Dict[int, Dict[int, int]] = {}  # key of a -> {key of b: cell}
-    for e, c in f.terms.items():
-        flip = (sum(e) << width) + 2 * mask - sum(
-            x << i for x, i in zip(e, shifts))  # key(e) + mask
-        v = c.numerator * (scale // c.denominator)
-        for a, _, p in _bounded(e, w, lo, hi, perms):
+    for e, flip, v in terms:
+        for a, _, p in _bounded(e, w, 0, hi, perms):
             row = rows.get(a)
             if row is None:
                 row = rows[a] = {}
@@ -261,6 +272,8 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None,
     place = {b: j for j, b in enumerate(sorted(set().union(*rows.values())))}
     graded = f.is_homogeneous()
     blocks: Dict[int, Dict[Exponent, SparseRow]] = {}
+    shifts = [w * i for i in reversed(range(len(f.vars)))]
+    mask = (1 << width) - 1
     field = (1 << w) - 1
     for a in sorted(rows):
         packed = mask - (a & mask)
@@ -270,10 +283,48 @@ def _divisor_blocks(f: Poly, k: Optional[int] = None,
     return blocks
 
 
+def _divisor_columns(packing, m: int) -> Iterator[Dict[int, int]]:
+    """The columns b of the order-m rows of ``_divisor_blocks``, L times
+    the images a∘f with |a| = m, as sparse rows {key of a: cell}, built
+    from the ``_packing`` of f one slab at a time: the slab of b_0 = j is
+    built when its first column is asked for, j descending, and its
+    columns come in ascending key.  For a form the stream is the graded
+    order of b, which is the transpose of block m in its order of rows and
+    columns.  A cell with b_0 = j has a_0 = e_0 - j, so the slab reads
+    only the terms with j <= e_0 <= j + m.
+    """
+    w, width, perms, terms = packing
+    step = (1 << width) - (1 << width - w)  # a_0 once more
+    tops: Dict[int, list] = defaultdict(list)  # e_0 -> its terms, e_0 zeroed
+    for e, flip, v in terms:  # a constant in no variables is one slab
+        tops[e[0] if e else 0].append(((0,) + e[1:] if e else e, flip, v))
+    for j in range(max(tops), -1, -1):
+        slab: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for t in range(m + 1):
+            for rest, flip, v in tops.get(j + t, ()):
+                v *= perms[j + t][t]
+                for a, _, p in _bounded(rest, w, m - t, m - t, perms):
+                    a += t * step
+                    slab[flip - a][a] = v * p
+        for b in sorted(slab):
+            yield slab[b]
+
+
 def catalecticant_rank(F: Poly, k: int) -> int:
-    """rank Cat_k(F), taken on the block of Cat_k(F) that is not zero."""
+    """rank Cat_k(F), certified on the columns of Cat_m(F), m = min(k, D - k)
+    for F of degree D, streamed by ``_divisor_columns``.
+
+    Cat_{D-k}(F) is a transpose of Cat_k(F) scaled by invertible diagonals
+    (see ``hilbert_function``), so the two ranks are equal.  The rank of
+    Cat_m(F) is at most binom(n + m - 1, m), its number of rows, the
+    operators of order m in n variables; elimination stops when it reaches
+    that bound, which certifies it, and the columns after it are never
+    built.  A rank short of it is certified on all of them.
+    """
     _require_form(F, k)
-    return sparse_rank(_divisor_blocks(F, k)[k].values())
+    m = min(k, F.degree() - k)
+    bound = math.comb(len(F.vars) + m - 1, m) if m else 1
+    return _side_rank(_divisor_columns(_packing(F, m), m), bound)
 
 
 # -- multiplication structure -------------------------------------------------

@@ -253,7 +253,8 @@ def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
     """Rank of the degree-d catalecticant of the twisted d-th power vs the
     saturated value binom(n+d, d), where n+1 is the number of variables.
 
-    The term and degree guards run before any assumption is checked."""
+    The term and degree guards run before any assumption is checked.  The
+    report keeps F as given."""
     if F.is_zero():
         raise ValueError("zero form")
     if d < 1:
@@ -270,7 +271,14 @@ def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
     assumptions["concise"] = is_concise(F)
     assumptions["encompassing_dehomogenization"] = (
         not f.is_zero() and is_encompassing(f))
-    P = twist(F ** d, v)
-    r = catalecticant_rank(P, d)
+    # Renaming variables changes no rank.  For an encompassing f, the
+    # binom(n + d, d) columns of Cat_d of v-exponent >= d are pivots, so
+    # with v renamed variable 0 they come first and certify full rank by
+    # themselves; for another f that order can cost more columns than F's.
+    if assumptions["encompassing_dehomogenization"]:
+        F0 = homogenize(f, v, F.degree(), index=0)
+    else:
+        F0 = F
+    r = catalecticant_rank(twist(F0 ** d, v), d)
     return MainTheoremReport(F, v, d, r, expected, r == expected,
                              assumptions, list(OUT_OF_SCOPE_NOTES))

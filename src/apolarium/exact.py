@@ -13,20 +13,24 @@ echelon forms are never exposed.
 
 One elimination, ``_echelon_mod_p``, runs forward only, with Python ints
 modulo 61-bit primes, on sparse rows: each row is cleared of the pivot
-columns it holds, and the rows held before it are left as they are.
-``sparse_rank`` eliminates the side of the matrix with fewer columns, and
-``independent_rows`` the transpose, once mod MODULUS = 2^61 - 1, stopping
-when the rank reaches the column count: full rank mod a prime is full rank
-over Q, since reduction mod p never raises a rank.  Otherwise that echelon
-is the first prime of the kernel routine, ``_kernel_mod_primes``.  It
-fully reduces each prime's echelon by back-substitution, combines the
-kernels over the primes so far by CRT, lifts them to Q by rational
-reconstruction (Wang 1981) and checks them exactly.  The first lift that
-passes is the reduced-echelon kernel over Q (see ``sparse_kernel``).  When
-the primes do not answer, ``SparseEchelon``, an incremental elimination over
-Q on the same sparse rows, does.  The reduced echelon form of a row space
-is unique, so every rank, kernel, solution and greedy basis is the same
-whichever of the two answers.  No dense row is built.
+columns it holds, and the rows held before it are left as they are.  One
+rank certificate, ``_side_rank``, eliminates rows as they arrive, from a
+list or a stream, once mod MODULUS = 2^61 - 1, stopping when the rank
+reaches a bound on it: full rank mod a prime is full rank over Q, since
+reduction mod p never raises a rank, and the rest of a stream is never
+built.  ``sparse_rank`` gives it the side of the matrix with fewer columns,
+bounded by their count, and ``apolar`` streams catalecticant columns to it;
+``independent_rows`` eliminates the transpose the same way.  Short of the
+bound, that echelon is the first prime of the kernel routine,
+``_kernel_mod_primes``.  It fully reduces each prime's echelon by
+back-substitution, combines the kernels over the primes so far by CRT, lifts
+them to Q by rational reconstruction (Wang 1981) and checks them exactly.
+The first lift that passes is the reduced-echelon kernel over Q (see
+``sparse_kernel``).  When the primes do not answer, ``SparseEchelon``, an
+incremental elimination over Q on the same sparse rows, does.  The reduced
+echelon form of a row space is unique, so every rank, kernel, solution and
+greedy basis is the same whichever of the two answers.  No dense row is
+built.
 
 No floats, ever.
 """
@@ -68,12 +72,13 @@ MODULUS = PRIMES[0]  # the prime of the full-rank certificate
 SparseRow = Dict[int, Rat]  # column -> nonzero entry, an int or a Fraction
 
 
-def _echelon_mod_p(rows: Sequence[SparseRow], p: int,
+def _echelon_mod_p(rows: Iterable[SparseRow], p: int,
                    ncols: Optional[int] = None
                    ) -> Optional[Dict[int, Dict[int, int]]]:
     """The rows over GF(p), eliminated forward in order: {pivot column: row
     with a 1 at its leftmost column}, in insertion order, or None when p
-    divides a denominator.  Elimination stops once the rank reaches `ncols`.
+    divides a denominator.  Elimination stops once the rank reaches `ncols`,
+    and reads no row after that.
 
     A held row is zero at the pivot columns held before it, so a new row is
     cleared of them by subtracting held rows in insertion order.  Only the
@@ -247,15 +252,10 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     column (an int) to its nonzero entry; columns absent from every row are
     zero.
 
-    One side is eliminated mod MODULUS: the matrix, or its transpose when
-    that has fewer columns, so that the side has n = min(rows, cols)
-    columns (zero rows and columns are not counted).  Reduction mod p can
-    only turn nonzero minors into zero ones, so rank mod p <= rank over Q,
-    and rank n mod p certifies full rank; elimination stops there.  A
-    smaller rank r mod p is certified by the kernel of the side, with the
-    columns that occur numbered 0, 1, ... in order and that echelon as its
-    first prime: its n - r vectors are checked exactly and independent
-    (they carry an identity on the free columns), so rank over Q <= r."""
+    The side certified by ``_side_rank`` is the matrix, its columns that
+    occur numbered 0, 1, ... in order, or its transpose when that has fewer
+    columns, so that the side has n = min(rows, cols) columns (zero rows
+    and columns are not counted), and n bounds the rank."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
     if len(cols) > len(rows):
@@ -263,11 +263,34 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     else:
         place = {j: i for i, j in enumerate(cols)}
         side = [{place[j]: x for j, x in row.items()} for row in rows]
-    n = min(len(rows), len(cols))
-    pivots = _echelon_mod_p(side, MODULUS, n)
-    if pivots is not None and len(pivots) == n:
-        return n
-    return n - len(_kernel(side, n, pivots))
+    return _side_rank(side, min(len(rows), len(cols)))
+
+
+def _side_rank(side: Iterable[SparseRow], bound: int) -> int:
+    """Rank over Q of the rows of `side`, a bound on whose rank is given;
+    the rows may be a stream, read only as far as elimination needs them.
+
+    The rows are eliminated mod MODULUS as they arrive.  Reduction mod p
+    can only turn nonzero minors into zero ones, so rank mod p <= rank over
+    Q, and rank `bound` mod p certifies rank `bound`: elimination stops
+    there and the rest of the stream is never read.  Otherwise the rest is
+    read, and a rank r mod p is certified by the kernel of the rows over
+    the c columns that occur, with that echelon as its first prime: its
+    c - r vectors are checked exactly and independent (they carry an
+    identity on the free columns), so rank over Q <= r."""
+    side = iter(side)
+    rows: List[SparseRow] = []
+
+    def kept():
+        for row in side:
+            rows.append(row)
+            yield row
+    pivots = _echelon_mod_p(kept(), MODULUS, bound)
+    if pivots is not None and len(pivots) == bound:
+        return bound
+    rows += side
+    cols = sorted(set().union(*rows))
+    return len(cols) - len(_kernel(rows, cols, pivots))
 
 
 def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
@@ -290,7 +313,7 @@ def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
     pivots = _echelon_mod_p(side, MODULUS, n)
     if pivots is not None and len(pivots) == n:
         return list(range(n))
-    kernel = _kernel(side, n, pivots)
+    kernel = _kernel(side, range(n), pivots)
     return [i for i in range(n) if i not in kernel]
 
 
@@ -310,23 +333,24 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     Q, whose rows are then fully reduced: the vector of free column j has
     -row[j] at the pivot of each held row.
     """
-    return _kernel(rows, ncols, _echelon_mod_p(rows, MODULUS))
+    return _kernel(rows, range(ncols), _echelon_mod_p(rows, MODULUS))
 
 
-def _kernel(rows: Sequence[SparseRow], ncols: int,
+def _kernel(rows: Sequence[SparseRow], cols: Sequence[int],
             first: Optional[Dict[int, Dict[int, int]]]
             ) -> Dict[int, SparseRow]:
-    """``sparse_kernel``, given `first`, the forward echelon of the rows
-    mod MODULUS (None when MODULUS divides a denominator, which sends the
-    rows to ``SparseEchelon`` at once)."""
+    """``sparse_kernel`` over the ascending columns `cols` (those that
+    occur and any zero ones), given `first`, the forward echelon of the
+    rows mod MODULUS (None when MODULUS divides a denominator, which sends
+    the rows to ``SparseEchelon`` at once)."""
     kernel = None
     if first is not None:
-        kernel = _kernel_mod_primes(rows, range(ncols), first)
+        kernel = _kernel_mod_primes(rows, cols, first)
     if kernel is None:
         echelon = SparseEchelon(int)
         for row in rows:
             echelon.insert(row)
-        kernel = {j: {j: Fraction(1)} for j in range(ncols)
+        kernel = {j: {j: Fraction(1)} for j in cols
                   if j not in echelon.table}
         for p in sorted(echelon.table):
             for j, x in echelon.table[p].items():

@@ -3,7 +3,8 @@
 ``rref`` is the dense elimination over Q that the sparse answers of
 ``exact`` are checked against; ``spy_fallbacks`` records each exact
 elimination that ``exact.sparse_kernel`` falls back to when its primes do
-not answer.
+not answer, and ``spy_rows_read`` how far each elimination mod a prime
+reads its rows.
 """
 from __future__ import annotations
 
@@ -72,3 +73,21 @@ def spy_fallbacks(monkeypatch):
             return super().insert(vec)
     monkeypatch.setattr(exact, "SparseEchelon", Spy)
     return calls
+
+
+def spy_rows_read(monkeypatch):
+    """The number of rows each ``exact._echelon_mod_p`` call reads while
+    the spy is set, in call order."""
+    counts = []
+    eliminate = exact._echelon_mod_p
+
+    def spy(rows, p, ncols=None):
+        counts.append(0)
+
+        def counted():
+            for row in rows:
+                counts[-1] += 1
+                yield row
+        return eliminate(counted(), p, ncols)
+    monkeypatch.setattr(exact, "_echelon_mod_p", spy)
+    return counts

@@ -6,11 +6,14 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apolarium import exact
 from apolarium.apolar import (
     _divisor_blocks,
+    _divisor_columns,
+    _packing,
     annihilator_upto,
     apolar_dim,
     boxtimes_apolar_dim,
@@ -21,9 +24,9 @@ from apolarium.apolar import (
     structure_tensor_of_apolar,
     verify_tautological_apolarity,
 )
-from apolarium.exact import SparseEchelon, sparse_rank
-from oracles import rref, spy_fallbacks
-from apolarium.papersuite import ENCOMPASS_CORPUS, TAUT_CORPUS
+from apolarium.exact import SparseEchelon, _transpose, sparse_rank
+from oracles import rref, spy_fallbacks, spy_rows_read
+from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
 from apolarium.tensor3 import cw
@@ -492,19 +495,15 @@ def test_divisor_blocks_hold_the_scaled_images_cell_by_cell(f, data):
     # in int cells; rows and columns in graded order, one block per order
     # for a form
     d = f.degree()
-    span = data.draw(st.sampled_from(["all", "k", "upto"]))
-    if span == "k":
-        k = data.draw(st.integers(0, d))
-        kwargs, lo, hi = {"k": k}, k, k
-    elif span == "upto":
-        upto = data.draw(st.integers(0, d + 1))
-        kwargs, lo, hi = {"upto": upto}, 0, upto
+    if data.draw(st.booleans()):
+        hi = data.draw(st.integers(0, d + 1))
+        blocks = _divisor_blocks(f, upto=hi)
     else:
-        kwargs, lo, hi = {}, 0, d
-    blocks = _divisor_blocks(f, **kwargs)
+        hi = d
+        blocks = _divisor_blocks(f)
     scale = lcm(*(c.denominator for c in f.terms.values()))
     divisors = {a for e in f.terms for a in product(*(range(x + 1) for x in e))
-                if lo <= sum(a) <= hi}
+                if sum(a) <= hi}
     exps = [a for block in blocks.values() for a in block]
     assert exps == sorted(divisors, key=monomial_key)
     graded = f.is_homogeneous()
@@ -519,6 +518,75 @@ def test_divisor_blocks_hold_the_scaled_images_cell_by_cell(f, data):
             assert {cols[j]: v for j, v in row.items()} == {
                 b: scale * c for b, c in images[a].terms.items()}
             assert all(type(v) is int for v in row.values())
+
+
+@given(st.one_of(forms(max_degree=6), inhomogeneous_polys()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_divisor_columns_are_the_transposed_block(f, data):
+    # the columns b of the order-m rows, keyed by the packed key of a: for
+    # a form, the transpose of block m in its order of rows and columns;
+    # for any other polynomial the same columns in another order
+    m = data.draw(st.integers(0, f.degree() + 1))
+    stream = list(_divisor_columns(_packing(f, m), m))
+    place = {a: i for i, a in enumerate(sorted(set().union(*stream)))}
+    side = [{place[a]: v for a, v in col.items()} for col in stream]
+    rows = [row for block in _divisor_blocks(f).values()
+            for a, row in block.items() if sum(a) == m]
+    transposed = _transpose(rows, sorted(set().union(*rows)))
+    if f.is_homogeneous():
+        assert side == transposed
+    else:
+        assert sorted(sorted(col.items()) for col in side) == sorted(
+            sorted(col.items()) for col in transposed)
+
+
+@st.composite
+def twisted_powers(draw):
+    """twist(G^d, v) for a small form G and v in any position."""
+    G = draw(forms(max_degree=2))
+    return twist(G ** draw(st.integers(1, 2)), draw(st.sampled_from(G.vars)))
+
+
+@given(st.one_of(forms(max_degree=6), twisted_powers()))
+@example(parse("x1^3 + x2^3"))  # x1*x2 divides no term: rank 2 < bound 3
+@settings(max_examples=120, deadline=None)
+def test_catalecticant_rank_matches_the_rref_oracle_for_every_k(F):
+    d = F.degree()
+    ranks = [catalecticant_rank(F, k) for k in range(d + 1)]
+    assert ranks == [len(rref(catalecticant_matrix(F, k))[0])
+                     for k in range(d + 1)]
+    assert ranks == ranks[::-1]  # k > d/2 ranks its mirror d - k
+
+
+def test_orders_past_the_middle_stream_their_mirror(partials_builds):
+    F = parse("x0^4*x1 + x0*x1^3*x2 + x2^5")
+    ranks = [catalecticant_rank(F, k) for k in range(6)]
+    assert ranks == [len(rref(catalecticant_matrix(F, k))[0])
+                     for k in range(6)]
+    assert partials_builds == [0, 1, 2, 2, 1, 0]
+
+
+def test_full_rank_reads_only_the_columns_it_needs(monkeypatch):
+    # Cat_4 of twist(BIG_CUBIC^4, x0) has 528 columns; the first 126, the
+    # slabs of x0-exponent >= 4, are all pivots and certify rank
+    # binom(5 + 4, 4) = 126
+    P = twist(parse(BIG_CUBIC) ** 4, "x0")
+    counts = spy_rows_read(monkeypatch)
+    assert catalecticant_rank(P, 4) == comb(9, 4) == 126
+    assert counts == [126]
+
+
+def test_a_short_rank_drains_the_stream_into_the_fallback(monkeypatch):
+    # rank 2 of Cat_2, short of the 6 operators of order 2: with no
+    # multi-prime kernel, every streamed column reaches one SparseEchelon
+    F = parse("(x1 + 2/3*x2)^4 + x3^4")
+    monkeypatch.setattr(exact, "_kernel_mod_primes", lambda *args: None)
+    calls = spy_fallbacks(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
+    assert catalecticant_rank(F, 2) == len(
+        rref(catalecticant_matrix(F, 2))[0]) == 2
+    stream = list(_divisor_columns(_packing(F, 2), 2))
+    assert calls == [stream] and counts == [len(stream)] == [4]
 
 
 @given(inhomogeneous_polys())

@@ -23,8 +23,9 @@ from apolarium.exact import SparseEchelon
 from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
-                            monomial_key, monomials_upto, parse,
+                            homogenize, monomial_key, monomials_upto, parse,
                             restrict_zero)
+from oracles import spy_rows_read
 
 V2 = ("x1", "x2")
 
@@ -464,6 +465,26 @@ def test_main_theorem_big_cubic_fifth_power():
     rep = verify_main_theorem(parse(BIG_CUBIC), "x0", 5)
     assert rep.rank == rep.expected == comb(10, 5) == 252
     assert rep.equal
+
+
+@pytest.mark.parametrize("v", ["x0", "x1", "y2"])
+def test_main_theorem_ranks_the_twist_variable_first(monkeypatch, v):
+    # BIG_CUBIC with x0 moved last: x0 is renamed variable 0 again, and the
+    # 56 columns of x0-exponent >= 3 certify the rank alone; the report
+    # keeps the form as given.  Its dehomogenizations at x1 and y2 are not
+    # encompassing, and the form is ranked as given.
+    F = parse(BIG_CUBIC)
+    last = homogenize(dehomogenize(F, "x0"), "x0", 3, index=5)
+    assert last.vars[-1] == "x0"
+    counts = spy_rows_read(monkeypatch)
+    rep = verify_main_theorem(last, v, 3)
+    assert rep.form is last and rep.variable == v
+    assert rep.rank == rep.expected == comb(8, 3) == 56
+    assert rep.assumptions["encompassing_dehomogenization"] == (v == "x0")
+    if v == "x0":
+        assert counts[-1] == 56
+    monkeypatch.undo()
+    assert rep == verify_main_theorem(F, v, 3)._replace(form=last)
 
 
 def test_main_theorem_input_checks():

@@ -207,6 +207,25 @@ def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     assert calls == [sparse(m), sparse(m)]
 
 
+def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
+    read = []
+
+    def stream(rows):
+        for row in rows:
+            read.append(row)
+            yield row
+    rows = [{0: F(1)}, {1: F(2, 3)}, {0: F(1), 1: F(1)}, {2: F(5)}]
+    assert exact._side_rank(stream(rows), 2) == 2
+    assert read == rows[:2]
+    # short of the bound the rest is read: P divides a denominator of the
+    # second row, so the rows read and the rest all reach the fallback
+    calls = spy_fallbacks(monkeypatch)
+    read.clear()
+    rows = [{0: F(1), 1: F(1)}, {0: F(1, P)}, {0: F(2), 1: F(2)}, {1: F(3)}]
+    assert exact._side_rank(stream(rows), 3) == 2
+    assert read == rows and calls == [rows]
+
+
 def test_zero_matrix_rank_is_certified_without_the_fallback(monkeypatch):
     calls = spy_fallbacks(monkeypatch)
     assert sparse_rank(sparse([[F(0)] * 4] * 3)) == 0
@@ -702,7 +721,7 @@ def test_back_substituted_kernels_and_greedy_rows_match_the_oracles(m):
 
 def _ex49_cube_order_4_block():
     f = parse(papersuite.EX49_CUBIC) ** 3
-    rows = [row for row in apolar._divisor_blocks(f, 4)[4].values() if row]
+    rows = [row for row in apolar._divisor_blocks(f, upto=4)[4].values() if row]
     assert (len(rows), len(set().union(*rows))) == (68, 117)
     return rows
 

@@ -5,27 +5,25 @@ finite-dimensional vector space linearly isomorphic to the quotient algebra
 of dual operators modulo the annihilator of f.  For a form F of degree d the
 space is graded, and its order-k derivatives span the row space of the
 catalecticant Cat_k(F); so the Hilbert function of a form is its
-catalecticant ranks, which ``exact.sparse_rank`` certifies modulo a prime on
-sparse rows built term by term.  The rows are built on exponents packed into
-ints, and their cells are ints: every cell is scaled by the lcm of the
-denominators of f, which changes no rank, greedy row or kernel.
+catalecticant ranks.  Every partials matrix is read off one stream,
+``_divisor_columns``: the columns b of the images L * a∘f of the monomial
+operators a of a range of orders, in int cells scaled by the lcm L of the
+denominators of f, which changes no rank, greedy row or kernel, built one
+slab at a time and only as far as the elimination reads them.
 Cat_{d-k}(F) is a transpose of Cat_k(F) scaled by invertible diagonals, so
-only the lower half of the ladder, k <= d/2, is built and ranked, and the
-upper half mirrors it; the size guard still charges the cells of the whole
-ladder.  One catalecticant rank, and conciseness, are certified on a stream
-of the columns of one order instead, built one slab at a time and only as
-far as the elimination reads them: once the rank reaches the number of
-operators of that order, it is full.  Any other polynomial has one matrix,
-of all its monomial derivatives; its Hilbert function, the differences of
-the filtration by derivative order, counts by order the greedy rows of that
-matrix taken from order d down to 0.  The dimension is the sum of the
-Hilbert function, the one rank pass over a partials matrix.  Greedy rows
-(``exact.independent_rows``) also give the monomial basis of the quotient
-algebra, and the transpose of the rows up to order d is the operator matrix
-whose kernel is the annihilator up to degree d.  From these come dimensions,
-Hilbert functions, conciseness, annihilators up to a degree bound,
-catalecticant ranks, the multiplication tensor of the quotient algebra, and
-the twisted-form annihilation check.
+only the orders k <= d/2 are streamed and ranked, each on its own, and the
+upper half mirrors them; the size guard still charges the whole ladder.
+One catalecticant rank, and conciseness, stream one order, which is full
+once the rank reaches its number of operators.  Any other polynomial has
+one matrix; its Hilbert function, the differences of the filtration by
+derivative order, counts by order the greedy operators (``exact._greedy``)
+taken from order d down to 0, and the dimension is its sum.  Taken from
+order 0 up, they are the monomial basis of the quotient algebra, and the
+stream of orders up to d is the operator matrix whose kernel is the
+annihilator up to degree d.  From these come dimensions, Hilbert functions,
+conciseness, annihilators up to a degree bound, catalecticant ranks, the
+multiplication tensor of the quotient algebra, and the twisted-form
+annihilation check.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import guards
-from .exact import (Rat, SparseRow, _side_rank, independent_rows,
-                    solve_many, sparse_kernel, sparse_rank)
+from .exact import (Rat, SparseRow, _greedy, _side_rank, solve_many,
+                    sparse_kernel, sparse_rank)
 from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
                    boxtimes_power, monomials_upto, twist)
 
@@ -57,7 +55,7 @@ def _bounded(e: Exponent, w: int, lo: int, hi: int,
              perms: List[List[int]]) -> List[Tuple[int, int, int]]:
     """The exponents a <= e (componentwise) with lo <= |a| <= hi, each as
     (its key for fields of w bits, |a|, e!/(e-a)!), in one pass over the
-    nonzero coordinates of e (see ``_divisor_blocks`` for the key);
+    nonzero coordinates of e (see ``_divisor_columns`` for the key);
     perms[x][t] is x!/(x-t)!.  Each coordinate takes only the values that
     leave the degree reachable, so every prefix kept is completed."""
     room = sum(e)
@@ -117,11 +115,11 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     """Successive differences of the dimension filtration by derivative order.
 
     For a form F of degree d this is H(k) = rank Cat_k(F), k = 0, ..., d.
-    Only the lower half of the ladder, the blocks k <= h = floor(d/2) of
-    ``_divisor_blocks``, is built and certified; the upper half is its
-    mirror, H(d - k) = H(k).  That is an identity, not a check skipped:
-    with c_e the coefficient of x^e in F, a of degree k and b of degree
-    d - k,
+    Only the lower half of the ladder, the orders k <= h = floor(d/2) of
+    one stream of ``_divisor_columns``, is built and certified, each order
+    on its own (see ``_orders``); the upper half is its mirror,
+    H(d - k) = H(k).  That is an identity, not a check skipped: with c_e
+    the coefficient of x^e in F, a of degree k and b of degree d - k,
 
         Cat_k[a][b] = c_{a+b} (a+b)!/b!,   Cat_{d-k}[b][a] = c_{a+b} (a+b)!/a!,
 
@@ -132,20 +130,19 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     """
     _require_nonzero(f)
     d = f.degree()
+    packing = _packing(f, None)
     if f.is_homogeneous():
-        ranks = [sparse_rank(block.values())
-                 for block in _divisor_blocks(f, upto=d // 2).values()]
+        ranks = [sparse_rank(side) for side in _orders(packing, d // 2)]
         return HilbertFunction(tuple(ranks[min(k, d - k)]
                                      for k in range(d + 1)))
     # The span of the derivatives of order >= i is that of the monomial
-    # derivatives of order >= i, so with the rows taken from order d down
-    # to 0, its dimension is the number of greedy rows of order >= i, and
-    # H(i) is the number of greedy rows of order i.
-    (block,) = _divisor_blocks(f).values()
-    exps = list(reversed(block))
+    # derivatives of order >= i, so with the operators taken from order d
+    # down to 0, negated keys, its dimension is the number of greedy
+    # operators of order >= i, and H(i) is the number of order i.
     vals = [0] * (d + 1)
-    for i in independent_rows(list(reversed(block.values()))):
-        vals[sum(exps[i])] += 1
+    for a in _greedy([{-a: v for a, v in col.items()}
+                      for col in _divisor_columns(packing, 0, d)]):
+        vals[-a >> packing[1]] += 1
     while vals and vals[-1] == 0:
         vals.pop()
     return HilbertFunction(tuple(vals))
@@ -159,23 +156,23 @@ def apolar_dim(f: Poly) -> int:
 
 def is_concise(f: Poly) -> bool:
     """No operator of degree <= 1 annihilates f: its first derivatives,
-    which have lower degree than f, have rank n, certified on the columns
-    of the order-1 rows streamed by ``_divisor_columns``."""
+    which have lower degree than f, have rank n, certified on the order-1
+    columns streamed by ``_divisor_columns``."""
     _require_nonzero(f)
     n = len(f.vars)
-    return _side_rank(_divisor_columns(_packing(f, 1), 1), n) == n
+    return _side_rank(_divisor_columns(_packing(f, 1), 1, 1), n) == n
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
     """Echelonized basis of the operators of degree <= d killing f.
 
     d defaults to deg f + 1; every operator of higher degree kills f, so all
-    novel generators occur by then.  The operator matrix is the transpose
-    of the rows of ``_divisor_blocks`` up to order d: column a is the place
-    of x^a in ``monomials_upto(n, d)``, row b the coefficient of x^b in its
-    image; an operator dividing no term is a zero column.  d and the
-    binom(n + d, d) operators are checked against the limits before any row
-    is built.
+    novel generators occur by then.  The operator matrix is the stream of
+    ``_divisor_columns`` of orders 0..d: row b holds the coefficients of x^b
+    in the images, and each key of a is mapped once to its column, the
+    place of x^a in ``monomials_upto(n, d)``.  d and the binom(n + d, d)
+    operators are checked against the limits, and the cells of the whole
+    ladder charged, before any column is built.
     """
     _require_nonzero(f)
     if d is None:
@@ -184,14 +181,15 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
         raise ValueError("degree bound must be >= 0")
     guards.check_degree(d)
     guards.check_terms(math.comb(len(f.vars) + d, d), "operator space size")
+    packing = _packing(f, None)
     sigmas = monomials_upto(len(f.vars), d)
-    place = {s: j for j, s in enumerate(sigmas)}
-    rows: Dict[int, SparseRow] = defaultdict(dict)  # coordinate b -> row
-    for block in _divisor_blocks(f, upto=d).values():
-        for a, row in block.items():
-            for b, v in row.items():
-                rows[b][place[a]] = v
-    kernel = sparse_kernel([rows[b] for b in sorted(rows)], len(sigmas))
+    cols = list(_divisor_columns(packing, 0, d))
+    keys = list(set().union(*cols))
+    index = {s: j for j, s in enumerate(sigmas)}
+    exps = _exponents(packing, len(f.vars), keys)
+    place = {a: index[s] for a, s in zip(keys, exps)}
+    kernel = sparse_kernel([{place[a]: v for a, v in col.items()}
+                            for col in cols], len(sigmas))
     return [Poly(f.vars, {sigmas[k]: c for k, c in sorted(vec.items())})
             for vec in kernel.values()]
 
@@ -210,12 +208,12 @@ def _packing(f: Poly, k: Optional[int]
              ) -> Tuple[int, int, List[List[int]],
                         List[Tuple[Exponent, int, int]]]:
     """The cells of order k, or of every order when k is None, charged
-    against max_terms; then the packing of f that ``_divisor_blocks`` and
-    ``_divisor_columns`` share: the field width w and the key width w n
-    (see ``_divisor_blocks``), the perms table of ``_bounded``, and each
-    term c x^e as (e, key(e) + mask, L * c), L the lcm of the denominators
-    of f.  The cells bound the rank of every block; they are charged before
-    any is built."""
+    against max_terms; then the packing of f that ``_divisor_columns``
+    reads: the field width w and the key width w n (see
+    ``_divisor_columns``), the perms table of ``_bounded``, and each term
+    c x^e as (e, key(e) + mask, L * c), L the lcm of the denominators of
+    f.  The cells bound the rank of every partials matrix; they are
+    charged before any slab is built."""
     guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
                        "partials dimension bound")
     top = max((x for e in f.terms for x in e), default=0)
@@ -232,66 +230,33 @@ def _packing(f: Poly, k: Optional[int]
     return w, width, perms, terms
 
 
-def _divisor_blocks(f: Poly, upto: Optional[int] = None
-                    ) -> Dict[int, Dict[Exponent, SparseRow]]:
-    """Sparse rows of the matrix of monomial derivatives a∘f, scaled by L,
-    the lcm of the denominators of f, in blocks {a: row}, each in graded
-    order of a.
+def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
+    """The columns b of the matrix of monomial derivatives a∘f of orders
+    lo <= |a| <= hi, scaled by L, the lcm of the denominators of f, as
+    sparse rows {key of a: int cell}, built from the ``_packing`` of f one
+    slab at a time.
 
-    Row a holds the coefficients of L * a∘f, one column per monomial b that
-    occurs, in graded order of b: each term e (coefficient c) puts the int
-    L * c * e!/(e-a)! at (a, e-a) for every a <= e, and the cell determines
-    e = a + b, so no two terms meet in a cell and none cancels.  One nonzero
-    scale of the whole matrix changes no rank, no greedy row and no kernel.
-    Only the orders |a| <= upto are built when upto is given.  For a form F
-    the blocks are keyed by the order j = |a|, and block j is L * Cat_j(F)
-    without its zero rows and columns.  Any other polynomial has one block,
-    keyed 0, whose rank over every a is the dimension of its partials
-    space.  Transposed, the rows are the operator matrix of
-    ``annihilator_upto``.
+    Row a of the matrix holds the coefficients of L * a∘f: each term e
+    (coefficient c) puts the int L * c * e!/(e-a)! at (a, e-a) for every
+    a <= e, and the cell determines e = a + b, so no two terms meet in a
+    cell and none cancels.  For a form F, every cell of column b has the
+    order |a| = deg F - |b|, and the order-m columns are L * Cat_m(F)
+    transposed, without its zero rows and columns.
 
     Each exponent is keyed by one int: its degree above mask - (its
     coordinates packed in fields of w bits, variable 0 highest), with w the
     bit length of the largest exponent of f and mask = 2^(w n) - 1 for n
-    variables.  Ascending keys are the graded order (degree, then the
-    packed value descending), and since a <= e borrows from no field, the
-    key of b = e - a is key(e) + mask - key(a).  Only the row keys are
-    unpacked.  The cells of the whole ladder are charged, upto or not.
-    """
-    w, width, perms, terms = _packing(f, None)
-    hi = f.degree() if upto is None else upto
-    rows: Dict[int, Dict[int, int]] = {}  # key of a -> {key of b: cell}
-    for e, flip, v in terms:
-        for a, _, p in _bounded(e, w, 0, hi, perms):
-            row = rows.get(a)
-            if row is None:
-                row = rows[a] = {}
-            row[flip - a] = v * p
-    # rows and columns in graded monomial order, which keeps the fill-in of
-    # elimination mod p far below that of the order first seen
-    place = {b: j for j, b in enumerate(sorted(set().union(*rows.values())))}
-    graded = f.is_homogeneous()
-    blocks: Dict[int, Dict[Exponent, SparseRow]] = {}
-    shifts = [w * i for i in reversed(range(len(f.vars)))]
-    mask = (1 << width) - 1
-    field = (1 << w) - 1
-    for a in sorted(rows):
-        packed = mask - (a & mask)
-        blocks.setdefault(a >> width if graded else 0, {})[
-            tuple(packed >> i & field for i in shifts)] = {
-            place[b]: v for b, v in rows[a].items()}
-    return blocks
+    variables; key >> w n is the degree.  Ascending keys are the graded
+    order (degree, then the packed value descending), and since a <= e
+    borrows from no field, the key of b = e - a is key(e) + mask - key(a).
 
-
-def _divisor_columns(packing, m: int) -> Iterator[Dict[int, int]]:
-    """The columns b of the order-m rows of ``_divisor_blocks``, L times
-    the images a∘f with |a| = m, as sparse rows {key of a: cell}, built
-    from the ``_packing`` of f one slab at a time: the slab of b_0 = j is
-    built when its first column is asked for, j descending, and its
-    columns come in ascending key.  For a form the stream is the graded
-    order of b, which is the transpose of block m in its order of rows and
-    columns.  A cell with b_0 = j has a_0 = e_0 - j, so the slab reads
-    only the terms with j <= e_0 <= j + m.
+    The slab of b_0 = j is built when its first column is asked for, j
+    descending, and its columns come in ascending key.  A cell with
+    b_0 = j has a_0 = e_0 - j = t, so the slab reads only the terms with
+    j <= e_0 <= j + hi, each with the rest of a of order lo - t .. hi - t.
+    Each slab sorts its columns, so the columns of one order m come in the
+    order of the stream of orders m..m: for a form, the graded order of b,
+    L * Cat_m(F) transposed in the graded order of its rows and columns.
     """
     w, width, perms, terms = packing
     step = (1 << width) - (1 << width - w)  # a_0 once more
@@ -300,14 +265,33 @@ def _divisor_columns(packing, m: int) -> Iterator[Dict[int, int]]:
         tops[e[0] if e else 0].append(((0,) + e[1:] if e else e, flip, v))
     for j in range(max(tops), -1, -1):
         slab: Dict[int, Dict[int, int]] = defaultdict(dict)
-        for t in range(m + 1):
+        for t in range(hi + 1):
             for rest, flip, v in tops.get(j + t, ()):
                 v *= perms[j + t][t]
-                for a, _, p in _bounded(rest, w, m - t, m - t, perms):
+                for a, _, p in _bounded(rest, w, lo - t, hi - t, perms):
                     a += t * step
                     slab[flip - a][a] = v * p
         for b in sorted(slab):
             yield slab[b]
+
+
+def _orders(packing, hi: int) -> List[List[Dict[int, int]]]:
+    """The stream of orders 0..hi of a form split by order, which any key
+    of a column gives: list m is the stream of orders m..m."""
+    orders: List[List[Dict[int, int]]] = [[] for _ in range(hi + 1)]
+    for col in _divisor_columns(packing, 0, hi):
+        orders[next(iter(col)) >> packing[1]].append(col)
+    return orders
+
+
+def _exponents(packing, n: int, keys: List[int]) -> List[Exponent]:
+    """The exponents in n variables of the keys packed as in
+    ``_divisor_columns``."""
+    w, width = packing[0], packing[1]
+    mask, field = (1 << width) - 1, (1 << w) - 1
+    shifts = [w * i for i in reversed(range(n))]
+    return [tuple((mask - (a & mask)) >> i & field for i in shifts)
+            for a in keys]
 
 
 def catalecticant_rank(F: Poly, k: int) -> int:
@@ -324,7 +308,7 @@ def catalecticant_rank(F: Poly, k: int) -> int:
     _require_form(F, k)
     m = min(k, F.degree() - k)
     bound = math.comb(len(F.vars) + m - 1, m) if m else 1
-    return _side_rank(_divisor_columns(_packing(F, m), m), bound)
+    return _side_rank(_divisor_columns(_packing(F, m), m, m), bound)
 
 
 # -- multiplication structure -------------------------------------------------
@@ -332,14 +316,17 @@ def catalecticant_rank(F: Poly, k: int) -> int:
 
 def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     """Smallest monomial operators (graded order) with independent images:
-    the greedy rows of each block of ``_divisor_blocks``, which for a form
-    hold images of different degrees."""
+    the greedy operators of the stream of ``_divisor_columns``, taken order
+    by order for a form, whose orders hold images of different degrees
+    (see ``_orders``), and over the whole stream for any other polynomial.
+    Only the keys kept are unpacked."""
     _require_nonzero(f)
-    out: List[Exponent] = []
-    for block in _divisor_blocks(f).values():
-        exps = list(block)
-        out += [exps[i] for i in independent_rows(list(block.values()))]
-    return out
+    d = f.degree()
+    packing = _packing(f, None)
+    sides = (_orders(packing, d) if f.is_homogeneous()
+             else [list(_divisor_columns(packing, 0, d))])
+    return _exponents(packing, len(f.vars),
+                      [a for side in sides for a in _greedy(side)])
 
 
 def structure_tensor_of_apolar(f: Poly):

@@ -19,18 +19,19 @@ list or a stream, once mod MODULUS = 2^61 - 1, stopping when the rank
 reaches a bound on it: full rank mod a prime is full rank over Q, since
 reduction mod p never raises a rank, and the rest of a stream is never
 built.  ``sparse_rank`` gives it the side of the matrix with fewer columns,
-bounded by their count, and ``apolar`` streams catalecticant columns to it;
-``independent_rows`` eliminates the transpose the same way.  Short of the
-bound, that echelon is the first prime of the kernel routine,
-``_kernel_mod_primes``.  It fully reduces each prime's echelon by
-back-substitution, combines the kernels over the primes so far by CRT, lifts
-them to Q by rational reconstruction (Wang 1981) and checks them exactly.
-The first lift that passes is the reduced-echelon kernel over Q (see
-``sparse_kernel``).  When the primes do not answer, ``SparseEchelon``, an
-incremental elimination over Q on the same sparse rows, does.  The reduced
-echelon form of a row space is unique, so every rank, kernel, solution and
-greedy basis is the same whichever of the two answers.  No dense row is
-built.
+bounded by their count, and ``apolar`` streams catalecticant columns to it.
+The pivot columns of a side, ``_greedy``, the greedy rows of its
+transpose, are eliminated the same way; ``independent_rows`` and
+``apolar`` read them.  Short of the bound, that echelon is the first prime
+of the kernel routine, ``_kernel_mod_primes``.  It fully reduces each
+prime's echelon by back-substitution, combines the kernels over the primes
+so far by CRT, lifts them to Q by rational reconstruction (Wang 1981) and
+checks them exactly.  The first lift that passes is the reduced-echelon
+kernel over Q (see ``sparse_kernel``).  When the primes do not answer,
+``SparseEchelon``, an incremental elimination over Q on the same sparse
+rows, does.  The reduced echelon form of a row space is unique, so every
+rank, kernel, solution and greedy basis is the same whichever of the two
+answers.  No dense row is built.
 
 No floats, ever.
 """
@@ -295,26 +296,33 @@ def _side_rank(side: Iterable[SparseRow], bound: int) -> int:
 
 def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
     """Indices of the sparse rows that are not in the span of the rows
-    before them: the greedy basis of the row space over Q, ascending.
+    before them, ascending: the pivot columns of the transpose."""
+    return _greedy(_transpose(rows, sorted(set().union(*rows))))
 
-    These are the pivot columns of the transpose, the columns that are not
-    free in its reduced-echelon kernel.  The transpose is eliminated once
-    mod MODULUS, which stops when every row is a pivot: rows independent
-    mod a prime are independent over Q, so the answer is then every row.
-    Otherwise that echelon is the first prime of the kernel of the
-    transpose, and the checked vector of free column i writes row i as a
-    combination of pivot rows before it, while the pivot rows are
-    independent mod a prime.  The rows independent mod p alone would not
-    do: mod p, [(1, 1), (1, 1 + p), (0, 1)] keeps rows 0 and 2, and over Q
-    the greedy rows are 0 and 1.
+
+def _greedy(side: Sequence[SparseRow]) -> List[int]:
+    """The column keys, any ints, of the sparse rows `side` that are not
+    free in its reduced-echelon kernel, ascending: the greedy rows of the
+    transpose, taken in ascending key.
+
+    The keys are numbered 0, 1, ... first, which keeps the dicts of the
+    kernel routine small.  The side is eliminated once mod MODULUS, which
+    stops when every column is a pivot: columns independent mod a prime
+    are independent over Q.  Otherwise that echelon is the first prime of
+    the kernel, and the checked vector of free column i writes column i as
+    a combination of pivot columns before it, which are independent mod a
+    prime.  The columns independent mod p alone would not do: mod p, the
+    columns (1, 1), (1, 1 + p), (0, 1) keep 0 and 2, over Q 0 and 1.
     """
-    n = len(rows)
-    side = _transpose(rows, sorted(set().union(*rows)))
+    cols = sorted(set().union(*side))
+    n = len(cols)
+    place = {j: i for i, j in enumerate(cols)}
+    side = [{place[j]: x for j, x in row.items()} for row in side]
     pivots = _echelon_mod_p(side, MODULUS, n)
     if pivots is not None and len(pivots) == n:
-        return list(range(n))
+        return cols
     kernel = _kernel(side, range(n), pivots)
-    return [i for i in range(n) if i not in kernel]
+    return [j for i, j in enumerate(cols) if i not in kernel]
 
 
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int

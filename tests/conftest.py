@@ -13,7 +13,7 @@ def no_library_work(monkeypatch):
     work."""
     def boom(*args, **kwargs):
         raise AssertionError("library work started before the size guard")
-    for name in ("sparse_rank", "sparse_kernel", "independent_rows", "apply",
+    for name in ("sparse_rank", "sparse_kernel", "_greedy", "apply",
                  "_divisor_columns"):
         monkeypatch.setattr(apolar, name, boom)
     return monkeypatch
@@ -21,19 +21,13 @@ def no_library_work(monkeypatch):
 
 @pytest.fixture
 def partials_builds(monkeypatch):
-    """One entry per partials build in ``apolar``, in order: None for each
-    ``_divisor_blocks`` call, m for each stream of order-m columns from
-    ``_divisor_columns``."""
+    """The orders (lo, hi) of each partials stream that ``apolar`` starts
+    with ``_divisor_columns``, in call order."""
     calls = []
-    build, stream = apolar._divisor_blocks, apolar._divisor_columns
+    stream = apolar._divisor_columns
 
-    def spy_build(f, upto=None):
-        calls.append(None)
-        return build(f, upto)
-
-    def spy_stream(packing, m):
-        calls.append(m)
-        return stream(packing, m)
-    monkeypatch.setattr(apolar, "_divisor_blocks", spy_build)
-    monkeypatch.setattr(apolar, "_divisor_columns", spy_stream)
+    def spy(packing, lo, hi):
+        calls.append((lo, hi))
+        return stream(packing, lo, hi)
+    monkeypatch.setattr(apolar, "_divisor_columns", spy)
     return calls

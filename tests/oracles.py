@@ -1,10 +1,11 @@
 """Oracles shared by the test modules.
 
 ``rref`` is the dense elimination over Q that the sparse answers of
-``exact`` are checked against; ``spy_fallbacks`` records each exact
-elimination that ``exact.sparse_kernel`` falls back to when its primes do
-not answer, and ``spy_rows_read`` how far each elimination mod a prime
-reads its rows.
+``exact`` are checked against, and ``packed_key`` the key of an exponent
+in the partials columns of ``apolar``, built apart from it;
+``spy_fallbacks`` records each exact elimination that
+``exact.sparse_kernel`` falls back to when its primes do not answer, and
+``spy_rows_read`` how far each elimination mod a prime reads its rows.
 """
 from __future__ import annotations
 
@@ -55,6 +56,16 @@ def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
         rows.insert(k, row)
         pivots.insert(k, p)
     return rows, pivots
+
+
+def packed_key(a, w):
+    """|a| above the complement of a packed in fields of w bits, variable 0
+    highest: the key of ``apolar._divisor_columns``."""
+    width = w * len(a)
+    packed = 0
+    for x in a:
+        packed = packed << w | x
+    return sum(a) << width | (1 << width) - 1 - packed
 
 
 def spy_fallbacks(monkeypatch):

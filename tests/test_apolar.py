@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from apolarium import exact
 from apolarium.apolar import (
-    _divisor_blocks,
     _divisor_columns,
     _packing,
     annihilator_upto,
@@ -25,7 +24,7 @@ from apolarium.apolar import (
     verify_tautological_apolarity,
 )
 from apolarium.exact import SparseEchelon, _transpose, sparse_rank
-from oracles import rref, spy_fallbacks, spy_rows_read
+from oracles import packed_key, rref, spy_fallbacks, spy_rows_read
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
@@ -490,54 +489,54 @@ def test_one_pass_filtration_matches_the_closure_oracle(f):
 
 @given(st.one_of(forms(max_degree=6), inhomogeneous_polys()), st.data())
 @settings(max_examples=120, deadline=None)
-def test_divisor_blocks_hold_the_scaled_images_cell_by_cell(f, data):
-    # row a is L times the image a∘f, L the lcm of the denominators of f,
-    # in int cells; rows and columns in graded order, one block per order
-    # for a form
+def test_divisor_columns_hold_the_scaled_images_cell_by_cell(f, data):
+    # column b holds L times the coefficient of x^b in a∘f at the key of
+    # each a of order lo..hi, L the lcm of the denominators of f, in int
+    # cells; one column per b, slab b_0 descending, ascending key within,
+    # and for a form the columns of one order in graded order of b
     d = f.degree()
-    if data.draw(st.booleans()):
-        hi = data.draw(st.integers(0, d + 1))
-        blocks = _divisor_blocks(f, upto=hi)
-    else:
-        hi = d
-        blocks = _divisor_blocks(f)
+    lo = data.draw(st.integers(0, d + 1))
+    hi = data.draw(st.integers(lo, d + 1))
+    stream = list(_divisor_columns(_packing(f, None), lo, hi))
+    w = max(x for e in f.terms for x in e).bit_length()
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    divisors = {a for e in f.terms for a in product(*(range(x + 1) for x in e))
-                if sum(a) <= hi}
-    exps = [a for block in blocks.values() for a in block]
-    assert exps == sorted(divisors, key=monomial_key)
-    graded = f.is_homogeneous()
-    assert list(blocks) == sorted(blocks)
-    for key, block in blocks.items():
-        assert {sum(a) if graded else 0 for a in block} == {key}
-    images = {a: apply(Poly.monomial(f.vars, a), f) for a in exps}
-    cols = sorted({b for g in images.values() for b in g.terms},
-                  key=monomial_key)
-    for block in blocks.values():
-        for a, row in block.items():
-            assert {cols[j]: v for j, v in row.items()} == {
-                b: scale * c for b, c in images[a].terms.items()}
-            assert all(type(v) is int for v in row.values())
-
-
-@given(st.one_of(forms(max_degree=6), inhomogeneous_polys()), st.data())
-@settings(max_examples=120, deadline=None)
-def test_divisor_columns_are_the_transposed_block(f, data):
-    # the columns b of the order-m rows, keyed by the packed key of a: for
-    # a form, the transpose of block m in its order of rows and columns;
-    # for any other polynomial the same columns in another order
-    m = data.draw(st.integers(0, f.degree() + 1))
-    stream = list(_divisor_columns(_packing(f, m), m))
-    place = {a: i for i, a in enumerate(sorted(set().union(*stream)))}
-    side = [{place[a]: v for a, v in col.items()} for col in stream]
-    rows = [row for block in _divisor_blocks(f).values()
-            for a, row in block.items() if sum(a) == m]
-    transposed = _transpose(rows, sorted(set().union(*rows)))
+    columns = {}  # b -> {key of a: cell}
+    for a in {a for e in f.terms
+              for a in product(*(range(x + 1) for x in e))}:
+        if lo <= sum(a) <= hi:
+            for b, c in apply(Poly.monomial(f.vars, a), f).terms.items():
+                columns.setdefault(b, {})[packed_key(a, w)] = scale * c
+    order = sorted(columns, key=lambda b: (-b[0], packed_key(b, w)))
+    assert stream == [columns[b] for b in order]
+    assert all(type(v) is int for col in stream for v in col.values())
     if f.is_homogeneous():
-        assert side == transposed
-    else:
-        assert sorted(sorted(col.items()) for col in side) == sorted(
-            sorted(col.items()) for col in transposed)
+        for m in range(lo, hi + 1):
+            graded = [b for b in order if sum(b) == d - m]
+            assert graded == sorted(graded, key=monomial_key)
+
+
+@given(forms(max_degree=6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_order_of_a_form_stream_is_its_own_stream_and_catalecticant(
+        F, data):
+    # the order-m columns of the stream of orders lo..hi, in the order
+    # they come: the stream of order m alone, and the transposed L * Cat_m
+    # without its zero rows and columns
+    d = F.degree()
+    lo = data.draw(st.integers(0, d))
+    hi = data.draw(st.integers(lo, d))
+    m = data.draw(st.integers(lo, hi))
+    packing = _packing(F, None)
+    split = [col for col in _divisor_columns(packing, lo, hi)
+             if next(iter(col)) >> packing[1] == m]
+    assert split == list(_divisor_columns(packing, m, m))
+    scale = lcm(*(c.denominator for c in F.terms.values()))
+    cat = [[scale * x for x in row] for row in catalecticant_matrix(F, m)]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in cat]
+    place = {a: i for i, a in enumerate(sorted(set().union(*split)))}
+    assert [{place[a]: v for a, v in col.items()} for col in split] == (
+        _transpose([row for row in rows if row], [
+            j for j in range(len(cat[0])) if any(row[j] for row in cat)]))
 
 
 @st.composite
@@ -563,7 +562,8 @@ def test_orders_past_the_middle_stream_their_mirror(partials_builds):
     ranks = [catalecticant_rank(F, k) for k in range(6)]
     assert ranks == [len(rref(catalecticant_matrix(F, k))[0])
                      for k in range(6)]
-    assert partials_builds == [0, 1, 2, 2, 1, 0]
+    assert partials_builds == [(0, 0), (1, 1), (2, 2), (2, 2), (1, 1),
+                               (0, 0)]
 
 
 def test_full_rank_reads_only_the_columns_it_needs(monkeypatch):
@@ -585,7 +585,7 @@ def test_a_short_rank_drains_the_stream_into_the_fallback(monkeypatch):
     counts = spy_rows_read(monkeypatch)
     assert catalecticant_rank(F, 2) == len(
         rref(catalecticant_matrix(F, 2))[0]) == 2
-    stream = list(_divisor_columns(_packing(F, 2), 2))
+    stream = list(_divisor_columns(_packing(F, 2), 2, 2))
     assert calls == [stream] and counts == [len(stream)] == [4]
 
 

@@ -720,8 +720,10 @@ def test_back_substituted_kernels_and_greedy_rows_match_the_oracles(m):
 
 
 def _ex49_cube_order_4_block():
+    # the rows a of order 4, read off the columns b of the order-4 stream
     f = parse(papersuite.EX49_CUBIC) ** 3
-    rows = [row for row in apolar._divisor_blocks(f, upto=4)[4].values() if row]
+    cols = list(apolar._divisor_columns(apolar._packing(f, 4), 4, 4))
+    rows = exact._transpose(cols, sorted(set().union(*cols)))
     assert (len(rows), len(set().union(*rows))) == (68, 117)
     return rows
 
@@ -740,3 +742,23 @@ def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank):
     greedy = exact.independent_rows(rows)
     assert len(greedy) == rank and primes == [MODULUS, MODULUS]
     assert calls == []
+
+
+# column keys as the packed keys of apolar come, or worse: negative, with
+# gaps, past 2^40
+column_keys = st.one_of(st.integers(-(1 << 45), 1 << 45),
+                        st.integers(1 << 40, 1 << 70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_pass_matrices, st.data())
+def test_greedy_keys_are_the_rref_pivot_columns(m, data):
+    keys = sorted(data.draw(st.lists(column_keys, min_size=len(m[0]),
+                                     max_size=len(m[0]), unique=True)))
+    side = [{keys[j]: x for j, x in enumerate(row) if x} for row in m]
+    expected = [keys[j] for j in rref([[F(x) for x in row] for row in m])[1]]
+    assert exact._greedy(side) == expected
+    with pytest.MonkeyPatch.context() as mp:  # the fallback over Q
+        mp.setattr(exact, "_kernel_mod_primes",
+                   lambda rows, cols, first=None: None)
+        assert exact._greedy(side) == expected

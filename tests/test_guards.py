@@ -20,6 +20,7 @@ from apolarium.guards import (
 )
 from apolarium.papersuite import run_suite
 from apolarium.poly import parse
+from oracles import packed_key
 
 
 def test_checks_pass_below_limits():
@@ -188,16 +189,6 @@ def test_one_order_of_partials_is_charged_its_own_cells(no_library_work):
         assert apolar.catalecticant_rank(f, 2) == 2
 
 
-def _key(a, w):
-    """|a| above the complement of a packed in fields of w bits, variable 0
-    highest: the key of ``apolar._divisor_blocks``."""
-    width = w * len(a)
-    packed = 0
-    for x in a:
-        packed = packed << w | x
-    return sum(a) << width | (1 << width) - 1 - packed
-
-
 @pytest.mark.parametrize("e", [(), (0,), (3,), (2, 0, 1), (1, 1, 1, 1),
                                (4, 2, 3)])
 def test_cell_counts_match_the_divisors(e):
@@ -210,7 +201,7 @@ def test_cell_counts_match_the_divisors(e):
     assert apolar._cell_count(e, None) == len(divisors)
     for w in (top.bit_length(), top.bit_length() + 2):  # keys fit any width
         def oracle(lo, hi):
-            return sorted((_key(a, w), s, p) for a, s, p in divisors
+            return sorted((packed_key(a, w), s, p) for a, s, p in divisors
                           if lo <= s <= hi)
         for k in range(sum(e) + 2):
             cells = apolar._bounded(e, w, k, k, perms)

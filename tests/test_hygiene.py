@@ -155,9 +155,11 @@ def test_exact_takes_and_returns_sparse_rows_only():
         "sparse_rank"])
 
 
-def _readers_of(attr):
+def _readers_of(name, kind=ast.Attribute):
     """(module, dotted name of the enclosing definition) of each read of
-    the attribute ``attr`` in the package."""
+    ``name`` in the package: as an attribute, ``x.name``, or with kind
+    ``ast.Name``, as a bare name."""
+    field = "attr" if kind is ast.Attribute else "id"
     readers = set()
 
     def visit(node, path, scope):
@@ -166,7 +168,7 @@ def _readers_of(attr):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Attribute) and child.attr == attr:
+            elif isinstance(child, kind) and getattr(child, field) == name:
                 readers.add((path.name, ".".join(scope)))
             visit(child, path, inner)
 
@@ -191,3 +193,11 @@ def test_only_poly_results_skip_the_term_checks():
         "Poly.graded_part", "Poly.truncate", "Poly.__add__", "Poly.__neg__",
         "Poly.__mul__", "Poly.__pow__", "_unpacked", "apply", "twist",
         "dehomogenize")}
+
+
+def test_one_builder_walks_the_divisors():
+    # every partials matrix is read off the column stream: the walk over
+    # the divisors of a term is called from it alone
+    assert _readers_of("_bounded", ast.Name) == {
+        ("apolar.py", "_divisor_columns")}
+    assert _readers_of("_bounded") == set()

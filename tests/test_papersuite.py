@@ -67,14 +67,24 @@ def test_growth_rows_honour_the_ceiling_guard():
 
 
 @pytest.mark.parametrize("entry, builds", [
-    # the Hilbert function of f, whose sum is the dimension
-    ("apolar-dim-product-of-linears", [None]),
+    # the Hilbert function of the form f, whose sum is the dimension: the
+    # orders up to deg f // 2
+    ("apolar-dim-product-of-linears", [(0, 4)]),
     # the Hilbert function of f, then rows 1 and 2 of its growth table
-    ("local-quadric-smoothing", [None, None, None]),
-    # per form f of its corpus of 7: f in its extension, then the Hilbert
-    # functions of the extension g and of f; g is encompassing when its
-    # truncations have rank sum(hf_g), with no second build of g
-    ("extension-invariants", [None] * 21),
+    ("local-quadric-smoothing", [(0, 1), (0, 1), (0, 2)]),
+    # per polynomial f of its corpus of 7, one line each: the greedy basis
+    # of f in its extension, then the Hilbert functions of the extension g
+    # and of f (orders up to deg f // 2 for a form); g is encompassing when
+    # its truncations have rank sum(hf_g), with no second build of g
+    ("extension-invariants", [
+        (0, 2), (0, 2), (0, 1),  # x1^2
+        (0, 2), (0, 2), (0, 2),  # x1^2 + x2
+        (0, 2), (0, 2), (0, 1),  # x1*x2
+        (0, 3), (0, 3), (0, 3),  # x1^3 + x2
+        (0, 2), (0, 2), (0, 1),  # x1^2 + x2^2
+        (0, 3), (0, 3), (0, 3),  # x1^2 + x2^3
+        (0, 2), (0, 2), (0, 1),  # x1*x2
+    ]),
 ])
 def test_an_entry_ranks_each_partials_matrix_once(partials_builds, entry,
                                                   builds):

@@ -8,15 +8,17 @@ sequences on all three axes gives the sweet piece SP_{P,N}(T); keeping them
 on two axes and leaving the third free gives a chimney, whose all-zero
 layers feed the substitution bound.
 
-Neither projection walks the |T|^N entry words of the power.  The entries
-of T are grouped by their labels on the constrained axes; a type class is
-a count of entries per group whose label counts match the compositions,
-and the kept entries are exactly the words of entries drawn from the
-arrangements of a type class.  One walk over the remaining label budgets
-enumerates them all and keys each entry by its position in the piece, so
-the cost follows the number of kept entries.  The product of a kept word
-depends only on the multiset of entries it uses, so it is computed once
-per multiset and shared by all its words.
+Neither projection walks the |T|^N entry words of the power.  The kept
+entries are exactly the words of N entries of T whose labels spend the
+composition of every constrained axis.  One walk over the remaining label
+budgets enumerates them: its state is the number of letters still to take
+(slot 0) and, for each label of each constrained axis, the letters still
+allowed with that label; a free axis has slot 0 alone.  A budget that no
+word spends is dropped where it is first reached, so the walk keys each
+kept entry by its position in the piece and the cost follows the number
+of kept entries.  The product of a kept word depends only on the multiset
+of entries it uses, so it is computed once per multiset and shared by all
+its words.
 
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
@@ -29,7 +31,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import guards
 from .exact import Rat, as_int, rat, sparse_kernel
@@ -114,6 +116,7 @@ def blocking_power(B: Blocking, N: int) -> Blocking:
     along each index sequence (sequences in lexicographic flat order).  The
     d^N sequences of each axis of d labels are checked against the entry
     limit before they are enumerated."""
+    as_int(N, "power")
     tables = []
     for ax in B.labels:
         guards.check_entries(len(ax) ** N)
@@ -251,10 +254,7 @@ def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
     lexicographic order.  comp comes from a marginal, so its counts sum to
     N: each step spends one unit of its label's budget, every prefix
     completes, and the cost follows the output."""
-    d = B.axis_dim(axis)
-    guards.check_entries(d ** N)
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    guards.check_entries(B.axis_dim(axis) ** N)
     out: List[Tuple[int, ...]] = []
     _spend_budget(B.labels[axis], dict(comp), N, (), out)
     return out
@@ -271,62 +271,6 @@ def _spend_budget(labels: Sequence[Label], budget: Dict[Label, int],
             budget[lab] -= 1
             _spend_budget(labels, budget, left - 1, prefix + (i,), out)
             budget[lab] += 1
-
-
-def _type_class_entries(T: Tensor3, B: Blocking,
-                        comps: Dict[int, Dict[Label, int]],
-                        N: int) -> Dict[Index3, Rat]:
-    """The entries of the N-th Kronecker power whose index sequences have
-    label counts comps[a] on every constrained axis a, keyed by their
-    position in the ``_kept_sequences`` of a constrained axis and by their
-    row-major flat index on a free one.
-
-    The entries of T are grouped by their labels on the constrained axes.
-    A type class is a count vector over these groups whose label counts
-    match comps; every arrangement of a type class's groups into a word
-    (a multiset permutation) and every choice of one entry per position
-    gives one kept entry, and nothing else is kept.  Distinct words of
-    entries give distinct index triples, so no two kept entries collide.
-    One ``_word_entries`` walk covers all type classes: it carries each
-    kept position as a sum of rank offsets, so nothing is re-keyed, and
-    each product is computed once per multiset of entries other than 1
-    and shared across type classes too.
-    """
-    axes = sorted(comps)
-    groups: Dict[Tuple[Label, ...], List[Tuple[Index3, Rat]]] = {}
-    for idx, c in T.entries.items():
-        key = tuple(B.labels[a][idx[a]] for a in axes)
-        if all(key[t] in comps[a] for t, a in enumerate(axes)):
-            groups.setdefault(key, []).append((idx, c))
-    keys = sorted(groups)
-    budget = [dict(comps[a]) for a in axes]
-    ranks = [(B.labels[a], [key[axes.index(a)] for key in keys])
-             if a in comps else T.dims[a] for a in range(3)]
-    return _word_entries([groups[key] for key in keys],
-                         _count_vectors(keys, budget, N, []), N, ranks)
-
-
-def _count_vectors(keys: List[Tuple[Label, ...]], budget: List[Dict[Label, int]],
-                   left: int, counts: List[int]) -> Iterable[List[int]]:
-    """Count vectors over the groups keys[len(counts):] that spend the
-    remaining label budgets; a count never exceeds the budget of any of
-    its group's labels.  Each axis's budget sums to N, so counts that sum
-    to N spend every budget exactly."""
-    g = len(counts)
-    if g == len(keys):
-        if not left:
-            yield list(counts)
-        return
-    key = keys[g]
-    most = min([left] + [bud[lab] for bud, lab in zip(budget, key)])
-    for n in range(most, -1, -1):
-        for bud, lab in zip(budget, key):
-            bud[lab] -= n
-        counts.append(n)
-        yield from _count_vectors(keys, budget, left - n, counts)
-        counts.pop()
-        for bud, lab in zip(budget, key):
-            bud[lab] += n
 
 
 def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
@@ -362,26 +306,49 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
 
     Position t on a constrained axis is kept[axis][t]; an axis not in
     `axes` keeps the full index range of the power (lexicographic flat
-    order).  The power is never walked: the kept entries are enumerated by
-    type class (see _type_class_entries), grouped by their labels on the
-    constrained axes only, so the cost follows the number of kept entries
-    rather than |T|^N.
+    order).  The power is never walked.  The budget is N letters (slot 0)
+    and one slot per label of each constrained axis, holding its count in
+    the composition.  The entries of T are grouped into parts by the
+    slots they spend, slot 0 and their label's slot on each constrained
+    axis; an entry with a label outside a composition is in no part.  A
+    free axis is slot 0 alone.  One ``_word_entries`` walk spends the
+    budget: it carries each kept position as a sum of rank offsets, so
+    nothing is re-keyed, drops every budget that no word spends, and
+    computes each product once per multiset of entries other than 1, so
+    the cost follows the number of kept entries rather than |T|^N.
 
     T is validated once, as ``kronecker_power`` does, and the walk's dict,
     already keyed by positions t < len(kept[axis]) on the constrained axes
     and flat indices < d ** N on the free one, is stored as it is by
     ``Tensor3._derived``; each value is a product of nonzero Fractions of
     the validated T."""
+    if as_int(N, "power") < 0:
+        raise ValueError(f"need N >= 0, got {N}")
     T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
-    comps = {a: _composition(marg[a], N) for a in axes}
-    kept = {a: _kept_sequences(B, a, comps[a], N) for a in axes}
+    budget, slot, kept = [N], {}, {}
+    for a in axes:
+        comp = _composition(marg[a], N)
+        kept[a] = _kept_sequences(B, a, comp, N)
+        for lab in sorted(comp):
+            slot[a, lab] = len(budget)
+            budget.append(comp[lab])
     dims = tuple(max(1, len(kept[a])) if a in kept else T.dims[a] ** N
                  for a in range(3))
     guards.check_entries(max(dims))
     guards.check_entries(len(T.entries) ** N)
-    return (Tensor3._derived(dims, _type_class_entries(T, B, comps, N), None),
-            kept)
+    parts: Dict[Tuple[int, ...], List[Tuple[Index3, Rat]]] = {}
+    for idx, c in T.entries.items():
+        key = (0,) + tuple(slot.get((a, B.labels[a][idx[a]])) for a in axes)
+        if None not in key:
+            parts.setdefault(key, []).append((idx, c))
+    specs = []
+    for a in range(3):
+        slots = ([slot.get((a, lab)) for lab in B.labels[a]] if a in kept
+                 else [0] * T.dims[a])
+        specs.append((Counter(s for s in slots if s is not None), slots))
+    entries = _word_entries(sorted(parts.items()), tuple(budget), specs)
+    return Tensor3._derived(dims, entries, None), kept
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -407,7 +374,7 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     """Restrict two axes to their marginal-matching sequences; the remaining
     axis keeps the full index range of the power (see _project), and its
     labels play no part."""
-    fixed = tuple(sorted(fixed_pair))
+    fixed = tuple(sorted(as_int(a, "axis") for a in fixed_pair))
     if len(set(fixed)) != 2 or not all(a in (0, 1, 2) for a in fixed):
         raise ValueError(f"fixed_pair must be two distinct axes, got {fixed_pair}")
     return _project(T, B, P, N, fixed, check_tight)[0]

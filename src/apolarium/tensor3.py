@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -404,13 +403,23 @@ _KEY_BOUND = 2 ** 60
 _SUFFIX_BOUND = 2 ** 12
 
 
-def _word_entries(parts: Iterable[Iterable[Tuple[Index3, Rat]]],
-                  count_vectors: Iterable[List[int]], N: int,
-                  axes: Sequence[object]) -> Dict[Index3, Rat]:
-    """The product of every word of N entries that uses counts[g] entries
-    of parts[g], for each counts of count_vectors, keyed by the word's
-    positions (see ``_offsets``); axes[a] is d for a free axis and
-    (labels, part_labels) for a constrained one.
+def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
+                                          Iterable[Tuple[Index3, Rat]]]],
+                  budget: Tuple[int, ...],
+                  axes: Sequence[Tuple[Dict[int, int],
+                                       Sequence[Optional[int]]]]
+                  ) -> Dict[Index3, Rat]:
+    """The product of every word of entries that spends the budget
+    exactly, keyed by the word's positions (see ``_offsets``).
+
+    The budget is a tuple of slots.  Slot 0 counts the letters of a word,
+    N, and each further slot the letters still allowed with one label on
+    one constrained axis.  Each part is (slots, entries): every entry of
+    the part spends one unit of each of its slots, and every part spends
+    slot 0.  axes[a] is (sizes, slots) for axis a: slots[i] is the slot
+    of index i, or None when no word may use it, and sizes maps each slot
+    of the axis to the number of its indices.  A free axis of size d is
+    the one slot 0, ({0: d}, [0] * d).
 
     Q is commutative, so a word's product depends only on how many times
     it uses each entry.  An entry 1 weighs 0 and the r-th other entry,
@@ -423,16 +432,17 @@ def _word_entries(parts: Iterable[Iterable[Tuple[Index3, Rat]]],
     sum that uses one is negative, and its product is multiplied out and
     not stored.
 
-    The walk's states are the counts per part still to spend, and it ends
-    its words from the table of suffix words of the state it reaches
+    The walk's states are the budgets still to spend, and it ends its
+    words from the table of suffix words of the state it reaches
     (``_node``), shared by every prefix that reaches that state.  A prefix
     s and a suffix t use disjoint letters, so P(s + t) = P(s) * Q(t), with
     Q(t) the product the table holds; no sum carries, so the sum of s + t,
     which names its product, is the sum of s plus the sum of t."""
-    groups: List[List[Tuple[Index3, Rat, int]]] = []
+    N = budget[0]
+    groups: List[Tuple[Tuple[int, ...], List[Tuple[Index3, Rat, int]]]] = []
     weight = 1
-    for part in parts:
-        groups.append([])
+    for slots, part in parts:
+        groups.append((slots, []))
         for idx, v in part:
             if v == 1:
                 w = 0
@@ -440,82 +450,73 @@ def _word_entries(parts: Iterable[Iterable[Tuple[Index3, Rat]]],
                 w, weight = weight, weight * (N + 1)
             else:
                 w = -weight
-            groups[-1].append((idx, v, w))
-    size = sum(map(len, groups))
+            groups[-1][1].append((idx, v, w))
+    size = sum(len(entries) for _, entries in groups)
     length = min(N, max([1] + [n for n in (2, 3)
                                if size ** n <= _SUFFIX_BOUND]))
-    axes = list(axes)
-    for a, ax in enumerate(axes):
-        if not isinstance(ax, int):  # a memo of offsets keyed by the budget
-            sizes = Counter(ax[0])
-            digit = {lab: (N + 1) ** t for t, lab in enumerate(sizes)}
-            axes[a] = (*ax, sizes, [digit[lab] for lab in ax[1]], {})
     products: Dict[int, Rat] = {0: Fraction(1)}
     out: Dict[Index3, Rat] = {}
-    nodes: Dict[Tuple[int, ...], tuple] = {}
-    for counts in count_vectors:
-        _walk(_node(tuple(counts), N, groups, axes, length, nodes), 0, 0, 0,
-              products[0], 0, products, out)
+    root = _node(tuple(budget), groups, axes, length, {})
+    if root is not None:
+        _walk(root, 0, 0, 0, products[0], 0, products, out)
     return out
 
 
-def _offsets(axis, state: Tuple[int, ...], left: int) -> Sequence[int]:
+def _offsets(axis, state: Tuple[int, ...]) -> List[int]:
     """The offset of each index of the axis as the next letter of a word
-    from the state, with `left` > 0 letters still to take.  A word's
-    position is the sum of its letters' offsets.
+    from the state, with state[0] > 0 letters still to take.  A word's
+    position is the sum of its letters' offsets: the lexicographic rank of
+    its index sequence among those that spend the axis's slots.
 
-    On a free axis of size d the position is the row-major flat index, and
-    index i is offset by i * d**(left - 1).  On a constrained axis it is the
-    lexicographic rank of the word's index sequence among those with its
-    label counts.  A sequence with the label budget b still to spend
-    completes in C(b) = multinomial(|b|; b) * prod_l n_l ** b_l ways, n_l
-    the number of indices labelled l, so index i is offset by the sum of
-    C(b - e_l(i')) = C(b) * b_l(i') / (|b| * n_l(i')) over the indices
-    i' < i, and the offsets depend only on b."""
-    if isinstance(axis, int):
-        return range(0, axis ** left, axis ** (left - 1))
-    labels, part_labels, sizes, digits, known = axis
-    key = sum(map(int.__mul__, digits, state))  # b, in base N + 1
-    if key in known:
-        return known[key]
-    budget: Dict[object, int] = {}
-    for lab, n in zip(part_labels, state):
-        if n:
-            budget[lab] = budget.get(lab, 0) + n
+    A sequence with the budget b of the axis's slots still to spend
+    completes in C(b) = multinomial(|b|; b) * prod_s n_s ** b_s ways, n_s
+    the number of indices of slot s, so index i is offset by the sum of
+    C(b - e_s(i')) = C(b) * b_s(i') / (|b| * n_s(i')) over the indices
+    i' < i.  A free axis of size d is slot 0 alone, with |b| = b_0 and
+    n_0 = d, so index i is offset by i * d**(|b| - 1), its row-major flat
+    index."""
+    sizes, slots = axis
     total, m = 1, 0
-    for lab, n in budget.items():
-        m += n
-        total *= math.comb(m, n) * sizes[lab] ** n
-    skip = {lab: total * n // (left * sizes[lab]) for lab, n in budget.items()}
+    for s, n in sizes.items():
+        m += state[s]
+        total *= math.comb(m, state[s]) * n ** state[s]
+    skip = {s: total * state[s] // (state[0] * n) for s, n in sizes.items()}
     run, off = 0, []
-    for lab in labels:
+    for s in slots:
         off.append(run)
-        run += skip.get(lab, 0)
-    known[key] = off
+        run += skip.get(s, 0)
     return off
 
 
-def _node(state: Tuple[int, ...], left: int, groups, axes, length: int,
-          nodes: dict) -> tuple:
-    """The walk's node at the state, memoised in nodes, as (moves, ends,
-    words).  moves lists each entry a word can take next as (offsets,
-    weight, value, next node).  With at most `length` letters left, words
-    lists each word that spends the state as (offsets, weight sum,
-    product); at `length` letters, ends holds them for the walk, those of
-    each nonnegative sum, one multiset, as (sum, product, [offsets]) and
-    those of a negative sum alone."""
-    node = nodes.get(state)
-    if node is not None:
-        return node
+def _node(state: Tuple[int, ...], groups, axes, length: int,
+          nodes: dict) -> Optional[tuple]:
+    """The walk's node at the budget still to spend, memoised in nodes:
+    None when no word spends the budget, else (moves, ends, words).  moves
+    lists each entry a word can take next as (offsets, weight, value, next
+    node), a part's entries only when all its slots are positive and the
+    next node is not None, so every move ends in a kept word.  With at
+    most `length` letters left, words lists each word that spends the
+    state as (offsets, weight sum, product); at `length` letters, ends
+    holds them for the walk, those of each nonnegative sum, one multiset,
+    as (sum, product, [offsets]) and those of a negative sum alone."""
+    if state in nodes:
+        return nodes[state]
+    left = state[0]
     moves = []
     if left:
-        o0, o1, o2 = [_offsets(ax, state, left) for ax in axes]
-        for g, n in enumerate(state):
-            if n:
-                after = _node(state[:g] + (n - 1,) + state[g + 1:], left - 1,
-                              groups, axes, length, nodes)
-                moves += [(o0[i], o1[j], o2[k], w, v, after)
-                          for (i, j, k), v, w in groups[g]]
+        o0, o1, o2 = [_offsets(ax, state) for ax in axes]
+        for slots, entries in groups:
+            if all(state[s] for s in slots):
+                after = list(state)
+                for s in slots:
+                    after[s] -= 1
+                after = _node(tuple(after), groups, axes, length, nodes)
+                if after is not None:
+                    moves += [(o0[i], o1[j], o2[k], w, v, after)
+                              for (i, j, k), v, w in entries]
+        if not moves:
+            nodes[state] = None
+            return None
     if left > length:
         node = nodes[state] = (moves, None, None)
         return node
@@ -570,20 +571,21 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
 
     T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
     also catches an entries dict changed after T was built), and the power
-    is built by ``_word_entries`` with every axis free and all the entries
-    of T in one part used N times: each product is computed once per
-    multiset of entries other than 1 and shared by every word of that
-    multiset.  The walk's dict is stored by ``Tensor3._derived``, without a
-    second pass over its |T|^N entries; the labels of the power are built
-    level by level."""
-    if N < 1:
+    is built by ``_word_entries`` with every axis free, slot 0 the only
+    slot and all the entries of T in one part: each product is computed
+    once per multiset of entries other than 1 and shared by every word of
+    that multiset.  The walk's dict is stored by ``Tensor3._derived``,
+    without a second pass over its |T|^N entries; the labels of the power
+    are built level by level."""
+    if as_int(N, "power") < 1:
         raise ValueError("need N >= 1")
     T = Tensor3(T.dims, T.entries, T.labels)
     guards.check_entries(len(T.entries) ** N)
     d1, d2, d3 = T.dims
     dims = (d1 ** N, d2 ** N, d3 ** N)
     guards.check_entries(max(dims))
-    entries = _word_entries([T.entries.items()], [[N]], N, T.dims)
+    entries = _word_entries([((0,), T.entries.items())], (N,),
+                            [({0: d}, [0] * d) for d in T.dims])
     labels = None
     if T.labels is not None:
         levels = T.labels

@@ -201,3 +201,11 @@ def test_one_builder_walks_the_divisors():
     assert _readers_of("_bounded", ast.Name) == {
         ("apolar.py", "_divisor_columns")}
     assert _readers_of("_bounded") == set()
+
+
+def test_one_walk_builds_kronecker_words():
+    # the Kronecker power and the sweet projections spend their budgets in
+    # one walk over entry words, with no second enumeration beside it
+    assert _readers_of("_word_entries", ast.Name) == {
+        ("tensor3.py", "kronecker_power"), ("sweet.py", "_project")}
+    assert _readers_of("_word_entries") == set()

@@ -38,6 +38,7 @@ from apolarium.sweet import (
     weight_blocking,
     zero_layers,
 )
+from apolarium import tensor3
 from apolarium.tensor3 import AbelianGroup, Tensor3, cw, group_tensor, kronecker_power
 
 # 1 tensor 1 + 1 tensor x + x tensor 1 in the third slot: the smallest
@@ -807,3 +808,73 @@ def test_the_walks_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("N", [2.0, True, "2"])
+def test_a_power_that_is_not_an_int_is_refused(N):
+    # a bool, float or string power is refused before any work, not read
+    # as 1 or 2 or failed on deep inside the walk
+    B = cw_blocking(3)
+    P = BlockDistribution.uniform(LARGE3)
+    for build in (lambda: kronecker_power(cw(3), N),
+                  lambda: blocking_power(B, N),
+                  lambda: sp_extract(cw(3), B, P, N),
+                  lambda: chimney(cw(3), B, P, N)):
+        with pytest.raises(ValueError, match="power"):
+            build()
+    with pytest.raises(ValueError, match="axis"):
+        chimney(cw(3), B, P, 3, fixed_pair=(N, 0))
+
+
+# the entry (0, 1, 1) spends label 0 on the first axis and label 1 on the
+# second, and no entry spends the reverse, so every word that takes it
+# reaches a budget that no word completes
+DEAD_END = Tensor3((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 2, (1, 1, 1): 3})
+DEAD_END_BLOCKS = [((0,), (0,), (0,)), ((1,), (1,), (-1,))]
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_budgets_that_no_word_spends_are_dropped(monkeypatch, N):
+    B = weight_blocking([0, 1])
+    P = BlockDistribution.uniform(DEAD_END_BLOCKS)
+    entered, dead = [], []
+    walk, node = tensor3._walk, tensor3._node
+
+    def spy_walk(n, *args):
+        entered.append(n)
+        return walk(n, *args)
+
+    def spy_node(state, *args):
+        got = node(state, *args)
+        if got is None:
+            dead.append(state)
+        return got
+
+    monkeypatch.setattr(tensor3, "_walk", spy_walk)
+    monkeypatch.setattr(tensor3, "_node", spy_node)
+    piece = sp_extract(DEAD_END, B, P, N, check_tight=False)
+    assert _same_piece(piece, brute_sp_extract(DEAD_END, B, P, N, False))
+    for fixed in ((0, 1), (0, 2), (1, 2)):
+        assert (chimney(DEAD_END, B, P, N, fixed_pair=fixed, check_tight=False)
+                == brute_chimney(DEAD_END, B, P, N, fixed, False))
+    # every node the walk enters holds a move or a suffix word, so no
+    # prefix is carried into a budget it cannot complete
+    for moves, ends, _ in entered:
+        assert moves or ends and (ends[0] or ends[1])
+    assert dead
+
+
+def test_the_chimney_walk_has_one_state_per_budget(monkeypatch):
+    # the states are the label budgets still to spend, not the counts per
+    # group of entries that spend them
+    states = set()
+    node = tensor3._node
+
+    def spy(state, *args):
+        states.add(state)
+        return node(state, *args)
+
+    monkeypatch.setattr(tensor3, "_node", spy)
+    C = chimney(cw(3), cw_blocking(3), BlockDistribution.uniform(LARGE3), 6)
+    assert C.nnz() == 225
+    assert len(states) == 37

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 from . import guards
 from .exact import (Rat, SparseRow, _greedy, _side_rank, solve_many,
                     sparse_kernel, sparse_rank)
-from .poly import (Exponent, Poly, apply, dehomogenize, homogenize,
+from .poly import (Exponent, Poly, _packed, apply, dehomogenize, homogenize,
                    boxtimes_power, monomials_upto, twist)
 
 
@@ -337,34 +337,46 @@ def structure_tensor_of_apolar(f: Poly):
     coefficients of the class of b_i*b_j are solved from it:
     gram * c = ((b_i b_j b_k)∘f)_0 over k, for all (i, j) by one
     ``solve_many``.  Returns (Tensor3, basis).
+
+    The constant term of x^t∘f is t! c_t, c_t the coefficient of x^t in f.
+    Exponents are packed into ints as ``poly._packed`` packs them, in
+    fields of w bits, w the bit length of 3 top for top the largest
+    exponent of f: a basis exponent divides a term of f, so no sum of
+    three of them carries into the next field, and the key of a sum is the
+    sum of the keys.  f is read once, as {key(t): L t! c_t} with L the lcm
+    of its denominators, so each pairing is one int addition and one
+    lookup.  The gram matrix and every right-hand side are scaled by L
+    together, which changes no solution.
     """
     from .tensor3 import Tensor3
 
     exps = greedy_monomial_basis(f)
     ell = len(exps)
+    w = (3 * max((x for e in f.terms for x in e), default=0)).bit_length()
+    cells, _ = _packed(f, w)
+    cells = {k: v * _fact(e) for (k, v), e in zip(cells.items(), f.terms)}
+    keys = []
+    for e in exps:
+        k = 0
+        for x in e:
+            k = (k << w) | x
+        keys.append(k)
 
-    def add(a: Exponent, b: Exponent) -> Exponent:
-        return tuple(x + y for x, y in zip(a, b))
+    def pairings(s: int) -> SparseRow:
+        """{k: L (x^s b_k)∘f at 0} over the k where it is not 0, for the
+        packed exponent s."""
+        return {k: cells[t] for k, b in enumerate(keys)
+                if (t := s + b) in cells}
 
-    def pairings(a: Exponent) -> SparseRow:
-        """{k: constant term of (x^a b_k)∘f} over the k where it is not 0."""
-        out = {}
-        for k, b in enumerate(exps):
-            t = add(a, b)
-            c = f.terms.get(t)
-            if c:
-                out[k] = _fact(t) * c
-        return out
-
-    gram = [pairings(a) for a in exps]
+    gram = [pairings(a) for a in keys]
     # b_i b_j depends only on the exponent sum: one right-hand side per sum
-    sums = list(dict.fromkeys(add(a, b) for a in exps for b in exps))
+    sums = list(dict.fromkeys(a + b for a in keys for b in keys))
     solved = solve_many(gram, [pairings(s) for s in sums])
     coords = {s: sorted(x.items()) for s, x in zip(sums, solved)}
     entries: Dict[Tuple[int, int, int], Rat] = {}
-    for i, a in enumerate(exps):
-        for j, b in enumerate(exps):
-            for k, ck in coords[add(a, b)]:
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            for k, ck in coords[a + b]:
                 entries[(i, j, k)] = ck
     basis = [Poly.monomial(f.vars, a) for a in exps]
     labels = [str(b) for b in basis]

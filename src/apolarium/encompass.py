@@ -88,6 +88,38 @@ class EncompassingReport(NamedTuple):
     gradient_rank: Optional[int]   # None unless f is concise
 
 
+def _gradients(f: Poly, exps: List[Exponent]
+               ) -> List[List[Tuple[int, int, Exponent]]]:
+    """L times the gradient of a∘f, L the lcm of the denominators of f,
+    for each operator a of exps whose image has degree >= 1, as its terms
+    (i, int coefficient, exponent) of the derivative by variable i.
+
+    A term c x^e of f with e >= a gives a∘f the term c e!/(e-a)! x^(e-a),
+    and slot i the term L c e!/(e-a)! (e-a)_i x^(e-a-unit_i).  Distinct e
+    give distinct e - a, so no terms of a∘f cancel, and a∘f has degree
+    >= 1 exactly when some e >= a differs from a: when its gradient has a
+    term."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    cells = [(e, c.numerator * (scale // c.denominator) * _fact(e))
+             for e, c in f.terms.items()]
+    jac = []
+    for a in exps:
+        grad = []
+        for e, v in cells:
+            b = [x - y for x, y in zip(e, a)]
+            if any(k < 0 for k in b):
+                continue
+            v //= _fact(b)
+            for i, k in enumerate(b):
+                if k:
+                    b[i] -= 1
+                    grad.append((i, v * k, tuple(b)))
+                    b[i] += 1
+        if grad:
+            jac.append(grad)
+    return jac
+
+
 def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
     """The partials dimension of f, its two flags and, for a concise f, the
     generic rank of the Jacobian of its non-constant basis partials, all
@@ -100,11 +132,14 @@ def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
     dim - 1: truncation is injective on its proper derivatives, a
     hyperplane as they have lower degree than f.  The Jacobian is taken at
     random integer points (coordinates in [-1000, 1000], up to 3 tries,
-    keeping the best rank).  gradient_rank is a certified lower bound on
-    the generic rank, since a rank at a point never exceeds it; it is the
-    generic rank only when it reaches dim - 1, the most it can be, which
-    certifies a dominant gradient map.  Below dim - 1 the points may all
-    have been special.
+    keeping the best rank), its rows read off the int terms of
+    ``_gradients`` and evaluated in ints: each row is scaled by the lcm of
+    the denominators of f, which changes no rank, and no operator is
+    applied and no ``Poly`` built.  gradient_rank is a certified lower
+    bound on the generic rank, since a rank at a point never exceeds it; it
+    is the generic rank only when it reaches dim - 1, the most it can be,
+    which certifies a dominant gradient map.  Below dim - 1 the points may
+    all have been special.
     """
     exps = greedy_monomial_basis(f)
     dim = len(exps)
@@ -112,14 +147,20 @@ def encompassing_report(f: Poly, seed: int = 0) -> EncompassingReport:
     enc, almost = trunc == dim, f.truncate(1).is_zero() and trunc == dim - 1
     if sum(sum(a) == 1 for a in exps) < len(f.vars):
         return EncompassingReport(dim, enc, almost, None)
-    images = (apply(Poly.monomial(f.vars, a), f) for a in exps)
-    jac = [[diff(p, v) for v in f.vars] for p in images if p.degree() >= 1]
+    jac = _gradients(f, exps)
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
         point = [rng.randint(-1000, 1000) for _ in f.vars]
-        rows = [{j: x for j, x in enumerate(e.evaluate(point) for e in row)
-                 if x} for row in jac]
+        rows = []
+        for grad in jac:
+            at = [0] * len(f.vars)
+            for i, c, b in grad:
+                for x, k in zip(point, b):
+                    if k:
+                        c *= x ** k
+                at[i] += c
+            rows.append({i: x for i, x in enumerate(at) if x})
         best = max(best, sparse_rank(rows))
         if best == dim - 1:
             break

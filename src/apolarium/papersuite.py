@@ -7,16 +7,16 @@ strings the command-line reports carry.
 
 run_suite() executes every entry, or only the chosen ids, and assembles an
 order-stable summary of what ran (entries sorted by id).  Entries are
-independent and pure: the growth entries share one memo of their growth
-tables, which does not change what any of them returns.
+independent and pure: the growth entries of one run_suite() call read one
+table of growth rows, built per polynomial as they first ask for it, which
+does not change what any of them returns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import Callable, Collection, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
                      hilbert_function, structure_tensor_of_apolar)
@@ -102,17 +102,22 @@ OUT_OF_SCOPE = [
 ]
 
 
+GrowthRows = Tuple[Tuple[int, int, bool], ...]
+
+
 class SuiteEntry:
     """One recorded computation; ``run`` stays assignable, so a profiler can
-    wrap an entry in place."""
-    __slots__ = ("id", "description", "kind", "run")
+    wrap an entry in place.  A growth entry's ``run`` takes the growth rows
+    of a corpus text, growth_table(f, deg f), from ``run_suite``."""
+    __slots__ = ("id", "description", "kind", "run", "growth")
 
     def __init__(self, id: str, description: str, kind: str,
-                 run: Callable[[], dict]):
+                 run: Callable[..., dict], growth: bool = False):
         self.id = id
         self.description = description
         self.kind = kind  # "assert" | "info"
         self.run = run
+        self.growth = growth
 
 
 def _entry_product_of_linears() -> dict:
@@ -197,20 +202,13 @@ def _entry_untwisted_control_fails() -> dict:
             "untwisted_kills": plain.kills, "twisted_kills": twistd.kills}
 
 
-@functools.lru_cache(maxsize=len(ENCOMPASS_CORPUS))
-def _growth_rows(text: str) -> Tuple[Tuple[int, int, bool], ...]:
-    """growth_table(f, deg f), shared by the growth entries of one
-    ``run_suite`` call, which empties the memo when it starts."""
-    f = parse(text)
-    return tuple(growth_table(f, f.degree()))
-
-
-def _entry_encompassing_equivalences() -> dict:
+def _entry_encompassing_equivalences(growth: Callable[[str], GrowthRows]
+                                     ) -> dict:
     mismatches = []
     for text in ENCOMPASS_CORPUS:
         rep = encompassing_report(parse(text), seed=0)
         enc, jac, ell = rep.encompassing, rep.gradient_rank, rep.dim
-        growth_all = all(maximal for _, _, maximal in _growth_rows(text))
+        growth_all = all(maximal for _, _, maximal in growth(text))
         if enc != growth_all or enc != (jac == ell - 1):
             mismatches.append({"f": text, "encompassing": enc,
                                "growth": growth_all, "jacobian_rank": jac})
@@ -218,10 +216,10 @@ def _entry_encompassing_equivalences() -> dict:
             "mismatches": mismatches}
 
 
-def _entry_growth_inequality() -> dict:
+def _entry_growth_inequality(growth: Callable[[str], GrowthRows]) -> dict:
     violations = []
     for text in ENCOMPASS_CORPUS:
-        for d, (lhs, rhs, _) in enumerate(_growth_rows(text), start=1):
+        for d, (lhs, rhs, _) in enumerate(growth(text), start=1):
             if lhs > rhs:
                 violations.append({"f": text, "d": d, "lhs": lhs, "rhs": rhs})
     return {"ok": not violations, "violations": violations}
@@ -514,11 +512,12 @@ def _entry_veronese_subalgebra_dim() -> dict:
                     "values reported, neither asserted"}
 
 
-def _entry_growth_chain_experiment() -> dict:
+def _entry_growth_chain_experiment(growth: Callable[[str], GrowthRows]
+                                   ) -> dict:
     rows = []
     monotone = True
     for text in ENCOMPASS_CORPUS:
-        flags = [maximal for _, _, maximal in _growth_rows(text)]
+        flags = [maximal for _, _, maximal in growth(text)]
         # once growth drops below maximal, does it ever recover?
         recovers = any(flags[i] and not flags[i - 1]
                        for i in range(1, len(flags)))
@@ -558,7 +557,7 @@ ENTRIES: List[SuiteEntry] = sorted([
     SuiteEntry("encompassing-equivalences",
                "degree-one injectivity, maximal growth, and generic gradient "
                "rank agree on the corpus",
-               "assert", _entry_encompassing_equivalences),
+               "assert", _entry_encompassing_equivalences, growth=True),
     SuiteEntry("extension-invariants",
                "default extensions restrict back, preserve dimension and "
                "Hilbert function, and are encompassing",
@@ -572,10 +571,10 @@ ENTRIES: List[SuiteEntry] = sorted([
                "assert", _entry_group_degeneration),
     SuiteEntry("growth-chain-experiment",
                "where maximal growth holds along the degree ladder",
-               "info", _entry_growth_chain_experiment),
+               "info", _entry_growth_chain_experiment, growth=True),
     SuiteEntry("growth-never-exceeds-binomial",
                "power dimensions never exceed the binomial ceiling",
-               "assert", _entry_growth_inequality),
+               "assert", _entry_growth_inequality, growth=True),
     SuiteEntry("local-quadric-smoothing",
                "Hilbert function and smoothing point count of the plane "
                "quadric, reported side by side",
@@ -647,18 +646,26 @@ ENTRIES: List[SuiteEntry] = sorted([
 
 def run_suite(only: Optional[Collection[str]] = None) -> dict:
     """Run the entries (only those whose ids are in only, when given) and
-    summarize what ran.  Unknown ids are refused before any entry runs."""
+    summarize what ran.  Unknown ids are refused before any entry runs.
+    The growth entries share the growth rows of this call: each text's
+    rows are built once, when an entry first asks for them."""
     chosen = ENTRIES
     if only is not None:
         missing = set(only) - {e.id for e in ENTRIES}
         if missing:
             raise ValueError(f"unknown suite entries: {sorted(missing)}")
         chosen = [e for e in ENTRIES if e.id in only]
-    _growth_rows.cache_clear()
+    tables: Dict[str, GrowthRows] = {}
+
+    def growth(text: str) -> GrowthRows:
+        if text not in tables:
+            f = parse(text)
+            tables[text] = tuple(growth_table(f, f.degree()))
+        return tables[text]
     results = []
     passed = failed = info = 0
     for entry in chosen:
-        out = entry.run()
+        out = entry.run(growth) if entry.growth else entry.run()
         rec = {"id": entry.id, "kind": entry.kind,
                "description": entry.description, "values": out}
         if entry.kind == "assert":

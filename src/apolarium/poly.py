@@ -64,29 +64,52 @@ def natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in parts)
 
 
+def _bad_exponent(key, vs: Tuple[str, ...]) -> ValueError:
+    """The error of the first check that the exponent key fails: its
+    entries are ints, there is one per variable, and none is negative."""
+    if not all(type(x) is int for x in key):
+        return ValueError(f"exponent {key!r} is not a tuple of ints")
+    e = tuple(key)
+    if len(e) != len(vs):
+        return ValueError(f"exponent {e} has wrong length for vars {vs}")
+    return ValueError(f"negative exponent in {e}")
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Dict[Exponent, object]):
+        """Check and store terms {exponent: coefficient}.
+
+        Each key is read once as a tuple: its entries must be ints >= 0,
+        one per variable (any other key raises ValueError), and each
+        coefficient goes through ``rat``.  Zero coefficients are dropped.
+        Two keys that give one tuple, as (1, 0) and b"\\x01\\x00", add their
+        coefficients at the place of the first, and drop the term if they
+        cancel; any other term is stored as it is, with no addition."""
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
+        n = len(vs)
         tm: TermMap = {}
-        for e, c in terms.items():
-            if not all(type(x) is int for x in e):
-                raise ValueError(f"exponent {e!r} is not a tuple of ints")
-            e = tuple(e)
-            if len(e) != len(vs):
-                raise ValueError(f"exponent {e} has wrong length for vars {vs}")
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
+        for key, c in terms.items():
+            e = tuple(key)
+            for x in e:
+                if type(x) is not int or x < 0:
+                    raise _bad_exponent(key, vs)
+            if len(e) != n:
+                raise _bad_exponent(key, vs)
             c = rat(c)
-            if c:
-                tm[e] = tm.get(e, Fraction(0)) + c
-                if not tm[e]:
+            if not c:
+                continue
+            if e in tm:  # two keys of one exponent, as (1,) and b"\x01"
+                c += tm[e]
+                if not c:
                     del tm[e]
+                    continue
+            tm[e] = c
         self.vars = vs
         self.terms = tm
 
@@ -314,7 +337,10 @@ def apply(sigma: Poly, f: Poly) -> Poly:
                 if k:
                     scale *= math.perm(mm, k)
             e = tuple(mm - k for mm, k in zip(m, s))
-            tm[e] = tm.get(e, Fraction(0)) + cs * cf * scale
+            if e in tm:  # pairs with one difference m - s add up
+                tm[e] += cs * cf * scale
+            else:
+                tm[e] = cs * cf * scale
     return Poly._trusted(f.vars, {e: c for e, c in tm.items() if c})
 
 

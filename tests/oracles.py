@@ -6,13 +6,21 @@ in the partials columns of ``apolar``, built apart from it;
 ``spy_fallbacks`` records each exact elimination that
 ``exact.sparse_kernel`` falls back to when its primes do not answer, and
 ``spy_rows_read`` how far each elimination mod a prime reads its rows.
+``structure_tensor_of_apolar`` and ``gradient_rank`` are the apolar
+multiplication tensor and the Jacobian rank of ``encompassing_report``
+computed on exponent tuples, ``Fraction`` cells, ``apply`` and
+``Poly.evaluate``, which the packed and int versions in the library are
+checked against.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from apolarium import exact
-from apolarium.exact import Rat
+from apolarium.apolar import _fact, greedy_monomial_basis
+from apolarium.exact import Rat, solve_many, sparse_rank
+from apolarium.poly import Poly, apply, diff
 
 
 def _first_nonzero(row: Sequence[Rat]) -> int:
@@ -102,3 +110,59 @@ def spy_rows_read(monkeypatch):
         return eliminate(counted(), p, ncols)
     monkeypatch.setattr(exact, "_echelon_mod_p", spy)
     return counts
+
+
+def structure_tensor_of_apolar(f: Poly):
+    """(Tensor3, basis) of the quotient algebra of f, its gram matrix and
+    right-hand sides read off f one exponent tuple at a time, each cell
+    t! c_t a Fraction."""
+    from apolarium.tensor3 import Tensor3
+
+    exps = greedy_monomial_basis(f)
+    ell = len(exps)
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def pairings(a):
+        out = {}
+        for k, b in enumerate(exps):
+            t = add(a, b)
+            c = f.terms.get(t)
+            if c:
+                out[k] = _fact(t) * c
+        return out
+
+    gram = [pairings(a) for a in exps]
+    sums = list(dict.fromkeys(add(a, b) for a in exps for b in exps))
+    solved = solve_many(gram, [pairings(s) for s in sums])
+    coords = {s: sorted(x.items()) for s, x in zip(sums, solved)}
+    entries: Dict[Tuple[int, int, int], Rat] = {}
+    for i, a in enumerate(exps):
+        for j, b in enumerate(exps):
+            for k, ck in coords[add(a, b)]:
+                entries[(i, j, k)] = ck
+    basis = [Poly.monomial(f.vars, a) for a in exps]
+    labels = [str(b) for b in basis]
+    return Tensor3((ell, ell, ell), entries, (labels, labels, labels)), basis
+
+
+def gradient_rank(f: Poly, seed: int) -> Optional[int]:
+    """The gradient_rank of ``encompassing_report(f, seed)``: each image
+    a∘f of the greedy basis of degree >= 1 applied as a ``Poly``, its
+    partial derivatives evaluated in Fractions at the same seeded points."""
+    exps = greedy_monomial_basis(f)
+    if sum(sum(a) == 1 for a in exps) < len(f.vars):
+        return None
+    images = (apply(Poly.monomial(f.vars, a), f) for a in exps)
+    jac = [[diff(p, v) for v in f.vars] for p in images if p.degree() >= 1]
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(3):
+        point = [rng.randint(-1000, 1000) for _ in f.vars]
+        rows = [{j: x for j, x in enumerate(e.evaluate(point) for e in row)
+                 if x} for row in jac]
+        best = max(best, sparse_rank(rows))
+        if best == len(exps) - 1:
+            break
+    return best

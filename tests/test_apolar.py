@@ -24,6 +24,7 @@ from apolarium.apolar import (
     verify_tautological_apolarity,
 )
 from apolarium.exact import SparseEchelon, _transpose, sparse_rank
+import oracles
 from oracles import packed_key, rref, spy_fallbacks, spy_rows_read
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
@@ -736,3 +737,62 @@ def test_hilbert_function_of_ex49_fourth_power_needs_no_fallback(
     assert tuple(hilbert_function(f)) == (
         1, 5, 15, 35, 70, 124, 169, 124, 70, 35, 15, 5, 1)
     assert calls == []
+
+
+# Largest exponents top on both sides of each change of bit length of 3 top:
+# the field width of the packed structure tensor.
+TOPS = (1, 2, 3, 5, 7, 8, 15)
+
+
+@st.composite
+def apolar_inputs(draw):
+    """A polynomial in 1 to 3 variables whose largest exponent is a top of
+    TOPS, on x_i^top: a form of degree top, or x_i^top beside terms with
+    exponents up to 2, with rational coefficients."""
+    top = draw(st.sampled_from(TOPS))
+    n = draw(st.integers(1, 3))
+    form = draw(st.booleans())
+    lead = [0] * n
+    lead[draw(st.integers(0, n - 1))] = top
+    exps = [tuple(lead)]
+    for _ in range(draw(st.integers(0, 2))):
+        if form:
+            k = draw(st.integers(0, min(2, top)))
+            e = [0] * n
+            e[draw(st.integers(0, n - 1))] = top - k
+            for _ in range(k):
+                e[draw(st.integers(0, n - 1))] += 1
+        else:
+            e = [draw(st.integers(0, min(2, top))) for _ in range(n)]
+        exps.append(tuple(e))
+    coeffs = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1),
+                       st.integers(1, 4))
+    return Poly(tuple(f"x{i}" for i in range(1, n + 1)),
+                {e: draw(coeffs) for e in exps})
+
+
+def _same_structure_tensor(f):
+    T, basis = structure_tensor_of_apolar(f)
+    U, oracle_basis = oracles.structure_tensor_of_apolar(f)
+    assert T.dims == U.dims
+    assert list(T.entries.items()) == list(U.entries.items())
+    assert T.labels == U.labels
+    assert basis == oracle_basis
+
+
+@given(apolar_inputs())
+@settings(max_examples=60, deadline=None)
+def test_packed_structure_tensor_matches_the_tuple_oracle(f):
+    _same_structure_tensor(f)
+
+
+@pytest.mark.parametrize("top", TOPS)
+def test_packed_structure_tensor_at_each_field_width(top):
+    # 3 top has bit length 2, 3, 4, 4, 5, 5, 6: each width is met, with
+    # sums of three basis exponents reaching 3 top.  The basis of
+    # x1 + x2^top holds x2^(top - 1), so three of them sum to 3 top - 3;
+    # in fields of the bit length of 2 top, at top = 7 or 15, x2^(2^w)
+    # would carry into x1 and its lookup find the term x1.
+    for text in (f"x1^{top}", f"x1^{top} + 1/2*x2^{top}",
+                 f"x1^{top} - x1*x2^2 + 2/3*x2", f"x1 + x2^{top}"):
+        _same_structure_tensor(parse(text))

@@ -25,6 +25,7 @@ from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
                             homogenize, monomial_key, monomials_upto, parse,
                             restrict_zero)
+import oracles
 from oracles import spy_rows_read
 
 V2 = ("x1", "x2")
@@ -147,6 +148,35 @@ def encompass_polys(draw):
 @settings(max_examples=150, deadline=None)
 def test_flags_match_the_truncation_oracle(f):
     _check_flags_against_the_oracle(f)
+
+
+def _gradient_ranks_without_apply_or_evaluate(f, seeds):
+    """encompassing_report(f, seed).gradient_rank for each seed, failing
+    if the report applies an operator or evaluates a Poly."""
+    from apolarium import encompass, poly
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the gradient rank built a Poly image")
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (poly, encompass):
+            mp.setattr(owner, "apply", boom)
+        mp.setattr(Poly, "evaluate", boom)
+        return [encompassing_report(f, seed).gradient_rank for seed in seeds]
+
+
+@given(encompass_polys())
+@settings(max_examples=100, deadline=None)
+def test_gradient_rank_matches_the_poly_oracle(f):
+    seeds = range(4)
+    assert _gradient_ranks_without_apply_or_evaluate(f, seeds) == [
+        oracles.gradient_rank(f, seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("text", ENCOMPASS_CORPUS)
+def test_gradient_rank_matches_the_poly_oracle_on_the_corpus(text):
+    f = parse(text)
+    assert _gradient_ranks_without_apply_or_evaluate(f, [0]) == [
+        oracles.gradient_rank(f, 0)]
 
 
 # -- maximal growth ---------------------------------------------------------------

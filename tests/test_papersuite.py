@@ -5,6 +5,7 @@ import pytest
 
 from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import ENTRIES, OUT_OF_SCOPE, run_suite
+from apolarium.poly import format_poly, parse
 
 
 def test_suite_is_green():
@@ -34,36 +35,39 @@ def test_cli_provenance_points_at_real_entries():
             assert ref == "*" or ref in ids, (command.path, ref)
 
 
+GROWTH_IDS = ["encompassing-equivalences", "growth-chain-experiment",
+              "growth-never-exceeds-binomial"]
+
+
 def test_growth_entries_do_not_depend_on_what_else_runs():
-    from apolarium import papersuite
-    growth_ids = ["encompassing-equivalences", "growth-chain-experiment",
-                  "growth-never-exceeds-binomial"]
-    alone = {}
-    for i in growth_ids:
-        papersuite._growth_rows.cache_clear()
-        alone[i] = run_suite([i])["entries"]
-    papersuite._growth_rows.cache_clear()
+    alone = {i: run_suite([i])["entries"] for i in GROWTH_IDS}
     full = {e["id"]: e for e in run_suite()["entries"]}
-    for i in growth_ids:
+    for i in GROWTH_IDS:
         assert alone[i] == [full[i]]
-    # the memo is warm now; running an entry again, or the entries in
-    # another order, gives the same records
-    for i in reversed(growth_ids):
-        assert run_suite([i])["entries"] == [full[i]]
-    assert papersuite._growth_rows.cache_info().currsize == len(
-        papersuite.ENCOMPASS_CORPUS)
+
+
+def test_growth_rows_are_built_once_per_run(monkeypatch):
+    from apolarium import papersuite
+    built = []
+    table = papersuite.growth_table
+
+    def spy(f, dmax):
+        built.append(format_poly(f))
+        return table(f, dmax)
+    monkeypatch.setattr(papersuite, "growth_table", spy)
+    corpus = [format_poly(parse(t)) for t in papersuite.ENCOMPASS_CORPUS]
+    for _ in range(2):  # a second run builds its own rows again
+        built.clear()
+        run_suite(GROWTH_IDS)
+        assert built == corpus
 
 
 def test_growth_rows_honour_the_ceiling_guard():
-    from apolarium import papersuite
-    # the rows of x1^2 are (3, 3) and (5, 6): the ceiling 6 is past 5
-    papersuite._growth_rows.cache_clear()
-    try:
-        with limits(max_terms=5), pytest.raises(LimitExceeded,
-                                                match="growth ceiling 6"):
-            papersuite._growth_rows("x1^2")
-    finally:
-        papersuite._growth_rows.cache_clear()
+    # the rows of x1^2, the first text of the corpus, are (3, 3) and
+    # (5, 6): the ceiling 6 is past 5
+    with limits(max_terms=5), pytest.raises(LimitExceeded,
+                                            match="growth ceiling 6"):
+        run_suite(["growth-never-exceeds-binomial"])
 
 
 @pytest.mark.parametrize("entry, builds", [

@@ -315,3 +315,23 @@ def test_boxtimes_collision_detected():
     f = parse("x1*x11", vars=("x1", "x11"))
     with pytest.raises(VarMismatchError):
         boxtimes_power(f, 11)
+
+
+def test_keys_of_one_exponent_add_their_coefficients():
+    # (1, 0) and b"\x01\x00" are two keys of one exponent tuple
+    p = Poly(("x", "y"), {(1, 0): F(1, 2), (0, 1): 1, b"\x01\x00": 2})
+    assert p.terms == {(1, 0): F(5, 2), (0, 1): F(1)}
+    assert list(p.terms) == [(1, 0), (0, 1)]
+    q = Poly(("x", "y"), {(1, 0): 3, (0, 1): 1, b"\x01\x00": -3})
+    assert q.terms == {(0, 1): F(1)}
+    assert Poly(("x", "y"), {(1, 0): 3, b"\x01\x00": -3}).is_zero()
+
+
+@pytest.mark.parametrize("exponent, message", [
+    ((1, -1, 2.5), "is not a tuple of ints"),
+    ((-1, 0, 0), "wrong length"),
+    ((0, -1), "negative exponent"),
+])
+def test_the_first_failed_exponent_check_is_reported(exponent, message):
+    with pytest.raises(ValueError, match=message):
+        Poly(("x", "y"), {exponent: 1})

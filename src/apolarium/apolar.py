@@ -33,8 +33,8 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import guards
-from .exact import (Rat, SparseRow, _greedy, _side_rank, solve_many,
-                    sparse_kernel, sparse_rank)
+from .exact import (Rat, SparseRow, _greedy, solve_many, sparse_kernel,
+                    sparse_rank)
 from .poly import (Exponent, Poly, _packed, apply, dehomogenize, homogenize,
                    boxtimes_power, monomials_upto, twist)
 
@@ -140,8 +140,9 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     # down to 0, negated keys, its dimension is the number of greedy
     # operators of order >= i, and H(i) is the number of order i.
     vals = [0] * (d + 1)
-    for a in _greedy([{-a: v for a, v in col.items()}
-                      for col in _divisor_columns(packing, 0, d)]):
+    side = [{-a: v for a, v in col.items()}
+            for col in _divisor_columns(packing, 0, d)]
+    for a in _greedy(side, len(set().union(*side))):
         vals[-a >> packing[1]] += 1
     while vals and vals[-1] == 0:
         vals.pop()
@@ -160,7 +161,7 @@ def is_concise(f: Poly) -> bool:
     columns streamed by ``_divisor_columns``."""
     _require_nonzero(f)
     n = len(f.vars)
-    return _side_rank(_divisor_columns(_packing(f, 1), 1, 1), n) == n
+    return len(_greedy(_divisor_columns(_packing(f, 1), 1, 1), n)) == n
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
@@ -308,7 +309,7 @@ def catalecticant_rank(F: Poly, k: int) -> int:
     _require_form(F, k)
     m = min(k, F.degree() - k)
     bound = math.comb(len(F.vars) + m - 1, m) if m else 1
-    return _side_rank(_divisor_columns(_packing(F, m), m, m), bound)
+    return len(_greedy(_divisor_columns(_packing(F, m), m, m), bound))
 
 
 # -- multiplication structure -------------------------------------------------
@@ -326,7 +327,8 @@ def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     sides = (_orders(packing, d) if f.is_homogeneous()
              else [list(_divisor_columns(packing, 0, d))])
     return _exponents(packing, len(f.vars),
-                      [a for side in sides for a in _greedy(side)])
+                      [a for side in sides
+                       for a in _greedy(side, len(set().union(*side)))])
 
 
 def structure_tensor_of_apolar(f: Poly):

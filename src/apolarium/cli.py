@@ -271,6 +271,8 @@ def _growth(args):
     from .encompass import growth_table
     f = _parse_form(args.form)
     dmax = args.dmax if args.dmax is not None else f.degree()
+    if dmax < 1:
+        raise ValueError(f"growth needs dmax >= 1, not {dmax}")
     rows = growth_table(f, dmax)
     table = [{"d": d, "dim": dim, "ceiling": ceiling, "maximal": maximal}
              for d, (dim, ceiling, maximal) in enumerate(rows, start=1)]

@@ -14,24 +14,24 @@ echelon forms are never exposed.
 One elimination, ``_echelon_mod_p``, runs forward only, with Python ints
 modulo 61-bit primes, on sparse rows: each row is cleared of the pivot
 columns it holds, and the rows held before it are left as they are.  One
-rank certificate, ``_side_rank``, eliminates rows as they arrive, from a
-list or a stream, once mod MODULUS = 2^61 - 1, stopping when the rank
-reaches a bound on it: full rank mod a prime is full rank over Q, since
-reduction mod p never raises a rank, and the rest of a stream is never
-built.  ``sparse_rank`` gives it the side of the matrix with fewer columns,
-bounded by their count, and ``apolar`` streams catalecticant columns to it.
-The pivot columns of a side, ``_greedy``, the greedy rows of its
-transpose, are eliminated the same way; ``independent_rows`` and
-``apolar`` read them.  Short of the bound, that echelon is the first prime
-of the kernel routine, ``_kernel_mod_primes``.  It fully reduces each
-prime's echelon by back-substitution, combines the kernels over the primes
-so far by CRT, lifts them to Q by rational reconstruction (Wang 1981) and
-checks them exactly.  The first lift that passes is the reduced-echelon
-kernel over Q (see ``sparse_kernel``).  When the primes do not answer,
-``SparseEchelon``, an incremental elimination over Q on the same sparse
-rows, does.  The reduced echelon form of a row space is unique, so every
-rank, kernel, solution and greedy basis is the same whichever of the two
-answers.  No dense row is built.
+rank certificate, ``_greedy``, eliminates rows as they arrive, from a list
+or a stream, once mod MODULUS = 2^61 - 1, and returns the pivot columns,
+the greedy rows of the transpose, whose number is the rank.  It is given
+ncols, at least the number of column keys that occur, and stops when
+ncols columns are pivots: columns independent mod a prime are independent
+over Q, and the rest of a stream is never built.  ``sparse_rank`` gives it
+the side of the matrix with fewer columns, ``independent_rows`` the
+transpose, and ``apolar`` streams catalecticant columns to it.  Short of
+ncols, that echelon is the first prime of the kernel routine,
+``_kernel_mod_primes``, over the keys as they occur.  It fully reduces
+each prime's echelon by back-substitution, combines the kernels over the
+primes so far by CRT, lifts them to Q by rational reconstruction (Wang
+1981) and checks them exactly.  The first lift that passes is the
+reduced-echelon kernel over Q (see ``sparse_kernel``).  When the primes do
+not answer, ``SparseEchelon``, an incremental elimination over Q on the
+same sparse rows, does.  The reduced echelon form of a row space is
+unique, so every rank, kernel, solution and greedy basis is the same
+whichever of the two answers.  No dense row is built.
 
 No floats, ever.
 """
@@ -253,32 +253,41 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     column (an int) to its nonzero entry; columns absent from every row are
     zero.
 
-    The side certified by ``_side_rank`` is the matrix, its columns that
-    occur numbered 0, 1, ... in order, or its transpose when that has fewer
-    columns, so that the side has n = min(rows, cols) columns (zero rows
-    and columns are not counted), and n bounds the rank."""
+    The side certified by ``_greedy`` is the matrix, keyed by its own
+    columns, or its transpose when that has fewer columns, so that the side
+    has n = min(rows, cols) keys (zero rows and columns are not counted),
+    and the rank is its number of pivot keys."""
     rows = [row for row in rows if row]
     cols = sorted(set().union(*rows))
-    if len(cols) > len(rows):
-        side = _transpose(rows, cols)
-    else:
-        place = {j: i for i, j in enumerate(cols)}
-        side = [{place[j]: x for j, x in row.items()} for row in rows]
-    return _side_rank(side, min(len(rows), len(cols)))
+    side = _transpose(rows, cols) if len(cols) > len(rows) else rows
+    return len(_greedy(side, min(len(rows), len(cols))))
 
 
-def _side_rank(side: Iterable[SparseRow], bound: int) -> int:
-    """Rank over Q of the rows of `side`, a bound on whose rank is given;
-    the rows may be a stream, read only as far as elimination needs them.
+def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
+    """Indices of the sparse rows that are not in the span of the rows
+    before them, ascending: the pivot columns of the transpose."""
+    side = _transpose(rows, sorted(set().union(*rows)))
+    return _greedy(side, sum(1 for row in rows if row))
+
+
+def _greedy(side: Iterable[SparseRow], ncols: int) -> List[int]:
+    """The column keys, any ints, of the sparse rows `side` that are not
+    free in its reduced-echelon kernel, ascending: the greedy rows of the
+    transpose, taken in ascending key.  Their number is the rank over Q.
+    `ncols` must be at least the number of keys that occur; the rows may
+    be a stream, read only as far as elimination needs them.
 
     The rows are eliminated mod MODULUS as they arrive.  Reduction mod p
-    can only turn nonzero minors into zero ones, so rank mod p <= rank over
-    Q, and rank `bound` mod p certifies rank `bound`: elimination stops
-    there and the rest of the stream is never read.  Otherwise the rest is
-    read, and a rank r mod p is certified by the kernel of the rows over
-    the c columns that occur, with that echelon as its first prime: its
-    c - r vectors are checked exactly and independent (they carry an
-    identity on the free columns), so rank over Q <= r."""
+    can only turn nonzero minors into zero ones, so columns independent
+    mod p are independent over Q: once `ncols` keys are pivots, they are
+    all the keys, elimination stops and the rest of the stream is never
+    read.  Otherwise the rest is read, and that echelon is the first prime
+    of the kernel over the keys that occur, whose checked vector of free
+    key j writes column j as a combination of the pivot columns before it,
+    which are independent mod a prime.  The columns independent mod p
+    alone would not do: mod p, the columns (1, 1), (1, 1 + p), (0, 1) keep
+    0 and 2, over Q 0 and 1.
+    """
     side = iter(side)
     rows: List[SparseRow] = []
 
@@ -286,43 +295,13 @@ def _side_rank(side: Iterable[SparseRow], bound: int) -> int:
         for row in side:
             rows.append(row)
             yield row
-    pivots = _echelon_mod_p(kept(), MODULUS, bound)
-    if pivots is not None and len(pivots) == bound:
-        return bound
+    pivots = _echelon_mod_p(kept(), MODULUS, ncols)
+    if pivots is not None and len(pivots) == ncols:
+        return sorted(pivots)
     rows += side
     cols = sorted(set().union(*rows))
-    return len(cols) - len(_kernel(rows, cols, pivots))
-
-
-def independent_rows(rows: Sequence[SparseRow]) -> List[int]:
-    """Indices of the sparse rows that are not in the span of the rows
-    before them, ascending: the pivot columns of the transpose."""
-    return _greedy(_transpose(rows, sorted(set().union(*rows))))
-
-
-def _greedy(side: Sequence[SparseRow]) -> List[int]:
-    """The column keys, any ints, of the sparse rows `side` that are not
-    free in its reduced-echelon kernel, ascending: the greedy rows of the
-    transpose, taken in ascending key.
-
-    The keys are numbered 0, 1, ... first, which keeps the dicts of the
-    kernel routine small.  The side is eliminated once mod MODULUS, which
-    stops when every column is a pivot: columns independent mod a prime
-    are independent over Q.  Otherwise that echelon is the first prime of
-    the kernel, and the checked vector of free column i writes column i as
-    a combination of pivot columns before it, which are independent mod a
-    prime.  The columns independent mod p alone would not do: mod p, the
-    columns (1, 1), (1, 1 + p), (0, 1) keep 0 and 2, over Q 0 and 1.
-    """
-    cols = sorted(set().union(*side))
-    n = len(cols)
-    place = {j: i for i, j in enumerate(cols)}
-    side = [{place[j]: x for j, x in row.items()} for row in side]
-    pivots = _echelon_mod_p(side, MODULUS, n)
-    if pivots is not None and len(pivots) == n:
-        return cols
-    kernel = _kernel(side, range(n), pivots)
-    return [j for i, j in enumerate(cols) if i not in kernel]
+    kernel = _kernel(rows, cols, pivots)
+    return [j for j in cols if j not in kernel]
 
 
 def sparse_kernel(rows: Sequence[SparseRow], ncols: int
@@ -339,8 +318,11 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     end, which are the free columns over Q.  When ``_kernel_mod_primes``
     does not answer, the rows are inserted into one ``SparseEchelon`` over
     Q, whose rows are then fully reduced: the vector of free column j has
-    -row[j] at the pivot of each held row.
+    -row[j] at the pivot of each held row.  A column outside 0..ncols-1 is
+    refused.
     """
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise ValueError("a column lies outside 0..ncols-1")
     return _kernel(rows, range(ncols), _echelon_mod_p(rows, MODULUS))
 
 

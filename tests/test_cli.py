@@ -86,6 +86,15 @@ def test_growth(capsys):
     assert doc["outputs"]["maximal_throughout"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["growth", "--dmax", "0", "x1^2"], ["growth", "--dmax", "-3", "x1^2"],
+    ["growth", "5"]])  # a constant's default dmax is its degree, 0
+def test_growth_needs_a_positive_dmax(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dmax" in captured.err
+
+
 def test_extend(capsys):
     doc = report(capsys, ["extend", "x1^3 + x2^3"])
     assert doc["outputs"]["g"] == "y3 + x1*y1 + x2*y2 + x1^3 + x2^3"

@@ -201,10 +201,10 @@ def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
     assert sparse_rank(sparse(m)) == expected
     assert calls == [sparse(m)]
     # the same rows, sparse over far-apart columns: the fallback gets them
-    # over the columns that occur, numbered 0, 1, ...
+    # keyed by the columns as they occur
     spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
     assert sparse_rank(spread) == expected
-    assert calls == [sparse(m), sparse(m)]
+    assert calls == [sparse(m), spread]
 
 
 def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
@@ -215,14 +215,14 @@ def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
             read.append(row)
             yield row
     rows = [{0: F(1)}, {1: F(2, 3)}, {0: F(1), 1: F(1)}, {2: F(5)}]
-    assert exact._side_rank(stream(rows), 2) == 2
+    assert exact._greedy(stream(rows), 2) == [0, 1]
     assert read == rows[:2]
     # short of the bound the rest is read: P divides a denominator of the
     # second row, so the rows read and the rest all reach the fallback
     calls = spy_fallbacks(monkeypatch)
     read.clear()
     rows = [{0: F(1), 1: F(1)}, {0: F(1, P)}, {0: F(2), 1: F(2)}, {1: F(3)}]
-    assert exact._side_rank(stream(rows), 3) == 2
+    assert exact._greedy(stream(rows), 3) == [0, 1]
     assert read == rows and calls == [rows]
 
 
@@ -345,6 +345,16 @@ def test_sparse_kernel_matches_rref_oracle(m):
     expected = oracle_kernel(m)
     assert kernel == expected
     assert list(kernel) == list(expected)  # free columns ascending
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([{0: F(1), 5: F(1)}], 2),   # past the last column
+    ([{0: F(1), -1: F(1)}], 2),  # before the first
+    ([{1: F(1)}], 1),            # the entry would be dropped
+])
+def test_sparse_kernel_refuses_columns_outside_its_range(rows, ncols):
+    with pytest.raises(ValueError, match="outside"):
+        sparse_kernel(rows, ncols)
 
 
 square_matrices = st.integers(1, 6).flatmap(lambda n: st.one_of(
@@ -757,8 +767,13 @@ def test_greedy_keys_are_the_rref_pivot_columns(m, data):
                                      max_size=len(m[0]), unique=True)))
     side = [{keys[j]: x for j, x in enumerate(row) if x} for row in m]
     expected = [keys[j] for j in rref([[F(x) for x in row] for row in m])[1]]
-    assert exact._greedy(side) == expected
-    with pytest.MonkeyPatch.context() as mp:  # the fallback over Q
-        mp.setattr(exact, "_kernel_mod_primes",
-                   lambda rows, cols, first=None: None)
-        assert exact._greedy(side) == expected
+    occur = len(set().union(*side))
+    # a list or a stream, given the number of keys that occur or more
+    for ncols in (occur, occur + data.draw(st.integers(1, 3))):
+        assert exact._greedy(side, ncols) == expected
+        assert exact._greedy(iter(side), ncols) == expected
+        with pytest.MonkeyPatch.context() as mp:  # the fallback over Q
+            mp.setattr(exact, "_kernel_mod_primes",
+                       lambda rows, cols, first=None: None)
+            assert exact._greedy(side, ncols) == expected
+            assert exact._greedy(iter(side), ncols) == expected

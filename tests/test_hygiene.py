@@ -209,3 +209,13 @@ def test_one_walk_builds_kronecker_words():
     assert _readers_of("_word_entries", ast.Name) == {
         ("tensor3.py", "kronecker_power"), ("sweet.py", "_project")}
     assert _readers_of("_word_entries") == set()
+
+
+def test_one_rank_certificate_bounds_the_elimination():
+    # every rank and greedy basis is certified by _greedy, the only caller
+    # that stops the forward elimination at a bound; the kernels eliminate
+    # every row
+    assert _readers_of("_echelon_mod_p", ast.Name) == {
+        ("exact.py", "_greedy"), ("exact.py", "_kernel_mod_primes"),
+        ("exact.py", "sparse_kernel")}
+    assert _readers_of("_echelon_mod_p") == set()

@@ -11,27 +11,27 @@ echelon form; several invariants elsewhere (e.g. independence of
 lowest-degree forms of an echelonized basis) rely on it, so partial
 echelon forms are never exposed.
 
-One elimination, ``_echelon_mod_p``, runs forward only, with Python ints
-modulo 61-bit primes, on sparse rows: each row is cleared of the pivot
-columns it holds, and the rows held before it are left as they are.  One
-rank certificate, ``_greedy``, eliminates rows as they arrive, from a list
-or a stream, once mod MODULUS = 2^61 - 1, and returns the pivot columns,
-the greedy rows of the transpose, whose number is the rank.  It is given
-ncols, at least the number of column keys that occur, and stops when
-ncols columns are pivots: columns independent mod a prime are independent
-over Q, and the rest of a stream is never built.  ``sparse_rank`` gives it
-the side of the matrix with fewer columns, ``independent_rows`` the
-transpose, and ``apolar`` streams catalecticant columns to it.  Short of
-ncols, that echelon is the first prime of the kernel routine,
-``_kernel_mod_primes``, over the keys as they occur.  It fully reduces
-each prime's echelon by back-substitution, combines the kernels over the
-primes so far by CRT, lifts them to Q by rational reconstruction (Wang
-1981) and checks them exactly.  The first lift that passes is the
-reduced-echelon kernel over Q (see ``sparse_kernel``).  When the primes do
-not answer, ``SparseEchelon``, an incremental elimination over Q on the
-same sparse rows, does.  The reduced echelon form of a row space is
-unique, so every rank, kernel, solution and greedy basis is the same
-whichever of the two answers.  No dense row is built.
+A row is scaled by the lcm of its denominators where it enters, by
+``_integral``, which leaves the row space as it is, so every elimination
+runs on int rows.  One elimination, ``_echelon_mod_p``, runs forward only,
+with Python ints modulo 61-bit primes, on sparse rows: each row is cleared
+of the pivot columns it holds, and the rows held before it are left as
+they are.  One rank certificate, ``_greedy``, eliminates rows as they
+arrive, from a list or a stream, once mod MODULUS = 2^61 - 1, and returns
+the pivot columns, the greedy rows of the transpose, whose number is the
+rank.  It is given ncols, at least the number of column keys that occur,
+and stops when ncols columns are pivots: columns independent mod a prime
+are independent over Q, and the rest of a stream is never built.
+``sparse_rank`` gives it the side of the matrix with fewer columns,
+``independent_rows`` the transpose, and ``apolar`` streams catalecticant
+columns to it.  Short of ncols, that echelon is the first prime of the
+kernel routine, ``_kernel_mod_primes``, over the keys as they occur.  It
+fully reduces each prime's echelon by back-substitution, combines the
+kernels over the primes of the best pivot list so far by CRT, lifts them
+to Q by rational reconstruction (Wang 1981) and checks them exactly.  The
+first lift that passes is the reduced-echelon kernel over Q (see
+``sparse_kernel``); the primes, from ``_primes``, never run out.  No dense
+row is built.
 
 No floats, ever.
 """
@@ -42,8 +42,8 @@ import heapq
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 Rat = Fraction
 
@@ -73,13 +73,42 @@ MODULUS = PRIMES[0]  # the prime of the full-rank certificate
 SparseRow = Dict[int, Rat]  # column -> nonzero entry, an int or a Fraction
 
 
-def _echelon_mod_p(rows: Iterable[SparseRow], p: int,
-                   ncols: Optional[int] = None
-                   ) -> Optional[Dict[int, Dict[int, int]]]:
-    """The rows over GF(p), eliminated forward in order: {pivot column: row
-    with a 1 at its leftmost column}, in insertion order, or None when p
-    divides a denominator.  Elimination stops once the rank reaches `ncols`,
-    and reads no row after that.
+def _primes() -> Iterator[int]:
+    """PRIMES, then the primes below them, descending, without end: the
+    Miller-Rabin test with the bases 2..37 is exact below 3.1 * 10^23
+    (Sorenson and Webster 2017)."""
+    yield from PRIMES
+    n = PRIMES[-1]
+    while True:
+        n -= 2
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, (n - 1) >> s, n)
+            if x == 1:
+                continue
+            for _ in range(s):
+                if x == n - 1:
+                    break
+                x = x * x % n
+            else:
+                break  # a witnesses that n is composite
+        else:
+            yield n
+
+
+def _integral(row: SparseRow) -> Dict[int, int]:
+    """The row times the lcm of its denominators; a row of ints as it is."""
+    if set(map(type, row.values())) <= {int}:
+        return row
+    den = math.lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int,
+                   ncols: Optional[int] = None) -> Dict[int, Dict[int, int]]:
+    """The int rows over GF(p), eliminated forward in order: {pivot column:
+    row with a 1 at its leftmost column}, in insertion order.  Elimination
+    stops once the rank reaches `ncols`, and reads no row after that.
 
     A held row is zero at the pivot columns held before it, so a new row is
     cleared of them by subtracting held rows in insertion order.  Only the
@@ -89,22 +118,12 @@ def _echelon_mod_p(rows: Iterable[SparseRow], p: int,
     row space with distinct leftmost columns, and those columns are the
     pivot columns of its reduced echelon form.
     """
-    inverses: Dict[int, int] = {}
     order: Dict[int, int] = {}  # pivot column -> insertion index
     held: List[Tuple[int, Dict[int, int]]] = []
     for raw in rows:
         row: Dict[int, int] = {}
         for j, x in raw.items():
-            if type(x) is int:
-                v = x % p
-            else:
-                den = x.denominator
-                inv = inverses.get(den)
-                if inv is None:
-                    if den % p == 0:
-                        return None
-                    inv = inverses[den] = pow(den, -1, p)
-                v = x.numerator * inv % p
+            v = x % p
             if v:
                 row[j] = v
         heap = [order[j] for j in row if j in order]
@@ -172,37 +191,43 @@ def _lift(vec: Dict[int, int], modulus: int,
     return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
-def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int],
+def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Iterable[int],
                        first: Optional[Dict[int, Dict[int, int]]] = None
-                       ) -> Optional[Dict[int, SparseRow]]:
-    """The reduced-echelon right kernel over Q of the rows, {free column:
-    vector}; `cols` are the columns that occur and any zero ones, ascending.
-    `first`, if given, is ``_echelon_mod_p`` of the rows mod PRIMES[0], and
-    it is used, and changed, in place of eliminating them again.
+                       ) -> Dict[int, SparseRow]:
+    """The reduced-echelon right kernel over Q of the int rows, {free
+    column: vector}; `cols` are the columns that occur and any zero ones,
+    ascending.  `first`, if given, is ``_echelon_mod_p`` of the rows mod
+    MODULUS, used, and changed, in place of eliminating them again.
 
-    The rows are eliminated forward mod PRIMES[0], PRIMES[1], ... in turn,
+    The rows are eliminated forward mod each prime of ``_primes`` in turn,
     and each echelon is then fully reduced by back-substitution: in reverse
     insertion order, a held row is cleared at the pivot columns of the rows
     held after it, which are fully reduced by then.  Free column j gives
     the vector with 1 at j, 0 at the other free columns and its other
-    entries at the pivot columns before j.  After each prime these entries
-    are combined over the primes so far by CRT, then lifted and checked
-    against the rows scaled to integers by ``_lift``; the first prime count
-    at which every vector passes answers.  None when a prime divides a
-    denominator, two primes differ on the pivots, or they run out.
+    entries at the pivot columns before j.  Reduction mod p only drops
+    pivots or moves them right, so the pivots over Q are the best list:
+    the most pivots, and of those the leftmost, entry by entry.  A prime
+    with a worse list than the best so far is skipped; one with a better
+    list drops the primes before it.  The entries mod the best list's
+    primes are combined by CRT, lifted and checked by ``_lift``; the first
+    check that every vector passes answers.  The loop ends: only the
+    finitely many primes dividing a minor of the rows are bad, and the
+    lift succeeds once the good primes multiply past 2 H^2, H a bound on
+    those minors.
     """
     columns: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    for i, raw in enumerate(rows):
-        den = math.lcm(*(x.denominator for x in raw.values()))
-        for j, x in raw.items():
-            columns[j].append((i, x.numerator * (den // x.denominator)))
-    kernel: Dict[int, Dict[int, int]] = {}
-    modulus = 1
-    for p in PRIMES:  # PRIMES[0] is MODULUS, the prime of `first`
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j].append((i, x))
+    best = None
+    for p in _primes():  # the first is MODULUS, the prime of `first`
         pivots = _echelon_mod_p(rows, p) if first is None else first
         first = None
-        if pivots is None:
-            return None
+        key = (-len(pivots), sorted(pivots))  # the better list is less
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, kernel, modulus = key, {}, 1
         for c, prow in reversed(pivots.items()):
             for k in [k for k in prow if k != c and k in pivots]:
                 f = prow.pop(k)
@@ -218,8 +243,6 @@ def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int],
             for k, b in prow.items():
                 if k != c:
                     residues[k][c] = p - b
-        if modulus > 1 and residues.keys() != kernel.keys():
-            return None
         inv = pow(modulus, -1, p)
         for j, new in residues.items():  # CRT of x mod `modulus`, r mod p
             vec = kernel.setdefault(j, {})
@@ -234,7 +257,6 @@ def _kernel_mod_primes(rows: Sequence[SparseRow], cols: Iterable[int],
                 break
         else:
             return lifted
-    return None
 
 
 def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
@@ -277,30 +299,30 @@ def _greedy(side: Iterable[SparseRow], ncols: int) -> List[int]:
     `ncols` must be at least the number of keys that occur; the rows may
     be a stream, read only as far as elimination needs them.
 
-    The rows are eliminated mod MODULUS as they arrive.  Reduction mod p
-    can only turn nonzero minors into zero ones, so columns independent
-    mod p are independent over Q: once `ncols` keys are pivots, they are
-    all the keys, elimination stops and the rest of the stream is never
-    read.  Otherwise the rest is read, and that echelon is the first prime
-    of the kernel over the keys that occur, whose checked vector of free
-    key j writes column j as a combination of the pivot columns before it,
-    which are independent mod a prime.  The columns independent mod p
-    alone would not do: mod p, the columns (1, 1), (1, 1 + p), (0, 1) keep
-    0 and 2, over Q 0 and 1.
+    The rows are scaled to ints and eliminated mod MODULUS as they
+    arrive.  Reduction mod p can only turn nonzero minors into zero ones,
+    so columns independent mod p are independent over Q: once `ncols` keys
+    are pivots, they are all the keys, elimination stops and the rest of
+    the stream is never read.  Otherwise the rest is read, and that
+    echelon is the first prime of the kernel over the keys that occur,
+    whose checked vector of free key j writes column j as a combination of
+    the pivot columns before it, which are independent mod a prime.  The
+    columns independent mod p alone would not do: mod p, the columns
+    (1, 1), (1, 1 + p), (0, 1) keep 0 and 2, over Q 0 and 1.
     """
-    side = iter(side)
-    rows: List[SparseRow] = []
+    side = map(_integral, side)
+    rows: List[Dict[int, int]] = []
 
     def kept():
         for row in side:
             rows.append(row)
             yield row
     pivots = _echelon_mod_p(kept(), MODULUS, ncols)
-    if pivots is not None and len(pivots) == ncols:
+    if len(pivots) == ncols:
         return sorted(pivots)
     rows += side
     cols = sorted(set().union(*rows))
-    kernel = _kernel(rows, cols, pivots)
+    kernel = _kernel_mod_primes(rows, cols, pivots)
     return [j for j in cols if j not in kernel]
 
 
@@ -315,38 +337,14 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     That basis is unique, and the multi-prime kernel is it: its vectors are
     checked, so they span the kernel, and the one for free column j mod p
     ends at j, so the free columns mod p are those at which kernel vectors
-    end, which are the free columns over Q.  When ``_kernel_mod_primes``
-    does not answer, the rows are inserted into one ``SparseEchelon`` over
-    Q, whose rows are then fully reduced: the vector of free column j has
-    -row[j] at the pivot of each held row.  A column outside 0..ncols-1 is
-    refused.
+    end, which are the free columns over Q.  The rows are scaled to ints
+    as they are taken.  A column outside 0..ncols-1 is refused.
     """
     if any(not 0 <= j < ncols for row in rows for j in row):
         raise ValueError("a column lies outside 0..ncols-1")
-    return _kernel(rows, range(ncols), _echelon_mod_p(rows, MODULUS))
-
-
-def _kernel(rows: Sequence[SparseRow], cols: Sequence[int],
-            first: Optional[Dict[int, Dict[int, int]]]
-            ) -> Dict[int, SparseRow]:
-    """``sparse_kernel`` over the ascending columns `cols` (those that
-    occur and any zero ones), given `first`, the forward echelon of the
-    rows mod MODULUS (None when MODULUS divides a denominator, which sends
-    the rows to ``SparseEchelon`` at once)."""
-    kernel = None
-    if first is not None:
-        kernel = _kernel_mod_primes(rows, cols, first)
-    if kernel is None:
-        echelon = SparseEchelon(int)
-        for row in rows:
-            echelon.insert(row)
-        kernel = {j: {j: Fraction(1)} for j in cols
-                  if j not in echelon.table}
-        for p in sorted(echelon.table):
-            for j, x in echelon.table[p].items():
-                if j != p:
-                    kernel[j][p] = -x
-    return kernel
+    rows = [_integral(row) for row in rows]
+    return _kernel_mod_primes(rows, range(ncols),
+                              _echelon_mod_p(rows, MODULUS))
 
 
 def solve_many(rows: Sequence[SparseRow], rhss: Sequence[SparseRow]
@@ -379,8 +377,8 @@ SparseVec = Dict[Hashable, Rat]
 
 class SparseEchelon:
     """Incremental RREF over Q of sparse vectors keyed by arbitrary
-    hashables, each entry made a Fraction by ``rat``; ``sparse_kernel``
-    answers with it when the primes do not.
+    hashables, each entry made a Fraction by ``rat``: the tests' reference
+    elimination over Q, which no module of the package uses.
 
     key_order maps a key to a sortable token; the pivot of a vector is its
     *smallest* key under that order, so for spaces of polynomials keyed by

@@ -31,7 +31,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
 from .exact import Rat, as_int, rat, sparse_kernel
@@ -202,9 +202,9 @@ class BlockDistribution:
         return cls(doc["support"], doc["probs"])
 
     @classmethod
-    def uniform(cls, triples: Sequence) -> "BlockDistribution":
-        n = len(list(triples))
-        return cls(triples, [Fraction(1, n)] * n)
+    def uniform(cls, triples: Iterable) -> "BlockDistribution":
+        triples = list(triples)
+        return cls(triples, [Fraction(1, len(triples))] * len(triples))
 
 
 def marginals(P: BlockDistribution) -> Tuple[Dict[Label, Rat], ...]:

@@ -65,7 +65,8 @@ class Tensor3:
         lab = None
         if labels is not None:
             lab = tuple(tuple(str(s) for s in ax) for ax in labels)
-            if any(len(ax) != dd for ax, dd in zip(lab, d)):
+            if len(lab) != 3 or any(len(ax) != dd
+                                    for ax, dd in zip(lab, d)):
                 raise ValueError("label table sizes do not match dims")
         self.dims = d
         self.entries = em

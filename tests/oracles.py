@@ -3,8 +3,7 @@
 ``rref`` is the dense elimination over Q that the sparse answers of
 ``exact`` are checked against, and ``packed_key`` the key of an exponent
 in the partials columns of ``apolar``, built apart from it;
-``spy_fallbacks`` records each exact elimination that
-``exact.sparse_kernel`` falls back to when its primes do not answer, and
+``spy_primes`` records the prime of each elimination, and
 ``spy_rows_read`` how far each elimination mod a prime reads its rows.
 ``structure_tensor_of_apolar`` and ``gradient_rank`` are the apolar
 multiplication tensor and the Jacobian rank of ``encompassing_report``
@@ -76,21 +75,17 @@ def packed_key(a, w):
     return sum(a) << width | (1 << width) - 1 - packed
 
 
-def spy_fallbacks(monkeypatch):
-    """One list per ``SparseEchelon`` that ``exact`` builds while the spy
-    is set, holding the rows inserted into it, in order."""
+def spy_primes(monkeypatch):
+    """The prime of each ``exact._echelon_mod_p`` call while the spy is
+    set, in order; the forward echelon of a rank is reused as the kernel's
+    first prime, so each prime a kernel uses is eliminated once."""
     calls = []
+    echelon = exact._echelon_mod_p
 
-    class Spy(exact.SparseEchelon):
-        def __init__(self, key_order):
-            super().__init__(key_order)
-            self.rows = []
-            calls.append(self.rows)
-
-        def insert(self, vec):
-            self.rows.append(vec)
-            return super().insert(vec)
-    monkeypatch.setattr(exact, "SparseEchelon", Spy)
+    def spy(rows, p, ncols=None):
+        calls.append(p)
+        return echelon(rows, p, ncols)
+    monkeypatch.setattr(exact, "_echelon_mod_p", spy)
     return calls
 
 

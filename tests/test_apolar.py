@@ -25,7 +25,7 @@ from apolarium.apolar import (
 )
 from apolarium.exact import SparseEchelon, _transpose, sparse_rank
 import oracles
-from oracles import packed_key, rref, spy_fallbacks, spy_rows_read
+from oracles import packed_key, rref, spy_primes, spy_rows_read
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
@@ -577,12 +577,17 @@ def test_full_rank_reads_only_the_columns_it_needs(monkeypatch):
     assert counts == [126]
 
 
-def test_a_short_rank_drains_the_stream_into_the_fallback(monkeypatch):
-    # rank 2 of Cat_2, short of the 6 operators of order 2: with no
-    # multi-prime kernel, every streamed column reaches one SparseEchelon
+def test_a_short_rank_drains_the_stream_into_the_kernel(monkeypatch):
+    # rank 2 of Cat_2, short of the 6 operators of order 2: every streamed
+    # column reaches the multi-prime kernel
     F = parse("(x1 + 2/3*x2)^4 + x3^4")
-    monkeypatch.setattr(exact, "_kernel_mod_primes", lambda *args: None)
-    calls = spy_fallbacks(monkeypatch)
+    calls = []
+    kernel = exact._kernel_mod_primes
+
+    def spy(rows, cols, first=None):
+        calls.append(list(rows))
+        return kernel(rows, cols, first)
+    monkeypatch.setattr(exact, "_kernel_mod_primes", spy)
     counts = spy_rows_read(monkeypatch)
     assert catalecticant_rank(F, 2) == len(
         rref(catalecticant_matrix(F, 2))[0]) == 2
@@ -596,15 +601,14 @@ def test_inhomogeneous_apolar_dim_matches_the_closure_oracle(f):
     assert apolar_dim(f) == _oracle_closure(f, [f]).rank
 
 
-def test_inhomogeneous_apolar_dim_is_certified_without_the_fallback(
-        monkeypatch):
-    calls = spy_fallbacks(monkeypatch)
+def test_inhomogeneous_apolar_dim_is_certified_by_one_prime(monkeypatch):
+    primes = spy_primes(monkeypatch)
     polys = [parse(t) for t in ENCOMPASS_CORPUS]
     polys = [f ** d for f in polys if not f.is_homogeneous()
              for d in range(1, f.degree() + 1)]
     assert len(polys) == 30
     dims = [apolar_dim(f) for f in polys]
-    assert calls == []
+    assert primes == [exact.MODULUS] * 30
     assert dims == [_oracle_closure(f, [f]).rank for f in polys]
 
 
@@ -662,7 +666,7 @@ def test_greedy_rows_match_the_echelon(f):
     _check_greedy_rows_against_the_echelon(f)
 
 
-# -- apolar algebras certified without the fallback ---------------------------
+# -- apolar algebras certified mod MODULUS ------------------------------------
 
 
 def _oracle_annihilator(f, d):
@@ -710,14 +714,13 @@ def _oracle_structure_tensor(f):
     return entries
 
 
-def test_apolar_algebra_of_ex49_is_certified_without_the_fallback(
-        monkeypatch):
+def test_apolar_algebra_of_ex49_is_certified_by_one_prime(monkeypatch):
     from apolarium.papersuite import EX49_CUBIC
     f = parse(EX49_CUBIC)
-    calls = spy_fallbacks(monkeypatch)
+    primes = spy_primes(monkeypatch)
     gens = annihilator_upto(f)
     T, basis = structure_tensor_of_apolar(f)
-    assert calls == []
+    assert set(primes) == {exact.MODULUS}
     monkeypatch.undo()
     assert len(gens) == comb(5 + 4, 4) - 12
     assert [format_poly(g) for g in gens] == [
@@ -727,16 +730,16 @@ def test_apolar_algebra_of_ex49_is_certified_without_the_fallback(
     assert list(T.entries) == sorted(T.entries)
 
 
-def test_hilbert_function_of_ex49_fourth_power_needs_no_fallback(
+def test_hilbert_function_of_ex49_fourth_power_needs_three_primes(
         monkeypatch):
     # its degree-6 catalecticant block is 201 x 201 of rank 169, with kernel
     # entries past Wang's bound for one and two primes
     from apolarium.papersuite import EX49_CUBIC
     f = parse(EX49_CUBIC) ** 4
-    calls = spy_fallbacks(monkeypatch)
+    primes = spy_primes(monkeypatch)
     assert tuple(hilbert_function(f)) == (
         1, 5, 15, 35, 70, 124, 169, 124, 70, 35, 15, 5, 1)
-    assert calls == []
+    assert set(primes) == set(exact.PRIMES[:3])
 
 
 # Largest exponents top on both sides of each change of bit length of 3 top:

@@ -418,6 +418,18 @@ def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
     assert captured.err == err
 
 
+def test_a_tensor_file_with_two_label_axes_exits_two(tmp_path, capsys):
+    # the power's report would carry a two-axis label table
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [[0, 0, 0, "1"]],
+                                "labels": [["a", "b"], ["c", "d"]]}))
+    assert run(["tensor", "kron", "--tensor", f"@{path}", "--power", "2",
+                "--full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: label table sizes do not match dims\n"
+
+
 @pytest.mark.parametrize("doc, argv, err", [
     ({"dims": [2.5, 2, 2], "entries": []},
      ["sweet", "zero-layers", "--axis", "1", "--tensor"],

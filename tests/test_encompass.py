@@ -26,7 +26,7 @@ from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
                             homogenize, monomial_key, monomials_upto, parse,
                             restrict_zero)
 import oracles
-from oracles import spy_rows_read
+from oracles import spy_primes, spy_rows_read
 
 V2 = ("x1", "x2")
 
@@ -440,11 +440,9 @@ def test_extension_matches_the_echelon(f, mix):
     _check_the_extension_against_the_echelon(f, mix)
 
 
-def test_greedy_rows_need_no_echelon(monkeypatch):
+def test_greedy_rows_need_one_prime(monkeypatch):
     from apolarium import exact
-    calls = []
-    monkeypatch.setattr(exact.SparseEchelon, "insert",
-                        lambda self, vec: calls.append("insert"))
+    primes = spy_primes(monkeypatch)
     polys = [parse(t) for t in TAUT_CORPUS + ENCOMPASS_CORPUS]
     for f in polys:
         greedy_monomial_basis(f)
@@ -455,7 +453,7 @@ def test_greedy_rows_need_no_echelon(monkeypatch):
         encompassing_extension(f, encompassing_extension(f).sigma_list)
     assert sum(not f.is_homogeneous() for f in polys) == 10
     assert len(concise) == 55
-    assert calls == []
+    assert set(primes) == {exact.MODULUS}
 
 
 # -- the twisted-power catalecticant check -------------------------------------------

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from apolarium import apolar, exact, papersuite
 from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, solve_many,
                              sparse_kernel, sparse_rank)
 from apolarium.poly import parse
-from oracles import rref, spy_fallbacks
+from oracles import rref, spy_primes
 
 F = Fraction
 P = MODULUS
@@ -34,6 +36,11 @@ def transpose(m):
 
 def dot(row, v):
     return sum(x * v.get(j, 0) for j, x in row.items())
+
+
+def first_primes(n):
+    """The first n primes the kernels draw."""
+    return list(islice(exact._primes(), n))
 
 
 def test_rat_accepts_ints_fractions_strings():
@@ -185,26 +192,31 @@ def test_rank_matches_rref_rank(m):
     assert sparse_rank(sparse(m)) == len(rref(m)[0])
 
 
-@pytest.mark.parametrize("m, expected", [
-    ([[F(P)]], 1),                        # P vanishes mod P
-    ([[F(1), F(1)], [F(1), F(1 + P)]], 2),  # determinant P
-    ([[F(1, P), F(0)], [F(0), F(1)]], 2),   # P divides a denominator
-    ([[F(2, P)], [F(1, 3)]], 1),
-    ([[F(1, P), F(1)], [F(1), F(P)]], 1),  # singular; dropping 1/P is not
-    # the kernel entry -(2^250 + 1) is past Wang's bound for all the primes
-    # together: each lift fails or is a wrong fraction, which the exact
-    # check rejects
-    ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1),
+@pytest.mark.parametrize("m, expected, nprimes", [
+    # P vanishes mod P: the next prime has the better pivot list
+    ([[F(P)]], 1, 2),
+    ([[F(1), F(1)], [F(1), F(1 + P)]], 2, 2),  # determinant P
+    # P divides a denominator: the scaled rows have full rank mod P
+    ([[F(1, P), F(0)], [F(0), F(1)]], 2, 1),
+    ([[F(2, P)], [F(1, 3)]], 1, 1),
+    # singular; dropping 1/P is not.  The kernel entry -P of the scaled
+    # rows is past Wang's bound for two primes
+    ([[F(1, P), F(1)], [F(1), F(P)]], 1, 3),
+    # the kernel entry -(2^250 + 1) is past Wang's bound for the eight
+    # written-out primes together: each lift fails or is a wrong fraction,
+    # which the exact check rejects, until a ninth prime
+    ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1, 9),
 ])
-def test_rank_falls_back_to_rationals(monkeypatch, m, expected):
-    calls = spy_fallbacks(monkeypatch)
+def test_bad_primes_and_big_entries_keep_the_rank(monkeypatch, m, expected,
+                                                  nprimes):
+    primes = spy_primes(monkeypatch)
     assert sparse_rank(sparse(m)) == expected
-    assert calls == [sparse(m)]
-    # the same rows, sparse over far-apart columns: the fallback gets them
+    assert primes == first_primes(nprimes)
+    # the same rows, sparse over far-apart columns: the kernel gets them
     # keyed by the columns as they occur
     spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
     assert sparse_rank(spread) == expected
-    assert calls == [sparse(m), spread]
+    assert primes == first_primes(nprimes) * 2
 
 
 def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
@@ -217,19 +229,20 @@ def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
     rows = [{0: F(1)}, {1: F(2, 3)}, {0: F(1), 1: F(1)}, {2: F(5)}]
     assert exact._greedy(stream(rows), 2) == [0, 1]
     assert read == rows[:2]
-    # short of the bound the rest is read: P divides a denominator of the
-    # second row, so the rows read and the rest all reach the fallback
-    calls = spy_fallbacks(monkeypatch)
+    # short of the bound the rest is read, and the rows read and the rest
+    # all reach the kernel, the second scaled by P, which divides its
+    # denominator; one prime answers
+    primes = spy_primes(monkeypatch)
     read.clear()
     rows = [{0: F(1), 1: F(1)}, {0: F(1, P)}, {0: F(2), 1: F(2)}, {1: F(3)}]
     assert exact._greedy(stream(rows), 3) == [0, 1]
-    assert read == rows and calls == [rows]
+    assert read == rows and primes == [MODULUS]
 
 
-def test_zero_matrix_rank_is_certified_without_the_fallback(monkeypatch):
-    calls = spy_fallbacks(monkeypatch)
+def test_zero_matrix_rank_is_certified_by_one_prime(monkeypatch):
+    primes = spy_primes(monkeypatch)
     assert sparse_rank(sparse([[F(0)] * 4] * 3)) == 0
-    assert calls == []
+    assert primes == [MODULUS]
 
 
 small_int = st.integers(-3, 3).map(F)
@@ -247,11 +260,8 @@ deficient_products = st.integers(1, 3).flatmap(
 @given(deficient_products)
 def test_deficient_rank_is_certified_by_a_kernel(m):
     expected = len(rref(m)[0])
-    with pytest.MonkeyPatch.context() as mp:
-        calls = spy_fallbacks(mp)
-        assert sparse_rank(sparse(m)) == expected
-        assert sparse_rank(sparse(transpose(m))) == expected
-    assert calls == []
+    assert sparse_rank(sparse(m)) == expected
+    assert sparse_rank(sparse(transpose(m))) == expected
 
 
 def test_rank_of_empty_matrices():
@@ -259,12 +269,12 @@ def test_rank_of_empty_matrices():
     assert sparse_rank(sparse([[], []])) == 0
 
 
-def test_full_rank_is_certified_without_the_fallback(monkeypatch):
-    calls = spy_fallbacks(monkeypatch)
+def test_full_rank_is_certified_by_one_prime(monkeypatch):
+    primes = spy_primes(monkeypatch)
     m = mat([["1/2", 3, 0, -5], [0, "7/3", 1, 1], [1, 1, 1, "1/6"]])
     assert sparse_rank(sparse(m)) == 3
     assert sparse_rank(sparse(transpose(m))) == 3
-    assert calls == []
+    assert primes == [MODULUS, MODULUS]
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
@@ -298,21 +308,19 @@ def test_sparse_certificates_match_rref_rank(m):
     rows = sparse(m)
     ncols = len(m[0])
     assert sparse_rank(rows) == expected
-    kept = [row for row in rows if row]
+    kept = [exact._integral(row) for row in rows if row]
     kernel = exact._kernel_mod_primes(kept, range(ncols))
-    assert kernel is None or ncols - len(kernel) == expected
+    assert ncols - len(kernel) == expected
     full = min(len(kept), ncols)
     if expected < full:  # reduction mod p never raises a rank
-        assert len(exact._echelon_mod_p(kept, MODULUS, full) or ()) < full
+        assert len(exact._echelon_mod_p(kept, MODULUS, full)) < full
 
 
-def test_sparse_rank_ignores_zero_rows_and_columns(monkeypatch):
-    calls = spy_fallbacks(monkeypatch)
+def test_sparse_rank_ignores_zero_rows_and_columns():
     assert sparse_rank([]) == 0
     assert sparse_rank([{}, {}]) == 0
     assert sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
     assert sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
-    assert calls == []
 
 
 # -- kernels and solves --------------------------------------------------------
@@ -419,7 +427,7 @@ def big_kernels(draw):
     def big(lo):
         return rng.randrange(1 << (rng.randint(lo, 115) - 1), 1 << 115)
 
-    def entry():  # no prime divides the denominator: no fallback by design
+    def entry():  # no written-out prime divides the denominator: all good
         q = F(rng.choice((-1, 1)) * big(62), big(1))
         past_one_prime = q.numerator ** 2 > P // 2  # Wang's bound, squared
         if past_one_prime and all(q.denominator % p for p in PRIMES):
@@ -431,32 +439,16 @@ def big_kernels(draw):
     return lu_mix(rng, rows), x
 
 
-def _count_primes(monkeypatch):
-    """The prime of each ``_echelon_mod_p`` call while the spy is set, in
-    order; the forward echelon of a rank is reused as the kernel's first
-    prime, so each prime a kernel uses is eliminated once."""
-    calls = []
-    echelon = exact._echelon_mod_p
-
-    def spy(rows, p, ncols=None):
-        calls.append(p)
-        return echelon(rows, p, ncols)
-    monkeypatch.setattr(exact, "_echelon_mod_p", spy)
-    return calls
-
-
 @settings(max_examples=40, deadline=None)
 @given(big_kernels())
-def test_kernels_needing_several_primes_are_certified_without_the_fallback(
-        mx):
+def test_kernels_needing_several_primes_are_certified(mx):
     m, x = mx
     r, s = len(x), len(x[0])
     expected = dict(zip(range(r, r + s), sparse(
         [[x[i][t] for i in range(r)] + [F(t == u) for u in range(s)]
          for t in range(s)])))
     with pytest.MonkeyPatch.context() as mp:
-        calls = spy_fallbacks(mp)
-        primes = _count_primes(mp)
+        primes = spy_primes(mp)
         assert sparse_kernel(sparse(m), r + s) == expected
         assert 2 <= len(primes) <= 4
         assert primes == list(PRIMES[:len(primes)])
@@ -468,48 +460,55 @@ def test_kernels_needing_several_primes_are_certified_without_the_fallback(
         # a rank r matrix with more rows than columns: the kernel is [x; I]
         tall = m + [[a + b for a, b in zip(m[0], m[-1])]] * (s + 1)
         assert sparse_rank(sparse(tall)) == r
-    assert calls == []
     assert expected == oracle_kernel(m)
 
 
-def test_kernel_past_one_prime_is_certified_without_the_fallback(
-        monkeypatch):
+def test_kernel_past_one_prime_is_certified_by_two(monkeypatch):
     # the kernel entry -(2^40 + 1) is past Wang's bound for one prime
-    calls = spy_fallbacks(monkeypatch)
+    primes = spy_primes(monkeypatch)
     m = [[F(1), F(1 << 40 | 1)], [F(2), F(2 << 40 | 2)]]
     assert sparse_rank(sparse(m)) == 1
     assert sparse_kernel(sparse(m), 2) == {1: {0: F(-(1 << 40 | 1)), 1: F(1)}}
-    assert calls == []
+    assert primes == list(PRIMES[:2]) * 2
 
 
 @pytest.mark.parametrize("k", range(len(PRIMES)))
-def test_each_prime_dividing_a_denominator_falls_back(monkeypatch, k):
-    # the kernel entry -N P_k is past Wang's bound for the first k primes,
-    # so the k-th prime is reached, and it divides a denominator
+def test_each_prime_dividing_a_denominator_is_scaled_away(monkeypatch, k):
+    # the kernel entry -N P_k is past Wang's bound for the first k + 2
+    # primes, so the k-th prime is reached, and it divides a denominator of
+    # the rows; scaled, they are [1, N P_k] twice.  At k = 6 and 7 the
+    # primes go on past the written-out eight
     pk, n = PRIMES[k], 1 << 31 * k
     m = [[F(1, pk), F(n)], [F(1), F(n * pk)]]
-    calls = spy_fallbacks(monkeypatch)
-    primes = _count_primes(monkeypatch)
+    primes = spy_primes(monkeypatch)
     assert sparse_rank(sparse(m)) == 1
-    assert primes == list(PRIMES[:k + 1])
+    assert primes == first_primes(k + 3)
     assert sparse_kernel(sparse(m), 2) == {1: {0: F(-n * pk), 1: F(1)}}
-    assert calls == [sparse(m), sparse(m)]
+    assert primes == first_primes(k + 3) * 2
     assert solve_many([{0: F(1, pk)}, {1: F(1)}], [{0: F(1), 1: F(2)}]) == [
         {0: F(pk), 1: F(2)}]
 
 
-def test_primes_that_differ_on_the_pivots_fall_back(monkeypatch):
+@pytest.mark.parametrize("m, kernel, nprimes", [
     # mod P the first column vanishes and the second is the pivot; mod the
-    # next prime the first column is the pivot
-    calls = spy_fallbacks(monkeypatch)
-    primes = _count_primes(monkeypatch)
-    assert sparse_kernel([{0: F(P), 1: F(1)}], 2) == {
-        1: {0: F(-1, P), 1: F(1)}}
-    assert primes == list(PRIMES[:2])
-    m = [[F(P), F(1)], [F(2 * P), F(2)]]
-    assert sparse_rank(sparse(m)) == 1
-    assert calls == [[{0: F(P), 1: F(1)}], sparse(m)]
-    assert exact._kernel_mod_primes(sparse(m), range(2)) is None
+    # next prime the first column is, further left, and the residues mod P
+    # are dropped.  The entry -1/P needs three more primes
+    ([[P, 1]], {1: {0: F(-1, P), 1: F(1)}}, 4),
+    # the same with the primes swapped: the second prime's list is worse,
+    # and its residues are skipped
+    ([[PRIMES[1], 1]], {1: {0: F(-1, PRIMES[1]), 1: F(1)}}, 4),
+    # determinant P: mod P one pivot, mod the next prime two
+    ([[1, 1], [1, 1 + P]], {}, 2),
+], ids=["leftmost", "skipped", "more"])
+def test_the_better_pivot_list_wins(monkeypatch, m, kernel, nprimes):
+    primes = spy_primes(monkeypatch)
+    assert exact._kernel_mod_primes(sparse(m), range(2)) == kernel
+    assert primes == first_primes(nprimes)
+    assert sparse_kernel(sparse(mat(m)), 2) == oracle_kernel(mat(m)) == kernel
+    # a multiple of the rows below them keeps the rank and the pivots
+    tall = m + [[2 * x for x in m[-1]]]
+    assert sparse_rank(sparse(tall)) == 2 - len(kernel)
+    assert exact._kernel_mod_primes(sparse(tall), range(2)) == kernel
 
 
 def test_primes_are_distinct_61_bit_primes():
@@ -517,6 +516,18 @@ def test_primes_are_distinct_61_bit_primes():
     assert len(set(PRIMES)) == len(PRIMES) == 8
     assert all(p.bit_length() == 61 and sympy.isprime(p) for p in PRIMES)
     assert MODULUS == PRIMES[0] == (1 << 61) - 1
+
+
+def test_the_primes_go_on_below_the_written_out_ones():
+    sympy = pytest.importorskip("sympy")
+    primes = first_primes(len(PRIMES) + 32)
+    assert primes[:len(PRIMES)] == list(PRIMES)
+    more = primes[len(PRIMES):]
+    assert len(set(more)) == len(more) == 32
+    assert more == sorted(more, reverse=True) and more[0] < PRIMES[-1]
+    assert all(p.bit_length() == 61 for p in more)
+    assert all(sympy.prevprime(a) == b
+               for a, b in zip(primes[len(PRIMES) - 1:], more))
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,33 +588,31 @@ def test_independent_rows_of_independent_rows_need_no_kernel(monkeypatch):
         [{3: F(1, 2)}, {0: F(2), 3: F(1)}, {1: F(-7, 3)}]) == [0, 1, 2]
 
 
-def test_dependent_rows_are_certified_by_a_kernel(monkeypatch):
-    calls = spy_fallbacks(monkeypatch)
+def test_dependent_rows_are_certified_by_a_kernel():
     rows = [{}, {0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {}, {1: F(1)},
             {0: F(1, 3)}, {0: F(1), 1: F(1 << 80 | 1)}]
     assert exact.independent_rows(rows) == [1, 4]
     assert exact.independent_rows([{}, {}]) == []
-    assert calls == []
 
 
-@pytest.mark.parametrize("rows, expected", [
+@pytest.mark.parametrize("rows, expected, nprimes", [
     # mod P rows 0 and 1 are equal, so the rows independent mod P are 0 and
-    # 2, and the primes differ on the pivots
-    ([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1 + P)}, {1: F(1)}], [0, 1]),
-    # P divides a denominator
-    ([{0: F(1, P)}, {0: F(1)}, {1: F(1)}, {0: F(2), 1: F(3, P)}], [0, 2]),
+    # 2, and the next prime has the better pivot list
+    ([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1 + P)}, {1: F(1)}], [0, 1], 4),
+    # P divides a denominator; the scaled columns are (1, P, 0, 2P) and
+    # (0, 0, P, 3), which mod P keep rows 0 and 3
+    ([{0: F(1, P)}, {0: F(1)}, {1: F(1)}, {0: F(2), 1: F(3, P)}], [0, 2], 4),
 ])
-def test_independent_rows_fall_back_to_rationals(monkeypatch, rows, expected):
-    calls = spy_fallbacks(monkeypatch)
+def test_independent_rows_past_bad_primes(monkeypatch, rows, expected,
+                                          nprimes):
+    primes = spy_primes(monkeypatch)
     assert exact.independent_rows(rows) == expected
-    assert len(calls) == 1
+    assert primes == first_primes(nprimes)
     assert oracle_greedy_rows(
         [[row.get(j, F(0)) for j in range(2)] for row in rows]) == expected
 
 
-def test_the_fallback_of_int_rows_gives_fractions(monkeypatch):
-    monkeypatch.setattr(exact, "_kernel_mod_primes",
-                        lambda rows, cols, first=None: None)
+def test_the_kernel_of_int_rows_gives_fractions():
     kernel = sparse_kernel(sparse([[1, 2], [2, 4]]), 2)
     assert kernel == {1: {0: F(-2), 1: F(1)}}
     assert all(type(x) is F for x in kernel[1].values())
@@ -611,48 +620,38 @@ def test_the_fallback_of_int_rows_gives_fractions(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
-def test_int_rows_in_the_fallback_match_fraction_rows(q):
+def test_int_rows_match_fraction_rows(q):
     # a doubled first row and column keep the rank below both sides, so the
-    # full-rank certificate does not answer and the fallback is reached
+    # full-rank certificate does not answer and the kernel is reached
     q = [row + [2 * row[0]] for row in q]
     q.append([2 * x for x in q[0]])
     m = [[int(x) for x in row] for row in q]
     ncols = len(m[0])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_kernel_mod_primes",
-                   lambda rows, cols, first=None: None)
-        calls = spy_fallbacks(mp)
-        kernel = sparse_kernel(sparse(m), ncols)
-        assert kernel == sparse_kernel(sparse(q), ncols)
-        assert all(type(x) is F for vec in kernel.values()
-                   for x in vec.values())
-        assert sparse_rank(sparse(m)) == sparse_rank(sparse(q))
-        assert (exact.independent_rows(sparse(m))
-                == exact.independent_rows(sparse(q)))
-        assert calls
+    kernel = sparse_kernel(sparse(m), ncols)
+    assert kernel == sparse_kernel(sparse(q), ncols)
+    assert all(type(x) is F for vec in kernel.values() for x in vec.values())
+    assert sparse_rank(sparse(m)) == sparse_rank(sparse(q))
+    assert exact.independent_rows(sparse(m)) == exact.independent_rows(
+        sparse(q))
 
 
 @settings(max_examples=100, deadline=None)
 @given(row_lists(), square_matrices, st.data())
-def test_the_fallback_matches_the_rref_oracle(m, g, data):
-    # with the primes turned off, every answer is the exact elimination's
+def test_row_lists_and_solves_match_the_rref_oracle(m, g, data):
     rhss = data.draw(st.lists(st.lists(rat_entry, min_size=len(g),
                                        max_size=len(g)),
                               min_size=1, max_size=3))
     solutions = [oracle_solve(g, b) for b in rhss]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_kernel_mod_primes",
-                   lambda rows, cols, first=None: None)
-        kernel = sparse_kernel(sparse(m), len(m[0]))
-        assert sparse_rank(sparse(m)) == len(rref(m)[0])
-        assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(m)
-        if solutions[0] is None:
-            with pytest.raises(ValueError, match="singular"):
-                solve_many(sparse(g), sparse(rhss))
-        else:
-            solved = solve_many(sparse(g), sparse(rhss))
-            assert solved == sparse(solutions)
-            assert all(type(x) is F for x in solved[0].values())
+    kernel = sparse_kernel(sparse(m), len(m[0]))
+    assert sparse_rank(sparse(m)) == len(rref(m)[0])
+    assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(m)
+    if solutions[0] is None:
+        with pytest.raises(ValueError, match="singular"):
+            solve_many(sparse(g), sparse(rhss))
+    else:
+        solved = solve_many(sparse(g), sparse(rhss))
+        assert solved == sparse(solutions)
+        assert all(type(x) is F for x in solved[0].values())
     expected = oracle_kernel(m)
     assert kernel == expected and list(kernel) == list(expected)
     assert all(type(x) is F for vec in kernel.values() for x in vec.values())
@@ -669,19 +668,27 @@ int_rows = st.integers(1, 5).flatmap(
             min_size=n, max_size=n)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(int_rows, st.sampled_from([None, 1, 2, 3]))
-def test_int_entries_reduce_like_their_fractions_mod_every_prime(m, full):
-    ints = sparse(m)
-    fracs = [{j: F(x) for j, x in row.items()} for row in ints]
-    for p in PRIMES:
-        assert (exact._echelon_mod_p(ints, p, full)
-                == exact._echelon_mod_p(fracs, p, full))
+@settings(max_examples=100, deadline=None)
+@given(int_rows, st.lists(rat_entry, min_size=1, max_size=5))
+def test_a_row_is_scaled_by_the_lcm_of_its_denominators(m, fracs):
+    for row in sparse(m):  # a row of ints comes back as it is
+        assert exact._integral(row) is row
+    row = {j: x for j, x in enumerate(fracs + m[0]) if x}
+    den = math.lcm(*(F(x).denominator for x in row.values()))
+    scaled = exact._integral(row)
+    if all(type(x) is int for x in row.values()):
+        assert scaled is row
+    else:
+        assert scaled == {j: x * den for j, x in row.items()}
+        assert all(type(x) is int for x in scaled.values())
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_a_denominator_divisible_by_the_prime_is_refused_among_ints(p):
-    assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: F(1, p), 2: 5}], p) is None
+def test_a_denominator_divisible_by_the_prime_is_scaled_away(p):
+    scaled = exact._integral({0: F(1, p), 2: 5})
+    assert scaled == {0: 1, 2: 5 * p}
+    assert exact._echelon_mod_p([{0: 3, 1: -2}, scaled], p) == {
+        0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 1: {1: 1}}
     assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: p, 2: 5}], p) == {
         0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 2: {2: 1}}
 
@@ -718,15 +725,63 @@ def test_back_substituted_kernels_and_greedy_rows_match_the_oracles(m):
     q = [[F(x) for x in row] for row in m]
     rows, ncols = sparse(m), len(m[0])
     expected = oracle_kernel(q)
-    kernel = exact._kernel_mod_primes(rows, range(ncols))
-    assert kernel is None or (kernel == expected
-                              and list(kernel) == list(expected))
-    first = exact._echelon_mod_p(rows, MODULUS)
-    if first is not None:  # the forward echelon, reused as the first prime
-        assert exact._kernel_mod_primes(rows, range(ncols), first) == kernel
+    ints = [exact._integral(row) for row in rows]
+    kernel = exact._kernel_mod_primes(ints, range(ncols))
+    assert kernel == expected and list(kernel) == list(expected)
+    # the forward echelon, reused as the first prime
+    first = exact._echelon_mod_p(ints, MODULUS)
+    assert exact._kernel_mod_primes(ints, range(ncols), first) == kernel
     assert sparse_kernel(rows, ncols) == expected
     assert sparse_rank(rows) == len(rref(q)[0])
     assert exact.independent_rows(rows) == oracle_greedy_rows(q)
+
+
+# multiples of the first two primes and of their product, as entries and
+# as denominators
+prime_multiple = st.builds(lambda c, q: c * q, st.sampled_from([-3, -1, 1, 2]),
+                           st.sampled_from([P, PRIMES[1], P * PRIMES[1]]))
+bad_prime_entry = st.one_of(
+    st.sampled_from([F(1, P), F(P), F(1, PRIMES[1]), F(PRIMES[1])]),
+    prime_multiple, prime_multiple.map(F),
+    st.builds(F, st.integers(-9, 9), prime_multiple))
+
+
+@st.composite
+def bad_prime_matrices(draw, base=one_pass_matrices):
+    """A matrix of `base` with entries vanishing, or denominators dividing,
+    mod MODULUS or PRIMES[1] put in at random places, and now and then a
+    2 x 2 block [[1, b], [c, bc + q]] of determinant q, such a multiple."""
+    m = [list(row) for row in draw(base)]
+    n, k = len(m), len(m[0])
+    for _ in range(draw(st.integers(0, 4))):
+        m[draw(st.integers(0, n - 1))][draw(st.integers(0, k - 1))] = draw(
+            bad_prime_entry)
+    if n > 1 and k > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, k - 2))
+        b, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[i][j:j + 2] = [1, b]
+        m[i + 1][j:j + 2] = [c, b * c + draw(prime_multiple)]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad_prime_matrices(), bad_prime_matrices(square_matrices), st.data())
+def test_bad_prime_matrices_match_the_rref_oracle(m, g, data):
+    q = [[F(x) for x in row] for row in m]
+    kernel, expected = sparse_kernel(sparse(m), len(m[0])), oracle_kernel(q)
+    assert kernel == expected and list(kernel) == list(expected)
+    assert sparse_rank(sparse(m)) == len(rref(q)[0])
+    assert exact.independent_rows(sparse(m)) == oracle_greedy_rows(q)
+    rhss = data.draw(st.lists(st.lists(bad_prime_entry, min_size=len(g),
+                                       max_size=len(g)),
+                              min_size=1, max_size=3))
+    gq = [[F(x) for x in row] for row in g]
+    solutions = [oracle_solve(gq, [F(x) for x in b]) for b in rhss]
+    if solutions[0] is None:
+        with pytest.raises(ValueError, match="singular"):
+            solve_many(sparse(g), sparse(rhss))
+    else:
+        assert solve_many(sparse(g), sparse(rhss)) == sparse(solutions)
 
 
 def _ex49_cube_order_4_block():
@@ -745,13 +800,11 @@ def _ex49_cube_order_4_block():
 ], ids=["wide", "tall", "EX49^3 order 4"])
 def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank):
     rows = build()
-    calls = spy_fallbacks(monkeypatch)
-    primes = _count_primes(monkeypatch)
+    primes = spy_primes(monkeypatch)
     assert sparse_rank(rows) == rank
     assert primes == [MODULUS]
     greedy = exact.independent_rows(rows)
     assert len(greedy) == rank and primes == [MODULUS, MODULUS]
-    assert calls == []
 
 
 # column keys as the packed keys of apolar come, or worse: negative, with
@@ -772,8 +825,3 @@ def test_greedy_keys_are_the_rref_pivot_columns(m, data):
     for ncols in (occur, occur + data.draw(st.integers(1, 3))):
         assert exact._greedy(side, ncols) == expected
         assert exact._greedy(iter(side), ncols) == expected
-        with pytest.MonkeyPatch.context() as mp:  # the fallback over Q
-            mp.setattr(exact, "_kernel_mod_primes",
-                       lambda rows, cols, first=None: None)
-            assert exact._greedy(side, ncols) == expected
-            assert exact._greedy(iter(side), ncols) == expected

@@ -172,6 +172,12 @@ def test_distribution_from_json_refuses_float_probabilities():
         BlockDistribution.from_json(json.dumps(doc))
 
 
+def test_a_uniform_distribution_reads_a_generator_once():
+    triples = [((0,), (0,), (0,)), ((1,), (0,), (-1,))]
+    P = BlockDistribution.uniform(t for t in triples)
+    assert P.support == triples and P.probs == [Fraction(1, 2)] * 2
+
+
 def test_marginals():
     P = BlockDistribution.uniform(LARGE3)
     m = marginals(P)

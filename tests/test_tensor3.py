@@ -47,6 +47,15 @@ def test_tensor_validation():
         Tensor3((2, 2, 2), {}, labels=(["a"], ["a", "b"], ["a", "b"]))
 
 
+@pytest.mark.parametrize("labels", [
+    [["a", "b"], ["c", "d"]],
+    [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]],
+], ids=["two axes", "four axes"])
+def test_a_label_table_needs_three_axes(labels):
+    with pytest.raises(ValueError, match="label table"):
+        Tensor3((2, 2, 2), {(0, 0, 0): 1}, labels)
+
+
 @pytest.mark.parametrize("idx", [
     (True, 1, 1), (0.9, 1, 1), (0, "1", 1), (0, 1, 1.0), (True, "1", 1.7)])
 def test_an_index_that_is_not_an_int_is_refused(idx):

@@ -13,25 +13,28 @@ echelon forms are never exposed.
 
 A row is scaled by the lcm of its denominators where it enters, by
 ``_integral``, which leaves the row space as it is, so every elimination
-runs on int rows.  One elimination, ``_echelon_mod_p``, runs forward only,
-with Python ints modulo 61-bit primes, on sparse rows: each row is cleared
-of the pivot columns it holds, and the rows held before it are left as
-they are.  One rank certificate, ``_greedy``, eliminates rows as they
-arrive, from a list or a stream, once mod MODULUS = 2^61 - 1, and returns
-the pivot columns, the greedy rows of the transpose, whose number is the
-rank.  It is given ncols, at least the number of column keys that occur,
-and stops when ncols columns are pivots: columns independent mod a prime
-are independent over Q, and the rest of a stream is never built.
-``sparse_rank`` gives it the side of the matrix with fewer columns,
-``independent_rows`` the transpose, and ``apolar`` streams catalecticant
-columns to it.  Short of ncols, that echelon is the first prime of the
-kernel routine, ``_kernel_mod_primes``, over the keys as they occur.  It
-fully reduces each prime's echelon by back-substitution, combines the
-kernels over the primes of the best pivot list so far by CRT, lifts them
-to Q by rational reconstruction (Wang 1981) and checks them exactly.  The
-first lift that passes is the reduced-echelon kernel over Q (see
-``sparse_kernel``); the primes, from ``_primes``, never run out.  No dense
-row is built.
+runs on int rows.  One elimination, ``_echelon_mod_p``, runs with Python
+ints modulo 61-bit primes, on sparse rows, and answers with the pivot
+columns and the reduced-echelon kernel mod p.  It runs forward first: each
+row is cleared of the pivot columns it holds, and the rows held before it
+are left as they are.  Once a row reduces to zero, the held rows are
+back-substituted into the kernel once, and each later row is tested
+against the kernel vectors that share a column with it, so a row past the
+rank costs its dots with them, not an elimination.  One rank certificate,
+``_greedy``, eliminates rows as they arrive, from a list or a stream, once
+mod MODULUS = 2^61 - 1, and returns the pivot columns, the greedy rows of
+the transpose, whose number is the rank.  It is given ncols, at least the
+number of column keys that occur, and stops when ncols columns are pivots:
+columns independent mod a prime are independent over Q, and the rest of a
+stream is never built.  ``sparse_rank`` gives it the side of the matrix
+with fewer columns, ``independent_rows`` the transpose, and ``apolar``
+streams catalecticant columns to it.  Short of ncols, that elimination is
+the first prime of the kernel routine, ``_kernel_mod_primes``, over the
+keys as they occur.  It combines the kernels mod the primes of the best
+pivot list so far by CRT, lifts them to Q by rational reconstruction (Wang
+1981) and checks them exactly.  The first lift that passes is the
+reduced-echelon kernel over Q (see ``sparse_kernel``); the primes, from
+``_primes``, never run out.  No dense row is built.
 
 No floats, ever.
 """
@@ -104,22 +107,43 @@ def _integral(row: SparseRow) -> Dict[int, int]:
     return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
-def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int,
-                   ncols: Optional[int] = None) -> Dict[int, Dict[int, int]]:
-    """The int rows over GF(p), eliminated forward in order: {pivot column:
-    row with a 1 at its leftmost column}, in insertion order.  Elimination
-    stops once the rank reaches `ncols`, and reads no row after that.
+def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
+                   ) -> Tuple[Dict[int, int], Dict[int, Dict[int, int]]]:
+    """The pivot columns of the int rows over GF(p), {column: index}, and
+    the reduced-echelon kernel mod p over the columns nonzero in some row,
+    {free column j: vector with 1 at j and its other entries at pivot
+    columns before j}.  `ncols` is at least the number of columns that
+    occur; once the rank reaches it, the kernel is empty, and no row after
+    that is read.
 
-    A held row is zero at the pivot columns held before it, so a new row is
-    cleared of them by subtracting held rows in insertion order.  Only the
-    pivot columns the row holds are visited: their insertion indices sit
-    in a heap, and a column the subtraction brings into the row is pushed.
-    The held rows are not reduced by later ones.  They are a basis of the
-    row space with distinct leftmost columns, and those columns are the
-    pivot columns of its reduced echelon form.
+    The rows are eliminated forward in order.  A held row is zero at the
+    pivot columns held before it, so a new row is cleared of them by
+    subtracting held rows in insertion order.  Only the pivot columns the
+    row holds are visited: their insertion indices sit in a heap, and a
+    column the subtraction brings into the row is pushed.  The held rows
+    are a basis of the row space with distinct leftmost columns, and those
+    columns are the pivot columns of its reduced echelon form.
+
+    Once a row reduces to zero, the held rows are back-substituted into the
+    kernel, and each later row is tested against it.  Its dots d_j with the
+    vectors v_j are summed over an index from each column to the vectors
+    nonzero there, so a vector that shares no column with the row is not
+    visited; a column first seen then gets the vector with a 1 at it.  The
+    row is in the row space exactly when every dot is zero, and is skipped.
+    Otherwise the kernel of the larger row space is the part of the old one
+    where the dot is zero, of one dimension less.  Let j* be the smallest
+    free column with a nonzero dot.  A vector with d_j = 0 stays, and every
+    other v_j, whose j is past j*, becomes v_j - (d_j / d_j*) v_j*: its dot
+    is zero, it keeps its 1 at j, and its other entries are at j* and at
+    pivot columns before j, because v_j* ends at j* < j.  These vectors are
+    independent and in reduced echelon form over the free columns but j*,
+    so they are the kernel back-substitution would give, and j* is the
+    pivot column forward elimination would find.
     """
     order: Dict[int, int] = {}  # pivot column -> insertion index
     held: List[Tuple[int, Dict[int, int]]] = []
+    rows = iter(rows)
+    switched = False
     for raw in rows:
         row: Dict[int, int] = {}
         for j, x in raw.items():
@@ -146,17 +170,90 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int,
                         row[k] = v
                     else:
                         del row[k]
-        if row:
-            c = min(row)
-            inv = row[c]
-            if inv != 1:
-                inv = pow(inv, -1, p)
-                row = {k: v * inv % p for k, v in row.items()}
-            order[c] = len(held)
-            held.append((c, row))
-            if len(held) == ncols:
-                break
-    return dict(held)
+        if not row:  # in the row space: the kernel takes over
+            switched = True
+            break
+        c = min(row)
+        inv = row[c]
+        if inv != 1:
+            inv = pow(inv, -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        order[c] = len(held)
+        held.append((c, row))
+        if len(held) == ncols:
+            return order, {}
+    kernel = _back_substitute(held, p)
+    if not switched:
+        return order, kernel
+    by_col: Dict[int, Dict[int, int]] = {}  # column -> {free j: v_j there}
+    for j, vec in kernel.items():
+        for k, v in vec.items():
+            by_col.setdefault(k, {})[j] = v
+    for raw in rows:
+        dots: Dict[int, int] = defaultdict(int)
+        for k, x in raw.items():
+            x %= p
+            if x:
+                col = by_col.get(k)
+                if col is None:
+                    if k in order:
+                        continue
+                    col = by_col[k] = {k: 1}
+                    kernel[k] = {k: 1}
+                for j, v in col.items():
+                    dots[j] += x * v
+        free = [j for j, d in dots.items() if d % p]
+        if not free:
+            continue
+        c = min(free)
+        vec = kernel.pop(c)
+        inv = pow(dots[c], -1, p)
+        for j in free:
+            if j != c:
+                f = dots[j] * inv % p
+                vj = kernel[j]
+                for k, b in vec.items():
+                    v = (vj.get(k, 0) - f * b) % p
+                    if v:
+                        vj[k] = by_col[k][j] = v
+                    else:
+                        del vj[k], by_col[k][j]
+        for k in vec:
+            del by_col[k][c]
+        order[c] = len(order)
+        if len(order) == ncols:
+            break
+    return order, kernel
+
+
+def _back_substitute(held: List[Tuple[int, Dict[int, int]]], p: int
+                     ) -> Dict[int, Dict[int, int]]:
+    """The reduced-echelon kernel mod p, {free column: vector}, over the
+    columns of the rows `held` by ``_echelon_mod_p``, which it changes.
+    In reverse insertion order, a held row is cleared at the pivot columns
+    of the rows held after it, which are fully reduced by then.  Free
+    column j gives the vector with 1 at j, 0 at the other free columns and
+    its other entries at the pivot columns before j."""
+    pivots = dict(held)
+    for c, prow in reversed(held):
+        for k in [k for k in prow if k != c and k in pivots]:
+            f = prow.pop(k)
+            for j, b in pivots[k].items():
+                if j != k:
+                    v = (prow.get(j, 0) - f * b) % p
+                    if v:
+                        prow[j] = v
+                    else:
+                        del prow[j]
+    kernel: Dict[int, Dict[int, int]] = {}
+    for c, prow in held:
+        for k, b in prow.items():
+            if k != c:
+                vec = kernel.get(k)
+                if vec is None:
+                    vec = kernel[k] = {k: 1}
+                vec[c] = p - b
+    return kernel
 
 
 def _lift(vec: Dict[int, int], modulus: int,
@@ -191,20 +288,18 @@ def _lift(vec: Dict[int, int], modulus: int,
     return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
-def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Iterable[int],
-                       first: Optional[Dict[int, Dict[int, int]]] = None
+def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Sequence[int],
+                       first: Optional[Tuple[Dict[int, int],
+                                             Dict[int, Dict[int, int]]]] = None
                        ) -> Dict[int, SparseRow]:
     """The reduced-echelon right kernel over Q of the int rows, {free
     column: vector}; `cols` are the columns that occur and any zero ones,
     ascending.  `first`, if given, is ``_echelon_mod_p`` of the rows mod
-    MODULUS, used, and changed, in place of eliminating them again.
+    MODULUS, used in place of eliminating them again.
 
-    The rows are eliminated forward mod each prime of ``_primes`` in turn,
-    and each echelon is then fully reduced by back-substitution: in reverse
-    insertion order, a held row is cleared at the pivot columns of the rows
-    held after it, which are fully reduced by then.  Free column j gives
-    the vector with 1 at j, 0 at the other free columns and its other
-    entries at the pivot columns before j.  Reduction mod p only drops
+    The rows give ``_echelon_mod_p`` mod each prime of ``_primes`` in turn,
+    its pivots and reduced-echelon kernel; a column of `cols` that is zero
+    mod p is free, with the vector 1 there.  Reduction mod p only drops
     pivots or moves them right, so the pivots over Q are the best list:
     the most pivots, and of those the leftmost, entry by entry.  A prime
     with a worse list than the best so far is skipped; one with a better
@@ -221,30 +316,19 @@ def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Iterable[int],
             columns[j].append((i, x))
     best = None
     for p in _primes():  # the first is MODULUS, the prime of `first`
-        pivots = _echelon_mod_p(rows, p) if first is None else first
+        pivots, residues = (_echelon_mod_p(rows, p, len(cols))
+                            if first is None else first)
         first = None
         key = (-len(pivots), sorted(pivots))  # the better list is less
         if best is not None and key > best:
             continue
         if key != best:
             best, kernel, modulus = key, {}, 1
-        for c, prow in reversed(pivots.items()):
-            for k in [k for k in prow if k != c and k in pivots]:
-                f = prow.pop(k)
-                for j, b in pivots[k].items():
-                    if j != k:
-                        v = (prow.get(j, 0) - f * b) % p
-                        if v:
-                            prow[j] = v
-                        else:
-                            del prow[j]
-        residues = {j: {j: 1} for j in cols if j not in pivots}
-        for c, prow in pivots.items():
-            for k, b in prow.items():
-                if k != c:
-                    residues[k][c] = p - b
         inv = pow(modulus, -1, p)
-        for j, new in residues.items():  # CRT of x mod `modulus`, r mod p
+        for j in cols:  # CRT of x mod `modulus`, r mod p
+            if j in pivots:
+                continue
+            new = residues.get(j) or {j: 1}
             vec = kernel.setdefault(j, {})
             for k in new.keys() | vec.keys():
                 x = vec.get(k, 0)
@@ -299,16 +383,17 @@ def _greedy(side: Iterable[SparseRow], ncols: int) -> List[int]:
     `ncols` must be at least the number of keys that occur; the rows may
     be a stream, read only as far as elimination needs them.
 
-    The rows are scaled to ints and eliminated mod MODULUS as they
-    arrive.  Reduction mod p can only turn nonzero minors into zero ones,
-    so columns independent mod p are independent over Q: once `ncols` keys
-    are pivots, they are all the keys, elimination stops and the rest of
-    the stream is never read.  Otherwise the rest is read, and that
-    echelon is the first prime of the kernel over the keys that occur,
-    whose checked vector of free key j writes column j as a combination of
-    the pivot columns before it, which are independent mod a prime.  The
-    columns independent mod p alone would not do: mod p, the columns
-    (1, 1), (1, 1 + p), (0, 1) keep 0 and 2, over Q 0 and 1.
+    The rows are scaled to ints and given to ``_echelon_mod_p`` mod
+    MODULUS as they arrive.  Reduction mod p can only turn nonzero minors
+    into zero ones, so columns independent mod p are independent over Q:
+    once `ncols` keys are pivots, they are all the keys, elimination stops
+    and the rest of the stream is never read.  Otherwise it reads every
+    row, and its pivots and kernel are the first prime of the kernel over
+    the keys that occur, whose checked vector of free key j writes column
+    j as a combination of the pivot columns before it, which are
+    independent mod a prime.  The columns independent mod p alone would
+    not do: mod p, the columns (1, 1), (1, 1 + p), (0, 1) keep 0 and 2,
+    over Q 0 and 1.
     """
     side = map(_integral, side)
     rows: List[Dict[int, int]] = []
@@ -317,12 +402,11 @@ def _greedy(side: Iterable[SparseRow], ncols: int) -> List[int]:
         for row in side:
             rows.append(row)
             yield row
-    pivots = _echelon_mod_p(kept(), MODULUS, ncols)
-    if len(pivots) == ncols:
-        return sorted(pivots)
-    rows += side
+    first = _echelon_mod_p(kept(), MODULUS, ncols)
+    if len(first[0]) == ncols:
+        return sorted(first[0])
     cols = sorted(set().union(*rows))
-    kernel = _kernel_mod_primes(rows, cols, pivots)
+    kernel = _kernel_mod_primes(rows, cols, first)
     return [j for j in cols if j not in kernel]
 
 
@@ -343,8 +427,7 @@ def sparse_kernel(rows: Sequence[SparseRow], ncols: int
     if any(not 0 <= j < ncols for row in rows for j in row):
         raise ValueError("a column lies outside 0..ncols-1")
     rows = [_integral(row) for row in rows]
-    return _kernel_mod_primes(rows, range(ncols),
-                              _echelon_mod_p(rows, MODULUS))
+    return _kernel_mod_primes(rows, range(ncols))
 
 
 def solve_many(rows: Sequence[SparseRow], rhss: Sequence[SparseRow]

@@ -204,6 +204,9 @@ class BlockDistribution:
     @classmethod
     def uniform(cls, triples: Iterable) -> "BlockDistribution":
         triples = list(triples)
+        if not triples:
+            raise ValueError("a uniform distribution needs a nonempty "
+                             "support")
         return cls(triples, [Fraction(1, len(triples))] * len(triples))
 
 

@@ -3,6 +3,8 @@
 ``rref`` is the dense elimination over Q that the sparse answers of
 ``exact`` are checked against, and ``packed_key`` the key of an exponent
 in the partials columns of ``apolar``, built apart from it;
+``echelon_mod_p`` is the elimination mod a prime that
+``exact._echelon_mod_p`` must agree with, forward then back-substituted;
 ``spy_primes`` records the prime of each elimination, and
 ``spy_rows_read`` how far each elimination mod a prime reads its rows.
 ``structure_tensor_of_apolar`` and ``gradient_rank`` are the apolar
@@ -65,6 +67,49 @@ def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
     return rows, pivots
 
 
+def echelon_mod_p(rows, p: int):
+    """(pivot columns ascending, {free column j: kernel vector}) of the int
+    rows mod p, over the columns nonzero mod p in some row: every row is
+    eliminated forward against the rows held before it, in insertion order,
+    and the held rows are then back-substituted, in reverse insertion
+    order; the vector of free column j has 1 at j and -r[j] at the pivot
+    column of each reduced row r."""
+    held: List[Tuple[int, Dict[int, int]]] = []
+    for raw in rows:
+        row = {j: x % p for j, x in raw.items() if x % p}
+        for c, prow in held:
+            f = row.get(c)
+            if f:
+                for k, b in prow.items():
+                    v = (row.get(k, 0) - f * b) % p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        if row:
+            c = min(row)
+            inv = pow(row[c], -1, p)
+            held.append((c, {k: v * inv % p for k, v in row.items()}))
+    pivots = dict(held)
+    for c, prow in reversed(held):
+        for k in [k for k in prow if k != c and k in pivots]:
+            f = prow.pop(k)
+            for j, b in pivots[k].items():
+                if j != k:
+                    v = (prow.get(j, 0) - f * b) % p
+                    if v:
+                        prow[j] = v
+                    else:
+                        del prow[j]
+    kernel = {j: {j: 1} for j in sorted(set().union(*pivots.values()))
+              if j not in pivots}
+    for c, prow in pivots.items():
+        for k, b in prow.items():
+            if k != c:
+                kernel[k][c] = p - b
+    return sorted(pivots), kernel
+
+
 def packed_key(a, w):
     """|a| above the complement of a packed in fields of w bits, variable 0
     highest: the key of ``apolar._divisor_columns``."""
@@ -82,7 +127,7 @@ def spy_primes(monkeypatch):
     calls = []
     echelon = exact._echelon_mod_p
 
-    def spy(rows, p, ncols=None):
+    def spy(rows, p, ncols):
         calls.append(p)
         return echelon(rows, p, ncols)
     monkeypatch.setattr(exact, "_echelon_mod_p", spy)
@@ -95,7 +140,7 @@ def spy_rows_read(monkeypatch):
     counts = []
     eliminate = exact._echelon_mod_p
 
-    def spy(rows, p, ncols=None):
+    def spy(rows, p, ncols):
         counts.append(0)
 
         def counted():

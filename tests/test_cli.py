@@ -418,6 +418,18 @@ def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
     assert captured.err == err
 
 
+def test_a_uniform_distribution_over_no_blocks_exits_two(tmp_path, capsys):
+    # a tensor without entries has no support blocks to spread over
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": []}))
+    assert run(["sweet", "extract", "--tensor", f"@{path}", "--blocking",
+                "weights:0,1", "--dist", "uniform", "--power", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a uniform distribution needs a nonempty "
+                            "support\n")
+
+
 def test_a_tensor_file_with_two_label_axes_exits_two(tmp_path, capsys):
     # the power's report would carry a two-axis label table
     path = tmp_path / "t.json"

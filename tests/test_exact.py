@@ -1,6 +1,8 @@
+import heapq
 import math
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from apolarium import apolar, exact, papersuite
 from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, solve_many,
                              sparse_kernel, sparse_rank)
 from apolarium.poly import parse
-from oracles import rref, spy_primes
+from oracles import echelon_mod_p, rref, spy_primes
 
 F = Fraction
 P = MODULUS
@@ -313,7 +315,7 @@ def test_sparse_certificates_match_rref_rank(m):
     assert ncols - len(kernel) == expected
     full = min(len(kept), ncols)
     if expected < full:  # reduction mod p never raises a rank
-        assert len(exact._echelon_mod_p(kept, MODULUS, full)) < full
+        assert len(exact._echelon_mod_p(kept, MODULUS, full)[0]) < full
 
 
 def test_sparse_rank_ignores_zero_rows_and_columns():
@@ -687,10 +689,112 @@ def test_a_row_is_scaled_by_the_lcm_of_its_denominators(m, fracs):
 def test_a_denominator_divisible_by_the_prime_is_scaled_away(p):
     scaled = exact._integral({0: F(1, p), 2: 5})
     assert scaled == {0: 1, 2: 5 * p}
-    assert exact._echelon_mod_p([{0: 3, 1: -2}, scaled], p) == {
-        0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 1: {1: 1}}
-    assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: p, 2: 5}], p) == {
-        0: {0: 1, 1: (-2 * pow(3, -1, p)) % p}, 2: {2: 1}}
+    assert exact._echelon_mod_p([{0: 3, 1: -2}, scaled], p, 3) == (
+        {0: 0, 1: 1}, {})
+    assert exact._echelon_mod_p([{0: 3, 1: -2}, {0: p, 2: 5}], p, 3) == (
+        {0: 0, 2: 1}, {1: {1: 1, 0: 2 * pow(3, -1, p) % p}})
+
+
+# -- rows past the rank, tested against the kernel -------------------------------
+
+
+# small primes, at which entries vanish often, and the first two kernel primes
+ECHELON_PRIMES = (2, 3, 5, 7, P, PRIMES[1])
+
+
+@st.composite
+def echelon_streams(draw):
+    """(dense int rows, distinct int keys of their columns): rows, often
+    more than columns, each new, an int combination of the rows before it
+    (so dependent rows fall before and after the rank) or zero; up to two
+    columns zero throughout, and entries now and then multiples of one of
+    ECHELON_PRIMES.  The keys are in no order, so a stream meets them
+    out of order."""
+    q = draw(st.sampled_from(ECHELON_PRIMES))
+    n = draw(st.integers(1, 7))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-2, 2).map(lambda c: c * q))
+    rows: list = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["new", "new", "combination", "zero"]))
+        if kind == "new" or not rows:
+            row = [0 if j in zero else draw(entry) for j in range(n)]
+        elif kind == "combination":
+            cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                               max_size=len(rows)))
+            row = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)]
+        else:
+            row = [0] * n
+        rows.append(row)
+    keys = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n,
+                         unique=True))
+    return rows, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_streams(), st.integers(0, 2))
+def test_the_two_phases_match_forward_elimination_and_back_substitution(
+        mk, extra):
+    m, keys = mk
+    side = [{keys[j]: x for j, x in enumerate(row) if x} for row in m]
+    ncols = len(set().union(*side)) + extra  # the keys that occur, or more
+    for p in ECHELON_PRIMES:
+        pivots, kernel = exact._echelon_mod_p(iter(side), p, ncols)
+        assert (sorted(pivots), kernel) == echelon_mod_p(side, p)
+    # every prime the certificates try
+    tried = []
+    eliminate = exact._echelon_mod_p
+
+    def spy(rows, p, ncols):
+        rows = list(rows)
+        pivots, kernel = eliminate(iter(rows), p, ncols)
+        assert (sorted(pivots), kernel) == echelon_mod_p(rows, p)
+        tried.append(p)
+        return pivots, kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_echelon_mod_p", spy)
+        greedy = exact._greedy(iter(side), ncols)
+        kernel = sparse_kernel(sparse(m), len(m[0]))
+    assert tried[0] == P
+    # and the certificates match the rref oracle over Q
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    q = [[F(row[j]) for j in by_key] for row in m]
+    assert greedy == [keys[by_key[j]] for j in rref(q)[1]]
+    assert kernel == oracle_kernel([[F(x) for x in row] for row in m])
+
+
+def test_the_kernel_takes_over_at_the_first_row_that_reduces_to_zero(
+        monkeypatch):
+    # two rows held, (1, 0, 1) and (0, 1, 1); the zero row past them hands
+    # the rows after it to the kernel vector (-1, -1, 1): (1, 1, 2) has dot
+    # 0 and is skipped, (0, 0, 4) has dot 4 and makes column 2 a pivot
+    held = []
+    back = exact._back_substitute
+
+    def spy(rows, p):
+        held.append([c for c, _ in rows])
+        return back(rows, p)
+    monkeypatch.setattr(exact, "_back_substitute", spy)
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 2, 2: 2}, {0: 1, 1: 1, 2: 2},
+            {2: 4}]
+    for ncols in (3, 6):
+        held.clear()
+        assert exact._echelon_mod_p(rows, P, ncols) == (
+            {0: 0, 1: 1, 2: 2}, {})
+        assert held == [[0, 1]]
+    # rows that never reduce to zero are back-substituted at their end
+    held.clear()
+    assert exact._echelon_mod_p(rows[:2], P, 6) == (
+        {0: 0, 1: 1}, {2: {2: 1, 0: P - 1, 1: P - 1}})
+    assert held == [[0, 1]]
+    # a column first seen past the switch gets the vector with a 1 there
+    held.clear()
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {4: 1}, {0: 2, 2: 2}, {3: 5},
+            {3: -1}, {0: 1, 1: 1, 2: 2, 3: 1}]
+    assert exact._echelon_mod_p(rows, P, 5) == (
+        {0: 0, 1: 1, 4: 2, 3: 3}, {2: {2: 1, 0: P - 1, 1: P - 1}})
+    assert held == [[0, 1, 4]]
 
 
 # -- one forward elimination per certified rank ----------------------------------
@@ -729,7 +833,7 @@ def test_back_substituted_kernels_and_greedy_rows_match_the_oracles(m):
     kernel = exact._kernel_mod_primes(ints, range(ncols))
     assert kernel == expected and list(kernel) == list(expected)
     # the forward echelon, reused as the first prime
-    first = exact._echelon_mod_p(ints, MODULUS)
+    first = exact._echelon_mod_p(ints, MODULUS, ncols)
     assert exact._kernel_mod_primes(ints, range(ncols), first) == kernel
     assert sparse_kernel(rows, ncols) == expected
     assert sparse_rank(rows) == len(rref(q)[0])
@@ -805,6 +909,41 @@ def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank):
     assert primes == [MODULUS]
     greedy = exact.independent_rows(rows)
     assert len(greedy) == rank and primes == [MODULUS, MODULUS]
+
+
+def test_rows_of_the_ex49_cube_block_past_the_switch_are_not_eliminated(
+        monkeypatch):
+    # the order-4 block of hilbert_function(EX49^3), its 117 columns over
+    # 68 operator keys, rank 65: a row reduces to zero at row 17 with 16
+    # held, and the 100 rows after it are tested against the kernel, no
+    # held row subtracted from them (no heap pop)
+    side = exact._transpose(_ex49_cube_order_4_block(), range(117))
+    read, pops, switched = [0], [0], []
+
+    def stream():
+        for row in side:
+            read[0] += 1
+            yield row
+
+    def heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+    back = exact._back_substitute
+
+    def spy(held, p):
+        switched.append((read[0], len(held), pops[0]))
+        return back(held, p)
+    monkeypatch.setattr(exact, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(exact, "_back_substitute", spy)
+    pivots, kernel = exact._echelon_mod_p(stream(), MODULUS, 68)
+    assert (len(pivots), len(kernel)) == (65, 3)
+    assert switched == [(17, 16, pops[0])] and read == [117]
+    monkeypatch.undo()
+    f = parse(papersuite.EX49_CUBIC) ** 3
+    assert tuple(apolar.hilbert_function(f)) == (
+        1, 5, 15, 35, 65, 65, 35, 15, 5, 1)
+    assert apolar.apolar_dim(f) == 242
 
 
 # column keys as the packed keys of apolar come, or worse: negative, with

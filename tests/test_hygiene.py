@@ -215,10 +215,13 @@ def test_one_walk_builds_kronecker_words():
 
 
 def test_one_rank_certificate_bounds_the_elimination():
-    # every rank and greedy basis is certified by _greedy, the only caller
-    # that stops the forward elimination at a bound; the kernels eliminate
-    # every row
+    # every rank and greedy basis is certified by _greedy, and every kernel
+    # by _kernel_mod_primes, on the one elimination mod a prime, each
+    # giving it its column count; that elimination alone back-substitutes,
+    # at the end of its rows or where the kernel takes over
     assert _readers_of("_echelon_mod_p", ast.Name) == {
-        ("exact.py", "_greedy"), ("exact.py", "_kernel_mod_primes"),
-        ("exact.py", "sparse_kernel")}
+        ("exact.py", "_greedy"), ("exact.py", "_kernel_mod_primes")}
     assert _readers_of("_echelon_mod_p") == set()
+    assert _readers_of("_back_substitute", ast.Name) == {
+        ("exact.py", "_echelon_mod_p")}
+    assert _readers_of("_back_substitute") == set()

@@ -178,6 +178,14 @@ def test_a_uniform_distribution_reads_a_generator_once():
     assert P.support == triples and P.probs == [Fraction(1, 2)] * 2
 
 
+def test_a_uniform_distribution_refuses_an_empty_support():
+    # 1 / 0 is no probability: the refusal names the support, not Fraction
+    with pytest.raises(ValueError, match="nonempty support"):
+        BlockDistribution.uniform([])
+    with pytest.raises(ValueError, match="nonempty support"):
+        BlockDistribution.uniform(iter(()))
+
+
 def test_marginals():
     P = BlockDistribution.uniform(LARGE3)
     m = marginals(P)

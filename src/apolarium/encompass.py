@@ -21,25 +21,35 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import SparseRow, independent_rows, sparse_rank
+from .exact import independent_rows, sparse_rank
 from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize, ldf,
                    monomial_key, twist)
 from .apolar import (_fact, apolar_dim, catalecticant_rank,
                      greedy_monomial_basis, is_concise)
 
 
-def _truncations(f: Poly) -> List[SparseRow]:
-    """Degree-<=1 parts of the monomial derivatives a∘f, as sparse rows over
-    the columns x_1, ..., x_n (0, ..., n-1) and 1 (n).
+def _scaled_cells(f: Poly) -> List[Tuple[Exponent, int]]:
+    """Each term c x^e of f as (e, L c e!), an int, with L the lcm of the
+    denominators of f, as ``apolar._packing`` scales its terms."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    return [(e, c.numerator * (scale // c.denominator) * _fact(e))
+            for e, c in f.terms.items()]
 
-    A term c x^e gives a∘f the constant c e! when a = e, and the coefficient
-    c e! of x_i when a = e - unit_i; the cell determines e, so no two terms
-    meet in one.  Derivatives of degree > 1 give no row.
+
+def _truncations(f: Poly) -> List[Dict[int, int]]:
+    """Degree-<=1 parts of the monomial derivatives a∘f scaled by L, the
+    lcm of the denominators of f, as int sparse rows over the columns
+    x_1, ..., x_n (0, ..., n-1) and 1 (n), which ``exact._integral``
+    passes through as they are.  Every row is scaled alike, so no rank
+    changes.
+
+    A term c x^e gives L a∘f the constant L c e! when a = e, and the
+    coefficient L c e! of x_i when a = e - unit_i; the cell determines e,
+    so no two terms meet in one.  Derivatives of degree > 1 give no row.
     """
     n = len(f.vars)
-    rows: Dict[Exponent, SparseRow] = {}
-    for e, c in f.terms.items():
-        v = c * _fact(e)
+    rows: Dict[Exponent, Dict[int, int]] = {}
+    for e, v in _scaled_cells(f):
         rows.setdefault(e, {})[n] = v
         for i, x in enumerate(e):
             if x:
@@ -99,9 +109,7 @@ def _gradients(f: Poly, exps: List[Exponent]
     give distinct e - a, so no terms of a∘f cancel, and a∘f has degree
     >= 1 exactly when some e >= a differs from a: when its gradient has a
     term."""
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    cells = [(e, c.numerator * (scale // c.denominator) * _fact(e))
-             for e, c in f.terms.items()]
+    cells = _scaled_cells(f)
     jac = []
     for a in exps:
         grad = []

@@ -18,7 +18,9 @@ word spends is dropped where it is first reached, so the walk keys each
 kept entry by its position in the piece and the cost follows the number
 of kept entries.  The product of a kept word depends only on the multiset
 of entries it uses, so it is computed once per multiset and shared by all
-its words.
+its words.  The kept index sequences of an axis, and their label
+sequences beside them, are built from one memo of tails per label budget
+still to spend, so they too cost what they hold.
 
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
@@ -252,28 +254,46 @@ def _composition(marg: Dict[Label, Rat], N: int) -> Dict[Label, int]:
 
 
 def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
-                    ) -> List[Tuple[int, ...]]:
+                    ) -> Tuple[List[Tuple[int, ...]], List[Tuple[Label, ...]]]:
     """Index sequences of length N whose label counts equal comp, in
-    lexicographic order.  comp comes from a marginal, so its counts sum to
-    N: each step spends one unit of its label's budget, every prefix
-    completes, and the cost follows the output."""
+    lexicographic order, and their label sequences, aligned: position t
+    holds kept[t] and the labels of kept[t].  comp comes from a marginal,
+    so its counts sum to N.
+
+    The sequences that end a kept sequence depend only on the budget still
+    to spend, the counts per label of comp in sorted-label order, so
+    ``_tails`` builds them once per budget below comp, at most
+    ∏(comp_s + 1) budgets, each from the tails one letter shorter: the
+    cost follows the output, not the d^N sequences the guard charges."""
     guards.check_entries(B.axis_dim(axis) ** N)
-    out: List[Tuple[int, ...]] = []
-    _spend_budget(B.labels[axis], dict(comp), N, (), out)
-    return out
+    order = sorted(comp)
+    rank = {lab: s for s, lab in enumerate(order)}
+    labels = B.labels[axis]
+    memo = {(0,) * len(order): ([()], [()])}
+    return _tails(labels, [rank.get(lab) for lab in labels],
+                  tuple(comp[lab] for lab in order), memo)
 
 
-def _spend_budget(labels: Sequence[Label], budget: Dict[Label, int],
-                  left: int, prefix: Tuple[int, ...],
-                  out: List[Tuple[int, ...]]) -> None:
-    if not left:
-        out.append(prefix)
-        return
-    for i, lab in enumerate(labels):
-        if budget.get(lab):
-            budget[lab] -= 1
-            _spend_budget(labels, budget, left - 1, prefix + (i,), out)
-            budget[lab] += 1
+def _tails(labels: Sequence[Label], slot: Sequence, budget: Tuple[int, ...],
+           memo: Dict[Tuple[int, ...], tuple]) -> tuple:
+    """(index tails, label tails) that spend budget exactly, both in
+    lexicographic order and aligned, memoised by budget.  Index i spends
+    one unit of budget[slot[i]]; its slot is None when its label is not
+    in the composition.  A module-level function, not a closure, so the
+    memo holds no reference cycle and is freed with the call."""
+    got = memo.get(budget)
+    if got is None:
+        seqs: List[Tuple[int, ...]] = []
+        labs: List[Tuple[Label, ...]] = []
+        for i, s in enumerate(slot):
+            if s is not None and budget[s]:
+                rest = budget[:s] + (budget[s] - 1,) + budget[s + 1:]
+                tails, label_tails = _tails(labels, slot, rest, memo)
+                head, lab = (i,), (labels[i],)
+                seqs += [head + t for t in tails]
+                labs += [lab + t for t in label_tails]
+        got = memo[budget] = (seqs, labs)
+    return got
 
 
 def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
@@ -303,9 +323,12 @@ class SweetPiece(NamedTuple):
 
 def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
              axes: Sequence[int], check_tight: bool
-             ) -> Tuple[Tensor3, Dict[int, List[Tuple[int, ...]]]]:
+             ) -> Tuple[Tensor3, Dict[int, List[Tuple[int, ...]]],
+                        Dict[int, List[Tuple[Label, ...]]]]:
     """The N-th Kronecker power restricted on each axis of `axes` to its
-    marginal-matching sequences, and those sequences, {axis: kept}.
+    marginal-matching sequences, those sequences, {axis: kept}, and their
+    label sequences, {axis: label_seqs}, aligned with kept, as
+    ``_kept_sequences`` builds them from one memo of tails per budget.
 
     Position t on a constrained axis is kept[axis][t]; an axis not in
     `axes` keeps the full index range of the power (lexicographic flat
@@ -329,10 +352,10 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
         raise ValueError(f"need N >= 0, got {N}")
     T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
-    budget, slot, kept = [N], {}, {}
+    budget, slot, kept, label_seqs = [N], {}, {}, {}
     for a in axes:
         comp = _composition(marg[a], N)
-        kept[a] = _kept_sequences(B, a, comp, N)
+        kept[a], label_seqs[a] = _kept_sequences(B, a, comp, N)
         for lab in sorted(comp):
             slot[a, lab] = len(budget)
             budget.append(comp[lab])
@@ -351,7 +374,7 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
                  else [0] * T.dims[a])
         specs.append((Counter(s for s in slots if s is not None), slots))
     entries = _word_entries(sorted(parts.items()), tuple(budget), specs)
-    return Tensor3._derived(dims, entries, None), kept
+    return Tensor3._derived(dims, entries, None), kept, label_seqs
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -360,15 +383,16 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     of all three axes (see _project), with every support block of T taking
     part, charged by P or not.  kept lists each axis's marginal-matching
     index sequences in lexicographic order; position t on an axis of the
-    piece is kept[axis][t]."""
-    tensor, kept = _project(T, B, P, N, (0, 1, 2), check_tight)
-    label_seqs = [[tuple(map(B.labels[a].__getitem__, seq)) for seq in kept[a]]
-                  for a in range(3)]
+    piece is kept[axis][t], and label_seqs[axis][t] its labels, built
+    beside it from the same memo of tails, so no kept sequence is read
+    twice."""
+    tensor, kept, labels = _project(T, B, P, N, (0, 1, 2), check_tight)
+    label_seqs = (labels[0], labels[1], labels[2])
     pts = [len(set(ls)) for ls in label_seqs]
     if len(set(pts)) != 1:
         raise ValueError(f"label-sequence counts differ across axes: {pts}")
     return SweetPiece(tensor, (kept[0], kept[1], kept[2]),
-                      tuple(label_seqs), pts[0])
+                      label_seqs, pts[0])
 
 
 def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,

@@ -3,7 +3,7 @@ twisted-power catalecticant check."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +13,14 @@ from apolarium.apolar import (apolar_dim, greedy_monomial_basis,
                               hilbert_function, is_concise)
 from apolarium.encompass import (
     _normalize_sigma,
+    _truncations,
     encompassing_extension,
     encompassing_report,
     growth_table,
     is_encompassing,
     verify_main_theorem,
 )
-from apolarium.exact import SparseEchelon
+from apolarium.exact import SparseEchelon, sparse_rank
 from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
@@ -148,6 +149,35 @@ def encompass_polys(draw):
 @settings(max_examples=150, deadline=None)
 def test_flags_match_the_truncation_oracle(f):
     _check_flags_against_the_oracle(f)
+
+
+def _fraction_truncations(f):
+    """The degree-<=1 parts of the monomial derivatives a∘f, unscaled, as
+    Fraction rows over x_1, ..., x_n and 1, in the order of f's terms."""
+    n = len(f.vars)
+    rows = {}
+    for e, c in f.terms.items():
+        v = c * prod(factorial(x) for x in e)
+        rows.setdefault(e, {})[n] = v
+        for i, x in enumerate(e):
+            if x:
+                rows.setdefault(e[:i] + (x - 1,) + e[i + 1:], {})[i] = v
+    return list(rows.values())
+
+
+@given(encompass_polys())
+@settings(max_examples=100, deadline=None)
+def test_truncation_rows_are_int_rows_scaled_by_one_lcm(f):
+    # every row is the Fraction row times L, the lcm of f's denominators,
+    # so its cells are ints, no rank moves, and _integral has nothing to do
+    rows = _truncations(f)
+    assert all(type(x) is int for row in rows for x in row.values())
+    L = lcm(*(c.denominator for c in f.terms.values()))
+    ref = _fraction_truncations(f)
+    assert rows == [{j: L * x for j, x in row.items()} for row in ref]
+    n = len(f.vars)
+    dense = [[row.get(j, 0) for j in range(n + 1)] for row in ref]
+    assert sparse_rank(rows) == sparse_rank(ref) == len(oracles.rref(dense)[1])
 
 
 def _gradient_ranks_without_apply_or_evaluate(f, seeds):

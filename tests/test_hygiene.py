@@ -214,6 +214,20 @@ def test_one_walk_builds_kronecker_words():
     assert _readers_of("_word_entries") == set()
 
 
+def test_one_memo_builds_the_kept_sequences():
+    # each constrained axis's kept and label sequences are read off one
+    # table of tails per remaining budget, built by _tails for
+    # _kept_sequences alone (and by itself, one budget shorter), with no
+    # walk over prefixes beside it
+    assert _readers_of("_tails", ast.Name) == {
+        ("sweet.py", "_kept_sequences"), ("sweet.py", "_tails")}
+    assert _readers_of("_tails") == set()
+    sweet = ast.parse((SRC / "sweet.py").read_text(encoding="utf-8"))
+    assert "_spend_budget" not in {node.name for node in sweet.body
+                                   if isinstance(node, ast.FunctionDef)}
+    assert _readers_of("_spend_budget", ast.Name) == set()
+
+
 def test_one_rank_certificate_bounds_the_elimination():
     # every rank and greedy basis is certified by _greedy, and every kernel
     # by _kernel_mod_primes, on the one elimination mod a prime, each

@@ -30,6 +30,7 @@ from apolarium.sweet import (
     substitution_bound,
     SweetPiece,
     _composition,
+    _kept_sequences,
     _validate_distribution,
     support_blocks,
     sweet_piece_report,
@@ -38,7 +39,7 @@ from apolarium.sweet import (
     weight_blocking,
     zero_layers,
 )
-from apolarium import tensor3
+from apolarium import sweet, tensor3
 from apolarium.tensor3 import AbelianGroup, Tensor3, cw, group_tensor, kronecker_power
 
 # 1 tensor 1 + 1 tensor x + x tensor 1 in the third slot: the smallest
@@ -892,3 +893,81 @@ def test_the_chimney_walk_has_one_state_per_budget(monkeypatch):
     C = chimney(cw(3), cw_blocking(3), BlockDistribution.uniform(LARGE3), 6)
     assert C.nnz() == 225
     assert len(states) == 37
+
+
+# -- kept sequences from one memo of tails per budget --------------------------
+
+
+@st.composite
+def kept_problems(draw):
+    """A label table of 1-4 indices, scalar or vector labels, a power
+    N <= 6 and a composition of N over some of the labels: some indices
+    carry no label of it, and it may charge a label that no index carries,
+    which keeps nothing."""
+    r = draw(st.integers(1, 2))
+    label = st.tuples(*[st.integers(-1, 1)] * r)
+    table = draw(st.lists(label, min_size=1, max_size=4))
+    pool = sorted(set(draw(st.lists(st.sampled_from(table), min_size=1))))
+    if draw(st.booleans()):
+        pool.append((2,) * r)  # carried by no index
+    N = draw(st.integers(0, 6))
+    comp = Counter(draw(st.lists(st.sampled_from(pool), min_size=N,
+                                 max_size=N)))
+    return Blocking([table] * 3), dict(comp), N
+
+
+@settings(max_examples=200, deadline=None)
+@given(kept_problems(), st.integers(0, 2))
+def test_kept_sequences_match_brute_force(problem, axis):
+    B, comp, N = problem
+    kept, label_seqs = _kept_sequences(B, axis, comp, N)
+    assert kept == _brute_kept(B, axis, comp, N)
+    assert label_seqs == [tuple(B.label(axis, i) for i in seq) for seq in kept]
+
+
+def test_a_charged_label_that_no_index_carries_keeps_nothing():
+    B = cw_blocking(3)
+    assert _kept_sequences(B, 0, {(0,): 1, (5,): 1}, 2) == ([], [])
+    assert _kept_sequences(B, 0, {}, 0) == ([()], [()])
+
+
+def _tail_tables(monkeypatch):
+    """The memo of each ``_kept_sequences`` call and the budgets whose
+    tails were built, in call order."""
+    memos, built = [], []
+    tails = sweet._tails
+
+    def spy(labels, slot, budget, memo):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        if budget not in memo:
+            built.append((id(memo), budget))
+        return tails(labels, slot, budget, memo)
+
+    monkeypatch.setattr(sweet, "_tails", spy)
+    return memos, built
+
+
+def test_one_tail_list_per_budget(monkeypatch):
+    # the memo holds every budget below the composition once: counts 2 and
+    # 4 of labels 0 and 1 give 3 * 5 budgets, built once each
+    memos, built = _tail_tables(monkeypatch)
+    B = cw_blocking(4)
+    comp = _composition(marginals(BlockDistribution.uniform(LARGE3))[0], 6)
+    assert comp == {(0,): 2, (1,): 4}
+    kept, _ = _kept_sequences(B, 0, comp, 6)
+    assert len(kept) == math.comb(6, 2) * 2 ** 4
+    assert len(memos) == 1 and len(memos[0]) == 15
+    assert len(built) == len(set(built)) == 14  # the zero budget is seeded
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_each_axis_of_a_piece_has_one_memo(monkeypatch, N):
+    memos, built = _tail_tables(monkeypatch)
+    B = cw_blocking(4)
+    P = BlockDistribution.uniform(LARGE3)
+    sp_extract(cw(4), B, P, N)
+    want = [math.prod(c + 1 for c in _composition(m, N).values())
+            for m in marginals(P)]
+    assert [len(m) for m in memos] == want
+    assert len(built) == len(set(built)) == sum(want) - 3

@@ -338,7 +338,9 @@ def structure_tensor_of_apolar(f: Poly):
     algebra, so its gram matrix on the greedy basis is invertible.  The
     coefficients of the class of b_i*b_j are solved from it:
     gram * c = ((b_i b_j b_k)∘f)_0 over k, for all (i, j) by one
-    ``solve_many``.  Returns (Tensor3, basis).
+    ``solve_many``.  Returns (Tensor3, basis).  The dimension ell of the
+    algebra, the side of the tensor, is checked against the entry guard
+    once the basis is known, before the gram matrix is built.
 
     The constant term of x^t∘f is t! c_t, c_t the coefficient of x^t in f.
     Exponents are packed into ints as ``poly._packed`` packs them, in
@@ -354,6 +356,7 @@ def structure_tensor_of_apolar(f: Poly):
 
     exps = greedy_monomial_basis(f)
     ell = len(exps)
+    guards.check_entries(ell)
     w = (3 * max((x for e in f.terms for x in e), default=0)).bit_length()
     cells, _ = _packed(f, w)
     cells = {k: v * _fact(e) for (k, v), e in zip(cells.items(), f.terms)}
@@ -436,12 +439,9 @@ def boxtimes_apolar_dim(f: Poly, d: int) -> int:
     """Dimension of the partials space of the d-fold disjoint-variable power.
 
     Always equals (apolar_dim f)^d; computed by brute force so the identity
-    is a real check.  The term count of the power is checked before it is
-    built, and the partials guard of the power charges (cells of f)^d, which
-    is at least (apolar_dim f)^d.
+    is a real check.  ``boxtimes_power`` checks the |f|^d terms of the power
+    before it builds them, and the partials guard of the power charges
+    (cells of f)^d, which is at least (apolar_dim f)^d.
     """
     _require_nonzero(f)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    guards.check_terms(len(f.terms) ** d)
     return apolar_dim(boxtimes_power(f, d))

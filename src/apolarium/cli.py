@@ -363,7 +363,6 @@ def _tensor_make(args):
             return inputs, {"partially_symmetric": json.loads(S.to_json())}
         T = one_generic_extension(base, args.k)
         inputs["k"] = args.k
-    guards.check_entries(max(T.dims))
     _maybe_write(args.out, T.to_json())
     out = {"tensor": _tensor_doc(T), "nnz": T.nnz(), "dims": list(T.dims)}
     out.update(extra)
@@ -427,17 +426,19 @@ def _sweet_chimney(args):
     from .sweet import chimney, zero_layers
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
-    fixed = tuple(int(t) - 1 for t in args.fixed.split(","))
-    C = chimney(T, B, P, args.power, fixed_pair=fixed,  # type: ignore[arg-type]
+    fixed = [int(t) for t in args.fixed.split(",")]
+    if len(fixed) != 2 or len({1, 2, 3} & set(fixed)) != 2:
+        raise ValueError("--fixed is two distinct 1-based axes among 1, 2 and 3, "
+                         f"got {args.fixed}")
+    C = chimney(T, B, P, args.power, fixed_pair=(fixed[0] - 1, fixed[1] - 1),
                 check_tight=not args.allow_nontight)
-    free_axis = ({0, 1, 2} - set(fixed)).pop()
+    free_axis = ({1, 2, 3} - set(fixed)).pop()
     _maybe_write(args.out, C.to_json())
     return ({"tensor": _tensor_doc(T), "dist": json.loads(P.to_json()),
-             "power": args.power, "fixed": [f + 1 for f in fixed],
+             "power": args.power, "fixed": fixed,
              "tightness_check_skipped": bool(args.allow_nontight)},
-            {"dims": list(C.dims), "nnz": C.nnz(),
-             "free_axis": free_axis + 1,
-             "zero_layers": zero_layers(C, free_axis)})
+            {"dims": list(C.dims), "nnz": C.nnz(), "free_axis": free_axis,
+             "zero_layers": zero_layers(C, free_axis - 1)})
 
 
 def _sweet_degenerate(args):

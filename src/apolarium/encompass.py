@@ -197,7 +197,8 @@ def _normalize_sigma(sigma: Poly, f: Poly) -> Poly:
 def encompassing_extension(f: Poly,
                            sigma_override: Optional[Sequence[Poly]] = None
                            ) -> ExtensionResult:
-    """Build g = sum over multi-exponents a of y^a/a! * (sigma^a ∘ f).
+    """Build g = sum over multi-exponents a of y^a/a! * (sigma^a ∘ f), one
+    term map keyed by the exponents of x and y side by side.
 
     The sigma_j are operators of degree >= 2 whose classes complete
     {1, first-order operators} to a basis of the quotient algebra; by default
@@ -244,33 +245,22 @@ def encompassing_extension(f: Poly,
         if y in f.vars:
             raise ValueError(f"variable name {y} already taken")
     big_vars = f.vars + tuple(y_names)
-    x_pad = [0] * needed
-
-    def lift(p: Poly, y_exp: Sequence[int]) -> Poly:
-        return Poly(big_vars, {e + tuple(y_exp): c for e, c in p.terms.items()})
-
-    g = Poly.zero(big_vars)
-    degf = f.degree()
-
-    def expand(j: int, current: Poly, y_exp: List[int], scale: Fraction):
-        nonlocal g
-        if current.is_zero():
-            return
-        if j == len(sigmas):
-            g = g + lift(current, y_exp) * scale
-            return
-        power = current
-        a = 0
-        while not power.is_zero():
-            y_exp[j] = a
-            expand(j + 1, power, y_exp, scale / math.factorial(a))
-            power = apply(sigmas[j], power)
-            a += 1
-            if a > degf:
-                break
-        y_exp[j] = 0
-
-    expand(0, f, list(x_pad), Fraction(1))
+    # (a, sigma^a ∘ f) over the multi-exponents a of the sigmas so far.
+    # Every part of a sigma has degree >= 2, so each application lowers the
+    # degree by 2 or more, and an image vanishes within deg f / 2 + 1 steps.
+    leaves = [((), f)]
+    for s in sigmas:
+        grown = []
+        for a, p in leaves:
+            k = 0
+            while not p.is_zero():
+                grown.append((a + (k,), p))
+                p = apply(s, p)
+                k += 1
+        leaves = grown
+    # the y-exponents a tell the leaves apart, so no two terms meet
+    g = Poly(big_vars, {e + a: c / _fact(a)
+                        for a, p in leaves for e, c in p.terms.items()})
     # one of these len(big_vars) + 1 names is free
     names = ["x0"] + [f"t{i}" for i in range(len(big_vars))]
     G = homogenize(g, next(v for v in names if v not in big_vars), g.degree())

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, rat
+from .exact import Rat, as_int, rat
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, Rat]
@@ -239,7 +239,7 @@ class Poly:
         return self * (Fraction(1) / rat(other))
 
     def __pow__(self, d: int):
-        if not isinstance(d, int):
+        if not isinstance(d, int) or isinstance(d, bool):
             raise TypeError(f"power {d!r} is not an int")
         if d < 0:
             raise ValueError("negative power")
@@ -423,24 +423,22 @@ def boxtimes_power(f: Poly, d: int) -> Poly:
 
     Copy t (1-based) renames every variable v to v + str(t), e.g.
     boxtimes_power on vars (x1, x2) with d = 2 lives on (x11, x21, x12, x22).
+    The copies share no variable, so no two terms of the product meet: each
+    d-tuple of terms of f gives one term, its exponents side by side and
+    the product of its coefficients.  Its |f|^d terms are checked against
+    the term guard before any is built.
     """
-    if d < 1:
+    if as_int(d, "power") < 1:
         raise ValueError("need d >= 1")
-    n = len(f.vars)
-    new_vars: List[str] = []
-    for t in range(1, d + 1):
-        new_vars.extend(v + str(t) for v in f.vars)
+    new_vars = [v + str(t) for t in range(1, d + 1) for v in f.vars]
     if len(set(new_vars)) != len(new_vars):
         raise VarMismatchError(f"copy renaming collides on {f.vars}")
-    out = Poly.const(new_vars, 1)
-    for t in range(d):
-        tm: TermMap = {}
-        for e, c in f.terms.items():
-            ne = [0] * (n * d)
-            ne[t * n:(t + 1) * n] = e
-            tm[tuple(ne)] = c
-        out = out * Poly(new_vars, tm)
-    return out
+    guards.check_terms(len(f.terms) ** d)
+    terms: TermMap = {(): Fraction(1)}
+    for _ in range(d):  # the terms of one more copy on the right
+        terms = {k + e: v * c for k, v in terms.items()
+                 for e, c in f.terms.items()}
+    return Poly(new_vars, terms)
 
 
 def ldf(f: Poly) -> Poly:

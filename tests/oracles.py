@@ -11,17 +11,24 @@ in the partials columns of ``apolar``, built apart from it;
 multiplication tensor and the Jacobian rank of ``encompassing_report``
 computed on exponent tuples, ``Fraction`` cells, ``apply`` and
 ``Poly.evaluate``, which the packed and int versions in the library are
-checked against.
+checked against.  ``encompassing_extension`` and ``boxtimes_power`` are
+the extension and the disjoint-variable power built by ``Poly``
+arithmetic: a sum of one checked ``Poly`` per multi-exponent, found by
+recursion, and a product of the d renamed copies, which the one term map
+of each builder is checked against.
 """
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from apolarium import exact
 from apolarium.apolar import _fact, greedy_monomial_basis
+from apolarium.encompass import ExtensionResult
 from apolarium.exact import Rat, solve_many, sparse_rank
-from apolarium.poly import Poly, apply, diff
+from apolarium.poly import Poly, apply, diff, homogenize, monomial_key
 
 
 def _first_nonzero(row: Sequence[Rat]) -> int:
@@ -206,3 +213,62 @@ def gradient_rank(f: Poly, seed: int) -> Optional[int]:
         if best == len(exps) - 1:
             break
     return best
+
+
+def encompassing_extension(f: Poly,
+                           sigma_override: Optional[Sequence[Poly]] = None
+                           ) -> ExtensionResult:
+    """The ``ExtensionResult`` of a concise f, g summed one ``Poly`` at a
+    time over the multi-exponents a, each leaf y^a/a! * (sigma^a ∘ f)
+    lifted to the enlarged variables; sigma^a ∘ f is expanded in sigma_j
+    for j = 0, 1, ... by recursion, until an image vanishes or a passes
+    deg f.  The sigmas are the override, or the greedy basis monomials of
+    degree >= 2, each scaled so that its image is monic at its largest
+    monomial; the override is not validated."""
+    sigmas = []
+    for s in (sigma_override if sigma_override is not None else
+              [Poly.monomial(f.vars, a) for a in greedy_monomial_basis(f)
+               if sum(a) >= 2]):
+        img = apply(s, f)
+        sigmas.append(s * (Fraction(1) / img.terms[max(img.terms,
+                                                         key=monomial_key)]))
+    y_names = [f"y{i + 1}" for i in range(len(sigmas))]
+    big_vars = f.vars + tuple(y_names)
+    g = Poly.zero(big_vars)
+    degf = f.degree()
+
+    def expand(j, current, y_exp, scale):
+        nonlocal g
+        if current.is_zero():
+            return
+        if j == len(sigmas):
+            g = g + Poly(big_vars, {e + tuple(y_exp): c for e, c
+                                    in current.terms.items()}) * scale
+            return
+        power = current
+        a = 0
+        while not power.is_zero():
+            y_exp[j] = a
+            expand(j + 1, power, y_exp, scale / math.factorial(a))
+            power = apply(sigmas[j], power)
+            a += 1
+            if a > degf:
+                break
+        y_exp[j] = 0
+
+    expand(0, f, [0] * len(sigmas), Fraction(1))
+    names = ["x0"] + [f"t{i}" for i in range(len(big_vars))]
+    G = homogenize(g, next(v for v in names if v not in big_vars), g.degree())
+    return ExtensionResult(g, sigmas, G, y_names)
+
+
+def boxtimes_power(f: Poly, d: int) -> Poly:
+    """The product of d copies of f, copy t in the variables v + str(t),
+    each copy a ``Poly`` on all of them, multiplied one after another."""
+    pad = (0,) * len(f.vars)
+    new_vars = [v + str(t) for t in range(1, d + 1) for v in f.vars]
+    out = Poly.const(new_vars, 1)
+    for t in range(d):
+        out = out * Poly(new_vars, {pad * t + e + pad * (d - 1 - t): c
+                                    for e, c in f.terms.items()})
+    return out

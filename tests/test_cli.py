@@ -244,6 +244,15 @@ def test_sweet_chimney(capsys):
     assert doc["outputs"]["free_axis"] == 3  # 1-based in reports
 
 
+@pytest.mark.parametrize("fixed", ["0,1", "1,2,3", "1,4"])
+def test_chimney_fixed_axes_are_checked_one_based(capsys, fixed):
+    assert run(["sweet", "chimney", "--tensor", "cw:3", "--blocking", "cw",
+                "--dist", "large", "--power", "3", "--fixed", fixed]) == 2
+    assert capsys.readouterr().err == (
+        "error: --fixed is two distinct 1-based axes among 1, 2 and 3, "
+        f"got {fixed}\n")
+
+
 def test_sweet_degenerate(capsys):
     doc = report(capsys, ["sweet", "degenerate", "--tensor", "group:3",
                           "--blocking", "cw", "--weights", "cwdeg"])
@@ -614,6 +623,26 @@ def refused(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, ""), captured.err
     return "exceeds" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "make", "algebra", "--form", "x1^2+x2", "--max-entries", "2"],
+    ["sweet", "zero-layers", "--tensor", "apolar:x1^2+x2", "--axis", "1",
+     "--max-entries", "2"],
+])
+def test_apolar_algebras_are_refused_before_they_are_solved(capsys,
+                                                            monkeypatch, argv):
+    # the algebra of x1^2 + x2 has dimension 3, charged by the library
+    # whichever way the command reaches it, before the gram matrix is solved
+    from apolarium import apolar
+    solved = []
+    monkeypatch.setattr(apolar, "solve_many",
+                        lambda *a: solved.append(a))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "resource guard: entry count 3 exceeds limit 2\n")
+    assert solved == []
 
 
 def test_main_thm_degree_guard_exits_three(capsys):

@@ -22,10 +22,12 @@ from apolarium.encompass import (
 )
 from apolarium.exact import SparseEchelon, sparse_rank
 from apolarium.guards import LimitExceeded, limits
-from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
-from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
-                            homogenize, monomial_key, monomials_upto, parse,
-                            restrict_zero)
+from apolarium.papersuite import (BIG_CUBIC, ENCOMPASS_CORPUS, SMALL_CORPUS,
+                                  TAUT_CORPUS)
+from apolarium import poly
+from apolarium.poly import (Poly, apply, boxtimes_power, dehomogenize, diff,
+                            format_poly, homogenize, monomial_key,
+                            monomials_upto, parse, restrict_zero)
 import oracles
 from oracles import spy_primes, spy_rows_read
 
@@ -369,6 +371,36 @@ def test_extension_builds_the_partials_once(partials_builds):
     assert partials_builds == [(0, 3)]
 
 
+@pytest.mark.parametrize("text", [
+    t for t in dict.fromkeys(SMALL_CORPUS + ENCOMPASS_CORPUS)
+    if is_concise(parse(t))])
+def test_extension_matches_the_recursive_reference(text):
+    # g, the sigmas, G and the y names, for the default completion, the
+    # same one reversed, and each element plus the next, whose parts can
+    # have two degrees
+    f = parse(text)
+    sigmas = encompassing_extension(f).sigma_list
+    for override in (None, sigmas[::-1],
+                     [s + t for s, t in zip(sigmas, sigmas[1:])] + sigmas[-1:]):
+        assert (encompassing_extension(f, override)
+                == oracles.encompassing_extension(f, override))
+
+
+def test_the_builders_add_and_multiply_no_polys(monkeypatch):
+    # both build one term map; at the reference the same inputs make 4 and
+    # 3 calls
+    f, h = parse("x1^3 + x2^3 + x1*x2"), parse("x1^2 + x2")
+    calls = []
+    add, times = Poly.__add__, poly._times
+    monkeypatch.setattr(Poly, "__add__",
+                        lambda *a: calls.append("add") or add(*a))
+    monkeypatch.setattr(poly, "_times",
+                        lambda *a: calls.append("times") or times(*a))
+    encompassing_extension(f)
+    boxtimes_power(h, 3)
+    assert calls == []
+
+
 @pytest.mark.parametrize("text", TAUT_CORPUS)
 def test_extension_of_forms_in_x0(text):
     # g takes x0 from f, so G is homogenized with the first free t_i
@@ -427,6 +459,7 @@ def _check_the_extension_against_the_echelon(f, mix):
     default = oracle_default_sigmas(f)
     ext = encompassing_extension(f)
     assert ext.sigma_list == [_normalize_sigma(s, f) for s in default]
+    assert ext == oracles.encompassing_extension(f)
     if not default:
         return
     override = []
@@ -442,7 +475,10 @@ def _check_the_extension_against_the_echelon(f, mix):
     normalized = [_normalize_sigma(s, f) for s in override]
     bad = oracle_first_dependent(f, normalized)
     if bad is None:
-        assert encompassing_extension(f, override).sigma_list == normalized
+        # an override may mix degrees; every part still has degree >= 2
+        ext = encompassing_extension(f, override)
+        assert ext.sigma_list == normalized
+        assert ext == oracles.encompassing_extension(f, override)
     else:
         with pytest.raises(ValueError) as err:
             encompassing_extension(f, override)

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolarium import guards
+from apolarium.apolar import boxtimes_apolar_dim
 from apolarium.poly import (ParseError, Poly, VarMismatchError, apply,
                             boxtimes_power, dehomogenize, diff, format_poly,
                             homogenize, monomial_key, monomials_of_degree,
                             monomials_upto, parse, restrict_zero, twist)
+import oracles
 
 F = Fraction
 
@@ -167,11 +169,21 @@ def test_powers_of_fractional_and_wide_polys(text, d):
 
 def test_powers_that_are_not_ints_are_refused():
     p = parse("x1 + 1")
-    for d in (2.0, 1.5, "2", F(2)):
+    for d in (2.0, 1.5, "2", F(2), True, False):
         with pytest.raises(TypeError):
             p ** d
     with pytest.raises(ValueError, match="negative power"):
         p ** -1
+
+
+def test_boxtimes_powers_that_are_not_ints_are_refused():
+    # True and False are ints to isinstance, but no power means one
+    p = parse("x1^2 + x2")
+    for d in (True, False, 2.0):
+        with pytest.raises(ValueError, match="is not an int"):
+            boxtimes_power(p, d)
+        with pytest.raises(ValueError, match="is not an int"):
+            boxtimes_apolar_dim(p, d)
 
 
 def test_products_that_cancel():
@@ -315,6 +327,23 @@ def test_boxtimes_collision_detected():
     f = parse("x1*x11", vars=("x1", "x11"))
     with pytest.raises(VarMismatchError):
         boxtimes_power(f, 11)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(polys_on), st.integers(1, 3))
+def test_boxtimes_matches_the_product_of_copies(p, d):
+    same_terms(boxtimes_power(p, d), oracles.boxtimes_power(p, d))
+
+
+def test_boxtimes_charges_its_terms():
+    # 3^4 = 81 products of terms, past a limit of 80; a limit of 81 admits
+    # them
+    f = parse("x1*x2 + x1 + x2")
+    with guards.limits(max_terms=80), pytest.raises(guards.LimitExceeded,
+                                                    match="term count 81"):
+        boxtimes_power(f, 4)
+    with guards.limits(max_terms=81):
+        assert len(boxtimes_power(f, 4).terms) == 81
 
 
 def test_keys_of_one_exponent_add_their_coefficients():

@@ -377,6 +377,18 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     return Tensor3._derived(dims, entries, None), kept, label_seqs
 
 
+def _arrangements(label_seqs: List[Tuple[Label, ...]], N: int) -> int:
+    """The number of distinct label sequences of an axis, read off its
+    composition.  Every kept sequence spends the composition, so the
+    first one holds it; and when an axis keeps any sequence, each label
+    of the composition is carried by an index, so every arrangement of
+    its labels is kept: N! / prod(comp_s!), and 0 when nothing is kept."""
+    if not label_seqs:
+        return 0
+    return math.factorial(N) // math.prod(
+        math.factorial(n) for n in Counter(label_seqs[0]).values())
+
+
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
                check_tight: bool = True) -> SweetPiece:
     """Project the N-th Kronecker power onto the marginal-matching sequences
@@ -385,10 +397,12 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     index sequences in lexicographic order; position t on an axis of the
     piece is kept[axis][t], and label_seqs[axis][t] its labels, built
     beside it from the same memo of tails, so no kept sequence is read
-    twice."""
+    twice.  p_T, the number of distinct label sequences of an axis, is
+    counted from its composition (``_arrangements``), not by hashing
+    them."""
     tensor, kept, labels = _project(T, B, P, N, (0, 1, 2), check_tight)
     label_seqs = (labels[0], labels[1], labels[2])
-    pts = [len(set(ls)) for ls in label_seqs]
+    pts = [_arrangements(ls, N) for ls in label_seqs]
     if len(set(pts)) != 1:
         raise ValueError(f"label-sequence counts differ across axes: {pts}")
     return SweetPiece(tensor, (kept[0], kept[1], kept[2]),

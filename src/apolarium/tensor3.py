@@ -438,7 +438,11 @@ def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
     (``_node``), shared by every prefix that reaches that state.  A prefix
     s and a suffix t use disjoint letters, so P(s + t) = P(s) * Q(t), with
     Q(t) the product the table holds; no sum carries, so the sum of s + t,
-    which names its product, is the sum of s plus the sum of t."""
+    which names its product, is the sum of s plus the sum of t.  Likewise
+    the position of s + t is the position of s plus the offset of t, and
+    a visit to a table adds the prefix to each distinct offset of an axis
+    once, so the keys it stores share those position ints rather than
+    each holding three of its own."""
     N = budget[0]
     groups: List[Tuple[Tuple[int, ...], List[Tuple[Index3, Rat, int]]]] = []
     weight = 1
@@ -497,9 +501,16 @@ def _node(state: Tuple[int, ...], groups, axes, length: int,
     node), a part's entries only when all its slots are positive and the
     next node is not None, so every move ends in a kept word.  With at
     most `length` letters left, words lists each word that spends the
-    state as (offsets, weight sum, product); at `length` letters, ends
-    holds them for the walk, those of each nonnegative sum, one multiset,
-    as (sum, product, [offsets]) and those of a negative sum alone."""
+    state as (offsets, weight sum, product).
+
+    At `length` letters, ends is the suffix table the walk visits:
+    (shared, later, offsets).  offsets holds, per axis, the sorted
+    distinct offsets of the words, and each word is kept as an index
+    triple (x, y, z) into them, so that a visit adds its prefix to each
+    distinct offset once and every word it stores shares those ints.
+    shared lists the words of each nonnegative sum, one multiset, as
+    (sum, product, [index triples]); later lists each word of a negative
+    sum alone as (x, y, z, product)."""
     if state in nodes:
         return nodes[state]
     left = state[0]
@@ -527,14 +538,18 @@ def _node(state: Tuple[int, ...], groups, axes, length: int,
              ] if left else [(0, 0, 0, 0, Fraction(1))]
     ends = None
     if left == length:
+        offsets = [sorted({word[x] for word in words}) for x in range(3)]
+        at = [{o: x for x, o in enumerate(axis)} for axis in offsets]
         shared: Dict[int, Tuple[Rat, list]] = {}
         later = []
         for a, b, e, w, q in words:
+            key = (at[0][a], at[1][b], at[2][e])
             if w < 0:
-                later.append((a, b, e, q))
+                later.append(key + (q,))
             else:
-                shared.setdefault(w, (q, []))[1].append((a, b, e))
-        ends = ([(w, q, keys) for w, (q, keys) in shared.items()], later)
+                shared.setdefault(w, (q, []))[1].append(key)
+        ends = ([(w, q, keys) for w, (q, keys) in shared.items()], later,
+                offsets)
     node = nodes[state] = (None, ends, words)
     return node
 
@@ -545,7 +560,13 @@ def _walk(node: tuple, i: int, j: int, k: int, c: Rat, s: int,
     positions (i, j, k), weight sum s and product c.  A move of weight 0
     keeps the product; another takes the product of the new sum from
     products, multiplying only on a miss, and so does each sum of a suffix
-    table, once for all its words.  Negative sums are multiplied out."""
+    table, once for all its words.  Negative sums are multiplied out.
+
+    At a suffix table, the positions of each axis are built once per
+    visit, the prefix plus each distinct offset, and the words index
+    them.  Above 256 every int is a new object, so the keys of one visit
+    share at most as many ints as the table has distinct offsets, rather
+    than each key holding three of its own."""
     moves, ends, _ = node
     if ends is None:
         for a, b, e, w, v, after in moves:
@@ -555,16 +576,26 @@ def _walk(node: tuple, i: int, j: int, k: int, c: Rat, s: int,
                 p = products[t] = c * v
             _walk(after, i + a, j + b, k + e, p, t, products, out)
         return
-    shared, later = ends
+    shared, later, (A, B, E) = ends
+    # loops, not comprehensions: many tables hold a few words (1 to 9 on
+    # the chimneys of cw(3)), and before Python 3.12 each comprehension
+    # is a call of its own
+    I, J, K = [], [], []
+    for a in A:
+        I.append(i + a)
+    for b in B:
+        J.append(j + b)
+    for e in E:
+        K.append(k + e)
     for w, q, keys in shared:
         t = s + w
         p = c * q if t < 0 else products.get(t)
         if p is None:
             p = products[t] = c * q
-        for a, b, e in keys:
-            out[i + a, j + b, k + e] = p
-    for a, b, e, q in later:
-        out[i + a, j + b, k + e] = c * q
+        for x, y, z in keys:
+            out[I[x], J[y], K[z]] = p
+    for x, y, z, q in later:
+        out[I[x], J[y], K[z]] = c * q
 
 
 def kronecker_power(T: Tensor3, N: int) -> Tensor3:

@@ -628,6 +628,28 @@ def test_chimney_matches_brute_force(problem, fixed_pair):
     assert got is ValueError or _stored_as_validated(got)
 
 
+@settings(max_examples=150, deadline=None)
+@given(blocked_problems(), st.integers(0, 2), st.booleans())
+def test_p_T_is_the_number_of_distinct_label_sequences(problem, axis, stray):
+    # p_T is counted from the composition; here the label sequences are
+    # hashed.  A stray draw moves the first charged triple's label on one
+    # axis to one that no index carries: that axis keeps nothing and
+    # counts 0, and the piece is refused, its block not in the support
+    T, B, P, N, check_tight = problem
+    if stray:
+        support = [list(trip) for trip in P.support]
+        support[0][axis] = (99,)
+        P = BlockDistribution(support, P.probs)
+    for a, m in enumerate(marginals(P)):
+        kept, label_seqs = _kept_sequences(B, a, _composition(m, N), N)
+        assert sweet._arrangements(label_seqs, N) == len(set(label_seqs))
+        assert (not kept) == (stray and a == axis)
+    piece = _outcome(sp_extract, T, B, P, N, check_tight=check_tight)
+    assert piece is ValueError or not stray
+    if piece is not ValueError:
+        assert all(piece.p_T == len(set(ls)) for ls in piece.label_seqs)
+
+
 @pytest.mark.parametrize("idx, value", [
     ((0, 0, 4), Fraction(1)),  # out of range
     ((1, 1, 3), 0),            # a zero entry
@@ -893,6 +915,35 @@ def test_the_chimney_walk_has_one_state_per_budget(monkeypatch):
     C = chimney(cw(3), cw_blocking(3), BlockDistribution.uniform(LARGE3), 6)
     assert C.nnz() == 225
     assert len(states) == 37
+
+
+def test_a_visit_to_a_suffix_table_shares_its_position_ints(monkeypatch):
+    # above 256 each int sum is a new object, so keys that each added
+    # prefix and offset would hold three ints apiece; a visit builds the
+    # positions of each axis once, so on each axis the keys hold at most as
+    # many distinct big ints as the visited tables have distinct offsets
+    visits = []
+    walk = tensor3._walk
+
+    def spy(node, *args):
+        if node[1] is not None:
+            visits.append(node[2])
+        return walk(node, *args)
+
+    monkeypatch.setattr(tensor3, "_walk", spy)
+    P = BlockDistribution.uniform(LARGE3)
+    # the power's 6**3 prefixes each visit its one table of 3-letter
+    # suffixes, whose offsets on each axis are the 3**3 flat indices
+    for build, axes, want in (
+            (lambda: kronecker_power(cw(3), 6), (0, 1, 2), 216 * 27),
+            (lambda: chimney(cw(3), cw_blocking(3), P, 6), (2,), None)):
+        visits.clear()
+        T = build()
+        for a in axes:
+            bound = sum(len({word[a] for word in words}) for words in visits)
+            assert want is None or bound == want
+            big = {id(key[a]) for key in T.entries if key[a] >= 256}
+            assert big and len(big) <= bound
 
 
 # -- kept sequences from one memo of tails per budget --------------------------

@@ -36,7 +36,9 @@ pivot list so far by CRT, lifts them to Q by rational reconstruction (Wang
 reduced-echelon kernel over Q (see ``sparse_kernel``); the primes, from
 ``_primes``, never run out.  No dense row is built.
 
-No floats, ever.
+The scalars, ``Rat``, ``rat`` and ``as_int``, live in ``scalars``, so a
+module that builds polynomials or tensors without eliminating does not
+compile this one.  No floats, ever.
 """
 
 from __future__ import annotations
@@ -48,25 +50,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
-Rat = Fraction
-
-
-def rat(x) -> Rat:
-    """Coerce ints, strings like '3/4', or Fractions to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed; use Fraction or 'p/q' strings")
-    return Fraction(x)
-
-
-def as_int(x, what: str) -> int:
-    """x itself if it is an int; a bool, float or string is refused, not
-    truncated."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"{what} {x!r} is not an int")
-    return x
-
+from .scalars import Rat, rat
 
 # 61-bit primes, largest first, written out so that importing computes nothing
 PRIMES = (2305843009213693951, 2305843009213693921, 2305843009213693907,

@@ -10,6 +10,11 @@ order-stable summary of what ran (entries sorted by id).  Entries are
 independent and pure: the growth entries of one run_suite() call read one
 table of growth rows, built per polynomial as they first ask for it, which
 does not change what any of them returns.
+
+The module imports no library module when it is loaded: each entry, and the
+growth rows of ``run_suite``, import the names they call, so
+``paper-suite --only cw-support-size`` loads ``tensor3`` and none of
+``poly``, ``apolar``, ``encompass``, ``exact`` and ``sweet``.
 """
 
 from __future__ import annotations
@@ -17,24 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable, Collection, Dict, List, Optional, Tuple
-
-from .apolar import (apolar_dim, boxtimes_apolar_dim, catalecticant_rank,
-                     hilbert_function, structure_tensor_of_apolar)
-from .encompass import (_truncations, encompassing_extension,
-                        encompassing_report, growth_table, verify_main_theorem,
-                        OUT_OF_SCOPE_NOTES)
-from .exact import sparse_rank
-from .apolar import verify_tautological_apolarity
-from .poly import parse, format_poly, restrict_zero, twist
-from .tensor3 import (AbelianGroup, algebra_A_Tk, cw, group_tensor,
-                      one_generic_extension, PartiallySymmetricTensor,
-                      kronecker_power, tb)
-from .sweet import (BlockDistribution, CW_LARGE, blocking_power, chimney,
-                    cw_blocking, cw_weights, even_symdiff_count, formula_pratt,
-                    formula_sweet_rank, is_tight, omega_bound, sp_extract,
-                    support_blocks, sweet_piece_report, toric_degenerate,
-                    veronese_dims, weight_blocking, zero_layers,
-                    substitution_bound)
 
 # Forms used by the property-style entries.  All are exercised elsewhere in
 # the test suite as well; the suite keeps them small enough to run in seconds.
@@ -121,6 +108,8 @@ class SuiteEntry:
 
 
 def _entry_product_of_linears() -> dict:
+    from .apolar import hilbert_function
+    from .poly import parse
     f = parse("x1*x2*x3*x4*x5*x6*x7*x8*x9")
     hf = tuple(hilbert_function(f))
     return {"ok": hf == (1, 9, 36, 84, 126, 126, 84, 36, 9, 1),
@@ -128,6 +117,8 @@ def _entry_product_of_linears() -> dict:
 
 
 def _entry_power_dims() -> dict:
+    from .apolar import apolar_dim
+    from .poly import parse
     vals = {
         "x1^2": apolar_dim(parse("x1^2")),
         "(x1^2)^2": apolar_dim(parse("x1^4")),
@@ -142,6 +133,8 @@ def _entry_power_dims() -> dict:
 
 
 def _entry_middle_cat_ranks() -> dict:
+    from .apolar import catalecticant_rank
+    from .poly import parse
     vals = {
         "(x0^3+x1^3)^2": catalecticant_rank(parse("(x0^3 + x1^3)^2"), 3),
         "(x1^2+x2^2+x3^2)^2":
@@ -154,6 +147,8 @@ def _entry_middle_cat_ranks() -> dict:
 
 
 def _entry_twisted_power_cats() -> dict:
+    from .apolar import catalecticant_rank
+    from .poly import parse, twist
     Q = parse("x0*x3 + x1^2 + x2^2")
     ranks = {}
     ok = True
@@ -165,6 +160,8 @@ def _entry_twisted_power_cats() -> dict:
 
 
 def _entry_twist_necessity() -> dict:
+    from .apolar import catalecticant_rank
+    from .poly import parse, twist
     F = parse(BIG_CUBIC) ** 2
     twisted = catalecticant_rank(twist(F, "x0"), 3)
     untwisted = catalecticant_rank(F, 3)
@@ -174,6 +171,8 @@ def _entry_twist_necessity() -> dict:
 
 
 def _entry_taut_corpus() -> dict:
+    from .apolar import verify_tautological_apolarity
+    from .poly import parse
     failures = []
     for text in TAUT_CORPUS:
         F = parse(text)
@@ -185,6 +184,8 @@ def _entry_taut_corpus() -> dict:
 
 
 def _entry_untwisted_univariate_control() -> dict:
+    from .apolar import verify_tautological_apolarity
+    from .poly import parse
     F = parse("(x0^3 + x1^3)^2")
     rep = verify_tautological_apolarity(F, "x0", twisted=False)
     return {"generators_tested": len(rep.generators),
@@ -195,6 +196,8 @@ def _entry_untwisted_univariate_control() -> dict:
 
 
 def _entry_untwisted_control_fails() -> dict:
+    from .apolar import verify_tautological_apolarity
+    from .poly import parse
     F = parse("x0^2*x2 + x0*x1^2")
     plain = verify_tautological_apolarity(F, "x0", twisted=False)
     twistd = verify_tautological_apolarity(F, "x0", twisted=True)
@@ -204,6 +207,8 @@ def _entry_untwisted_control_fails() -> dict:
 
 def _entry_encompassing_equivalences(growth: Callable[[str], GrowthRows]
                                      ) -> dict:
+    from .encompass import encompassing_report
+    from .poly import parse
     mismatches = []
     for text in ENCOMPASS_CORPUS:
         rep = encompassing_report(parse(text), seed=0)
@@ -226,6 +231,8 @@ def _entry_growth_inequality(growth: Callable[[str], GrowthRows]) -> dict:
 
 
 def _entry_boxtimes_square() -> dict:
+    from .apolar import apolar_dim, boxtimes_apolar_dim
+    from .poly import parse
     rows = {}
     ok = True
     for text in SMALL_CORPUS:
@@ -238,6 +245,8 @@ def _entry_boxtimes_square() -> dict:
 
 
 def _entry_extension_literal() -> dict:
+    from .encompass import encompassing_extension
+    from .poly import format_poly, parse
     ext2 = encompassing_extension(parse("x1^2 + x2^2"))
     ext3 = encompassing_extension(parse("x1^3 + x2^3"))
     quadric_ok = ext2.g == parse("x1^2 + x2^2 + y1")
@@ -247,6 +256,10 @@ def _entry_extension_literal() -> dict:
 
 
 def _entry_extension_invariants() -> dict:
+    from .apolar import hilbert_function
+    from .encompass import _truncations, encompassing_extension
+    from .exact import sparse_rank
+    from .poly import parse, restrict_zero
     bad = []
     for text in SMALL_CORPUS + ["x1^2 + x2^3", "x1*x2"]:
         f = parse(text)
@@ -265,6 +278,8 @@ def _entry_extension_invariants() -> dict:
 
 
 def _entry_main_theorem_examples() -> dict:
+    from .encompass import OUT_OF_SCOPE_NOTES, verify_main_theorem
+    from .poly import parse
     reports = []
     ok = True
     for text, v, ds in (("x0*x3 + x1^2 + x2^2", "x0", (1, 2)),
@@ -280,6 +295,9 @@ def _entry_main_theorem_examples() -> dict:
 
 
 def _entry_square_quadric_tensors() -> dict:
+    from .apolar import structure_tensor_of_apolar
+    from .poly import parse
+    from .tensor3 import cw
     oks = []
     for n in (4, 5):
         nm2 = n - 2
@@ -290,6 +308,7 @@ def _entry_square_quadric_tensors() -> dict:
 
 
 def _entry_algebra_pattern() -> dict:
+    from .tensor3 import PartiallySymmetricTensor, algebra_A_Tk
     slices = [[[Fraction(2), Fraction(0)], [Fraction(0), Fraction(0)]],
               [[Fraction(1), Fraction(3)], [Fraction(3), Fraction(0)]]]
     T = PartiallySymmetricTensor(slices)
@@ -309,6 +328,7 @@ def _entry_algebra_pattern() -> dict:
 
 
 def _entry_onegen_identity_slice() -> dict:
+    from .tensor3 import cw, one_generic_extension
     T = cw(3)
     E = one_generic_extension(T, 1)
     s0 = E.slice(0, 0)
@@ -318,6 +338,7 @@ def _entry_onegen_identity_slice() -> dict:
 
 
 def _entry_cw_support() -> dict:
+    from .tensor3 import cw
     rows = {}
     ok = True
     for n in (3, 4, 5):
@@ -328,6 +349,8 @@ def _entry_cw_support() -> dict:
 
 
 def _entry_group_degeneration() -> dict:
+    from .tensor3 import AbelianGroup, cw, group_tensor
+    from .sweet import cw_blocking, cw_weights, is_tight, toric_degenerate
     B3 = cw_blocking(3)
     TZ3 = group_tensor(AbelianGroup((3,)))
     D3 = toric_degenerate(TZ3, B3, cw_weights(3))
@@ -350,6 +373,9 @@ def _entry_group_degeneration() -> dict:
 
 
 def _entry_tight_flags() -> dict:
+    from .tensor3 import AbelianGroup, cw, group_tensor, kronecker_power
+    from .sweet import (blocking_power, cw_blocking, cw_weights, is_tight,
+                        toric_degenerate)
     B3 = cw_blocking(3)
     TZ3 = group_tensor(AbelianGroup((3,)))
     D3 = toric_degenerate(TZ3, B3, cw_weights(3))
@@ -363,6 +389,9 @@ def _entry_tight_flags() -> dict:
 
 
 def _entry_sp_disjointness() -> dict:
+    from .tensor3 import tb
+    from .sweet import (BlockDistribution, sp_extract, support_blocks,
+                        sweet_piece_report, weight_blocking)
     TB = tb()
     B = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, B)])
@@ -387,6 +416,9 @@ def _entry_sp_disjointness() -> dict:
 
 
 def _entry_sp_degeneration_equality() -> dict:
+    from .tensor3 import AbelianGroup, group_tensor
+    from .sweet import (BlockDistribution, CW_LARGE, cw_blocking, cw_weights,
+                        sp_extract, toric_degenerate)
     B3 = cw_blocking(3)
     P = BlockDistribution(CW_LARGE, [Fraction(1, 3)] * 3)
     TZ3 = group_tensor(AbelianGroup((3,)))
@@ -410,6 +442,9 @@ def _entry_sp_degeneration_equality() -> dict:
 
 
 def _entry_chimney_zero_layers() -> dict:
+    from .tensor3 import AbelianGroup, cw, group_tensor
+    from .sweet import (BlockDistribution, CW_LARGE, chimney, cw_blocking,
+                        substitution_bound, weight_blocking, zero_layers)
     rows = {}
     B3 = cw_blocking(3)
     P = BlockDistribution(CW_LARGE, [Fraction(1, 3)] * 3)
@@ -437,6 +472,7 @@ def _entry_chimney_zero_layers() -> dict:
 
 
 def _entry_pratt_formula() -> dict:
+    from .sweet import even_symdiff_count, formula_pratt
     vals = {k: formula_pratt(k) for k in (1, 2, 3, 4)}
     agree = all(formula_pratt(k) == even_symdiff_count(k) for k in (1, 2, 3))
     return {"ok": vals[1] == 4 and vals[2] == 31 and agree,
@@ -445,6 +481,7 @@ def _entry_pratt_formula() -> dict:
 
 
 def _entry_sweet_rank_formulas() -> dict:
+    from .sweet import formula_sweet_rank
     vals = {
         "(3,3)": formula_sweet_rank(3, 3, Fraction(1, 3), 0),
         "(4,3)": formula_sweet_rank(4, 3, Fraction(1, 3)),
@@ -455,6 +492,7 @@ def _entry_sweet_rank_formulas() -> dict:
 
 
 def _entry_omega_examples() -> dict:
+    from .sweet import omega_bound
     vals = {"r=p*a^2": omega_bound(4, 16, 1), "a=2,r=8,p=1": omega_bound(2, 8, 1),
             "a=2,r=7,p=1": omega_bound(2, 7, 1)}
     ok = (vals["r=p*a^2"] == 2.0 and vals["a=2,r=8,p=1"] == 3.0
@@ -463,6 +501,7 @@ def _entry_omega_examples() -> dict:
 
 
 def _entry_veronese_slice() -> dict:
+    from .sweet import veronese_dims
     row = [math.comb(9, i) for i in range(10)]
     got = veronese_dims(row, 3)
     return {"ok": got == [1, 84, 84, 1], "dims": got}
@@ -471,6 +510,9 @@ def _entry_veronese_slice() -> dict:
 def _entry_disjointness_is_veronese_multiplication() -> dict:
     # degree-one multiplication of the cube of K[x]/(x^2): x_i * x_j lands on
     # the squarefree degree-two monomial x_i x_j when i != j, else dies
+    from .tensor3 import tb
+    from .sweet import (BlockDistribution, sp_extract, support_blocks,
+                        weight_blocking)
     TB = tb()
     B = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, B)])
@@ -488,6 +530,9 @@ def _entry_disjointness_is_veronese_multiplication() -> dict:
 
 
 def _entry_local_quadric_smoothing() -> dict:
+    from .apolar import hilbert_function
+    from .encompass import growth_table
+    from .poly import parse
     f = parse("x1^2 + x2^2")
     hf = list(hilbert_function(f))
     return {"hilbert_function": hf, "apolar_dim": sum(hf),
@@ -659,6 +704,8 @@ def run_suite(only: Optional[Collection[str]] = None) -> dict:
 
     def growth(text: str) -> GrowthRows:
         if text not in tables:
+            from .encompass import growth_table
+            from .poly import parse
             f = parse(text)
             tables[text] = tuple(growth_table(f, f.degree()))
         return tables[text]

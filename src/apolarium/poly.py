@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, as_int, rat
+from .scalars import Rat, as_int, rat
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, Rat]

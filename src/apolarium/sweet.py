@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, as_int, rat, sparse_kernel
+from .scalars import Rat, as_int, rat
 from .tensor3 import Index3, Tensor3, _word_entries
 
 Label = Tuple[int, ...]
@@ -225,6 +225,7 @@ def marginal_uniqueness(P: BlockDistribution) -> str:
     marginals; 'non_unique' when a signed null direction of the marginal
     system stays nonnegative at P; else 'unknown' (sufficient conditions
     only)."""
+    from .exact import sparse_kernel
     marg = marginals(P)
     nvars = len(P.support)
     rows = []

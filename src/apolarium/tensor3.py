@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import guards
-from .exact import Rat, SparseRow, as_int, rat, sparse_rank
+from .scalars import Rat, as_int, rat
 
 Index3 = Tuple[int, int, int]
 Slice = List[List[Rat]]  # one dense slice of a tensor, row-major
@@ -150,6 +150,7 @@ class Tensor3:
 
 def is_concise(T: Tensor3) -> Tuple[bool, List[int]]:
     """Full flattening rank on every axis; returns (ok, failing axes)."""
+    from .exact import SparseRow, sparse_rank
     bad = []
     for axis in range(3):
         n = T.dims[axis]

@@ -543,24 +543,44 @@ def _modules_loaded_by(argv):
     return set(proc.stderr.split())
 
 
-LIBRARY = {"poly", "apolar", "encompass", "tensor3", "sweet", "papersuite"}
+# every module of the package but the entry points; cli and guards load with
+# every command
+MODULES = {path.stem for path in (SRC / "apolarium").glob("*.py")} - {
+    "__init__", "__main__"}
 
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["sweet", "chimney", "--tensor", "cw:3", "--blocking", "cw",
       "--dist", "large", "--power", "3"],
-     {"poly", "apolar", "encompass", "papersuite"}),
+     {"poly", "apolar", "encompass", "exact", "papersuite", "cli_poly"}),
     (["verify-main-thm", "x0^3 + x1^3", "--d", "2"],
-     {"sweet", "tensor3", "papersuite"}),
+     {"sweet", "tensor3", "papersuite", "cli_tensor"}),
     (["apolar-dim", "x1*x2*x3"],
-     {"sweet", "tensor3", "encompass", "papersuite"}),
-    (["paper-suite", "--only", "cw-support-size"], set()),
+     {"sweet", "tensor3", "encompass", "papersuite", "cli_tensor"}),
+    (["paper-suite", "--only", "cw-support-size"],
+     {"poly", "apolar", "encompass", "exact", "sweet", "cli_poly",
+      "cli_tensor"}),
+    (["paper-suite"], {"cli_poly", "cli_tensor"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    assert unloaded <= MODULES
     loaded = _modules_loaded_by(argv)
     assert "dataclasses" not in loaded
-    assert {m for m in LIBRARY if f"apolarium.{m}" in loaded} == (
-        LIBRARY - unloaded)
+    assert {m for m in MODULES if f"apolarium.{m}" in loaded} == (
+        MODULES - unloaded)
+
+
+def test_every_command_has_one_runner_and_every_runner_a_command():
+    # a row's group table is imported only when the command runs, so a
+    # missing runner would otherwise show first when a user types it
+    from apolarium.cli import COMMANDS
+    tables = {command.runners: command.runners() for command in COMMANDS}
+    for command in COMMANDS:
+        holders = [table for table in tables.values() if command.path in table]
+        assert holders == [command.runners()], command.path
+        assert callable(command.runner()), command.path
+    assert sorted(path for table in tables.values() for path in table) == (
+        sorted(command.path for command in COMMANDS))
 
 
 def test_unknown_tensor_spec_exits_two(capsys):

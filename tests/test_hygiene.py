@@ -73,11 +73,11 @@ def _import_time_imports(tree):
             todo.extend(ast.iter_child_nodes(node))
 
 
-def test_the_cli_imports_only_the_standard_library_and_guards():
-    # each runner imports the library modules it calls, so a command loads
-    # only what it runs
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+def _eager_imports(path: Path):
+    """The package modules, but guards, and the packages outside the
+    standard library that importing the module at path imports."""
     eager = []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in _import_time_imports(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             names = ([node.module] if node.module
@@ -86,7 +86,18 @@ def test_the_cli_imports_only_the_standard_library_and_guards():
         else:
             eager += [name for name in _absolute_imports(node)
                       if name not in sys.stdlib_module_names]
-    assert eager == []
+    return eager
+
+
+# the command line, its runner modules and the reference suite: each runner
+# and each suite entry imports the library modules it calls, so a command
+# loads only what it runs
+LAZY = ("cli.py", "cli_poly.py", "cli_tensor.py", "papersuite.py")
+
+
+def test_the_cli_imports_only_the_standard_library_and_guards():
+    assert {name: _eager_imports(SRC / name) for name in LAZY} == {
+        name: [] for name in LAZY}
 
 
 # Public API that only the tests read, kept on purpose; a method is named
@@ -185,9 +196,15 @@ def test_exact_takes_and_returns_sparse_rows_only():
     # no dense routine: no dense rank, kernel, solve, echelon form or matrix
     # type comes in or back
     assert _public_definitions(SRC / "exact.py") == sorted([
-        "MODULUS", "PRIMES", "Rat", "SparseEchelon", "SparseRow", "SparseVec",
-        "as_int", "independent_rows", "rat", "solve_many", "sparse_kernel",
-        "sparse_rank"])
+        "MODULUS", "PRIMES", "SparseEchelon", "SparseRow", "SparseVec",
+        "independent_rows", "solve_many", "sparse_kernel", "sparse_rank"])
+
+
+def test_the_scalars_are_the_rationals_and_checked_ints():
+    # the modules that take numbers from outside input import these without
+    # the elimination engine
+    assert _public_definitions(SRC / "scalars.py") == ["Rat", "as_int",
+                                                       "rat"]
 
 
 def _readers_of(name, kind=ast.Attribute):

@@ -36,7 +36,7 @@ print("piece of the degeneration == piece of the table:",
       spD.tensor == spT.tensor)
 print("piece:", spD.tensor.dims, "nnz", spD.tensor.nnz(),
       "| distinct label sequences per axis:", spD.p_T)
-print("report:", {k: v for k, v in sweet_piece_report(spD).items()
+print("report:", {k: v for k, v in sweet_piece_report(spD, B).items()
                   if k != "note"})
 print()
 

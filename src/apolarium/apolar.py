@@ -144,8 +144,6 @@ def hilbert_function(f: Poly) -> HilbertFunction:
             for col in _divisor_columns(packing, 0, d)]
     for a in _greedy(side, len(set().union(*side))):
         vals[-a >> packing[1]] += 1
-    while vals and vals[-1] == 0:
-        vals.pop()
     return HilbertFunction(tuple(vals))
 
 
@@ -420,8 +418,6 @@ def verify_tautological_apolarity(F: Poly, v: str, bound: Optional[int] = None,
     if v not in F.vars:
         raise ValueError(f"unknown variable {v!r}")
     f = dehomogenize(F, v)
-    if f.is_zero():
-        raise ValueError("dehomogenization vanishes")
     if bound is None:
         bound = f.degree() + 1
     gens = annihilator_upto(f, bound)

@@ -219,7 +219,7 @@ def _sweet_extract(args):
             {"tensor": _tensor_doc(sp.tensor), "dims": list(sp.tensor.dims),
              "nnz": sp.tensor.nnz(), "p_T": sp.p_T,
              "kept_counts": [len(k) for k in sp.kept],
-             "validation": sweet_piece_report(sp)})
+             "validation": sweet_piece_report(sp, B)})
 
 
 def _sweet_chimney(args):

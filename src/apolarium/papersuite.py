@@ -405,7 +405,7 @@ def _entry_sp_disjointness() -> dict:
                 if set(one_positions[0][i]).isdisjoint(one_positions[1][j])
                 and set(one_positions[0][i]) | set(one_positions[1][j])
                 == set(one_positions[2][k])}
-    rep = sweet_piece_report(sp)
+    rep = sweet_piece_report(sp, B)
     return {"ok": (sp.tensor.dims == (3, 3, 3) and sp.tensor.nnz() == 6
                    and set(sp.tensor.entries) == expected
                    and all(v == 1 for v in sp.tensor.entries.values())

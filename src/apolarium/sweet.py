@@ -18,9 +18,10 @@ word spends is dropped where it is first reached, so the walk keys each
 kept entry by its position in the piece and the cost follows the number
 of kept entries.  The product of a kept word depends only on the multiset
 of entries it uses, so it is computed once per multiset and shared by all
-its words.  The kept index sequences of an axis, and their label
-sequences beside them, are built from one memo of tails per label budget
-still to spend, so they too cost what they hold.
+its words.  The kept index sequences of an axis are built from one memo
+of tails per label budget still to spend, so they too cost what they hold.
+A piece is checked by ``support_blocks`` itself, each kept position
+labelled by the labels of its sequence laid end to end.
 
 Axes are 0-based throughout (axis pair (0,1) = first and second factor);
 the command-line layer translates from 1-based flags.
@@ -255,11 +256,10 @@ def _composition(marg: Dict[Label, Rat], N: int) -> Dict[Label, int]:
 
 
 def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
-                    ) -> Tuple[List[Tuple[int, ...]], List[Tuple[Label, ...]]]:
+                    ) -> List[Tuple[int, ...]]:
     """Index sequences of length N whose label counts equal comp, in
-    lexicographic order, and their label sequences, aligned: position t
-    holds kept[t] and the labels of kept[t].  comp comes from a marginal,
-    so its counts sum to N.
+    lexicographic order.  comp comes from a marginal, so its counts sum
+    to N.
 
     The sequences that end a kept sequence depend only on the budget still
     to spend, the counts per label of comp in sorted-label order, so
@@ -270,30 +270,27 @@ def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
     order = sorted(comp)
     rank = {lab: s for s, lab in enumerate(order)}
     labels = B.labels[axis]
-    memo = {(0,) * len(order): ([()], [()])}
-    return _tails(labels, [rank.get(lab) for lab in labels],
+    memo = {(0,) * len(order): [()]}
+    return _tails([rank.get(lab) for lab in labels],
                   tuple(comp[lab] for lab in order), memo)
 
 
-def _tails(labels: Sequence[Label], slot: Sequence, budget: Tuple[int, ...],
-           memo: Dict[Tuple[int, ...], tuple]) -> tuple:
-    """(index tails, label tails) that spend budget exactly, both in
-    lexicographic order and aligned, memoised by budget.  Index i spends
-    one unit of budget[slot[i]]; its slot is None when its label is not
-    in the composition.  A module-level function, not a closure, so the
-    memo holds no reference cycle and is freed with the call."""
+def _tails(slot: Sequence, budget: Tuple[int, ...],
+           memo: Dict[Tuple[int, ...], List[Tuple[int, ...]]]
+           ) -> List[Tuple[int, ...]]:
+    """Index tails that spend budget exactly, in lexicographic order,
+    memoised by budget.  Index i spends one unit of budget[slot[i]]; its
+    slot is None when its label is not in the composition.  A
+    module-level function, not a closure, so the memo holds no reference
+    cycle and is freed with the call."""
     got = memo.get(budget)
     if got is None:
-        seqs: List[Tuple[int, ...]] = []
-        labs: List[Tuple[Label, ...]] = []
+        got = memo[budget] = []
         for i, s in enumerate(slot):
             if s is not None and budget[s]:
                 rest = budget[:s] + (budget[s] - 1,) + budget[s + 1:]
-                tails, label_tails = _tails(labels, slot, rest, memo)
-                head, lab = (i,), (labels[i],)
-                seqs += [head + t for t in tails]
-                labs += [lab + t for t in label_tails]
-        got = memo[budget] = (seqs, labs)
+                head = (i,)
+                got += [head + t for t in _tails(slot, rest, memo)]
     return got
 
 
@@ -318,18 +315,17 @@ def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
 class SweetPiece(NamedTuple):
     tensor: Tensor3
     kept: Tuple[List[Tuple[int, ...]], ...]
-    label_seqs: Tuple[List[Tuple[Label, ...]], ...]
     p_T: int
 
 
 def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
              axes: Sequence[int], check_tight: bool
              ) -> Tuple[Tensor3, Dict[int, List[Tuple[int, ...]]],
-                        Dict[int, List[Tuple[Label, ...]]]]:
+                        Dict[int, Dict[Label, int]]]:
     """The N-th Kronecker power restricted on each axis of `axes` to its
-    marginal-matching sequences, those sequences, {axis: kept}, and their
-    label sequences, {axis: label_seqs}, aligned with kept, as
-    ``_kept_sequences`` builds them from one memo of tails per budget.
+    marginal-matching sequences, those sequences, {axis: kept}, as
+    ``_kept_sequences`` builds them from one memo of tails per budget,
+    and the compositions they spend, {axis: comp}.
 
     Position t on a constrained axis is kept[axis][t]; an axis not in
     `axes` keeps the full index range of the power (lexicographic flat
@@ -353,10 +349,10 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
         raise ValueError(f"need N >= 0, got {N}")
     T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
-    budget, slot, kept, label_seqs = [N], {}, {}, {}
+    budget, slot, kept, comps = [N], {}, {}, {}
     for a in axes:
-        comp = _composition(marg[a], N)
-        kept[a], label_seqs[a] = _kept_sequences(B, a, comp, N)
+        comp = comps[a] = _composition(marg[a], N)
+        kept[a] = _kept_sequences(B, a, comp, N)
         for lab in sorted(comp):
             slot[a, lab] = len(budget)
             budget.append(comp[lab])
@@ -375,19 +371,7 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
                  else [0] * T.dims[a])
         specs.append((Counter(s for s in slots if s is not None), slots))
     entries = _word_entries(sorted(parts.items()), tuple(budget), specs)
-    return Tensor3._derived(dims, entries, None), kept, label_seqs
-
-
-def _arrangements(label_seqs: List[Tuple[Label, ...]], N: int) -> int:
-    """The number of distinct label sequences of an axis, read off its
-    composition.  Every kept sequence spends the composition, so the
-    first one holds it; and when an axis keeps any sequence, each label
-    of the composition is carried by an index, so every arrangement of
-    its labels is kept: N! / prod(comp_s!), and 0 when nothing is kept."""
-    if not label_seqs:
-        return 0
-    return math.factorial(N) // math.prod(
-        math.factorial(n) for n in Counter(label_seqs[0]).values())
+    return Tensor3._derived(dims, entries, None), kept, comps
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -396,18 +380,15 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     of all three axes (see _project), with every support block of T taking
     part, charged by P or not.  kept lists each axis's marginal-matching
     index sequences in lexicographic order; position t on an axis of the
-    piece is kept[axis][t], and label_seqs[axis][t] its labels, built
-    beside it from the same memo of tails, so no kept sequence is read
-    twice.  p_T, the number of distinct label sequences of an axis, is
-    counted from its composition (``_arrangements``), not by hashing
-    them."""
-    tensor, kept, labels = _project(T, B, P, N, (0, 1, 2), check_tight)
-    label_seqs = (labels[0], labels[1], labels[2])
-    pts = [_arrangements(ls, N) for ls in label_seqs]
-    if len(set(pts)) != 1:
-        raise ValueError(f"label-sequence counts differ across axes: {pts}")
-    return SweetPiece(tensor, (kept[0], kept[1], kept[2]),
-                      label_seqs, pts[0])
+    piece is kept[axis][t].  p_T, the number of distinct label sequences
+    of an axis, is the multinomial N! / prod(comp_s!) of axis 0's
+    composition: every label of a composition is carried, since P
+    charges only support blocks, so each arrangement of it is kept, and
+    the marginal profiles agree, so every axis counts the same."""
+    tensor, kept, comps = _project(T, B, P, N, (0, 1, 2), check_tight)
+    p_T = math.factorial(N) // math.prod(
+        math.factorial(n) for n in comps[0].values())
+    return SweetPiece(tensor, (kept[0], kept[1], kept[2]), p_T)
 
 
 def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -539,40 +520,29 @@ def veronese_dims(graded_dims: Sequence[int], k: int) -> List[int]:
 # -- validators for constructed sweet pieces -----------------------------------
 
 
-def sweet_piece_report(sp: SweetPiece) -> dict:
-    """Constructive checks on a sweet piece: the uniform distribution on its
-    support blocks has equal uniform marginals, the label-sequence count is
-    the same on every axis, and the support blocks share format and entry
-    multiset."""
-    cls = []
-    for a in range(3):
-        m: Dict[Tuple[Label, ...], List[int]] = {}
-        for idx, ls in enumerate(sp.label_seqs[a]):
-            m.setdefault(ls, []).append(idx)
-        cls.append(m)
-    grouped: Dict[tuple, Dict[Tuple[int, int, int], Rat]] = {}
-    for (i, j, k), c in sp.tensor.entries.items():
-        key = (sp.label_seqs[0][i], sp.label_seqs[1][j], sp.label_seqs[2][k])
-        grouped.setdefault(key, {})[(i, j, k)] = c
-    formats = set()
-    multisets = set()
-    axis_counts = [Counter() for _ in range(3)]
-    for key, ent in grouped.items():
-        formats.add(tuple(len(cls[a][key[a]]) for a in range(3)))
-        multisets.add(tuple(sorted(ent.values())))
-        for a in range(3):
-            axis_counts[a][key[a]] += 1
-    marg_uniform = all(len(set(c.values())) <= 1 for c in axis_counts)
-    p_ts = [len(c) for c in axis_counts]
+def sweet_piece_report(sp: SweetPiece, B: Blocking) -> dict:
+    """Constructive checks on a sweet piece cut with the blocking B: the
+    uniform distribution on its support blocks has equal uniform
+    marginals, the label-sequence count is the same on every axis, and
+    the support blocks share format and entry multiset.  Position t on
+    an axis is labelled by the labels of kept[axis][t] laid end to end,
+    one vector in Z^(N r), so ``support_blocks`` groups the piece by
+    label sequences."""
+    seqs = Blocking([[tuple(x for i in seq for x in B.labels[a][i])
+                      for seq in sp.kept[a]] for a in range(3)])
+    blocks = support_blocks(sp.tensor, seqs)
+    axis_counts = [Counter(b.labels[a] for b in blocks) for a in range(3)]
     return {
-        "support_blocks": len(grouped),
-        "formats_equal": len(formats) <= 1,
-        "entry_multisets_equal": len(multisets) <= 1,
-        "marginals_uniform": marg_uniform,
-        "marginal_block_counts": p_ts,
+        "support_blocks": len(blocks),
+        "formats_equal": len({b.format for b in blocks}) <= 1,
+        "entry_multisets_equal": len({tuple(sorted(b.tensor.entries.values()))
+                                      for b in blocks}) <= 1,
+        "marginals_uniform": all(len(set(c.values())) <= 1
+                                 for c in axis_counts),
+        "marginal_block_counts": [len(c) for c in axis_counts],
         "p_T": sp.p_T,
-        "p_T_consistent": len(set([sp.p_T] +
-                                  [len(set(ls)) for ls in sp.label_seqs])) == 1,
+        "p_T_consistent": len({sp.p_T} | {len(set(ls))
+                                          for ls in seqs.labels}) == 1,
         "note": "sufficient-condition check: format equality plus entry-"
                 "multiset equality per block; full block-isomorphism testing "
                 "is not decided here",

@@ -15,12 +15,16 @@ checked against.  ``encompassing_extension`` and ``boxtimes_power`` are
 the extension and the disjoint-variable power built by ``Poly``
 arithmetic: a sum of one checked ``Poly`` per multi-exponent, found by
 recursion, and a product of the d renamed copies, which the one term map
-of each builder is checked against.
+of each builder is checked against.  ``sweet_piece_report`` groups a
+sweet piece by the label sequences of its kept positions with dicts of
+its own, which the report read off ``sweet.support_blocks`` is checked
+against.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -272,3 +276,43 @@ def boxtimes_power(f: Poly, d: int) -> Poly:
         out = out * Poly(new_vars, {pad * t + e + pad * (d - 1 - t): c
                                     for e, c in f.terms.items()})
     return out
+
+
+def sweet_piece_report(sp, B) -> dict:
+    """The checks of ``sweet.sweet_piece_report``, grouping the entries of
+    the piece by the triple of label sequences (tuples of labels) of
+    their kept positions."""
+    label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in sp.kept[a]]
+                  for a in range(3)]
+    cls = []
+    for a in range(3):
+        m: Dict[tuple, List[int]] = {}
+        for idx, ls in enumerate(label_seqs[a]):
+            m.setdefault(ls, []).append(idx)
+        cls.append(m)
+    grouped: Dict[tuple, Dict[Tuple[int, int, int], Rat]] = {}
+    for (i, j, k), c in sp.tensor.entries.items():
+        key = (label_seqs[0][i], label_seqs[1][j], label_seqs[2][k])
+        grouped.setdefault(key, {})[(i, j, k)] = c
+    formats = set()
+    multisets = set()
+    axis_counts = [Counter() for _ in range(3)]
+    for key, ent in grouped.items():
+        formats.add(tuple(len(cls[a][key[a]]) for a in range(3)))
+        multisets.add(tuple(sorted(ent.values())))
+        for a in range(3):
+            axis_counts[a][key[a]] += 1
+    return {
+        "support_blocks": len(grouped),
+        "formats_equal": len(formats) <= 1,
+        "entry_multisets_equal": len(multisets) <= 1,
+        "marginals_uniform": all(len(set(c.values())) <= 1
+                                 for c in axis_counts),
+        "marginal_block_counts": [len(c) for c in axis_counts],
+        "p_T": sp.p_T,
+        "p_T_consistent": len(set([sp.p_T] +
+                                  [len(set(ls)) for ls in label_seqs])) == 1,
+        "note": "sufficient-condition check: format equality plus entry-"
+                "multiset equality per block; full block-isomorphism testing "
+                "is not decided here",
+    }

@@ -306,6 +306,13 @@ def test_tautological_apolarity_input_checks():
         verify_tautological_apolarity(parse("x1^2"), "zz")
 
 
+def test_a_bound_or_order_out_of_range_is_refused():
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        annihilator_upto(parse("x1*x2"), -1)
+    with pytest.raises(ValueError, match="k=3 out of range for degree 2"):
+        catalecticant_rank(parse("x1*x2"), 3)
+
+
 # -- disjoint-variable powers ---------------------------------------------------
 
 
@@ -486,6 +493,15 @@ def test_one_pass_filtration_matches_the_closure_oracle(f):
     # the one-pass filtration, read back from its differences
     assert [sum(hilb[i:]) for i in range(len(filt_ge))] == filt_ge
     assert apolar_dim(f) == filt_ge[0]
+
+
+@given(inhomogeneous_polys())
+@settings(max_examples=60, deadline=None)
+def test_the_hilbert_function_of_a_polynomial_ends_at_its_degree(f):
+    # a term of top degree d gives its order-d derivative a nonzero
+    # constant image, so H(d) > 0 and nothing past d is counted
+    hilb = tuple(hilbert_function(f))
+    assert len(hilb) == f.degree() + 1 and hilb[-1] > 0
 
 
 @given(st.one_of(forms(max_degree=6), inhomogeneous_polys()), st.data())

@@ -260,6 +260,59 @@ def test_sweet_degenerate(capsys):
     assert doc["outputs"]["tight_after"] is True
 
 
+def test_sweet_degenerate_inline_weights(capsys):
+    # three ;-separated axes give the weights that cwdeg names
+    weights = [[0, 1, 2], [0, 1, 2], [0, -1, -2]]
+    argv = ["sweet", "degenerate", "--tensor", "group:3", "--blocking", "cw",
+            "--weights"]
+    doc = report(capsys, argv + ["0,1,2;0,1,2;0,-1,-2"])
+    assert doc["inputs"]["weights"] == weights
+    assert doc["outputs"] == report(capsys, argv + ["cwdeg"])["outputs"]
+
+
+def test_sweet_marginals_of_a_point_distribution(capsys):
+    # point:I charges the I-th support block, in sorted label order
+    doc = report(capsys, ["sweet", "marginals", "--tensor", "cw:3",
+                          "--blocking", "cw", "--dist", "point:2"])
+    assert doc["inputs"]["dist"] == {"probs": ["1"],
+                                     "support": [[[0], [2], [-2]]]}
+    assert doc["outputs"] == {
+        "marginals": [{"[0]": "1"}, {"[2]": "1"}, {"[-2]": "1"}],
+        "uniqueness": "unique"}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sweet", "degenerate", "--tensor", "group:3", "--blocking", "cw",
+      "--weights", "0,1,2;0,1,2"],
+     "inline weights need three ;-separated axes"),
+    (["sweet", "tight", "--tensor", "cw:3", "--blocking", "foo"],
+     "unknown blocking spec 'foo' (want cw, weights:a,b,... or @file)"),
+    (["sweet", "tight", "--tensor", "cw:3", "--blocking", "weights:0,1"],
+     "weight blocking must match the tensor dims"),
+    (["sweet", "extract", "--tensor", "tb", "--blocking", "weights:0,1",
+      "--dist", "large", "--power", "2"],
+     "'large' needs the three standard large blocks in the support"),
+    (["tensor", "make", "group"], "group mode needs --orders like 2x2"),
+])
+def test_a_malformed_spec_exits_two(capsys, argv, err):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_the_cw_blocking_of_a_tensor_that_is_not_a_cube_exits_two(
+        tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 3],
+                                "entries": [[0, 0, 0, "1"]]}))
+    assert run(["sweet", "tight", "--tensor", f"@{path}",
+                "--blocking", "cw"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cw blocking needs a cube-shaped tensor\n"
+
+
 def test_sweet_zero_layers(capsys):
     doc = report(capsys, ["sweet", "zero-layers", "--tensor", "cw:4",
                           "--axis", "3"])

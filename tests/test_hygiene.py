@@ -264,10 +264,10 @@ def test_one_walk_builds_kronecker_words():
 
 
 def test_one_memo_builds_the_kept_sequences():
-    # each constrained axis's kept and label sequences are read off one
-    # table of tails per remaining budget, built by _tails for
-    # _kept_sequences alone (and by itself, one budget shorter), with no
-    # walk over prefixes beside it
+    # each constrained axis's kept index sequences are read off one table
+    # of tails per remaining budget, built by _tails for _kept_sequences
+    # alone (and by itself, one budget shorter), with no walk over
+    # prefixes beside it
     assert _readers_of("_tails", ast.Name) == {
         ("sweet.py", "_kept_sequences"), ("sweet.py", "_tails")}
     assert _readers_of("_tails") == set()
@@ -275,6 +275,15 @@ def test_one_memo_builds_the_kept_sequences():
     assert "_spend_budget" not in {node.name for node in sweet.body
                                    if isinstance(node, ast.FunctionDef)}
     assert _readers_of("_spend_budget", ast.Name) == set()
+
+
+def test_one_partition_groups_by_label_triple():
+    # a sweet piece's report groups its entries through support_blocks,
+    # not by loops of its own, and no piece carries a list of label
+    # sequences beside its kept ones
+    assert ("sweet.py", "sweet_piece_report") in _readers_of(
+        "support_blocks", ast.Name)
+    assert _readers_of("label_seqs") == set()
 
 
 def test_one_rank_certificate_bounds_the_elimination():

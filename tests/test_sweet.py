@@ -40,6 +40,7 @@ from apolarium.sweet import (
     zero_layers,
 )
 from apolarium import sweet, tensor3
+import oracles
 from apolarium.tensor3 import AbelianGroup, Tensor3, cw, group_tensor, kronecker_power
 
 # 1 tensor 1 + 1 tensor x + x tensor 1 in the third slot: the smallest
@@ -240,13 +241,18 @@ def test_sp_extract_smallest_case():
 def test_sp_report_on_smallest_case():
     Bw = weight_blocking([0, 1])
     P = BlockDistribution.uniform([b.labels for b in support_blocks(TB, Bw)])
-    rep = sweet_piece_report(sp_extract(TB, Bw, P, 3))
+    rep = sweet_piece_report(sp_extract(TB, Bw, P, 3), Bw)
     assert rep["support_blocks"] == 6
     assert rep["formats_equal"] and rep["entry_multisets_equal"]
     assert rep["marginals_uniform"]
     assert rep["marginal_block_counts"] == [3, 3, 3]
     assert rep["p_T"] == 3 and rep["p_T_consistent"]
     assert "sufficient" in rep["note"]
+
+
+def test_sp_extract_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="need N >= 0, got -1"):
+        sp_extract(cw(3), cw_blocking(3), BlockDistribution.uniform(LARGE3), -1)
 
 
 def test_sp_extract_requires_tight_by_default():
@@ -445,11 +451,15 @@ def test_formula_sweet_rank_values():
 
 def test_formula_sweet_rank_preconditions():
     with pytest.raises(ValueError):
-        formula_sweet_rank(3, 3, Fraction(1, 2))  # p + q != 1/3
+        formula_sweet_rank(3, 3, Fraction(1, 2))  # q = 1/3 - p < 0
     with pytest.raises(ValueError):
         formula_sweet_rank(3, 4, Fraction(1, 3))  # p*N not integral
     with pytest.raises(ValueError):
         formula_sweet_rank(3, 3, Fraction(1, 2), Fraction(-1, 6))
+    with pytest.raises(ValueError, match="p\\+q must be 1/3"):
+        formula_sweet_rank(3, 3, Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(ValueError, match="block counts are out of range"):
+        formula_sweet_rank(3, 0, Fraction(1, 3))  # (p+q)N - 1 < 0
 
 
 def test_formula_pratt_matches_even_symdiff_complement():
@@ -461,13 +471,15 @@ def test_formula_pratt_matches_even_symdiff_complement():
                          for i in range(3 * k // 2 + 1))
         assert formula_pratt(k) == 8 ** k // 2 - (total_even
                                                   - even_symdiff_count(k))
+    with pytest.raises(ValueError, match="need k >= 1"):
+        formula_pratt(0)
 
 
 def test_even_symdiff_count_values():
     # the two counts agree: both enumerate the even symmetric differences
     # of size at most 2k, and the enumeration cross-check runs for k <= 4
     assert [even_symdiff_count(k) for k in (1, 2, 3, 4)] == [4, 31, 247, 1981]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k >= 1"):
         even_symdiff_count(0)
 
 
@@ -519,14 +531,11 @@ def brute_sp_extract(T, B, P, N, check_tight=True):
     marg = _validate_distribution(T, B, P, check_tight)
     kept = [_brute_kept(B, a, _composition(marg[a], N), N) for a in range(3)]
     entries = _brute_walk(T, N, [{s: t for t, s in enumerate(ks)} for ks in kept])
-    label_seqs = [[tuple(B.label(a, i) for i in seq) for seq in kept[a]]
-                  for a in range(3)]
-    pts = [len(set(ls)) for ls in label_seqs]
-    if len(set(pts)) != 1:
-        raise ValueError(f"label-sequence counts differ across axes: {pts}")
+    pts = {len({tuple(B.label(a, i) for i in seq) for seq in kept[a]})
+           for a in range(3)}
+    assert len(pts) == 1  # every axis has the same number of label sequences
     dims = tuple(max(1, len(ks)) for ks in kept)
-    return SweetPiece(Tensor3(dims, entries), tuple(kept), tuple(label_seqs),
-                      pts[0])
+    return SweetPiece(Tensor3(dims, entries), tuple(kept), pts.pop())
 
 
 def brute_chimney(T, B, P, N, fixed_pair=(0, 1), check_tight=True):
@@ -551,8 +560,7 @@ def _outcome(fn, *args, **kw):
 def _same_piece(a, b):
     if a is ValueError or b is ValueError:
         return a is b
-    return (a.tensor == b.tensor and a.kept == b.kept
-            and a.label_seqs == b.label_seqs and a.p_T == b.p_T)
+    return a.tensor == b.tensor and a.kept == b.kept and a.p_T == b.p_T
 
 
 @st.composite
@@ -631,23 +639,39 @@ def test_chimney_matches_brute_force(problem, fixed_pair):
 @settings(max_examples=150, deadline=None)
 @given(blocked_problems(), st.integers(0, 2), st.booleans())
 def test_p_T_is_the_number_of_distinct_label_sequences(problem, axis, stray):
-    # p_T is counted from the composition; here the label sequences are
-    # hashed.  A stray draw moves the first charged triple's label on one
-    # axis to one that no index carries: that axis keeps nothing and
-    # counts 0, and the piece is refused, its block not in the support
+    # p_T is counted from axis 0's composition; here the label sequences
+    # of every axis are read through B and hashed.  A stray draw moves the
+    # first charged triple's label on one axis to one that no index
+    # carries: that axis keeps nothing, and the piece is refused, its
+    # block not in the support
     T, B, P, N, check_tight = problem
     if stray:
         support = [list(trip) for trip in P.support]
         support[0][axis] = (99,)
         P = BlockDistribution(support, P.probs)
     for a, m in enumerate(marginals(P)):
-        kept, label_seqs = _kept_sequences(B, a, _composition(m, N), N)
-        assert sweet._arrangements(label_seqs, N) == len(set(label_seqs))
+        kept = _kept_sequences(B, a, _composition(m, N), N)
         assert (not kept) == (stray and a == axis)
     piece = _outcome(sp_extract, T, B, P, N, check_tight=check_tight)
     assert piece is ValueError or not stray
     if piece is not ValueError:
-        assert all(piece.p_T == len(set(ls)) for ls in piece.label_seqs)
+        for a in range(3):
+            label_seqs = {tuple(B.label(a, i) for i in seq)
+                          for seq in piece.kept[a]}
+            assert piece.p_T == len(label_seqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_problems())
+def test_the_report_reads_the_blocks_of_the_label_sequences(problem):
+    # the report groups the piece through support_blocks, each position
+    # labelled by its label sequence laid end to end; the oracle groups it
+    # by the tuples of labels themselves
+    T, B, P, N, check_tight = problem
+    piece = _outcome(sp_extract, T, B, P, N, check_tight=check_tight)
+    if piece is not ValueError:
+        assert (sweet_piece_report(piece, B)
+                == oracles.sweet_piece_report(piece, B))
 
 
 @pytest.mark.parametrize("idx, value", [
@@ -971,15 +995,13 @@ def kept_problems(draw):
 @given(kept_problems(), st.integers(0, 2))
 def test_kept_sequences_match_brute_force(problem, axis):
     B, comp, N = problem
-    kept, label_seqs = _kept_sequences(B, axis, comp, N)
-    assert kept == _brute_kept(B, axis, comp, N)
-    assert label_seqs == [tuple(B.label(axis, i) for i in seq) for seq in kept]
+    assert _kept_sequences(B, axis, comp, N) == _brute_kept(B, axis, comp, N)
 
 
 def test_a_charged_label_that_no_index_carries_keeps_nothing():
     B = cw_blocking(3)
-    assert _kept_sequences(B, 0, {(0,): 1, (5,): 1}, 2) == ([], [])
-    assert _kept_sequences(B, 0, {}, 0) == ([()], [()])
+    assert _kept_sequences(B, 0, {(0,): 1, (5,): 1}, 2) == []
+    assert _kept_sequences(B, 0, {}, 0) == [()]
 
 
 def _tail_tables(monkeypatch):
@@ -988,12 +1010,12 @@ def _tail_tables(monkeypatch):
     memos, built = [], []
     tails = sweet._tails
 
-    def spy(labels, slot, budget, memo):
+    def spy(slot, budget, memo):
         if not any(m is memo for m in memos):
             memos.append(memo)
         if budget not in memo:
             built.append((id(memo), budget))
-        return tails(labels, slot, budget, memo)
+        return tails(slot, budget, memo)
 
     monkeypatch.setattr(sweet, "_tails", spy)
     return memos, built
@@ -1006,9 +1028,10 @@ def test_one_tail_list_per_budget(monkeypatch):
     B = cw_blocking(4)
     comp = _composition(marginals(BlockDistribution.uniform(LARGE3))[0], 6)
     assert comp == {(0,): 2, (1,): 4}
-    kept, _ = _kept_sequences(B, 0, comp, 6)
+    kept = _kept_sequences(B, 0, comp, 6)
     assert len(kept) == math.comb(6, 2) * 2 ** 4
     assert len(memos) == 1 and len(memos[0]) == 15
+    assert all(type(tails) is list for tails in memos[0].values())
     assert len(built) == len(set(built)) == 14  # the zero budget is seeded
 
 

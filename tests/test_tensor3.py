@@ -289,6 +289,10 @@ def test_algebra_k_zero_and_validation():
         PartiallySymmetricTensor([[[0, 1], [2, 0]]])  # not symmetric
     with pytest.raises(ValueError):
         PartiallySymmetricTensor([])
+    with pytest.raises(ValueError, match="square and equal-sized"):
+        PartiallySymmetricTensor([[[1, 0], [0]]])  # a ragged row
+    with pytest.raises(ValueError, match="first two dims must agree"):
+        symmetrize_TS(Tensor3((2, 3, 1), {(0, 0, 0): 1}))
 
 
 def test_algebras_are_refused_before_they_are_built():

@@ -10,16 +10,18 @@ layers feed the substitution bound.
 
 Neither projection walks the |T|^N entry words of the power.  The kept
 entries are exactly the words of N entries of T whose labels spend the
-composition of every constrained axis.  One walk over the remaining label
-budgets enumerates them: its state is the number of letters still to take
-(slot 0) and, for each label of each constrained axis, the letters still
-allowed with that label; a free axis has slot 0 alone.  A budget that no
-word spends is dropped where it is first reached, so the walk keys each
-kept entry by its position in the piece and the cost follows the number
-of kept entries.  The product of a kept word depends only on the multiset
-of entries it uses, so it is computed once per multiset and shared by all
-its words.  The kept index sequences of an axis are built from one memo
-of tails per label budget still to spend, so they too cost what they hold.
+composition of every constrained axis.  This module turns the
+compositions into a budget, N letters (slot 0) and, for each label of
+each constrained axis, the letters allowed with that label, and gives
+each index of a constrained axis the slot of its label; a free axis has
+slot 0 alone.  ``tensor3._restricted_power`` owns the walk over the
+remaining budgets: it charges |T|^N and the C(comp) sequences each axis
+keeps, drops a budget that no word spends where it is first reached, keys
+each kept entry by its position in the piece, so the cost follows the
+number of kept entries, and computes the product of a kept word once per
+multiset of entries it uses.  A chimney only counts its constrained axes;
+a sweet piece lists each axis's kept index sequences, built from one memo
+of tails per label budget still to spend, so they cost what they hold.
 A piece is checked by ``support_blocks`` itself, each kept position
 labelled by the labels of its sequence laid end to end.
 
@@ -38,7 +40,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
 from .scalars import Rat, as_int, rat
-from .tensor3 import Index3, Tensor3, _word_entries
+from .tensor3 import Tensor3, _restricted_power
 
 Label = Tuple[int, ...]
 LabelTriple = Tuple[Label, Label, Label]
@@ -255,18 +257,18 @@ def _composition(marg: Dict[Label, Rat], N: int) -> Dict[Label, int]:
     return comp
 
 
-def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int], N: int
+def _kept_sequences(B: Blocking, axis: int, comp: Dict[Label, int]
                     ) -> List[Tuple[int, ...]]:
-    """Index sequences of length N whose label counts equal comp, in
-    lexicographic order.  comp comes from a marginal, so its counts sum
-    to N.
+    """Index sequences whose label counts equal comp, in lexicographic
+    order; their length N is the sum of the counts.
 
     The sequences that end a kept sequence depend only on the budget still
     to spend, the counts per label of comp in sorted-label order, so
     ``_tails`` builds them once per budget below comp, at most
     ∏(comp_s + 1) budgets, each from the tails one letter shorter: the
-    cost follows the output, not the d^N sequences the guard charges."""
-    guards.check_entries(B.axis_dim(axis) ** N)
+    cost follows the output.  Nothing is charged here: ``sp_extract``
+    calls it only after ``_restricted_power`` has charged the C(comp)
+    sequences it returns."""
     order = sorted(comp)
     rank = {lab: s for s, lab in enumerate(order)}
     labels = B.labels[axis]
@@ -320,58 +322,37 @@ class SweetPiece(NamedTuple):
 
 def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
              axes: Sequence[int], check_tight: bool
-             ) -> Tuple[Tensor3, Dict[int, List[Tuple[int, ...]]],
-                        Dict[int, Dict[Label, int]]]:
+             ) -> Tuple[Tensor3, Dict[int, Dict[Label, int]]]:
     """The N-th Kronecker power restricted on each axis of `axes` to its
-    marginal-matching sequences, those sequences, {axis: kept}, as
-    ``_kept_sequences`` builds them from one memo of tails per budget,
-    and the compositions they spend, {axis: comp}.
+    marginal-matching sequences, and the compositions they spend,
+    {axis: comp}.
 
-    Position t on a constrained axis is kept[axis][t]; an axis not in
-    `axes` keeps the full index range of the power (lexicographic flat
-    order).  The power is never walked.  The budget is N letters (slot 0)
-    and one slot per label of each constrained axis, holding its count in
-    the composition.  The entries of T are grouped into parts by the
-    slots they spend, slot 0 and their label's slot on each constrained
-    axis; an entry with a label outside a composition is in no part.  A
-    free axis is slot 0 alone.  One ``_word_entries`` walk spends the
-    budget: it carries each kept position as a sum of rank offsets, so
-    nothing is re-keyed, drops every budget that no word spends, and
-    computes each product once per multiset of entries other than 1, so
-    the cost follows the number of kept entries rather than |T|^N.
+    Position t on a constrained axis is the t-th index sequence, in
+    lexicographic order, whose label counts equal the axis's
+    composition; an axis not in `axes` keeps the full index range of the
+    power (lexicographic flat order).  The power is never walked:
+    ``tensor3._restricted_power`` spends the budget, N letters (slot 0)
+    and one slot per label of each constrained axis, holding its count
+    in the composition, with each index of the axis in the slot of its
+    label and an index whose label is outside the composition in none.
+    It charges |T|^N and the C(comp) sequences each axis keeps, and its
+    cost follows the number of kept entries rather than |T|^N.
 
-    T is validated once, as ``kronecker_power`` does, and the walk's dict,
-    already keyed by positions t < len(kept[axis]) on the constrained axes
-    and flat indices < d ** N on the free one, is stored as it is by
-    ``Tensor3._derived``; each value is a product of nonzero Fractions of
-    the validated T."""
+    T is validated before the distribution is read; P charges only
+    support blocks, so every label of a composition is carried by some
+    index, as the builder needs."""
     if as_int(N, "power") < 0:
         raise ValueError(f"need N >= 0, got {N}")
     T = Tensor3(T.dims, T.entries, T.labels)
     marg = _validate_distribution(T, B, P, check_tight)
-    budget, slot, kept, comps = [N], {}, {}, {}
+    budget, slots, comps = [N], [None, None, None], {}
     for a in axes:
         comp = comps[a] = _composition(marg[a], N)
-        kept[a] = _kept_sequences(B, a, comp, N)
-        for lab in sorted(comp):
-            slot[a, lab] = len(budget)
-            budget.append(comp[lab])
-    dims = tuple(max(1, len(kept[a])) if a in kept else T.dims[a] ** N
-                 for a in range(3))
-    guards.check_entries(max(dims))
-    guards.check_entries(len(T.entries) ** N)
-    parts: Dict[Tuple[int, ...], List[Tuple[Index3, Rat]]] = {}
-    for idx, c in T.entries.items():
-        key = (0,) + tuple(slot.get((a, B.labels[a][idx[a]])) for a in axes)
-        if None not in key:
-            parts.setdefault(key, []).append((idx, c))
-    specs = []
-    for a in range(3):
-        slots = ([slot.get((a, lab)) for lab in B.labels[a]] if a in kept
-                 else [0] * T.dims[a])
-        specs.append((Counter(s for s in slots if s is not None), slots))
-    entries = _word_entries(sorted(parts.items()), tuple(budget), specs)
-    return Tensor3._derived(dims, entries, None), kept, comps
+        order = sorted(comp)
+        slot = {lab: len(budget) + s for s, lab in enumerate(order)}
+        slots[a] = [slot.get(lab) for lab in B.labels[a]]
+        budget += [comp[lab] for lab in order]
+    return _restricted_power(T, tuple(budget), slots), comps
 
 
 def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -379,16 +360,18 @@ def sp_extract(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     """Project the N-th Kronecker power onto the marginal-matching sequences
     of all three axes (see _project), with every support block of T taking
     part, charged by P or not.  kept lists each axis's marginal-matching
-    index sequences in lexicographic order; position t on an axis of the
-    piece is kept[axis][t].  p_T, the number of distinct label sequences
-    of an axis, is the multinomial N! / prod(comp_s!) of axis 0's
-    composition: every label of a composition is carried, since P
+    index sequences in lexicographic order, built by ``_kept_sequences``
+    once the builder has charged their number; position t on an axis of
+    the piece is kept[axis][t].  p_T, the number of distinct label
+    sequences of an axis, is the multinomial N! / prod(comp_s!) of axis
+    0's composition: every label of a composition is carried, since P
     charges only support blocks, so each arrangement of it is kept, and
     the marginal profiles agree, so every axis counts the same."""
-    tensor, kept, comps = _project(T, B, P, N, (0, 1, 2), check_tight)
+    tensor, comps = _project(T, B, P, N, (0, 1, 2), check_tight)
+    kept = tuple(_kept_sequences(B, a, comps[a]) for a in range(3))
     p_T = math.factorial(N) // math.prod(
         math.factorial(n) for n in comps[0].values())
-    return SweetPiece(tensor, (kept[0], kept[1], kept[2]), p_T)
+    return SweetPiece(tensor, kept, p_T)
 
 
 def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
@@ -396,7 +379,8 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
             check_tight: bool = True) -> Tensor3:
     """Restrict two axes to their marginal-matching sequences; the remaining
     axis keeps the full index range of the power (see _project), and its
-    labels play no part."""
+    labels play no part.  The constrained axes are sized by counting
+    their sequences, C(comp), and no list of them is built."""
     fixed = tuple(sorted(as_int(a, "axis") for a in fixed_pair))
     if len(set(fixed)) != 2 or not all(a in (0, 1, 2) for a in fixed):
         raise ValueError(f"fixed_pair must be two distinct axes, got {fixed_pair}")
@@ -466,7 +450,7 @@ def formula_sweet_rank(n: int, N: int, p, q=None) -> int:
             raise ValueError(f"{name} = {val} is not integral")
     top = (2 * p + 2 * q) * N + 1
     low = (p + q) * N - 1
-    if top.denominator != 1 or low.denominator != 1 or low < 0:
+    if low < 0:
         raise ValueError("block counts are out of range for this N")
     return n ** N - math.comb(N, int(top)) * (n - 1) ** int(low)
 

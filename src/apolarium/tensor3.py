@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import guards
 from .scalars import Rat, as_int, rat
@@ -36,9 +37,9 @@ class Tensor3:
     There are two constructors.  ``Tensor3(dims, entries, labels)`` checks
     and copies every entry, and is the only one for input from outside the
     library: files, the command line, user code and every construction
-    fed by them.  ``Tensor3._derived`` stores a dict that a Kronecker walk
-    over an already validated factor has just built, without a pass over
-    its entries.
+    fed by them.  ``Tensor3._derived`` stores, without a pass over its
+    entries, the dict that ``_restricted_power``'s walk has just built
+    over a factor it validated.
     """
 
     __slots__ = ("dims", "entries", "labels")
@@ -73,24 +74,23 @@ class Tensor3:
         self.labels = lab
 
     @classmethod
-    def _derived(cls, dims: Index3, entries: Dict[Index3, Rat],
-                 labels: Optional[Tuple[Tuple[str, ...], ...]]) -> "Tensor3":
+    def _derived(cls, dims: Index3, entries: Dict[Index3, Rat]) -> "Tensor3":
         """Store entries as they are, without the per-entry pass of
-        ``__init__``.
+        ``__init__``, and no labels.
 
-        Only for the dict of a ``_word_entries`` walk over a factor that
-        has just been through ``__init__`` (``kronecker_power`` and
-        ``sweet._project``).  Each key is then a row-major combination of
-        in-range int indices of the factor, mapped to in-range ints of
+        Only for ``_restricted_power``, which has just put the factor
+        through ``__init__`` and built the dict by a walk over it.  Each
+        key is then a triple of positions, the lexicographic ranks of
+        kept index sequences of the factor, each below its count C(b) in
         dims, and each value is a product of nonzero Fractions of the
         factor, so a nonzero Fraction; the words of one multiset of
         entries share one such Fraction, which nothing mutates.  dims are
-        ints >= 1 and labels, when present, tuples of str of the sizes of
-        dims, as ``__init__`` would store them."""
+        a tuple of ints >= 1, as ``__init__`` would store them, since each
+        slot of a budget is carried by some index of its axis."""
         T = cls.__new__(cls)
         T.dims = dims
         T.entries = entries
-        T.labels = labels
+        T.labels = None
         return T
 
     def nnz(self) -> int:
@@ -405,23 +405,31 @@ _KEY_BOUND = 2 ** 60
 _SUFFIX_BOUND = 2 ** 12
 
 
-def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
-                                          Iterable[Tuple[Index3, Rat]]]],
-                  budget: Tuple[int, ...],
-                  axes: Sequence[Tuple[Dict[int, int],
-                                       Sequence[Optional[int]]]]
-                  ) -> Dict[Index3, Rat]:
-    """The product of every word of entries that spends the budget
-    exactly, keyed by the word's positions (see ``_offsets``).
+def _restricted_power(T: Tensor3, budget: Tuple[int, ...],
+                      slots: Sequence[Optional[Sequence[Optional[int]]]]
+                      ) -> Tensor3:
+    """The Kronecker power T^N, N = budget[0], restricted on each axis to
+    the index sequences that spend that axis's slots of the budget
+    exactly; position t on an axis is the t-th such sequence in
+    lexicographic order.
 
     The budget is a tuple of slots.  Slot 0 counts the letters of a word,
     N, and each further slot the letters still allowed with one label on
-    one constrained axis.  Each part is (slots, entries): every entry of
-    the part spends one unit of each of its slots, and every part spends
-    slot 0.  axes[a] is (sizes, slots) for axis a: slots[i] is the slot
-    of index i, or None when no word may use it, and sizes maps each slot
-    of the axis to the number of its indices.  A free axis of size d is
-    the one slot 0, ({0: d}, [0] * d).
+    one constrained axis.  slots[a] lists the slot of each index of axis
+    a, None for an index that no word may use, or is None for a free
+    axis, which is slot 0 alone and keeps all d**N sequences in row-major
+    order.  The slots of a constrained axis hold N letters in all, and
+    each is the slot of some index of the axis.
+
+    T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
+    also catches an entries dict changed after T was built).  Its |T|**N
+    words are charged, then the largest dimension: each axis has
+    C(b) = ``_completions`` of its sizes and budget b positions, the
+    number of sequences it keeps.  The entries of T are grouped into
+    parts by the slots they spend, slot 0 and their slot on each
+    constrained axis in axis order; an entry with an index of no slot is
+    in no part.  The walk's dict, already keyed by positions below dims,
+    is stored by ``Tensor3._derived``, with no labels.
 
     Q is commutative, so a word's product depends only on how many times
     it uses each entry.  An entry 1 weighs 0 and the r-th other entry,
@@ -440,16 +448,29 @@ def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
     s and a suffix t use disjoint letters, so P(s + t) = P(s) * Q(t), with
     Q(t) the product the table holds; no sum carries, so the sum of s + t,
     which names its product, is the sum of s plus the sum of t.  Likewise
-    the position of s + t is the position of s plus the offset of t, and
-    a visit to a table adds the prefix to each distinct offset of an axis
-    once, so the keys it stores share those position ints rather than
-    each holding three of its own."""
+    the position of s + t is the position of s plus the offset of t (see
+    ``_offsets``), and a visit to a table adds the prefix to each distinct
+    offset of an axis once, so the keys it stores share those position
+    ints rather than each holding three of its own."""
     N = budget[0]
+    T = Tensor3(T.dims, T.entries, T.labels)
+    guards.check_entries(len(T.entries) ** N)
+    axes = [({0: d}, [0] * d) if axis is None
+            else (Counter(s for s in axis if s is not None), axis)
+            for axis, d in zip(slots, T.dims)]
+    dims = tuple(_completions(sizes, budget) for sizes, _ in axes)
+    guards.check_entries(max(dims))
+    parts: Dict[Tuple[int, ...], List[Tuple[Index3, Rat]]] = {}
+    for idx, v in T.entries.items():
+        key = (0,) + tuple(axis[i] for axis, i in zip(slots, idx)
+                           if axis is not None)
+        if None not in key:
+            parts.setdefault(key, []).append((idx, v))
     groups: List[Tuple[Tuple[int, ...], List[Tuple[Index3, Rat, int]]]] = []
     weight = 1
-    for slots, part in parts:
-        groups.append((slots, []))
-        for idx, v in part:
+    for key in sorted(parts):
+        groups.append((key, []))
+        for idx, v in parts[key]:
             if v == 1:
                 w = 0
             elif weight * (N + 1) <= _KEY_BOUND:
@@ -457,7 +478,7 @@ def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
             else:
                 w = -weight
             groups[-1][1].append((idx, v, w))
-    size = sum(len(entries) for _, entries in groups)
+    size = sum(len(part) for part in parts.values())
     length = min(N, max([1] + [n for n in (2, 3)
                                if size ** n <= _SUFFIX_BOUND]))
     products: Dict[int, Rat] = {0: Fraction(1)}
@@ -465,7 +486,19 @@ def _word_entries(parts: Iterable[Tuple[Tuple[int, ...],
     root = _node(tuple(budget), groups, axes, length, {})
     if root is not None:
         _walk(root, 0, 0, 0, products[0], 0, products, out)
-    return out
+    return Tensor3._derived(dims, out)
+
+
+def _completions(sizes: Dict[int, int], budget: Tuple[int, ...]) -> int:
+    """C(b) = multinomial(|b|; b) * prod_s n_s ** b_s: the number of index
+    sequences that spend exactly the budget b of the slots in sizes, n_s
+    the number of indices of slot s.  A free axis of size d is slot 0
+    alone, so with b_0 letters left it has d ** b_0 sequences."""
+    total, m = 1, 0
+    for s, n in sizes.items():
+        m += budget[s]
+        total *= math.comb(m, budget[s]) * n ** budget[s]
+    return total
 
 
 def _offsets(axis, state: Tuple[int, ...]) -> List[int]:
@@ -474,18 +507,17 @@ def _offsets(axis, state: Tuple[int, ...]) -> List[int]:
     position is the sum of its letters' offsets: the lexicographic rank of
     its index sequence among those that spend the axis's slots.
 
-    A sequence with the budget b of the axis's slots still to spend
-    completes in C(b) = multinomial(|b|; b) * prod_s n_s ** b_s ways, n_s
-    the number of indices of slot s, so index i is offset by the sum of
-    C(b - e_s(i')) = C(b) * b_s(i') / (|b| * n_s(i')) over the indices
-    i' < i.  A free axis of size d is slot 0 alone, with |b| = b_0 and
+    axis is (sizes, slots): slots[i] is the slot of index i, or None,
+    and sizes maps each slot of the axis to its number of indices.  A
+    sequence with the budget b of the axis's slots still to spend
+    completes in C(b) = ``_completions(sizes, b)`` ways, so index i is
+    offset by the sum of C(b - e_s(i')) = C(b) * b_s(i') / (|b| * n_s(i'))
+    over the indices i' < i, n_s the number of indices of slot s.  A free
+    axis of size d is slot 0 alone, with |b| = b_0 and
     n_0 = d, so index i is offset by i * d**(|b| - 1), its row-major flat
     index."""
     sizes, slots = axis
-    total, m = 1, 0
-    for s, n in sizes.items():
-        m += state[s]
-        total *= math.comb(m, state[s]) * n ** state[s]
+    total = _completions(sizes, state)
     skip = {s: total * state[s] // (state[0] * n) for s, n in sizes.items()}
     run, off = 0, []
     for s in slots:
@@ -602,28 +634,20 @@ def _walk(node: tuple, i: int, j: int, k: int, c: Rat, s: int,
 def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     """N-th Kronecker power; index sequences flatten row-major.
 
-    T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
-    also catches an entries dict changed after T was built), and the power
-    is built by ``_word_entries`` with every axis free, slot 0 the only
-    slot and all the entries of T in one part: each product is computed
-    once per multiset of entries other than 1 and shared by every word of
-    that multiset.  The walk's dict is stored by ``Tensor3._derived``,
-    without a second pass over its |T|^N entries; the labels of the power
-    are built level by level."""
+    ``_restricted_power`` builds it with every axis free, slot 0 the only
+    slot, so all the entries of T are one part: T is validated once, each
+    product is computed once per multiset of entries other than 1 and
+    shared by every word of that multiset, and the walk's |T|^N entries
+    are stored without a second pass.  The labels of the power, d^N per
+    axis, are built level by level once the power is built, so a power
+    its guards refuse builds none."""
     if as_int(N, "power") < 1:
         raise ValueError("need N >= 1")
-    T = Tensor3(T.dims, T.entries, T.labels)
-    guards.check_entries(len(T.entries) ** N)
-    d1, d2, d3 = T.dims
-    dims = (d1 ** N, d2 ** N, d3 ** N)
-    guards.check_entries(max(dims))
-    entries = _word_entries([((0,), T.entries.items())], (N,),
-                            [({0: d}, [0] * d) for d in T.dims])
-    labels = None
+    power = _restricted_power(T, (N,), (None,) * 3)
     if T.labels is not None:
         levels = T.labels
         for _ in range(N - 1):
             levels = [[p + "," + x for p in level for x in ax]
                       for level, ax in zip(levels, T.labels)]
-        labels = tuple(map(tuple, levels))
-    return Tensor3._derived(dims, entries, labels)
+        power.labels = tuple(map(tuple, levels))
+    return power

@@ -230,11 +230,10 @@ def _readers_of(name, kind=ast.Attribute):
 
 
 def test_only_the_kronecker_walks_skip_the_entry_checks():
-    # Tensor3._derived stores a dict without checking its entries; only a
+    # Tensor3._derived stores a dict without checking its entries; only the
     # walk over a factor that has just been validated may hand it one, so
     # anything built from outside input goes through Tensor3.__init__
-    assert _readers_of("_derived") == {("tensor3.py", "kronecker_power"),
-                                       ("sweet.py", "_project")}
+    assert _readers_of("_derived") == {("tensor3.py", "_restricted_power")}
 
 
 def test_only_poly_results_skip_the_term_checks():
@@ -258,9 +257,27 @@ def test_one_builder_walks_the_divisors():
 def test_one_walk_builds_kronecker_words():
     # the Kronecker power and the sweet projections spend their budgets in
     # one walk over entry words, with no second enumeration beside it
-    assert _readers_of("_word_entries", ast.Name) == {
+    assert _readers_of("_restricted_power", ast.Name) == {
         ("tensor3.py", "kronecker_power"), ("sweet.py", "_project")}
-    assert _readers_of("_word_entries") == set()
+    assert _readers_of("_restricted_power") == set()
+
+
+def test_sweet_knows_the_walk_only_through_its_builder():
+    # the format of the walk (parts, slot lists, positions) stays behind
+    # tensor3: sweet.py imports no private name of it but the builder, nor
+    # the module itself
+    tree = ast.parse((SRC / "sweet.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            names |= {alias.name if module[-1] == "tensor3" else "module"
+                      for alias in node.names
+                      if "tensor3" in module + [alias.name]}
+        elif isinstance(node, ast.Import):
+            names |= {"module" for alias in node.names
+                      if "tensor3" in alias.name.split(".")}
+    assert names == {"Tensor3", "_restricted_power"}
 
 
 def test_one_memo_builds_the_kept_sequences():

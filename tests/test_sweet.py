@@ -337,6 +337,44 @@ def test_sp_extract_entry_guard():
         sp_extract(TB, Bw, P, 9)
 
 
+# the three entries of TB on 4 x 4 x 4: each axis has d^3 = 64 sequences
+# but keeps the C(comp) = 3 that spend its composition {0: 2, 1: 1}
+TB4 = Tensor3((4, 4, 4), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+
+
+def test_a_piece_is_charged_the_sequences_it_keeps():
+    from apolarium.guards import LimitExceeded, limits
+    B = weight_blocking([0, 1, 2, 3])
+    P = BlockDistribution.uniform([b.labels for b in support_blocks(TB4, B)])
+    for cap in (27, 63):
+        with limits(max_entries=cap):
+            sp = sp_extract(TB4, B, P, 3)
+        assert sp.tensor.dims == (3, 3, 3) and sp.tensor.nnz() == 6
+        assert _same_piece(sp, brute_sp_extract(TB4, B, P, 3))
+    with limits(max_entries=26), pytest.raises(LimitExceeded,
+                                               match="entry count 27 "):
+        sp_extract(TB4, B, P, 3)  # the |T|^N words
+
+
+def test_chimneys_build_no_kept_lists_and_refusals_no_walk(monkeypatch):
+    from apolarium.guards import LimitExceeded, limits
+    calls = []
+    for module, name in ((sweet, "_kept_sequences"), (sweet, "_tails"),
+                         (tensor3, "_node")):
+        def spy(*args, name=name, f=getattr(module, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(module, name, spy)
+    B = weight_blocking([0, 1, 2, 3])
+    P = BlockDistribution.uniform([b.labels for b in support_blocks(TB4, B)])
+    with limits(max_entries=26), pytest.raises(LimitExceeded,
+                                               match="entry count 27 "):
+        sp_extract(TB4, B, P, 3)
+    assert calls == []
+    C = chimney(cw(3), cw_blocking(3), BlockDistribution.uniform(LARGE3), 6)
+    assert C.nnz() == 225 and set(calls) == {"_node"}
+
+
 # -- chimneys ---------------------------------------------------------------------
 
 
@@ -460,6 +498,23 @@ def test_formula_sweet_rank_preconditions():
         formula_sweet_rank(3, 3, Fraction(1, 3), Fraction(1, 3))
     with pytest.raises(ValueError, match="block counts are out of range"):
         formula_sweet_rank(3, 0, Fraction(1, 3))  # (p+q)N - 1 < 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data(), st.integers(-3, 3), st.integers(2, 5))
+def test_formula_sweet_rank_refuses_exactly_the_nonpositive_powers(
+        b, data, k, n):
+    # with p*N and q*N integral, (p+q)N = N/3 is integral, so the block
+    # counts are ints and fall out of range exactly when N <= 0
+    p = Fraction(data.draw(st.integers(0, b // 3)), b)
+    q = Fraction(1, 3) - p
+    N = k * math.lcm(p.denominator, q.denominator)
+    if N <= 0:
+        with pytest.raises(ValueError, match="block counts are out of range"):
+            formula_sweet_rank(n, N, p)
+    else:
+        assert formula_sweet_rank(n, N, p) == (
+            n ** N - math.comb(N, 2 * N // 3 + 1) * (n - 1) ** (N // 3 - 1))
 
 
 def test_formula_pratt_matches_even_symdiff_complement():
@@ -650,7 +705,7 @@ def test_p_T_is_the_number_of_distinct_label_sequences(problem, axis, stray):
         support[0][axis] = (99,)
         P = BlockDistribution(support, P.probs)
     for a, m in enumerate(marginals(P)):
-        kept = _kept_sequences(B, a, _composition(m, N), N)
+        kept = _kept_sequences(B, a, _composition(m, N))
         assert (not kept) == (stray and a == axis)
     piece = _outcome(sp_extract, T, B, P, N, check_tight=check_tight)
     assert piece is ValueError or not stray
@@ -995,13 +1050,13 @@ def kept_problems(draw):
 @given(kept_problems(), st.integers(0, 2))
 def test_kept_sequences_match_brute_force(problem, axis):
     B, comp, N = problem
-    assert _kept_sequences(B, axis, comp, N) == _brute_kept(B, axis, comp, N)
+    assert _kept_sequences(B, axis, comp) == _brute_kept(B, axis, comp, N)
 
 
 def test_a_charged_label_that_no_index_carries_keeps_nothing():
     B = cw_blocking(3)
-    assert _kept_sequences(B, 0, {(0,): 1, (5,): 1}, 2) == []
-    assert _kept_sequences(B, 0, {}, 0) == [()]
+    assert _kept_sequences(B, 0, {(0,): 1, (5,): 1}) == []
+    assert _kept_sequences(B, 0, {}) == [()]
 
 
 def _tail_tables(monkeypatch):
@@ -1028,7 +1083,7 @@ def test_one_tail_list_per_budget(monkeypatch):
     B = cw_blocking(4)
     comp = _composition(marginals(BlockDistribution.uniform(LARGE3))[0], 6)
     assert comp == {(0,): 2, (1,): 4}
-    kept = _kept_sequences(B, 0, comp, 6)
+    kept = _kept_sequences(B, 0, comp)
     assert len(kept) == math.comb(6, 2) * 2 ** 4
     assert len(memos) == 1 and len(memos[0]) == 15
     assert all(type(tails) is list for tails in memos[0].values())

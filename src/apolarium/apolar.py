@@ -93,22 +93,14 @@ def _cell_count(e: Exponent, k: Optional[int]) -> int:
     return g >> w * k & (1 << w) - 1
 
 
-class HilbertFunction:
-    __slots__ = ("values",)
+class HilbertFunction(tuple):
+    """H(0), ..., H(d), a tuple of ints; ``values`` is the same ints as a
+    plain tuple, which the benchmark reads."""
+    __slots__ = ()
 
-    def __init__(self, values: Tuple[int, ...]):
-        self.values = values
-
-    def __repr__(self):
-        return f"HilbertFunction(values={self.values!r})"
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertFunction):
-            return self.values == other.values
-        return tuple(self.values) == tuple(other)
+    @property
+    def values(self) -> Tuple[int, ...]:
+        return tuple(self)
 
 
 def hilbert_function(f: Poly) -> HilbertFunction:
@@ -133,8 +125,7 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     packing = _packing(f, None)
     if f.is_homogeneous():
         ranks = [sparse_rank(side) for side in _orders(packing, d // 2)]
-        return HilbertFunction(tuple(ranks[min(k, d - k)]
-                                     for k in range(d + 1)))
+        return HilbertFunction(ranks[min(k, d - k)] for k in range(d + 1))
     # The span of the derivatives of order >= i is that of the monomial
     # derivatives of order >= i, so with the operators taken from order d
     # down to 0, negated keys, its dimension is the number of greedy
@@ -144,7 +135,7 @@ def hilbert_function(f: Poly) -> HilbertFunction:
             for col in _divisor_columns(packing, 0, d)]
     for a in _greedy(side, len(set().union(*side))):
         vals[-a >> packing[1]] += 1
-    return HilbertFunction(tuple(vals))
+    return HilbertFunction(vals)
 
 
 def apolar_dim(f: Poly) -> int:

@@ -111,10 +111,12 @@ def _tensor_doc(T: Tensor3) -> dict:
     return json.loads(T.to_json())
 
 
-def _maybe_write(path: Optional[str], text: str) -> None:
+def _maybe_write(path: Optional[str], obj) -> None:
+    """Write obj.to_json() and a newline to path, when a path is given; the
+    JSON is built only then."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(obj.to_json() + "\n")
 
 
 def _tensor_make(args):
@@ -159,11 +161,11 @@ def _tensor_make(args):
         inputs["tensor"] = _tensor_doc(base)
         if mode == "ts":
             S = symmetrize_TS(base)
-            _maybe_write(args.out, S.to_json())
+            _maybe_write(args.out, S)
             return inputs, {"partially_symmetric": json.loads(S.to_json())}
         T = one_generic_extension(base, args.k)
         inputs["k"] = args.k
-    _maybe_write(args.out, T.to_json())
+    _maybe_write(args.out, T)
     out = {"tensor": _tensor_doc(T), "nnz": T.nnz(), "dims": list(T.dims)}
     out.update(extra)
     return inputs, out
@@ -173,7 +175,7 @@ def _tensor_kron(args):
     from .tensor3 import kronecker_power
     T = _load_tensor(args.tensor)
     P = kronecker_power(T, args.power)
-    _maybe_write(args.out, P.to_json())
+    _maybe_write(args.out, P)
     return ({"tensor": _tensor_doc(T), "power": args.power},
             {"dims": list(P.dims), "nnz": P.nnz(),
              "tensor": _tensor_doc(P) if args.full else None})
@@ -212,7 +214,7 @@ def _sweet_extract(args):
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
     sp = sp_extract(T, B, P, args.power, check_tight=not args.allow_nontight)
-    _maybe_write(args.out, sp.tensor.to_json())
+    _maybe_write(args.out, sp.tensor)
     return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json()),
              "dist": json.loads(P.to_json()), "power": args.power,
              "tightness_check_skipped": bool(args.allow_nontight)},
@@ -233,7 +235,7 @@ def _sweet_chimney(args):
     C = chimney(T, B, P, args.power, fixed_pair=(fixed[0] - 1, fixed[1] - 1),
                 check_tight=not args.allow_nontight)
     free_axis = ({1, 2, 3} - set(fixed)).pop()
-    _maybe_write(args.out, C.to_json())
+    _maybe_write(args.out, C)
     return ({"tensor": _tensor_doc(T), "dist": json.loads(P.to_json()),
              "power": args.power, "fixed": fixed,
              "tightness_check_skipped": bool(args.allow_nontight)},
@@ -246,7 +248,7 @@ def _sweet_degenerate(args):
     T, B = _blocked(args)
     w = _load_weights(args.weights, T)
     D = toric_degenerate(T, B, w)
-    _maybe_write(args.out, D.to_json())
+    _maybe_write(args.out, D)
     return ({"tensor": _tensor_doc(T), "weights": w},
             {"tensor": _tensor_doc(D), "nnz": D.nnz(),
              "tight_after": is_tight(D, B)})

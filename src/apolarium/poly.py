@@ -161,12 +161,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coeff(self, exp: Sequence[int]) -> Rat:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def constant_term(self) -> Rat:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     def terms_sorted(self) -> List[Tuple[Exponent, Rat]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=monomial_key)]
 
@@ -178,19 +172,6 @@ class Poly:
         """Sum of the homogeneous parts of degree <= d."""
         return Poly._trusted(self.vars, {e: c for e, c in self.terms.items()
                                          if sum(e) <= d})
-
-    def evaluate(self, point: Sequence) -> Rat:
-        if len(point) != len(self.vars):
-            raise VarMismatchError("point has wrong length")
-        pt = [rat(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -115,14 +115,10 @@ class Tensor3:
             raise ValueError("axis must be 0, 1 or 2")
         if not 0 <= index < self.dims[axis]:
             raise ValueError(f"index {index} out of range on axis {axis}")
-        rest = [d for a, d in enumerate(self.dims) if a != axis]
-        m = [[Fraction(0)] * rest[1] for _ in range(rest[0])]
-        for (i, j, k), c in self.entries.items():
-            idx = (i, j, k)
-            if idx[axis] != index:
-                continue
-            rc = [x for a, x in enumerate(idx) if a != axis]
-            m[rc[0]][rc[1]] = c
+        rows, cols = [d for a, d in enumerate(self.dims) if a != axis]
+        m = [[Fraction(0)] * cols for _ in range(rows)]
+        for col, c in _flattening(self, axis)[index].items():
+            m[col // cols][col % cols] = c
         return m
 
     # -- JSON ----------------------------------------------------------------
@@ -148,19 +144,23 @@ class Tensor3:
         return cls(doc["dims"], entries, doc.get("labels"))
 
 
+def _flattening(T: Tensor3, axis: int) -> List[Dict[int, Rat]]:
+    """One sparse row per index of the axis: the entries of T with that
+    index, each at column j * d + k, (j, k) its indices on the other two
+    axes in order and d the size of the later of them."""
+    d = T.dims[1] if axis == 2 else T.dims[2]
+    rows: List[Dict[int, Rat]] = [{} for _ in range(T.dims[axis])]
+    for idx, c in T.entries.items():
+        j, k = idx[:axis] + idx[axis + 1:]
+        rows[idx[axis]][j * d + k] = c
+    return rows
+
+
 def is_concise(T: Tensor3) -> Tuple[bool, List[int]]:
     """Full flattening rank on every axis; returns (ok, failing axes)."""
-    from .exact import SparseRow, sparse_rank
-    bad = []
-    for axis in range(3):
-        n = T.dims[axis]
-        rest = [d for a, d in enumerate(T.dims) if a != axis]
-        flat: List[SparseRow] = [{} for _ in range(n)]
-        for idx, c in T.entries.items():
-            rc = [x for a, x in enumerate(idx) if a != axis]
-            flat[idx[axis]][rc[0] * rest[1] + rc[1]] = c
-        if sparse_rank(flat) != n:
-            bad.append(axis)
+    from .exact import sparse_rank
+    bad = [axis for axis in range(3)
+           if sparse_rank(_flattening(T, axis)) != T.dims[axis]]
     return (not bad, bad)
 
 
@@ -210,10 +210,6 @@ class AbelianGroup:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def neutral(self) -> Tuple[int, ...]:
-        return self.elements[0]
-
     def add(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
 
@@ -235,57 +231,6 @@ def group_tensor(G: AbelianGroup) -> Tensor3:
             entries[(G.index(a), G.index(b), G.index(G.add(a, b)))] = Fraction(1)
     names = [G.element_name(e) for e in G.elements]
     return Tensor3((n, n, n), entries, (names, names, names))
-
-
-MultTable = List[List[List[Rat]]]  # table[i][j][k] = coeff of b_k in b_i*b_j
-
-
-def structure_tensor(table: Sequence[Sequence[Sequence]],
-                     labels: Optional[Sequence[str]] = None) -> Tensor3:
-    """Multiplication tensor of a commutative algebra in a fixed basis."""
-    n = len(table)
-    tab = [[[rat(c) for c in table[i][j]] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if len(tab[i]) != n or any(len(tab[i][j]) != n for j in range(n)):
-            raise ValueError("multiplication table is not n x n x n")
-    for i in range(n):
-        for j in range(i):
-            if tab[i][j] != tab[j][i]:
-                raise ValueError(f"table not symmetric at ({i},{j})")
-    entries = {(i, j, k): tab[i][j][k]
-               for i in range(n) for j in range(n) for k in range(n)
-               if tab[i][j][k]}
-    lab = (tuple(labels),) * 3 if labels is not None else None
-    return Tensor3((n, n, n), entries, lab)
-
-
-def table_tensor_power(table: Sequence[Sequence[Sequence]], N: int) -> MultTable:
-    """Multiplication table of the N-fold tensor-product algebra.
-
-    Basis = length-N index sequences in lexicographic (row-major) order, so
-    the result is directly comparable with Kronecker powers of the original
-    structure tensor.
-    """
-    n = len(table)
-    tab = [[[rat(c) for c in row] for row in plane] for plane in table]
-    seqs = list(itertools.product(range(n), repeat=N))
-    pos = {s: i for i, s in enumerate(seqs)}
-    out: MultTable = [[[Fraction(0)] * len(seqs) for _ in seqs] for _ in seqs]
-    for s1 in seqs:
-        for s2 in seqs:
-            # product of per-coordinate products, expanded distributively
-            terms = [((), Fraction(1))]
-            for a, b in zip(s1, s2):
-                new = []
-                for prefix, c in terms:
-                    for k in range(n):
-                        ck = tab[a][b][k]
-                        if ck:
-                            new.append((prefix + (k,), c * ck))
-                terms = new
-            for s3, c in terms:
-                out[pos[s1]][pos[s2]][pos[s3]] += c
-    return out
 
 
 class PartiallySymmetricTensor:
@@ -360,12 +305,11 @@ def symmetrize_TS(T: Tensor3) -> PartiallySymmetricTensor:
     n, m = T.dims[0], T.dims[2]
     guards.check_entries(m * (2 * n) ** 2)
     slices = []
-    for l in range(m):
+    for row in _flattening(T, 2):
         s = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for (i, j, kk), c in T.entries.items():
-            if kk == l:
-                s[i][n + j] = c
-                s[n + j][i] = c
+        for col, c in row.items():
+            i, j = divmod(col, n)
+            s[i][n + j] = s[n + j][i] = c
         slices.append(s)
     return PartiallySymmetricTensor(slices)
 

@@ -10,7 +10,7 @@ in the partials columns of ``apolar``, built apart from it;
 ``structure_tensor_of_apolar`` and ``gradient_rank`` are the apolar
 multiplication tensor and the Jacobian rank of ``encompassing_report``
 computed on exponent tuples, ``Fraction`` cells, ``apply`` and
-``Poly.evaluate``, which the packed and int versions in the library are
+``evaluate``, which the packed and int versions in the library are
 checked against.  ``encompassing_extension`` and ``boxtimes_power`` are
 the extension and the disjoint-variable power built by ``Poly``
 arithmetic: a sum of one checked ``Poly`` per multi-exponent, found by
@@ -18,10 +18,14 @@ recursion, and a product of the d renamed copies, which the one term map
 of each builder is checked against.  ``sweet_piece_report`` groups a
 sweet piece by the label sequences of its kept positions with dicts of
 its own, which the report read off ``sweet.support_blocks`` is checked
-against.
+against.  ``structure_tensor`` and ``table_tensor_power`` are the
+multiplication tensor of a table and the table of its N-fold tensor power,
+which ``kronecker_power`` is checked against.  ``coeff`` and ``evaluate``
+read one coefficient and one value of a ``Poly``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -31,8 +35,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from apolarium import exact
 from apolarium.apolar import _fact, greedy_monomial_basis
 from apolarium.encompass import ExtensionResult
-from apolarium.exact import Rat, solve_many, sparse_rank
-from apolarium.poly import Poly, apply, diff, homogenize, monomial_key
+from apolarium.exact import solve_many, sparse_rank
+from apolarium.poly import (Poly, VarMismatchError, apply, diff, homogenize,
+                            monomial_key)
+from apolarium.scalars import Rat, rat
+from apolarium.tensor3 import Tensor3
 
 
 def _first_nonzero(row: Sequence[Rat]) -> int:
@@ -163,12 +170,82 @@ def spy_rows_read(monkeypatch):
     return counts
 
 
+def coeff(f: Poly, exp: Sequence[int]) -> Rat:
+    """The coefficient of x^exp in f, 0 when f has no such term."""
+    return f.terms.get(tuple(exp), Fraction(0))
+
+
+def evaluate(f: Poly, point: Sequence) -> Rat:
+    """f at the point, one value per variable, each made a Fraction by
+    ``rat``."""
+    if len(point) != len(f.vars):
+        raise VarMismatchError("point has wrong length")
+    pt = [rat(x) for x in point]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(pt, e):
+            if k:
+                v *= x ** k
+        total += v
+    return total
+
+
+MultTable = List[List[List[Rat]]]  # table[i][j][k] = coeff of b_k in b_i*b_j
+
+
+def structure_tensor(table: Sequence[Sequence[Sequence]],
+                     labels: Optional[Sequence[str]] = None) -> Tensor3:
+    """Multiplication tensor of a commutative algebra in a fixed basis."""
+    n = len(table)
+    tab = [[[rat(c) for c in table[i][j]] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if len(tab[i]) != n or any(len(tab[i][j]) != n for j in range(n)):
+            raise ValueError("multiplication table is not n x n x n")
+    for i in range(n):
+        for j in range(i):
+            if tab[i][j] != tab[j][i]:
+                raise ValueError(f"table not symmetric at ({i},{j})")
+    entries = {(i, j, k): tab[i][j][k]
+               for i in range(n) for j in range(n) for k in range(n)
+               if tab[i][j][k]}
+    lab = (tuple(labels),) * 3 if labels is not None else None
+    return Tensor3((n, n, n), entries, lab)
+
+
+def table_tensor_power(table: Sequence[Sequence[Sequence]], N: int) -> MultTable:
+    """Multiplication table of the N-fold tensor-product algebra.
+
+    Basis = length-N index sequences in lexicographic (row-major) order, so
+    the result is directly comparable with Kronecker powers of the original
+    structure tensor.
+    """
+    n = len(table)
+    tab = [[[rat(c) for c in row] for row in plane] for plane in table]
+    seqs = list(itertools.product(range(n), repeat=N))
+    pos = {s: i for i, s in enumerate(seqs)}
+    out: MultTable = [[[Fraction(0)] * len(seqs) for _ in seqs] for _ in seqs]
+    for s1 in seqs:
+        for s2 in seqs:
+            # product of per-coordinate products, expanded distributively
+            terms = [((), Fraction(1))]
+            for a, b in zip(s1, s2):
+                new = []
+                for prefix, c in terms:
+                    for k in range(n):
+                        ck = tab[a][b][k]
+                        if ck:
+                            new.append((prefix + (k,), c * ck))
+                terms = new
+            for s3, c in terms:
+                out[pos[s1]][pos[s2]][pos[s3]] += c
+    return out
+
+
 def structure_tensor_of_apolar(f: Poly):
     """(Tensor3, basis) of the quotient algebra of f, its gram matrix and
     right-hand sides read off f one exponent tuple at a time, each cell
     t! c_t a Fraction."""
-    from apolarium.tensor3 import Tensor3
-
     exps = greedy_monomial_basis(f)
     ell = len(exps)
 
@@ -211,7 +288,7 @@ def gradient_rank(f: Poly, seed: int) -> Optional[int]:
     best = 0
     for _ in range(3):
         point = [rng.randint(-1000, 1000) for _ in f.vars]
-        rows = [{j: x for j, x in enumerate(e.evaluate(point) for e in row)
+        rows = [{j: x for j, x in enumerate(evaluate(e, point) for e in row)
                  if x} for row in jac]
         best = max(best, sparse_rank(rows))
         if best == len(exps) - 1:

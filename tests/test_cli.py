@@ -188,6 +188,27 @@ def test_tensor_kron(capsys):
     assert doc["outputs"]["nnz"] == 9
 
 
+def test_tensor_kron_serializes_the_power_only_for_out(tmp_path, capsys,
+                                                       monkeypatch):
+    # without --out the report's input document is the only JSON built
+    from apolarium.tensor3 import Tensor3, kronecker_power, tb
+    serialized = []
+    to_json = Tensor3.to_json
+
+    def spy(T):
+        serialized.append(T.dims)
+        return to_json(T)
+    monkeypatch.setattr(Tensor3, "to_json", spy)
+    report(capsys, ["tensor", "kron", "--tensor", "tb", "--power", "2"])
+    assert serialized == [(2, 2, 2)]
+    out = tmp_path / "p.json"
+    report(capsys, ["tensor", "kron", "--tensor", "tb", "--power", "2",
+                    "--out", str(out)])
+    assert serialized == [(2, 2, 2), (4, 4, 4), (2, 2, 2)]
+    assert out.read_text(encoding="utf-8") == (
+        kronecker_power(tb(), 2).to_json() + "\n")
+
+
 def test_tensor_file_round_trip(tmp_path, capsys):
     out = tmp_path / "t.json"
     report(capsys, ["tensor", "make", "cw", "--n", "3",

@@ -13,9 +13,10 @@ except ImportError:  # the oracle is optional
     sympy = None
 
 from apolarium import apolar, exact, papersuite
-from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, rat, solve_many,
+from apolarium.exact import (MODULUS, PRIMES, SparseEchelon, solve_many,
                              sparse_kernel, sparse_rank)
 from apolarium.poly import parse
+from apolarium.scalars import rat
 from oracles import echelon_mod_p, rref, spy_primes
 
 F = Fraction

@@ -20,12 +20,11 @@ from apolarium.tensor3 import (
     is_concise,
     kronecker_power,
     one_generic_extension,
-    structure_tensor,
     symmetrize_TS,
-    table_tensor_power,
     tb,
 )
 from apolarium.tensor3 import _KEY_BOUND, _SUFFIX_BOUND
+from oracles import rref, structure_tensor, table_tensor_power
 
 
 # -- the container ---------------------------------------------------------------
@@ -142,6 +141,32 @@ def test_partially_symmetric_from_json_refuses_a_float_entry():
         PartiallySymmetricTensor.from_json(json.dumps(doc))
 
 
+def _cell(T, axis, i, x, y):
+    """The entry of T with index i on the axis and x, y on the other two
+    axes in order, read from T.entries one cell at a time."""
+    idx = [x, y]
+    idx.insert(axis, i)
+    return T.entries.get(tuple(idx), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slices_and_conciseness_match_a_dense_read(data):
+    T = data.draw(small_tensors())
+    ranks = []
+    for axis in range(3):
+        rows, cols = [d for a, d in enumerate(T.dims) if a != axis]
+        i = data.draw(st.integers(0, T.dims[axis] - 1))
+        assert T.slice(axis, i) == [[_cell(T, axis, i, x, y)
+                                     for y in range(cols)]
+                                    for x in range(rows)]
+        flat = [[_cell(T, axis, i, x, y) for x in range(rows)
+                 for y in range(cols)] for i in range(T.dims[axis])]
+        ranks.append(len(rref(flat)[1]))
+    bad = [axis for axis in range(3) if ranks[axis] != T.dims[axis]]
+    assert is_concise(T) == (not bad, bad)
+
+
 def test_is_concise_reports_failing_axes():
     ok, bad = is_concise(cw(4))
     assert ok and bad == []
@@ -186,7 +211,6 @@ def test_cw_needs_three():
 def test_abelian_group_basics():
     G = AbelianGroup([2, 3])
     assert len(G) == 6
-    assert G.neutral == (0, 0)
     assert G.elements[0] == (0, 0) and G.elements[-1] == (1, 2)
     assert G.add((1, 2), (1, 2)) == (0, 1)
     assert G.element_name((1, 2)) == "1+2"

@@ -47,18 +47,6 @@ from . import guards
 MINIMAL_RANK_FAMILIES = ("group-power", "binary-power")
 
 
-def _jsonable(x):
-    """Reports hold JSON values, Fractions and Polys; the last two print as
-    their str."""
-    if isinstance(x, dict):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if x is None or isinstance(x, (str, int, float, bool)):
-        return x
-    return str(x)
-
-
 def _print_human(doc, indent: int = 0, out=None):
     out = out if out is not None else sys.stdout
     pad = "  " * indent
@@ -82,13 +70,17 @@ def _print_human(doc, indent: int = 0, out=None):
 
 
 def _emit(args, inputs: dict, outputs: dict) -> None:
+    """Print the report as the runner built it.  Its inputs and outputs
+    hold JSON values, str-keyed dicts, Fractions and Polys; the last two
+    print as their str, in the JSON and in the table alike."""
     doc = {"command": args.command.path.replace(" ", "-"),
-           "inputs": _jsonable(inputs), "outputs": _jsonable(outputs),
+           "inputs": inputs, "outputs": outputs,
            "provenance": list(args.command.provenance), "seed": args.seed}
     if args.human:
         _print_human(doc)
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2,
+                                    default=str) + "\n")
 
 
 # -- runners: each returns (inputs, outputs) or (inputs, outputs, exit code) --

@@ -3,7 +3,11 @@
 
 ``RUNNERS`` maps each command path to its runner; ``cli.run`` imports this
 module only when one of these commands runs.  Each runner and loader
-imports the library modules it calls; a runner returns (inputs, outputs).
+imports the library modules it calls; a runner returns (inputs, outputs),
+which hold the ``doc()`` dicts of the tensors, blockings and
+distributions it reports, as built.  JSON text is made here only by
+``_load_file``, which parses an ``@file`` once, and ``_maybe_write``,
+which writes ``--out``.
 """
 
 from __future__ import annotations
@@ -18,19 +22,23 @@ if TYPE_CHECKING:
 
 
 def _load_file(path: str, load: Callable):
-    """load(text of the file); JSON of the wrong types is a usage error."""
+    """load(the JSON document of the file), parsed once; a document of the
+    wrong types, or without a key that load reads, is a usage error."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        doc = json.load(fh)
     try:
-        return load(text)
+        return load(doc)
     except TypeError as exc:
         raise ValueError(f"malformed document {path}: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed document {path}: "
+                         f"missing key {exc}") from None
 
 
 def _load_tensor(spec: str) -> Tensor3:
     from .tensor3 import AbelianGroup, Tensor3, cw, group_tensor, tb
     if spec.startswith("@"):
-        return _load_file(spec[1:], Tensor3.from_json)
+        return _load_file(spec[1:], Tensor3.from_doc)
     if spec.startswith("cw:"):
         return cw(int(spec[3:]))
     if spec.startswith("group:"):
@@ -50,7 +58,7 @@ def _load_tensor(spec: str) -> Tensor3:
 def _load_blocking(spec: str, T: Tensor3) -> Blocking:
     from .sweet import Blocking, cw_blocking, weight_blocking
     if spec.startswith("@"):
-        return _load_file(spec[1:], Blocking.from_json)
+        return _load_file(spec[1:], Blocking.from_doc)
     if spec == "cw":
         if len(set(T.dims)) != 1:
             raise ValueError("cw blocking needs a cube-shaped tensor")
@@ -67,7 +75,7 @@ def _load_blocking(spec: str, T: Tensor3) -> Blocking:
 def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
     from .sweet import BlockDistribution, CW_LARGE, support_blocks
     if spec.startswith("@"):
-        return _load_file(spec[1:], BlockDistribution.from_json)
+        return _load_file(spec[1:], BlockDistribution.from_doc)
     blocks = [b.labels for b in support_blocks(T, B)]
     if spec == "uniform":
         return BlockDistribution.uniform(blocks)
@@ -90,8 +98,8 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
 def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
     from .sweet import cw_weights
     if spec.startswith("@"):
-        return _load_file(spec[1:], lambda text: [
-            list(ax) for ax in json.loads(text)["weights"]])
+        return _load_file(spec[1:], lambda doc: [
+            list(ax) for ax in doc["weights"]])
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")
@@ -107,16 +115,12 @@ def _blocked(args) -> Tuple[Tensor3, Blocking]:
     return T, _load_blocking(args.blocking, T)
 
 
-def _tensor_doc(T: Tensor3) -> dict:
-    return json.loads(T.to_json())
-
-
 def _maybe_write(path: Optional[str], obj) -> None:
-    """Write obj.to_json() and a newline to path, when a path is given; the
-    JSON is built only then."""
+    """Write obj's document as JSON and a newline to path, when a path is
+    given; the document is built only then."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(obj.to_json() + "\n")
+            fh.write(json.dumps(obj.doc(), sort_keys=True) + "\n")
 
 
 def _tensor_make(args):
@@ -150,23 +154,23 @@ def _tensor_make(args):
         if not args.slices:
             raise ValueError("atk mode needs --slices @file")
         S = _load_file(args.slices.lstrip("@"),
-                       PartiallySymmetricTensor.from_json)
+                       PartiallySymmetricTensor.from_doc)
         T = algebra_A_Tk(S, args.k)
         inputs["k"] = args.k
-        inputs["slices"] = json.loads(S.to_json())
+        inputs["slices"] = S.doc()
     else:  # ts or onegen; argparse admits no other mode
         if not args.tensor:
             raise ValueError(f"{mode} mode needs --tensor")
         base = _load_tensor(args.tensor)
-        inputs["tensor"] = _tensor_doc(base)
+        inputs["tensor"] = base.doc()
         if mode == "ts":
             S = symmetrize_TS(base)
             _maybe_write(args.out, S)
-            return inputs, {"partially_symmetric": json.loads(S.to_json())}
+            return inputs, {"partially_symmetric": S.doc()}
         T = one_generic_extension(base, args.k)
         inputs["k"] = args.k
     _maybe_write(args.out, T)
-    out = {"tensor": _tensor_doc(T), "nnz": T.nnz(), "dims": list(T.dims)}
+    out = {"tensor": T.doc(), "nnz": T.nnz(), "dims": list(T.dims)}
     out.update(extra)
     return inputs, out
 
@@ -176,16 +180,16 @@ def _tensor_kron(args):
     T = _load_tensor(args.tensor)
     P = kronecker_power(T, args.power)
     _maybe_write(args.out, P)
-    return ({"tensor": _tensor_doc(T), "power": args.power},
+    return ({"tensor": T.doc(), "power": args.power},
             {"dims": list(P.dims), "nnz": P.nnz(),
-             "tensor": _tensor_doc(P) if args.full else None})
+             "tensor": P.doc() if args.full else None})
 
 
 def _sweet_support(args):
     from .sweet import support_blocks
     T, B = _blocked(args)
     blocks = support_blocks(T, B)
-    return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json())},
+    return ({"tensor": T.doc(), "blocking": B.doc()},
             {"blocks": [{"labels": [list(l) for l in b.labels],
                          "format": list(b.format),
                          "nnz": b.tensor.nnz()} for b in blocks],
@@ -195,7 +199,7 @@ def _sweet_support(args):
 def _sweet_tight(args):
     from .sweet import is_tight
     T, B = _blocked(args)
-    return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json())},
+    return ({"tensor": T.doc(), "blocking": B.doc()},
             {"tight": is_tight(T, B)})
 
 
@@ -203,7 +207,7 @@ def _sweet_marginals(args):
     from .sweet import marginal_uniqueness, marginals
     T, B = _blocked(args)
     P = _load_dist(args.dist, T, B)
-    return ({"dist": json.loads(P.to_json())},
+    return ({"dist": P.doc()},
             {"marginals": [{str(list(k)): v for k, v in sorted(m.items())}
                            for m in marginals(P)],
              "uniqueness": marginal_uniqueness(P)})
@@ -215,10 +219,10 @@ def _sweet_extract(args):
     P = _load_dist(args.dist, T, B)
     sp = sp_extract(T, B, P, args.power, check_tight=not args.allow_nontight)
     _maybe_write(args.out, sp.tensor)
-    return ({"tensor": _tensor_doc(T), "blocking": json.loads(B.to_json()),
-             "dist": json.loads(P.to_json()), "power": args.power,
+    return ({"tensor": T.doc(), "blocking": B.doc(), "dist": P.doc(),
+             "power": args.power,
              "tightness_check_skipped": bool(args.allow_nontight)},
-            {"tensor": _tensor_doc(sp.tensor), "dims": list(sp.tensor.dims),
+            {"tensor": sp.tensor.doc(), "dims": list(sp.tensor.dims),
              "nnz": sp.tensor.nnz(), "p_T": sp.p_T,
              "kept_counts": [len(k) for k in sp.kept],
              "validation": sweet_piece_report(sp, B)})
@@ -236,8 +240,8 @@ def _sweet_chimney(args):
                 check_tight=not args.allow_nontight)
     free_axis = ({1, 2, 3} - set(fixed)).pop()
     _maybe_write(args.out, C)
-    return ({"tensor": _tensor_doc(T), "dist": json.loads(P.to_json()),
-             "power": args.power, "fixed": fixed,
+    return ({"tensor": T.doc(), "dist": P.doc(), "power": args.power,
+             "fixed": fixed,
              "tightness_check_skipped": bool(args.allow_nontight)},
             {"dims": list(C.dims), "nnz": C.nnz(), "free_axis": free_axis,
              "zero_layers": zero_layers(C, free_axis - 1)})
@@ -249,8 +253,8 @@ def _sweet_degenerate(args):
     w = _load_weights(args.weights, T)
     D = toric_degenerate(T, B, w)
     _maybe_write(args.out, D)
-    return ({"tensor": _tensor_doc(T), "weights": w},
-            {"tensor": _tensor_doc(D), "nnz": D.nnz(),
+    return ({"tensor": T.doc(), "weights": w},
+            {"tensor": D.doc(), "nnz": D.nnz(),
              "tight_after": is_tight(D, B)})
 
 
@@ -259,7 +263,7 @@ def _sweet_zero_layers(args):
     T = _load_tensor(args.tensor)
     if not 1 <= args.axis <= 3:
         raise ValueError("--axis is 1-based: 1, 2 or 3")
-    return ({"tensor": _tensor_doc(T), "axis": args.axis},
+    return ({"tensor": T.doc(), "axis": args.axis},
             {"zero_layers": zero_layers(T, args.axis - 1)})
 
 

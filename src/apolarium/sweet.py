@@ -80,13 +80,15 @@ class Blocking:
                              f"{tuple(self.axis_dim(a) for a in range(3))}, "
                              f"tensor has {T.dims}")
 
+    def doc(self) -> dict:
+        return {"labels": [[list(l) for l in ax] for ax in self.labels]}
+
     def to_json(self) -> str:
-        return json.dumps({"labels": [[list(l) for l in ax]
-                                      for ax in self.labels]}, sort_keys=True)
+        return json.dumps(self.doc(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Blocking":
-        return cls(json.loads(text)["labels"])
+    def from_doc(cls, doc: dict) -> "Blocking":
+        return cls(doc["labels"])
 
 
 def cw_weights(n: int) -> List[List[int]]:
@@ -195,15 +197,15 @@ class BlockDistribution:
         if sum(self.probs) != 1:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "support": [[list(a) for a in trip] for trip in self.support],
+    def doc(self) -> dict:
+        """The JSON document, keys in sorted order: probs, then support."""
+        return {
             "probs": [str(p) for p in self.probs],
-        }, sort_keys=True)
+            "support": [[list(a) for a in trip] for trip in self.support],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "BlockDistribution":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "BlockDistribution":
         return cls(doc["support"], doc["probs"])
 
     @classmethod
@@ -338,9 +340,9 @@ def _project(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     It charges |T|^N and the C(comp) sequences each axis keeps, and its
     cost follows the number of kept entries rather than |T|^N.
 
-    T is validated before the distribution is read; P charges only
-    support blocks, so every label of a composition is carried by some
-    index, as the builder needs."""
+    T is validated here, once, before the distribution is read and the
+    builder walks it; P charges only support blocks, so every label of a
+    composition is carried by some index, as the builder needs."""
     if as_int(N, "power") < 0:
         raise ValueError(f"need N >= 0, got {N}")
     T = Tensor3(T.dims, T.entries, T.labels)

@@ -39,7 +39,7 @@ class Tensor3:
     library: files, the command line, user code and every construction
     fed by them.  ``Tensor3._derived`` stores, without a pass over its
     entries, the dict that ``_restricted_power``'s walk has just built
-    over a factor it validated.
+    over a factor its caller validated.
     """
 
     __slots__ = ("dims", "entries", "labels")
@@ -78,15 +78,16 @@ class Tensor3:
         """Store entries as they are, without the per-entry pass of
         ``__init__``, and no labels.
 
-        Only for ``_restricted_power``, which has just put the factor
-        through ``__init__`` and built the dict by a walk over it.  Each
-        key is then a triple of positions, the lexicographic ranks of
-        kept index sequences of the factor, each below its count C(b) in
-        dims, and each value is a product of nonzero Fractions of the
-        factor, so a nonzero Fraction; the words of one multiset of
-        entries share one such Fraction, which nothing mutates.  dims are
-        a tuple of ints >= 1, as ``__init__`` would store them, since each
-        slot of a budget is carried by some index of its axis."""
+        Only for ``_restricted_power``, whose caller has just put the
+        factor through ``__init__``, and which has built the dict by a
+        walk over it.  Each key is then a triple of positions, the
+        lexicographic ranks of kept index sequences of the factor, each
+        below its count C(b) in dims, and each value is a product of
+        nonzero Fractions of the factor, so a nonzero Fraction; the words
+        of one multiset of entries share one such Fraction, which nothing
+        mutates.  dims are a tuple of ints >= 1, as ``__init__`` would
+        store them, since each slot of a budget is carried by some index
+        of its axis."""
         T = cls.__new__(cls)
         T.dims = dims
         T.entries = entries
@@ -121,9 +122,11 @@ class Tensor3:
             m[col // cols][col % cols] = c
         return m
 
-    # -- JSON ----------------------------------------------------------------
+    # -- documents -----------------------------------------------------------
 
-    def to_json(self) -> str:
+    def doc(self) -> dict:
+        """The JSON document of the tensor, keys in sorted order: dims,
+        entries [i, j, k, "p/q"] in index order, and labels when present."""
         doc = {
             "dims": list(self.dims),
             "entries": [[i, j, k, str(c)]
@@ -131,11 +134,15 @@ class Tensor3:
         }
         if self.labels is not None:
             doc["labels"] = [list(ax) for ax in self.labels]
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.doc(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Tensor3":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "Tensor3":
+        """The tensor of a parsed document; a repeated index triple is
+        refused, not overwritten."""
         entries: Dict[Index3, Rat] = {}
         for i, j, k, v in doc["entries"]:
             if (i, j, k) in entries:
@@ -250,16 +257,16 @@ class PartiallySymmetricTensor:
                     if s[i][j] != s[j][i]:
                         raise ValueError(f"slice not symmetric at ({i},{j})")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
+    def doc(self) -> dict:
+        """The JSON document, keys in sorted order: m, n and the slices."""
+        return {
             "m": self.m,
+            "n": self.n,
             "slices": [[[str(c) for c in row] for row in s] for s in self.slices],
-        }, sort_keys=True)
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "PartiallySymmetricTensor":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "PartiallySymmetricTensor":
         return cls(doc["slices"])
 
 
@@ -365,15 +372,17 @@ def _restricted_power(T: Tensor3, budget: Tuple[int, ...],
     order.  The slots of a constrained axis hold N letters in all, and
     each is the slot of some index of the axis.
 
-    T is validated once (``Tensor3(T.dims, T.entries, T.labels)``, which
-    also catches an entries dict changed after T was built).  Its |T|**N
-    words are charged, then the largest dimension: each axis has
-    C(b) = ``_completions`` of its sizes and budget b positions, the
-    number of sequences it keeps.  The entries of T are grouped into
-    parts by the slots they spend, slot 0 and their slot on each
-    constrained axis in axis order; an entry with an index of no slot is
-    in no part.  The walk's dict, already keyed by positions below dims,
-    is stored by ``Tensor3._derived``, with no labels.
+    T has just been validated by the caller, ``kronecker_power`` or
+    ``sweet._project``, each of which runs it once through
+    ``Tensor3(T.dims, T.entries, T.labels)``; that also catches an
+    entries dict changed after T was built.  Its |T|**N words are
+    charged, then the largest dimension: each axis has C(b) =
+    ``_completions`` of its sizes and budget b positions, the number of
+    sequences it keeps.  The entries of T are grouped into parts by the
+    slots they spend, slot 0 and their slot on each constrained axis in
+    axis order; an entry with an index of no slot is in no part.  The
+    walk's dict, already keyed by positions below dims, is stored by
+    ``Tensor3._derived``, with no labels.
 
     Q is commutative, so a word's product depends only on how many times
     it uses each entry.  An entry 1 weighs 0 and the r-th other entry,
@@ -397,7 +406,6 @@ def _restricted_power(T: Tensor3, budget: Tuple[int, ...],
     offset of an axis once, so the keys it stores share those position
     ints rather than each holding three of its own."""
     N = budget[0]
-    T = Tensor3(T.dims, T.entries, T.labels)
     guards.check_entries(len(T.entries) ** N)
     axes = [({0: d}, [0] * d) if axis is None
             else (Counter(s for s in axis if s is not None), axis)
@@ -587,6 +595,7 @@ def kronecker_power(T: Tensor3, N: int) -> Tensor3:
     its guards refuse builds none."""
     if as_int(N, "power") < 1:
         raise ValueError("need N >= 1")
+    T = Tensor3(T.dims, T.entries, T.labels)
     power = _restricted_power(T, (N,), (None,) * 3)
     if T.labels is not None:
         levels = T.labels

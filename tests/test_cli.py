@@ -190,23 +190,43 @@ def test_tensor_kron(capsys):
 
 def test_tensor_kron_serializes_the_power_only_for_out(tmp_path, capsys,
                                                        monkeypatch):
-    # without --out the report's input document is the only JSON built
+    # without --out the report's input document is the only one built, and
+    # no command makes JSON text through to_json: the report holds doc()
     from apolarium.tensor3 import Tensor3, kronecker_power, tb
-    serialized = []
-    to_json = Tensor3.to_json
-
-    def spy(T):
-        serialized.append(T.dims)
-        return to_json(T)
-    monkeypatch.setattr(Tensor3, "to_json", spy)
+    documents, texts = [], []
+    doc, to_json = Tensor3.doc, Tensor3.to_json
+    monkeypatch.setattr(Tensor3, "doc",
+                        lambda T: documents.append(T.dims) or doc(T))
+    monkeypatch.setattr(Tensor3, "to_json",
+                        lambda T: texts.append(T.dims) or to_json(T))
     report(capsys, ["tensor", "kron", "--tensor", "tb", "--power", "2"])
-    assert serialized == [(2, 2, 2)]
+    assert documents == [(2, 2, 2)] and texts == []
     out = tmp_path / "p.json"
     report(capsys, ["tensor", "kron", "--tensor", "tb", "--power", "2",
                     "--out", str(out)])
-    assert serialized == [(2, 2, 2), (4, 4, 4), (2, 2, 2)]
+    assert documents == [(2, 2, 2), (4, 4, 4), (2, 2, 2)] and texts == []
     assert out.read_text(encoding="utf-8") == (
-        kronecker_power(tb(), 2).to_json() + "\n")
+        to_json(kronecker_power(tb(), 2)) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "kron", "--tensor", "cw:3", "--power", "2", "--full"],
+    ["tensor", "make", "ts", "--tensor", "tb"],
+    ["sweet", "extract", "--tensor", "cw:3", "--blocking", "cw",
+     "--dist", "large", "--power", "3"],
+    ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+     "--dist", "uniform"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_a_report_parses_no_json_without_a_file(capsys, monkeypatch, argv):
+    # documents go into the report as built, not dumped and parsed back
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", refuse)
+        code = run(argv)
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == REPORT_KEYS
 
 
 def test_tensor_file_round_trip(tmp_path, capsys):
@@ -473,6 +493,11 @@ def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
      ["sweet", "zero-layers", "--axis", "1", "--tensor"]),
     ({"weights": 3}, ["sweet", "degenerate", "--tensor", "cw:3",
                       "--blocking", "cw", "--weights"]),
+    ({"dims": [2, 2, 2]}, ["sweet", "zero-layers", "--axis", "1",
+                           "--tensor"]),
+    ({"support": [[[0], [1], [-1]]]},
+     ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist"]),
 ])
 def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
                                                   argv):
@@ -483,6 +508,26 @@ def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed document {path}: ")
+
+
+@pytest.mark.parametrize("doc, key, argv", [
+    ({"entries": []}, "dims",
+     ["sweet", "zero-layers", "--axis", "1", "--tensor"]),
+    ({}, "labels", ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"m": 1, "n": 2}, "slices", ["tensor", "make", "atk", "--slices"]),
+    ({}, "weights", ["sweet", "degenerate", "--tensor", "cw:3",
+                     "--blocking", "cw", "--weights"]),
+])
+def test_a_file_without_a_key_names_the_file_and_the_key(tmp_path, capsys,
+                                                         doc, key, argv):
+    # the tensor and distribution loaders are in the wrong-types test above
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed document {path}: "
+                            f"missing key '{key}'\n")
 
 
 @pytest.mark.parametrize("entries, err", [

@@ -102,10 +102,11 @@ def test_the_cli_imports_only_the_standard_library_and_guards():
 
 
 # Public API that nothing in the package reads, kept on purpose; a method is
-# named with its class.  The four left wait for the tracer's rewrite, ROADMAP
+# named with its class.  The four first wait for the tracer's rewrite, ROADMAP
 # item 1, to leave src/ for tests/oracles.py: the benchmark's tracer and
 # self-test name SparseEchelon and its insert, and its workloads build with
-# Poly.zero.
+# Poly.zero.  The benchmark's sweet tasks also label their inputs with the
+# JSON text of a tensor and a blocking.
 TEST_ONLY_API = {
     # the incremental elimination over Q that the tests check the modular
     # answers against
@@ -115,6 +116,9 @@ TEST_ONLY_API = {
     # the zero polynomial, which the tests and the benchmark workloads
     # build with
     "Poly.zero",
+    # json.dumps(doc(), sort_keys=True), which the benchmark workloads read
+    "Tensor3.to_json",
+    "Blocking.to_json",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -307,6 +311,27 @@ def test_one_partition_groups_by_label_triple():
     assert ("sweet.py", "sweet_piece_report") in _readers_of(
         "support_blocks", ast.Name)
     assert _readers_of("label_seqs") == set()
+
+
+def test_json_text_is_read_and_written_only_at_the_edges():
+    # each report is dumped once from the dicts its runner built: an @file
+    # is parsed in one place, --out text is written in one, and the library
+    # types hand out documents, not text, but for the two strings the
+    # benchmark reads
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "json"], path.name
+    assert {name: _readers_of(name)
+            for name in ("load", "loads", "dump", "dumps")} == {
+        "load": {("cli_tensor.py", "_load_file")},
+        "loads": set(),
+        "dump": set(),
+        "dumps": {("cli.py", "_emit"), ("cli_tensor.py", "_maybe_write"),
+                  ("tensor3.py", "Tensor3.to_json"),
+                  ("sweet.py", "Blocking.to_json")},
+    }
 
 
 def test_one_rank_certificate_bounds_the_elimination():

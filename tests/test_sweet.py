@@ -57,7 +57,10 @@ def test_blocking_construction_and_json():
     B = Blocking([[0, 1], [0, 1], [0, -1]])
     assert B.r == 1
     assert B.label(2, 1) == (-1,)
-    assert Blocking.from_json(B.to_json()).labels == B.labels
+    assert Blocking.from_doc(B.doc()).labels == B.labels
+    # the benchmark workloads read to_json; the CLI writes doc()
+    for C in (B, cw_blocking(4)):
+        assert json.loads(C.to_json()) == C.doc()
     with pytest.raises(ValueError):
         Blocking([[0], [0]])
     with pytest.raises(ValueError):
@@ -163,15 +166,16 @@ def test_distribution_validation():
 
 def test_distribution_json_round_trip():
     P = BlockDistribution(LARGE3, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
-    Q = BlockDistribution.from_json(P.to_json())
+    Q = BlockDistribution.from_doc(P.doc())
     assert Q.support == P.support and Q.probs == P.probs
+    assert list(P.doc()) == ["probs", "support"]
 
 
-def test_distribution_from_json_refuses_float_probabilities():
+def test_distribution_from_doc_refuses_float_probabilities():
     doc = {"support": [[list(a) for a in trip] for trip in LARGE3],
            "probs": [0.5, 0.25, 0.25]}
     with pytest.raises(TypeError, match="floats are not allowed"):
-        BlockDistribution.from_json(json.dumps(doc))
+        BlockDistribution.from_doc(doc)
 
 
 def test_a_uniform_distribution_reads_a_generator_once():
@@ -749,6 +753,27 @@ def test_a_factor_changed_after_construction_is_validated_again(idx, value):
             continue
         assert got == build(fresh) and _stored_as_validated(got)
         assert (value == 0) == all(c == 1 for c in got.entries.values())
+
+
+@pytest.mark.parametrize("build", [
+    lambda T, B, P: kronecker_power(T, 3),
+    lambda T, B, P: sp_extract(T, B, P, 3),
+    lambda T, B, P: chimney(T, B, P, 3),
+], ids=["kronecker_power", "sp_extract", "chimney"])
+def test_each_kronecker_construction_validates_its_factor_once(monkeypatch,
+                                                               build):
+    # the caller of the walk checks the factor, and the walk trusts it
+    T, B = cw(4), cw_blocking(4)
+    P = BlockDistribution.uniform(LARGE3)
+    runs = []
+    init = Tensor3.__init__
+
+    def spy(self, *args):
+        runs.append(args[0])
+        init(self, *args)
+    monkeypatch.setattr(Tensor3, "__init__", spy)
+    build(T, B, P)
+    assert runs == [T.dims]
 
 
 def test_oracle_agrees_on_reference_cases():

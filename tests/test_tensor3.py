@@ -90,9 +90,25 @@ def test_slice_extracts_contractions():
 def test_json_round_trip():
     T = Tensor3((2, 3, 2), {(0, 1, 1): Fraction(1, 2), (1, 2, 0): -3},
                 (["a", "b"], ["u", "v", "w"], ["p", "q"]))
-    U = Tensor3.from_json(T.to_json())
+    U = Tensor3.from_doc(T.doc())
     assert U == T and U.labels == T.labels
     assert '"1/2"' in T.to_json()
+
+
+@pytest.mark.parametrize("T", [
+    cw(3), cw(4), tb(),
+    Tensor3((2, 3, 2), {(0, 1, 1): Fraction(1, 2), (1, 2, 0): -3}),
+])
+def test_the_json_text_is_the_document_dumped(T):
+    # the benchmark workloads read to_json; the CLI writes doc()
+    assert json.loads(T.to_json()) == T.doc()
+    assert list(T.doc()) == sorted(T.doc())
+
+
+def test_the_json_text_of_tb_is_pinned():
+    assert tb().to_json() == (
+        '{"dims": [2, 2, 2], "entries": [[0, 0, 0, "1"], [0, 1, 1, "1"], '
+        '[1, 0, 1, "1"]], "labels": [["1", "x"], ["1", "x"], ["1", "x"]]}')
 
 
 @pytest.mark.parametrize("entries", [
@@ -100,9 +116,9 @@ def test_json_round_trip():
     [[0, 0, 0, "1"], [0.2, 0, 0, "5"]],
     [[0, 1, "1", "1"]],
 ])
-def test_from_json_refuses_an_index_that_is_not_an_int(entries):
+def test_from_doc_refuses_an_index_that_is_not_an_int(entries):
     with pytest.raises(ValueError, match="not a triple of ints"):
-        Tensor3.from_json(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+        Tensor3.from_doc({"dims": [2, 2, 2], "entries": entries})
 
 
 @pytest.mark.parametrize("entries", [
@@ -110,10 +126,10 @@ def test_from_json_refuses_an_index_that_is_not_an_int(entries):
     [[1, 0, 1, "1"], [0, 1, 1, "2"], [1, 0, 1, "1"]],
     [[0, 0, 0, "1"], [0.0, 0, 0, "5"]],
 ])
-def test_from_json_refuses_a_repeated_index_triple(entries):
+def test_from_doc_refuses_a_repeated_index_triple(entries):
     # keeping the last value would silently drop the first
     with pytest.raises(ValueError, match="repeated"):
-        Tensor3.from_json(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+        Tensor3.from_doc({"dims": [2, 2, 2], "entries": entries})
 
 
 @pytest.mark.parametrize("dims", [
@@ -122,23 +138,29 @@ def test_from_json_refuses_a_repeated_index_triple(entries):
     [2, 2, 2.0],
     [True, 2, 2],
 ])
-def test_from_json_refuses_dims_that_are_not_ints(dims):
+def test_from_doc_refuses_dims_that_are_not_ints(dims):
     # int() would read 2.5 as 2 and true as 1
     with pytest.raises(ValueError, match="bad dims"):
-        Tensor3.from_json(json.dumps({"dims": dims, "entries": []}))
+        Tensor3.from_doc({"dims": dims, "entries": []})
 
 
-def test_from_json_refuses_a_float_entry():
+def test_from_doc_refuses_a_float_entry():
     # Fraction(0.1) would store 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="floats are not allowed"):
-        Tensor3.from_json(json.dumps({"dims": [2, 2, 2],
-                                      "entries": [[0, 0, 0, 0.1]]}))
+        Tensor3.from_doc({"dims": [2, 2, 2], "entries": [[0, 0, 0, 0.1]]})
 
 
-def test_partially_symmetric_from_json_refuses_a_float_entry():
+def test_partially_symmetric_from_doc_refuses_a_float_entry():
     doc = {"n": 2, "m": 1, "slices": [[[1, 0.5], [0.5, 0]]]}
     with pytest.raises(TypeError, match="floats are not allowed"):
-        PartiallySymmetricTensor.from_json(json.dumps(doc))
+        PartiallySymmetricTensor.from_doc(doc)
+
+
+def test_partially_symmetric_doc_round_trip():
+    S = symmetrize_TS(cw(3))
+    doc = S.doc()
+    assert list(doc) == ["m", "n", "slices"]
+    assert PartiallySymmetricTensor.from_doc(doc).slices == S.slices
 
 
 def _cell(T, axis, i, x, y):

@@ -14,7 +14,9 @@ Cat_{d-k}(F) is a transpose of Cat_k(F) scaled by invertible diagonals, so
 only the orders k <= d/2 are streamed and ranked, each on its own, and the
 upper half mirrors them; the size guard still charges the whole ladder.
 One catalecticant rank, and conciseness, stream one order, which is full
-once the rank reaches its number of operators.  Any other polynomial has
+once the rank reaches its number of operators; that stream packs the
+terms and charges the cells of only the slabs it builds, and refuses
+while it is built once they would pass the cap.  Any other polynomial has
 one matrix; its Hilbert function, the differences of the filtration by
 derivative order, counts by order the greedy operators (``exact._greedy``)
 taken from order d down to 0, and the dimension is its sum.  Taken from
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import guards
@@ -78,19 +81,10 @@ def _bounded(e: Exponent, w: int, lo: int, hi: int,
     return out
 
 
-def _cell_count(e: Exponent, k: Optional[int]) -> int:
-    """The number of exponents a <= e (componentwise), of degree k when k
-    is given: prod(e_i + 1), or the coefficient of t^k in the product of
-    the 1 + t + ... + t^e_i.  No coefficient exceeds prod(e_i + 1), so at
-    t = 2^w, with w its bit length, each one fills its own w bits."""
-    cells = math.prod(x + 1 for x in e)
-    if k is None:
-        return cells
-    w = cells.bit_length()
-    g = 1
-    for x in e:  # times 1 + t + ... + t^x
-        g *= ((1 << w * (x + 1)) - 1) // ((1 << w) - 1)
-    return g >> w * k & (1 << w) - 1
+def _cell_count(e: Exponent) -> int:
+    """The number of exponents a <= e (componentwise), prod(e_i + 1): the
+    cells of every order that the term x^e puts in the partials matrix."""
+    return math.prod(x + 1 for x in e)
 
 
 class HilbertFunction(tuple):
@@ -122,7 +116,7 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     """
     _require_nonzero(f)
     d = f.degree()
-    packing = _packing(f, None)
+    packing = _packing(f, ladder=True)
     if f.is_homogeneous():
         ranks = [sparse_rank(side) for side in _orders(packing, d // 2)]
         return HilbertFunction(ranks[min(k, d - k)] for k in range(d + 1))
@@ -147,10 +141,11 @@ def apolar_dim(f: Poly) -> int:
 def is_concise(f: Poly) -> bool:
     """No operator of degree <= 1 annihilates f: its first derivatives,
     which have lower degree than f, have rank n, certified on the order-1
-    columns streamed by ``_divisor_columns``."""
+    columns streamed by ``_divisor_columns``, which is charged the cells of
+    the slabs it builds before it reaches rank n."""
     _require_nonzero(f)
     n = len(f.vars)
-    return len(_greedy(_divisor_columns(_packing(f, 1), 1, 1), n)) == n
+    return len(_greedy(_divisor_columns(_packing(f), 1, 1), n)) == n
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
@@ -171,7 +166,7 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
         raise ValueError("degree bound must be >= 0")
     guards.check_degree(d)
     guards.check_terms(math.comb(len(f.vars) + d, d), "operator space size")
-    packing = _packing(f, None)
+    packing = _packing(f, ladder=True)
     sigmas = monomials_upto(len(f.vars), d)
     cols = list(_divisor_columns(packing, 0, d))
     keys = list(set().union(*cols))
@@ -194,30 +189,30 @@ def _require_form(F: Poly, k: int = 0) -> None:
         raise ValueError(f"k={k} out of range for degree {d}")
 
 
-def _packing(f: Poly, k: Optional[int]
-             ) -> Tuple[int, int, List[List[int]],
-                        List[Tuple[Exponent, int, int]]]:
-    """The cells of order k, or of every order when k is None, charged
-    against max_terms; then the packing of f that ``_divisor_columns``
-    reads: the field width w and the key width w n (see
-    ``_divisor_columns``), the perms table of ``_bounded``, and each term
-    c x^e as (e, key(e) + mask, L * c), L the lcm of the denominators of
-    f.  The cells bound the rank of every partials matrix; they are
-    charged before any slab is built."""
-    guards.check_terms(sum(_cell_count(e, k) for e in f.terms),
-                       "partials dimension bound")
-    top = max((x for e in f.terms for x in e), default=0)
+def _packing(f: Poly, ladder: bool = False
+             ) -> Tuple[int, int, List[List[int]], List[int], int,
+                        Dict[int, List[Tuple[Exponent, Rat]]]]:
+    """The packing of f that ``_divisor_columns`` reads: the field width w
+    and the key width w n (see ``_divisor_columns``), the perms table of
+    ``_bounded``, the shift of each field, L the lcm of the denominators of
+    f, and the terms c x^e of f as (e, c) grouped by e_0, which the stream
+    packs a group at a time.  With ladder, the cells of every order are
+    charged against max_terms first: they bound the rank of every partials
+    matrix, and a build that reads the whole ladder is refused before any
+    slab.  A stream of one order is charged by ``_divisor_columns`` the
+    cells it builds."""
+    if ladder:
+        guards.check_terms(sum(_cell_count(e) for e in f.terms),
+                           "partials dimension bound")
+    top = max(chain.from_iterable(f.terms), default=0)
     perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
     w = top.bit_length()
     shifts = [w * i for i in reversed(range(len(f.vars)))]  # variable 0 first
-    width = w * len(f.vars)
-    mask = (1 << width) - 1
     scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(e, (sum(e) << width) + 2 * mask  # key(e) + mask
-              - sum(x << i for x, i in zip(e, shifts)),
-              c.numerator * (scale // c.denominator))
-             for e, c in f.terms.items()]
-    return w, width, perms, terms
+    groups: Dict[int, List[Tuple[Exponent, Rat]]] = defaultdict(list)
+    for e, c in f.terms.items():  # a constant in no variables is group 0
+        groups[e[0] if e else 0].append((e, c))
+    return w, w * len(f.vars), perms, shifts, scale, groups
 
 
 def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
@@ -243,22 +238,42 @@ def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
     The slab of b_0 = j is built when its first column is asked for, j
     descending, and its columns come in ascending key.  A cell with
     b_0 = j has a_0 = e_0 - j = t, so the slab reads only the terms with
-    j <= e_0 <= j + hi, each with the rest of a of order lo - t .. hi - t.
-    Each slab sorts its columns, so the columns of one order m come in the
-    order of the stream of orders m..m: for a form, the graded order of b,
-    L * Cat_m(F) transposed in the graded order of its rows and columns.
+    j <= e_0 <= j + hi, each with the rest of a of order lo - t .. hi - t;
+    the group of terms with e_0 = j is packed, as (e with e_0 zeroed,
+    key(e) + mask, L * c), when slab j is built, so a stream that stops
+    early never packs the terms below its last slab.  Each slab sorts its
+    columns, so the columns of one order m come in the order of the stream
+    of orders m..m: for a form, the graded order of b, L * Cat_m(F)
+    transposed in the graded order of its rows and columns.
+
+    The cells of each term are charged against max_terms, read once when
+    the first column is asked for, before they enter the slab: past the
+    cap the stream refuses with the partials dimension bound it has
+    reached, so it never stores a cell past the cap.
     """
-    w, width, perms, terms = packing
+    w, width, perms, shifts, scale, groups = packing
     step = (1 << width) - (1 << width - w)  # a_0 once more
-    tops: Dict[int, list] = defaultdict(list)  # e_0 -> its terms, e_0 zeroed
-    for e, flip, v in terms:  # a constant in no variables is one slab
-        tops[e[0] if e else 0].append(((0,) + e[1:] if e else e, flip, v))
-    for j in range(max(tops), -1, -1):
+    twice = 2 * ((1 << width) - 1)
+    cap = guards.current().max_terms
+    built = 0
+    tops: Dict[int, list] = {}  # e_0 -> its packed terms, e_0 zeroed
+    for j in range(max(groups), -1, -1):
+        tops[j] = [((0,) + e[1:] if e else e,
+                    (sum(e) << width) + twice  # key(e) + mask
+                    - sum(x << i for x, i in zip(e, shifts)),
+                    c.numerator * (scale // c.denominator))
+                   for e, c in groups.get(j, ())]
         slab: Dict[int, Dict[int, int]] = defaultdict(dict)
         for t in range(hi + 1):
             for rest, flip, v in tops.get(j + t, ()):
+                cells = _bounded(rest, w, lo - t, hi - t, perms)
+                built += len(cells)
+                if built > cap:  # the refusal of guards.check_terms
+                    raise guards.LimitExceeded(
+                        f"partials dimension bound {built} exceeds limit "
+                        f"{cap}")
                 v *= perms[j + t][t]
-                for a, _, p in _bounded(rest, w, lo - t, hi - t, perms):
+                for a, _, p in cells:
                     a += t * step
                     slab[flip - a][a] = v * p
         for b in sorted(slab):
@@ -293,12 +308,13 @@ def catalecticant_rank(F: Poly, k: int) -> int:
     Cat_m(F) is at most binom(n + m - 1, m), its number of rows, the
     operators of order m in n variables; elimination stops when it reaches
     that bound, which certifies it, and the columns after it are never
-    built.  A rank short of it is certified on all of them.
+    built, packed or charged against max_terms.  A rank short of it is
+    certified on all of them.
     """
     _require_form(F, k)
     m = min(k, F.degree() - k)
     bound = math.comb(len(F.vars) + m - 1, m) if m else 1
-    return len(_greedy(_divisor_columns(_packing(F, m), m, m), bound))
+    return len(_greedy(_divisor_columns(_packing(F), m, m), bound))
 
 
 # -- multiplication structure -------------------------------------------------
@@ -312,7 +328,7 @@ def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     Only the keys kept are unpacked."""
     _require_nonzero(f)
     d = f.degree()
-    packing = _packing(f, None)
+    packing = _packing(f, ladder=True)
     sides = (_orders(packing, d) if f.is_homogeneous()
              else [list(_divisor_columns(packing, 0, d))])
     return _exponents(packing, len(f.vars),

@@ -22,10 +22,14 @@ if TYPE_CHECKING:
 
 
 def _load_file(path: str, load: Callable):
-    """load(the JSON document of the file), parsed once; a document of the
-    wrong types, or without a key that load reads, is a usage error."""
+    """load(the JSON document of the file), parsed once; a file that is not
+    JSON, or a document of the wrong types or without a key that load
+    reads, is a usage error that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed document {path}: {exc}") from None
     try:
         return load(doc)
     except TypeError as exc:

@@ -185,8 +185,13 @@ class BlockDistribution:
     """Probability distribution on a set of label triples."""
 
     def __init__(self, support: Sequence, probs: Sequence):
-        self.support: List[LabelTriple] = [
-            tuple(_as_label(a) for a in trip) for trip in support]
+        self.support: List[LabelTriple] = []
+        for trip in support:
+            labels = tuple(_as_label(a) for a in trip)
+            if len(labels) != 3:
+                raise ValueError(f"support element {trip!r} is not three "
+                                 "labels")
+            self.support.append(labels)
         self.probs: List[Rat] = [rat(p) for p in probs]
         if len(self.support) != len(self.probs):
             raise ValueError("support/probs length mismatch")

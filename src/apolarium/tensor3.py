@@ -142,9 +142,13 @@ class Tensor3:
     @classmethod
     def from_doc(cls, doc: dict) -> "Tensor3":
         """The tensor of a parsed document; a repeated index triple is
-        refused, not overwritten."""
+        refused, not overwritten, and an entry that is not [i, j, k, value]
+        is a document of the wrong type."""
         entries: Dict[Index3, Rat] = {}
-        for i, j, k, v in doc["entries"]:
+        for entry in doc["entries"]:
+            if len(entry) != 4:
+                raise TypeError(f"entry {entry!r} is not [i, j, k, value]")
+            i, j, k, v = entry
             if (i, j, k) in entries:
                 raise ValueError(f"index {[i, j, k]} repeated")
             entries[(i, j, k)] = v

@@ -5,8 +5,12 @@
 in the partials columns of ``apolar``, built apart from it;
 ``echelon_mod_p`` is the elimination mod a prime that
 ``exact._echelon_mod_p`` must agree with, forward then back-substituted;
-``spy_primes`` records the prime of each elimination, and
-``spy_rows_read`` how far each elimination mod a prime reads its rows.
+``spy_primes`` records the prime of each elimination,
+``spy_rows_read`` how far each elimination mod a prime reads its rows, and
+``spy_cells_charged`` the cells a partials stream charges term by term.
+``divisor_columns`` is that stream built by ``apply``, and
+``cells_stored`` the cells of the slabs it builds to yield its first
+columns.
 ``structure_tensor_of_apolar`` and ``gradient_rank`` are the apolar
 multiplication tensor and the Jacobian rank of ``encompassing_report``
 computed on exponent tuples, ``Fraction`` cells, ``apply`` and
@@ -136,6 +140,49 @@ def packed_key(a, w):
     for x in a:
         packed = packed << w | x
     return sum(a) << width | (1 << width) - 1 - packed
+
+
+def divisor_columns(f: Poly, lo: int, hi: int
+                    ) -> List[Tuple[Tuple[int, ...], Dict[int, int]]]:
+    """(b, column b) of the stream of orders lo..hi of
+    ``apolar._divisor_columns``, built by ``apply``: column b holds L times
+    the coefficient of x^b in a∘f at the packed key of each a of order
+    lo..hi, L the lcm of the denominators of f, and the columns come slab
+    b_0 descending, ascending key within."""
+    w = max(x for e in f.terms for x in e).bit_length()
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    columns: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for a in {a for e in f.terms
+              for a in itertools.product(*(range(x + 1) for x in e))}:
+        if lo <= sum(a) <= hi:
+            for b, c in apply(Poly.monomial(f.vars, a), f).terms.items():
+                columns.setdefault(b, {})[packed_key(a, w)] = scale * c
+    return [(b, columns[b])
+            for b in sorted(columns, key=lambda b: (-b[0], packed_key(b, w)))]
+
+
+def cells_stored(columns, read: int) -> int:
+    """The cells of the slabs a stream builds to yield the first `read` of
+    its (b, column) pairs `columns`: the slab of b_0 = j holds every column
+    with b_0 = j, and slabs are built b_0 descending."""
+    last = columns[read - 1][0][0]
+    return sum(len(col) for b, col in columns if b[0] >= last)
+
+
+def spy_cells_charged(monkeypatch):
+    """The number of cells each ``apolar._bounded`` call returns to a
+    partials stream, which charges them before they enter its slab, in
+    call order, while the spy is set."""
+    from apolarium import apolar
+    charges = []
+    bounded = apolar._bounded
+
+    def spy(*args):
+        cells = bounded(*args)
+        charges.append(len(cells))
+        return cells
+    monkeypatch.setattr(apolar, "_bounded", spy)
+    return charges
 
 
 def spy_primes(monkeypatch):

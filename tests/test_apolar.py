@@ -24,8 +24,9 @@ from apolarium.apolar import (
     verify_tautological_apolarity,
 )
 from apolarium.exact import SparseEchelon, _transpose, sparse_rank
+from apolarium.guards import LimitExceeded, limits
 import oracles
-from oracles import packed_key, rref, spy_primes, spy_rows_read
+from oracles import rref, spy_primes, spy_rows_read
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
 from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
                             monomials_of_degree, monomials_upto, parse, twist)
@@ -323,7 +324,6 @@ def test_boxtimes_dim_is_multiplicative():
 
 
 def test_boxtimes_dim_guard():
-    from apolarium.guards import LimitExceeded, limits
     with limits(max_terms=100), pytest.raises(LimitExceeded):
         boxtimes_apolar_dim(parse("x1*x2*x3"), 4)
 
@@ -514,17 +514,10 @@ def test_divisor_columns_hold_the_scaled_images_cell_by_cell(f, data):
     d = f.degree()
     lo = data.draw(st.integers(0, d + 1))
     hi = data.draw(st.integers(lo, d + 1))
-    stream = list(_divisor_columns(_packing(f, None), lo, hi))
-    w = max(x for e in f.terms for x in e).bit_length()
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    columns = {}  # b -> {key of a: cell}
-    for a in {a for e in f.terms
-              for a in product(*(range(x + 1) for x in e))}:
-        if lo <= sum(a) <= hi:
-            for b, c in apply(Poly.monomial(f.vars, a), f).terms.items():
-                columns.setdefault(b, {})[packed_key(a, w)] = scale * c
-    order = sorted(columns, key=lambda b: (-b[0], packed_key(b, w)))
-    assert stream == [columns[b] for b in order]
+    stream = list(_divisor_columns(_packing(f), lo, hi))
+    columns = oracles.divisor_columns(f, lo, hi)
+    order = [b for b, _ in columns]
+    assert stream == [col for _, col in columns]
     assert all(type(v) is int for col in stream for v in col.values())
     if f.is_homogeneous():
         for m in range(lo, hi + 1):
@@ -543,7 +536,7 @@ def test_one_order_of_a_form_stream_is_its_own_stream_and_catalecticant(
     lo = data.draw(st.integers(0, d))
     hi = data.draw(st.integers(lo, d))
     m = data.draw(st.integers(lo, hi))
-    packing = _packing(F, None)
+    packing = _packing(F)
     split = [col for col in _divisor_columns(packing, lo, hi)
              if next(iter(col)) >> packing[1] == m]
     assert split == list(_divisor_columns(packing, m, m))
@@ -572,6 +565,37 @@ def test_catalecticant_rank_matches_the_rref_oracle_for_every_k(F):
     assert ranks == [len(rref(catalecticant_matrix(F, k))[0])
                      for k in range(d + 1)]
     assert ranks == ranks[::-1]  # k > d/2 ranks its mirror d - k
+
+
+@given(forms(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_single_order_ranks_hold_under_any_cap_their_stream_fits(F, data):
+    # catalecticant_rank and is_concise stream one order and are charged
+    # the cells they build; under a cap between those and all the cells of
+    # the order, each answers as the rref oracle does, and one cell less is
+    # refused with the count built
+    d, n = F.degree(), len(F.vars)
+    k = data.draw(st.integers(0, d))
+    cat = catalecticant_matrix(F, k)
+    cases = [(lambda: catalecticant_rank(F, k), min(k, d - k),
+              len(rref(cat)[0])),
+             (lambda: is_concise(F), 1,
+              len(rref(catalecticant_matrix(F, 1))[0]) == n)]
+    for call, m, answer in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            charges = oracles.spy_cells_charged(mp)
+            assert call() == answer
+        built = sum(charges)
+        order = sum(1 for e in F.terms
+                    for a in product(*(range(x + 1) for x in e))
+                    if sum(a) == m)
+        assert built <= order
+        with limits(max_terms=data.draw(st.integers(built, order))):
+            assert call() == answer
+        with limits(max_terms=built - 1), pytest.raises(
+                LimitExceeded, match=f"^partials dimension bound {built} "
+                                     f"exceeds limit {built - 1}$"):
+            call()
 
 
 def test_orders_past_the_middle_stream_their_mirror(partials_builds):
@@ -607,7 +631,7 @@ def test_a_short_rank_drains_the_stream_into_the_kernel(monkeypatch):
     counts = spy_rows_read(monkeypatch)
     assert catalecticant_rank(F, 2) == len(
         rref(catalecticant_matrix(F, 2))[0]) == 2
-    stream = list(_divisor_columns(_packing(F, 2), 2, 2))
+    stream = list(_divisor_columns(_packing(F), 2, 2))
     assert calls == [stream] and counts == [len(stream)] == [4]
 
 

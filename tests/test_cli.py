@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from apolarium.cli import MINIMAL_RANK_FAMILIES, run
+from apolarium.papersuite import BIG_CUBIC
+from oracles import spy_cells_charged, spy_rows_read
 
 REPORT_KEYS = {"command", "inputs", "outputs", "provenance", "seed"}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -510,6 +512,38 @@ def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
     assert captured.err.startswith(f"error: malformed document {path}: ")
 
 
+def test_a_distribution_file_with_a_short_support_element_exits_two(
+        tmp_path, capsys):
+    # marginals read an axis past the end of the element: an IndexError
+    # traceback and exit 1, the code of a violated claim
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"support": [[[0], [1]]], "probs": ["1"]}))
+    assert run(["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+                "--dist", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: support element [[0], [1]] is not three labels\n")
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"dims": [2, 2, 2], "entries": [[0, 0, 0, "1', "Unterminated string "),
+    ('{"dims": [2, 2, 2], "entries": [[0, 0, 0]]}',
+     "entry [0, 0, 0] is not [i, j, k, value]"),
+    ('{"dims": [2, 2, 2], "entries": [[0, 0, 0, "1", "2"]]}',
+     "entry [0, 0, 0, '1', '2'] is not [i, j, k, value]"),
+])
+def test_a_file_that_does_not_parse_or_unpack_names_the_file(tmp_path, capsys,
+                                                           text, detail):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert run(["tensor", "kron", "--tensor", f"@{path}", "--power", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: malformed document {path}: {detail}")
+
+
 @pytest.mark.parametrize("doc, key, argv", [
     ({"entries": []}, "dims",
      ["sweet", "zero-layers", "--axis", "1", "--tensor"]),
@@ -835,15 +869,53 @@ def test_zero_limits_are_honoured(capsys):
 def test_partials_size_guard_refuses_before_computing(capsys,
                                                       no_library_work):
     assert refused(capsys, ["hilbert", "x1*x2*x3", "--max-terms", "7"])
-    # Cat_1 of x1*x2*x3 has 3 cells
-    assert refused(capsys, ["cat-rank", "x1*x2*x3", "--k", "1",
-                            "--max-terms", "2"])
     assert refused(capsys, ["tensor", "make", "algebra", "--form",
                             "*".join(f"x{i}" for i in range(1, 10)),
                             "--max-terms", "7"])
     product24 = "*".join(f"x{i}" for i in range(1, 25))  # bound 2^24
     assert refused(capsys, ["apolar-dim", product24])
     assert refused(capsys, ["hilbert", product24])
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["hilbert", "x1*x2*x3", "--max-terms", "7"], 8),
+    (["apolar-dim", "x1*x2*x3", "--max-terms", "7"], 8),
+    (["encompass-check", "x1^3 + x2^3", "--max-terms", "7"], 8),
+    (["extend", "x1^3 + x2^3", "--max-terms", "7"], 8),
+    # 3 operators of degree <= 1, the whole ladder of 4 + 4 cells
+    (["annihilator", "x1^3 + x2^3", "--degree", "1", "--max-terms", "7"], 8),
+    (["tensor", "make", "algebra", "--form", "x1*x2*x3", "--max-terms",
+      "7"], 8),
+])
+def test_whole_ladder_builds_are_charged_before_any_work(
+        capsys, no_library_work, argv, count):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"resource guard: partials dimension bound {count} exceeds limit "
+        f"{argv[-1]}\n"))
+
+
+def test_one_order_is_charged_its_cells_as_they_are_built(capsys,
+                                                          monkeypatch):
+    # Cat_1 of x1*x2*x3 has 3 cells: x2 and x3 in the slab b_0 = 1, which
+    # fits the cap and is read, and x1 in the slab b_0 = 0, refused before
+    # it is stored
+    charges = spy_cells_charged(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
+    assert run(["cat-rank", "x1*x2*x3", "--k", "1", "--max-terms", "2"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "resource guard: partials dimension bound 3 exceeds limit 2\n")
+    assert (charges, counts) == ([2, 1], [2])
+
+
+def test_the_main_theorem_runs_under_a_cap_below_its_whole_order(capsys):
+    # Cat_4 of twist(BIG_CUBIC^4, x0) has 1,611 cells; its rank certifies
+    # on the 444 of its first 126 columns
+    doc = report(capsys, ["verify-main-thm", BIG_CUBIC, "--var", "x0",
+                          "--d", "4", "--max-terms", "1000"])
+    assert (doc["outputs"]["rank"], doc["outputs"]["equal"]) == (126, True)
 
 
 def test_encompass_and_extend_refuse_large_partials_spaces(capsys,

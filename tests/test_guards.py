@@ -18,9 +18,10 @@ from apolarium.guards import (
     current,
     limits,
 )
-from apolarium.papersuite import run_suite
-from apolarium.poly import parse
-from oracles import packed_key
+from apolarium.papersuite import BIG_CUBIC, run_suite
+from apolarium.poly import parse, twist
+from oracles import (cells_stored, divisor_columns, packed_key,
+                     spy_cells_charged, spy_rows_read)
 
 
 def test_checks_pass_below_limits():
@@ -176,17 +177,86 @@ def test_partials_guard_refuses_before_any_elimination(no_library_work,
         call(f)
 
 
-def test_one_order_of_partials_is_charged_its_own_cells(no_library_work):
-    f = parse(FERMAT)  # x1, x2 of order 1 and x1^2, x2^2 of order 2
+def test_one_order_of_partials_is_charged_its_own_cells(monkeypatch):
+    # the order-1 cells of x1^3 + x2^3 (the mirror of order 2): x1 in slab
+    # x1^2, streamed and read, then x2 in slab x2^3, refused before it is
+    # stored
+    f = parse(FERMAT)
+    charges = spy_cells_charged(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
     for k in (1, 2):
+        charges.clear()
+        counts.clear()
         with limits(max_terms=1), pytest.raises(
                 LimitExceeded,
                 match="^partials dimension bound 2 exceeds limit 1$"):
             apolar.catalecticant_rank(f, k)
-    no_library_work.undo()
+        assert sum(charges[:-1]) == 1 < sum(charges) and counts == [1]
     with limits(max_terms=2):
         assert apolar.is_concise(f)
         assert apolar.catalecticant_rank(f, 2) == 2
+
+
+def twisted_fourth():
+    return twist(parse(BIG_CUBIC) ** 4, "x0")
+
+
+@pytest.mark.parametrize("form, call, m", [
+    (twisted_fourth, lambda F: apolar.catalecticant_rank(F, 4), 4),
+    (twisted_fourth, apolar.is_concise, 1),
+    (lambda: parse(BIG_CUBIC), apolar.is_concise, 1),
+    (lambda: parse(FERMAT), lambda F: apolar.catalecticant_rank(F, 1), 1),
+    (lambda: parse("(x1 + 2/3*x2)^4 + x3^4"),
+     lambda F: apolar.catalecticant_rank(F, 2), 2),
+], ids=["cat-rank", "concise", "concise small", "short rank",
+        "short rank, fractions"])
+def test_a_single_order_stream_is_charged_the_cells_it_stores(monkeypatch,
+                                                              form, call, m):
+    # the running total is the cells of the slabs built to yield the
+    # columns the elimination reads, and the cap it needs
+    F = form()
+    charges = spy_cells_charged(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
+    answer = call(F)
+    stored = cells_stored(divisor_columns(F, m, m), counts[0])
+    assert sum(charges) == stored
+    with limits(max_terms=stored):
+        assert call(F) == answer
+    with limits(max_terms=stored - 1), pytest.raises(
+            LimitExceeded, match=f"^partials dimension bound {stored} "
+                                 f"exceeds limit {stored - 1}$"):
+        call(F)
+
+
+def test_the_main_theorem_certificate_stores_a_quarter_of_its_cells(
+        monkeypatch):
+    # Cat_4 of twist(BIG_CUBIC^4, x0) has 528 columns and 1,611 cells; the
+    # first 126 columns, the slabs of x0-exponent >= 4, hold 444 cells and
+    # certify rank binom(9, 4) = 126, which the cap of 1,000 now admits
+    charges = spy_cells_charged(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
+    with limits(max_terms=1000):
+        assert apolar.catalecticant_rank(twisted_fourth(), 4) == 126
+    assert (counts, sum(charges)) == ([126], 444)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 100, 300, 443])
+def test_a_stream_refused_midway_stores_no_cell_past_the_cap(monkeypatch,
+                                                             cap):
+    # Cat_4 of twist(BIG_CUBIC^4, x0) stores 444 cells before it certifies
+    # its rank; under a lower cap the term that would pass it is refused
+    # before its cells enter the slab, and no column of its slab is read
+    F = twisted_fourth()
+    charges = spy_cells_charged(monkeypatch)
+    counts = spy_rows_read(monkeypatch)
+    with limits(max_terms=cap), pytest.raises(LimitExceeded) as refusal:
+        apolar.catalecticant_rank(F, 4)
+    kept = sum(charges[:-1])
+    assert kept <= cap < sum(charges)
+    assert str(refusal.value) == (
+        f"partials dimension bound {sum(charges)} exceeds limit {cap}")
+    columns = divisor_columns(F, 4, 4)
+    assert counts[0] == 0 or cells_stored(columns, counts[0]) <= kept
 
 
 @pytest.mark.parametrize("e", [(), (0,), (3,), (2, 0, 1), (1, 1, 1, 1),
@@ -198,19 +268,16 @@ def test_cell_counts_match_the_divisors(e):
     perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
     divisors = [(a, sum(a), math.prod(map(math.perm, e, a)))
                 for a in itertools.product(*(range(x + 1) for x in e))]
-    assert apolar._cell_count(e, None) == len(divisors)
+    assert apolar._cell_count(e) == len(divisors)
     for w in (top.bit_length(), top.bit_length() + 2):  # keys fit any width
         def oracle(lo, hi):
             return sorted((packed_key(a, w), s, p) for a, s, p in divisors
                           if lo <= s <= hi)
         for k in range(sum(e) + 2):
             cells = apolar._bounded(e, w, k, k, perms)
-            assert apolar._cell_count(e, k) == len(cells)
             assert sorted(cells) == oracle(k, k)
             # the cells of orders <= k, in one pass: no cell twice, none missed
             lower = apolar._bounded(e, w, 0, k, perms)
-            assert len(lower) == sum(
-                apolar._cell_count(e, j) for j in range(k + 1))
             assert sorted(lower) == oracle(0, k)
 
 

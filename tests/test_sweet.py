@@ -164,6 +164,16 @@ def test_distribution_validation():
         BlockDistribution([LARGE3[0], LARGE3[0]], [Fraction(1, 2)] * 2)
 
 
+@pytest.mark.parametrize("trip", [[[0], [1]], [[0], [1], [-1], [0]], []])
+def test_a_support_element_must_be_three_labels(trip):
+    # marginals read axes 0, 1 and 2 of every element: two labels would
+    # be an IndexError there, and a fourth label no marginal would read
+    with pytest.raises(ValueError, match="is not three labels$"):
+        BlockDistribution([trip], [1])
+    with pytest.raises(ValueError, match="is not three labels$"):
+        BlockDistribution.from_doc({"support": [trip], "probs": ["1"]})
+
+
 def test_distribution_json_round_trip():
     P = BlockDistribution(LARGE3, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     Q = BlockDistribution.from_doc(P.doc())

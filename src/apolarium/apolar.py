@@ -15,11 +15,12 @@ only the orders k <= d/2 are streamed and ranked, each on its own, and the
 upper half mirrors them; the size guard still charges the whole ladder.
 One catalecticant rank, and conciseness, stream one order, which is full
 once the rank reaches its number of operators; that stream packs the
-terms and charges the cells of only the slabs it builds, and refuses
-while it is built once they would pass the cap.  Any other polynomial has
-one matrix; its Hilbert function, the differences of the filtration by
-derivative order, counts by order the greedy operators (``exact._greedy``)
-taken from order d down to 0, and the dimension is its sum.  Taken from
+terms and charges the cells of only the slabs it builds, each term's
+before they are built, and refuses before a term would pass the cap.
+Any other polynomial has one matrix; its Hilbert function, the
+differences of the filtration by derivative order, counts by order the
+greedy operators (``exact._greedy``) taken from order d down to 0, and
+the dimension is its sum.  Taken from
 order 0 up, they are the monomial basis of the quotient algebra, and the
 stream of orders up to d is the operator matrix whose kernel is the
 annihilator up to degree d.  From these come dimensions, Hilbert functions,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import guards
@@ -81,10 +82,22 @@ def _bounded(e: Exponent, w: int, lo: int, hi: int,
     return out
 
 
-def _cell_count(e: Exponent) -> int:
-    """The number of exponents a <= e (componentwise), prod(e_i + 1): the
-    cells of every order that the term x^e puts in the partials matrix."""
-    return math.prod(x + 1 for x in e)
+def _cell_count(e: Exponent, lo: int = 0, hi: Optional[int] = None) -> int:
+    """The number of exponents a <= e (componentwise), of degree lo .. hi
+    when hi is given: prod(e_i + 1), the cells of every order that the term
+    x^e puts in the partials matrix, or the coefficients of t^lo .. t^hi in
+    the product of the 1 + t + ... + t^e_i, the cells that ``_bounded``
+    builds."""
+    if hi is None:
+        return math.prod(x + 1 for x in e)
+    if hi < max(lo, 0):
+        return 0
+    g = [1] + [0] * hi  # the coefficients of the product up to t^hi
+    for x in e:  # times 1 + t + ... + t^x: sums over windows of x + 1
+        run = list(accumulate(g))
+        g = [run[s] - run[s - x - 1] if s > x else run[s]
+             for s in range(hi + 1)]
+    return sum(g[max(lo, 0):])
 
 
 class HilbertFunction(tuple):
@@ -191,16 +204,17 @@ def _require_form(F: Poly, k: int = 0) -> None:
 
 def _packing(f: Poly, ladder: bool = False
              ) -> Tuple[int, int, List[List[int]], List[int], int,
-                        Dict[int, List[Tuple[Exponent, Rat]]]]:
+                        Dict[int, List[Tuple[Exponent, Rat]]], float]:
     """The packing of f that ``_divisor_columns`` reads: the field width w
     and the key width w n (see ``_divisor_columns``), the perms table of
     ``_bounded``, the shift of each field, L the lcm of the denominators of
-    f, and the terms c x^e of f as (e, c) grouped by e_0, which the stream
-    packs a group at a time.  With ladder, the cells of every order are
-    charged against max_terms first: they bound the rank of every partials
-    matrix, and a build that reads the whole ladder is refused before any
-    slab.  A stream of one order is charged by ``_divisor_columns`` the
-    cells it builds."""
+    f, the terms c x^e of f as (e, c) grouped by e_0, which the stream
+    packs a group at a time, and the cap the stream charges its cells
+    against.  With ladder, the cells of every order are charged against
+    max_terms here: they bound the rank of every partials matrix, so a
+    build that reads the whole ladder is refused before any slab, and its
+    stream is left no cap.  Otherwise the cap is max_terms, and a stream
+    of one order is charged by ``_divisor_columns`` the cells it builds."""
     if ladder:
         guards.check_terms(sum(_cell_count(e) for e in f.terms),
                            "partials dimension bound")
@@ -212,7 +226,8 @@ def _packing(f: Poly, ladder: bool = False
     groups: Dict[int, List[Tuple[Exponent, Rat]]] = defaultdict(list)
     for e, c in f.terms.items():  # a constant in no variables is group 0
         groups[e[0] if e else 0].append((e, c))
-    return w, w * len(f.vars), perms, shifts, scale, groups
+    cap = math.inf if ladder else guards.current().max_terms
+    return w, w * len(f.vars), perms, shifts, scale, groups, cap
 
 
 def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
@@ -240,38 +255,41 @@ def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
     b_0 = j has a_0 = e_0 - j = t, so the slab reads only the terms with
     j <= e_0 <= j + hi, each with the rest of a of order lo - t .. hi - t;
     the group of terms with e_0 = j is packed, as (e with e_0 zeroed,
-    key(e) + mask, L * c), when slab j is built, so a stream that stops
-    early never packs the terms below its last slab.  Each slab sorts its
-    columns, so the columns of one order m come in the order of the stream
-    of orders m..m: for a form, the graded order of b, L * Cat_m(F)
-    transposed in the graded order of its rows and columns.
+    key(e) + mask, L * c, the cells of every order of e with e_0 zeroed),
+    when slab j is built, so a stream that stops early never packs the
+    terms below its last slab.  Each slab sorts its columns, so the columns
+    of one order m come in the order of the stream of orders m..m: for a
+    form, the graded order of b, L * Cat_m(F) transposed in the graded
+    order of its rows and columns.
 
-    The cells of each term are charged against max_terms, read once when
-    the first column is asked for, before they enter the slab: past the
-    cap the stream refuses with the partials dimension bound it has
-    reached, so it never stores a cell past the cap.
+    Each term is charged its cells against the cap of the packing before
+    ``_bounded`` builds them.  While the cells built so far and all the
+    cells of the term fit under the cap, that is the charge; past it, the
+    term's cells of its orders are counted exactly first, and
+    ``guards.check_terms`` refuses with the partials dimension bound the
+    stream would reach.  So the stream never builds a cell past the cap.
     """
-    w, width, perms, shifts, scale, groups = packing
+    w, width, perms, shifts, scale, groups, cap = packing
     step = (1 << width) - (1 << width - w)  # a_0 once more
     twice = 2 * ((1 << width) - 1)
-    cap = guards.current().max_terms
     built = 0
     tops: Dict[int, list] = {}  # e_0 -> its packed terms, e_0 zeroed
     for j in range(max(groups), -1, -1):
-        tops[j] = [((0,) + e[1:] if e else e,
-                    (sum(e) << width) + twice  # key(e) + mask
+        tops[j] = [(rest, (sum(e) << width) + twice  # key(e) + mask
                     - sum(x << i for x, i in zip(e, shifts)),
-                    c.numerator * (scale // c.denominator))
-                   for e, c in groups.get(j, ())]
+                    c.numerator * (scale // c.denominator),
+                    _cell_count(rest))
+                   for e, c in groups.get(j, ())
+                   for rest in [(0,) + e[1:] if e else e]]
         slab: Dict[int, Dict[int, int]] = defaultdict(dict)
         for t in range(hi + 1):
-            for rest, flip, v in tops.get(j + t, ()):
+            for rest, flip, v, size in tops.get(j + t, ()):
+                if built + size > cap:  # near the cap: count exactly first
+                    guards.check_terms(
+                        built + _cell_count(rest, lo - t, hi - t),
+                        "partials dimension bound")
                 cells = _bounded(rest, w, lo - t, hi - t, perms)
                 built += len(cells)
-                if built > cap:  # the refusal of guards.check_terms
-                    raise guards.LimitExceeded(
-                        f"partials dimension bound {built} exceeds limit "
-                        f"{cap}")
                 v *= perms[j + t][t]
                 for a, _, p in cells:
                     a += t * step

@@ -6,7 +6,9 @@ sets them for a block, and with none set ``current()`` reads the defaults,
 whose entry guard the APOLARIUM_MAX_ENTRIES environment variable overrides;
 the ``Limits`` of the last string read is reused while the variable keeps it.
 The CLI sets them once per command from its flags.  Every guarded function
-checks its predicted size against ``current()`` before the work starts.
+checks its predicted size against ``current()`` before the work starts,
+but one: a partials stream of one order (``apolar._divisor_columns``)
+checks the cells of each term before it builds them.
 """
 
 from __future__ import annotations

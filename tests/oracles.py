@@ -7,7 +7,7 @@ in the partials columns of ``apolar``, built apart from it;
 ``exact._echelon_mod_p`` must agree with, forward then back-substituted;
 ``spy_primes`` records the prime of each elimination,
 ``spy_rows_read`` how far each elimination mod a prime reads its rows, and
-``spy_cells_charged`` the cells a partials stream charges term by term.
+``spy_cells_built`` the cells a partials stream builds term by term.
 ``divisor_columns`` is that stream built by ``apply``, and
 ``cells_stored`` the cells of the slabs it builds to yield its first
 columns.
@@ -169,10 +169,10 @@ def cells_stored(columns, read: int) -> int:
     return sum(len(col) for b, col in columns if b[0] >= last)
 
 
-def spy_cells_charged(monkeypatch):
-    """The number of cells each ``apolar._bounded`` call returns to a
-    partials stream, which charges them before they enter its slab, in
-    call order, while the spy is set."""
+def spy_cells_built(monkeypatch):
+    """The number of cells each ``apolar._bounded`` call builds for a
+    partials stream, which charges them before the call, in call order,
+    while the spy is set."""
     from apolarium import apolar
     charges = []
     bounded = apolar._bounded

@@ -583,7 +583,7 @@ def test_single_order_ranks_hold_under_any_cap_their_stream_fits(F, data):
               len(rref(catalecticant_matrix(F, 1))[0]) == n)]
     for call, m, answer in cases:
         with pytest.MonkeyPatch.context() as mp:
-            charges = oracles.spy_cells_charged(mp)
+            charges = oracles.spy_cells_built(mp)
             assert call() == answer
         built = sum(charges)
         order = sum(1 for e in F.terms

@@ -13,7 +13,7 @@ import pytest
 
 from apolarium.cli import MINIMAL_RANK_FAMILIES, run
 from apolarium.papersuite import BIG_CUBIC
-from oracles import spy_cells_charged, spy_rows_read
+from oracles import spy_cells_built, spy_rows_read
 
 REPORT_KEYS = {"command", "inputs", "outputs", "provenance", "seed"}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -896,18 +896,32 @@ def test_whole_ladder_builds_are_charged_before_any_work(
         f"{argv[-1]}\n"))
 
 
-def test_one_order_is_charged_its_cells_as_they_are_built(capsys,
-                                                          monkeypatch):
+def test_one_order_is_charged_its_cells_before_they_are_built(
+        capsys, monkeypatch):
     # Cat_1 of x1*x2*x3 has 3 cells: x2 and x3 in the slab b_0 = 1, which
     # fits the cap and is read, and x1 in the slab b_0 = 0, refused before
-    # it is stored
-    charges = spy_cells_charged(monkeypatch)
+    # it is built
+    charges = spy_cells_built(monkeypatch)
     counts = spy_rows_read(monkeypatch)
     assert run(["cat-rank", "x1*x2*x3", "--k", "1", "--max-terms", "2"]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "resource guard: partials dimension bound 3 exceeds limit 2\n")
-    assert (charges, counts) == ([2, 1], [2])
+    assert (charges, counts) == ([2], [2])
+
+
+def test_a_term_past_the_default_cap_is_refused_unbuilt(capsys, monkeypatch):
+    # the one term of x1*...*x24 has binom(23, 12) = 1,352,078 cells of
+    # order 12 with x1 in b, the first call of its stream: refused before
+    # any is built
+    charges = spy_cells_built(monkeypatch)
+    product24 = "*".join(f"x{i}" for i in range(1, 25))
+    assert run(["cat-rank", product24, "--k", "12"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "resource guard: partials dimension bound 1352078 exceeds limit "
+        "1000000\n"))
+    assert charges == []
 
 
 def test_the_main_theorem_runs_under_a_cap_below_its_whole_order(capsys):

@@ -21,7 +21,7 @@ from apolarium.guards import (
 from apolarium.papersuite import BIG_CUBIC, run_suite
 from apolarium.poly import parse, twist
 from oracles import (cells_stored, divisor_columns, packed_key,
-                     spy_cells_charged, spy_rows_read)
+                     spy_cells_built, spy_rows_read)
 
 
 def test_checks_pass_below_limits():
@@ -179,10 +179,10 @@ def test_partials_guard_refuses_before_any_elimination(no_library_work,
 
 def test_one_order_of_partials_is_charged_its_own_cells(monkeypatch):
     # the order-1 cells of x1^3 + x2^3 (the mirror of order 2): x1 in slab
-    # x1^2, streamed and read, then x2 in slab x2^3, refused before it is
-    # stored
+    # x1^2, built and read, then x2 in slab x2^3, refused before it is
+    # built
     f = parse(FERMAT)
-    charges = spy_cells_charged(monkeypatch)
+    charges = spy_cells_built(monkeypatch)
     counts = spy_rows_read(monkeypatch)
     for k in (1, 2):
         charges.clear()
@@ -191,7 +191,7 @@ def test_one_order_of_partials_is_charged_its_own_cells(monkeypatch):
                 LimitExceeded,
                 match="^partials dimension bound 2 exceeds limit 1$"):
             apolar.catalecticant_rank(f, k)
-        assert sum(charges[:-1]) == 1 < sum(charges) and counts == [1]
+        assert (sum(charges), counts) == (1, [1])
     with limits(max_terms=2):
         assert apolar.is_concise(f)
         assert apolar.catalecticant_rank(f, 2) == 2
@@ -215,7 +215,7 @@ def test_a_single_order_stream_is_charged_the_cells_it_stores(monkeypatch,
     # the running total is the cells of the slabs built to yield the
     # columns the elimination reads, and the cap it needs
     F = form()
-    charges = spy_cells_charged(monkeypatch)
+    charges = spy_cells_built(monkeypatch)
     counts = spy_rows_read(monkeypatch)
     answer = call(F)
     stored = cells_stored(divisor_columns(F, m, m), counts[0])
@@ -233,7 +233,7 @@ def test_the_main_theorem_certificate_stores_a_quarter_of_its_cells(
     # Cat_4 of twist(BIG_CUBIC^4, x0) has 528 columns and 1,611 cells; the
     # first 126 columns, the slabs of x0-exponent >= 4, hold 444 cells and
     # certify rank binom(9, 4) = 126, which the cap of 1,000 now admits
-    charges = spy_cells_charged(monkeypatch)
+    charges = spy_cells_built(monkeypatch)
     counts = spy_rows_read(monkeypatch)
     with limits(max_terms=1000):
         assert apolar.catalecticant_rank(twisted_fourth(), 4) == 126
@@ -243,20 +243,46 @@ def test_the_main_theorem_certificate_stores_a_quarter_of_its_cells(
 @pytest.mark.parametrize("cap", [0, 1, 100, 300, 443])
 def test_a_stream_refused_midway_stores_no_cell_past_the_cap(monkeypatch,
                                                              cap):
-    # Cat_4 of twist(BIG_CUBIC^4, x0) stores 444 cells before it certifies
-    # its rank; under a lower cap the term that would pass it is refused
-    # before its cells enter the slab, and no column of its slab is read
+    # Cat_4 of twist(BIG_CUBIC^4, x0) builds 444 cells before it certifies
+    # its rank; under a lower cap it builds the terms of the uncapped
+    # stream up to the one that would pass the cap, which is refused with
+    # the total it would reach before any of its cells is built, and no
+    # column of its slab is read
     F = twisted_fourth()
-    charges = spy_cells_charged(monkeypatch)
+    charges = spy_cells_built(monkeypatch)
     counts = spy_rows_read(monkeypatch)
+    apolar.catalecticant_rank(F, 4)
+    uncapped = charges[:]
+    charges.clear()
+    counts.clear()
     with limits(max_terms=cap), pytest.raises(LimitExceeded) as refusal:
         apolar.catalecticant_rank(F, 4)
-    kept = sum(charges[:-1])
-    assert kept <= cap < sum(charges)
+    kept = sum(charges)
+    reached = kept + uncapped[len(charges)]
+    assert charges == uncapped[:len(charges)] and kept <= cap < reached
     assert str(refusal.value) == (
-        f"partials dimension bound {sum(charges)} exceeds limit {cap}")
+        f"partials dimension bound {reached} exceeds limit {cap}")
     columns = divisor_columns(F, 4, 4)
     assert counts[0] == 0 or cells_stored(columns, counts[0]) <= kept
+
+
+@pytest.mark.parametrize("cap", [0, 461, 462, 923, 924])
+def test_a_term_past_the_cap_is_refused_before_its_cells_are_built(
+        monkeypatch, cap):
+    # Cat_6 of x0*x1*...*x11 is one term of 924 cells, built in two calls
+    # of 462, with x0 in b and then x0 in a; its rank 924 reads them all.
+    # A call whose cells would pass the cap is refused before it is made.
+    F = parse("*".join(f"x{i}" for i in range(12)))
+    charges = spy_cells_built(monkeypatch)
+    if cap == 924:
+        assert apolar.catalecticant_rank(F, 6) == 924
+    else:
+        reached = 462 if cap < 462 else 924
+        with limits(max_terms=cap), pytest.raises(
+                LimitExceeded, match=f"^partials dimension bound {reached} "
+                                     f"exceeds limit {cap}$"):
+            apolar.catalecticant_rank(F, 6)
+    assert charges == [462, 462][:(cap >= 462) + (cap >= 924)]
 
 
 @pytest.mark.parametrize("e", [(), (0,), (3,), (2, 0, 1), (1, 1, 1, 1),
@@ -276,9 +302,14 @@ def test_cell_counts_match_the_divisors(e):
         for k in range(sum(e) + 2):
             cells = apolar._bounded(e, w, k, k, perms)
             assert sorted(cells) == oracle(k, k)
+            assert apolar._cell_count(e, k, k) == len(cells)
             # the cells of orders <= k, in one pass: no cell twice, none missed
             lower = apolar._bounded(e, w, 0, k, perms)
             assert sorted(lower) == oracle(0, k)
+            assert apolar._cell_count(e, 0, k) == len(lower)
+            for lo in range(-1, k + 1):  # orders below 0 hold no cell
+                assert apolar._cell_count(e, lo, k) == len(
+                    apolar._bounded(e, w, lo, k, perms))
 
 
 def test_operator_space_guard_refuses_before_any_elimination(no_library_work):

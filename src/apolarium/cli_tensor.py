@@ -100,10 +100,12 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
 
 
 def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
+    from .scalars import as_list
     from .sweet import cw_weights
     if spec.startswith("@"):
         return _load_file(spec[1:], lambda doc: [
-            list(ax) for ax in doc["weights"]])
+            list(as_list(ax, "weight axis"))
+            for ax in as_list(doc["weights"], "weights")])
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")

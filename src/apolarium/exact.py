@@ -17,8 +17,11 @@ runs on int rows.  One elimination, ``_echelon_mod_p``, runs with Python
 ints modulo 61-bit primes, on sparse rows, and answers with the pivot
 columns and the reduced-echelon kernel mod p.  It runs forward first: each
 row is cleared of the pivot columns it holds, and the rows held before it
-are left as they are.  Once a row reduces to zero, the held rows are
-back-substituted into the kernel once, and each later row is tested
+are left as they are.  A held row keeps its pivot entry as it was reduced:
+the inverse of that entry is taken the first time the row clears another,
+and the rows are scaled to 1 at their pivots only for the kernel, so a
+full-rank certificate scales none.  Once a row reduces to zero, the held
+rows are back-substituted into the kernel once, and each later row is tested
 against the kernel vectors that share a column with it, so a row past the
 rank costs its dots with them, not an elimination.  One rank certificate,
 ``_greedy``, eliminates rows as they arrive, from a list or a stream, once
@@ -85,7 +88,10 @@ def _primes() -> Iterator[int]:
 
 def _integral(row: SparseRow) -> Dict[int, int]:
     """The row times the lcm of its denominators; a row of ints as it is."""
-    if set(map(type, row.values())) <= {int}:
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
         return row
     den = math.lcm(*[x.denominator for x in row.values()])
     return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
@@ -106,10 +112,17 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
     row holds are visited: their insertion indices sit in a heap, and a
     column the subtraction brings into the row is pushed.  The held rows
     are a basis of the row space with distinct leftmost columns, and those
-    columns are the pivot columns of its reduced echelon form.
+    columns are the pivot columns of its reduced echelon form.  A row is
+    held as it was reduced, its pivot entry v_c as it is; the first time
+    it clears a row with entry f at c, 1 / v_c is taken and kept with it,
+    and (f / v_c) times the row is subtracted, the vector f times the row
+    scaled to 1 at c would give.  So every row and pivot is what scaling
+    at insertion would give, and the return at full rank scales nothing.
 
-    Once a row reduces to zero, the held rows are back-substituted into the
-    kernel, and each later row is tested against it.  Its dots d_j with the
+    Once a row reduces to zero, or the rows run out short of `ncols`, the
+    held rows are scaled to 1 at their pivots, by the inverses kept, and
+    back-substituted into the kernel; after a zero row, each later row is
+    tested against it.  Its dots d_j with the
     vectors v_j are summed over an index from each column to the vectors
     nonzero there, so a vector that shares no column with the row is not
     visited; a column first seen then gets the vector with a 1 at it.  The
@@ -126,6 +139,7 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
     """
     order: Dict[int, int] = {}  # pivot column -> insertion index
     held: List[Tuple[int, Dict[int, int]]] = []
+    invs: List[int] = []  # 1 / pivot entry of each held row, 0 until used
     rows = iter(rows)
     switched = False
     for raw in rows:
@@ -137,10 +151,16 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
         heap = [order[j] for j in row if j in order]
         heapq.heapify(heap)
         while heap:
-            c, prow = held[heapq.heappop(heap)]
+            i = heapq.heappop(heap)
+            c, prow = held[i]
             f = row.get(c)
             if not f:  # pushed twice, or cancelled since
                 continue
+            inv = invs[i]
+            if not inv:
+                inv = prow[c]
+                inv = invs[i] = 1 if inv == 1 else pow(inv, -1, p)
+            f = f * inv % p
             for k, b in prow.items():
                 v = row.get(k)
                 if v is None:
@@ -158,15 +178,12 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
             switched = True
             break
         c = min(row)
-        inv = row[c]
-        if inv != 1:
-            inv = pow(inv, -1, p)
-            row = {k: v * inv % p for k, v in row.items()}
         order[c] = len(held)
         held.append((c, row))
+        invs.append(0)
         if len(held) == ncols:
             return order, {}
-    kernel = _back_substitute(held, p)
+    kernel = _back_substitute(held, invs, p)
     if not switched:
         return order, kernel
     by_col: Dict[int, Dict[int, int]] = {}  # column -> {free j: v_j there}
@@ -210,14 +227,21 @@ def _echelon_mod_p(rows: Iterable[Dict[int, int]], p: int, ncols: int
     return order, kernel
 
 
-def _back_substitute(held: List[Tuple[int, Dict[int, int]]], p: int
-                     ) -> Dict[int, Dict[int, int]]:
+def _back_substitute(held: List[Tuple[int, Dict[int, int]]],
+                     invs: List[int], p: int) -> Dict[int, Dict[int, int]]:
     """The reduced-echelon kernel mod p, {free column: vector}, over the
     columns of the rows `held` by ``_echelon_mod_p``, which it changes.
-    In reverse insertion order, a held row is cleared at the pivot columns
-    of the rows held after it, which are fully reduced by then.  Free
-    column j gives the vector with 1 at j, 0 at the other free columns and
-    its other entries at the pivot columns before j."""
+    Each held row is first scaled to 1 at its pivot by `invs`, the inverses
+    of the pivot entries, 0 where none was taken yet.  Then, in reverse
+    insertion order, a held row is cleared at the pivot columns of the rows
+    held after it, which are fully reduced by then.  Free column j gives
+    the vector with 1 at j, 0 at the other free columns and its other
+    entries at the pivot columns before j."""
+    for t, (c, prow) in enumerate(held):
+        inv = prow[c]
+        if inv != 1:
+            inv = invs[t] or pow(inv, -1, p)
+            held[t] = c, {k: v * inv % p for k, v in prow.items()}
     pivots = dict(held)
     for c, prow in reversed(held):
         for k in [k for k in prow if k != c and k in pivots]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import guards
-from .scalars import Rat, as_int, rat
+from .scalars import Rat, as_int, as_list, rat
 from .tensor3 import Tensor3, _restricted_power
 
 Label = Tuple[int, ...]
@@ -88,7 +88,8 @@ class Blocking:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Blocking":
-        return cls(doc["labels"])
+        return cls([as_list(ax, "label axis")
+                    for ax in as_list(doc["labels"], "labels")])
 
 
 def cw_weights(n: int) -> List[List[int]]:
@@ -211,7 +212,9 @@ class BlockDistribution:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BlockDistribution":
-        return cls(doc["support"], doc["probs"])
+        return cls([as_list(trip, "support element")
+                    for trip in as_list(doc["support"], "support")],
+                   as_list(doc["probs"], "probs"))
 
     @classmethod
     def uniform(cls, triples: Iterable) -> "BlockDistribution":

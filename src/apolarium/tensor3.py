@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import guards
-from .scalars import Rat, as_int, rat
+from .scalars import Rat, as_int, as_list, rat
 
 Index3 = Tuple[int, int, int]
 Slice = List[List[Rat]]  # one dense slice of a tensor, row-major
@@ -142,17 +142,22 @@ class Tensor3:
     @classmethod
     def from_doc(cls, doc: dict) -> "Tensor3":
         """The tensor of a parsed document; a repeated index triple is
-        refused, not overwritten, and an entry that is not [i, j, k, value]
-        is a document of the wrong type."""
+        refused, not overwritten, and an entry that is not a list [i, j, k,
+        value], or dims or labels that are not lists, make a document of
+        the wrong type."""
         entries: Dict[Index3, Rat] = {}
-        for entry in doc["entries"]:
-            if len(entry) != 4:
+        for entry in as_list(doc["entries"], "entries"):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                 raise TypeError(f"entry {entry!r} is not [i, j, k, value]")
             i, j, k, v = entry
             if (i, j, k) in entries:
                 raise ValueError(f"index {[i, j, k]} repeated")
             entries[(i, j, k)] = v
-        return cls(doc["dims"], entries, doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None:
+            labels = [as_list(ax, "label axis")
+                      for ax in as_list(labels, "labels")]
+        return cls(as_list(doc["dims"], "dims"), entries, labels)
 
 
 def _flattening(T: Tensor3, axis: int) -> List[Dict[int, Rat]]:
@@ -271,7 +276,8 @@ class PartiallySymmetricTensor:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PartiallySymmetricTensor":
-        return cls(doc["slices"])
+        return cls([[as_list(row, "slice row") for row in as_list(s, "slice")]
+                    for s in as_list(doc["slices"], "slices")])
 
 
 def algebra_A_Tk(T: PartiallySymmetricTensor, k: int) -> Tensor3:

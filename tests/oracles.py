@@ -90,12 +90,13 @@ def rref(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[Rat]], List[int]]:
 
 
 def echelon_mod_p(rows, p: int):
-    """(pivot columns ascending, {free column j: kernel vector}) of the int
-    rows mod p, over the columns nonzero mod p in some row: every row is
-    eliminated forward against the rows held before it, in insertion order,
-    and the held rows are then back-substituted, in reverse insertion
-    order; the vector of free column j has 1 at j and -r[j] at the pivot
-    column of each reduced row r."""
+    """({pivot column: insertion index}, {free column j: kernel vector}) of
+    the int rows mod p, over the columns nonzero mod p in some row: every
+    row is eliminated forward against the rows held before it, in
+    insertion order, and scaled to 1 at its pivot as it is held; the held
+    rows are then back-substituted, in reverse insertion order; the vector
+    of free column j has 1 at j and -r[j] at the pivot column of each
+    reduced row r."""
     held: List[Tuple[int, Dict[int, int]]] = []
     for raw in rows:
         row = {j: x % p for j, x in raw.items() if x % p}
@@ -129,7 +130,7 @@ def echelon_mod_p(rows, p: int):
         for k, b in prow.items():
             if k != c:
                 kernel[k][c] = p - b
-    return sorted(pivots), kernel
+    return {c: t for t, (c, _) in enumerate(held)}, kernel
 
 
 def packed_key(a, w):

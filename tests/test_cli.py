@@ -500,6 +500,31 @@ def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
     ({"support": [[[0], [1], [-1]]]},
      ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
       "--dist"]),
+    # a string or an object where a list is read, not iterated
+    ({"support": [[[0], [1], [-1]]], "probs": "1"},
+     ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist"]),
+    ({"support": "abc", "probs": ["1"]},
+     ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist"]),
+    ({"dims": [1, 1, 1], "entries": ["abcd"]},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    ({"dims": [1, 1, 1], "entries": [{"a": 0, "b": 0, "c": 0, "d": 1}]},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    ({"dims": [1, 1, 1], "entries": [], "labels": "abc"},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    ({"dims": "222", "entries": []},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    ({"labels": "abc"}, ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"labels": ["abc", "abc", "abc"]},
+     ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"weights": "abc"}, ["sweet", "degenerate", "--tensor", "cw:3",
+                          "--blocking", "cw", "--weights"]),
+    ({"weights": ["012", "012", "012"]},
+     ["sweet", "degenerate", "--tensor", "cw:3", "--blocking", "cw",
+      "--weights"]),
+    ({"slices": "1"}, ["tensor", "make", "atk", "--slices"]),
+    ({"slices": [{"0": ["1"]}]}, ["tensor", "make", "atk", "--slices"]),
 ])
 def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
                                                   argv):

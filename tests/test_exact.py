@@ -741,8 +741,8 @@ def test_the_two_phases_match_forward_elimination_and_back_substitution(
     side = [{keys[j]: x for j, x in enumerate(row) if x} for row in m]
     ncols = len(set().union(*side)) + extra  # the keys that occur, or more
     for p in ECHELON_PRIMES:
-        pivots, kernel = exact._echelon_mod_p(iter(side), p, ncols)
-        assert (sorted(pivots), kernel) == echelon_mod_p(side, p)
+        assert exact._echelon_mod_p(iter(side), p, ncols) == echelon_mod_p(
+            side, p)
     # every prime the certificates try
     tried = []
     eliminate = exact._echelon_mod_p
@@ -750,7 +750,7 @@ def test_the_two_phases_match_forward_elimination_and_back_substitution(
     def spy(rows, p, ncols):
         rows = list(rows)
         pivots, kernel = eliminate(iter(rows), p, ncols)
-        assert (sorted(pivots), kernel) == echelon_mod_p(rows, p)
+        assert (pivots, kernel) == echelon_mod_p(rows, p)
         tried.append(p)
         return pivots, kernel
     with pytest.MonkeyPatch.context() as mp:
@@ -773,9 +773,9 @@ def test_the_kernel_takes_over_at_the_first_row_that_reduces_to_zero(
     held = []
     back = exact._back_substitute
 
-    def spy(rows, p):
+    def spy(rows, invs, p):
         held.append([c for c, _ in rows])
-        return back(rows, p)
+        return back(rows, invs, p)
     monkeypatch.setattr(exact, "_back_substitute", spy)
     rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 2, 2: 2}, {0: 1, 1: 1, 2: 2},
             {2: 4}]
@@ -796,6 +796,113 @@ def test_the_kernel_takes_over_at_the_first_row_that_reduces_to_zero(
     assert exact._echelon_mod_p(rows, P, 5) == (
         {0: 0, 1: 1, 4: 2, 3: 3}, {2: {2: 1, 0: P - 1, 1: P - 1}})
     assert held == [[0, 1, 4]]
+
+
+# -- held rows keep their pivot entries -----------------------------------------
+
+
+# pivot entries that are not 1 mod any prime drawn, and entries past them
+nonunit = st.one_of(st.integers(2, 9), st.integers(-9, -2))
+lazy_entry = st.one_of(st.just(0), st.integers(-9, 9), st.sampled_from(
+    [P - 1, P + 2, (1 << 70) + 1, PRIMES[3] * 5]))
+
+
+@st.composite
+def lazy_pivot_streams(draw):
+    """(int rows, ncols, kind, independent rows): r independent rows of n
+    columns, unit-triangular mixes of echelon rows whose leading entries
+    are not 1, in the column order of distinct random keys.  "full" has r
+    = n and ncols = n, and rows past them that are never read; "switch"
+    puts int combinations of the rows before it (a zero row among them)
+    after the first row, so the stream reduces a row to zero; "short" has
+    r < ncols and no dependent row, so it ends short of ncols."""
+    kind = draw(st.sampled_from(["full", "switch", "short"]))
+    n = draw(st.integers(2 if kind == "short" else 1, 7))
+    r = n if kind == "full" else draw(st.integers(1, n - (kind == "short")))
+    leads = sorted(draw(st.lists(st.integers(0, n - 1), min_size=r,
+                                 max_size=r, unique=True)))
+    echelon = [[0] * lead + [draw(nonunit)]
+               + [draw(lazy_entry) for _ in range(n - lead - 1)]
+               for lead in leads]
+    order = draw(st.permutations(range(r)))
+    rows = []
+    for t, i in enumerate(order):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=t, max_size=t))
+        rows.append([x + sum(c * echelon[order[u]][j]
+                             for u, c in enumerate(cs))
+                     for j, x in enumerate(echelon[i])])
+    independent = len(rows)
+    dependent = draw(st.integers(1 if kind == "switch" else 0, 3))
+    for _ in range(0 if kind == "short" else dependent):
+        at = draw(st.integers(1, len(rows))) if kind == "switch" else len(rows)
+        cs = draw(st.lists(st.integers(-2, 2), min_size=at, max_size=at))
+        rows.insert(at, [sum(c * row[j] for c, row in zip(cs, rows))
+                         for j in range(n)])
+    keys = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n,
+                         unique=True))
+    side = [{keys[j]: x for j, x in enumerate(row) if x} for row in rows]
+    ncols = n if kind == "full" else n + draw(st.integers(0, 2))
+    return side, ncols, kind, independent
+
+
+@settings(max_examples=300, deadline=None)
+@given(lazy_pivot_streams())
+def test_lazy_pivots_match_the_normalize_at_insert_reference(stream):
+    # held rows keep their pivot entries; the pivots, with their insertion
+    # indices, and the kernel are those of the reference, which scales
+    # every held row to 1 at its pivot
+    side, ncols, kind, independent = stream
+    for p in (MODULUS, PRIMES[3]):
+        read = [0]
+
+        def counted():
+            for row in side:
+                read[0] += 1
+                yield row
+        pivots, kernel = exact._echelon_mod_p(counted(), p, ncols)
+        assert (pivots, kernel) == echelon_mod_p(side, p)
+        assert len(pivots) == independent
+        if kind == "full":  # certified at the last independent row
+            assert kernel == {} and read == [independent]
+        elif kind == "short":
+            assert len(pivots) < ncols and read == [len(side)]
+        else:  # a switch reads every row, or stops at full rank
+            assert read == [len(side)] or len(pivots) == ncols
+
+
+def test_a_pivot_is_inverted_only_when_its_row_clears_another(monkeypatch):
+    inverted = []
+
+    def spy(x, e, m):
+        inverted.append(x)
+        return pow(x, e, m)
+    monkeypatch.setattr(exact, "pow", spy, raising=False)
+    # full rank, and no row clears another: no inverse
+    rows = [{3: 7}, {2: 5}, {0: 2, 1: 3}, {1: 4}]
+    assert exact._echelon_mod_p(rows, P, 4) == ({3: 0, 2: 1, 0: 2, 1: 3}, {})
+    assert inverted == []
+    # {0: 2} clears column 0 of each later row: 2 is inverted once, and the
+    # rows it leaves, {j: 5}, are held as they are
+    rows = [{0: 2}] + [{0: 3, j: 5} for j in range(1, 4)]
+    assert exact._echelon_mod_p(rows, P, 4) == ({0: 0, 1: 1, 2: 2, 3: 3}, {})
+    assert inverted == [2]
+    # a pivot entry 1 needs no inverse
+    inverted.clear()
+    assert exact._echelon_mod_p([{0: 1, 1: 4}, {0: 3, 1: 2}], P, 2) == (
+        {0: 0, 1: 1}, {})
+    assert inverted == []
+    # the kernel reads every held row scaled, each inverted once: {0: 2,
+    # 2: 3} clears the second row to {1: 5, 2: -5}, which clears the third
+    # to zero, and back-substitution reuses both inverses
+    rows = [{0: 2, 2: 3}, {0: 4, 1: 5, 2: 1}, {1: 5, 2: -5}]
+    assert exact._echelon_mod_p(rows, P, 3) == (
+        {0: 0, 1: 1}, {2: {2: 1, 0: (P - 3) * pow(2, -1, P) % P, 1: 1}})
+    assert inverted == [2, 5]
+    # rows that run out short of ncols are scaled for the kernel, each once
+    inverted.clear()
+    assert exact._echelon_mod_p([{0: 2, 1: 1}, {1: 3, 2: 1}], P, 3) == (
+        {0: 0, 1: 1}, {2: {2: 1, 0: pow(6, -1, P), 1: P - pow(3, -1, P)}})
+    assert sorted(inverted) == [2, 3]
 
 
 # -- one forward elimination per certified rank ----------------------------------
@@ -931,9 +1038,9 @@ def test_rows_of_the_ex49_cube_block_past_the_switch_are_not_eliminated(
         return heapq.heappop(heap)
     back = exact._back_substitute
 
-    def spy(held, p):
+    def spy(held, invs, p):
         switched.append((read[0], len(held), pops[0]))
-        return back(held, p)
+        return back(held, invs, p)
     monkeypatch.setattr(exact, "heapq", SimpleNamespace(
         heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
     monkeypatch.setattr(exact, "_back_substitute", spy)

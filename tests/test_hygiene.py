@@ -211,10 +211,10 @@ def test_exact_takes_and_returns_sparse_rows_only():
 
 
 def test_the_scalars_are_the_rationals_and_checked_ints():
-    # the modules that take numbers from outside input import these without
-    # the elimination engine
+    # the modules that take numbers and documents from outside input import
+    # these without the elimination engine
     assert _public_definitions(SRC / "scalars.py") == ["Rat", "as_int",
-                                                       "rat"]
+                                                       "as_list", "rat"]
 
 
 def _readers_of(name, kind=ast.Attribute):

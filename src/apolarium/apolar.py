@@ -20,13 +20,14 @@ before they are built, and refuses before a term would pass the cap.
 Any other polynomial has one matrix; its Hilbert function, the
 differences of the filtration by derivative order, counts by order the
 greedy operators (``exact._greedy``) taken from order d down to 0, and
-the dimension is its sum.  Taken from
-order 0 up, they are the monomial basis of the quotient algebra, and the
-stream of orders up to d is the operator matrix whose kernel is the
-annihilator up to degree d.  From these come dimensions, Hilbert functions,
-conciseness, annihilators up to a degree bound, catalecticant ranks, the
-multiplication tensor of the quotient algebra, and the twisted-form
-annihilation check.
+its dimension is the rank of that matrix by ``sparse_rank``, which reads
+no greedy key and takes the rows and columns with one entry without
+arithmetic.  The greedy operators taken from order 0 up are the monomial
+basis of the quotient algebra, and the stream of orders up to d is the
+operator matrix whose kernel is the annihilator up to degree d.  From
+these come dimensions, Hilbert functions, conciseness, annihilators up to
+a degree bound, catalecticant ranks, the multiplication tensor of the
+quotient algebra, and the twisted-form annihilation check.
 """
 
 from __future__ import annotations
@@ -146,9 +147,16 @@ def hilbert_function(f: Poly) -> HilbertFunction:
 
 
 def apolar_dim(f: Poly) -> int:
-    """Dimension of the partials space: the sum of its Hilbert function,
-    whose pass over the partials matrix is the only one."""
-    return sum(hilbert_function(f))
+    """Dimension of the partials space.  For a form, the sum of its
+    Hilbert function, the mirrored ranks of the lower half; for any other
+    polynomial, the rank of its partials matrix, the stream of
+    ``_divisor_columns`` of orders 0..deg f after the same whole-ladder
+    charge, certified by ``sparse_rank``, which reads no greedy key."""
+    _require_nonzero(f)
+    if f.is_homogeneous():
+        return sum(hilbert_function(f))
+    return sparse_rank(_divisor_columns(_packing(f, ladder=True), 0,
+                                        f.degree()))
 
 
 def is_concise(f: Poly) -> bool:

@@ -29,15 +29,19 @@ mod MODULUS = 2^61 - 1, and returns the pivot columns, the greedy rows of
 the transpose, whose number is the rank.  It is given ncols, at least the
 number of column keys that occur, and stops when ncols columns are pivots:
 columns independent mod a prime are independent over Q, and the rest of a
-stream is never built.  ``sparse_rank`` gives it the side of the matrix
-with fewer columns, ``independent_rows`` the transpose, and ``apolar``
-streams catalecticant columns to it.  Short of ncols, that elimination is
-the first prime of the kernel routine, ``_kernel_mod_primes``, over the
+stream is never built.  ``independent_rows`` gives it the transpose, and
+``apolar`` streams catalecticant columns to it.  ``sparse_rank`` first
+takes the structural pivots of ``_peel``, rows and columns with one
+nonzero entry, which need no arithmetic (Bouillaguet and Delaplace 2016),
+and gives ``_greedy`` only the core they leave, on its side with fewer
+columns; an empty core needs no prime.  Short of ncols, that elimination
+is the first prime of the kernel routine, ``_kernel_mod_primes``, over the
 keys as they occur.  It combines the kernels mod the primes of the best
 pivot list so far by CRT, lifts them to Q by rational reconstruction (Wang
-1981) and checks them exactly.  The first lift that passes is the
-reduced-echelon kernel over Q (see ``sparse_kernel``); the primes, from
-``_primes``, never run out.  No dense row is built.
+1981) and checks them exactly; a column no row holds is free with e_j
+alone, and is neither combined nor lifted.  The first lift that passes is
+the reduced-echelon kernel over Q (see ``sparse_kernel``); the primes,
+from ``_primes``, never run out.  No dense row is built.
 
 The scalars, ``Rat``, ``rat`` and ``as_int``, live in ``scalars``, so a
 module that builds polynomials or tensors without eliminating does not
@@ -48,8 +52,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -311,12 +316,15 @@ def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Sequence[int],
     pivots or moves them right, so the pivots over Q are the best list:
     the most pivots, and of those the leftmost, entry by entry.  A prime
     with a worse list than the best so far is skipped; one with a better
-    list drops the primes before it.  The entries mod the best list's
-    primes are combined by CRT, lifted and checked by ``_lift``; the first
-    check that every vector passes answers.  The loop ends: only the
-    finitely many primes dividing a minor of the rows are bad, and the
-    lift succeeds once the good primes multiply past 2 H^2, H a bound on
-    those minors.
+    list drops the primes before it, and its residues are taken as they
+    are.  The entries mod the best list's primes are combined by CRT with
+    those of each later prime of the same list, lifted and checked by
+    ``_lift``; the first check that every vector passes answers.  The loop
+    ends: only the finitely many primes dividing a minor of the rows are
+    bad, and the lift succeeds once the good primes multiply past 2 H^2,
+    H a bound on those minors.  A column of `cols` that no row holds is
+    free over Q, and its reduced-echelon vector is e_j alone: it takes no
+    CRT, lift or check, and joins the others in column order.
     """
     columns: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     for i, row in enumerate(rows):
@@ -330,25 +338,27 @@ def _kernel_mod_primes(rows: Sequence[Dict[int, int]], cols: Sequence[int],
         key = (-len(pivots), sorted(pivots))  # the better list is less
         if best is not None and key > best:
             continue
-        if key != best:
-            best, kernel, modulus = key, {}, 1
-        inv = pow(modulus, -1, p)
-        for j in cols:  # CRT of x mod `modulus`, r mod p
-            if j in pivots:
-                continue
-            new = residues.get(j) or {j: 1}
-            vec = kernel.setdefault(j, {})
-            for k in new.keys() | vec.keys():
-                x = vec.get(k, 0)
-                vec[k] = x + modulus * ((new.get(k, 0) - x) * inv % p)
-        modulus *= p
-        lifted: Dict[int, Optional[SparseRow]] = {}
-        for j, vec in kernel.items():
-            lifted[j] = _lift(vec, modulus, columns)
-            if lifted[j] is None:
-                break
+        if key != best:  # the residues as they are, one prime so far
+            best, modulus = key, p
+            kernel = {j: residues.get(j) or {j: 1} for j in cols
+                      if j in columns and j not in pivots}
         else:
-            return lifted
+            inv = pow(modulus, -1, p)
+            for j, vec in kernel.items():  # CRT of x mod `modulus`, r mod p
+                new = residues.get(j) or {j: 1}
+                for k in new.keys() | vec.keys():
+                    x = vec.get(k, 0)
+                    vec[k] = x + modulus * ((new.get(k, 0) - x) * inv % p)
+            modulus *= p
+        lifted: Dict[int, SparseRow] = {}
+        for j, vec in kernel.items():
+            vec = _lift(vec, modulus, columns)
+            if vec is None:
+                break
+            lifted[j] = vec
+        else:  # a column no row holds is free, with e_j alone
+            return {j: lifted[j] if j in columns else {j: Fraction(1)}
+                    for j in cols if j not in pivots}
 
 
 def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
@@ -362,19 +372,105 @@ def _transpose(rows: Sequence[SparseRow], cols: Iterable[int]
     return list(by_col.values())
 
 
+def _peel(rows: Iterable[SparseRow]) -> Tuple[int, List[SparseRow]]:
+    """(s, core): s structural pivots of the sparse rows and the core left
+    when they are dropped, with rank(rows) = s + rank(core) over Q.  Zero
+    entries are ignored, and no entry is read but to tell it from zero.
+
+    A column with one nonzero entry is e_i times that entry, so it adds 1
+    to the rank with its row i and itself dropped.  A row with one nonzero
+    entry, at column j, spans e_j, so it adds 1 with itself dropped and
+    column j deleted from every other row.  Both are taken until neither is
+    left, so the core has no row and no column with one entry.
+
+    Row singletons are taken first, in row order: a row is taken when just
+    one of its entries lies outside the columns taken so far.  A second pass
+    reads the rows the first one left, some of which the columns taken
+    after them left with one entry.  The passes stop once s reaches
+    min(rows, columns), which bounds the rank, so a tall or wide block of
+    full rank is answered from a prefix of its rows.  What is left goes to
+    a queue of the singletons of both kinds, which counts the entries left
+    in each column and reaches the rows of a column through the list of
+    the rows that hold it."""
+    rows = [row for row in rows if row]
+    bound = min(len(rows), len(set().union(*rows)))
+    s = 0
+    taken = set()
+    for _ in range(2):
+        rest = []
+        for row in rows:
+            if 0 in row.values():
+                row = {j: x for j, x in row.items() if x}
+            live = row.keys() - taken if taken else row
+            if len(live) == 1:
+                taken.update(live)
+                s += 1
+                if s == bound:
+                    return s, []
+            elif live:
+                rest.append(row)
+        if not taken:
+            break
+        rows = rest
+    core = [row if taken.isdisjoint(row) else
+            {j: x for j, x in row.items() if j not in taken} for row in rest]
+    count = Counter(chain.from_iterable(core))
+    single_rows = [i for i, row in enumerate(core) if len(row) == 1]
+    single_cols = [j for j, c in count.items() if c == 1]
+    if not (single_rows or single_cols):
+        return s, core
+    core = [dict(row) for row in core]
+    holders: Dict[int, List[int]] = defaultdict(list)
+    for i, row in enumerate(core):
+        for j in row:
+            holders[j].append(i)
+    while single_rows or single_cols:
+        if single_rows:
+            row = core[single_rows.pop()]
+            if len(row) != 1:  # dropped, or emptied since
+                continue
+            (j,) = row
+            for i in holders[j]:
+                other = core[i]
+                if j in other:
+                    del other[j]
+                    if len(other) == 1:
+                        single_rows.append(i)
+        else:
+            j = single_cols.pop()
+            if count[j] != 1:  # its row dropped since
+                continue
+            for i in holders[j]:
+                row = core[i]
+                if j in row:
+                    break
+            for k in row:
+                count[k] -= 1
+                if count[k] == 1:
+                    single_cols.append(k)
+            row.clear()
+        count[j] = 0
+        s += 1
+    return s, [row for row in core if row]
+
+
 def sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over Q of the matrix with the given rows, each a dict from
-    column (an int) to its nonzero entry; columns absent from every row are
-    zero.
+    column (an int) to its entry; columns absent from every row, and zero
+    entries, are zero.
 
-    The side certified by ``_greedy`` is the matrix, keyed by its own
-    columns, or its transpose when that has fewer columns, so that the side
-    has n = min(rows, cols) keys (zero rows and columns are not counted),
-    and the rank is its number of pivot keys."""
-    rows = [row for row in rows if row]
-    cols = sorted(set().union(*rows))
-    side = _transpose(rows, cols) if len(cols) > len(rows) else rows
-    return len(_greedy(side, min(len(rows), len(cols))))
+    ``_peel`` takes the structural pivots first, without arithmetic, and
+    the rank is their number plus the rank of the core they leave; an
+    empty core needs no prime.  The side of the core certified by
+    ``_greedy`` is the core, keyed by its own columns, or its transpose
+    when that has fewer columns, so that the side has n = min(rows, cols)
+    keys, and the core's rank is its number of pivot keys."""
+    s, core = _peel(rows)
+    if not core:
+        return s
+    cols = sorted(set().union(*core))
+    side = _transpose(core, cols) if len(cols) > len(core) else core
+    return s + len(_greedy(side, min(len(core), len(cols))))
 
 
 def independent_rows(rows: Sequence[SparseRow]) -> List[int]:

@@ -55,6 +55,17 @@ def _as_label(x) -> Label:
     return label
 
 
+def _doc_label(x):
+    """A label as a document holds it, an int or a list of ints.  A string,
+    an object or null, as the label or in its list, is of the wrong JSON
+    type, refused with TypeError; a float or a bool is a number, left for
+    ``_as_label`` to refuse."""
+    for v in x if isinstance(x, list) else [x]:
+        if not isinstance(v, (int, float)):
+            raise TypeError(f"label {x!r} is not an int or a vector of ints")
+    return x
+
+
 class Blocking:
     """Three label tables, one vector in Z^r per basis index per axis."""
 
@@ -88,7 +99,7 @@ class Blocking:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Blocking":
-        return cls([as_list(ax, "label axis")
+        return cls([[_doc_label(x) for x in as_list(ax, "label axis")]
                     for ax in as_list(doc["labels"], "labels")])
 
 
@@ -212,7 +223,7 @@ class BlockDistribution:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BlockDistribution":
-        return cls([as_list(trip, "support element")
+        return cls([[_doc_label(a) for a in as_list(trip, "support element")]
                     for trip in as_list(doc["support"], "support")],
                    as_list(doc["probs"], "probs"))
 

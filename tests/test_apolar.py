@@ -28,8 +28,9 @@ from apolarium.guards import LimitExceeded, limits
 import oracles
 from oracles import rref, spy_primes, spy_rows_read
 from apolarium.papersuite import BIG_CUBIC, ENCOMPASS_CORPUS, TAUT_CORPUS
-from apolarium.poly import (Poly, apply, diff, format_poly, monomial_key,
-                            monomials_of_degree, monomials_upto, parse, twist)
+from apolarium.poly import (Poly, apply, dehomogenize, diff, format_poly,
+                            monomial_key, monomials_of_degree, monomials_upto,
+                            parse, twist)
 from apolarium.tensor3 import cw
 
 
@@ -647,9 +648,48 @@ def test_inhomogeneous_apolar_dim_is_certified_by_one_prime(monkeypatch):
     polys = [f ** d for f in polys if not f.is_homogeneous()
              for d in range(1, f.degree() + 1)]
     assert len(polys) == 30
-    dims = [apolar_dim(f) for f in polys]
-    assert primes == [exact.MODULUS] * 30
+    dims, used = [], []
+    for f in polys:
+        primes.clear()
+        dims.append(apolar_dim(f))
+        used.append(list(primes))
+    # at most one elimination each; ten matrices peel whole, with none
+    assert all(p in ([], [exact.MODULUS]) for p in used)
+    assert used.count([]) == 10
     assert dims == [_oracle_closure(f, [f]).rank for f in polys]
+
+
+def test_structural_pivots_answer_without_a_prime(monkeypatch):
+    # every catalecticant of a product of independent linear forms, and
+    # the partials matrix of the dehomogenized BIG_CUBIC, peel whole
+    primes = spy_primes(monkeypatch)
+    F = parse("(x1 - x2)*x2*x3*x4*x5*x6*x7*x8")
+    assert tuple(hilbert_function(F)) == tuple(comb(8, i) for i in range(9))
+    f = dehomogenize(parse(BIG_CUBIC), "x0")
+    assert apolar_dim(f) == 6
+    assert primes == []
+    monkeypatch.undo()
+    assert apolar_dim(f) == _oracle_closure(f, [f]).rank
+
+
+def test_untouched_operators_take_no_lift(monkeypatch):
+    # the 126 operators of degree <= 4 in 5 variables: 12 are pivots, and
+    # only 13 of the 114 free ones divide a term of EX49, whose columns
+    # are lifted; the other 101 are e_j alone
+    from apolarium.papersuite import EX49_CUBIC
+    lifts = []
+    lift = exact._lift
+
+    def spy(vec, modulus, columns):
+        lifts.append(vec)
+        return lift(vec, modulus, columns)
+    monkeypatch.setattr(exact, "_lift", spy)
+    f = parse(EX49_CUBIC)
+    gens = annihilator_upto(f)
+    assert len(gens) == 114 and len(lifts) == 13
+    monkeypatch.undo()
+    assert [g.terms for g in gens] == [
+        g.terms for g in _oracle_annihilator(f, 4)]
 
 
 # -- greedy rows against the incremental echelon ---------------------------------

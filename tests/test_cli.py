@@ -525,6 +525,17 @@ def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
       "--weights"]),
     ({"slices": "1"}, ["tensor", "make", "atk", "--slices"]),
     ({"slices": [{"0": ["1"]}]}, ["tensor", "make", "atk", "--slices"]),
+    # a string, an object or null as a label
+    ({"labels": [["a", "b", "c"]] * 3},
+     ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"labels": [[0, {"a": 1}, [2]]] * 3},
+     ["sweet", "tight", "--tensor", "cw:3", "--blocking"]),
+    ({"support": [["a", "b", "c"]], "probs": ["1"]},
+     ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist"]),
+    ({"support": [[[0], None, [-1]]], "probs": ["1"]},
+     ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+      "--dist"]),
 ])
 def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
                                                   argv):

@@ -1,5 +1,6 @@
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -195,31 +196,44 @@ def test_rank_matches_rref_rank(m):
     assert sparse_rank(sparse(m)) == len(rref(m)[0])
 
 
-@pytest.mark.parametrize("m, expected, nprimes", [
+def greedy_rank(rows):
+    """The rank as ``_greedy`` certifies it with no structural pivot
+    taken: on the side with fewer columns, given min(rows, columns)."""
+    cols = sorted(set().union(*rows))
+    side = exact._transpose(rows, cols) if len(cols) > len(rows) else rows
+    return len(exact._greedy(side, min(len(rows), len(cols))))
+
+
+@pytest.mark.parametrize("m, expected, nprimes, peeled", [
     # P vanishes mod P: the next prime has the better pivot list
-    ([[F(P)]], 1, 2),
-    ([[F(1), F(1)], [F(1), F(1 + P)]], 2, 2),  # determinant P
+    ([[F(P)]], 1, 2, True),
+    ([[F(1), F(1)], [F(1), F(1 + P)]], 2, 2, False),  # determinant P
     # P divides a denominator: the scaled rows have full rank mod P
-    ([[F(1, P), F(0)], [F(0), F(1)]], 2, 1),
-    ([[F(2, P)], [F(1, 3)]], 1, 1),
+    ([[F(1, P), F(0)], [F(0), F(1)]], 2, 1, True),
+    ([[F(2, P)], [F(1, 3)]], 1, 1, True),
     # singular; dropping 1/P is not.  The kernel entry -P of the scaled
     # rows is past Wang's bound for two primes
-    ([[F(1, P), F(1)], [F(1), F(P)]], 1, 3),
+    ([[F(1, P), F(1)], [F(1), F(P)]], 1, 3, False),
     # the kernel entry -(2^250 + 1) is past Wang's bound for the eight
     # written-out primes together: each lift fails or is a wrong fraction,
     # which the exact check rejects, until a ninth prime
-    ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1, 9),
+    ([[F(1), F(1 << 250 | 1)], [F(2), F(2 << 250 | 2)]], 1, 9, False),
 ])
 def test_bad_primes_and_big_entries_keep_the_rank(monkeypatch, m, expected,
-                                                  nprimes):
+                                                  nprimes, peeled):
     primes = spy_primes(monkeypatch)
-    assert sparse_rank(sparse(m)) == expected
-    assert primes == first_primes(nprimes)
-    # the same rows, sparse over far-apart columns: the kernel gets them
-    # keyed by the columns as they occur
-    spread = [{2 * j + 1: x for j, x in row.items()} for row in sparse(m)]
-    assert sparse_rank(spread) == expected
-    assert primes == first_primes(nprimes) * 2
+    # the rows, and the same rows sparse over far-apart columns: the kernel
+    # gets them keyed by the columns as they occur
+    for rows in (sparse(m), [{2 * j + 1: x for j, x in row.items()}
+                             for row in sparse(m)]):
+        primes.clear()
+        assert sparse_rank(rows) == expected
+        if peeled:
+            # a singleton row or column gives the rank without a prime; the
+            # certificate alone still reaches the bad prime
+            assert primes == []
+            assert greedy_rank(rows) == expected
+        assert primes == first_primes(nprimes)
 
 
 def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
@@ -242,10 +256,11 @@ def test_a_streamed_side_is_read_only_as_far_as_its_bound(monkeypatch):
     assert read == rows and primes == [MODULUS]
 
 
-def test_zero_matrix_rank_is_certified_by_one_prime(monkeypatch):
+def test_zero_matrix_rank_needs_no_prime(monkeypatch):
     primes = spy_primes(monkeypatch)
     assert sparse_rank(sparse([[F(0)] * 4] * 3)) == 0
-    assert primes == [MODULUS]
+    assert sparse_rank([{0: F(0), 3: 0}, {1: F(0)}]) == 0
+    assert primes == []
 
 
 small_int = st.integers(-3, 3).map(F)
@@ -324,6 +339,102 @@ def test_sparse_rank_ignores_zero_rows_and_columns():
     assert sparse_rank([{}, {}]) == 0
     assert sparse_rank([{7: F(1)}, {}, {10 ** 6: F(-2, 3)}]) == 2
     assert sparse_rank([{5: F(1), 9: F(2)}, {5: F(3), 9: F(6)}]) == 1
+
+
+# -- structural pivots ---------------------------------------------------------
+
+
+nonzero_rat = st.builds(F, st.integers(1, 9), st.integers(1, 4)).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def cascade_matrices(draw, sizes=(0, 2, 3)):
+    """[[T, 0], [X, D]] with its rows and columns shuffled: T lower
+    triangular with a nonzero diagonal, whose rows peel one after another,
+    D k x k with no zero entry, k drawn from sizes, and X any."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.sampled_from(sizes))
+    entry = st.one_of(st.just(F(0)), nonzero_rat)
+    m = [[draw(nonzero_rat) if j == i else draw(entry) if j < i else F(0)
+          for j in range(n)] + [F(0)] * k for i in range(n)]
+    m += [[draw(entry) for _ in range(n)] + [draw(nonzero_rat)
+                                             for _ in range(k)]
+          for _ in range(k)]
+    rows = draw(st.permutations(range(n + k)))
+    cols = draw(st.permutations(range(n + k)))
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+dense_nonzero = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+    lambda nm: st.lists(st.lists(nonzero_rat, min_size=nm[1],
+                                 max_size=nm[1]),
+                        min_size=nm[0], max_size=nm[0]))
+
+
+def with_zeros(m, data):
+    """The sparse rows of m, some of its zero entries kept as explicit
+    keys."""
+    return [{j: x for j, x in enumerate(row)
+             if x or data.draw(st.booleans(), label="keep zero")}
+            for row in m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cascade_matrices(), dense_nonzero, sparse_matrices),
+       st.data())
+def test_peeled_pivots_plus_the_core_rank_is_the_rank(m, data):
+    rows = with_zeros(m, data)
+    s, core = exact._peel(iter(rows))
+    ncols = len(m[0])
+    assert s + len(rref([[row.get(j, F(0)) for j in range(ncols)]
+                         for row in core])[0]) == len(rref(m)[0])
+    # the core is rows of m cut to some of their columns, with no zero
+    # entry and no row or column holding a single entry
+    assert all(any(row.items() <= r.items() for r in rows) for row in core)
+    assert all(all(row.values()) and len(row) >= 2 for row in core)
+    assert all(c >= 2 for c in Counter(j for row in core
+                                       for j in row).values())
+    assert sparse_rank(rows) == len(rref(m)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cascade_matrices(sizes=(0,)), dense_nonzero)
+def test_cascades_peel_whole_and_dense_blocks_not_at_all(m, d):
+    assert exact._peel(sparse(m)) == (len(m), [])
+    assert exact._peel(sparse(d)) == (0, sparse(d))
+
+
+def test_structural_pivots_take_no_prime(monkeypatch):
+    primes = spy_primes(monkeypatch)
+    # column 0 has one entry; the 2 x 2 block it leaves has none
+    rows = [{0: F(1), 1: F(2), 2: F(3)}, {1: F(4), 2: F(5)},
+            {1: F(7), 2: F(8)}]
+    assert exact._peel(rows) == (1, rows[1:])
+    assert sparse_rank(rows) == 3 and primes == [MODULUS]
+    primes.clear()
+    # rows in the order given: the singleton {2: 6} deletes column 2, and
+    # the rows it leaves with one entry go in turn
+    rows = [{0: F(1), 1: F(2), 2: F(3)}, {1: F(4), 2: F(5)}, {2: F(6)}]
+    assert exact._peel(rows) == (3, [])
+    assert sparse_rank(rows) == 3 and primes == []
+    # an explicit zero is no entry: each row holds one
+    assert exact._peel([{0: F(0), 1: F(2)}, {0: F(3), 1: 0}]) == (2, [])
+    assert sparse_rank([{0: F(0), 1: F(2)}, {0: F(3), 1: 0}]) == 2
+    assert primes == []
+
+
+def test_the_queue_takes_the_rows_its_deletions_leave_with_one_entry():
+    # the passes take E, then D; the queue takes C, which leaves A and B
+    # with one entry each, at column 0: one of them goes, and the other is
+    # left with none
+    a, b, c, d, e = ({0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1, 2: 1}, {2: 1, 3: 1},
+                     {3: 1})
+    assert exact._peel([a, b, c, d, e]) == (4, [])
+    # column 0 has one entry, and dropping its row leaves column 1 with
+    # one; the 2 x 2 block left has none
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {2: 2, 3: 3}]
+    assert exact._peel(rows) == (2, rows[2:])
 
 
 # -- kernels and solves --------------------------------------------------------
@@ -473,6 +584,23 @@ def test_kernel_past_one_prime_is_certified_by_two(monkeypatch):
     assert sparse_rank(sparse(m)) == 1
     assert sparse_kernel(sparse(m), 2) == {1: {0: F(-(1 << 40 | 1)), 1: F(1)}}
     assert primes == list(PRIMES[:2]) * 2
+
+
+def test_a_column_no_row_holds_is_free_without_a_lift(monkeypatch):
+    lifts = []
+    lift = exact._lift
+
+    def spy(vec, modulus, columns):
+        lifts.append(sorted(vec))
+        return lift(vec, modulus, columns)
+    monkeypatch.setattr(exact, "_lift", spy)
+    kernel = sparse_kernel([{1: F(1), 3: F(2)}, {1: F(2), 3: F(4)}], 5)
+    # in column order, and only column 3, which a row holds, is lifted
+    assert list(kernel.items()) == [
+        (0, {0: F(1)}), (2, {2: F(1)}), (3, {1: F(-2), 3: F(1)}),
+        (4, {4: F(1)})]
+    assert all(type(x) is F for vec in kernel.values() for x in vec.values())
+    assert lifts == [[1, 3]]
 
 
 @pytest.mark.parametrize("k", range(len(PRIMES)))
@@ -1005,18 +1133,22 @@ def _ex49_cube_order_4_block():
     return rows
 
 
-@pytest.mark.parametrize("build, rank", [
-    (lambda: [{0: F(1, 2), 3: F(2)}, {1: 1, 3: 5}, {2: -3}], 3),  # wide
-    (lambda: [{0: F(1, 2)}, {1: 1}, {0: 2, 1: F(5, 3)}, {1: -3}], 2),  # tall
-    (_ex49_cube_order_4_block, 65),
+@pytest.mark.parametrize("build, rank, rank_primes", [
+    # every pivot of these two is structural: the rank takes no prime
+    (lambda: [{0: F(1, 2), 3: F(2)}, {1: 1, 3: 5}, {2: -3}], 3, []),  # wide
+    (lambda: [{0: F(1, 2)}, {1: 1}, {0: 2, 1: F(5, 3)}, {1: -3}], 2,
+     []),  # tall
+    # no row or column of this one has a single entry
+    (_ex49_cube_order_4_block, 65, [MODULUS]),
 ], ids=["wide", "tall", "EX49^3 order 4"])
-def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank):
+def test_a_rank_and_the_greedy_rows_eliminate_once(monkeypatch, build, rank,
+                                                   rank_primes):
     rows = build()
     primes = spy_primes(monkeypatch)
     assert sparse_rank(rows) == rank
-    assert primes == [MODULUS]
+    assert primes == rank_primes
     greedy = exact.independent_rows(rows)
-    assert len(greedy) == rank and primes == [MODULUS, MODULUS]
+    assert len(greedy) == rank and primes == rank_primes + [MODULUS]
 
 
 def test_rows_of_the_ex49_cube_block_past_the_switch_are_not_eliminated(

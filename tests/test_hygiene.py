@@ -345,3 +345,10 @@ def test_one_rank_certificate_bounds_the_elimination():
     assert _readers_of("_back_substitute", ast.Name) == {
         ("exact.py", "_echelon_mod_p")}
     assert _readers_of("_back_substitute") == set()
+
+
+def test_structural_pivots_give_ranks_only():
+    # a peeled pivot gives the rank, not which keys are greedy, so the
+    # greedy rows, bases and Hilbert functions never see one
+    assert _readers_of("_peel", ast.Name) == {("exact.py", "sparse_rank")}
+    assert _readers_of("_peel") == set()

@@ -22,21 +22,18 @@ if TYPE_CHECKING:
 
 
 def _load_file(path: str, load: Callable):
-    """load(the JSON document of the file), parsed once; a file that is not
-    JSON, or a document of the wrong types or without a key that load
-    reads, is a usage error that names the file."""
+    """load(the JSON document of the file), parsed once.  The constructors
+    that load feeds check the document; any refusal, of text that is not
+    JSON or nests too deep to parse, of a missing key, or of a value of
+    the wrong type or out of range, is a usage error that names the
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed document {path}: {exc}") from None
-    try:
-        return load(doc)
-    except TypeError as exc:
-        raise ValueError(f"malformed document {path}: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"malformed document {path}: "
-                         f"missing key {exc}") from None
+            return load(json.load(fh))
+        except (KeyError, ValueError, TypeError, ZeroDivisionError,
+                RecursionError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed document {path}: {why}") from None
 
 
 def _load_tensor(spec: str) -> Tensor3:
@@ -62,7 +59,8 @@ def _load_tensor(spec: str) -> Tensor3:
 def _load_blocking(spec: str, T: Tensor3) -> Blocking:
     from .sweet import Blocking, cw_blocking, weight_blocking
     if spec.startswith("@"):
-        return _load_file(spec[1:], Blocking.from_doc)
+        return _load_file(spec[1:],
+                          lambda doc: Blocking.from_doc(doc).check_tensor(T))
     if spec == "cw":
         if len(set(T.dims)) != 1:
             raise ValueError("cw blocking needs a cube-shaped tensor")
@@ -79,7 +77,8 @@ def _load_blocking(spec: str, T: Tensor3) -> Blocking:
 def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
     from .sweet import BlockDistribution, CW_LARGE, support_blocks
     if spec.startswith("@"):
-        return _load_file(spec[1:], BlockDistribution.from_doc)
+        return _load_file(spec[1:], lambda doc: BlockDistribution.from_doc(
+            doc).check_support(T, B))
     blocks = [b.labels for b in support_blocks(T, B)]
     if spec == "uniform":
         return BlockDistribution.uniform(blocks)
@@ -100,11 +99,11 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
 
 
 def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
-    from .scalars import as_list
+    from .scalars import as_int, as_list
     from .sweet import cw_weights
     if spec.startswith("@"):
         return _load_file(spec[1:], lambda doc: [
-            list(as_list(ax, "weight axis"))
+            [as_int(w, "weight") for w in as_list(ax, "weight axis")]
             for ax in as_list(doc["weights"], "weights")])
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:

@@ -55,17 +55,6 @@ def _as_label(x) -> Label:
     return label
 
 
-def _doc_label(x):
-    """A label as a document holds it, an int or a list of ints.  A string,
-    an object or null, as the label or in its list, is of the wrong JSON
-    type, refused with TypeError; a float or a bool is a number, left for
-    ``_as_label`` to refuse."""
-    for v in x if isinstance(x, list) else [x]:
-        if not isinstance(v, (int, float)):
-            raise TypeError(f"label {x!r} is not an int or a vector of ints")
-    return x
-
-
 class Blocking:
     """Three label tables, one vector in Z^r per basis index per axis."""
 
@@ -85,11 +74,13 @@ class Blocking:
     def label(self, axis: int, index: int) -> Label:
         return self.labels[axis][index]
 
-    def check_tensor(self, T: Tensor3):
+    def check_tensor(self, T: Tensor3) -> "Blocking":
+        """The blocking itself, if it has one label per index of T."""
         if tuple(self.axis_dim(a) for a in range(3)) != T.dims:
             raise ValueError(f"blocking covers dims "
                              f"{tuple(self.axis_dim(a) for a in range(3))}, "
                              f"tensor has {T.dims}")
+        return self
 
     def doc(self) -> dict:
         return {"labels": [[list(l) for l in ax] for ax in self.labels]}
@@ -99,8 +90,7 @@ class Blocking:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Blocking":
-        return cls([[_doc_label(x) for x in as_list(ax, "label axis")]
-                    for ax in as_list(doc["labels"], "labels")])
+        return cls(doc["labels"])
 
 
 def cw_weights(n: int) -> List[List[int]]:
@@ -204,7 +194,7 @@ class BlockDistribution:
                 raise ValueError(f"support element {trip!r} is not three "
                                  "labels")
             self.support.append(labels)
-        self.probs: List[Rat] = [rat(p) for p in probs]
+        self.probs: List[Rat] = [rat(p) for p in as_list(probs, "probs")]
         if len(self.support) != len(self.probs):
             raise ValueError("support/probs length mismatch")
         if len(set(self.support)) != len(self.support):
@@ -223,9 +213,18 @@ class BlockDistribution:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BlockDistribution":
-        return cls([[_doc_label(a) for a in as_list(trip, "support element")]
-                    for trip in as_list(doc["support"], "support")],
-                   as_list(doc["probs"], "probs"))
+        return cls(doc["support"], doc["probs"])
+
+    def check_support(self, T: Tensor3, B: Blocking) -> "BlockDistribution":
+        """The distribution itself, if every triple it charges is the label
+        triple of an entry of T under B, a support block."""
+        blocks = {(B.label(0, i), B.label(1, j), B.label(2, k))
+                  for i, j, k in T.entries}
+        for trip, p in zip(self.support, self.probs):
+            if p and trip not in blocks:
+                raise ValueError(
+                    f"distribution charges non-support block {trip}")
+        return self
 
     @classmethod
     def uniform(cls, triples: Iterable) -> "BlockDistribution":
@@ -323,11 +322,7 @@ def _validate_distribution(T: Tensor3, B: Blocking, P: BlockDistribution,
     if check_tight and not is_tight(T, B):
         raise ValueError("tensor is not tight for this blocking "
                          "(pass check_tight=False to project anyway)")
-    blocks = {(B.label(0, i), B.label(1, j), B.label(2, k))
-              for i, j, k in T.entries}
-    for trip, p in zip(P.support, P.probs):
-        if p and trip not in blocks:
-            raise ValueError(f"distribution charges non-support block {trip}")
+    P.check_support(T, B)
     marg = marginals(P)
     profiles = [sorted(m.values()) for m in marg]
     if not profiles[0] == profiles[1] == profiles[2]:

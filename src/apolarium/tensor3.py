@@ -31,8 +31,8 @@ class Tensor3:
     """Sparse rational tensor of order 3.
 
     entries maps index triples to nonzero Fractions; labels, when present,
-    name the basis vectors of each axis (purely cosmetic: equality ignores
-    them).
+    are strings that name the basis vectors of each axis (purely cosmetic:
+    equality ignores them).
 
     There are two constructors.  ``Tensor3(dims, entries, labels)`` checks
     and copies every entry, and is the only one for input from outside the
@@ -65,10 +65,13 @@ class Tensor3:
                 em[(i, j, k)] = c
         lab = None
         if labels is not None:
-            lab = tuple(tuple(str(s) for s in ax) for ax in labels)
-            if len(lab) != 3 or any(len(ax) != dd
-                                    for ax, dd in zip(lab, d)):
+            lab = tuple(tuple(as_list(ax, "label axis"))
+                        for ax in as_list(labels, "labels"))
+            if tuple(map(len, lab)) != d:
                 raise ValueError("label table sizes do not match dims")
+            for s in itertools.chain(*lab):
+                if not isinstance(s, str):
+                    raise ValueError(f"label {s!r} is not a string")
         self.dims = d
         self.entries = em
         self.labels = lab
@@ -141,23 +144,18 @@ class Tensor3:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Tensor3":
-        """The tensor of a parsed document; a repeated index triple is
-        refused, not overwritten, and an entry that is not a list [i, j, k,
-        value], or dims or labels that are not lists, make a document of
-        the wrong type."""
-        entries: Dict[Index3, Rat] = {}
+        """The tensor of a parsed document, checked by the constructor; an
+        entry that is not a list [i, j, k, value] is refused, and so is a
+        repeated index triple, not overwritten."""
+        entries: Dict[Index3, object] = {}
         for entry in as_list(doc["entries"], "entries"):
             if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-                raise TypeError(f"entry {entry!r} is not [i, j, k, value]")
+                raise ValueError(f"entry {entry!r} is not [i, j, k, value]")
             i, j, k, v = entry
             if (i, j, k) in entries:
                 raise ValueError(f"index {[i, j, k]} repeated")
             entries[(i, j, k)] = v
-        labels = doc.get("labels")
-        if labels is not None:
-            labels = [as_list(ax, "label axis")
-                      for ax in as_list(labels, "labels")]
-        return cls(as_list(doc["dims"], "dims"), entries, labels)
+        return cls(doc["dims"], entries, doc.get("labels"))
 
 
 def _flattening(T: Tensor3, axis: int) -> List[Dict[int, Rat]]:
@@ -253,7 +251,9 @@ class PartiallySymmetricTensor:
     """m symmetric n x n slices (an element of S^2(K^n) tensor K^m)."""
 
     def __init__(self, slices: Sequence[Slice]):
-        self.slices = [[[rat(c) for c in row] for row in s] for s in slices]
+        self.slices = [[[rat(c) for c in as_list(row, "slice row")]
+                        for row in as_list(s, "slice")]
+                       for s in as_list(slices, "slices")]
         if not self.slices:
             raise ValueError("need at least one slice")
         self.m = len(self.slices)
@@ -276,8 +276,13 @@ class PartiallySymmetricTensor:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PartiallySymmetricTensor":
-        return cls([[as_list(row, "slice row") for row in as_list(s, "slice")]
-                    for s in as_list(doc["slices"], "slices")])
+        """The tensor of a parsed document; m and n, when present, must be
+        the ints its slices give."""
+        S = cls(doc["slices"])
+        for key, size in (("m", S.m), ("n", S.n)):
+            if key in doc and as_int(doc[key], key) != size:
+                raise ValueError(f"{key} = {doc[key]}, the slices give {size}")
+        return S
 
 
 def algebra_A_Tk(T: PartiallySymmetricTensor, k: int) -> Tensor3:

@@ -536,6 +536,15 @@ def test_tensor_make_without_a_tensor_exits_two(capsys, mode):
     ({"support": [[[0], None, [-1]]], "probs": ["1"]},
      ["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
       "--dist"]),
+    # a bool where a rational is read, not taken as 1 or 0
+    ({"dims": [3, 3, 3], "entries": [[0, 2, 2, True]]},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    # tensor axis labels that are not strings, not made strings
+    ({"dims": [1, 1, 1], "entries": [], "labels": [[True], [1.5], [{}]]},
+     ["tensor", "kron", "--power", "1", "--tensor"]),
+    # an m or n that is not the int the slices give
+    ({"m": {}, "n": "x", "slices": [[["1", "0"], ["0", "0"]]]},
+     ["tensor", "make", "atk", "--slices"]),
 ])
 def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
                                                   argv):
@@ -548,6 +557,49 @@ def test_a_file_of_the_wrong_json_types_exits_two(tmp_path, capsys, doc,
     assert captured.err.startswith(f"error: malformed document {path}: ")
 
 
+@pytest.mark.parametrize("trip", [[[5], [7], [9]], [[], [1], [-1]]])
+def test_a_distribution_file_off_the_support_exits_two(tmp_path, capsys,
+                                                       trip):
+    # marginals would report on labels that no block of the tensor has
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"support": [trip], "probs": ["1"]}))
+    assert run(["sweet", "marginals", "--tensor", "cw:3", "--blocking", "cw",
+                "--dist", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed document {path}: distribution charges "
+        f"non-support block {tuple(tuple(a) for a in trip)}\n")
+
+
+@pytest.mark.parametrize("sizes, err", [
+    ({"m": 2}, "m = 2, the slices give 1"),
+    ({"m": 1, "n": 3}, "n = 3, the slices give 2"),
+    ({"m": True}, "m True is not an int"),
+    ({"n": 2.0}, "n 2.0 is not an int"),
+])
+def test_a_slices_file_with_another_m_or_n_exits_two(tmp_path, capsys, sizes,
+                                                     err):
+    # the report would echo an m and n that the file does not give
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(sizes,
+                                    slices=[[["1", "0"], ["0", "0"]]])))
+    assert run(["tensor", "make", "atk", "--slices", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed document {path}: {err}\n"
+
+
+def test_a_tensor_file_with_null_labels_has_no_labels(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [1, 1, 1], "entries": [[0, 0, 0, "2"]],
+                                "labels": None}))
+    doc = report(capsys, ["tensor", "kron", "--power", "1", "--tensor",
+                          f"@{path}"])
+    assert doc["inputs"]["tensor"] == {"dims": [1, 1, 1],
+                                       "entries": [[0, 0, 0, "2"]]}
+
+
 def test_a_distribution_file_with_a_short_support_element_exits_two(
         tmp_path, capsys):
     # marginals read an axis past the end of the element: an IndexError
@@ -558,8 +610,8 @@ def test_a_distribution_file_with_a_short_support_element_exits_two(
                 "--dist", f"@{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: support element [[0], [1]] is not three labels\n")
+    assert captured.err == (f"error: malformed document {path}: "
+                            "support element [[0], [1]] is not three labels\n")
 
 
 @pytest.mark.parametrize("text, detail", [
@@ -568,6 +620,9 @@ def test_a_distribution_file_with_a_short_support_element_exits_two(
      "entry [0, 0, 0] is not [i, j, k, value]"),
     ('{"dims": [2, 2, 2], "entries": [[0, 0, 0, "1", "2"]]}',
      "entry [0, 0, 0, '1', '2'] is not [i, j, k, value]"),
+    # the parser's recursion limit, not a traceback and exit 1
+    pytest.param("[" * 100000 + "]" * 100000,
+                 "maximum recursion depth exceeded", id="nested-too-deep"),
 ])
 def test_a_file_that_does_not_parse_or_unpack_names_the_file(tmp_path, capsys,
                                                            text, detail):
@@ -601,8 +656,8 @@ def test_a_file_without_a_key_names_the_file_and_the_key(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("entries, err", [
-    ([[0.9, 1, 1, "1"]], "error: index (0.9, 1, 1) is not a triple of ints\n"),
-    ([[0, 0, 0, "1"], [0, 0, 0, "5"]], "error: index [0, 0, 0] repeated\n"),
+    ([[0.9, 1, 1, "1"]], "index (0.9, 1, 1) is not a triple of ints\n"),
+    ([[0, 0, 0, "1"], [0, 0, 0, "5"]], "index [0, 0, 0] repeated\n"),
 ])
 def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
                                                   err):
@@ -613,7 +668,7 @@ def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
     assert run(["tensor", "kron", "--tensor", f"@{path}", "--power", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == err
+    assert captured.err == f"error: malformed document {path}: {err}"
 
 
 def test_a_uniform_distribution_over_no_blocks_exits_two(tmp_path, capsys):
@@ -637,16 +692,17 @@ def test_a_tensor_file_with_two_label_axes_exits_two(tmp_path, capsys):
                 "--full"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: label table sizes do not match dims\n"
+    assert captured.err == (f"error: malformed document {path}: "
+                            "label table sizes do not match dims\n")
 
 
 @pytest.mark.parametrize("doc, argv, err", [
     ({"dims": [2.5, 2, 2], "entries": []},
      ["sweet", "zero-layers", "--axis", "1", "--tensor"],
-     "error: bad dims [2.5, 2, 2]\n"),
+     "bad dims [2.5, 2, 2]\n"),
     ({"labels": [[[0.7], [1.2]], [[0], [1]], [[True], [0]]]},
      ["sweet", "tight", "--tensor", "tb", "--blocking"],
-     "error: label [0.7] is not an int or a vector of ints\n"),
+     "label [0.7] is not an int or a vector of ints\n"),
 ])
 def test_a_file_with_non_int_dims_or_labels_exits_two(tmp_path, capsys, doc,
                                                       argv, err):
@@ -657,12 +713,12 @@ def test_a_file_with_non_int_dims_or_labels_exits_two(tmp_path, capsys, doc,
     assert run(argv + [f"@{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == err
+    assert captured.err == f"error: malformed document {path}: {err}"
 
 
 @pytest.mark.parametrize("weights, err", [
-    ([[0.5, 1.9, 2], [0, 1, 2], [0, -1, -2]], "error: weight 0.5 is not an int\n"),
-    ([[0, 1, 2], [0, True, 2], [0, -1, -2]], "error: weight True is not an int\n"),
+    ([[0.5, 1.9, 2], [0, 1, 2], [0, -1, -2]], "weight 0.5 is not an int\n"),
+    ([[0, 1, 2], [0, True, 2], [0, -1, -2]], "weight True is not an int\n"),
 ])
 def test_a_weights_file_with_non_int_weights_exits_two(tmp_path, capsys,
                                                        weights, err):
@@ -674,7 +730,7 @@ def test_a_weights_file_with_non_int_weights_exits_two(tmp_path, capsys,
                 "cw", "--weights", f"@{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == err
+    assert captured.err == f"error: malformed document {path}: {err}"
 
 
 def test_a_tensor_file_with_a_float_entry_exits_two(tmp_path, capsys):
@@ -701,15 +757,17 @@ def test_a_tensor_file_with_a_float_entry_exits_two(tmp_path, capsys):
 ])
 def test_a_zero_denominator_exits_two(tmp_path, capsys, argv, doc):
     # a rational the user wrote with denominator 0 is a malformed input,
-    # not a violated claim (exit 1)
+    # not a violated claim (exit 1); in a file, the file is named
+    where = ""
     if doc is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = argv + [f"@{path}"]
+        where = re.escape(f"malformed document {path}: ")
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: Fraction\([01], 0\)\n", captured.err)
+    assert re.fullmatch(rf"error: {where}Fraction\([01], 0\)\n", captured.err)
 
 
 def test_importing_the_cli_loads_no_library_module():

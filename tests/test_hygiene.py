@@ -352,3 +352,36 @@ def test_structural_pivots_give_ranks_only():
     # greedy rows, bases and Hilbert functions never see one
     assert _readers_of("_peel", ast.Name) == {("exact.py", "sparse_rank")}
     assert _readers_of("_peel") == set()
+
+
+def _definitions_holding(text):
+    """(module, dotted name of the enclosing definition) of each string
+    constant of the package that contains text, f-string parts included."""
+    holders = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str) and text in child.value):
+                holders.add((path.name, ".".join(scope)))
+            visit(child, path, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return holders
+
+
+def test_one_function_names_a_malformed_document():
+    # the constructors check a document's values and _load_file alone turns
+    # any refusal into one that names the file, so no reader raises a
+    # chosen exception type to get the file named
+    assert _definitions_holding("malformed document") == {
+        ("cli_tensor.py", "_load_file")}
+    sweet = ast.parse((SRC / "sweet.py").read_text(encoding="utf-8"))
+    assert "_doc_label" not in {node.name for node in sweet.body
+                                if isinstance(node, ast.FunctionDef)}
+    assert _readers_of("_doc_label", ast.Name) == set()

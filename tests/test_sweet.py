@@ -174,6 +174,19 @@ def test_a_support_element_must_be_three_labels(trip):
         BlockDistribution.from_doc({"support": [trip], "probs": ["1"]})
 
 
+def test_a_distribution_charges_only_support_blocks():
+    T, B = cw(3), cw_blocking(3)
+    P = BlockDistribution(LARGE3, [Fraction(1, 3)] * 3)
+    assert P.check_support(T, B) is P
+    # a block off the support may be listed with probability 0
+    Q = BlockDistribution(LARGE3 + [((5,), (7,), (9,))],
+                          [Fraction(1, 3)] * 3 + [0])
+    assert Q.check_support(T, B) is Q
+    for trip in [((5,), (7,), (9,)), ((), (1,), (-1,))]:
+        with pytest.raises(ValueError, match="charges non-support block"):
+            BlockDistribution([trip], [1]).check_support(T, B)
+
+
 def test_distribution_json_round_trip():
     P = BlockDistribution(LARGE3, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     Q = BlockDistribution.from_doc(P.doc())

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,47 @@ def test_partially_symmetric_from_doc_refuses_a_float_entry():
     doc = {"n": 2, "m": 1, "slices": [[[1, 0.5], [0.5, 0]]]}
     with pytest.raises(TypeError, match="floats are not allowed"):
         PartiallySymmetricTensor.from_doc(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Tensor3((2, 2, 2), {(0, 0, 0): True}),
+    lambda: Tensor3.from_doc({"dims": [2, 2, 2], "entries": [[0, 0, 0, False]]}),
+    lambda: PartiallySymmetricTensor([[[1, True], [True, 0]]]),
+])
+def test_a_bool_is_not_a_rational(build):
+    # Fraction(True) is 1: the tensor would hold a value no one wrote
+    with pytest.raises(TypeError, match="is not a rational$"):
+        build()
+
+
+@pytest.mark.parametrize("labels, err", [
+    ([[True], ["b"], ["c"]], ValueError),
+    ([["a"], [1.5], ["c"]], ValueError),
+    ([["a"], ["b"], [{}]], ValueError),
+    ([["a"], ["b"], [None]], ValueError),
+    ([["a"], ["b"], "c"], TypeError),
+    ("abc", TypeError),
+])
+def test_axis_labels_are_lists_of_strings(labels, err):
+    # str() would turn true into "True", and a string axis would be read
+    # one character per index
+    with pytest.raises(err, match="is not a (string|list)$"):
+        Tensor3((1, 1, 1), {}, labels)
+    assert Tensor3((1, 1, 1), {}, None).labels is None
+
+
+def test_partially_symmetric_from_doc_checks_m_and_n():
+    doc = json.loads((Path(__file__).with_name("golden")
+                      / "slices.json").read_text(encoding="utf-8"))
+    S = PartiallySymmetricTensor.from_doc(doc)
+    assert (S.m, S.n) == (doc["m"], doc["n"]) == (2, 4)
+    # m and n are optional: the slices give them
+    assert PartiallySymmetricTensor.from_doc(
+        {"slices": doc["slices"]}).doc() == S.doc()
+    for key, value in (("m", 3), ("n", 2), ("m", True), ("n", "4"),
+                       ("m", {}), ("n", None)):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            PartiallySymmetricTensor.from_doc(dict(doc, **{key: value}))
 
 
 def test_partially_symmetric_doc_round_trip():

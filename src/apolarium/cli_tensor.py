@@ -49,8 +49,8 @@ def _load_tensor(spec: str) -> Tensor3:
         return tb()
     if spec.startswith("apolar:"):
         from .apolar import structure_tensor_of_apolar
-        from .cli_poly import _parse_form
-        T, _ = structure_tensor_of_apolar(_parse_form(spec[7:]))
+        from .poly import parse
+        T, _ = structure_tensor_of_apolar(parse(spec[7:]))
         return T
     raise ValueError(f"unknown tensor spec {spec!r} "
                      "(want cw:N, group:AxB, tb, apolar:FORM or @file)")
@@ -98,13 +98,11 @@ def _load_dist(spec: str, T: Tensor3, B: Blocking) -> BlockDistribution:
                      "(want uniform, large, point:I or @file)")
 
 
-def _load_weights(spec: str, T: Tensor3) -> List[List[int]]:
-    from .scalars import as_int, as_list
-    from .sweet import cw_weights
+def _load_weights(spec: str, T: Tensor3, B: Blocking) -> List[List[int]]:
+    from .sweet import check_weights, cw_weights
     if spec.startswith("@"):
-        return _load_file(spec[1:], lambda doc: [
-            [as_int(w, "weight") for w in as_list(ax, "weight axis")]
-            for ax in as_list(doc["weights"], "weights")])
+        return _load_file(spec[1:],
+                          lambda doc: check_weights(T, B, doc["weights"]))
     if spec == "cwdeg":
         if len(set(T.dims)) != 1 or T.dims[0] < 3:
             raise ValueError("cwdeg weights need a cube of side >= 3")
@@ -150,8 +148,8 @@ def _tensor_make(args):
         if not args.form:
             raise ValueError("algebra mode needs --form")
         from .apolar import structure_tensor_of_apolar
-        from .cli_poly import _parse_form
-        f = _parse_form(args.form)
+        from .poly import parse
+        f = parse(args.form)
         T, basis = structure_tensor_of_apolar(f)
         inputs["form"] = f
         extra = {"basis": basis}
@@ -255,7 +253,7 @@ def _sweet_chimney(args):
 def _sweet_degenerate(args):
     from .sweet import is_tight, toric_degenerate
     T, B = _blocked(args)
-    w = _load_weights(args.weights, T)
+    w = _load_weights(args.weights, T, B)
     D = toric_degenerate(T, B, w)
     _maybe_write(args.out, D)
     return ({"tensor": T.doc(), "weights": w},

@@ -381,7 +381,8 @@ def _peel(rows: Iterable[SparseRow]) -> Tuple[int, List[SparseRow]]:
     to the rank with its row i and itself dropped.  A row with one nonzero
     entry, at column j, spans e_j, so it adds 1 with itself dropped and
     column j deleted from every other row.  Both are taken until neither is
-    left, so the core has no row and no column with one entry.
+    left, so the core has no row and no column with one entry, and no
+    empty row.
 
     Row singletons are taken first, in row order: a row is taken when just
     one of its entries lies outside the columns taken so far.  A second pass
@@ -413,7 +414,8 @@ def _peel(rows: Iterable[SparseRow]) -> Tuple[int, List[SparseRow]]:
             break
         rows = rest
     core = [row if taken.isdisjoint(row) else
-            {j: x for j, x in row.items() if j not in taken} for row in rest]
+            {j: x for j, x in row.items() if j not in taken} for row in rest
+            if not taken.issuperset(row)]
     count = Counter(chain.from_iterable(core))
     single_rows = [i for i, row in enumerate(core) if len(row) == 1]
     single_cols = [j for j, c in count.items() if c == 1]

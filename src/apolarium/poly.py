@@ -19,7 +19,10 @@ of the product's total-degree bound, so no field carries into the next and
 the key of a product of two monomials is the sum of their keys.  Each factor
 is scaled to ints by the lcm L of its denominators, ``f ** d`` keeps its
 whole square-and-multiply ladder on int keys and int cells, and the result
-is unpacked once, each coefficient ``Fraction(v, L ** d)``.
+is unpacked once, each coefficient ``Fraction(v, L ** d)``.  Before any
+term is built, a product or power is charged against the term guard the
+smaller of the term products it sums and the monomials of its degree, so
+it is refused the same whether it was typed or computed.
 
 ``Poly.__init__`` checks everything it is given.  Results computed here
 from ``Poly`` values that were already checked go through
@@ -209,7 +212,9 @@ class Poly:
         self._check(other)
         if not (self.terms and other.terms):
             return Poly._trusted(self.vars, {})
-        w = (self.degree() + other.degree()).bit_length() or 1
+        D = self.degree() + other.degree()
+        _charge_terms(self, D, len(self.terms) * len(other.terms))
+        w = D.bit_length() or 1
         a, la = _packed(self, w)
         b, lb = _packed(other, w)
         return _unpacked(self.vars, w, _times(a, b), la * lb)
@@ -228,7 +233,10 @@ class Poly:
             return Poly.const(self.vars, 1)
         if not self.terms:
             return Poly._trusted(self.vars, {})
-        w = (d * self.degree()).bit_length() or 1
+        D = d * self.degree()
+        # the multisets of d of the terms
+        _charge_terms(self, D, math.comb(len(self.terms) + d - 1, d))
+        w = D.bit_length() or 1
         base, scale = _packed(self, w)
         out: Dict[int, int] = {0: 1}
         den = 1
@@ -257,6 +265,13 @@ class Poly:
 
 
 # -- packed products ------------------------------------------------------------
+
+
+def _charge_terms(p: Poly, degree: int, products: int) -> None:
+    """Refuse a product or power of p past the term guard before it is
+    expanded: its term count is bounded by both the `products` of terms
+    it sums and the monomials of its degree in the variables of p."""
+    guards.check_terms(min(products, math.comb(len(p.vars) + degree, degree)))
 
 
 def _packed(p: Poly, w: int) -> Tuple[Dict[int, int], int]:
@@ -491,8 +506,8 @@ class _Parser:
     Identifiers are greedy ([A-Za-z][A-Za-z0-9]*), so products of variables
     need '*' or parentheses between them: "x1*x2", not "x1x2".
 
-    Each product and power is checked against the degree and term guards
-    before it is expanded (see ``charge``).
+    Each product and power is checked against the degree guard before it
+    is expanded, and ``Poly`` charges it its predicted terms.
     """
 
     def __init__(self, tokens, vars: Tuple[str, ...]):
@@ -531,15 +546,6 @@ class _Parser:
             else:
                 return p
 
-    def charge(self, degree: int, products: int) -> None:
-        """Refuse a product or power of nonzero polynomials past the guards
-        before it is expanded: its degree, and its term count bounded by
-        both the `products` of terms it sums and the monomials of its
-        degree in the variables."""
-        guards.check_degree(degree)
-        guards.check_terms(min(products, math.comb(len(self.vars) + degree,
-                                                   degree)))
-
     def parse_term(self) -> Poly:
         p = self.parse_factor()
         while True:
@@ -549,9 +555,7 @@ class _Parser:
             elif not (kind in ("num", "var") or (kind == "sym" and val == "(")):
                 return p
             q = self.parse_factor()
-            if p.terms and q.terms:
-                self.charge(p.degree() + q.degree(),
-                            len(p.terms) * len(q.terms))
+            guards.check_degree(p.degree() + q.degree())
             p = p * q
 
     def parse_factor(self) -> Poly:
@@ -562,10 +566,7 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer")
-            if p.terms:
-                # the multisets of val of p's terms
-                self.charge(val * p.degree(),
-                            math.comb(len(p.terms) + val - 1, val))
+            guards.check_degree(val * p.degree())
             p = p ** val
         return p
 
@@ -605,6 +606,8 @@ def parse(text: str, vars: Optional[Sequence[str]] = None) -> Poly:
     When vars is omitted, the variable tuple is the set of names appearing in
     the text in natural order (x0 < x1 < ... < x10).  Pass vars explicitly to
     fix the ambient ring (e.g. to include variables the text does not use).
+    The degree and the term count of the form returned are checked
+    against the guards.
     """
     tokens = _tokenize(text)
     vs = tuple(vars) if vars is not None else _collect_names(tokens)
@@ -614,6 +617,8 @@ def parse(text: str, vars: Optional[Sequence[str]] = None) -> Poly:
     p = parser.parse_expr()
     if parser.i != len(tokens):
         raise ParseError(f"trailing input at token {parser.i}")
+    guards.check_degree(max(p.degree(), 0))
+    guards.check_terms(len(p.terms))
     return p
 
 

@@ -403,34 +403,40 @@ def chimney(T: Tensor3, B: Blocking, P: BlockDistribution, N: int,
     return _project(T, B, P, N, fixed, check_tight)[0]
 
 
-def toric_degenerate(T: Tensor3, B: Blocking,
-                     weights: Sequence[Sequence[int]]) -> Tensor3:
-    """Kill the entries of positive total weight; keep the weight-zero ones.
-
-    weights = three integer arrays, one value per basis index per axis,
-    validated to factor through the blocking's label classes.  Any support
-    entry of negative total weight makes the degeneration invalid.
-    """
+def check_weights(T: Tensor3, B: Blocking,
+                  weights: Sequence[Sequence[int]]) -> List[List[int]]:
+    """weights as three int arrays, one value per basis index per axis, if
+    they match the dims of T, factor through the label classes of B, and
+    give no support entry of T a negative total weight, which would make
+    the degeneration invalid."""
     B.check_tensor(T)
-    w = [[as_int(x, "weight") for x in ax] for ax in weights]
+    w = [[as_int(x, "weight") for x in as_list(ax, "weight axis")]
+         for ax in as_list(weights, "weights")]
     if [len(ax) for ax in w] != list(T.dims):
         raise ValueError("weight arrays must match the tensor dims")
     for axis in range(3):
         by_label: Dict[Label, int] = {}
         for i, wi in enumerate(w[axis]):
-            lab = B.label(axis, i)
-            if lab in by_label and by_label[lab] != wi:
+            if by_label.setdefault(B.label(axis, i), wi) != wi:
                 raise ValueError(
                     f"weights do not factor through labels on axis {axis}")
-            by_label[lab] = wi
-    entries = {}
-    for (i, j, k), c in T.entries.items():
+    for i, j, k in T.entries:
         total = w[0][i] + w[1][j] + w[2][k]
         if total < 0:
             raise ValueError(f"support entry {(i, j, k)} has negative weight "
                              f"{total}: invalid degeneration")
-        if total == 0:
-            entries[(i, j, k)] = c
+    return w
+
+
+def toric_degenerate(T: Tensor3, B: Blocking,
+                     weights: Sequence[Sequence[int]]) -> Tensor3:
+    """Kill the entries of positive total weight; keep the weight-zero ones.
+
+    The weights are checked by ``check_weights``.
+    """
+    w = check_weights(T, B, weights)
+    entries = {(i, j, k): c for (i, j, k), c in T.entries.items()
+               if not w[0][i] + w[1][j] + w[2][k]}
     return Tensor3(T.dims, entries, T.labels)
 
 

@@ -27,6 +27,14 @@ Index3 = Tuple[int, int, int]
 Slice = List[List[Rat]]  # one dense slice of a tensor, row-major
 
 
+def _index3(idx: tuple) -> Index3:
+    """The index tuple idx with each entry made an int, if each is an int
+    and not a bool; the caller unpacks it as a triple."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
+        raise ValueError(f"index {idx} is not a triple of ints")
+    return tuple(map(int, idx))
+
+
 class Tensor3:
     """Sparse rational tensor of order 3.
 
@@ -54,10 +62,7 @@ class Tensor3:
             raise ValueError(f"bad dims {dims}")
         em: Dict[Index3, Rat] = {}
         for idx, c in entries.items():
-            if not all(isinstance(x, int) and not isinstance(x, bool)
-                       for x in idx):
-                raise ValueError(f"index {idx} is not a triple of ints")
-            i, j, k = map(int, idx)
+            i, j, k = _index3(idx)
             if not (0 <= i < d[0] and 0 <= j < d[1] and 0 <= k < d[2]):
                 raise ValueError(f"index {idx} out of range for dims {d}")
             c = rat(c)
@@ -146,15 +151,19 @@ class Tensor3:
     def from_doc(cls, doc: dict) -> "Tensor3":
         """The tensor of a parsed document, checked by the constructor; an
         entry that is not a list [i, j, k, value] is refused, and so is a
-        repeated index triple, not overwritten."""
+        repeated index triple, not overwritten.  An index that holds a list
+        or an object cannot be looked up, and is refused first by the
+        constructor's index check."""
         entries: Dict[Index3, object] = {}
         for entry in as_list(doc["entries"], "entries"):
             if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                 raise ValueError(f"entry {entry!r} is not [i, j, k, value]")
-            i, j, k, v = entry
-            if (i, j, k) in entries:
-                raise ValueError(f"index {[i, j, k]} repeated")
-            entries[(i, j, k)] = v
+            idx = tuple(entry[:3])
+            if any(isinstance(x, (list, dict)) for x in idx):
+                _index3(idx)  # refused before it is looked up
+            if idx in entries:
+                raise ValueError(f"index {list(idx)} repeated")
+            entries[idx] = entry[3]
         return cls(doc["dims"], entries, doc.get("labels"))
 
 

@@ -658,6 +658,8 @@ def test_a_file_without_a_key_names_the_file_and_the_key(tmp_path, capsys,
 @pytest.mark.parametrize("entries, err", [
     ([[0.9, 1, 1, "1"]], "index (0.9, 1, 1) is not a triple of ints\n"),
     ([[0, 0, 0, "1"], [0, 0, 0, "5"]], "index [0, 0, 0] repeated\n"),
+    # a list in an index is refused before the index is looked up
+    ([[0, [1], 0, "1"]], "index (0, [1], 0) is not a triple of ints\n"),
 ])
 def test_a_tensor_file_with_a_bad_index_exits_two(tmp_path, capsys, entries,
                                                   err):
@@ -731,6 +733,26 @@ def test_a_weights_file_with_non_int_weights_exits_two(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: malformed document {path}: {err}"
+
+
+@pytest.mark.parametrize("n, weights, err", [
+    (3, [[0, 1], [0, 1, 2], [0, -1, -2]],
+     "weight arrays must match the tensor dims"),
+    (3, [[0, 1, 2], [0, 1, 2], [0, -2, -4]],
+     "support entry (0, 1, 1) has negative weight -1: invalid degeneration"),
+    # axis-0 indices 1 and 2 share the label (1,) in the 4-dim blocking
+    (4, [[0, 1, 2, 3], [0, 1, 1, 2], [0, -1, -1, -2]],
+     "weights do not factor through labels on axis 0"),
+])
+def test_a_weights_file_the_tensor_refuses_names_the_file(tmp_path, capsys,
+                                                          n, weights, err):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": weights}))
+    assert run(["sweet", "degenerate", "--tensor", f"group:{n}",
+                "--blocking", "cw", "--weights", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed document {path}: {err}\n"
 
 
 def test_a_tensor_file_with_a_float_entry_exits_two(tmp_path, capsys):
@@ -949,6 +971,17 @@ def test_main_thm_guards_run_before_assumptions(capsys, monkeypatch):
                             "x0*x1*x2"])
     assert refused(capsys, ["verify-main-thm", "--d", "4", "--max-terms", "10",
                             "x0*x1*x2"])
+
+
+def test_the_override_operators_are_charged_as_they_are_parsed(capsys):
+    # the first sigma has 3 terms: parse refuses it before the partials
+    # of the form are charged
+    argv = ["extend", "x1^3 + x2^3", "--sigma", "x1^2 + x1*x2 + x2^2",
+            "--sigma", "x1*x2 + x2^2", "--sigma", "x1^3", "--max-terms", "2"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "resource guard: term count 3 exceeds limit 2\n")
 
 
 def test_zero_limits_are_honoured(capsys):

@@ -424,6 +424,20 @@ def test_structural_pivots_take_no_prime(monkeypatch):
     assert primes == []
 
 
+def test_rows_the_passes_empty_stay_out_of_the_core(monkeypatch):
+    # the second pass keeps the first row, with columns 0 and 1 live, and
+    # then takes both from the rows after it: the row is left with no
+    # entry, and the core has no singleton whose queue would drop it
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {2: 1},
+            {5: 1, 6: 1}, {5: 1, 6: 2}]
+    assert exact._peel(rows) == (3, rows[4:])
+    # the same with an explicit zero: the whole rank is structural
+    rows = [{1: 0}, {2: 1, 3: 1, 4: 1}, {3: 1, 4: 1}, {2: 1, 4: 1}, {4: 1}]
+    assert exact._peel(rows) == (3, [])
+    primes = spy_primes(monkeypatch)
+    assert sparse_rank(rows) == 3 and primes == []
+
+
 def test_the_queue_takes_the_rows_its_deletions_leave_with_one_entry():
     # the passes take E, then D; the queue takes C, which leaves A and B
     # with one entry each, at column 0: one of them goes, and the other is

@@ -163,6 +163,41 @@ def test_a_parsed_power_is_charged_at_most_its_monomials():
             parse("(x1^2+x1+1)^2")
 
 
+def spy_times(monkeypatch, refuse=False):
+    """The first factor of each ``poly._times`` call while the spy is set,
+    in order; with refuse, any call fails the test."""
+    from apolarium import poly
+    calls = []
+    times = poly._times
+
+    def spy(a, b):
+        assert not refuse, "a product was expanded"
+        calls.append(a)
+        return times(a, b)
+    monkeypatch.setattr(poly, "_times", spy)
+    return calls
+
+
+def test_a_computed_power_is_charged_before_it_is_built(monkeypatch):
+    # F = (x0+...+x9)^3 has 220 terms; twist(F^5) would have
+    # min(comb(224, 5), comb(25, 15)) = 3268760 terms, which are not built
+    F = parse("(" + "+".join(f"x{i}" for i in range(10)) + ")^3")
+    spy_times(monkeypatch, refuse=True)
+    with pytest.raises(LimitExceeded,
+                       match="^term count 3268760 exceeds limit 1000000$"):
+        encompass.verify_main_theorem(F, "x0", 5)
+
+
+def test_growth_refuses_a_power_before_it_builds_it(monkeypatch):
+    # f^2 has comb(21, 2) = 210 terms: f^1 is built, and its square is not
+    f = parse(" + ".join(f"x{i}" for i in range(1, 21)))
+    calls = spy_times(monkeypatch)
+    with limits(max_terms=100), pytest.raises(
+            LimitExceeded, match="^term count 210 exceeds limit 100$"):
+        encompass.growth_table(f, 2)
+    assert calls == [{0: 1}]
+
+
 @pytest.mark.parametrize("call", [
     apolar.apolar_dim, apolar.hilbert_function, apolar.greedy_monomial_basis,
     encompass.is_encompassing, encompass.encompassing_extension])

@@ -385,3 +385,40 @@ def test_one_function_names_a_malformed_document():
     assert "_doc_label" not in {node.name for node in sweet.body
                                 if isinstance(node, ast.FunctionDef)}
     assert _readers_of("_doc_label", ast.Name) == set()
+
+
+def test_the_cli_sets_limits_and_charges_nothing():
+    # poly.parse checks the forms that the commands read, and the library
+    # the work that they ask for; the command line only sets the limits
+    checks = ("check_terms", "check_degree", "check_entries")
+    assert {reader for name in checks for kind in (ast.Attribute, ast.Name)
+            for reader in _readers_of(name, kind)
+            if reader[0] in ("cli.py", "cli_poly.py", "cli_tensor.py")
+            } == set()
+
+
+def test_products_and_powers_charge_their_own_terms():
+    # one function predicts the terms of a product or power, and only the
+    # two operators read it, so a typed product is charged as a computed one
+    assert _readers_of("_charge_terms", ast.Name) == {
+        ("poly.py", "Poly.__mul__"), ("poly.py", "Poly.__pow__")}
+    assert _readers_of("_charge_terms") == set()
+    poly = ast.parse((SRC / "poly.py").read_text(encoding="utf-8"))
+    (parser,) = [node for node in poly.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Parser"]
+    assert "charge" not in {node.name for node in parser.body
+                            if isinstance(node, ast.FunctionDef)}
+    assert _readers_of("charge") == set()
+
+
+def test_the_tensor_runners_import_nothing_from_the_poly_runners():
+    tree = ast.parse((SRC / "cli_tensor.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name
+                                               for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported
+                if "cli_poly" in name.split(".")}

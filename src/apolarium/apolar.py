@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import accumulate, chain
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+                    Union)
 
 from . import guards
 from .exact import (Rat, SparseRow, _greedy, solve_many, sparse_kernel,
@@ -130,7 +131,7 @@ def hilbert_function(f: Poly) -> HilbertFunction:
     """
     _require_nonzero(f)
     d = f.degree()
-    packing = _packing(f, ladder=True)
+    packing = _packing(f.terms, ladder=True)
     if f.is_homogeneous():
         ranks = [sparse_rank(side) for side in _orders(packing, d // 2)]
         return HilbertFunction(ranks[min(k, d - k)] for k in range(d + 1))
@@ -155,7 +156,7 @@ def apolar_dim(f: Poly) -> int:
     _require_nonzero(f)
     if f.is_homogeneous():
         return sum(hilbert_function(f))
-    return sparse_rank(_divisor_columns(_packing(f, ladder=True), 0,
+    return sparse_rank(_divisor_columns(_packing(f.terms, ladder=True), 0,
                                         f.degree()))
 
 
@@ -166,7 +167,7 @@ def is_concise(f: Poly) -> bool:
     the slabs it builds before it reaches rank n."""
     _require_nonzero(f)
     n = len(f.vars)
-    return len(_greedy(_divisor_columns(_packing(f), 1, 1), n)) == n
+    return len(_greedy(_divisor_columns(_packing(f.terms), 1, 1), n)) == n
 
 
 def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
@@ -187,7 +188,7 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
         raise ValueError("degree bound must be >= 0")
     guards.check_degree(d)
     guards.check_terms(math.comb(len(f.vars) + d, d), "operator space size")
-    packing = _packing(f, ladder=True)
+    packing = _packing(f.terms, ladder=True)
     sigmas = monomials_upto(len(f.vars), d)
     cols = list(_divisor_columns(packing, 0, d))
     keys = list(set().union(*cols))
@@ -200,42 +201,35 @@ def annihilator_upto(f: Poly, d: Optional[int] = None) -> List[Poly]:
             for vec in kernel.values()]
 
 
-def _require_form(F: Poly, k: int = 0) -> None:
-    """Reject F and k unless F is a nonzero form and 0 <= k <= deg F."""
-    _require_nonzero(F)
-    if not F.is_homogeneous():
-        raise ValueError("catalecticants are defined for homogeneous forms")
-    d = F.degree()
-    if not 0 <= k <= d:
-        raise ValueError(f"k={k} out of range for degree {d}")
-
-
-def _packing(f: Poly, ladder: bool = False
+def _packing(terms: Mapping[Exponent, Union[int, Rat]], ladder: bool = False
              ) -> Tuple[int, int, List[List[int]], List[int], int,
                         Dict[int, List[Tuple[Exponent, Rat]]], float]:
-    """The packing of f that ``_divisor_columns`` reads: the field width w
-    and the key width w n (see ``_divisor_columns``), the perms table of
-    ``_bounded``, the shift of each field, L the lcm of the denominators of
-    f, the terms c x^e of f as (e, c) grouped by e_0, which the stream
-    packs a group at a time, and the cap the stream charges its cells
-    against.  With ladder, the cells of every order are charged against
-    max_terms here: they bound the rank of every partials matrix, so a
-    build that reads the whole ladder is refused before any slab, and its
-    stream is left no cap.  Otherwise the cap is max_terms, and a stream
-    of one order is charged by ``_divisor_columns`` the cells it builds."""
+    """The packing that ``_divisor_columns`` reads of the nonzero
+    polynomial f with these terms {e: c}, each c an int or a Fraction: the
+    field width w and the key width w n (see ``_divisor_columns``), the
+    perms table of ``_bounded``, the shift of each field, L the lcm of the
+    denominators of f, the terms c x^e of f as (e, c) grouped by e_0, which
+    the stream packs a group at a time, and the cap the stream charges its
+    cells against.  With ladder, the cells of every order are charged
+    against max_terms here: they bound the rank of every partials matrix,
+    so a build that reads the whole ladder is refused before any slab, and
+    its stream is left no cap.  Otherwise the cap is max_terms, and a
+    stream of one order is charged by ``_divisor_columns`` the cells it
+    builds."""
     if ladder:
-        guards.check_terms(sum(_cell_count(e) for e in f.terms),
+        guards.check_terms(sum(_cell_count(e) for e in terms),
                            "partials dimension bound")
-    top = max(chain.from_iterable(f.terms), default=0)
+    top = max(chain.from_iterable(terms), default=0)
     perms = [[math.perm(x, t) for t in range(x + 1)] for x in range(top + 1)]
     w = top.bit_length()
-    shifts = [w * i for i in reversed(range(len(f.vars)))]  # variable 0 first
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    n = len(next(iter(terms)))
+    shifts = [w * i for i in reversed(range(n))]  # variable 0 first
+    scale = math.lcm(*(c.denominator for c in terms.values()))
     groups: Dict[int, List[Tuple[Exponent, Rat]]] = defaultdict(list)
-    for e, c in f.terms.items():  # a constant in no variables is group 0
+    for e, c in terms.items():  # a constant in no variables is group 0
         groups[e[0] if e else 0].append((e, c))
     cap = math.inf if ladder else guards.current().max_terms
-    return w, w * len(f.vars), perms, shifts, scale, groups, cap
+    return w, w * n, perms, shifts, scale, groups, cap
 
 
 def _divisor_columns(packing, lo: int, hi: int) -> Iterator[Dict[int, int]]:
@@ -337,10 +331,24 @@ def catalecticant_rank(F: Poly, k: int) -> int:
     built, packed or charged against max_terms.  A rank short of it is
     certified on all of them.
     """
-    _require_form(F, k)
-    m = min(k, F.degree() - k)
-    bound = math.comb(len(F.vars) + m - 1, m) if m else 1
-    return len(_greedy(_divisor_columns(_packing(F), m, m), bound))
+    _require_nonzero(F)
+    if not F.is_homogeneous():
+        raise ValueError("catalecticants are defined for homogeneous forms")
+    return _catalecticant_rank(F.terms, k)
+
+
+def _catalecticant_rank(terms: Mapping[Exponent, Union[int, Rat]],
+                        k: int) -> int:
+    """rank Cat_k of the nonzero form with these terms, each coefficient an
+    int or a Fraction, as ``catalecticant_rank`` ranks it; k out of
+    0..deg is refused."""
+    e = next(iter(terms))
+    D = sum(e)
+    if not 0 <= k <= D:
+        raise ValueError(f"k={k} out of range for degree {D}")
+    m = min(k, D - k)
+    bound = math.comb(len(e) + m - 1, m) if m else 1
+    return len(_greedy(_divisor_columns(_packing(terms), m, m), bound))
 
 
 # -- multiplication structure -------------------------------------------------
@@ -354,7 +362,7 @@ def greedy_monomial_basis(f: Poly) -> List[Exponent]:
     Only the keys kept are unpacked."""
     _require_nonzero(f)
     d = f.degree()
-    packing = _packing(f, ladder=True)
+    packing = _packing(f.terms, ladder=True)
     sides = (_orders(packing, d) if f.is_homogeneous()
              else [list(_divisor_columns(packing, 0, d))])
     return _exponents(packing, len(f.vars),

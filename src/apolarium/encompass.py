@@ -22,9 +22,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import guards
 from .exact import independent_rows, sparse_rank
-from .poly import (Exponent, Poly, apply, dehomogenize, diff, homogenize, ldf,
-                   monomial_key, twist)
-from .apolar import (_fact, apolar_dim, catalecticant_rank,
+from .poly import (Exponent, Poly, _scaled_twisted_power, apply, dehomogenize,
+                   diff, homogenize, ldf, monomial_key)
+from .apolar import (_catalecticant_rank, _fact, apolar_dim,
                      greedy_monomial_basis, is_concise)
 
 
@@ -293,7 +293,18 @@ def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
     saturated value binom(n+d, d), where n+1 is the number of variables.
 
     The term and degree guards run before any assumption is checked.  The
-    report keeps F as given."""
+    report keeps F as given.
+
+    The catalecticant ranked is that of M twist(F^d, v), built on ints by
+    ``poly._scaled_twisted_power``: M = L^d t!, L the lcm of the
+    denominators of F and t the largest exponent of v in F^d, a positive
+    int.  Cat_k of a multiple M G is M Cat_k(G), every entry scaled alike,
+    and a nonzero scalar changes no rank, so every catalecticant rank is
+    that of twist(F^d, v), which is never built as a ``Poly``.  The stream
+    charges the same cells, and its int columns are those of the stream of
+    twist(F^d, v) times one int whose primes divide L or are at most t, so
+    elimination modulo 2^61 - 1 reads the same rows unless that prime
+    divides a denominator of F."""
     if F.is_zero():
         raise ValueError("zero form")
     if d < 1:
@@ -318,6 +329,6 @@ def verify_main_theorem(F: Poly, v: str, d: int) -> MainTheoremReport:
         F0 = homogenize(f, v, F.degree(), index=0)
     else:
         F0 = F
-    r = catalecticant_rank(twist(F0 ** d, v), d)
+    r = _catalecticant_rank(_scaled_twisted_power(F0, v, d), d)
     return MainTheoremReport(F, v, d, r, expected, r == expected,
                              assumptions, list(OUT_OF_SCOPE_NOTES))

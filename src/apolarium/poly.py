@@ -17,12 +17,15 @@ Products and powers run on packed exponents (Monagan & Pearce 2007): each
 exponent is one int with a field of w bits per variable, w the bit length
 of the product's total-degree bound, so no field carries into the next and
 the key of a product of two monomials is the sum of their keys.  Each factor
-is scaled to ints by the lcm L of its denominators, ``f ** d`` keeps its
-whole square-and-multiply ladder on int keys and int cells, and the result
-is unpacked once, each coefficient ``Fraction(v, L ** d)``.  Before any
-term is built, a product or power is charged against the term guard the
-smaller of the term products it sums and the monomials of its degree, so
-it is refused the same whether it was typed or computed.
+is scaled to ints by the lcm L of its denominators, and one
+square-and-multiply ladder, ``_power_ladder``, raises f to the d-th power
+on int keys and int cells.  ``f ** d`` unpacks its result once, each
+coefficient ``Fraction(v, L ** d)``; ``_scaled_twisted_power``, which the
+main theorem ranks, unpacks it to the int terms of a positive multiple of
+``twist(f ** d, v)``, and makes no Fraction.  Before any term is built, a
+product or power is charged against the term guard the smaller of the term
+products it sums and the monomials of its degree, so it is refused the
+same whether it was typed or computed.
 
 ``Poly.__init__`` checks everything it is given.  Results computed here
 from ``Poly`` values that were already checked go through
@@ -233,22 +236,8 @@ class Poly:
             return Poly.const(self.vars, 1)
         if not self.terms:
             return Poly._trusted(self.vars, {})
-        D = d * self.degree()
-        # the multisets of d of the terms
-        _charge_terms(self, D, math.comb(len(self.terms) + d - 1, d))
-        w = D.bit_length() or 1
-        base, scale = _packed(self, w)
-        out: Dict[int, int] = {0: 1}
-        den = 1
-        while d:
-            if d & 1:
-                out = _times(out, base)
-                den *= scale
-            if d > 1:
-                base = _times(base, base)
-                scale *= scale
-            d >>= 1
-        return _unpacked(self.vars, w, out, den)
+        w, packed, scale = _power_ladder(self, d)
+        return _unpacked(self.vars, w, packed, scale ** d)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.vars == other.vars
@@ -298,6 +287,25 @@ def _times(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return {k: v for k, v in acc.items() if v}
+
+
+def _power_ladder(p: Poly, d: int) -> Tuple[int, Dict[int, int], int]:
+    """(w, L^d p^d packed in fields of w bits, L) for a nonzero p and
+    d >= 1, L the lcm of the denominators of p: p^d is charged the
+    multisets of d of its terms, then raised by square-and-multiply on
+    the packed int terms of p."""
+    D = d * p.degree()
+    _charge_terms(p, D, math.comb(len(p.terms) + d - 1, d))
+    w = D.bit_length() or 1
+    base, scale = _packed(p, w)
+    out: Dict[int, int] = {0: 1}
+    while d:
+        if d & 1:
+            out = _times(out, base)
+        if d > 1:
+            base = _times(base, base)
+        d >>= 1
+    return w, out, scale
 
 
 def _unpacked(vars: Tuple[str, ...], w: int, packed: Dict[int, int],
@@ -354,6 +362,25 @@ def twist(F: Poly, v: str) -> Poly:
                                   for e, c in F.terms.items()})
 
 
+def _scaled_twisted_power(F: Poly, v: str, d: int) -> Dict[Exponent, int]:
+    """M * twist(F ** d, v) as {exponent: int coefficient}, for a nonzero F
+    with the variable v and d >= 1: M = L^d top!, L the lcm of the
+    denominators of F and top the largest exponent of v in F ** d.
+
+    F ** d is charged and raised by the ladder of ``Poly.__pow__``, and
+    each term's L^d c is multiplied by top!/e_v!, an int, so no coefficient
+    is ever a Fraction.  The terms come in the order of
+    ``twist(F ** d, v)``."""
+    w, packed, _ = _power_ladder(F, d)
+    mask = (1 << w) - 1
+    shifts = [w * i for i in reversed(range(len(F.vars)))]
+    at = shifts[F.vars.index(v)]
+    top = max((k >> at) & mask for k in packed)
+    ratio = [math.perm(top, top - x) for x in range(top + 1)]  # top!/x!
+    return {tuple([(k >> s) & mask for s in shifts]):
+            c * ratio[(k >> at) & mask] for k, c in packed.items()}
+
+
 # -- variable plumbing -------------------------------------------------------
 
 
@@ -366,7 +393,10 @@ def dehomogenize(F: Poly, v: str) -> Poly:
     tm: TermMap = {}
     for e, c in F.terms.items():
         ne = e[:i] + e[i + 1:]
-        tm[ne] = tm.get(ne, Fraction(0)) + c
+        if ne in tm:  # terms that differ only in v meet
+            tm[ne] += c
+        else:
+            tm[ne] = c
     return Poly._trusted(new_vars, {e: c for e, c in tm.items() if c})
 
 
@@ -380,8 +410,7 @@ def homogenize(f: Poly, v: str, d: Optional[int] = None,
     """
     if v in f.vars:
         raise VarMismatchError(f"variable {v!r} already present")
-    if d is None:
-        d = f.degree()
+    d = f.degree() if d is None else as_int(d, "target degree")
     if d < f.degree():
         raise ValueError(f"target degree {d} < deg f = {f.degree()}")
     if index is None:
@@ -390,11 +419,8 @@ def homogenize(f: Poly, v: str, d: Optional[int] = None,
         while index < len(f.vars) and natural_key(f.vars[index]) < key:
             index += 1
     new_vars = f.vars[:index] + (v,) + f.vars[index:]
-    tm: TermMap = {}
-    for e, c in f.terms.items():
-        ne = e[:index] + (d - sum(e),) + e[index:]
-        tm[ne] = c
-    return Poly(new_vars, tm)
+    return Poly._trusted(new_vars, {e[:index] + (d - sum(e),) + e[index:]: c
+                                    for e, c in f.terms.items()})
 
 
 def restrict_zero(F: Poly, vars_to_kill: Iterable[str]) -> Poly:

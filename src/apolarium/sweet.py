@@ -485,12 +485,11 @@ def even_symdiff_count(k: int) -> int:
         raise ValueError("need k >= 1")
     closed = sum(math.comb(3 * k, 2 * i) for i in range(k + 1))
     if k <= 4:
-        ground = range(3 * k)
-        seen = set()
-        for A in itertools.combinations(ground, k):
-            sa = set(A)
-            for Bset in itertools.combinations(ground, k):
-                seen.add(frozenset(sa.symmetric_difference(Bset)))
+        # each k-subset of the 3k set as a bitmask, so a ^ b is the
+        # symmetric difference
+        masks = [sum(1 << x for x in A)
+                 for A in itertools.combinations(range(3 * k), k)]
+        seen = {a ^ b for a in masks for b in masks}
         if len(seen) != closed:
             raise AssertionError(
                 f"enumeration {len(seen)} disagrees with closed form {closed}")

@@ -515,7 +515,7 @@ def test_divisor_columns_hold_the_scaled_images_cell_by_cell(f, data):
     d = f.degree()
     lo = data.draw(st.integers(0, d + 1))
     hi = data.draw(st.integers(lo, d + 1))
-    stream = list(_divisor_columns(_packing(f), lo, hi))
+    stream = list(_divisor_columns(_packing(f.terms), lo, hi))
     columns = oracles.divisor_columns(f, lo, hi)
     order = [b for b, _ in columns]
     assert stream == [col for _, col in columns]
@@ -537,7 +537,7 @@ def test_one_order_of_a_form_stream_is_its_own_stream_and_catalecticant(
     lo = data.draw(st.integers(0, d))
     hi = data.draw(st.integers(lo, d))
     m = data.draw(st.integers(lo, hi))
-    packing = _packing(F)
+    packing = _packing(F.terms)
     split = [col for col in _divisor_columns(packing, lo, hi)
              if next(iter(col)) >> packing[1] == m]
     assert split == list(_divisor_columns(packing, m, m))
@@ -632,7 +632,7 @@ def test_a_short_rank_drains_the_stream_into_the_kernel(monkeypatch):
     counts = spy_rows_read(monkeypatch)
     assert catalecticant_rank(F, 2) == len(
         rref(catalecticant_matrix(F, 2))[0]) == 2
-    stream = list(_divisor_columns(_packing(F), 2, 2))
+    stream = list(_divisor_columns(_packing(F.terms), 2, 2))
     assert calls == [stream] and counts == [len(stream)] == [4]
 
 

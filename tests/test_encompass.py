@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolarium.apolar import (apolar_dim, greedy_monomial_basis,
+from apolarium.apolar import (_catalecticant_rank, apolar_dim,
+                              catalecticant_rank, greedy_monomial_basis,
                               hilbert_function, is_concise)
 from apolarium.encompass import (
     _normalize_sigma,
@@ -24,7 +25,7 @@ from apolarium.exact import SparseEchelon, sparse_rank
 from apolarium.guards import LimitExceeded, limits
 from apolarium.papersuite import (BIG_CUBIC, ENCOMPASS_CORPUS, SMALL_CORPUS,
                                   TAUT_CORPUS)
-from apolarium import poly
+from apolarium import apolar, encompass, poly
 from apolarium.poly import (Poly, apply, boxtimes_power, dehomogenize, diff,
                             format_poly, homogenize, monomial_key,
                             monomials_upto, parse, restrict_zero)
@@ -589,3 +590,76 @@ def test_main_theorem_input_checks():
         verify_main_theorem(parse("x0*x1*x2"), "x0", 6)
     with limits(max_degree=5), pytest.raises(LimitExceeded):
         verify_main_theorem(parse("x0*x1*x2"), "x0", 2)
+
+
+@st.composite
+def small_forms(draw):
+    """Nonzero forms in 2-4 variables of degree 1-3 with rational
+    coefficients of both signs, integral or not."""
+    n = draw(st.integers(2, 4))
+    D = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.sampled_from(poly.monomials_of_degree(n, D)),
+                         min_size=1, max_size=5, unique=True))
+    return Poly(tuple(f"x{i}" for i in range(n)),
+                {e: draw(small_coeff) for e in exps})
+
+
+@given(small_forms())
+@settings(max_examples=40, deadline=None)
+def test_the_integer_twisted_power_ranks_as_the_twist_of_the_power(F):
+    # the int terms are M twist(F^d, v) in its term order, M = L^d top!,
+    # and the main theorem's rank is that of Cat_d of twist(F^d, v)
+    L = lcm(*(c.denominator for c in F.terms.values()))
+    for v in F.vars:
+        for d in (1, 2, 3):
+            twisted = poly.twist(F ** d, v)
+            scaled = poly._scaled_twisted_power(F, v, d)
+            top = max(e[F.vars.index(v)] for e in scaled)
+            M = L ** d * factorial(top)
+            assert all(type(c) is int for c in scaled.values())
+            assert list(scaled.items()) == [(e, c * M) for e, c in
+                                            twisted.terms.items()]
+            rank = catalecticant_rank(twisted, d)
+            assert _catalecticant_rank(scaled, d) == rank
+            assert verify_main_theorem(F, v, d).rank == rank
+
+
+RATIONAL_BIG_CUBIC = ("1/2*x1^3 - 3/4*x2^3 + x0*x1*y1 - 2/3*x0*x2*y2"
+                      " + 5/3*x0^2*y0")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_main_theorem_of_a_rational_big_cubic(d):
+    # BIG_CUBIC with its x1, x2 and y variables rescaled: x0 stays fixed,
+    # so its dehomogenization is encompassing and Cat_d of the twisted
+    # power has full rank
+    F = parse(RATIONAL_BIG_CUBIC)
+    rep = verify_main_theorem(F, "x0", d)
+    assert rep.assumptions["encompassing_dehomogenization"]
+    assert rep.rank == rep.expected == comb(5 + d, d)
+    assert rep.rank == catalecticant_rank(poly.twist(F ** d, "x0"), d)
+
+
+def test_the_main_theorem_neither_twists_nor_raises_a_poly(monkeypatch):
+    # the twisted power is built on int terms: no Poly of F^d or of its
+    # twist is made, and the ranks read the same rows as the twist of the
+    # power does
+    F = parse(BIG_CUBIC)
+
+    def boom(*args):
+        raise AssertionError("a Poly power or twist was built")
+    monkeypatch.setattr(poly.Poly, "__pow__", boom)
+    for module in (poly, encompass, apolar):
+        if hasattr(module, "twist"):
+            monkeypatch.setattr(module, "twist", boom)
+    counts = spy_rows_read(monkeypatch)
+    rep = verify_main_theorem(F, "x0", 4)
+    assert (rep.rank, rep.equal) == (126, True)
+    assert counts[-1] == 126
+
+
+def test_the_main_theorem_refuses_a_degree_zero_form_at_its_rank():
+    # a nonzero constant is a form of degree 0, whose only catalecticant
+    # is Cat_0: the rank of order d >= 1 is refused as cat-rank refuses it
+    with pytest.raises(ValueError, match="^k=2 out of range for degree 0$"):
+        verify_main_theorem(parse("3", ["x0", "x1"]), "x0", 2)

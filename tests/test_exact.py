@@ -1141,7 +1141,7 @@ def test_bad_prime_matrices_match_the_rref_oracle(m, g, data):
 def _ex49_cube_order_4_block():
     # the rows a of order 4, read off the columns b of the order-4 stream
     f = parse(papersuite.EX49_CUBIC) ** 3
-    cols = list(apolar._divisor_columns(apolar._packing(f), 4, 4))
+    cols = list(apolar._divisor_columns(apolar._packing(f.terms), 4, 4))
     rows = exact._transpose(cols, sorted(set().union(*cols)))
     assert (len(rows), len(set().union(*rows))) == (68, 117)
     return rows

@@ -253,7 +253,7 @@ def test_only_poly_results_skip_the_term_checks():
     assert _readers_of("_trusted") == {("poly.py", name) for name in (
         "Poly.graded_part", "Poly.truncate", "Poly.__add__", "Poly.__neg__",
         "Poly.__mul__", "Poly.__pow__", "_unpacked", "apply", "twist",
-        "dehomogenize")}
+        "dehomogenize", "homogenize")}
 
 
 def test_one_builder_walks_the_divisors():
@@ -399,9 +399,10 @@ def test_the_cli_sets_limits_and_charges_nothing():
 
 def test_products_and_powers_charge_their_own_terms():
     # one function predicts the terms of a product or power, and only the
-    # two operators read it, so a typed product is charged as a computed one
+    # product and the power ladder read it, so a typed product is charged
+    # as a computed one
     assert _readers_of("_charge_terms", ast.Name) == {
-        ("poly.py", "Poly.__mul__"), ("poly.py", "Poly.__pow__")}
+        ("poly.py", "Poly.__mul__"), ("poly.py", "_power_ladder")}
     assert _readers_of("_charge_terms") == set()
     poly = ast.parse((SRC / "poly.py").read_text(encoding="utf-8"))
     (parser,) = [node for node in poly.body
@@ -409,6 +410,16 @@ def test_products_and_powers_charge_their_own_terms():
     assert "charge" not in {node.name for node in parser.body
                             if isinstance(node, ast.FunctionDef)}
     assert _readers_of("charge") == set()
+
+
+def test_one_ladder_raises_powers():
+    # Poly.__pow__ and the main theorem's twisted power share one
+    # square-and-multiply on packed int terms, and one charge before it
+    assert _readers_of("_power_ladder", ast.Name) == {
+        ("poly.py", "Poly.__pow__"), ("poly.py", "_scaled_twisted_power")}
+    assert _readers_of("_power_ladder") == set()
+    assert _readers_of("_times", ast.Name) == {
+        ("poly.py", "Poly.__mul__"), ("poly.py", "_power_ladder")}
 
 
 def test_the_tensor_runners_import_nothing_from_the_poly_runners():

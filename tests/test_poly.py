@@ -293,6 +293,21 @@ def test_homogenize_higher_degree_and_errors():
         homogenize(f, "x1")
 
 
+@pytest.mark.parametrize("d", [2.0, 3.5, "3"])
+def test_homogenize_refuses_a_degree_that_is_not_an_int(d):
+    # the result is stored without a second check, so no exponent of it
+    # may be a float or a string
+    with pytest.raises(ValueError, match="is not an int"):
+        homogenize(parse("x1^2 + 1"), "x0", d=d)
+
+
+def test_dehomogenize_adds_terms_that_meet_and_drops_their_zeros():
+    F = parse("x0*x1 - x1 + x0^2*x2 + 1/2*x2")
+    f = dehomogenize(F, "x0")
+    assert f.vars == ("x1", "x2") and f.terms == {(0, 1): Fraction(3, 2)}
+    assert dehomogenize(parse("x0 - 1"), "x0").is_zero()
+
+
 @pytest.mark.parametrize("exponent", [(1.5,), (True,), ("2",)])
 def test_exponents_that_are_not_ints_are_refused(exponent):
     # int() would read 1.5 and True as 1 and "2" as 2
